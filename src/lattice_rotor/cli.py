@@ -8,18 +8,17 @@ the input was unusable, 3 means an internal a-posteriori check failed
 and the result cannot be trusted.
 
 Every result is re-verified against its module's closing invariant
-before it is serialized.  Per-t work is dispatched strictly in t order;
-the arbitrary-precision context is process-global, so the dispatcher
-keeps a single lane regardless of the LATTICE_ROTOR_THREADS cap (the
-cap is honored as an upper bound and matters only for code paths with
-thread-safe kernels).
+before it is written.  A solve result is rechecked on its serialized
+form: t and the plane rotations are read back from the result's
+decimals and measured against the spec's points with solver.certify.
+Per-t work is dispatched strictly in t order; the arbitrary-precision
+context is process-global, so the dispatcher keeps a single lane.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -30,7 +29,7 @@ import mpmath
 from mpmath import mpc, mpf
 
 from . import __version__
-from .corelattice import ComplexVector, Rotation, nearest_gaussian, real_dist_to_lattice
+from .corelattice import Rotation, nearest_gaussian
 from .oracle import (
     PlanarIsometry,
     covering_time,
@@ -44,6 +43,7 @@ from .plotting import cell_svg, curve_svg
 from .precision import (
     MIN_PRECISION,
     format_decimal,
+    parse_complex_pair,
     parse_decimal,
     residual_tol,
     working_precision,
@@ -54,7 +54,9 @@ from .reporting import RunReport, canonical_json, tau_csv
 from .solver import (
     InternalCheckError,
     SolverConfig,
-    lattice_residuals,
+    certify,
+    # kept importable here: perfbench/tracer.py wraps cli.lattice_residuals
+    lattice_residuals,  # noqa: F401
     solve_general,
 )
 
@@ -64,7 +66,6 @@ __all__ = [
     "parse_problem_spec",
     "run",
     "emit_plot",
-    "thread_cap",
     "main",
 ]
 
@@ -85,20 +86,6 @@ _MAX_T_COUNT = 10000
 
 class SpecError(ValueError):
     """Problem spec failed validation; maps to exit code 2."""
-
-
-def thread_cap() -> int:
-    """Upper bound on worker threads: LATTICE_ROTOR_THREADS, else cores."""
-    raw = os.environ.get("LATTICE_ROTOR_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SpecError(f"LATTICE_ROTOR_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise SpecError(f"LATTICE_ROTOR_THREADS must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _require_decimal(value, name: str, bits: int = 64) -> str:
@@ -308,15 +295,6 @@ def parse_problem_spec(data, mode_expected: str) -> ProblemSpec:
     )
 
 
-def _complex_vector(spec: ProblemSpec, bits: int) -> ComplexVector:
-    with working_precision(bits):
-        entries = tuple(
-            mpc(parse_decimal(p[0], bits), parse_decimal(p[1], bits))
-            for p in spec.points
-        )
-        return ComplexVector(entries, bits)
-
-
 def _point_set(spec: ProblemSpec, bits: int) -> EvenDimPointSet:
     with working_precision(bits):
         pts = tuple(
@@ -325,40 +303,26 @@ def _point_set(spec: ProblemSpec, bits: int) -> EvenDimPointSet:
         return EvenDimPointSet(pts, bits)
 
 
-def _recheck_planar(report, vec: ComplexVector, t: mpf, eps: mpf) -> None:
-    if not report.achieved:
+def _result_rotations(result: dict) -> Tuple[int, mpf, Tuple[mpc, ...]]:
+    """(eval_bits, t, plane thetas) read back from a serialized solve
+    result; a planar result is a block of one plane."""
+    bits = int(result["eval_bits"])
+    t = parse_decimal(result["t"], bits)
+    planes = result.get("per_plane", [result])
+    return bits, t, tuple(parse_complex_pair(p["theta"], bits) for p in planes)
+
+
+def _recheck(result: dict, planes, eps: mpf) -> None:
+    """Measure the result about to be written against the spec's points."""
+    if not result["achieved"]:
         return
-    res = lattice_residuals(report.theta, t, vec, 2 * report.eval_bits)
-    with working_precision(2 * report.eval_bits):
-        worst = max(res)
-        if not worst < eps + residual_tol(report.eval_bits):
+    bits, t, thetas = _result_rotations(result)
+    _, worst = certify([Rotation(th, bits) for th in thetas], t, planes, bits)
+    with working_precision(bits):
+        if not worst < eps + residual_tol(bits):
             raise InternalCheckError(
                 f"a-posteriori recheck failed at t={mpmath.nstr(t, 12)}: "
                 f"recomputed worst residual {mpmath.nstr(worst, 12)} is not "
-                f"below tolerance"
-            )
-
-
-def _recheck_block(report, point_set: EvenDimPointSet, t: mpf, eps: mpf) -> None:
-    if not report.achieved:
-        return
-    planes = project_planes(point_set)
-    hb = 2 * report.eval_bits
-    with working_precision(hb):
-        t_h = mpf(t)
-        worst = mpf(0)
-        for p in range(len(point_set)):
-            coords = []
-            for i, plane in enumerate(planes):
-                w = report.per_plane[i].theta.value * (t_h * plane.entries[p])
-                coords.extend((w.real, w.imag))
-            d = real_dist_to_lattice(coords, hb)
-            if d > worst:
-                worst = d
-        if not worst < eps + residual_tol(report.eval_bits):
-            raise InternalCheckError(
-                f"a-posteriori recheck failed at t={mpmath.nstr(t, 12)}: "
-                f"recomputed combined residual {mpmath.nstr(worst, 12)} is not "
                 f"below tolerance"
             )
 
@@ -369,8 +333,8 @@ def _run_solve(spec: ProblemSpec) -> Tuple[Tuple[dict, ...], dict, Tuple[str, ..
         bits=bits, height_bound=spec.height_bound, l_cap=spec.l_cap
     )
     planar = spec.dim == 2
-    vec = _complex_vector(spec, bits) if planar else None
-    pset = None if planar else _point_set(spec, bits)
+    pset = _point_set(spec, bits)
+    planes = project_planes(pset)
 
     warnings = []
     advised = recommended_precision(len(spec.points), spec.height_bound)
@@ -390,8 +354,7 @@ def _run_solve(spec: ProblemSpec) -> Tuple[Tuple[dict, ...], dict, Tuple[str, ..
             t_v = parse_decimal(t_str, bits)
             eps_v = parse_decimal(spec.epsilon, bits)
         if planar:
-            rep = solve_general(vec, t_v, eps_v, seed=spec.seed, config=config)
-            _recheck_planar(rep, vec, t_v, eps_v)
+            rep = solve_general(planes[0], t_v, eps_v, seed=spec.seed, config=config)
             if rep.decomposition is not None:
                 for w in rep.decomposition.warnings:
                     if w not in warnings:
@@ -399,9 +362,10 @@ def _run_solve(spec: ProblemSpec) -> Tuple[Tuple[dict, ...], dict, Tuple[str, ..
             frac = rep.max_frac
         else:
             rep = solve_even_dim(pset, t_v, eps_v, seed=spec.seed, config=config)
-            _recheck_block(rep, pset, t_v, eps_v)
             frac = rep.combined_max_frac
-        results.append(rep.to_json_dict())
+        result = rep.to_json_dict()
+        _recheck(result, planes, eps_v)
+        results.append(result)
         if rep.achieved:
             achieved_count += 1
         with working_precision(rep.eval_bits):
@@ -421,7 +385,7 @@ def _run_tau(
     spec: ProblemSpec, grid_theta: int, grid_trans: int, with_reflection: bool
 ) -> Tuple[Tuple[dict, ...], dict, Tuple[str, ...]]:
     bits = spec.precision_bits
-    base = _complex_vector(spec, bits)
+    base = project_planes(_point_set(spec, bits))[0]
     results = []
     uppers = []
     for t_str in spec.t_values:
@@ -616,38 +580,13 @@ def _cell_data(report: RunReport):
             break
     if chosen is None:
         chosen = report.results[0]
-    points = report.spec_echo["points"]
     eps = float(parse_decimal(report.spec_echo["epsilon"], 64))
+    bits, t_v, thetas = _result_rotations(chosen)
     residues = []
-    if "per_plane" in chosen:
-        plane_reports = chosen["per_plane"]
-        bits = max(int(p["eval_bits"]) for p in plane_reports)
-        with working_precision(bits):
-            t_v = parse_decimal(chosen["t"], bits)
-            for p in points:
-                for i, pr in enumerate(plane_reports):
-                    theta = mpc(
-                        parse_decimal(pr["theta"][0], bits),
-                        parse_decimal(pr["theta"][1], bits),
-                    )
-                    z = mpc(
-                        parse_decimal(p[2 * i], bits),
-                        parse_decimal(p[2 * i + 1], bits),
-                    )
-                    w = theta * (t_v * z)
-                    ga, gb = nearest_gaussian(w, bits)
-                    residues.append((float(w.real - ga), float(w.imag - gb)))
-    else:
-        bits = int(chosen["eval_bits"])
-        with working_precision(bits):
-            t_v = parse_decimal(chosen["t"], bits)
-            theta = mpc(
-                parse_decimal(chosen["theta"][0], bits),
-                parse_decimal(chosen["theta"][1], bits),
-            )
-            for p in points:
-                z = mpc(parse_decimal(p[0], bits), parse_decimal(p[1], bits))
-                w = theta * (t_v * z)
+    with working_precision(bits):
+        for p in report.spec_echo["points"]:
+            for i, theta in enumerate(thetas):
+                w = theta * (t_v * parse_complex_pair(p[2 * i : 2 * i + 2], bits))
                 ga, gb = nearest_gaussian(w, bits)
                 residues.append((float(w.real - ga), float(w.imag - gb)))
     return residues, eps, chosen["t"]

@@ -29,10 +29,6 @@ from .precision import (
     working_precision,
 )
 
-# upper end of the frac_dist range: half the diagonal of a unit cell
-SQRT2_OVER_2 = "0.70710678118654752440084436210484903928"
-
-
 def _require_finite_complex(z: mpc) -> mpc:
     z = mpc(z)
     if not (mpmath.isfinite(z.real) and mpmath.isfinite(z.imag)):
@@ -163,20 +159,6 @@ class ComplexVector:
     def scaled(self, factor) -> "ComplexVector":
         with working_precision(self.bits):
             return ComplexVector(tuple(mpc(factor) * z for z in self.entries), self.bits)
-
-    def shifted(self, offset: "ComplexVector") -> "ComplexVector":
-        if len(offset) != len(self):
-            raise ValueError("length mismatch")
-        with working_precision(self.bits):
-            return ComplexVector(
-                tuple(a + b for a, b in zip(self.entries, offset.entries)), self.bits
-            )
-
-    def reim(self) -> tuple:
-        """Interleave-free flattening: all real parts, then all imaginary."""
-        return tuple(z.real for z in self.entries) + tuple(
-            z.imag for z in self.entries
-        )
 
     def frac_dist(self) -> mpf:
         return vec_frac_dist(self.entries, self.bits)

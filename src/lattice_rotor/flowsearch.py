@@ -38,8 +38,6 @@ from .corelattice import ComplexVector, frac_dist
 from .lll import lll_reduce
 from .precision import raise_for_magnitude, working_precision
 
-SQRT2_OVER_2_F = math.sqrt(2.0) / 2.0
-
 # grid sizes up to this are cheaper to scan outright than to enumerate
 DEFAULT_SCAN_LIMIT = 1 << 22
 

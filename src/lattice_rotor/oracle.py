@@ -34,7 +34,6 @@ from .precision import (
     residual_tol,
     working_precision,
 )
-from .solver import _as_mpf
 
 __all__ = [
     "PlanarIsometry",
@@ -281,7 +280,7 @@ def separated_probe(t, bits: int = DEFAULT_PRECISION) -> ComplexVector:
     """Three points with pairwise separation exactly t whose every planar
     isometric embedding keeps at least one image an eighth away from the
     lattice: the origin, i*t, and t + 1/2."""
-    t_v = _as_mpf(t, bits)
+    t_v = parse_decimal(t, bits)
     if not t_v > 0:
         raise ValueError(f"t must be positive, got {t_v}")
     with working_precision(bits):
@@ -383,7 +382,7 @@ def check_prop_sep(
         assert minimum is not None
 
     return PropSepCheck(
-        t=_as_mpf(t, bits),
+        t=parse_decimal(t, bits),
         samples=samples,
         seed=seed,
         minimum=minimum,

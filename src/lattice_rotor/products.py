@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Tuple
 import mpmath
 from mpmath import mpc, mpf
 
-from .corelattice import ComplexVector, real_dist_to_lattice
+from .corelattice import ComplexVector
 from .precision import (
     DEFAULT_PRECISION,
     check_precision,
@@ -34,7 +34,7 @@ from .precision import (
 from .solver import (
     SolveReport,
     SolverConfig,
-    _as_mpf,
+    certify,
     derive_seed,
     solve_general,
 )
@@ -212,7 +212,7 @@ def solve_even_dim(
     d = ps.num_planes
 
     work = bits + 64
-    eps_v = _as_mpf(eps, work)
+    eps_v = parse_decimal(eps, work)
     with working_precision(work):
         k = mpf(ps.dim)
         if not (0 < eps_v < mpmath.sqrt(k) / 2):
@@ -225,7 +225,7 @@ def solve_even_dim(
         else:
             if len(plane_eps) != d:
                 raise ValueError(f"plane_eps needs {d} entries, got {len(plane_eps)}")
-            split = tuple(_as_mpf(v, work) for v in plane_eps)
+            split = tuple(parse_decimal(v, work) for v in plane_eps)
             if any(v <= 0 for v in split):
                 raise ValueError("plane tolerances must be positive")
             budget = sum(v**2 for v in split)
@@ -247,21 +247,10 @@ def solve_even_dim(
             diagnostics.append(f"plane {i} failed its share of the budget")
 
     eval_bits = max(r.eval_bits for r in reports)
-    verify_bits = 2 * eval_bits
-    t_v = _as_mpf(t, eval_bits)
-    with working_precision(verify_bits):
-        per_point_hi = []
-        for p in ps.points:
-            coords = []
-            for i, rep in enumerate(reports):
-                w = rep.theta.value * t_v * mpc(p[2 * i], p[2 * i + 1])
-                coords.append(w.real)
-                coords.append(w.imag)
-            per_point_hi.append(real_dist_to_lattice(coords, verify_bits))
+    t_v = parse_decimal(t, eval_bits)
+    per_point, combined = certify([r.theta for r in reports], t_v, planes, eval_bits)
+    eps_e = parse_decimal(eps, eval_bits)
     with working_precision(eval_bits):
-        per_point = tuple(mpf(v) for v in per_point_hi)
-        combined = max(per_point)
-        eps_e = _as_mpf(eps, eval_bits)
         split_stored = tuple(mpf(v) for v in split)
     achieved = bool(combined < eps_e)
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpc, mpf
@@ -66,6 +66,7 @@ __all__ = [
     "derive_seed",
     "randomize_phase",
     "lattice_residuals",
+    "certify",
     "solve_typical",
     "solve_plan",
     "solve_general",
@@ -79,16 +80,6 @@ class InternalCheckError(RuntimeError):
 DEFAULT_HEIGHT_BOUND = 64
 DEFAULT_MAX_PHASE_RETRIES = 3
 DEFAULT_MAX_ESCALATIONS = 6
-
-
-def _as_mpf(value, bits: int) -> mpf:
-    if isinstance(value, str):
-        return parse_decimal(value, bits)
-    with working_precision(bits):
-        out = mpf(value)
-    if not mpmath.isfinite(out):
-        raise ValueError(f"non-finite value not allowed: {value!r}")
-    return out
 
 
 @dataclass(frozen=True)
@@ -125,8 +116,9 @@ class SolveReport:
 
     per_point_frac comes from an independent re-evaluation of the
     delivered rotation at twice the evaluation precision; achieved is
-    that check and nothing else.  search_steps counts grid points the
-    flow search examined, summed over retries for the general driver.
+    that check and nothing else.  search_steps is the flow search's
+    examined count: scan grid points plus enumeration candidates, summed
+    over horizons and retries for the general driver.
     """
 
     t: mpf
@@ -273,29 +265,36 @@ def lattice_residuals(theta: Rotation, t, V, bits: int) -> Tuple[mpf, ...]:
     """
     vec = V if isinstance(V, ComplexVector) else ComplexVector(tuple(V), bits)
     with working_precision(bits):
-        tt = _as_mpf(t, bits)
+        tt = parse_decimal(t, bits)
         return tuple(frac_dist(theta.value * tt * z, bits) for z in vec.entries)
+
+
+def certify(
+    thetas: Sequence[Rotation], t, planes: Sequence, eval_bits: int
+) -> Tuple[Tuple[mpf, ...], mpf]:
+    """Distance of every point's image to the integer lattice, and the worst.
+
+    Point j is the entry j of every plane; plane i is turned by thetas[i]
+    and dilated by t, so a planar configuration is the block of one
+    plane.  The lattice_residuals of each plane are taken at twice
+    eval_bits and combined as sqrt(sum of squares), then rounded to
+    eval_bits so reports serialize at their own precision.  For one
+    plane the combination is exact (sqrt(fl(h^2)) == h), and max
+    commutes with the rounding because it is monotone.
+    """
+    hi = 2 * eval_bits
+    per_plane = [lattice_residuals(th, t, pl, hi) for th, pl in zip(thetas, planes)]
+    with working_precision(hi):
+        combined = [mpmath.sqrt(sum(r * r for r in rs)) for rs in zip(*per_plane)]
+    with working_precision(eval_bits):
+        per_point = tuple(mpf(v) for v in combined)
+        worst = max(per_point)
+    return per_point, worst
 
 
 def _identity_rotation(bits: int) -> Rotation:
     with working_precision(bits):
         return Rotation(mpc(1), bits)
-
-
-def _verified_residuals(
-    theta: Rotation, t, vec: ComplexVector, eval_bits: int
-) -> Tuple[Tuple[mpf, ...], mpf]:
-    """Re-evaluate at doubled precision, then store at eval_bits.
-
-    Rounding after the doubled-precision pass keeps reports serializable
-    at their own precision; max commutes with the rounding because it is
-    monotone.
-    """
-    hi = lattice_residuals(theta, t, vec, 2 * eval_bits)
-    with working_precision(eval_bits):
-        per = tuple(mpf(v) for v in hi)
-        worst = max(per)
-    return per, worst
 
 
 def _trivial_report(
@@ -309,10 +308,10 @@ def _trivial_report(
 ) -> SolveReport:
     # an all-zero configuration is fixed by every rotation; report the
     # identity and let the verification pass say so
-    eval_bits = raise_for_magnitude(bits, max(abs(_as_mpf(t_in, bits + 64)), mpf(1)), eps)
-    t = _as_mpf(t_in, eval_bits)
+    eval_bits = raise_for_magnitude(bits, max(abs(parse_decimal(t_in, bits + 64)), mpf(1)), eps)
+    t = parse_decimal(t_in, eval_bits)
     theta = _identity_rotation(eval_bits)
-    per_point, max_frac = _verified_residuals(theta, t, vec, eval_bits)
+    per_point, max_frac = certify([theta], t, [vec], eval_bits)
     return SolveReport(
         t=t,
         theta=theta,
@@ -372,14 +371,14 @@ def solve_typical(V, t, eps, L_max, config: Optional[SolverConfig] = None) -> So
         bits = vec.bits
 
     rough = bits + 64
-    eps_r = _as_mpf(eps, rough)
+    eps_r = parse_decimal(eps, rough)
     with working_precision(rough):
         if not (0 < eps_r < mpf(2) ** mpf("0.5") / 2):
             raise ValueError(f"eps must lie in (0, sqrt(2)/2), got {eps_r}")
-    t_r = _as_mpf(t, rough)
+    t_r = parse_decimal(t, rough)
     if not t_r > 0:
         raise ValueError(f"t must be positive, got {t_r}")
-    L_r = _as_mpf(L_max, rough)
+    L_r = parse_decimal(L_max, rough)
     if L_r < 0:
         raise ValueError(f"L_max must be nonnegative, got {L_r}")
 
@@ -392,9 +391,9 @@ def solve_typical(V, t, eps, L_max, config: Optional[SolverConfig] = None) -> So
     with working_precision(rough):
         largest = max_abs * max(t_r, L_r, mpf(1))
     eval_bits = raise_for_magnitude(bits, largest, eps_r)
-    t_v = _as_mpf(t, eval_bits)
-    eps_v = _as_mpf(eps, eval_bits)
-    L_v = _as_mpf(L_max, eval_bits)
+    t_v = parse_decimal(t, eval_bits)
+    eps_v = parse_decimal(eps, eval_bits)
+    L_v = parse_decimal(L_max, eval_bits)
     vec_eval = ComplexVector(vec.entries, eval_bits)
     with working_precision(eval_bits):
         offset = ComplexVector(
@@ -420,7 +419,7 @@ def solve_typical(V, t, eps, L_max, config: Optional[SolverConfig] = None) -> So
     if outcome.found:
         with working_precision(eval_bits):
             theta = Rotation(mpmath.expj(outcome.s / t_v), eval_bits)
-        per_point, max_frac = _verified_residuals(theta, t_v, vec_eval, eval_bits)
+        per_point, max_frac = certify([theta], t_v, [vec_eval], eval_bits)
         achieved = bool(max_frac < eps_v)
         _check_linearization(theta, t_v, outcome.s, vec_eval, L_v, max_abs, verify_bits)
         diagnostics.append(
@@ -436,7 +435,7 @@ def solve_typical(V, t, eps, L_max, config: Optional[SolverConfig] = None) -> So
         s_found: Optional[mpf] = outcome.s
     else:
         theta = _identity_rotation(eval_bits)
-        per_point, max_frac = _verified_residuals(theta, t_v, vec_eval, eval_bits)
+        per_point, max_frac = certify([theta], t_v, [vec_eval], eval_bits)
         achieved = False
         s_found = None
         diagnostics.append(
@@ -483,7 +482,7 @@ def solve_plan(V, eps, config: Optional[SolverConfig] = None) -> GeneralPlan:
     vec = V if isinstance(V, ComplexVector) else ComplexVector(tuple(V), bits)
     if vec.bits > bits:
         bits = vec.bits
-    eps_v = _as_mpf(eps, bits + 64)
+    eps_v = parse_decimal(eps, bits + 64)
     with working_precision(bits + 64):
         if not (0 < eps_v < mpf(2) ** mpf("0.5") / 2):
             raise ValueError(f"eps must lie in (0, sqrt(2)/2), got {eps_v}")
@@ -498,11 +497,11 @@ def solve_plan(V, eps, config: Optional[SolverConfig] = None) -> GeneralPlan:
         eps_inner = eps_v / (2 * m * M**2)
         reduced_max = max(abs(vec.entries[b]) for b in decomposition.basis_indices) / M
         if config.l_start is not None:
-            L0 = _as_mpf(config.l_start, work)
+            L0 = parse_decimal(config.l_start, work)
         else:
             L0 = initial_search_length(eps_inner, m, work)
         if config.l_cap is not None:
-            L0 = min(L0, _as_mpf(config.l_cap, work))
+            L0 = min(L0, parse_decimal(config.l_cap, work))
         T = dilation_threshold(L0, reduced_max, eps_inner, work)
     return GeneralPlan(decomposition, eps_inner, L0, T, reduced_max, bits)
 
@@ -530,7 +529,7 @@ def solve_general(
     decomposition = plan.decomposition
     m = decomposition.num_basis
     M = decomposition.M
-    eps_v = _as_mpf(eps, bits + 64)
+    eps_v = parse_decimal(eps, bits + 64)
 
     if m == 0:
         return _trivial_report(
@@ -544,7 +543,7 @@ def solve_general(
         )
 
     rough = bits + 64
-    t_r = _as_mpf(t, rough)
+    t_r = parse_decimal(t, rough)
     if not t_r > 0:
         raise ValueError(f"t must be positive, got {t_r}")
 
@@ -552,13 +551,13 @@ def solve_general(
         ladder = [plan.initial_L]
         for _ in range(config.max_escalations):
             nxt = ladder[-1] * 2
-            if config.l_cap is not None and nxt > _as_mpf(config.l_cap, rough):
+            if config.l_cap is not None and nxt > parse_decimal(config.l_cap, rough):
                 break
             ladder.append(nxt)
         largest = max(t_r * vec.max_abs(), ladder[-1] * plan.reduced_max_abs, mpf(1))
     eval_bits = raise_for_magnitude(bits, largest, plan.eps_inner)
-    t_v = _as_mpf(t, eval_bits)
-    eps_full = _as_mpf(eps, eval_bits)
+    t_v = parse_decimal(t, eval_bits)
+    eps_full = parse_decimal(eps, eval_bits)
 
     with working_precision(eval_bits):
         vec_eval = ComplexVector(vec.entries, eval_bits)
@@ -605,7 +604,7 @@ def solve_general(
             continue
 
         theta = inner.theta * phase.rotation
-        per_point, max_frac = _verified_residuals(theta, t_v, vec_eval, eval_bits)
+        per_point, max_frac = certify([theta], t_v, [vec_eval], eval_bits)
         with working_precision(verify_bits):
             # what the coefficient chain predicts for the worst original
             # entry, recorded for comparison but never trusted
@@ -652,7 +651,7 @@ def solve_general(
     # every phase attempt died in the search; report the identity with
     # the full diagnostic trail
     theta = _identity_rotation(eval_bits)
-    per_point, max_frac = _verified_residuals(theta, t_v, vec_eval, eval_bits)
+    per_point, max_frac = certify([theta], t_v, [vec_eval], eval_bits)
     diagnostics.append("density horizon exceeded")
     return SolveReport(
         t=t_v,

@@ -1,18 +1,19 @@
+import dataclasses
 import json
-import os
 
 import pytest
 from mpmath import mpf
 
+import lattice_rotor.cli as cli
 from lattice_rotor.cli import (
     SpecError,
     emit_plot,
     main,
     parse_problem_spec,
-    thread_cap,
 )
-from lattice_rotor.precision import parse_decimal
-from lattice_rotor.reporting import RunReport
+from lattice_rotor.corelattice import Rotation
+from lattice_rotor.precision import parse_decimal, working_precision
+from lattice_rotor.reporting import RunReport, canonical_json
 
 
 def _solve_spec(**overrides):
@@ -159,24 +160,6 @@ class TestSpecValidation:
         assert spec.l_cap == "100"
 
 
-class TestThreadCap:
-    def test_defaults_to_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("LATTICE_ROTOR_THREADS", raising=False)
-        assert thread_cap() == (os.cpu_count() or 1)
-
-    def test_reads_environment(self, monkeypatch):
-        monkeypatch.setenv("LATTICE_ROTOR_THREADS", "4")
-        assert thread_cap() == 4
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("LATTICE_ROTOR_THREADS", "abc")
-        with pytest.raises(SpecError):
-            thread_cap()
-        monkeypatch.setenv("LATTICE_ROTOR_THREADS", "0")
-        with pytest.raises(SpecError):
-            thread_cap()
-
-
 class TestSolveCommand:
     def test_end_to_end_single_point(self, tmp_path):
         spec_path = _write_spec(tmp_path, _solve_spec())
@@ -197,8 +180,6 @@ class TestSolveCommand:
         out_path = str(tmp_path / "report.json")
         assert main(["solve", "--input", spec_path, "--output", out_path]) == 0
         text = (tmp_path / "report.json").read_text()
-        from lattice_rotor.reporting import canonical_json
-
         assert text == canonical_json(json.loads(text))
 
     def test_timings_flag_adds_wall_clock(self, tmp_path):
@@ -309,6 +290,59 @@ class TestSolveCommand:
     def test_argparse_errors_propagate_exit_code(self, capsys):
         assert main(["solve"]) == 2
         capsys.readouterr()
+
+
+def _half_cell_off(report):
+    """The report's rotation turned further by 1/(2t): a unit-modulus
+    entry's image moves half a lattice step along the circle, so it lands
+    at least 0.5 - eps from every lattice point."""
+    with working_precision(report.eval_bits):
+        nudge = Rotation.from_angle(1 / (2 * report.t), report.eval_bits)
+    return report.theta * nudge
+
+
+class TestInternalCheckExit:
+    """A result marked achieved whose rotation misses the lattice must be
+    refused by the recheck of the serialized result: exit 3, the
+    canonical error JSON on stdout, and no report written."""
+
+    def _run_expecting_3(self, tmp_path, capsys, data):
+        spec_path = _write_spec(tmp_path, data)
+        out_path = tmp_path / "report.json"
+        code = main(["solve", "--input", spec_path, "--output", str(out_path)])
+        assert code == 3
+        stdout = capsys.readouterr().out
+        err = json.loads(stdout)
+        assert set(err) == {"error", "exit_code"}
+        assert err["exit_code"] == 3
+        assert stdout == canonical_json(err)
+        assert not out_path.exists()
+
+    def test_corrupted_planar_theta_exits_3(self, tmp_path, capsys, monkeypatch):
+        solve_general = cli.solve_general
+
+        def corrupted(*args, **kwargs):
+            report = solve_general(*args, **kwargs)
+            assert report.achieved
+            return dataclasses.replace(report, theta=_half_cell_off(report))
+
+        monkeypatch.setattr(cli, "solve_general", corrupted)
+        self._run_expecting_3(tmp_path, capsys, _solve_spec())
+
+    def test_corrupted_block_theta_exits_3(self, tmp_path, capsys, monkeypatch):
+        solve_even_dim = cli.solve_even_dim
+
+        def corrupted(*args, **kwargs):
+            report = solve_even_dim(*args, **kwargs)
+            assert report.achieved
+            first = report.per_plane[0]
+            bad = dataclasses.replace(first, theta=_half_cell_off(first))
+            return dataclasses.replace(report, per_plane=(bad,) + report.per_plane[1:])
+
+        monkeypatch.setattr(cli, "solve_even_dim", corrupted)
+        self._run_expecting_3(
+            tmp_path, capsys, _solve_spec(points=[["1", "0", "0", "1"]], t="1e10")
+        )
 
 
 class TestTauCommand:

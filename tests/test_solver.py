@@ -1,17 +1,23 @@
+from types import SimpleNamespace
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
-from lattice_rotor.corelattice import ComplexVector, Rotation
+from lattice_rotor.corelattice import ComplexVector, Rotation, real_dist_to_lattice
 from lattice_rotor.precision import (
     residual_tol,
     unit_modulus_tol,
     working_precision,
 )
+from lattice_rotor.products import EvenDimPointSet, embed_points, project_planes
 from lattice_rotor.solver import (
     SolveReport,
     SolverConfig,
+    certify,
     derive_seed,
     dilation_threshold,
     initial_search_length,
@@ -34,6 +40,79 @@ def _triangle():
     with working_precision(BITS):
         w = mpmath.expjpi(mpf(2) / 3)
         return ComplexVector((mpc(1), w, w * w), BITS)
+
+
+def _image_coord(a: int, kind: str, k: int, frac: float):
+    """An image coordinate: a half-integer, a hair either side of one,
+    or a generic offset from an integer."""
+    with working_precision(1400):
+        if kind == "generic":
+            return mpf(a) + mpf(frac)
+        nudge = {"below": -1, "at": 0, "above": 1}[kind] * mpf(2) ** -k
+        return mpf(a) + mpf(1) / 2 + nudge
+
+
+IMAGE_COORDS = st.builds(
+    _image_coord,
+    st.integers(-(2**30), 2**30),
+    st.sampled_from(["below", "at", "above", "generic"]),
+    st.integers(2, 1100),
+    st.floats(0, 1, exclude_max=True),
+)
+
+
+@st.composite
+def certify_cases(draw, num_planes: int):
+    """(thetas, t, point set, bits) whose images theta_i*t*z are drawn
+    first, so near-half-integer coordinates survive the map back to the
+    points."""
+    bits = draw(st.sampled_from([64, 106, 128, 256, 512]))
+    thetas = [Rotation.from_angle(draw(st.floats(0, 6.283)), bits) for _ in range(num_planes)]
+    t = mpf(draw(st.integers(1, 10**15)))
+    points = []
+    with working_precision(4 * bits + 1400):
+        for _ in range(draw(st.integers(1, 4))):
+            coords = []
+            for theta in thetas:
+                z = mpc(draw(IMAGE_COORDS), draw(IMAGE_COORDS)) / (theta.value * t)
+                coords += [z.real, z.imag]
+            points.append(tuple(coords))
+    return thetas, t, EvenDimPointSet(tuple(points), bits), bits
+
+
+class TestCertify:
+    @given(case=certify_cases(1))
+    def test_one_plane_is_lattice_residuals_rounded(self, case):
+        (theta,), t, ps, bits = case
+        vec = project_planes(ps)[0]
+        per_point, worst = certify([theta], t, [vec], bits)
+        hi = lattice_residuals(theta, t, vec, 2 * bits)
+        with working_precision(bits):
+            expected = tuple(mpf(v) for v in hi)
+        assert per_point == expected
+        assert worst == max(expected)
+
+    @given(case=certify_cases(2))
+    def test_two_planes_match_interleaved_distance(self, case):
+        # the arithmetic certify replaced: real_dist_to_lattice over the
+        # interleaved image coordinates at doubled precision
+        thetas, t, ps, bits = case
+        per_point, worst = certify(thetas, t, project_planes(ps), bits)
+        hi = 2 * bits
+        report = SimpleNamespace(
+            eval_bits=hi, t=t, per_plane=[SimpleNamespace(theta=th) for th in thetas]
+        )
+        with working_precision(hi):
+            tol = mpf(2) ** -(bits - 8)
+            for got, coords in zip(per_point, embed_points(ps, report)):
+                assert abs(got - real_dist_to_lattice(coords, hi)) <= tol
+        assert worst == max(per_point)
+
+    def test_lattice_points_certify_to_zero(self):
+        vec = ComplexVector((mpc(3, -2), mpc(0, 5)), BITS)
+        with working_precision(BITS):
+            identity = Rotation(mpc(1), BITS)
+        assert certify([identity], 7, [vec], BITS) == ((0, 0), 0)
 
 
 class TestDilationThreshold:
