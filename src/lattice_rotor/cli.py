@@ -50,7 +50,7 @@ from .precision import (
 )
 from .products import EvenDimPointSet, project_planes, solve_even_dim
 from .relations import recommended_precision
-from .reporting import RunReport, canonical_json, tau_csv
+from .reporting import RunReport, canonical_json, tau_csv, to_json_data
 from .solver import (
     InternalCheckError,
     SolverConfig,
@@ -363,7 +363,7 @@ def _run_solve(spec: ProblemSpec) -> Tuple[Tuple[dict, ...], dict, Tuple[str, ..
         else:
             rep = solve_even_dim(pset, t_v, eps_v, seed=spec.seed, config=config)
             frac = rep.combined_max_frac
-        result = rep.to_json_dict()
+        result = to_json_data(rep)
         _recheck(result, planes, eps_v)
         results.append(result)
         if rep.achieved:
@@ -409,7 +409,7 @@ def _run_tau(
                 f"reproduce the reported upper bound"
             )
         uppers.append((est.upper, bits))
-        results.append({"t": t_str, "estimate": est.to_json_dict()})
+        results.append({"t": t_str, "estimate": to_json_data(est)})
 
     with working_precision(bits):
         nonincreasing = all(
@@ -453,7 +453,7 @@ def _run_prop_sep(
                 "not reproduce the reported minimum"
             )
 
-    result = chk.to_json_dict()
+    result = to_json_data(chk)
     result["separation"] = format_decimal(sep, bits)
     summary = {
         "samples": samples,
@@ -485,7 +485,7 @@ def _run_covering(
         "cells_visited": out.cells_visited,
         "cells_total": out.cells_total,
     }
-    return (out.to_json_dict(),), summary, ()
+    return (to_json_data(out),), summary, ()
 
 
 def run(

@@ -119,10 +119,6 @@ class Rotation:
         with working_precision(bits):
             return Rotation(self.value * other.value, bits)
 
-    def apply(self, z) -> mpc:
-        with working_precision(self.bits):
-            return self.value * mpc(z)
-
 
 @dataclass(frozen=True)
 class ComplexVector:

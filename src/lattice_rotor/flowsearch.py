@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import mpmath
 import numpy as np
-from mpmath import mpc, mpf
+from mpmath import mpf
 
 from .corelattice import ComplexVector, frac_dist
 from .lll import lll_reduce

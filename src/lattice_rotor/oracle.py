@@ -18,7 +18,7 @@ the measurement's.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import mpmath
@@ -29,7 +29,6 @@ from .corelattice import ComplexVector, Rotation, frac_dist
 from .precision import (
     DEFAULT_PRECISION,
     check_precision,
-    format_decimal,
     parse_decimal,
     residual_tol,
     working_precision,
@@ -62,14 +61,17 @@ class PlanarIsometry:
 
     Translations beyond the unit square never change fractional
     distances, so the reduced pair is the honest parameterization.
+    bits is the rotation's precision and is not set by callers.
     """
 
     theta: Rotation
     reflect: bool
     translation: Tuple[mpf, mpf]
+    bits: int = field(init=False)
 
     def __post_init__(self) -> None:
         bits = self.theta.bits
+        object.__setattr__(self, "bits", bits)
         with working_precision(bits):
             reduced = []
             for u in self.translation:
@@ -79,32 +81,6 @@ class PlanarIsometry:
                 reduced.append(u - mpmath.floor(u))
         object.__setattr__(self, "translation", tuple(reduced))
         object.__setattr__(self, "reflect", bool(self.reflect))
-
-    def to_json_dict(self) -> dict:
-        b = self.theta.bits
-        return {
-            "theta": [
-                format_decimal(self.theta.value.real, b),
-                format_decimal(self.theta.value.imag, b),
-            ],
-            "reflect": self.reflect,
-            "translation": [format_decimal(u, b) for u in self.translation],
-            "bits": b,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PlanarIsometry":
-        b = int(data["bits"])
-        with working_precision(b):
-            theta = Rotation(
-                mpc(parse_decimal(data["theta"][0], b), parse_decimal(data["theta"][1], b)),
-                b,
-            )
-        return cls(
-            theta=theta,
-            reflect=bool(data["reflect"]),
-            translation=tuple(parse_decimal(u, b) for u in data["translation"]),
-        )
 
 
 def apply_isometry(g: PlanarIsometry, S) -> ComplexVector:
@@ -145,15 +121,6 @@ class TauEstimate:
     grid_spec: str
     argmin: PlanarIsometry
     bits: int = DEFAULT_PRECISION
-
-    def to_json_dict(self) -> dict:
-        return {
-            "upper": format_decimal(self.upper, self.bits),
-            "certified_lower": format_decimal(self.certified_lower, self.bits),
-            "grid_spec": self.grid_spec,
-            "argmin": self.argmin.to_json_dict(),
-            "bits": self.bits,
-        }
 
 
 def _float_parts(vec: ComplexVector) -> Tuple[np.ndarray, np.ndarray]:
@@ -300,19 +267,6 @@ class PropSepCheck:
     threshold: mpf
     bits: int = DEFAULT_PRECISION
 
-    def to_json_dict(self) -> dict:
-        b = self.bits
-        return {
-            "t": format_decimal(self.t, b),
-            "samples": self.samples,
-            "seed": self.seed,
-            "minimum": format_decimal(self.minimum, b),
-            "argmin_index": self.argmin_index,
-            "violations": [[i, format_decimal(v, b)] for i, v in self.violations],
-            "threshold": format_decimal(self.threshold, b),
-            "bits": b,
-        }
-
 
 def check_prop_sep(
     t, samples: int, seed: int, bits: int = DEFAULT_PRECISION
@@ -437,19 +391,6 @@ class CoveringOutcome:
     cell: float
     cap: float
     steps: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "covered": self.covered,
-            "L": None if self.L is None else repr(self.L),
-            "cells_total": self.cells_total,
-            "cells_visited": self.cells_visited,
-            "dim": self.dim,
-            "eps": repr(self.eps),
-            "cell": repr(self.cell),
-            "cap": repr(self.cap),
-            "steps": self.steps,
-        }
 
 
 def covering_time(

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from typing import Iterator
 
 import mpmath
-from mpmath import mp, mpc, mpf
+from mpmath import mpc, mpf
 
 DEFAULT_PRECISION = 128
 

@@ -27,7 +27,6 @@ from .corelattice import ComplexVector
 from .precision import (
     DEFAULT_PRECISION,
     check_precision,
-    format_decimal,
     parse_decimal,
     working_precision,
 )
@@ -134,39 +133,6 @@ class BlockEmbeddingReport:
     bits: int = DEFAULT_PRECISION
     eval_bits: int = DEFAULT_PRECISION
     diagnostics: Tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        b = self.eval_bits
-        return {
-            "t": format_decimal(self.t, b),
-            "per_plane": [r.to_json_dict() for r in self.per_plane],
-            "plane_eps": [format_decimal(v, b) for v in self.plane_eps],
-            "combined_per_point": [format_decimal(v, b) for v in self.combined_per_point],
-            "combined_max_frac": format_decimal(self.combined_max_frac, b),
-            "achieved": self.achieved,
-            "seed": self.seed,
-            "bits": self.bits,
-            "eval_bits": self.eval_bits,
-            "diagnostics": list(self.diagnostics),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BlockEmbeddingReport":
-        b = int(data["eval_bits"])
-        return cls(
-            t=parse_decimal(data["t"], b),
-            per_plane=tuple(SolveReport.from_json_dict(r) for r in data["per_plane"]),
-            plane_eps=tuple(parse_decimal(v, b) for v in data["plane_eps"]),
-            combined_per_point=tuple(
-                parse_decimal(v, b) for v in data["combined_per_point"]
-            ),
-            combined_max_frac=parse_decimal(data["combined_max_frac"], b),
-            achieved=bool(data["achieved"]),
-            seed=int(data["seed"]),
-            bits=int(data["bits"]),
-            eval_bits=b,
-            diagnostics=tuple(data.get("diagnostics", ())),
-        )
 
 
 def embed_points(

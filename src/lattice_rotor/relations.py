@@ -23,7 +23,7 @@ residuals are identically zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -31,7 +31,7 @@ import mpmath
 from mpmath import mpc, mpf
 
 from .corelattice import ComplexVector
-from .gaussian import GaussianInteger, GaussianRational, lcm_int, parse_coefficient
+from .gaussian import GaussianInteger, GaussianRational, lcm_int
 from .lll import lll_reduce
 from .precision import check_precision, residual_tol, working_precision
 
@@ -92,27 +92,6 @@ class RelationDecomposition:
         """The rows multiplied through by M (all Gaussian integers)."""
         return tuple(
             tuple(f.scaled_by_int(self.M) for f in row) for row in self.coeffs
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "basis_indices": list(self.basis_indices),
-            "dependent_indices": list(self.dependent_indices),
-            "coeffs": [[f.format() for f in row] for row in self.coeffs],
-            "M": self.M,
-            "warnings": list(self.warnings),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RelationDecomposition":
-        return cls(
-            basis_indices=tuple(int(i) for i in data["basis_indices"]),
-            dependent_indices=tuple(int(i) for i in data["dependent_indices"]),
-            coeffs=tuple(
-                tuple(parse_coefficient(s) for s in row) for row in data["coeffs"]
-            ),
-            M=int(data["M"]),
-            warnings=tuple(data.get("warnings", ())),
         )
 
 

@@ -37,17 +37,10 @@ import mpmath
 from mpmath import mpc, mpf
 
 from .corelattice import ComplexVector, Rotation, frac_dist
-from .flowsearch import (
-    DEFAULT_NODE_BUDGET,
-    DEFAULT_SCAN_LIMIT,
-    DEFAULT_WINDOW_BUDGET,
-    FlowSearchOutcome,
-    flow_search,
-)
+from .flowsearch import flow_search
 from .precision import (
     DEFAULT_PRECISION,
     check_precision,
-    format_decimal,
     identity_slack,
     parse_decimal,
     raise_for_magnitude,
@@ -84,30 +77,28 @@ DEFAULT_MAX_ESCALATIONS = 6
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by both solve entry points.
+    """Settings shared by both solve entry points.
 
     bits is the declared precision of the problem data; evaluation
-    precision is raised automatically and is not configurable.  l_start
-    and l_cap override and cap the search-horizon ladder; both accept
-    decimal strings.
+    precision is raised automatically and is not configurable.
+    height_bound caps the coefficients relation detection looks for, and
+    max_phase_retries counts the fresh seeded phases solve_general tries
+    after the first.  l_start and l_cap override and cap the
+    search-horizon ladder; both accept decimal strings.  The flow
+    search's scan limit and budgets, and the ladder's escalation count,
+    are fixed constants (flowsearch defaults, DEFAULT_MAX_ESCALATIONS).
     """
 
     bits: int = DEFAULT_PRECISION
     height_bound: int = DEFAULT_HEIGHT_BOUND
     max_phase_retries: int = DEFAULT_MAX_PHASE_RETRIES
-    max_escalations: int = DEFAULT_MAX_ESCALATIONS
     l_start: Optional[str] = None
     l_cap: Optional[str] = None
-    scan_limit: int = DEFAULT_SCAN_LIMIT
-    window_budget: int = DEFAULT_WINDOW_BUDGET
-    node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self) -> None:
         check_precision(self.bits)
         if self.max_phase_retries < 0:
             raise ValueError("max_phase_retries must be >= 0")
-        if self.max_escalations < 0:
-            raise ValueError("max_escalations must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -136,59 +127,6 @@ class SolveReport:
     bits: int = DEFAULT_PRECISION
     eval_bits: int = DEFAULT_PRECISION
     diagnostics: Tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        b = self.eval_bits
-        return {
-            "t": format_decimal(self.t, b),
-            "theta": [
-                format_decimal(self.theta.value.real, b),
-                format_decimal(self.theta.value.imag, b),
-            ],
-            "phi": format_decimal(self.phi, b),
-            "s_found": None if self.s_found is None else format_decimal(self.s_found, b),
-            "L_used": format_decimal(self.L_used, b),
-            "T_threshold": format_decimal(self.T_threshold, b),
-            "per_point_frac": [format_decimal(v, b) for v in self.per_point_frac],
-            "max_frac": format_decimal(self.max_frac, b),
-            "achieved": self.achieved,
-            "search_steps": self.search_steps,
-            "seed": self.seed,
-            "decomposition": None
-            if self.decomposition is None
-            else self.decomposition.to_json_dict(),
-            "bits": self.bits,
-            "eval_bits": self.eval_bits,
-            "diagnostics": list(self.diagnostics),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SolveReport":
-        b = int(data["eval_bits"])
-        with working_precision(b):
-            theta = Rotation(
-                mpc(parse_decimal(data["theta"][0], b), parse_decimal(data["theta"][1], b)),
-                b,
-            )
-        return cls(
-            t=parse_decimal(data["t"], b),
-            theta=theta,
-            phi=parse_decimal(data["phi"], b),
-            s_found=None if data["s_found"] is None else parse_decimal(data["s_found"], b),
-            L_used=parse_decimal(data["L_used"], b),
-            T_threshold=parse_decimal(data["T_threshold"], b),
-            per_point_frac=tuple(parse_decimal(v, b) for v in data["per_point_frac"]),
-            max_frac=parse_decimal(data["max_frac"], b),
-            achieved=bool(data["achieved"]),
-            search_steps=int(data["search_steps"]),
-            seed=None if data["seed"] is None else int(data["seed"]),
-            decomposition=None
-            if data["decomposition"] is None
-            else RelationDecomposition.from_json_dict(data["decomposition"]),
-            bits=int(data["bits"]),
-            eval_bits=b,
-            diagnostics=tuple(data.get("diagnostics", ())),
-        )
 
 
 def dilation_threshold(L, max_abs_z, eps, bits: int = DEFAULT_PRECISION) -> mpf:
@@ -401,16 +339,7 @@ def solve_typical(V, t, eps, L_max, config: Optional[SolverConfig] = None) -> So
         )
         flow_eps = eps_v / 2
 
-    outcome = flow_search(
-        vec_eval,
-        offset,
-        flow_eps,
-        L_v,
-        bits=eval_bits,
-        scan_limit=config.scan_limit,
-        window_budget=config.window_budget,
-        node_budget=config.node_budget,
-    )
+    outcome = flow_search(vec_eval, offset, flow_eps, L_v, bits=eval_bits)
 
     verify_bits = 2 * eval_bits
     T = dilation_threshold(L_v, max_abs, eps_v, eval_bits)
@@ -549,7 +478,7 @@ def solve_general(
 
     with working_precision(rough):
         ladder = [plan.initial_L]
-        for _ in range(config.max_escalations):
+        for _ in range(DEFAULT_MAX_ESCALATIONS):
             nxt = ladder[-1] * 2
             if config.l_cap is not None and nxt > parse_decimal(config.l_cap, rough):
                 break

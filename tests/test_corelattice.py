@@ -189,12 +189,6 @@ class TestRotation:
         expected = Rotation.from_angle(mpf("1.8"), BITS)
         assert abs((a * b).value - expected.value) < mpf(2) ** -100
 
-    @given(st.floats(min_value=-10, max_value=10, allow_nan=False), finite_complex)
-    def test_apply_preserves_modulus(self, angle, z):
-        r = Rotation.from_angle(mpf(angle), BITS)
-        slack = identity_slack(BITS, scale=abs(z))
-        assert abs(abs(r.apply(z)) - abs(z)) <= slack
-
 
 class TestComplexVector:
     def test_empty_rejected(self):

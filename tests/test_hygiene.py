@@ -1,0 +1,71 @@
+"""Design rules of the package, checked on its source without a linter.
+
+Every module-level import is used or re-exported through __all__ (an
+import line marked "# noqa: F401" is exempt), and no module imports a
+_-prefixed name from another module.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "lattice_rotor").glob("*.py"))
+
+
+def _parse(path):
+    text = path.read_text(encoding="utf-8")
+    return text.splitlines(), ast.parse(text)
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _used_names(tree):
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        # quoted annotations hold names only as text
+        for attr in ("annotation", "returns"):
+            ann = getattr(node, attr, None)
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(ann.value)) if isinstance(n, ast.Name)}
+    return used
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_imports_are_used(path):
+    lines, tree = _parse(path)
+    keep = _used_names(tree) | _exported(tree)
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound in keep or "# noqa: F401" in lines[alias.lineno - 1]:
+                continue
+            unused.append(bound)
+    assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_names_imported(path):
+    _, tree = _parse(path)
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert not private, f"{path.name} imports private names: {private}"

@@ -19,6 +19,7 @@ from lattice_rotor.oracle import (
 )
 from lattice_rotor.precision import working_precision
 from lattice_rotor.products import EvenDimPointSet
+from lattice_rotor.reporting import from_json_data, to_json_data
 
 B = 128
 
@@ -61,8 +62,8 @@ class TestPlanarIsometry:
             g = PlanarIsometry(
                 Rotation.from_angle(mpf("1.3"), B), True, (mpf("0.6"), mpf("0.2"))
             )
-        back = PlanarIsometry.from_json_dict(g.to_json_dict())
-        assert back.to_json_dict() == g.to_json_dict()
+        back = from_json_data(PlanarIsometry, to_json_data(g))
+        assert to_json_data(back) == to_json_data(g)
 
 
 class TestTauEstimate:
@@ -127,7 +128,7 @@ class TestTauEstimate:
     def test_deterministic(self):
         a = tau_estimate(_triangle(2), 60, 60, with_reflection=True, bits=B)
         b = tau_estimate(_triangle(2), 60, 60, with_reflection=True, bits=B)
-        assert a.to_json_dict() == b.to_json_dict()
+        assert to_json_data(a) == to_json_data(b)
 
 
 class TestSeparatedProbe:
@@ -175,7 +176,7 @@ class TestPropSepCheck:
     def test_deterministic(self):
         a = check_prop_sep(2, 500, seed=9, bits=B)
         b = check_prop_sep(2, 500, seed=9, bits=B)
-        assert a.to_json_dict() == b.to_json_dict()
+        assert to_json_data(a) == to_json_data(b)
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
@@ -234,6 +235,6 @@ class TestCoveringTime:
 
     def test_outcome_serializes(self):
         out = covering_time((1.0,), 0.2, 10.0)
-        d = out.to_json_dict()
+        d = to_json_data(out)
         assert isinstance(d["L"], str)
         assert isinstance(out, CoveringOutcome)

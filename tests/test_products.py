@@ -12,6 +12,7 @@ from lattice_rotor.products import (
     solve_even_dim,
     stack_planes,
 )
+from lattice_rotor.reporting import from_json_data, to_json_data
 from lattice_rotor.solver import derive_seed, solve_general, solve_plan
 
 BITS = 128
@@ -92,7 +93,7 @@ class TestSinglePlaneReduction:
             seed=derive_seed(5, 0, "plane"),
         )
         assert len(block.per_plane) == 1
-        assert block.per_plane[0].to_json_dict() == direct.to_json_dict()
+        assert to_json_data(block.per_plane[0]) == to_json_data(direct)
         assert block.achieved == direct.achieved
         # one plane: combined distance equals the planar distance per point
         for combined, plane_val in zip(
@@ -141,13 +142,13 @@ class TestTwoPlaneSolve:
         t = _block_dilation(ps, "0.1")
         a = solve_even_dim(ps, t, "0.1", seed=2)
         b = solve_even_dim(ps, t, "0.1", seed=2)
-        assert a.to_json_dict() == b.to_json_dict()
+        assert to_json_data(a) == to_json_data(b)
 
     def test_json_round_trip(self):
         ps = _two_plane_fixture()
         t = _block_dilation(ps, "0.1")
         report = solve_even_dim(ps, t, "0.1", seed=0)
-        back = BlockEmbeddingReport.from_json_dict(report.to_json_dict())
+        back = from_json_data(BlockEmbeddingReport, to_json_data(report))
         assert back.t == report.t
         assert back.combined_max_frac == report.combined_max_frac
         assert back.combined_per_point == report.combined_per_point

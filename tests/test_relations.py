@@ -14,6 +14,7 @@ from lattice_rotor.relations import (
     recommended_precision,
     select_M,
 )
+from lattice_rotor.reporting import from_json_data, to_json_data
 
 BITS = 128
 
@@ -200,8 +201,8 @@ class TestDecompositionContainer:
 
     def test_json_round_trip(self):
         dec = detect_relations(_vec((1, mpc(0, 1), mpc(1, 1))), 8, BITS)
-        data = dec.to_json_dict()
-        back = RelationDecomposition.from_json_dict(data)
+        data = to_json_data(dec)
+        back = from_json_data(RelationDecomposition, data)
         assert back == dec
 
     def test_scaled_coefficients_are_gaussian_integers(self):

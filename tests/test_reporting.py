@@ -1,6 +1,100 @@
 import json
+from pathlib import Path
 
-from lattice_rotor.reporting import RunReport, canonical_json, covering_csv, tau_csv
+import pytest
+from mpmath import mpf
+
+from lattice_rotor.cli import main
+from lattice_rotor.corelattice import Rotation
+from lattice_rotor.precision import format_complex_pair, working_precision
+from lattice_rotor.reporting import (
+    RunReport,
+    canonical_json,
+    covering_csv,
+    tau_csv,
+    to_json_data,
+)
+from lattice_rotor.solver import SolveReport
+
+GOLDEN_DIR = Path(__file__).parent / "data"
+
+_TRIANGLE = [
+    ["1", "0"],
+    ["-0.5", "0.866025403784438646763723170753"],
+    ["-0.5", "-0.866025403784438646763723170753"],
+]
+
+# name -> (spec passed with --input, or None; CLI arguments), each well
+# under two seconds.  The files in GOLDEN_DIR pin the report schema byte
+# for byte: re-record them only for a deliberate schema change.
+GOLDEN_CASES = {
+    "solve_planar_relation": (
+        {
+            "mode": "solve",
+            "points": [["1", "0"], ["0.5", "0.25"], ["1.5", "0.25"]],
+            "epsilon": "0.1",
+            "t": "2e14",
+            "seed": 3,
+        },
+        ["solve"],
+    ),
+    "solve_planar_miss": (
+        {
+            "mode": "solve",
+            "points": [["1", "0"], ["0.5", "0.866025403784438646763723170753"]],
+            "epsilon": "0.1",
+            "t": "1e4",
+            "seed": 3,
+            "L_cap": "0.001",
+        },
+        ["solve"],
+    ),
+    "solve_block": (
+        {
+            "mode": "solve",
+            "points": [["1", "0", "0.3", "0.7"], ["0.5", "0.25", "-0.2", "0.9"]],
+            "epsilon": "0.1",
+            "t": "1e20",
+            "seed": 2,
+        },
+        ["solve"],
+    ),
+    "tau": (
+        {
+            "mode": "tau",
+            "points": _TRIANGLE,
+            "t_range": {"from": "1", "to": "4", "count": 3, "spacing": "log"},
+        },
+        ["tau", "--grid-theta", "40", "--grid-trans", "20", "--reflect"],
+    ),
+    "prop_sep": (None, ["prop-sep", "--t", "2", "--samples", "3000", "--seed", "5"]),
+    "covering_covered": (
+        None,
+        ["covering", "--direction", "1,1.618", "--eps", "0.1", "--cap", "1e5"],
+    ),
+    "covering_uncovered": (
+        None,
+        ["covering", "--direction", "1,1.618", "--eps", "0.1", "--cap", "3"],
+    ),
+}
+
+
+def run_golden_case(name: str, workdir: Path) -> list:
+    """Run one golden case with its artifacts written into workdir; returns
+    the artifact file names (<name>.json, plus <name>.csv for tau)."""
+    spec, args = GOLDEN_CASES[name]
+    argv = [args[0]]
+    if spec is not None:
+        spec_path = workdir / f"{name}.spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        argv += ["--input", str(spec_path)]
+    argv += args[1:] + ["--output", str(workdir / f"{name}.json")]
+    names = [f"{name}.json"]
+    if args[0] == "tau":
+        argv += ["--csv", str(workdir / f"{name}.csv")]
+        names.append(f"{name}.csv")
+    assert main(argv) == 0
+    return names
 
 
 def _sample_report(**kwargs):
@@ -56,6 +150,19 @@ class TestRunReport:
         assert _sample_report().to_json() == _sample_report().to_json()
 
 
+def test_rotation_uses_report_precision():
+    """A rotation carried at more bits than the report's eval_bits is
+    written with the report's digits."""
+    with working_precision(256):
+        theta = Rotation.from_angle(mpf(1) / 3, 256)
+    report = SolveReport(
+        t=mpf(10), theta=theta, phi=mpf(0), s_found=None, L_used=mpf(1),
+        T_threshold=mpf(1), per_point_frac=(mpf(0),), max_frac=mpf(0),
+        achieved=True, search_steps=0, seed=None, decomposition=None,
+    )
+    assert to_json_data(report)["theta"] == format_complex_pair(theta.value, 128)
+
+
 class TestCsv:
     def test_tau_header_and_rows(self):
         text = tau_csv([("1", "0.25", "0.1"), ("2", "0.2", "0.05")])
@@ -69,3 +176,10 @@ class TestCsv:
         text = covering_csv([("0.1", "12.5")])
         assert text.splitlines()[0] == "eps,L"
         assert text.splitlines()[1] == "0.1,12.5"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_report_bytes_golden(name, tmp_path):
+    """The serialized artifacts of each case match the recorded bytes."""
+    for artifact in run_golden_case(name, tmp_path):
+        assert (tmp_path / artifact).read_bytes() == (GOLDEN_DIR / artifact).read_bytes(), artifact

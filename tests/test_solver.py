@@ -14,6 +14,7 @@ from lattice_rotor.precision import (
     working_precision,
 )
 from lattice_rotor.products import EvenDimPointSet, embed_points, project_planes
+from lattice_rotor.reporting import from_json_data, to_json_data
 from lattice_rotor.solver import (
     SolveReport,
     SolverConfig,
@@ -325,19 +326,23 @@ class TestSolveGeneral:
         v = _triangle()
         a = solve_general(v, "1e26", "0.25", seed=3)
         b = solve_general(v, "1e26", "0.25", seed=3)
-        assert a.to_json_dict() == b.to_json_dict()
+        assert to_json_data(a) == to_json_data(b)
 
     def test_report_json_round_trip(self):
-        report = solve_general(ComplexVector((mpc(1),), BITS), "1e4", "0.1", seed=0)
-        back = SolveReport.from_json_dict(report.to_json_dict())
-        assert back.t == report.t
-        assert back.theta.value == report.theta.value
-        assert back.phi == report.phi
-        assert back.s_found == report.s_found
-        assert back.max_frac == report.max_frac
-        assert back.per_point_frac == report.per_point_frac
-        assert back.achieved == report.achieved
-        assert back.decomposition == report.decomposition
+        v = ComplexVector((mpc(1),), BITS)
+        hit = solve_general(v, "1e4", "0.1", seed=0)
+        miss = solve_general(v, "1e4", "0.1", seed=0, config=SolverConfig(l_cap="0.001"))
+        assert miss.s_found is None
+        for report in (hit, miss):
+            back = from_json_data(SolveReport, to_json_data(report))
+            assert back.t == report.t
+            assert back.theta.value == report.theta.value
+            assert back.phi == report.phi
+            assert back.s_found == report.s_found
+            assert back.max_frac == report.max_frac
+            assert back.per_point_frac == report.per_point_frac
+            assert back.achieved == report.achieved
+            assert back.decomposition == report.decomposition
 
     def test_starved_horizon_retries_then_reports(self):
         config = SolverConfig(l_cap="0.01", max_phase_retries=2)
