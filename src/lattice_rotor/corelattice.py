@@ -110,10 +110,6 @@ class Rotation:
         with working_precision(bits):
             return cls(mpmath.expj(mpf(phi)), bits)
 
-    def angle(self) -> mpf:
-        with working_precision(self.bits):
-            return mpmath.arg(self.value)
-
     def __mul__(self, other: "Rotation") -> "Rotation":
         bits = max(self.bits, other.bits)
         with working_precision(bits):

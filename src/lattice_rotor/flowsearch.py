@@ -7,22 +7,26 @@ grid is fine enough that a continuous witness interval at half the target
 cannot fall between grid points, and only samples strictly below eps are
 ever accepted.
 
-Two strategies produce the identical answer:
+flow_search answers it with one walk over the grid indices in increasing
+j.  Each step of the walk covers a block of indices, proposes a sorted set
+of candidate indices in it, and re-checks every candidate exactly, so the
+first verified index is the true grid minimum.  Two kinds of step propose
+candidates:
 
-  * a dense vectorized scan in double precision with exact re-checks,
-    used while the grid is small enough to touch every point;
-  * lattice-point enumeration, used beyond that.  Writing the condition
+  * on the prefix [0, scan_limit), a dense vectorized screen in double
+    precision touches every grid point, one chunk at a time;
+  * beyond it, lattice-point enumeration.  Writing the condition
     "j*delta*V close to Z[i]^m - W" as a closest-point question in a
-    (2m+1)-dimensional lattice makes the qualifying j enumerable without
-    visiting the grid at all, in time that depends on the number of
-    near-solutions rather than on the horizon.  The search walks windows
-    of j in increasing order, enumerates every candidate in the window
-    with safety margins, and verifies candidates exactly at working
-    precision, so the first verified index is the true grid minimum.
+    (2m+1)-dimensional lattice makes the qualifying j of a window
+    enumerable without visiting the grid, in time that depends on the
+    number of near-solutions rather than on the window length.  Windows
+    grow while they come up empty and shrink when the enumeration
+    exceeds its node budget.
 
-Every candidate from either strategy is re-evaluated with mpmath before
-being accepted; doubles only ever decide what to look at, never what to
-return.
+Both kinds of step start from the signed fractional parts of W + j0*delta*V
+at the step's first index, computed at working precision.  Every
+candidate is re-evaluated with mpmath before being accepted; doubles only
+ever decide what to look at, never what to return.
 """
 from __future__ import annotations
 
@@ -64,8 +68,6 @@ class FlowSearchOutcome:
     reason: str
     s: Optional[mpf]
     grid_index: Optional[int]
-    grid_step: mpf
-    grid_count: int
     strategy: str
     examined: int
     windows_used: int = 0
@@ -138,13 +140,27 @@ def flow_search(
                     reason="infeasible-constant",
                     s=None,
                     grid_index=None,
-                    grid_step=delta,
-                    grid_count=grid_last + 1,
                     strategy="precheck",
                     examined=0,
                 )
         else:
             active.append(k)
+    m = len(active)
+
+    with working_precision(bits_eval):
+        dv = [delta * values_v[k] for k in active]
+        dv_coords = [z.real for z in dv] + [z.imag for z in dv]
+    step_f = np.array([float(c) for c in dv_coords], dtype=np.float64)
+    # slightly inflated float threshold; exact verification makes the call
+    thresh_sq = (float(eps) * (1 + 1e-9)) ** 2
+
+    def residues(j0: int) -> np.ndarray:
+        """Signed fractional parts of W + j0*delta*V, real parts first."""
+        with working_precision(bits_eval):
+            s0 = mpf(j0) * delta
+            w = [values_w[k] + s0 * values_v[k] for k in active]
+            parts = [z.real for z in w] + [z.imag for z in w]
+            return np.array([float(x - mpmath.nint(x)) for x in parts], dtype=np.float64)
 
     def verify(j: int) -> Optional[mpf]:
         with working_precision(bits_eval):
@@ -157,179 +173,60 @@ def flow_search(
             return s if worst < eps else None
 
     scan_last = min(grid_last, max(scan_limit - 1, 0))
-    scan_out = _dense_scan(
-        values_v, values_w, active, eps, delta, scan_last, grid_last, bits_eval, verify
-    )
-    if scan_out.found or grid_last <= scan_last:
-        return scan_out
-    return _enumerate_search(
-        values_v,
-        values_w,
-        active,
-        eps,
-        delta,
-        scan_last + 1,
-        grid_last,
-        bits_eval,
-        verify,
-        window_budget,
-        node_budget,
-        examined_before=scan_out.examined,
-    )
+    examined = windows = j0 = 0
+    window_len = _WINDOW_START
 
-
-def _dense_scan(
-    values_v, values_w, active, eps, delta, scan_last, grid_last, bits_eval, verify
-) -> FlowSearchOutcome:
-    d = 2 * len(active)
-    eps_f = float(eps)
-    # slightly inflated float threshold; exact verification makes the call
-    thresh_sq = (eps_f * (1 + 1e-9)) ** 2
-
-    with working_precision(bits_eval):
-        step_f = np.array(
-            [float((delta * z).real) for z in (values_v[k] for k in active)]
-            + [float((delta * z).imag) for z in (values_v[k] for k in active)],
-            dtype=np.float64,
+    def outcome(reason: str, j: Optional[int] = None, s=None) -> FlowSearchOutcome:
+        # a hit is attributed to the phase that reached its index, a miss
+        # to the phase that reached the end of the grid
+        scan = (grid_last if j is None else j) <= scan_last
+        return FlowSearchOutcome(
+            found=s is not None,
+            reason=reason,
+            s=s,
+            grid_index=j,
+            strategy="scan" if scan else "enumerate",
+            # the scan stops screening at its hit; enumeration has already
+            # produced every candidate of the hit's window
+            examined=j + 1 if scan and j is not None else examined,
+            windows_used=windows,
         )
 
-    examined = 0
-    j0 = 0
-    while j0 <= scan_last:
-        count = min(_SCAN_CHUNK, scan_last - j0 + 1)
-        with working_precision(bits_eval):
-            anchor = []
-            s0 = mpf(j0) * delta
-            for k in active:
-                w = values_w[k] + s0 * values_v[k]
-                anchor.append(float(w.real - mpmath.nint(w.real)))
-            for k in active:
-                w = values_w[k] + s0 * values_v[k]
-                anchor.append(float(w.imag - mpmath.nint(w.imag)))
-        anchor_f = np.array(anchor, dtype=np.float64)
-
-        js = np.arange(count, dtype=np.float64)
-        vals = anchor_f[None, :] + js[:, None] * step_f[None, :]
-        resid = vals - np.rint(vals)
-        m = d // 2
-        dist_sq = resid[:, :m] ** 2 + resid[:, m:] ** 2
-        worst = dist_sq.max(axis=1)
-        hits = np.flatnonzero(worst < thresh_sq)
-        examined += count
-        for h in hits:
-            j = j0 + int(h)
-            s = verify(j)
-            if s is not None:
-                return FlowSearchOutcome(
-                    found=True,
-                    reason="found",
-                    s=s,
-                    grid_index=j,
-                    grid_step=delta,
-                    grid_count=grid_last + 1,
-                    strategy="scan",
-                    examined=j + 1,
+    # one walk in increasing j: dense float screening of [0, scan_last] in
+    # chunks, then enumeration windows over (scan_last, grid_last]; each
+    # step yields sorted relative candidates that are re-checked exactly,
+    # so the first verified index is the grid minimum
+    while j0 <= grid_last:
+        if j0 <= scan_last:
+            count = min(_SCAN_CHUNK, scan_last - j0 + 1)
+            js = np.arange(count, dtype=np.float64)
+            vals = residues(j0)[None, :] + js[:, None] * step_f[None, :]
+            resid = vals - np.rint(vals)
+            worst = (resid[:, :m] ** 2 + resid[:, m:] ** 2).max(axis=1)
+            candidates = np.flatnonzero(worst < thresh_sq).tolist()
+            examined += count
+        else:
+            if windows >= window_budget:
+                return outcome("exhausted")
+            windows += 1
+            count = min(window_len, grid_last - j0 + 1)
+            try:
+                candidates = _window_candidates(
+                    dv_coords, -residues(j0), eps, count, node_budget, bits_eval
                 )
-        j0 += count
-
-    return FlowSearchOutcome(
-        found=False,
-        reason="absent",
-        s=None,
-        grid_index=None,
-        grid_step=delta,
-        grid_count=grid_last + 1,
-        strategy="scan",
-        examined=examined,
-    )
-
-
-def _enumerate_search(
-    values_v,
-    values_w,
-    active,
-    eps,
-    delta,
-    j_start,
-    grid_last,
-    bits_eval,
-    verify,
-    window_budget,
-    node_budget,
-    examined_before=0,
-) -> FlowSearchOutcome:
-    with working_precision(bits_eval):
-        dv = [delta * values_v[k] for k in active]
-        dv_coords = [z.real for z in dv] + [z.imag for z in dv]
-
-    examined = examined_before
-    windows = 0
-    j0 = j_start
-    window_len = _WINDOW_START
-    while j0 <= grid_last and windows < window_budget:
-        windows += 1
-        this_len = min(window_len, grid_last - j0 + 1)
-
-        with working_precision(bits_eval):
-            target = []
-            s0 = mpf(j0) * delta
-            for k in active:
-                w = values_w[k] + s0 * values_v[k]
-                target.append(-float(w.real - mpmath.nint(w.real)))
-            for k in active:
-                w = values_w[k] + s0 * values_v[k]
-                target.append(-float(w.imag - mpmath.nint(w.imag)))
-
-        try:
-            raw, nodes = _window_candidates(
-                dv_coords, target, eps, this_len, node_budget, bits_eval
-            )
-        except _BudgetExceeded:
-            if window_len > _WINDOW_FLOOR:
-                window_len = max(_WINDOW_FLOOR, window_len // _WINDOW_GROWTH)
-                continue
-            return FlowSearchOutcome(
-                found=False,
-                reason="exhausted",
-                s=None,
-                grid_index=None,
-                grid_step=delta,
-                grid_count=grid_last + 1,
-                strategy="enumerate",
-                examined=examined,
-                windows_used=windows,
-            )
-
-        examined += len(raw)
-        for j_rel in raw:
+            except _BudgetExceeded:
+                if window_len > _WINDOW_FLOOR:
+                    window_len = max(_WINDOW_FLOOR, window_len // _WINDOW_GROWTH)
+                    continue
+                return outcome("exhausted")
+            examined += len(candidates)
+            window_len *= _WINDOW_GROWTH
+        for j_rel in candidates:
             s = verify(j0 + j_rel)
             if s is not None:
-                return FlowSearchOutcome(
-                    found=True,
-                    reason="found",
-                    s=s,
-                    grid_index=j0 + j_rel,
-                    grid_step=delta,
-                    grid_count=grid_last + 1,
-                    strategy="enumerate",
-                    examined=examined,
-                    windows_used=windows,
-                )
-        j0 += this_len
-        window_len *= _WINDOW_GROWTH
-
-    reason = "absent" if j0 > grid_last else "exhausted"
-    return FlowSearchOutcome(
-        found=False,
-        reason=reason,
-        s=None,
-        grid_index=None,
-        grid_step=delta,
-        grid_count=grid_last + 1,
-        strategy="enumerate",
-        examined=examined,
-        windows_used=windows,
-    )
+                return outcome("found", j0 + j_rel, s)
+        j0 += count
+    return outcome("absent")
 
 
 def _window_candidates(
@@ -339,7 +236,7 @@ def _window_candidates(
     window_len: int,
     node_budget: int,
     bits_eval: int,
-) -> Tuple[List[int], int]:
+) -> List[int]:
     """Sorted relative grid indices in [0, window_len) whose flow point can
     lie within eps of the integer lattice, with safety margins.
 
@@ -382,7 +279,7 @@ def _window_candidates(
         [t * (1.0 / eps_f) for t in target] + [1.0], dtype=np.float64
     )
 
-    coeffs, nodes = _enumerate_ball(
+    coeffs = _enumerate_ball(
         reduced_f, mu, bstar_sq, tau, radius * radius, node_budget
     )
 
@@ -396,7 +293,7 @@ def _window_candidates(
         j_rel = sum(int(u[i]) * j_col[i] for i in range(n))
         if 0 <= j_rel < window_len:
             out.add(j_rel)
-    return sorted(out), nodes
+    return sorted(out)
 
 
 def _gso(basis: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -419,7 +316,7 @@ def _enumerate_ball(
     tau: np.ndarray,
     radius_sq: float,
     node_budget: int,
-) -> Tuple[List[np.ndarray], int]:
+) -> List[np.ndarray]:
     """All integer coefficient vectors u with |u*basis - tau| <= radius."""
     n = basis.shape[0]
     y = np.linalg.solve(basis.T, tau)
@@ -457,4 +354,4 @@ def _enumerate_ball(
         diff[k] = 0.0
 
     descend(n - 1, radius_sq)
-    return results, nodes
+    return results

@@ -160,13 +160,11 @@ def solve_even_dim(
     eps,
     seed: int = 0,
     config: Optional[SolverConfig] = None,
-    plane_eps: Optional[Sequence] = None,
 ) -> BlockEmbeddingReport:
     """Solve every coordinate plane, assemble, and verify the assembly.
 
-    plane_eps overrides the equal eps/sqrt(d) split; custom splits must
-    keep the squared sum within eps^2 so the Pythagorean combination
-    still certifies the target.  Plane i is solved with a child seed
+    Each plane gets the equal share eps/sqrt(d), so the Pythagorean
+    combination certifies the target.  Plane i is solved with a child seed
     derived from the master seed and the plane index, so runs are
     reproducible regardless of how many planes there are.
     """
@@ -186,27 +184,14 @@ def solve_even_dim(
                 f"eps must lie in (0, sqrt(dim)/2) = (0, {mpmath.nstr(mpmath.sqrt(k) / 2, 8)}), "
                 f"got {eps_v}"
             )
-        if plane_eps is None:
-            split = tuple(eps_v / mpmath.sqrt(mpf(d)) for _ in range(d))
-        else:
-            if len(plane_eps) != d:
-                raise ValueError(f"plane_eps needs {d} entries, got {len(plane_eps)}")
-            split = tuple(parse_decimal(v, work) for v in plane_eps)
-            if any(v <= 0 for v in split):
-                raise ValueError("plane tolerances must be positive")
-            budget = sum(v**2 for v in split)
-            if budget > eps_v**2 * (1 + mpf(2) ** (-bits + 8)):
-                raise ValueError(
-                    "squared plane tolerances exceed eps^2; the combined "
-                    "bound would not certify the target"
-                )
+        share = eps_v / mpmath.sqrt(mpf(d))
 
     planes = project_planes(ps)
     reports = []
     diagnostics: list = []
     for i, plane in enumerate(planes):
         rep = solve_general(
-            plane, t, split[i], seed=derive_seed(seed, i, "plane"), config=config
+            plane, t, share, seed=derive_seed(seed, i, "plane"), config=config
         )
         reports.append(rep)
         if not rep.achieved:
@@ -217,13 +202,13 @@ def solve_even_dim(
     per_point, combined = certify([r.theta for r in reports], t_v, planes, eval_bits)
     eps_e = parse_decimal(eps, eval_bits)
     with working_precision(eval_bits):
-        split_stored = tuple(mpf(v) for v in split)
+        share_stored = mpf(share)
     achieved = bool(combined < eps_e)
 
     return BlockEmbeddingReport(
         t=t_v,
         per_plane=tuple(reports),
-        plane_eps=split_stored,
+        plane_eps=(share_stored,) * d,
         combined_per_point=per_point,
         combined_max_frac=combined,
         achieved=achieved,

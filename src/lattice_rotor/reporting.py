@@ -125,22 +125,6 @@ class RunReport:
     def to_json(self) -> str:
         return canonical_json(self.to_json_dict())
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RunReport":
-        return cls(
-            spec_echo=data["spec"],
-            mode=data["mode"],
-            results=tuple(data["results"]),
-            summary=data["summary"],
-            tool_version=data["tool_version"],
-            warnings=tuple(data.get("warnings", ())),
-            wall_clock_seconds=data.get("wall_clock_seconds"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls.from_json_dict(json.loads(text))
-
 
 def tau_csv(rows: Sequence[Tuple[str, str, str]]) -> str:
     """Rows of (t, upper, certified_lower) as decimal strings."""

@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 
 import mpmath
-import pytest
 from mpmath import mpc, mpf
 
 from lattice_rotor.cli import main

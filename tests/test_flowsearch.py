@@ -1,7 +1,10 @@
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
+from lattice_rotor import flowsearch
 from lattice_rotor.corelattice import ComplexVector, vec_frac_dist
 from lattice_rotor.flowsearch import FlowSearchOutcome, flow_search
 from lattice_rotor.precision import working_precision
@@ -168,3 +171,71 @@ class TestSearchBeyondScanPrefix:
         assert windowed.found
         assert windowed.grid_index == full.grid_index
         assert windowed.s == full.s
+
+
+def _near_half(a: int, nudge: float):
+    with working_precision(BITS):
+        return mpf(a) + mpf(1) / 2 + mpf(nudge)
+
+
+NEAR_HALF = st.builds(
+    _near_half,
+    st.integers(-3, 3),
+    st.one_of(st.just(0.0), st.floats(-0.01, 0.01), st.floats(-1e-9, 1e-9)),
+)
+
+
+@st.composite
+def flows(draw):
+    """(direction, offset, eps, L_max) with one or two entries; a second
+    entry is generic or a Gaussian-rational multiple of the first, so the
+    flow may live on a lower-dimensional subtorus."""
+    with working_precision(BITS):
+        polar = st.tuples(st.floats(0.2, 2), st.floats(0, 6.283))
+        first = mpmath.rect(*draw(polar))
+        entries = [first]
+        kind = draw(st.sampled_from(["one", "generic", "rational"]))
+        if kind == "generic":
+            entries.append(mpmath.rect(*draw(polar)))
+        elif kind == "rational":
+            p, q = draw(
+                st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda pq: pq != (0, 0))
+            )
+            entries.append(first * mpc(p, q) / draw(st.integers(1, 4)))
+        offset = [mpc(draw(NEAR_HALF), draw(NEAR_HALF)) for _ in entries]
+    eps = draw(st.floats(0.05, 0.3))
+    L_max = draw(st.integers(1, 60))
+    return ComplexVector(tuple(entries), BITS), ComplexVector(tuple(offset), BITS), eps, L_max
+
+
+class TestScanEnumerationDifferential:
+    @given(flow=flows())
+    def test_enumeration_finds_the_scan_minimum(self, flow):
+        # scan_limit=1 leaves only j=0 to the scan, so every later grid
+        # index is reached through enumeration windows
+        v, w, eps, L_max = flow
+        scan = flow_search(v, w, eps, L_max, BITS)
+        enum = flow_search(v, w, eps, L_max, BITS, scan_limit=1)
+        assert (enum.found, enum.grid_index, enum.s) == (scan.found, scan.grid_index, scan.s)
+
+
+class TestWrongCandidatesRejected:
+    def test_injected_misses_end_in_an_honest_miss(self, monkeypatch):
+        # the first entry's imaginary part stays at 1/2 for every s, so no
+        # grid index is within eps; the injected enumeration offers them all
+        with working_precision(BITS):
+            v = ComplexVector((mpc(1), mpc(mpmath.sqrt(mpf(2)), 1)), BITS)
+            w = ComplexVector((mpc(0, "0.5"), mpc("0.1", "0.2")), BITS)
+        eps = mpf("0.1")
+
+        def every_index(dv_coords, target, eps, window_len, node_budget, bits_eval):
+            return list(range(window_len))
+
+        monkeypatch.setattr(flowsearch, "_window_candidates", every_index)
+        out = flow_search(v, w, eps, 4, BITS, scan_limit=1)
+        if out.s is not None:
+            with working_precision(BITS):
+                point = [zw + out.s * zv for zv, zw in zip(v, w)]
+            assert vec_frac_dist(point, BITS) < eps
+        assert not out.found and out.s is None and out.grid_index is None
+        assert (out.reason, out.strategy, out.windows_used) == ("absent", "enumerate", 1)

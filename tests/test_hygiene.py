@@ -1,8 +1,9 @@
 """Design rules of the package, checked on its source without a linter.
 
 Every module-level import is used or re-exported through __all__ (an
-import line marked "# noqa: F401" is exempt), and no module imports a
-_-prefixed name from another module.
+import line marked "# noqa: F401" is exempt), in the package, its tests
+and its scripts, and no package module imports a _-prefixed name from
+another module.
 """
 
 import ast
@@ -10,7 +11,14 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "lattice_rotor").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "lattice_rotor").glob("*.py"))
+# the benchmark under perfbench/ keeps its own conventions
+IMPORTERS = SOURCES + [p for d in ("tests", "scripts") for p in sorted((ROOT / d).glob("*.py"))]
+
+
+def _id(path):
+    return path.name if path in SOURCES else f"{path.parent.name}/{path.name}"
 
 
 def _parse(path):
@@ -40,7 +48,7 @@ def _used_names(tree):
     return used
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", IMPORTERS, ids=_id)
 def test_module_imports_are_used(path):
     lines, tree = _parse(path)
     keep = _used_names(tree) | _exported(tree)

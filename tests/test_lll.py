@@ -1,0 +1,96 @@
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from lattice_rotor.lll import gram_schmidt_fractions, is_reduced, lll_reduce
+
+
+def _det(matrix):
+    """Exact determinant by fraction-valued elimination."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def bases(draw):
+    """Integer bases of 1-5 rows, as wide as or wider than they are tall."""
+    n = draw(st.integers(1, 5))
+    width = draw(st.integers(n, n + 2))
+    size = draw(st.sampled_from([10, 10**6, 10**30]))
+    entries = st.integers(-size, size)
+    rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width), min_size=n, max_size=n))
+    gram = _matmul(rows, [list(col) for col in zip(*rows)])
+    assume(_det(gram) != 0)
+    return rows
+
+
+class TestLllReduce:
+    @given(rows=bases())
+    def test_transform_maps_input_to_output(self, rows):
+        reduced, transform = lll_reduce(rows)
+        assert _matmul(transform, rows) == reduced
+
+    @given(rows=bases())
+    def test_transform_is_unimodular(self, rows):
+        _, transform = lll_reduce(rows)
+        assert abs(_det(transform)) == 1
+
+    @given(rows=bases())
+    def test_output_is_reduced(self, rows):
+        reduced, _ = lll_reduce(rows)
+        assert is_reduced(reduced)
+
+    def test_reduced_input_is_recognised_and_unreduced_is_not(self):
+        assert is_reduced([[1, 0], [0, 1]])
+        assert not is_reduced([[1, 0], [5, 1]])  # mu = 5 breaks size reduction
+        assert not is_reduced([[10, 0], [0, 1]])  # a short second vector breaks exchange
+
+    def test_gram_schmidt_of_a_known_basis(self):
+        ortho_sq, mu = gram_schmidt_fractions([[1, 1], [1, 0]])
+        assert ortho_sq == [Fraction(2), Fraction(1, 2)]
+        assert mu[1][0] == Fraction(1, 2)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 2], [2, 4]],
+            [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]],
+            [[0, 0]],
+        ],
+        ids=["parallel", "more-rows-than-rank", "zero-row"],
+    )
+    def test_dependent_rows_raise(self, rows):
+        with pytest.raises(ValueError, match="dependent"):
+            lll_reduce(rows)
+
+    def test_ragged_rows_raise(self):
+        with pytest.raises(ValueError, match="ragged"):
+            lll_reduce([[1, 0], [0, 1, 0]])
+
+    def test_empty_basis_raises(self):
+        with pytest.raises(ValueError, match="empty"):
+            lll_reduce([])
+
+    def test_delta_outside_unit_interval_raises(self):
+        for delta in (Fraction(0), Fraction(1)):
+            with pytest.raises(ValueError, match="delta"):
+                lll_reduce([[1, 0], [0, 1]], delta)

@@ -168,28 +168,3 @@ class TestToleranceSplits:
         ps = EvenDimPointSet((("1", "0"),), BITS)
         with pytest.raises(ValueError):
             solve_even_dim(ps, "1e4", "0.8", seed=0)  # over sqrt(2)/2
-
-    def test_custom_split_length_checked(self):
-        ps = _two_plane_fixture()
-        with pytest.raises(ValueError):
-            solve_even_dim(ps, "1e4", "0.1", plane_eps=("0.1",))
-
-    def test_custom_split_budget_checked(self):
-        ps = _two_plane_fixture()
-        with pytest.raises(ValueError):
-            solve_even_dim(ps, "1e4", "0.1", plane_eps=("0.09", "0.09"))
-
-    def test_custom_split_positivity(self):
-        ps = _two_plane_fixture()
-        with pytest.raises(ValueError):
-            solve_even_dim(ps, "1e4", "0.1", plane_eps=("0.1", "0"))
-
-    def test_unequal_split_within_budget_accepted(self):
-        ps = _two_plane_fixture()
-        t = _block_dilation(ps, "0.08")  # generous threshold for the tight share
-        report = solve_even_dim(ps, t, "0.1", seed=0, plane_eps=("0.08", "0.06"))
-        with working_precision(BITS + 64):
-            for stored, wanted in zip(report.plane_eps, (mpf("0.08"), mpf("0.06"))):
-                assert abs(stored - wanted) < mpf(2) ** -120
-        if report.achieved:
-            assert report.combined_max_frac < mpf("0.1")
