@@ -1,11 +1,19 @@
-"""Command-line front end: spec ingestion, orchestration, reports, plots.
+"""Command-line front end: one path from arguments to report.
+
+main parses the arguments, and _spec_and_options turns them into a
+ProblemSpec (always through parse_problem_spec) and the subcommand's
+options.  run(spec, options=None, timings=False) calls the mode's
+_run_<mode>(spec, options) from one table, echoes the options under
+spec.options and returns the RunReport.  main writes the report to
+--output or stdout, then the tau CSV (--csv) and the solve SVG (--plot).
 
 Numbers cross this boundary as decimal strings in both directions; JSON
 floats are rejected outright because a double-precision detour would
 silently corrupt high-precision inputs.  Exit codes: 0 means the run
 completed (whether or not the target tolerance was achieved), 2 means
-the input was unusable, 3 means an internal a-posteriori check failed
-and the result cannot be trusted.
+the input was unusable (an oracle input that overflows its float64
+screen included), 3 means an internal a-posteriori check failed and the
+result cannot be trusted.
 
 Every result is re-verified against its module's closing invariant
 before it is written.  A solve result is rechecked on its serialized
@@ -120,7 +128,7 @@ class ProblemSpec:
     t_values: Tuple[str, ...]
     precision_bits: int
     seed: int
-    height_bound: int
+    height_bound: Optional[int]  # solve only
     l_cap: Optional[str]
 
     @property
@@ -140,7 +148,7 @@ class ProblemSpec:
         if self.t_echo is not None:
             data.update(self.t_echo)
             data["t_values"] = list(self.t_values)
-        if self.mode == "solve":
+        if self.height_bound is not None:
             data["height_bound"] = self.height_bound
         if self.l_cap is not None:
             data["L_cap"] = self.l_cap
@@ -290,7 +298,7 @@ def parse_problem_spec(data, mode_expected: str) -> ProblemSpec:
         t_values=t_values,
         precision_bits=bits,
         seed=seed,
-        height_bound=height_bound,
+        height_bound=height_bound if mode == "solve" else None,
         l_cap=l_cap,
     )
 
@@ -327,7 +335,11 @@ def _recheck(result: dict, planes, eps: mpf) -> None:
             )
 
 
-def _run_solve(spec: ProblemSpec) -> Tuple[Tuple[dict, ...], dict, Tuple[str, ...]]:
+# what each _run_<mode> returns: (results, summary, warnings)
+_Outcome = Tuple[Tuple[dict, ...], dict, Tuple[str, ...]]
+
+
+def _run_solve(spec: ProblemSpec, options: dict) -> _Outcome:
     bits = spec.precision_bits
     config = SolverConfig(
         bits=bits, height_bound=spec.height_bound, l_cap=spec.l_cap
@@ -381,9 +393,7 @@ def _run_solve(spec: ProblemSpec) -> Tuple[Tuple[dict, ...], dict, Tuple[str, ..
     return tuple(results), summary, tuple(warnings)
 
 
-def _run_tau(
-    spec: ProblemSpec, grid_theta: int, grid_trans: int, with_reflection: bool
-) -> Tuple[Tuple[dict, ...], dict, Tuple[str, ...]]:
+def _run_tau(spec: ProblemSpec, options: dict) -> _Outcome:
     bits = spec.precision_bits
     base = project_planes(_point_set(spec, bits))[0]
     results = []
@@ -392,9 +402,11 @@ def _run_tau(
         with working_precision(bits):
             t_v = parse_decimal(t_str, bits)
             scaled = base.scaled(t_v)
-        est = tau_estimate(
-            scaled, grid_theta, grid_trans, with_reflection=with_reflection, bits=bits
-        )
+        try:
+            # the tau options are tau_estimate's keyword arguments
+            est = tau_estimate(scaled, bits=bits, **options)
+        except ValueError as exc:
+            raise SpecError(str(exc))
         with working_precision(bits):
             reproduced = isometry_max_frac(est.argmin, scaled, bits)
             tol = residual_tol(bits)
@@ -408,29 +420,30 @@ def _run_tau(
                 f"tau a-posteriori recheck failed at t={t_str}: argmin does not "
                 f"reproduce the reported upper bound"
             )
-        uppers.append((est.upper, bits))
+        uppers.append(est.upper)
         results.append({"t": t_str, "estimate": to_json_data(est)})
 
     with working_precision(bits):
         nonincreasing = all(
-            uppers[i + 1][0] <= uppers[i][0] + residual_tol(bits)
+            uppers[i + 1] <= uppers[i] + residual_tol(bits)
             for i in range(len(uppers) - 1)
         )
-        lo = min(u for u, _ in uppers)
-        hi = max(u for u, _ in uppers)
     summary = {
         "count": len(results),
-        "upper_min": format_decimal(lo, bits),
-        "upper_max": format_decimal(hi, bits),
+        "upper_min": format_decimal(min(uppers), bits),
+        "upper_max": format_decimal(max(uppers), bits),
         "nonincreasing": nonincreasing,
     }
     return tuple(results), summary, ()
 
 
-def _run_prop_sep(
-    t: str, samples: int, seed: int, bits: int
-) -> Tuple[Tuple[dict, ...], dict, Tuple[str, ...]]:
-    chk = check_prop_sep(t, samples, seed, bits=bits)
+def _run_prop_sep(spec: ProblemSpec, options: dict) -> _Outcome:
+    t, samples, seed = spec.t_values[0], options["samples"], spec.seed
+    bits = spec.precision_bits
+    try:
+        chk = check_prop_sep(t, samples, seed, bits=bits)
+    except ValueError as exc:
+        raise SpecError(str(exc))
 
     # reproduce the argmin sample independently from the seed stream
     rng = random.Random(seed)
@@ -463,12 +476,11 @@ def _run_prop_sep(
     return (result,), summary, ()
 
 
-def _run_covering(
-    direction: Tuple[str, ...], eps: str, cap: str, cell: Optional[str]
-) -> Tuple[Tuple[dict, ...], dict, Tuple[str, ...]]:
-    dir_floats = [float(parse_decimal(c, 64)) for c in direction]
-    eps_f = float(parse_decimal(eps, 64))
-    cap_f = float(parse_decimal(cap, 64))
+def _run_covering(spec: ProblemSpec, options: dict) -> _Outcome:
+    dir_floats = [float(parse_decimal(c, 64)) for c in options["direction"]]
+    eps_f = float(parse_decimal(options["eps"], 64))
+    cap_f = float(parse_decimal(options["cap"], 64))
+    cell = options.get("cell")
     cell_f = None if cell is None else float(parse_decimal(cell, 64))
     try:
         out = covering_time(dir_floats, eps_f, cap_f, cell_f)
@@ -488,61 +500,24 @@ def _run_covering(
     return (to_json_data(out),), summary, ()
 
 
-def run(
-    spec: ProblemSpec,
-    *,
-    grid_theta: Optional[int] = None,
-    grid_trans: Optional[int] = None,
-    with_reflection: bool = False,
-    samples: Optional[int] = None,
-    direction: Optional[Tuple[str, ...]] = None,
-    covering_eps: Optional[str] = None,
-    covering_cap: Optional[str] = None,
-    covering_cell: Optional[str] = None,
-    timings: bool = False,
-) -> RunReport:
-    """Execute a validated spec; deterministic given the spec and seed."""
-    start = time.monotonic()
-    options: dict = {}
-    if spec.mode == "solve":
-        results, summary, warnings = _run_solve(spec)
-    elif spec.mode == "tau":
-        if grid_theta is None or grid_trans is None:
-            raise SpecError("tau mode requires --grid-theta and --grid-trans")
-        grid_theta = _require_int(grid_theta, "grid_theta", 1)
-        grid_trans = _require_int(grid_trans, "grid_trans", 1)
-        options = {
-            "grid_theta": grid_theta,
-            "grid_trans": grid_trans,
-            "with_reflection": bool(with_reflection),
-        }
-        results, summary, warnings = _run_tau(
-            spec, grid_theta, grid_trans, with_reflection
-        )
-    elif spec.mode == "prop_sep":
-        if not spec.t_values or samples is None:
-            raise SpecError("prop_sep mode requires t and samples")
-        samples = _require_int(samples, "samples", 1)
-        options = {"samples": samples}
-        results, summary, warnings = _run_prop_sep(
-            spec.t_values[0], samples, spec.seed, spec.precision_bits
-        )
-    elif spec.mode == "covering":
-        if direction is None or covering_eps is None or covering_cap is None:
-            raise SpecError("covering mode requires direction, eps, and cap")
-        options = {
-            "direction": list(direction),
-            "eps": covering_eps,
-            "cap": covering_cap,
-        }
-        if covering_cell is not None:
-            options["cell"] = covering_cell
-        results, summary, warnings = _run_covering(
-            direction, covering_eps, covering_cap, covering_cell
-        )
-    else:  # pragma: no cover - parse_problem_spec guards this
-        raise SpecError(f"unsupported mode {spec.mode!r}")
+_RUNNERS = {
+    "solve": _run_solve,
+    "tau": _run_tau,
+    "prop_sep": _run_prop_sep,
+    "covering": _run_covering,
+}
 
+
+def run(
+    spec: ProblemSpec, options: Optional[dict] = None, timings: bool = False
+) -> RunReport:
+    """Execute a validated spec with its subcommand options (tau: grid_theta,
+    grid_trans, with_reflection; prop_sep: samples; covering: direction,
+    eps, cap and an optional cell), which the report echoes under
+    spec.options; deterministic given the spec, the options and the seed."""
+    start = time.monotonic()
+    options = options or {}
+    results, summary, warnings = _RUNNERS[spec.mode](spec, options)
     echo = spec.echo()
     if options:
         echo["options"] = options
@@ -573,13 +548,7 @@ def _curve_data(report: RunReport):
 
 
 def _cell_data(report: RunReport):
-    chosen = None
-    for r in report.results:
-        if r["achieved"]:
-            chosen = r
-            break
-    if chosen is None:
-        chosen = report.results[0]
+    chosen = next((r for r in report.results if r["achieved"]), report.results[0])
     eps = float(parse_decimal(report.spec_echo["epsilon"], 64))
     bits, t_v, thetas = _result_rotations(chosen)
     residues = []
@@ -609,17 +578,7 @@ def emit_plot(report: RunReport, path: str, kind: str = "curve") -> None:
         svg = cell_svg(residues, eps, f"rotated configuration at t = {label}")
     else:
         raise SpecError(f"unknown plot kind {kind!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
-
-
-def _tau_rows(report: RunReport):
-    rows = []
-    for r in report.results:
-        rows.append(
-            (r["t"], r["estimate"]["upper"], r["estimate"]["certified_lower"])
-        )
-    return rows
+    _write_text(path, svg)
 
 
 def _fail(code: int, message: str) -> int:
@@ -697,37 +656,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cov.add_argument("--cell", help="grid cell size (default eps/2)")
     p_cov.add_argument("--output", help="report JSON path (default stdout)")
     p_cov.add_argument("--timings", action="store_true")
+    # flags some subcommands lack, so every namespace has the same shape
+    parser.set_defaults(csv=None, plot=None, plot_kind="curve", seed=None)
     return parser
 
 
-def _dispatch(args) -> Tuple[RunReport, dict]:
-    if args.command == "solve":
-        data = _load_spec_file(args.input)
-        if args.seed is not None:
-            data["seed"] = args.seed
-        if args.precision is not None:
-            data["precision_bits"] = args.precision
-        spec = parse_problem_spec(data, "solve")
-        report = run(spec, timings=args.timings)
-        return report, {
-            "output": args.output,
-            "plot": args.plot,
-            "plot_kind": args.plot_kind,
-        }
-    if args.command == "tau":
-        data = _load_spec_file(args.input)
-        if args.precision is not None:
-            data["precision_bits"] = args.precision
-        data.setdefault("mode", "tau")
-        spec = parse_problem_spec(data, "tau")
-        report = run(
-            spec,
-            grid_theta=args.grid_theta,
-            grid_trans=args.grid_trans,
-            with_reflection=args.reflect,
-            timings=args.timings,
-        )
-        return report, {"output": args.output, "csv": args.csv}
+def _spec_and_options(args) -> Tuple[ProblemSpec, dict]:
+    """The validated spec for the subcommand, and the options its report
+    echoes under spec.options."""
     if args.command == "prop-sep":
         data = {
             "mode": "prop_sep",
@@ -735,40 +671,36 @@ def _dispatch(args) -> Tuple[RunReport, dict]:
             "seed": args.seed,
             "precision_bits": args.precision,
         }
-        spec = parse_problem_spec(data, "prop_sep")
-        report = run(spec, samples=args.samples, timings=args.timings)
-        return report, {"output": args.output}
+    elif args.command == "covering":
+        data = {"mode": "covering", "precision_bits": MIN_PRECISION}
+    else:
+        data = _load_spec_file(args.input)
+        for key, value in (("seed", args.seed), ("precision_bits", args.precision)):
+            if value is not None and isinstance(data, dict):
+                data[key] = value
+    spec = parse_problem_spec(data, args.command.replace("-", "_"))
+
+    if args.command == "tau":
+        return spec, {
+            "grid_theta": _require_int(args.grid_theta, "grid_theta", 1),
+            "grid_trans": _require_int(args.grid_trans, "grid_trans", 1),
+            "with_reflection": args.reflect,
+        }
+    if args.command == "prop-sep":
+        return spec, {"samples": _require_int(args.samples, "samples", 1)}
     if args.command == "covering":
-        direction = tuple(c.strip() for c in args.direction.split(",") if c.strip())
+        direction = [c.strip() for c in args.direction.split(",") if c.strip()]
         if not direction:
             raise SpecError("direction must list at least one coordinate")
-        for c in direction:
-            _require_decimal(c, "direction")
-        _require_decimal(args.eps, "eps")
-        _require_decimal(args.cap, "cap")
+        options = {
+            "direction": [_require_decimal(c, "direction") for c in direction],
+            "eps": _require_decimal(args.eps, "eps"),
+            "cap": _require_decimal(args.cap, "cap"),
+        }
         if args.cell is not None:
-            _require_decimal(args.cell, "cell")
-        spec = ProblemSpec(
-            mode="covering",
-            points=(),
-            epsilon=None,
-            t_echo=None,
-            t_values=(),
-            precision_bits=MIN_PRECISION,
-            seed=0,
-            height_bound=64,
-            l_cap=None,
-        )
-        report = run(
-            spec,
-            direction=direction,
-            covering_eps=args.eps,
-            covering_cap=args.cap,
-            covering_cell=args.cell,
-            timings=args.timings,
-        )
-        return report, {"output": args.output}
-    raise SpecError(f"unknown command {args.command!r}")  # pragma: no cover
+            options["cell"] = _require_decimal(args.cell, "cell")
+        return spec, options
+    return spec, {}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -779,16 +711,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
 
     try:
-        report, sinks = _dispatch(args)
+        spec, options = _spec_and_options(args)
+        report = run(spec, options, timings=args.timings)
         text = report.to_json()
-        if sinks.get("output"):
-            _write_text(sinks["output"], text)
+        if args.output:
+            _write_text(args.output, text)
         else:
             sys.stdout.write(text)
-        if sinks.get("csv"):
-            _write_text(sinks["csv"], tau_csv(_tau_rows(report)))
-        if sinks.get("plot"):
-            emit_plot(report, sinks["plot"], sinks.get("plot_kind", "curve"))
+        if args.csv:
+            rows = [
+                (r["t"], r["estimate"]["upper"], r["estimate"]["certified_lower"])
+                for r in report.results
+            ]
+            _write_text(args.csv, tau_csv(rows))
+        if args.plot:
+            emit_plot(report, args.plot, args.plot_kind)
         return 0
     except SpecError as exc:
         return _fail(2, str(exc))

@@ -123,7 +123,8 @@ def gram_schmidt_fractions(rows: Sequence[Sequence[int]]):
     """Exact rational GSO of integer rows, for verification and enumeration.
 
     Returns (ortho_sq, mu) with ortho_sq[i] = |b*_i|^2 as a Fraction and
-    mu[i][j] the GSO coefficients.
+    mu[i][j] the GSO coefficients.  Raises ValueError if the rows are
+    linearly dependent (some b*_i is zero).
     """
     n = len(rows)
     basis = [[Fraction(x) for x in r] for r in rows]
@@ -133,12 +134,12 @@ def gram_schmidt_fractions(rows: Sequence[Sequence[int]]):
     for i in range(n):
         vec = list(basis[i])
         for j in range(i):
-            if ortho_sq[j] == 0:
-                raise ValueError("rows are linearly dependent")
             mu[i][j] = sum(a * c for a, c in zip(basis[i], ortho[j])) / ortho_sq[j]
             vec = [a - mu[i][j] * c for a, c in zip(vec, ortho[j])]
         ortho.append(vec)
         ortho_sq.append(sum(a * a for a in vec))
+        if ortho_sq[i] == 0:
+            raise ValueError("rows are linearly dependent")
     return ortho_sq, mu
 
 

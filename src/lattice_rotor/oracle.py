@@ -126,6 +126,8 @@ class TauEstimate:
 def _float_parts(vec: ComplexVector) -> Tuple[np.ndarray, np.ndarray]:
     re = np.array([float(z.real) for z in vec.entries], dtype=np.float64)
     im = np.array([float(z.imag) for z in vec.entries], dtype=np.float64)
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("coordinates overflow the float64 screen")
     return re, im
 
 
@@ -438,6 +440,12 @@ def covering_time(
         )
 
     h = 0.999 * cell_f / (2 * norm)
+    # an infinite direction or cap, or one whose step count overflows
+    # float64, leaves no finite number of steps to simulate
+    if not (h > 0 and np.isfinite(cap_f / h)):
+        raise ValueError(
+            "direction and L_cap must be finite, and L_cap / step must fit in float64"
+        )
     max_index = int(np.floor(cap_f / h))
     strides = np.array([G**k for k in range(dim)], dtype=np.int64)
 

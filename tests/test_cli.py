@@ -266,6 +266,19 @@ class TestSolveCommand:
         assert err["exit_code"] == 2
         assert "malformed JSON" in err["error"]
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", "--output", "o.json", "--seed", "1"],
+            ["tau", "--grid-theta", "4", "--grid-trans", "4"],
+        ],
+        ids=["solve-with-override", "tau"],
+    )
+    def test_non_object_spec_exits_2(self, tmp_path, capsys, args):
+        spec_path = _write_spec(tmp_path, [["1", "0"]])
+        assert main([args[0], "--input", spec_path] + args[1:]) == 2
+        assert "JSON object" in json.loads(capsys.readouterr().out)["error"]
+
     def test_missing_input_file_exits_2(self, tmp_path):
         code = main(
             ["solve", "--input", str(tmp_path / "nope.json"), "--output", str(tmp_path / "o.json")]
@@ -439,6 +452,31 @@ class TestCoveringCommand:
     def test_bad_eps_exits_2(self, capsys):
         assert main(["covering", "--direction", "1", "--eps", "0.6", "--cap", "10"]) == 2
         capsys.readouterr()
+
+
+class TestFloat64OverflowExits2:
+    """An oracle input that overflows its float64 screen is unusable
+    input: exit 2 and the canonical error JSON, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tau", "--input", "SPEC", "--grid-theta", "8", "--grid-trans", "8"],
+            ["prop-sep", "--t", "1e400", "--samples", "10", "--seed", "1"],
+            ["covering", "--direction", "1", "--eps", "0.1", "--cap", "1e400"],
+            ["covering", "--direction", "1e400", "--eps", "0.1", "--cap", "10"],
+        ],
+        ids=["tau-t", "prop-sep-t", "covering-cap", "covering-direction"],
+    )
+    def test_exits_2(self, argv, tmp_path, capsys):
+        spec = {"mode": "tau", "points": [["1", "0"], ["0", "1"]], "t": "1e400"}
+        spec_path = _write_spec(tmp_path, spec)
+        assert main([spec_path if a == "SPEC" else a for a in argv]) == 2
+        stdout = capsys.readouterr().out
+        err = json.loads(stdout)
+        assert set(err) == {"error", "exit_code"}
+        assert err["exit_code"] == 2
+        assert stdout == canonical_json(err)
 
 
 class TestPlotGuards:

@@ -3,10 +3,11 @@
 Every module-level import is used or re-exported through __all__ (an
 import line marked "# noqa: F401" is exempt), in the package, its tests
 and its scripts, and no package module imports a _-prefixed name from
-another module.
+another module.  Every name the benchmark's tracer wraps still exists.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -77,3 +78,18 @@ def test_no_private_names_imported(path):
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert not private, f"{path.name} imports private names: {private}"
+
+
+def test_benchmark_bindings_resolve():
+    """Every (module, attribute) that perfbench/tracer.py wraps is a callable,
+    so a refactor that drops one fails here and not only in the benchmark."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    bindings = sorted({entry[:2] for entry in tracer.SPANS + tracer.COUNTERS + tracer.ITEM_ENTRIES})
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in bindings
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert not missing, f"names the benchmark wraps are gone: {missing}"

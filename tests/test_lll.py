@@ -82,6 +82,17 @@ class TestLllReduce:
         with pytest.raises(ValueError, match="dependent"):
             lll_reduce(rows)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1, 2], [2, 4]], [[0, 0]], [[1, 0], [0, 1], [1, 1]]],
+        ids=["dependent-last-row", "zero-row", "more-rows-than-rank"],
+    )
+    def test_gram_schmidt_and_is_reduced_refuse_dependent_rows(self, rows):
+        with pytest.raises(ValueError, match="dependent"):
+            gram_schmidt_fractions(rows)
+        with pytest.raises(ValueError, match="dependent"):
+            is_reduced(rows)
+
     def test_ragged_rows_raise(self):
         with pytest.raises(ValueError, match="ragged"):
             lll_reduce([[1, 0], [0, 1, 0]])

@@ -125,6 +125,12 @@ class TestTauEstimate:
         with pytest.raises(ValueError):
             tau_estimate(_pair(), 10, 0, bits=B)
 
+    def test_coordinates_beyond_float64_refused(self):
+        with working_precision(B):
+            vec = ComplexVector((mpc(1), mpc(0, mpf("1e400"))), B)
+        with pytest.raises(ValueError, match="float64"):
+            tau_estimate(vec, 8, 8, bits=B)
+
     def test_deterministic(self):
         a = tau_estimate(_triangle(2), 60, 60, with_reflection=True, bits=B)
         b = tau_estimate(_triangle(2), 60, 60, with_reflection=True, bits=B)
@@ -182,6 +188,10 @@ class TestPropSepCheck:
         with pytest.raises(ValueError):
             check_prop_sep(2, 0, seed=1, bits=B)
 
+    def test_t_beyond_float64_refused(self):
+        with pytest.raises(ValueError, match="float64"):
+            check_prop_sep("1e400", 10, seed=1, bits=B)
+
 
 class TestSeparation:
     def test_three_four_five(self):
@@ -232,6 +242,21 @@ class TestCoveringTime:
             covering_time((1.0,), 0.1, 0.0)
         with pytest.raises(ValueError):
             covering_time((0.0, 0.0), 0.1, 10.0)
+
+    @pytest.mark.parametrize(
+        "direction, cap",
+        [
+            ((math.inf,), 10.0),
+            ((1.0, math.nan), 10.0),
+            ((1.0,), math.inf),
+            ((1e200, 1e200), 10.0),  # the norm overflows
+            ((1e150, 1e150), 1e300),  # the step count overflows
+        ],
+        ids=["inf-direction", "nan-direction", "inf-cap", "norm-overflow", "step-overflow"],
+    )
+    def test_non_finite_steps_refused(self, direction, cap):
+        with pytest.raises(ValueError, match="finite"):
+            covering_time(direction, 0.1, cap)
 
     def test_outcome_serializes(self):
         out = covering_time((1.0,), 0.2, 10.0)

@@ -65,7 +65,41 @@ GOLDEN_CASES = {
             "points": _TRIANGLE,
             "t_range": {"from": "1", "to": "4", "count": 3, "spacing": "log"},
         },
-        ["tau", "--grid-theta", "40", "--grid-trans", "20", "--reflect"],
+        ["tau", "--grid-theta", "40", "--grid-trans", "20", "--reflect", "--csv", "CSV"],
+    ),
+    "tau_no_reflect": (
+        {"mode": "tau", "points": _TRIANGLE, "t": "3"},
+        ["tau", "--grid-theta", "40", "--grid-trans", "20", "--csv", "CSV"],
+    ),
+    "solve_overrides": (
+        {
+            "mode": "solve",
+            "points": [["1", "0"], ["0.5", "0.25"], ["1.5", "0.25"]],
+            "epsilon": "0.1",
+            "t": "2e14",
+            "seed": 3,
+        },
+        ["solve", "--seed", "11", "--precision", "160"],
+    ),
+    "solve_plot_curve": (
+        {
+            "mode": "solve",
+            "points": [["1", "0"], ["0.5", "0.25"]],
+            "epsilon": "0.1",
+            "t_range": {"from": "1e4", "to": "1e6", "count": 3, "spacing": "log"},
+            "seed": 1,
+        },
+        ["solve", "--plot", "SVG"],
+    ),
+    "solve_plot_cell": (
+        {
+            "mode": "solve",
+            "points": [["1", "0", "0.3", "0.7"], ["0.5", "0.25", "-0.2", "0.9"]],
+            "epsilon": "0.1",
+            "t": "1e20",
+            "seed": 2,
+        },
+        ["solve", "--plot", "SVG", "--plot-kind", "cell"],
     ),
     "prop_sep": (None, ["prop-sep", "--t", "2", "--samples", "3000", "--seed", "5"]),
     "covering_covered": (
@@ -76,23 +110,31 @@ GOLDEN_CASES = {
         None,
         ["covering", "--direction", "1,1.618", "--eps", "0.1", "--cap", "3"],
     ),
+    "covering_cell": (
+        None,
+        ["covering", "--direction", "1,1.618", "--eps", "0.1", "--cap", "1e5", "--cell", "0.04"],
+    ),
 }
+# placeholder arguments that stand for an artifact path: <name>.csv, <name>.svg
+_ARTIFACTS = {"CSV": "csv", "SVG": "svg"}
 
 
 def run_golden_case(name: str, workdir: Path) -> list:
     """Run one golden case with its artifacts written into workdir; returns
-    the artifact file names (<name>.json, plus <name>.csv for tau)."""
+    the artifact file names (<name>.json, plus one per placeholder)."""
     spec, args = GOLDEN_CASES[name]
     argv = [args[0]]
     if spec is not None:
         spec_path = workdir / f"{name}.spec.json"
         spec_path.write_text(json.dumps(spec), encoding="utf-8")
         argv += ["--input", str(spec_path)]
-    argv += args[1:] + ["--output", str(workdir / f"{name}.json")]
     names = [f"{name}.json"]
-    if args[0] == "tau":
-        argv += ["--csv", str(workdir / f"{name}.csv")]
-        names.append(f"{name}.csv")
+    for arg in args[1:]:
+        if arg in _ARTIFACTS:
+            names.append(f"{name}.{_ARTIFACTS[arg]}")
+            arg = str(workdir / names[-1])
+        argv.append(arg)
+    argv += ["--output", str(workdir / names[0])]
     assert main(argv) == 0
     return names
 
