@@ -13,8 +13,8 @@ of candidate indices in it, and re-checks every candidate exactly, so the
 first verified index is the true grid minimum.  Two kinds of step propose
 candidates:
 
-  * on the prefix [0, scan_limit), a dense vectorized screen in double
-    precision touches every grid point, one chunk at a time;
+  * on a short prefix, a dense vectorized screen in double precision
+    touches every grid point, one chunk at a time;
   * beyond it, lattice-point enumeration.  Writing the condition
     "j*delta*V close to Z[i]^m - W" as a closest-point question in a
     (2m+1)-dimensional lattice makes the qualifying j of a window
@@ -22,6 +22,17 @@ candidates:
     number of near-solutions rather than on the window length.  Windows
     grow while they come up empty and shrink when the enumeration
     exceeds its node budget.
+
+Where one kind of step hands over to the other is derived from the
+flow's own m (active entries) and eps.  For generic entries a grid point
+lands within eps of the lattice with probability about (pi*eps^2)^m, so
+the first hit is expected near index E = (pi*eps^2)^(-m).  The first
+window is placed a few factors of the growth rate below E, and the dense
+screen stops once the points it has screened cost as much as one
+window.  The placement only decides how fast the walk gets there: the
+steps run in increasing j, every window yields every qualifying index in
+it, and every candidate is re-checked exactly, so a flow that hits long
+before E (rational structure pins it to a subtorus) gets the same answer.
 
 Both kinds of step start from the signed fractional parts of W + j0*delta*V
 at the step's first index, computed at working precision.  Every
@@ -42,21 +53,32 @@ from .corelattice import ComplexVector, frac_dist
 from .lll import lll_reduce
 from .precision import raise_for_magnitude, working_precision
 
-# grid sizes up to this are cheaper to scan outright than to enumerate
-DEFAULT_SCAN_LIMIT = 1 << 22
-
 DEFAULT_WINDOW_BUDGET = 256
 DEFAULT_NODE_BUDGET = 2_000_000
 
-_SCAN_CHUNK = 1 << 16
+# rows per screened chunk; a chunk of 2m float64 columns stays near 2 MB
+# for m = 8, so the screen adds little to the peak resident size
+_SCAN_CHUNK = 1 << 14
 
-# enumeration windows start here and grow by _WINDOW_GROWTH while empty;
-# the schedule adapts to the observed solution density, which can exceed
-# the generic estimate by many orders when the direction carries rational
-# structure (then the flow lives in a lower-dimensional subtorus)
-_WINDOW_START = 1 << 22
+# enumeration windows grow by _WINDOW_GROWTH while empty and shrink by it,
+# down to _WINDOW_FLOOR, when the enumeration exceeds its node budget;
+# the first window is 2^_WINDOW_LEAD_BITS times shorter than the expected
+# first-hit index, so a hit near that index is reached in the third window
 _WINDOW_FLOOR = 1 << 16
 _WINDOW_GROWTH = 4
+_WINDOW_LEAD_BITS = 4
+
+# Cost model of the hand-over, measured on a 2-core Xeon (Python 3.11,
+# numpy 2.4, pure-Python mpmath).  The dense screen costs 50 ns per grid
+# point with one active entry and 160-350 ns with two to six.  One window
+# without candidates costs, for an n = 2m+1 dimensional lattice embedded
+# at b scale bits, 0.21 ms at (n, b) = (3, 75), 0.45 ms at (5, 75),
+# 1.4 ms at (7, 75), 10 ms at (9, 99), 72 ms at (11, 129) and 240 ms at
+# (13, 159): the exact LLL dominates, and a least-squares fit gives
+# n^3.2 * b^4.0.  The model keeps round exponents and is within a factor
+# of 2.5 of every measurement, which is all a hand-over point needs.
+_SCAN_POINT_NS = 200
+_WINDOW_NS = 500_000  # at n = 5, b = 75
 
 
 @dataclass(frozen=True)
@@ -84,7 +106,7 @@ def flow_search(
     L_max,
     bits: int,
     grid_step=None,
-    scan_limit: int = DEFAULT_SCAN_LIMIT,
+    scan_limit: Optional[int] = None,
     window_budget: int = DEFAULT_WINDOW_BUDGET,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> FlowSearchOutcome:
@@ -92,7 +114,9 @@ def flow_search(
 
     grid_step overrides the default delta; it exists for refinement
     experiments and for cross-checks against finer grids and must divide
-    the intent of the caller, not the other way around.
+    the intent of the caller, not the other way around.  scan_limit
+    overrides the derived length of the dense-screen prefix, so tests can
+    send any part of the grid through either kind of step.
     """
     vec_v = direction if isinstance(direction, ComplexVector) else ComplexVector(tuple(direction), bits)
     vec_w = offset if isinstance(offset, ComplexVector) else ComplexVector(tuple(offset), bits)
@@ -172,9 +196,11 @@ def flow_search(
                     worst = d
             return s if worst < eps else None
 
+    derived_scan, window_len = _schedule(m, eps)
+    if scan_limit is None:
+        scan_limit = derived_scan
     scan_last = min(grid_last, max(scan_limit - 1, 0))
     examined = windows = j0 = 0
-    window_len = _WINDOW_START
 
     def outcome(reason: str, j: Optional[int] = None, s=None) -> FlowSearchOutcome:
         # a hit is attributed to the phase that reached its index, a miss
@@ -229,6 +255,29 @@ def flow_search(
     return outcome("absent")
 
 
+def _schedule(m: int, eps: mpf) -> Tuple[int, int]:
+    """Dense-screen prefix length and first window length for a flow with
+    m active entries at tolerance eps.
+
+    Both follow from m and eps alone, never from a clock or a budget, so
+    the same flow always takes the same walk.
+    """
+    with working_precision(53):
+        log2_eps = float(mpmath.log(eps, 2))
+    # log2 of the expected first-hit index E = (pi*eps^2)^(-m)
+    log2_hit = math.floor(-m * (math.log2(math.pi) + 2 * log2_eps))
+    first_window = max(_WINDOW_FLOOR, 1 << max(0, log2_hit - _WINDOW_LEAD_BITS))
+    n, b = 2 * m + 1, _scale_bits(first_window, log2_eps)
+    window_ns = _WINDOW_NS * (n / 5) ** 3 * (b / 75) ** 4
+    return math.ceil(window_ns / _SCAN_POINT_NS), first_window
+
+
+def _scale_bits(window_len: int, log2_eps: float) -> int:
+    # embedding scale keeping rounding error far below one eps-unit across
+    # the whole window
+    return max(64, window_len.bit_length() + max(0, int(-log2_eps)) + 48)
+
+
 def _window_candidates(
     dv_coords: Sequence[mpf],
     target: Sequence[float],
@@ -251,9 +300,7 @@ def _window_candidates(
     n = d + 1
     eps_f = float(eps)
 
-    # embedding scale keeping rounding error far below one eps-unit across
-    # the whole window
-    scale_bits = max(64, window_len.bit_length() + max(0, int(-math.log2(eps_f))) + 48)
+    scale_bits = _scale_bits(window_len, math.log2(eps_f))
     K = 1 << scale_bits
 
     with working_precision(max(bits_eval, scale_bits + 32)):

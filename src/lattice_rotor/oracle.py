@@ -52,7 +52,14 @@ __all__ = [
 # exact treatment; orders of magnitude above accumulated float error
 _SCREEN_MARGIN = 1e-9
 
+# from 2^52 on a double has no fractional bits left, so a float64 screen
+# of coordinates that large cannot tell any two cells apart
+_SCREEN_MAGNITUDE_LIMIT = 2.0**52
+
 _COVERING_CELL_LIMIT = 1 << 27
+# about three minutes of simulation in two dimensions at 150 ns a step;
+# seven times the steps of a golden-direction run at eps 0.005 to 1e5
+_COVERING_STEP_LIMIT = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -128,6 +135,13 @@ def _float_parts(vec: ComplexVector) -> Tuple[np.ndarray, np.ndarray]:
     im = np.array([float(z.imag) for z in vec.entries], dtype=np.float64)
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValueError("coordinates overflow the float64 screen")
+    # an isometry keeps the modulus, so no image coordinate exceeds it by
+    # more than the unit translation
+    if float(vec.max_abs()) >= _SCREEN_MAGNITUDE_LIMIT:
+        raise ValueError(
+            "coordinates of modulus 2^52 or more leave the float64 screen "
+            "no fractional part; reduce t"
+        )
     return re, im
 
 
@@ -161,7 +175,10 @@ def tau_estimate(
 
     The sweep screens in float64 and exactly re-evaluates every cell
     within a fixed margin of the float minimum; ties resolve to the
-    lowest grid index, reflection branch last among equals.
+    lowest grid index, reflection branch last among equals.  A
+    configuration with an entry of modulus 2^52 or more is refused with
+    ValueError: the screen would hold no fractional part, every cell
+    would tie, and each would be re-evaluated exactly.
     """
     check_precision(bits)
     vec = S if isinstance(S, ComplexVector) else ComplexVector(tuple(S), bits)
@@ -406,8 +423,9 @@ def covering_time(
     every torus point.  The simulation is float64: at the coarse cells
     this oracle exists for, double precision is far below the cell size
     over any reachable horizon.  Dimensions above 6 are refused, and so
-    are grids that would not fit in memory; this is a desk-scale
-    instrument, not an asymptotic one.
+    are grids that would not fit in memory and runs of more than
+    _COVERING_STEP_LIMIT steps; this is a desk-scale instrument, not an
+    asymptotic one.
     """
     v = np.asarray([float(x) for x in direction], dtype=np.float64)
     dim = v.size
@@ -447,6 +465,11 @@ def covering_time(
             "direction and L_cap must be finite, and L_cap / step must fit in float64"
         )
     max_index = int(np.floor(cap_f / h))
+    if max_index >= _COVERING_STEP_LIMIT:
+        raise ValueError(
+            f"covering run of {max_index + 1} steps exceeds the desk-scale "
+            f"limit ({_COVERING_STEP_LIMIT}); lower L_cap or coarsen eps"
+        )
     strides = np.array([G**k for k in range(dim)], dtype=np.int64)
 
     visited = np.zeros(total, dtype=bool)

@@ -85,8 +85,9 @@ class SolverConfig:
     max_phase_retries counts the fresh seeded phases solve_general tries
     after the first.  l_start and l_cap override and cap the
     search-horizon ladder; both accept decimal strings.  The flow
-    search's scan limit and budgets, and the ladder's escalation count,
-    are fixed constants (flowsearch defaults, DEFAULT_MAX_ESCALATIONS).
+    search derives its scan prefix and windows from the flow itself; its
+    budgets and the ladder's escalation count are fixed constants
+    (flowsearch defaults, DEFAULT_MAX_ESCALATIONS).
     """
 
     bits: int = DEFAULT_PRECISION
@@ -532,6 +533,9 @@ def solve_general(
             )
             continue
 
+        # solve_typical records a hit's grid index, strategy, window and
+        # examined counts as its first diagnostic
+        diagnostics.append(f"inner-solve: {inner.diagnostics[0]}")
         theta = inner.theta * phase.rotation
         per_point, max_frac = certify([theta], t_v, [vec_eval], eval_bits)
         with working_precision(verify_bits):

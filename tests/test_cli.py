@@ -406,6 +406,13 @@ class TestTauCommand:
         )
         capsys.readouterr()
 
+    def test_t_without_fractional_part_exits_2(self, tmp_path, capsys):
+        data = {"mode": "tau", "points": [["1", "0"], ["0", "1"]], "t": "1e17"}
+        spec_path = _write_spec(tmp_path, data)
+        assert main(["tau", "--input", spec_path, "--grid-theta", "20", "--grid-trans", "20"]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["exit_code"] == 2 and "fractional" in err["error"]
+
 
 class TestPropSepCommand:
     def test_stdout_report(self, capsys):
@@ -452,6 +459,11 @@ class TestCoveringCommand:
     def test_bad_eps_exits_2(self, capsys):
         assert main(["covering", "--direction", "1", "--eps", "0.6", "--cap", "10"]) == 2
         capsys.readouterr()
+
+    def test_step_limit_exits_2(self, capsys):
+        assert main(["covering", "--direction", "1,1", "--eps", "0.1", "--cap", "1e300"]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["exit_code"] == 2 and "steps" in err["error"]
 
 
 class TestFloat64OverflowExits2:

@@ -4,10 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
-from lattice_rotor import flowsearch
+from lattice_rotor import flowsearch, solver
 from lattice_rotor.corelattice import ComplexVector, vec_frac_dist
 from lattice_rotor.flowsearch import FlowSearchOutcome, flow_search
 from lattice_rotor.precision import working_precision
+from lattice_rotor.solver import SolverConfig
 
 BITS = 128
 
@@ -217,6 +218,52 @@ class TestScanEnumerationDifferential:
         scan = flow_search(v, w, eps, L_max, BITS)
         enum = flow_search(v, w, eps, L_max, BITS, scan_limit=1)
         assert (enum.found, enum.grid_index, enum.s) == (scan.found, scan.grid_index, scan.s)
+
+    @pytest.mark.parametrize("ratio", [mpc(1, 1), mpc(1, -2) / 3], ids=["1+i", "(1-2i)/3"])
+    def test_early_hit_of_a_rational_flow(self, ratio):
+        # the second entry is a Gaussian-rational multiple of the first, so
+        # the flow lives on a subtorus and hits hundreds of times earlier
+        # than the generic estimate E that places the first window
+        eps = mpf("0.01")
+        with working_precision(BITS):
+            first, offset = mpc(1, (1 + mpmath.sqrt(5)) / 2), mpc("0.5", "0.5")
+            v = ComplexVector((first, ratio * first), BITS)
+            w = ComplexVector((offset, ratio * offset), BITS)
+            grid = 1 << 17
+            L_max = grid * eps / (4 * v.max_abs())
+            E = (mpmath.pi * eps**2) ** -2
+        derived_scan, first_window = flowsearch._schedule(2, eps)
+        whole = flow_search(v, w, eps, L_max, BITS, scan_limit=grid + 1)
+        assert whole.found and whole.strategy == "scan"
+        assert derived_scan < whole.grid_index < E / 100 < first_window
+        for scan_limit in (None, 1):
+            out = flow_search(v, w, eps, L_max, BITS, scan_limit=scan_limit)
+            assert out.strategy == "enumerate"
+            assert (out.found, out.grid_index, out.s) == (whole.found, whole.grid_index, whole.s)
+
+
+class TestReadmeWorkGuard:
+    def test_search_work_stays_bounded(self, monkeypatch):
+        # the README solve at its first dilation: the reduced flow has two
+        # entries at eps 0.1/8, so E is about 2^22.  The derived prefix
+        # screens about 2^11 points and the windows start at 2^17, growing
+        # 4x; a prefix of the old fixed 2^22 points would fail both bounds
+        outcomes = []
+
+        def recording(*args, **kwargs):
+            out = flow_search(*args, **kwargs)
+            outcomes.append(out)
+            return out
+
+        monkeypatch.setattr(solver, "flow_search", recording)
+        points = (mpc("1", "0"), mpc("0.5", "0.866025403784438646763723170753"))
+        report = solver.solve_general(
+            ComplexVector(points, 128), "4e16", "0.1", seed=7, config=SolverConfig(bits=128)
+        )
+        assert report.achieved
+        assert len(outcomes) == 1
+        assert report.search_steps == outcomes[0].examined <= 1 << 13
+        assert outcomes[0].windows_used <= 6
 
 
 class TestWrongCandidatesRejected:

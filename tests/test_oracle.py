@@ -131,6 +131,16 @@ class TestTauEstimate:
         with pytest.raises(ValueError, match="float64"):
             tau_estimate(vec, 8, 8, bits=B)
 
+    def test_no_fractional_part_refused(self):
+        # from modulus 2^52 on, a double holds no fractional part: every
+        # cell would tie with the float minimum and be re-evaluated exactly
+        with pytest.raises(ValueError, match="fractional"):
+            tau_estimate(_triangle("1e17"), 20, 20, bits=B)
+        with pytest.raises(ValueError, match="fractional"):
+            tau_estimate(_triangle(mpf(2) ** 52), 20, 20, bits=B)
+        est = tau_estimate(_triangle(mpf(2) ** 51), 20, 20, bits=B)
+        assert 0 <= est.upper <= mpmath.sqrt(2) / 2
+
     def test_deterministic(self):
         a = tau_estimate(_triangle(2), 60, 60, with_reflection=True, bits=B)
         b = tau_estimate(_triangle(2), 60, 60, with_reflection=True, bits=B)
@@ -191,6 +201,11 @@ class TestPropSepCheck:
     def test_t_beyond_float64_refused(self):
         with pytest.raises(ValueError, match="float64"):
             check_prop_sep("1e400", 10, seed=1, bits=B)
+
+    def test_t_without_fractional_part_refused(self):
+        # the probe's t + 1/2 coordinate would round to a whole number
+        with pytest.raises(ValueError, match="fractional"):
+            check_prop_sep("1e17", 10, seed=1, bits=B)
 
 
 class TestSeparation:
@@ -257,6 +272,12 @@ class TestCoveringTime:
     def test_non_finite_steps_refused(self, direction, cap):
         with pytest.raises(ValueError, match="finite"):
             covering_time(direction, 0.1, cap)
+
+    def test_step_limit_refused(self):
+        # the diagonal never covers, so a finite cap of 1e300 would be
+        # walked to its end, about 6e301 steps
+        with pytest.raises(ValueError, match="steps"):
+            covering_time((1.0, 1.0), 0.1, 1e300)
 
     def test_outcome_serializes(self):
         out = covering_time((1.0,), 0.2, 10.0)
