@@ -29,7 +29,6 @@ from .products import (
     embed_points,
     project_planes,
     solve_even_dim,
-    stack_planes,
 )
 from .relations import (
     RelationDecomposition,
@@ -77,7 +76,6 @@ __all__ = [
     "embed_points",
     "project_planes",
     "solve_even_dim",
-    "stack_planes",
     "RelationDecomposition",
     "detect_relations",
     "recommended_precision",

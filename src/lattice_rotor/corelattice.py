@@ -151,6 +151,3 @@ class ComplexVector:
     def scaled(self, factor) -> "ComplexVector":
         with working_precision(self.bits):
             return ComplexVector(tuple(mpc(factor) * z for z in self.entries), self.bits)
-
-    def frac_dist(self) -> mpf:
-        return vec_frac_dist(self.entries, self.bits)

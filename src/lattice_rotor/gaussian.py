@@ -1,13 +1,14 @@
-"""Exact arithmetic over the Gaussian integers and their fractions.
+"""Exact Gaussian integers and the relation coefficients built from them.
 
-Relation coefficients must stay exact from detection through scaling:
-a coefficient is a Gaussian integer numerator over a positive integer
-denominator, always in lowest terms.  Nothing here touches floats except
-the explicit to_mpc conversions.
+A relation coefficient is a Gaussian integer numerator over a positive
+integer denominator, always in lowest terms.  Relation detection forms
+coefficients from the integer rows that lattice reduction returns; the
+scaling integer M is read from their denominators and exact ell-1
+masses, and reports carry their exact "p/q+r/qi" text.  Nothing here
+touches floats except the to_mpc conversion of the residual check.
 """
 from __future__ import annotations
 
-import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -25,12 +26,6 @@ class GaussianInteger:
     def __post_init__(self) -> None:
         if not isinstance(self.re, int) or not isinstance(self.im, int):
             raise TypeError("GaussianInteger components must be ints")
-
-    def __add__(self, other: "GaussianInteger") -> "GaussianInteger":
-        return GaussianInteger(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianInteger") -> "GaussianInteger":
-        return GaussianInteger(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: "GaussianInteger") -> "GaussianInteger":
         return GaussianInteger(
@@ -51,13 +46,8 @@ class GaussianInteger:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def to_mpc(self, bits: int) -> mpc:
-        with working_precision(bits):
-            return mpc(self.re, self.im)
-
 
 GI_ZERO = GaussianInteger(0, 0)
-GI_ONE = GaussianInteger(1, 0)
 
 
 @dataclass(frozen=True)
@@ -81,68 +71,8 @@ class GaussianRational:
             object.__setattr__(self, "den", self.den // g)
 
     @classmethod
-    def from_fractions(cls, re: Fraction, im: Fraction) -> "GaussianRational":
-        re, im = Fraction(re), Fraction(im)
-        den = (re.denominator * im.denominator) // gcd(
-            re.denominator, im.denominator
-        )
-        return cls(
-            GaussianInteger(
-                int(re * den),
-                int(im * den),
-            ),
-            den,
-        )
-
-    @classmethod
     def zero(cls) -> "GaussianRational":
         return cls(GI_ZERO, 1)
-
-    @property
-    def re_fraction(self) -> Fraction:
-        return Fraction(self.num.re, self.den)
-
-    @property
-    def im_fraction(self) -> Fraction:
-        return Fraction(self.num.im, self.den)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            GaussianInteger(
-                self.num.re * other.den + other.num.re * self.den,
-                self.num.im * other.den + other.num.im * self.den,
-            ),
-            self.den * other.den,
-        )
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.num, self.den)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return self + (-other)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        re1, im1 = self.re_fraction, self.im_fraction
-        re2, im2 = other.re_fraction, other.im_fraction
-        n = re2 * re2 + im2 * im2
-        return GaussianRational.from_fractions(
-            (re1 * re2 + im1 * im2) / n, (im1 * re2 - re1 * im2) / n
-        )
-
-    def scaled_by_int(self, m: int) -> GaussianInteger:
-        """Return m*self as a Gaussian integer; m must clear the denominator."""
-        if m % self.den != 0:
-            raise ValueError(f"{m} does not clear denominator {self.den}")
-        k = m // self.den
-        return GaussianInteger(self.num.re * k, self.num.im * k)
 
     def abs_upper_fraction(self) -> Fraction:
         """Exact rational over-estimate |re| + |im| >= |self|."""
@@ -161,24 +91,6 @@ class GaussianRational:
         p, r, q = self.num.re, self.num.im, self.den
         sign = "+" if r >= 0 else "-"
         return f"{p}/{q}{sign}{abs(r)}/{q}i"
-
-
-_COEFF_RE = _re.compile(
-    r"^\s*(-?\d+)/(\d+)\s*([+-])\s*(\d+)/(\d+)\s*i\s*$"
-)
-
-
-def parse_coefficient(text: str) -> GaussianRational:
-    """Parse the "p/q+r/qi" coefficient format emitted by format()."""
-    m = _COEFF_RE.match(text)
-    if not m:
-        raise ValueError(f"malformed Gaussian rational: {text!r}")
-    p, q1, sign, r, q2 = m.groups()
-    re_part = Fraction(int(p), int(q1))
-    im_part = Fraction(int(r), int(q2))
-    if sign == "-":
-        im_part = -im_part
-    return GaussianRational.from_fractions(re_part, im_part)
 
 
 def lcm_int(a: int, b: int) -> int:

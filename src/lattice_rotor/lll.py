@@ -40,14 +40,12 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def lll_reduce(
-    rows: Sequence[Sequence[int]],
-    delta: Fraction = Fraction(3, 4),
-) -> Tuple[List[Row], List[Row]]:
+def lll_reduce(rows: Sequence[Sequence[int]]) -> Tuple[List[Row], List[Row]]:
     """Reduce a linearly independent integer basis; return (basis, transform).
 
     transform[i] holds the coefficients of reduced basis[i] in terms of the
-    input rows.  Raises ValueError if the rows are linearly dependent.
+    input rows; the exchange condition uses the Lovasz constant 3/4.
+    Raises ValueError if the rows are linearly dependent.
     """
     if not rows:
         raise ValueError("empty basis")
@@ -55,9 +53,6 @@ def lll_reduce(
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError("ragged basis")
-    if not (0 < delta < 1):
-        raise ValueError("delta must lie in (0, 1)")
-    p, q = delta.numerator, delta.denominator
 
     b: List[Row] = [list(map(int, r)) for r in rows]
     h: List[Row] = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -108,7 +103,8 @@ def lll_reduce(
     while k < n:
         reduce_row(k, k - 1)
         lam_ = lam[k][k - 1]
-        if q * (d[k + 1] * d[k - 1] + lam_ * lam_) < p * d[k] * d[k]:
+        # Lovasz exchange condition at delta = 3/4, denominators cleared
+        if 4 * (d[k + 1] * d[k - 1] + lam_ * lam_) < 3 * d[k] * d[k]:
             swap_rows(k)
             k = max(1, k - 1)
         else:

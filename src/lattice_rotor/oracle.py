@@ -52,6 +52,12 @@ __all__ = [
 # exact treatment; orders of magnitude above accumulated float error
 _SCREEN_MARGIN = 1e-9
 
+# float64 rotated coordinates of modulus r err by about r * 2^-51 (the
+# rounded cosine and sine, then the products); past this modulus that
+# error would come within a factor 32 of the margin, so the tau screen
+# forms them at working precision and reduces them mod 1 first
+_EXACT_ROTATION_MODULUS = _SCREEN_MARGIN * 2.0**46
+
 # from 2^52 on a double has no fractional bits left, so a float64 screen
 # of coordinates that large cannot tell any two cells apart
 _SCREEN_MAGNITUDE_LIMIT = 2.0**52
@@ -175,10 +181,13 @@ def tau_estimate(
 
     The sweep screens in float64 and exactly re-evaluates every cell
     within a fixed margin of the float minimum; ties resolve to the
-    lowest grid index, reflection branch last among equals.  A
-    configuration with an entry of modulus 2^52 or more is refused with
-    ValueError: the screen would hold no fractional part, every cell
-    would tie, and each would be re-evaluated exactly.
+    lowest grid index, reflection branch last among equals.  Once an
+    entry's modulus passes _EXACT_ROTATION_MODULUS (about 7e4), the
+    rotated coordinates are formed at working precision and reduced mod
+    1 before the screen, because float64 products would err by more
+    than the margin.  A configuration with an entry of modulus 2^52 or
+    more is still refused with ValueError by the float64 guard that
+    check_prop_sep shares.
     """
     check_precision(bits)
     vec = S if isinstance(S, ComplexVector) else ComplexVector(tuple(S), bits)
@@ -189,6 +198,22 @@ def tau_estimate(
     u = np.arange(n_u, dtype=np.float64) / n_u
     angles = 2 * np.pi * np.arange(n_t, dtype=np.float64) / n_t
     branches = [False, True] if with_reflection else [False]
+    exact = float(vec.max_abs()) > _EXACT_ROTATION_MODULUS
+
+    def tables(refl: bool, j: int):
+        # per-axis squared distance tables of rotation j's image
+        if exact:
+            with working_precision(bits):
+                rot = Rotation.from_angle(2 * mpmath.pi * j / n_t, bits).value
+                ws = [rot * (mpmath.conj(z) if refl else z) for z in vec.entries]
+                rw = np.array([float(w.real - mpmath.nint(w.real)) for w in ws])
+                iw = np.array([float(w.imag - mpmath.nint(w.imag)) for w in ws])
+        else:
+            c, s = np.cos(angles[j]), np.sin(angles[j])
+            base_im = -im if refl else im
+            rw = c * re - s * base_im
+            iw = s * re + c * base_im
+        return _frac_sq_tables(rw, iw, u)
 
     # Sequential screen with a sound prune: a cell is at least as large
     # as each entry's own axis table, so translation columns whose worst
@@ -199,12 +224,8 @@ def tau_estimate(
     local_min = np.full((len(branches), n_t), np.inf, dtype=np.float64)
     vhat = np.inf
     for ri, refl in enumerate(branches):
-        base_im = -im if refl else im
         for j in range(n_t):
-            c, s = np.cos(angles[j]), np.sin(angles[j])
-            rw = c * re - s * base_im
-            iw = s * re + c * base_im
-            fa2, fb2 = _frac_sq_tables(rw, iw, u)
+            fa2, fb2 = tables(refl, j)
             am = np.nonzero(fa2.max(axis=0) <= vhat)[0]
             if am.size == 0:
                 continue
@@ -224,15 +245,10 @@ def tau_estimate(
     with working_precision(bits):
         two_pi = 2 * mpmath.pi
         for ri, refl in enumerate(branches):
-            base_im = -im if refl else im
             for j in range(n_t):
                 if local_min[ri, j] > global_sq + margin:
                     continue
-                c, s = np.cos(angles[j]), np.sin(angles[j])
-                rw = c * re - s * base_im
-                iw = s * re + c * base_im
-                fa2, fb2 = _frac_sq_tables(rw, iw, u)
-                comb = _cell_max(fa2, fb2)
+                comb = _cell_max(*tables(refl, j))
                 for a_idx, b_idx in np.argwhere(comb <= global_sq + margin):
                     g = PlanarIsometry(
                         Rotation.from_angle(two_pi * j / n_t, bits),
@@ -368,25 +384,10 @@ def check_prop_sep(
 
 def separation(S, bits: Optional[int] = None) -> mpf:
     """Minimal positive pairwise distance in the configuration."""
-    if hasattr(S, "points"):  # even-dimensional point set
-        pts = [tuple(c for c in p) for p in S.points]
-        use = bits if bits is not None else S.bits
-        with working_precision(use):
-            best: Optional[mpf] = None
-            for a in range(len(pts)):
-                for b in range(a + 1, len(pts)):
-                    d = mpmath.sqrt(
-                        sum((x - y) ** 2 for x, y in zip(pts[a], pts[b]))
-                    )
-                    if d > 0 and (best is None or d < best):
-                        best = d
-            if best is None:
-                raise ValueError("all points coincide; separation is undefined")
-            return best
     vec = S if isinstance(S, ComplexVector) else ComplexVector(tuple(S), bits or DEFAULT_PRECISION)
     use = bits if bits is not None else vec.bits
     with working_precision(use):
-        best = None
+        best: Optional[mpf] = None
         for a in range(len(vec)):
             for b in range(a + 1, len(vec)):
                 d = abs(vec.entries[a] - vec.entries[b])

@@ -18,7 +18,7 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import mpmath
 from mpmath import mpc, mpf
@@ -42,7 +42,6 @@ __all__ = [
     "EvenDimPointSet",
     "BlockEmbeddingReport",
     "project_planes",
-    "stack_planes",
     "solve_even_dim",
 ]
 
@@ -91,8 +90,8 @@ def project_planes(point_set: EvenDimPointSet) -> Tuple[ComplexVector, ...]:
     """Split a 2d-dimensional set into d planar configurations.
 
     Plane i carries coordinates (2i, 2i+1) of every point as real and
-    imaginary parts.  Pure re-pairing, no arithmetic, so stacking the
-    planes back reproduces the original coordinates exactly.
+    imaginary parts.  Pure re-pairing, no arithmetic, so the planes carry
+    the original coordinates exactly.
     """
     ps = point_set if isinstance(point_set, EvenDimPointSet) else EvenDimPointSet(tuple(point_set))
     with working_precision(ps.bits):
@@ -102,21 +101,6 @@ def project_planes(point_set: EvenDimPointSet) -> Tuple[ComplexVector, ...]:
             )
             for i in range(ps.num_planes)
         )
-
-
-def stack_planes(planes: Sequence[ComplexVector], bits: Optional[int] = None) -> EvenDimPointSet:
-    """Inverse of project_planes."""
-    if not planes:
-        raise ValueError("need at least one plane")
-    n = len(planes[0])
-    if any(len(pl) != n for pl in planes):
-        raise ValueError("planes disagree on the number of points")
-    use_bits = bits if bits is not None else max(pl.bits for pl in planes)
-    points = tuple(
-        tuple(c for pl in planes for c in (pl.entries[j].real, pl.entries[j].imag))
-        for j in range(n)
-    )
-    return EvenDimPointSet(points, use_bits)
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,6 @@ at this precision" is the only negative statement made.  The solver is
 built to tolerate that (an undetected relation can only cause a failed
 search later, never a wrong answer), and the documentation repeats it
 wherever a caller might be tempted to read more into an empty result.
-
-Entries supplied as exact Gaussian rationals short-circuit all of this:
-membership in the span of exact rationals is plain field arithmetic and
-residuals are identically zero.
 """
 from __future__ import annotations
 
@@ -88,12 +84,6 @@ class RelationDecomposition:
         if not Fraction(self.M) > total:
             raise ValueError("M must strictly exceed the coefficient mass bound")
 
-    def scaled_coefficients(self) -> Tuple[Tuple[GaussianInteger, ...], ...]:
-        """The rows multiplied through by M (all Gaussian integers)."""
-        return tuple(
-            tuple(f.scaled_by_int(self.M) for f in row) for row in self.coeffs
-        )
-
 
 def _coefficient_mass(coeffs) -> Fraction:
     # exact over-estimate sum(|re| + |im|) >= sum(|f|)
@@ -132,18 +122,12 @@ def detect_relations(
 ) -> RelationDecomposition:
     """Greedy basis scan over the entries with certified relation rows.
 
-    Accepts a ComplexVector (or sequence of mpc) for numeric detection, or
-    a sequence of GaussianRational for the exact path.  height_bound caps
-    the numerator and denominator magnitudes of reported coefficients.
+    Accepts a ComplexVector or a sequence of complex numbers.  height_bound
+    caps the numerator and denominator magnitudes of reported coefficients.
     """
     check_precision(bits)
     if not isinstance(height_bound, int) or height_bound < 1:
         raise ValueError(f"height_bound must be an integer >= 1, got {height_bound!r}")
-
-    if not isinstance(entries, ComplexVector) and all(
-        isinstance(z, GaussianRational) for z in entries
-    ) and len(tuple(entries)) > 0:
-        return _detect_exact(tuple(entries))
 
     vec = entries if isinstance(entries, ComplexVector) else ComplexVector(tuple(entries), bits)
     r = len(vec)
@@ -260,36 +244,3 @@ def _relation_residual(candidate, basis_values, coeffs, bits: int) -> mpf:
         for f, z in zip(coeffs, basis_values):
             acc -= f.to_mpc(bits) * mpc(z)
         return abs(acc)
-
-
-def _detect_exact(entries: Tuple[GaussianRational, ...]) -> RelationDecomposition:
-    # every nonzero exact rational spans the whole field, so the basis is
-    # just the first nonzero entry and every later entry divides exactly
-    basis_indices: List[int] = []
-    dependent_indices: List[int] = []
-    rows: List[Tuple[GaussianRational, ...]] = []
-    pivot: Optional[GaussianRational] = None
-    for idx, z in enumerate(entries):
-        if z.is_zero():
-            dependent_indices.append(idx)
-            rows.append((GaussianRational.zero(),) if pivot is not None else ())
-        elif pivot is None:
-            pivot = z
-            basis_indices.append(idx)
-        else:
-            dependent_indices.append(idx)
-            rows.append((z / pivot,))
-    m = len(basis_indices)
-    padded = tuple(
-        row + tuple(GaussianRational.zero() for _ in range(m - len(row)))
-        for row in rows
-    )
-    decomposition = RelationDecomposition(
-        basis_indices=tuple(basis_indices),
-        dependent_indices=tuple(dependent_indices),
-        coeffs=padded,
-        M=select_M(padded),
-        warnings=(),
-    )
-    decomposition.validate()
-    return decomposition

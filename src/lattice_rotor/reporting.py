@@ -6,32 +6,31 @@ newline, and every number carried as a decimal string.  Wall-clock
 timing is the one field that legitimately varies between runs; it is
 opt-in and absent by default so that the default artifact is diffable.
 
-Result dataclasses go to and from JSON data through one codec pair,
-to_json_data and from_json_data.  A real (mpf or Rotation) is written
-with the digits of one precision: the enclosing dataclass's eval_bits,
-else its bits, else the precision of the dataclass that contains it.  A
-rotation therefore uses the report's precision, not its own bits, which
-can be higher.  Gaussian rationals use their exact "p/q+r/qi" text and
-floats their repr.
+Result dataclasses become JSON data through one encoder, to_json_data;
+nothing in the package decodes a result back into a dataclass.  A real
+(mpf or Rotation) is written with the digits of one precision: the
+enclosing dataclass's eval_bits, else its bits, else the precision of
+the dataclass that contains it.  A rotation therefore uses the report's
+precision, not its own bits, which can be higher.  Gaussian rationals
+use their exact "p/q+r/qi" text and floats their repr.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import Optional, Sequence, Tuple
 
 from mpmath import mpf
 
 from .corelattice import Rotation
-from .gaussian import GaussianRational, parse_coefficient
-from .precision import format_complex_pair, format_decimal, parse_complex_pair, parse_decimal
+from .gaussian import GaussianRational
+from .precision import format_complex_pair, format_decimal
 
 __all__ = [
     "RunReport",
     "canonical_json",
     "to_json_data",
-    "from_json_data",
     "tau_csv",
     "covering_csv",
 ]
@@ -56,44 +55,6 @@ def to_json_data(value, bits: Optional[int] = None):
     if is_dataclass(value):
         own = getattr(value, "eval_bits", getattr(value, "bits", bits))
         return {f.name: to_json_data(getattr(value, f.name), own) for f in fields(value)}
-    return value
-
-
-def from_json_data(cls, data: dict, bits: Optional[int] = None):
-    """Inverse of to_json_data for the dataclass cls; an absent key takes
-    the field default."""
-    own = data.get("eval_bits", data.get("bits", bits))
-    hints = get_type_hints(cls)
-    return cls(
-        **{
-            f.name: _decode(hints[f.name], data[f.name], own)
-            for f in fields(cls)
-            if f.init and f.name in data
-        }
-    )
-
-
-def _decode(tp, value, bits: Optional[int]):
-    args = get_args(tp)
-    if get_origin(tp) is Union:
-        if value is None:
-            return None
-        (inner,) = [a for a in args if a is not type(None)]
-        return _decode(inner, value, bits)
-    if get_origin(tp) is tuple:
-        if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(_decode(args[0], v, bits) for v in value)
-        return tuple(_decode(a, v, bits) for a, v in zip(args, value, strict=True))
-    if tp is Rotation:
-        return Rotation(parse_complex_pair(value, bits), bits)
-    if tp is GaussianRational:
-        return parse_coefficient(value)
-    if tp is mpf:
-        return parse_decimal(value, bits)
-    if tp is float:
-        return float(value)
-    if is_dataclass(tp):
-        return from_json_data(tp, value, bits)
     return value
 
 

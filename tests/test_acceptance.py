@@ -199,13 +199,7 @@ def test_criterion_4_planted_relation_recovery():
                     planted_rows.append(row)
                     acc = mpc(0)
                     for f, b in zip(row, basis):
-                        acc += (
-                            mpc(
-                                mpf(f.re_fraction.numerator) / f.re_fraction.denominator,
-                                mpf(f.im_fraction.numerator) / f.im_fraction.denominator,
-                            )
-                            * b
-                        )
+                        acc += mpc(mpf(f.num.re) / f.den, mpf(f.num.im) / f.den) * b
                     dependents.append(acc)
                 entries = tuple(basis) + tuple(dependents)
             vec = ComplexVector(entries, bits)
@@ -220,13 +214,7 @@ def test_criterion_4_planted_relation_recovery():
                 for j, row in zip(dec.dependent_indices, dec.coeffs):
                     acc = mpc(0)
                     for f, bidx in zip(row, dec.basis_indices):
-                        acc += (
-                            mpc(
-                                mpf(f.re_fraction.numerator) / f.re_fraction.denominator,
-                                mpf(f.im_fraction.numerator) / f.im_fraction.denominator,
-                            )
-                            * entries[bidx]
-                        )
+                        acc += mpc(mpf(f.num.re) / f.den, mpf(f.num.im) / f.den) * entries[bidx]
                     assert abs(acc - entries[j]) < mpf(2) ** -128
 
             # scaling integer: clears every denominator, strictly beats the

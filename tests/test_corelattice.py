@@ -128,10 +128,6 @@ class TestVecFracDist:
         with pytest.raises(ValueError):
             vec_frac_dist((), BITS)
 
-    def test_complex_vector_method_agrees(self):
-        v = ComplexVector((_c("0.1"), _c(0, "0.2")), BITS)
-        assert v.frac_dist() == vec_frac_dist(v.entries, BITS)
-
     @given(st.lists(finite_complex, min_size=1, max_size=4))
     def test_matches_entrywise_max(self, zs):
         expected = max(frac_dist(z, BITS) for z in zs)

@@ -100,8 +100,3 @@ class TestLllReduce:
     def test_empty_basis_raises(self):
         with pytest.raises(ValueError, match="empty"):
             lll_reduce([])
-
-    def test_delta_outside_unit_interval_raises(self):
-        for delta in (Fraction(0), Fraction(1)):
-            with pytest.raises(ValueError, match="delta"):
-                lll_reduce([[1, 0], [0, 1]], delta)

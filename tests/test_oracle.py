@@ -17,9 +17,8 @@ from lattice_rotor.oracle import (
     separation,
     tau_estimate,
 )
-from lattice_rotor.precision import working_precision
-from lattice_rotor.products import EvenDimPointSet
-from lattice_rotor.reporting import from_json_data, to_json_data
+from lattice_rotor.precision import parse_complex_pair, parse_decimal, working_precision
+from lattice_rotor.reporting import to_json_data
 
 B = 128
 
@@ -62,8 +61,10 @@ class TestPlanarIsometry:
             g = PlanarIsometry(
                 Rotation.from_angle(mpf("1.3"), B), True, (mpf("0.6"), mpf("0.2"))
             )
-        back = from_json_data(PlanarIsometry, to_json_data(g))
-        assert to_json_data(back) == to_json_data(g)
+        data = to_json_data(g)
+        assert parse_complex_pair(data["theta"], data["bits"]) == g.theta.value
+        assert data["reflect"] is True
+        assert tuple(parse_decimal(u, data["bits"]) for u in data["translation"]) == g.translation
 
 
 class TestTauEstimate:
@@ -141,6 +142,29 @@ class TestTauEstimate:
         est = tau_estimate(_triangle(mpf(2) ** 51), 20, 20, bits=B)
         assert 0 <= est.upper <= mpmath.sqrt(2) / 2
 
+    @pytest.mark.parametrize("t", ["1e15", "4e15"])
+    def test_large_modulus_upper_is_grid_minimum(self, t):
+        # float64 rotated coordinates of modulus 1e15 err by about 0.4, so
+        # only a screen of working-precision fractional parts finds the
+        # cell that exact evaluation of all 16^3 cells finds
+        n = 16
+        vec = _triangle(t)
+        est = tau_estimate(vec, n, n, bits=B)
+        with working_precision(B):
+            exact = min(
+                isometry_max_frac(
+                    PlanarIsometry(
+                        Rotation.from_angle(2 * mpmath.pi * j / n, B), False, (mpf(a) / n, mpf(b) / n)
+                    ),
+                    vec,
+                    B,
+                )
+                for j in range(n)
+                for a in range(n)
+                for b in range(n)
+            )
+        assert est.upper == exact
+
     def test_deterministic(self):
         a = tau_estimate(_triangle(2), 60, 60, with_reflection=True, bits=B)
         b = tau_estimate(_triangle(2), 60, 60, with_reflection=True, bits=B)
@@ -212,10 +236,6 @@ class TestSeparation:
     def test_three_four_five(self):
         with working_precision(B):
             assert separation(ComplexVector((mpc(0), mpc(3, 4)), B)) == 5
-
-    def test_even_dim_point_set(self):
-        ps = EvenDimPointSet(((0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 0, 0)), B)
-        assert separation(ps) == 1
 
     def test_coincident_points_rejected(self):
         with working_precision(B):

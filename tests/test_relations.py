@@ -14,13 +14,13 @@ from lattice_rotor.relations import (
     recommended_precision,
     select_M,
 )
-from lattice_rotor.reporting import from_json_data, to_json_data
 
 BITS = 128
 
 
 def _gr(re_num, re_den=1, im_num=0, im_den=1):
-    return GaussianRational.from_fractions(Fraction(re_num, re_den), Fraction(im_num, im_den))
+    # the constructor reduces to lowest terms
+    return GaussianRational(GaussianInteger(re_num * im_den, im_num * re_den), re_den * im_den)
 
 
 def _vec(entries, bits=BITS):
@@ -71,7 +71,7 @@ class TestDetectNumeric:
         dec = detect_relations(v, 8, BITS)
         assert 1 in dec.dependent_indices
         row = dec.coeffs[dec.dependent_indices.index(1)]
-        assert all(f.is_zero() for f in row)
+        assert all(f == GaussianRational.zero() for f in row)
 
     def test_low_precision_warns(self):
         entries = tuple(mpc(mpmath.sqrt(p)) for p in (2, 3, 5, 7, 11, 13, 17, 19))
@@ -89,21 +89,30 @@ class TestDetectNumeric:
 
 
 class TestDetectExact:
-    def test_exact_inputs_take_exact_path(self):
-        entries = (_gr(1), _gr(0, 1, 1, 1), _gr(1, 1, 1, 1))
-        dec = detect_relations(entries, 8, BITS)
+    """Dyadic entries, which decimal inputs such as 0.375 give exactly."""
+
+    def test_exact_dyadic_inputs(self):
+        entries = (mpc("0.375"), mpc(0, "0.375"), mpc("0.25", "0.75"))
+        dec = detect_relations(_vec(entries), 8, BITS)
         assert dec.basis_indices == (0,)
         assert dec.dependent_indices == (1, 2)
         assert dec.coeffs[0] == (_gr(0, 1, 1, 1),)
-        assert dec.coeffs[1] == (_gr(1, 1, 1, 1),)
+        # (1/4 + 3i/4) / (3/8) = 2/3 + 2i
+        assert dec.coeffs[1] == (_gr(2, 3, 2, 1),)
+        assert dec.M == 6
 
     def test_exact_zero_and_scaling(self):
-        entries = (_gr(3, 7), GaussianRational.zero(), _gr(6, 7))
-        dec = detect_relations(entries, 8, BITS)
+        entries = (mpc("0.375"), mpc(0), mpc("0.75"))
+        dec = detect_relations(_vec(entries), 8, BITS)
         assert dec.basis_indices == (0,)
         assert dec.dependent_indices == (1, 2)
         assert dec.coeffs[0] == (GaussianRational.zero(),)
         assert dec.coeffs[1] == (_gr(2),)
+        assert dec.M == 3
+
+    def test_gaussian_rational_entries_refused(self):
+        with pytest.raises(TypeError):
+            detect_relations((_gr(3, 8), _gr(3, 4)), 8, BITS)
 
 
 class TestSelectM:
@@ -145,15 +154,11 @@ class TestPlantedRecovery:
                     for _ in range(m)
                 ]
                 coeffs = [
-                    GaussianRational.from_fractions(
-                        Fraction(rng.randint(-8, 8), rng.randint(1, 8)),
-                        Fraction(rng.randint(-8, 8), rng.randint(1, 8)),
-                    )
+                    _gr(rng.randint(-8, 8), rng.randint(1, 8), rng.randint(-8, 8), rng.randint(1, 8))
                     for _ in range(m)
                 ]
                 dep = sum(
-                    mpc(mpf(f.re_fraction.numerator) / f.re_fraction.denominator,
-                        mpf(f.im_fraction.numerator) / f.im_fraction.denominator) * b
+                    mpc(mpf(f.num.re) / f.den, mpf(f.num.im) / f.den) * b
                     for f, b in zip(coeffs, basis)
                 )
                 entries = tuple(basis) + (dep,)
@@ -164,10 +169,7 @@ class TestPlantedRecovery:
                 for j, row in zip(dec.dependent_indices, dec.coeffs):
                     combo = mpc(0)
                     for f, b in zip(row, dec.basis_indices):
-                        combo += mpc(
-                            mpf(f.re_fraction.numerator) / f.re_fraction.denominator,
-                            mpf(f.im_fraction.numerator) / f.im_fraction.denominator,
-                        ) * mpc(entries[b])
+                        combo += mpc(mpf(f.num.re) / f.den, mpf(f.num.im) / f.den) * mpc(entries[b])
                     assert abs(combo - mpc(entries[j])) < mpf(2) ** -128
 
 
@@ -199,15 +201,66 @@ class TestDecompositionContainer:
                 M=3,
             ).validate()
 
-    def test_json_round_trip(self):
-        dec = detect_relations(_vec((1, mpc(0, 1), mpc(1, 1))), 8, BITS)
-        data = to_json_data(dec)
-        back = from_json_data(RelationDecomposition, data)
-        assert back == dec
-
     def test_scaled_coefficients_are_gaussian_integers(self):
         dec = detect_relations(_vec((mpc("0.5", "0.5"), mpc(1, 0))), 8, BITS)
-        if dec.coeffs:
-            for row in dec.scaled_coefficients():
-                for g in row:
-                    assert isinstance(g, GaussianInteger)
+        assert dec.coeffs
+        for row in dec.coeffs:
+            for f in row:
+                assert (dec.M * f.num.re) % f.den == 0
+                assert (dec.M * f.num.im) % f.den == 0
+
+
+class TestPslqOracle:
+    """Differential test against mpmath.pslq (Ferguson-Bailey-Arno).
+
+    A Gaussian relation sum h_k x_k = 0 gives the integer relation
+    sum Re(h_k) Re(x_k) - Im(h_k) Im(x_k) = 0 among the real and imaginary
+    parts, so PSLQ on those 2(q+1) reals is an oracle independent of the
+    detector's lattice embedding.
+    """
+
+    BITS = 256
+
+    @staticmethod
+    def _pslq(entries, bits):
+        with working_precision(bits):
+            parts = [p for z in entries for p in (z.real, z.imag)]
+            rel = mpmath.pslq(parts, tol=mpf(2) ** -(bits // 2), maxcoeff=10**4, maxsteps=10**4)
+        if rel is None:
+            return None
+        return [GaussianInteger(int(rel[2 * k]), -int(rel[2 * k + 1])) for k in range(len(entries))]
+
+    @staticmethod
+    def _random_entry(rng):
+        return mpc(
+            mpf(rng.getrandbits(220)) / mpf(2) ** 219 - 1,
+            mpf(rng.getrandbits(220)) / mpf(2) ** 219 - 1,
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_planted_relation_found_by_both(self, seed):
+        rng = random.Random(seed)
+        with working_precision(2 * self.BITS):
+            basis = [self._random_entry(rng) for _ in range(2)]
+            planted = [
+                _gr(rng.randint(-8, 8), rng.randint(1, 8), rng.randint(-8, 8), rng.randint(1, 8))
+                for _ in basis
+            ]
+            z = sum(mpc(mpf(f.num.re) / f.den, mpf(f.num.im) / f.den) * b for f, b in zip(planted, basis))
+        entries = (basis[0], basis[1], z)
+        h = self._pslq(entries, self.BITS)
+        assert h is not None and not h[2].is_zero(), "PSLQ missed the planted relation"
+        dec = detect_relations(_vec(entries, self.BITS), 64, self.BITS)
+        assert dec.basis_indices == (0, 1) and dec.dependent_indices == (2,)
+        # z = sum f_k b_k and h_2 z + sum h_k b_k = 0, so f_k h_2 = -h_k
+        for f, hk in zip(dec.coeffs[0], h[:2]):
+            assert f.num * h[2] == GaussianInteger(-hk.re * f.den, -hk.im * f.den)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_generic_entries_related_by_neither(self, seed):
+        rng = random.Random(1000 + seed)
+        with working_precision(2 * self.BITS):
+            entries = tuple(self._random_entry(rng) for _ in range(3))
+        assert self._pslq(entries, self.BITS) is None
+        dec = detect_relations(_vec(entries, self.BITS), 64, self.BITS)
+        assert dec.dependent_indices == ()

@@ -3,20 +3,21 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
 from lattice_rotor.corelattice import ComplexVector, Rotation, real_dist_to_lattice
 from lattice_rotor.precision import (
+    parse_complex_pair,
+    parse_decimal,
     residual_tol,
     unit_modulus_tol,
     working_precision,
 )
 from lattice_rotor.products import EvenDimPointSet, embed_points, project_planes
-from lattice_rotor.reporting import from_json_data, to_json_data
+from lattice_rotor.reporting import to_json_data
 from lattice_rotor.solver import (
-    SolveReport,
     SolverConfig,
     certify,
     derive_seed,
@@ -333,16 +334,18 @@ class TestSolveGeneral:
         hit = solve_general(v, "1e4", "0.1", seed=0)
         miss = solve_general(v, "1e4", "0.1", seed=0, config=SolverConfig(l_cap="0.001"))
         assert miss.s_found is None
+        # the CLI's recheck and plots read t and theta back from this data
         for report in (hit, miss):
-            back = from_json_data(SolveReport, to_json_data(report))
-            assert back.t == report.t
-            assert back.theta.value == report.theta.value
-            assert back.phi == report.phi
-            assert back.s_found == report.s_found
-            assert back.max_frac == report.max_frac
-            assert back.per_point_frac == report.per_point_frac
-            assert back.achieved == report.achieved
-            assert back.decomposition == report.decomposition
+            data = to_json_data(report)
+            bits = data["eval_bits"]
+            assert parse_decimal(data["t"], bits) == report.t
+            assert parse_complex_pair(data["theta"], bits) == report.theta.value
+            assert parse_decimal(data["phi"], bits) == report.phi
+            s_found = data["s_found"] and parse_decimal(data["s_found"], bits)
+            assert s_found == report.s_found
+            assert parse_decimal(data["max_frac"], bits) == report.max_frac
+            assert tuple(parse_decimal(x, bits) for x in data["per_point_frac"]) == report.per_point_frac
+            assert data["achieved"] == report.achieved
 
     def test_starved_horizon_retries_then_reports(self):
         config = SolverConfig(l_cap="0.01", max_phase_retries=2)
@@ -364,3 +367,29 @@ class TestSolveGeneral:
             solve_general(v, 0, "0.1")
         with pytest.raises(ValueError):
             solve_general(v, 10, "0.8")
+
+
+
+# a coordinate k + 1/2 + d with |d| <= 1e-9
+NEAR_HALF = st.builds(
+    lambda k, d: mpf(k) + mpf("0.5") + mpf(d), st.integers(-3, 3), st.floats(-1e-9, 1e-9)
+)
+# eps within 1e-6 below its limit sqrt(2)/2, or a moderate tolerance
+EPS = st.one_of(
+    st.floats(1e-15, 1e-6).map(lambda d: mpmath.nstr(mpmath.sqrt(mpf(2)) / 2 - mpf(d), 40)),
+    st.sampled_from(["0.05", "0.1", "0.3"]),
+)
+
+
+class TestAdversarialSolveInputs:
+    @settings(max_examples=25)
+    @given(NEAR_HALF, NEAR_HALF, EPS, st.integers(0, 3))
+    def test_achieved_is_certified(self, re, im, eps, seed):
+        with working_precision(BITS):
+            vec = ComplexVector((mpc(re, im),), BITS)
+            T = solve_plan(vec, eps).T_threshold
+            t = T * (1 + mpf(2) ** -20)
+        report = solve_general(vec, t, eps, seed=seed)
+        if report.achieved:
+            _, worst = certify([report.theta], report.t, [vec], report.eval_bits)
+            assert worst < parse_decimal(eps, report.eval_bits)
