@@ -77,6 +77,11 @@ _WINDOW_LEAD_BITS = 4
 # (13, 159): the exact LLL dominates, and a least-squares fit gives
 # n^3.2 * b^4.0.  The model keeps round exponents and is within a factor
 # of 2.5 of every measurement, which is all a hand-over point needs.
+# The window costs are those of a first reduction.  lll_reduce remembers
+# its recent answers, so a window basis met again costs less, but the
+# constants stay on purpose: they fix the scan prefix and with it the
+# reported search_steps, and a schedule that read the memo's state would
+# not take the same walk in every process.
 _SCAN_POINT_NS = 200
 _WINDOW_NS = 500_000  # at n = 5, b = 75
 
@@ -330,14 +335,17 @@ def _window_candidates(
         reduced_f, mu, bstar_sq, tau, radius * radius, node_budget
     )
 
+    if not coeffs:
+        return []
+    # keep the lattice points inside the slightly inflated box, all at once;
+    # only the survivors get their exact grid index
     box_tol = 1.0 + 0.02
-    j_col = [int(row[0]) for row in transform]
+    us = np.array(coeffs)
+    inside = np.abs(us @ reduced_f - tau)[:, :d].max(axis=1) <= box_tol
+    j_col = [row[0] for row in transform]
     out = set()
-    for u in coeffs:
-        point = u @ reduced_f
-        if np.max(np.abs(point - tau)[:d]) > box_tol:
-            continue
-        j_rel = sum(int(u[i]) * j_col[i] for i in range(n))
+    for u in us[inside].tolist():
+        j_rel = sum(c * j for c, j in zip(u, j_col))
         if 0 <= j_rel < window_len:
             out.add(j_rel)
     return sorted(out)

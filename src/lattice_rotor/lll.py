@@ -12,9 +12,17 @@ enumeration inside the flow search.
 Rows are plain lists of Python ints.  The transform matrix returned by
 lll_reduce expresses each reduced row as an integer combination of the
 input rows; its determinant is +-1.
+
+Both callers reduce the same few bases again and again (relation
+detection once per dilation, the flow search once per window length), so
+lll_reduce remembers its last 32 answers, keyed on the exact integer rows.
+The key is the whole input, so a remembered answer is the answer; every
+call returns fresh lists, so a caller that edits them cannot reach the
+memo, and inputs that raise are never remembered.
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -40,13 +48,27 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
+Key = Tuple[Tuple[int, ...], ...]
+
+
 def lll_reduce(rows: Sequence[Sequence[int]]) -> Tuple[List[Row], List[Row]]:
     """Reduce a linearly independent integer basis; return (basis, transform).
 
     transform[i] holds the coefficients of reduced basis[i] in terms of the
     input rows; the exchange condition uses the Lovasz constant 3/4.
-    Raises ValueError if the rows are linearly dependent.
+    Raises ValueError if the rows are empty, ragged or linearly dependent.
+
+    Answers for the last 32 distinct inputs are remembered, keyed on the
+    exact rows; both lists returned are new on every call.
     """
+    basis, transform = _reduce(tuple(tuple(map(int, r)) for r in rows))
+    return [list(r) for r in basis], [list(r) for r in transform]
+
+
+@functools.lru_cache(maxsize=32)
+def _reduce(rows: Key) -> Tuple[Key, Key]:
+    # the memoized worker behind lll_reduce; it returns tuples, so the
+    # answers it keeps cannot be changed by anyone who reads them
     if not rows:
         raise ValueError("empty basis")
     n = len(rows)
@@ -54,7 +76,7 @@ def lll_reduce(rows: Sequence[Sequence[int]]) -> Tuple[List[Row], List[Row]]:
     if any(len(r) != width for r in rows):
         raise ValueError("ragged basis")
 
-    b: List[Row] = [list(map(int, r)) for r in rows]
+    b: List[Row] = [list(r) for r in rows]
     h: List[Row] = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     # d[i] = Gram determinant of b[0..i-1]; lam[i][j] = d[j+1] * mu_{i,j}
@@ -112,7 +134,7 @@ def lll_reduce(rows: Sequence[Sequence[int]]) -> Tuple[List[Row], List[Row]]:
                 reduce_row(k, l)
             k += 1
 
-    return b, h
+    return tuple(map(tuple, b)), tuple(map(tuple, h))
 
 
 def gram_schmidt_fractions(rows: Sequence[Sequence[int]]):

@@ -313,6 +313,11 @@ def check_prop_sep(
     stay at or above 1/8; anything below 1/8 minus the certification
     slack is recorded as a violation.  Draw order per sample is fixed:
     rotation turn, reflection bit, two translation coordinates.
+
+    A float64 screen picks the samples worth an exact re-evaluation.  Once
+    t passes _EXACT_ROTATION_MODULUS (about 7e4) the float64 rotation
+    errs by more than the screen's margin, so every sample is
+    re-evaluated exactly, at about half a millisecond each.
     """
     check_precision(bits)
     if samples < 1:
@@ -357,7 +362,12 @@ def check_prop_sep(
             )
             return isometry_max_frac(g, probe, bits)
 
-        candidates = np.nonzero(worst <= max(screen_sq, float_min_sq + _SCREEN_MARGIN))[0]
+        if float(probe.max_abs()) > _EXACT_ROTATION_MODULUS:
+            # the float64 rotation errs by more than the margin here, so
+            # the screen cannot rank samples and every one is re-evaluated
+            candidates = np.arange(samples)
+        else:
+            candidates = np.nonzero(worst <= max(screen_sq, float_min_sq + _SCREEN_MARGIN))[0]
         minimum: Optional[mpf] = None
         argmin_index = -1
         violations = []

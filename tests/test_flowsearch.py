@@ -1,4 +1,5 @@
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -286,3 +287,55 @@ class TestWrongCandidatesRejected:
             assert vec_frac_dist(point, BITS) < eps
         assert not out.found and out.s is None and out.grid_index is None
         assert (out.reason, out.strategy, out.windows_used) == ("absent", "enumerate", 1)
+
+
+class TestWindowCandidates:
+    def _window(self):
+        # one window of the golden line's enumeration, at the first index
+        # of its 0.05-neighbourhood search
+        with working_precision(BITS):
+            step = mpf("0.05") / (4 * _golden_direction().max_abs())
+            g = (1 + mpmath.sqrt(mpf(5))) / 2
+            return [step, step * g], [-0.5, -0.5], mpf("0.05"), 1 << 10
+
+    def test_no_enumerated_point_gives_no_candidate(self, monkeypatch):
+        monkeypatch.setattr(flowsearch, "_enumerate_ball", lambda *args: [])
+        dv, target, eps, length = self._window()
+        assert flowsearch._window_candidates(dv, target, eps, length, 10**6, BITS) == []
+
+    def test_box_filter_matches_a_point_by_point_filter(self, monkeypatch):
+        # the filter screens every enumerated point in one array pass; a
+        # loop over the points with the same box gives the same indices,
+        # except for a point within float rounding of the box edge
+        seen = {}
+        real_reduce, real_enumerate = flowsearch.lll_reduce, flowsearch._enumerate_ball
+
+        def reduce_(rows):
+            out = real_reduce(rows)
+            seen["transform"] = out[1]
+            return out
+
+        def enumerate_(basis, mu, bstar_sq, tau, radius_sq, node_budget):
+            seen.update(basis=basis, tau=tau)
+            seen["coeffs"] = real_enumerate(basis, mu, bstar_sq, tau, radius_sq, node_budget)
+            return seen["coeffs"]
+
+        monkeypatch.setattr(flowsearch, "lll_reduce", reduce_)
+        monkeypatch.setattr(flowsearch, "_enumerate_ball", enumerate_)
+        dv, target, eps, length = self._window()
+        got = flowsearch._window_candidates(dv, target, eps, length, 10**6, BITS)
+
+        d = len(dv)
+        kept, edge = set(), set()
+        for u in seen["coeffs"]:
+            worst = np.max(np.abs(u @ seen["basis"] - seen["tau"])[:d])
+            j_rel = sum(int(c) * row[0] for c, row in zip(u, seen["transform"]))
+            if not 0 <= j_rel < length:
+                continue
+            if abs(worst - 1.02) < 1e-9:
+                edge.add(j_rel)
+            elif worst < 1.02:
+                kept.add(j_rel)
+        assert len(seen["coeffs"]) > len(got) > 0
+        assert kept <= set(got) <= kept | edge
+        assert got == sorted(got)

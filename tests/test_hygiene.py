@@ -4,6 +4,9 @@ Every module-level import is used or re-exported through __all__ (an
 import line marked "# noqa: F401" is exempt), in the package, its tests
 and its scripts, and no package module imports a _-prefixed name from
 another module.  Every name the benchmark's tracer wraps still exists.
+Every memo in the package states a finite bound, because the keys it
+holds (exact integers, high-precision numbers) have no size limit of
+their own.
 """
 
 import ast
@@ -93,3 +96,57 @@ def test_benchmark_bindings_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert not missing, f"names the benchmark wraps are gone: {missing}"
+
+
+
+def _unbounded_memos(tree):
+    """Line numbers of functools.lru_cache / functools.cache uses that do
+    not spell out a finite positive integer maxsize, whether used as a
+    decorator, with or without arguments, or called directly; lru_cache's
+    implicit default counts as not spelled out, so the bound is visible
+    where the memo is."""
+    def name(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and name(node.func) in ("lru_cache", "cache"):
+            size = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+            bounded = (
+                name(node.func) == "lru_cache"
+                and size
+                and isinstance(size[0], ast.Constant)
+                and type(size[0].value) is int
+                and size[0].value > 0
+            )
+            if not bounded:
+                lines.append(node.lineno)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # a bare @cache is unbounded and a bare @lru_cache hides its bound
+            lines += [d.lineno for d in node.decorator_list if name(d) in ("lru_cache", "cache")]
+    return sorted(lines)
+
+
+@pytest.mark.parametrize(
+    "source, unbounded",
+    [
+        ("@functools.lru_cache(maxsize=32)\ndef f(x): pass", []),
+        ("@lru_cache(8)\ndef f(x): pass", []),
+        ("g = functools.lru_cache(maxsize=4)(len)", []),
+        ("@functools.lru_cache\ndef f(x): pass", [1]),
+        ("@lru_cache()\ndef f(x): pass", [1]),
+        ("@functools.lru_cache(maxsize=None)\ndef f(x): pass", [1]),
+        ("@functools.cache\ndef f(x): pass", [1]),
+        ("g = cache(len)", [1]),
+        ("g = lru_cache(len)", [1]),
+    ],
+)
+def test_memo_guard_recognises_each_form(source, unbounded):
+    assert _unbounded_memos(ast.parse(source)) == unbounded
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_memos_are_bounded(path):
+    _, tree = _parse(path)
+    lines = _unbounded_memos(tree)
+    assert not lines, f"{path.name} memoizes without a finite integer maxsize at lines {lines}"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from lattice_rotor import lll
 from lattice_rotor.lll import gram_schmidt_fractions, is_reduced, lll_reduce
 
 
@@ -100,3 +101,42 @@ class TestLllReduce:
     def test_empty_basis_raises(self):
         with pytest.raises(ValueError, match="empty"):
             lll_reduce([])
+
+
+class TestMemo:
+    """lll_reduce remembers answers keyed on the exact rows; the memo must
+    be invisible apart from the time it saves."""
+
+    @given(rows=bases())
+    def test_memoized_answer_equals_a_fresh_reduction(self, rows):
+        fresh = lll._reduce.__wrapped__(tuple(map(tuple, rows)))
+        for _ in range(2):
+            reduced, transform = lll_reduce(rows)
+            assert (reduced, transform) == tuple([list(r) for r in m] for m in fresh)
+
+    def test_editing_a_returned_basis_or_transform_changes_nothing(self):
+        rows = [[1, 0, 0], [5, 1, 0], [7, 3, 1]]
+        first = lll_reduce(rows)
+        expected = tuple([list(r) for r in m] for m in first)
+        for matrix in first:
+            matrix[0][0] += 99
+            matrix.append([0, 0, 0])
+        assert lll_reduce(rows) == expected
+        rows[0][0] = 2  # editing the input after the call does not either
+        assert lll_reduce([[1, 0, 0], [5, 1, 0], [7, 3, 1]]) == expected
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [([[1, 2], [2, 4]], "dependent"), ([[1, 0], [0, 1, 0]], "ragged"), ([], "empty")],
+        ids=["dependent", "ragged", "empty"],
+    )
+    def test_bad_rows_raise_on_every_call(self, rows, match):
+        for _ in range(3):
+            with pytest.raises(ValueError, match=match):
+                lll_reduce(rows)
+
+    def test_memo_stays_bounded(self):
+        limit = lll._reduce.cache_info().maxsize
+        for k in range(limit + 8):
+            lll_reduce([[1, k + 1], [0, 1]])
+        assert lll._reduce.cache_info().currsize <= limit

@@ -186,6 +186,24 @@ class TestSeparatedProbe:
             separated_probe(0, B)
 
 
+def _sampled_isometries(seed, samples):
+    """The isometries check_prop_sep draws, replayed from its seed stream:
+    rotation turn, reflection bit, two translation coordinates."""
+    rng = random.Random(seed)
+    out = []
+    with working_precision(B):
+        for _ in range(samples):
+            turn = rng.random()
+            refl = rng.random() < 0.5
+            t1, t2 = rng.random(), rng.random()
+            out.append(
+                PlanarIsometry(
+                    Rotation.from_angle(2 * mpmath.pi * mpf(turn), B), refl, (mpf(t1), mpf(t2))
+                )
+            )
+    return out
+
+
 class TestPropSepCheck:
     def test_no_violations_in_short_run(self):
         chk = check_prop_sep(2, 2000, seed=11, bits=B)
@@ -195,23 +213,20 @@ class TestPropSepCheck:
 
     def test_argmin_replay_from_seed_stream(self):
         chk = check_prop_sep(3, 500, seed=4, bits=B)
-        rng = random.Random(4)
-        draws = []
-        for _ in range(500):
-            turn = rng.random()
-            refl = rng.random() < 0.5
-            t1 = rng.random()
-            t2 = rng.random()
-            draws.append((turn, refl, t1, t2))
-        turn, refl, t1, t2 = draws[chk.argmin_index]
-        with working_precision(B):
-            g = PlanarIsometry(
-                Rotation.from_angle(2 * mpmath.pi * mpf(turn), B),
-                refl,
-                (mpf(t1), mpf(t2)),
-            )
+        g = _sampled_isometries(4, 500)[chk.argmin_index]
         replay = isometry_max_frac(g, separated_probe(3, B), B)
         assert abs(replay - chk.minimum) <= mpf(2) ** (-B // 2)
+
+    def test_minimum_is_exact_past_the_rotation_modulus(self):
+        # at t = 1e15 float64 rotated coordinates err by about 0.4, so a
+        # float64 screen would pick the wrong samples; the reported minimum
+        # must be the exact one over every sample drawn
+        probe = separated_probe("1e15", B)
+        values = [isometry_max_frac(g, probe, B) for g in _sampled_isometries(1, 300)]
+        exact = min(values)
+        chk = check_prop_sep("1e15", 300, seed=1, bits=B)
+        assert chk.minimum == exact
+        assert chk.argmin_index == values.index(exact)
 
     def test_deterministic(self):
         a = check_prop_sep(2, 500, seed=9, bits=B)
