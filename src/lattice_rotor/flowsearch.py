@@ -53,6 +53,8 @@ from .corelattice import ComplexVector, frac_dist
 from .lll import lll_reduce
 from .precision import raise_for_magnitude, working_precision
 
+# a walk ends "exhausted" after this many windows, or when a window of the
+# floor length outgrows the node budget; flow_search reads both at call time
 DEFAULT_WINDOW_BUDGET = 256
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -112,8 +114,6 @@ def flow_search(
     bits: int,
     grid_step=None,
     scan_limit: Optional[int] = None,
-    window_budget: int = DEFAULT_WINDOW_BUDGET,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> FlowSearchOutcome:
     """Smallest grid point s in [0, L_max] with vec_frac_dist(W + sV) < eps.
 
@@ -237,13 +237,13 @@ def flow_search(
             candidates = np.flatnonzero(worst < thresh_sq).tolist()
             examined += count
         else:
-            if windows >= window_budget:
+            if windows >= DEFAULT_WINDOW_BUDGET:
                 return outcome("exhausted")
             windows += 1
             count = min(window_len, grid_last - j0 + 1)
             try:
                 candidates = _window_candidates(
-                    dv_coords, -residues(j0), eps, count, node_budget, bits_eval
+                    dv_coords, -residues(j0), eps, count, DEFAULT_NODE_BUDGET, bits_eval
                 )
             except _BudgetExceeded:
                 if window_len > _WINDOW_FLOOR:

@@ -83,17 +83,16 @@ class SolverConfig:
     precision is raised automatically and is not configurable.
     height_bound caps the coefficients relation detection looks for, and
     max_phase_retries counts the fresh seeded phases solve_general tries
-    after the first.  l_start and l_cap override and cap the
-    search-horizon ladder; both accept decimal strings.  The flow
-    search derives its scan prefix and windows from the flow itself; its
-    budgets and the ladder's escalation count are fixed constants
-    (flowsearch defaults, DEFAULT_MAX_ESCALATIONS).
+    after the first.  l_cap, a decimal string, caps the search-horizon
+    ladder, which starts at initial_search_length.  The flow search
+    derives its scan prefix and windows from the flow itself; its budgets
+    and the ladder's escalation count are fixed constants
+    (flowsearch.DEFAULT_*_BUDGET, DEFAULT_MAX_ESCALATIONS).
     """
 
     bits: int = DEFAULT_PRECISION
     height_bound: int = DEFAULT_HEIGHT_BOUND
     max_phase_retries: int = DEFAULT_MAX_PHASE_RETRIES
-    l_start: Optional[str] = None
     l_cap: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -110,7 +109,7 @@ class SolveReport:
     delivered rotation at twice the evaluation precision; achieved is
     that check and nothing else.  search_steps is the flow search's
     examined count: scan grid points plus enumeration candidates, summed
-    over horizons and retries for the general driver.
+    over phase attempts for the general driver (one walk each).
     """
 
     t: mpf
@@ -426,10 +425,7 @@ def solve_plan(V, eps, config: Optional[SolverConfig] = None) -> GeneralPlan:
             return GeneralPlan(decomposition, mpf(eps_v), mpf(0), mpf(0), mpf(0), bits)
         eps_inner = eps_v / (2 * m * M**2)
         reduced_max = max(abs(vec.entries[b]) for b in decomposition.basis_indices) / M
-        if config.l_start is not None:
-            L0 = parse_decimal(config.l_start, work)
-        else:
-            L0 = initial_search_length(eps_inner, m, work)
+        L0 = initial_search_length(eps_inner, m, work)
         if config.l_cap is not None:
             L0 = min(L0, parse_decimal(config.l_cap, work))
         T = dilation_threshold(L0, reduced_max, eps_inner, work)
@@ -444,8 +440,10 @@ def solve_general(
 
     The reduced block is searched at eps/(2*m*M^2) so the detected
     coefficients can only amplify the error back up to eps/2 across the
-    original entries.  The phase is drawn from the seed; on a miss the
-    driver escalates the search horizon geometrically, then retries with
+    original entries.  The phase is drawn from the seed, and each phase
+    attempt walks the flow once to the last rung of the horizon ladder
+    L0*2^k; the horizon reported, and the threshold derived from it, is
+    the first rung at or past the hit.  On a miss the driver retries with
     fresh derived phases up to config.max_phase_retries.  achieved
     reflects only the final re-evaluation over all entries.
     """
@@ -515,24 +513,24 @@ def solve_general(
                 f"phase-randomization: retry {attempt} with derived seed {attempt_seed}"
             )
 
-        inner: Optional[SolveReport] = None
-        for step, L in enumerate(ladder):
-            inner = solve_typical(phase.rotated, t_v, eps_inner, L, config=inner_config)
-            total_steps += inner.search_steps
-            if inner.s_found is not None:
-                break
-            if step + 1 < len(ladder):
-                diagnostics.append(
-                    f"inner-solve: horizon L={mpmath.nstr(mpf(L), 6)} exhausted, "
-                    f"escalating to {mpmath.nstr(mpf(ladder[step + 1]), 6)}"
-                )
-
-        if inner is None or inner.s_found is None:
+        # the grid and the walk do not depend on the horizon, so one walk to
+        # the last rung finds the hit every shorter rung would have found
+        inner = solve_typical(phase.rotated, t_v, eps_inner, ladder[-1], config=inner_config)
+        total_steps += inner.search_steps
+        if inner.s_found is None:
             diagnostics.append(
                 f"inner-solve: density horizon exceeded at phase attempt {attempt}"
             )
             continue
 
+        rungs = [parse_decimal(L, inner.eval_bits) for L in ladder]
+        L_used = next((L for L in rungs if inner.s_found <= L), rungs[-1])
+        # solve_typical bounded the remainder with the last rung; the
+        # reported horizon is the rung that hit, so check against that
+        _check_linearization(
+            inner.theta, inner.t, inner.s_found, phase.rotated, L_used,
+            phase.rotated.max_abs(), 2 * inner.eval_bits,
+        )
         # solve_typical records a hit's grid index, strategy, window and
         # examined counts as its first diagnostic
         diagnostics.append(f"inner-solve: {inner.diagnostics[0]}")
@@ -559,10 +557,8 @@ def solve_general(
             theta=theta,
             phi=phase.phi,
             s_found=inner.s_found,
-            L_used=inner.L_used,
-            T_threshold=dilation_threshold(
-                inner.L_used, plan.reduced_max_abs, eps_inner, eval_bits
-            ),
+            L_used=L_used,
+            T_threshold=dilation_threshold(L_used, plan.reduced_max_abs, eps_inner, eval_bits),
             per_point_frac=per_point,
             max_frac=max_frac,
             achieved=achieved,

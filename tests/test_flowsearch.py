@@ -151,14 +151,13 @@ class TestGoldenLineFixture:
 
 
 class TestSearchBeyondScanPrefix:
-    def test_budget_exhaustion_is_reported(self):
+    def test_budget_exhaustion_is_reported(self, monkeypatch):
         with working_precision(BITS):
             v = ComplexVector((mpc(1), mpc(mpmath.sqrt(mpf(2)))), BITS)
             w = ComplexVector((mpc("0.3", "0.4"), mpc("0.1", "0.2")), BITS)
-        out = flow_search(
-            v, w, "0.01", mpf(10) ** 9, BITS,
-            scan_limit=4, window_budget=1, node_budget=8,
-        )
+        monkeypatch.setattr(flowsearch, "DEFAULT_WINDOW_BUDGET", 1)
+        monkeypatch.setattr(flowsearch, "DEFAULT_NODE_BUDGET", 8)
+        out = flow_search(v, w, "0.01", mpf(10) ** 9, BITS, scan_limit=4)
         assert not out.found
         assert out.reason == "exhausted"
         assert isinstance(out, FlowSearchOutcome)

@@ -6,14 +6,21 @@ and its scripts, and no package module imports a _-prefixed name from
 another module.  Every name the benchmark's tracer wraps still exists.
 Every memo in the package states a finite bound, because the keys it
 holds (exact integers, high-precision numbers) have no size limit of
-their own.
+their own.  Every solver setting and flow-search keyword names the
+caller that sets it, so a knob that nothing reads cannot slip in.
 """
 
 import ast
+import dataclasses
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
+
+from lattice_rotor.cli import _SPEC_KEYS
+from lattice_rotor.flowsearch import flow_search
+from lattice_rotor.solver import SolverConfig
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "lattice_rotor").glob("*.py"))
@@ -150,3 +157,28 @@ def test_memos_are_bounded(path):
     _, tree = _parse(path)
     lines = _unbounded_memos(tree)
     assert not lines, f"{path.name} memoizes without a finite integer maxsize at lines {lines}"
+
+
+# each settable option, and the caller that sets it
+KNOBS = {
+    "SolverConfig.bits": "CLI spec key precision_bits",
+    "SolverConfig.height_bound": "CLI spec key height_bound",
+    "SolverConfig.l_cap": "CLI spec key L_cap",
+    "SolverConfig.max_phase_retries": "acceptance criterion 3 runs with 0 and with 3",
+    "flow_search.grid_step": "the refinement tests",
+    "flow_search.scan_limit": "the scan-vs-enumeration differential tests",
+}
+
+
+def test_every_knob_has_a_caller():
+    """A new SolverConfig field or flow_search keyword fails here until it
+    is listed in KNOBS with the caller that sets it."""
+    fields = {f"SolverConfig.{f.name}" for f in dataclasses.fields(SolverConfig)}
+    keywords = {
+        f"flow_search.{p.name}"
+        for p in inspect.signature(flow_search).parameters.values()
+        if p.default is not p.empty or p.kind is p.KEYWORD_ONLY
+    }
+    assert fields | keywords == set(KNOBS)
+    spec_keys = {r.rsplit(" ", 1)[1] for r in KNOBS.values() if r.startswith("CLI spec key")}
+    assert spec_keys <= _SPEC_KEYS

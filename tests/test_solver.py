@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import mpmath
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
+from lattice_rotor import solver
 from lattice_rotor.corelattice import ComplexVector, Rotation, real_dist_to_lattice
 from lattice_rotor.precision import (
     parse_complex_pair,
@@ -36,6 +38,12 @@ BITS = 128
 def _unit_angle_one():
     with working_precision(BITS):
         return ComplexVector((mpmath.expj(mpf(1)),), BITS)
+
+
+def _start_ladder_at(monkeypatch, L0: str):
+    """Start solve_general's horizon ladder at L0, so a short first rung
+    forces the search past it."""
+    monkeypatch.setattr(solver, "initial_search_length", lambda eps, entries, bits: mpf(L0))
 
 
 def _triangle():
@@ -356,10 +364,35 @@ class TestSolveGeneral:
         assert any("retry 1" in d for d in report.diagnostics)
         assert any("retry 2" in d for d in report.diagnostics)
 
-    def test_escalation_ladder_is_logged(self):
-        config = SolverConfig(l_start="0.5")
-        report = solve_general(_unit_angle_one(), "1e4", "0.1", seed=0, config=config)
+    def test_horizon_is_read_back_from_the_hit(self, monkeypatch):
+        # from a first rung of 1 the ladder runs to 64, and the hit at
+        # s ~ 20.3 lies on rung 32; the linearization check runs in
+        # solve_typical with the last rung, then in the driver with the
+        # rung that hit
+        checked = []
+        real_check = solver._check_linearization
+
+        def check(theta, t, s, vec, L, max_abs, bits):
+            checked.append(L)
+            real_check(theta, t, s, vec, L, max_abs, bits)
+
+        monkeypatch.setattr(solver, "_check_linearization", check)
+        v, config = _unit_angle_one(), SolverConfig(max_phase_retries=0)
+        with monkeypatch.context() as m:
+            _start_ladder_at(m, "1")
+            report = solve_general(v, "1e4", "0.1", seed=0, config=config)
         assert report.achieved
+        assert report.L_used / 2 < report.s_found <= report.L_used == 32
+        assert checked == [64, 32]
+        assert not any("escalating" in d for d in report.diagnostics)
+
+        # a first rung that covers the hit is the horizon reported
+        checked.clear()
+        _start_ladder_at(monkeypatch, "32")
+        first = solve_general(v, "1e4", "0.1", seed=0, config=config)
+        assert first.s_found == report.s_found
+        assert first.L_used == 32 and first.T_threshold == report.T_threshold
+        assert checked == [2048, 32]
 
     def test_invalid_inputs(self):
         v = ComplexVector((mpc(1),), BITS)
@@ -368,6 +401,73 @@ class TestSolveGeneral:
         with pytest.raises(ValueError):
             solve_general(v, 10, "0.8")
 
+
+def _golden_pi():
+    with working_precision(BITS):
+        return ComplexVector((mpc((1 + mpmath.sqrt(5)) / 2, mpmath.pi),), BITS)
+
+
+def _generic_pair():
+    with working_precision(BITS):
+        return ComplexVector((mpc("0.3", "0.7"), mpc(mpmath.sqrt(2), mpmath.sqrt(3))), BITS)
+
+
+class TestHorizonLadderFold:
+    """One walk to the last rung against the per-rung search it replaced:
+    a reference solve_typical that searches L0, 2*L0, ... in turn up to the
+    horizon it is handed and stops at the first rung that hits."""
+
+    @staticmethod
+    def _solve_both(monkeypatch, V, t, eps, seed, L0, config):
+        _start_ladder_at(monkeypatch, L0)
+        folded = solve_general(V, t, eps, seed=seed, config=config)
+        real, hit_rungs = solver.solve_typical, []
+
+        def per_rung(V, t, eps, L_max, config=None):
+            L, steps = mpf(L0), 0
+            while True:
+                report = real(V, t, eps, L, config=config)
+                steps += report.search_steps
+                if report.s_found is not None:
+                    hit_rungs.append(report.L_used)
+                if report.s_found is not None or L >= L_max:
+                    return replace(report, search_steps=steps)
+                L *= 2
+
+        monkeypatch.setattr(solver, "solve_typical", per_rung)
+        return folded, solve_general(V, t, eps, seed=seed, config=config), hit_rungs
+
+    @pytest.mark.parametrize(
+        "vector, t, eps, seed, L0, l_cap, hits",
+        [
+            # hit on rung 32 of 1 .. 64
+            (_unit_angle_one, "1e4", "0.1", 0, "1", None, True),
+            # l_cap 40 ends the ladder at 32; hit on rung 16
+            (_golden_pi, "1e10", "0.05", 0, "1", "40", True),
+            # every rung of 2^-10 .. 2^-4 misses, on each of three phases
+            (_unit_angle_one, "1e6", "1e-6", 0, "0.0009765625", None, False),
+            # l_cap 5 ends the ladder at 4; every rung misses
+            (_generic_pair, "1e12", "0.1", 2, "1", "5", False),
+        ],
+    )
+    def test_same_report_as_the_per_rung_search(
+        self, monkeypatch, vector, t, eps, seed, L0, l_cap, hits
+    ):
+        config = SolverConfig(l_cap=l_cap, max_phase_retries=2)
+        folded, ladder, hit_rungs = self._solve_both(
+            monkeypatch, vector(), t, eps, seed, L0, config
+        )
+        assert (folded.s_found is not None) == hits
+        if hits:
+            # the reference hit past its first rung, and that rung is the
+            # horizon the folded walk reads back
+            assert hit_rungs[-1] > mpf(L0)
+            assert folded.L_used == hit_rungs[-1]
+        for field in ("s_found", "L_used", "T_threshold", "eval_bits", "theta",
+                      "per_point_frac", "achieved"):
+            assert getattr(folded, field) == getattr(ladder, field), field
+        assert folded.search_steps <= ladder.search_steps
+        assert not any("escalating" in d for d in folded.diagnostics)
 
 
 # a coordinate k + 1/2 + d with |d| <= 1e-9
