@@ -57,7 +57,6 @@ from .precision import (
     working_precision,
 )
 from .products import EvenDimPointSet, project_planes, solve_even_dim
-from .relations import recommended_precision
 from .reporting import RunReport, canonical_json, tau_csv, to_json_data
 from .solver import (
     InternalCheckError,
@@ -349,13 +348,6 @@ def _run_solve(spec: ProblemSpec, options: dict) -> _Outcome:
     planes = project_planes(pset)
 
     warnings = []
-    advised = recommended_precision(len(spec.points), spec.height_bound)
-    if planar and bits < advised:
-        warnings.append(
-            f"precision_bits {bits} is below the advised {advised} for relation "
-            f"detection over {len(spec.points)} entries at height {spec.height_bound}"
-        )
-
     results = []
     achieved_count = 0
     worst = None
@@ -367,14 +359,14 @@ def _run_solve(spec: ProblemSpec, options: dict) -> _Outcome:
             eps_v = parse_decimal(spec.epsilon, bits)
         if planar:
             rep = solve_general(planes[0], t_v, eps_v, seed=spec.seed, config=config)
-            if rep.decomposition is not None:
-                for w in rep.decomposition.warnings:
-                    if w not in warnings:
-                        warnings.append(w)
-            frac = rep.max_frac
+            plane_reports, frac = (rep,), rep.max_frac
         else:
             rep = solve_even_dim(pset, t_v, eps_v, seed=spec.seed, config=config)
-            frac = rep.combined_max_frac
+            plane_reports, frac = rep.per_plane, rep.combined_max_frac
+        # relation detection's advisories, once each across planes and t
+        for w in (w for r in plane_reports for w in r.decomposition.warnings):
+            if w not in warnings:
+                warnings.append(w)
         result = to_json_data(rep)
         _recheck(result, planes, eps_v)
         results.append(result)

@@ -107,9 +107,12 @@ class SolveReport:
 
     per_point_frac comes from an independent re-evaluation of the
     delivered rotation at twice the evaluation precision; achieved is
-    that check and nothing else.  search_steps is the flow search's
-    examined count: scan grid points plus enumeration candidates, summed
-    over phase attempts for the general driver (one walk each).
+    that check of a rotation the search found, and nothing else (a miss
+    reports the identity, not achieved).  search_steps is the flow
+    search's examined count: scan grid points plus enumeration
+    candidates.  For solve_general it sums one walk per phase
+    attempt, and diagnostics names every attempt, including those after
+    the one whose rotation is reported.
     """
 
     t: mpf
@@ -172,7 +175,6 @@ class PhaseSample:
     phi: mpf
     rotation: Rotation
     rotated: ComplexVector
-    seed: int
 
 
 def randomize_phase(V, seed: int, bits: Optional[int] = None) -> PhaseSample:
@@ -192,7 +194,7 @@ def randomize_phase(V, seed: int, bits: Optional[int] = None) -> PhaseSample:
         rotated = ComplexVector(
             tuple(rotation.value * z for z in vec.entries), use_bits
         )
-    return PhaseSample(phi=phi, rotation=rotation, rotated=rotated, seed=seed)
+    return PhaseSample(phi=phi, rotation=rotation, rotated=rotated)
 
 
 def lattice_residuals(theta: Rotation, t, V, bits: int) -> Tuple[mpf, ...]:
@@ -230,42 +232,51 @@ def certify(
     return per_point, worst
 
 
+def _vector(V, config: SolverConfig) -> Tuple[ComplexVector, int]:
+    """V as a ComplexVector, and the base precision: config.bits, or the
+    vector's own precision if that is wider."""
+    vec = V if isinstance(V, ComplexVector) else ComplexVector(tuple(V), config.bits)
+    return vec, max(config.bits, vec.bits)
+
+
+def _parse_eps(eps, bits: int) -> mpf:
+    """eps at bits + 64, checked to lie in (0, sqrt(2)/2)."""
+    eps_r = parse_decimal(eps, bits + 64)
+    with working_precision(bits + 64):
+        if not (0 < eps_r < mpf(2) ** mpf("0.5") / 2):
+            raise ValueError(f"eps must lie in (0, sqrt(2)/2), got {eps_r}")
+    return eps_r
+
+
+def _parse_t(t, bits: int) -> mpf:
+    """t at bits + 64, checked to be positive."""
+    t_r = parse_decimal(t, bits + 64)
+    if not t_r > 0:
+        raise ValueError(f"t must be positive, got {t_r}")
+    return t_r
+
+
 def _identity_rotation(bits: int) -> Rotation:
     with working_precision(bits):
         return Rotation(mpc(1), bits)
 
 
-def _trivial_report(
-    vec: ComplexVector,
-    t_in,
-    eps: mpf,
-    bits: int,
-    seed: Optional[int],
-    decomposition: Optional[RelationDecomposition],
-    note: str,
-) -> SolveReport:
-    # an all-zero configuration is fixed by every rotation; report the
-    # identity and let the verification pass say so
-    eval_bits = raise_for_magnitude(bits, max(abs(parse_decimal(t_in, bits + 64)), mpf(1)), eps)
-    t = parse_decimal(t_in, eval_bits)
-    theta = _identity_rotation(eval_bits)
-    per_point, max_frac = certify([theta], t, [vec], eval_bits)
+def _report(vec, t, eps, theta, certified=None, **fields) -> SolveReport:
+    """Make the report of theta on vec; the only place a SolveReport is made.
+
+    certified is certify's result for theta, t and vec at the report's
+    eval_bits when the caller has it already; otherwise it is measured
+    here.  achieved needs a rotation the search found (s_found set) that
+    lands below eps.
+    """
+    per_point, max_frac = certified or certify([theta], t, [vec], fields["eval_bits"])
     return SolveReport(
         t=t,
         theta=theta,
-        phi=mpf(0),
-        s_found=mpf(0),
-        L_used=mpf(0),
-        T_threshold=mpf(0),
         per_point_frac=per_point,
         max_frac=max_frac,
-        achieved=bool(max_frac < eps),
-        search_steps=0,
-        seed=seed,
-        decomposition=decomposition,
-        bits=bits,
-        eval_bits=eval_bits,
-        diagnostics=(note,),
+        achieved=fields["s_found"] is not None and bool(max_frac < eps),
+        **fields,
     )
 
 
@@ -302,91 +313,61 @@ def solve_typical(V, t, eps, L_max, config: Optional[SolverConfig] = None) -> So
     report then carries achieved=False and a density-horizon diagnostic
     rather than an error.
     """
-    config = config or SolverConfig()
-    bits = config.bits
-    vec = V if isinstance(V, ComplexVector) else ComplexVector(tuple(V), bits)
-    if vec.bits > bits:
-        bits = vec.bits
-
+    vec, bits = _vector(V, config or SolverConfig())
+    eps_r, t_r = _parse_eps(eps, bits), _parse_t(t, bits)
     rough = bits + 64
-    eps_r = parse_decimal(eps, rough)
-    with working_precision(rough):
-        if not (0 < eps_r < mpf(2) ** mpf("0.5") / 2):
-            raise ValueError(f"eps must lie in (0, sqrt(2)/2), got {eps_r}")
-    t_r = parse_decimal(t, rough)
-    if not t_r > 0:
-        raise ValueError(f"t must be positive, got {t_r}")
     L_r = parse_decimal(L_max, rough)
     if L_r < 0:
         raise ValueError(f"L_max must be nonnegative, got {L_r}")
 
     max_abs = vec.max_abs()
-    if max_abs == 0:
-        return _trivial_report(
-            vec, t, eps_r, bits, None, None, "all entries zero; identity rotation suffices"
-        )
-
     with working_precision(rough):
-        largest = max_abs * max(t_r, L_r, mpf(1))
+        # an all-zero configuration still reports t at full width
+        largest = max_abs * max(t_r, L_r, mpf(1)) if max_abs else max(t_r, mpf(1))
     eval_bits = raise_for_magnitude(bits, largest, eps_r)
-    t_v = parse_decimal(t, eval_bits)
-    eps_v = parse_decimal(eps, eval_bits)
-    L_v = parse_decimal(L_max, eval_bits)
+    t_v, eps_v, L_v = (parse_decimal(x, eval_bits) for x in (t, eps, L_max))
     vec_eval = ComplexVector(vec.entries, eval_bits)
-    with working_precision(eval_bits):
-        offset = ComplexVector(
-            tuple(mpc(0, -1) * t_v * z for z in vec_eval.entries), eval_bits
-        )
-        flow_eps = eps_v / 2
+    theta, certified, s_found, steps = _identity_rotation(eval_bits), None, None, 0
 
-    outcome = flow_search(vec_eval, offset, flow_eps, L_v, bits=eval_bits)
-
-    verify_bits = 2 * eval_bits
-    T = dilation_threshold(L_v, max_abs, eps_v, eval_bits)
-    diagnostics: list = []
-
-    if outcome.found:
-        with working_precision(eval_bits):
-            theta = Rotation(mpmath.expj(outcome.s / t_v), eval_bits)
-        per_point, max_frac = certify([theta], t_v, [vec_eval], eval_bits)
-        achieved = bool(max_frac < eps_v)
-        _check_linearization(theta, t_v, outcome.s, vec_eval, L_v, max_abs, verify_bits)
-        diagnostics.append(
-            f"flow search hit grid index {outcome.grid_index} "
-            f"({outcome.strategy}, {outcome.windows_used} windows, "
-            f"{outcome.examined} points examined)"
-        )
-        if not achieved:
-            diagnostics.append(
-                "verification failed after a flow hit; t is likely below the "
-                "dilation threshold for this horizon"
-            )
-        s_found: Optional[mpf] = outcome.s
+    if max_abs == 0:
+        # every rotation fixes an all-zero configuration
+        s_found, L_v, T = mpf(0), mpf(0), mpf(0)
+        diagnostics = ["all entries zero; identity rotation suffices"]
     else:
-        theta = _identity_rotation(eval_bits)
-        per_point, max_frac = certify([theta], t_v, [vec_eval], eval_bits)
-        achieved = False
-        s_found = None
-        diagnostics.append(
-            f"density horizon exceeded: flow search reason={outcome.reason}, "
-            f"horizon L={mpmath.nstr(L_v, 8)}, {outcome.examined} points examined"
-        )
+        with working_precision(eval_bits):
+            offset = ComplexVector(
+                tuple(mpc(0, -1) * t_v * z for z in vec_eval.entries), eval_bits
+            )
+            flow_eps = eps_v / 2
+        outcome = flow_search(vec_eval, offset, flow_eps, L_v, bits=eval_bits)
+        T = dilation_threshold(L_v, max_abs, eps_v, eval_bits)
+        steps = outcome.examined
+        if outcome.found:
+            s_found = outcome.s
+            with working_precision(eval_bits):
+                theta = Rotation(mpmath.expj(s_found / t_v), eval_bits)
+            certified = certify([theta], t_v, [vec_eval], eval_bits)
+            _check_linearization(theta, t_v, s_found, vec_eval, L_v, max_abs, 2 * eval_bits)
+            diagnostics = [
+                f"flow search hit grid index {outcome.grid_index} "
+                f"({outcome.strategy}, {outcome.windows_used} windows, "
+                f"{outcome.examined} points examined)"
+            ]
+            if not certified[1] < eps_v:
+                diagnostics.append(
+                    "verification failed after a flow hit; t is likely below the "
+                    "dilation threshold for this horizon"
+                )
+        else:
+            diagnostics = [
+                f"density horizon exceeded: flow search reason={outcome.reason}, "
+                f"horizon L={mpmath.nstr(L_v, 8)}, {outcome.examined} points examined"
+            ]
 
-    return SolveReport(
-        t=t_v,
-        theta=theta,
-        phi=mpf(0),
-        s_found=s_found,
-        L_used=L_v,
-        T_threshold=T,
-        per_point_frac=per_point,
-        max_frac=max_frac,
-        achieved=achieved,
-        search_steps=outcome.examined,
-        seed=None,
-        decomposition=None,
-        bits=bits,
-        eval_bits=eval_bits,
+    return _report(
+        vec_eval, t_v, eps_v, theta, certified,
+        phi=mpf(0), s_found=s_found, L_used=L_v, T_threshold=T, search_steps=steps,
+        seed=None, decomposition=None, bits=bits, eval_bits=eval_bits,
         diagnostics=tuple(diagnostics),
     )
 
@@ -402,19 +383,12 @@ class GeneralPlan:
     initial_L: mpf
     T_threshold: mpf
     reduced_max_abs: mpf
-    bits: int
 
 
 def solve_plan(V, eps, config: Optional[SolverConfig] = None) -> GeneralPlan:
     config = config or SolverConfig()
-    bits = config.bits
-    vec = V if isinstance(V, ComplexVector) else ComplexVector(tuple(V), bits)
-    if vec.bits > bits:
-        bits = vec.bits
-    eps_v = parse_decimal(eps, bits + 64)
-    with working_precision(bits + 64):
-        if not (0 < eps_v < mpf(2) ** mpf("0.5") / 2):
-            raise ValueError(f"eps must lie in (0, sqrt(2)/2), got {eps_v}")
+    vec, bits = _vector(V, config)
+    eps_v = _parse_eps(eps, bits)
 
     decomposition = detect_relations(vec, config.height_bound, bits)
     m = decomposition.num_basis
@@ -422,14 +396,14 @@ def solve_plan(V, eps, config: Optional[SolverConfig] = None) -> GeneralPlan:
     work = bits + 64
     with working_precision(work):
         if m == 0:
-            return GeneralPlan(decomposition, mpf(eps_v), mpf(0), mpf(0), mpf(0), bits)
+            return GeneralPlan(decomposition, mpf(eps_v), mpf(0), mpf(0), mpf(0))
         eps_inner = eps_v / (2 * m * M**2)
         reduced_max = max(abs(vec.entries[b]) for b in decomposition.basis_indices) / M
         L0 = initial_search_length(eps_inner, m, work)
         if config.l_cap is not None:
             L0 = min(L0, parse_decimal(config.l_cap, work))
         T = dilation_threshold(L0, reduced_max, eps_inner, work)
-    return GeneralPlan(decomposition, eps_inner, L0, T, reduced_max, bits)
+    return GeneralPlan(decomposition, eps_inner, L0, T, reduced_max)
 
 
 def solve_general(
@@ -443,37 +417,20 @@ def solve_general(
     original entries.  The phase is drawn from the seed, and each phase
     attempt walks the flow once to the last rung of the horizon ladder
     L0*2^k; the horizon reported, and the threshold derived from it, is
-    the first rung at or past the hit.  On a miss the driver retries with
-    fresh derived phases up to config.max_phase_retries.  achieved
-    reflects only the final re-evaluation over all entries.
+    the first rung at or past the hit, or the last rung when every
+    attempt misses.  Until one verifies, solve_general retries with fresh
+    derived phases up to config.max_phase_retries and reports the
+    attempt that came closest.  achieved reflects only the final
+    re-evaluation over all entries.
     """
     config = config or SolverConfig()
-    bits = config.bits
-    vec = V if isinstance(V, ComplexVector) else ComplexVector(tuple(V), bits)
-    if vec.bits > bits:
-        bits = vec.bits
-
+    vec, bits = _vector(V, config)
+    t_r = _parse_t(t, bits)
     plan = solve_plan(vec, eps, config)
     decomposition = plan.decomposition
     m = decomposition.num_basis
     M = decomposition.M
-    eps_v = parse_decimal(eps, bits + 64)
-
-    if m == 0:
-        return _trivial_report(
-            vec,
-            t,
-            eps_v,
-            bits,
-            seed,
-            decomposition,
-            "all entries zero; identity rotation suffices",
-        )
-
     rough = bits + 64
-    t_r = parse_decimal(t, rough)
-    if not t_r > 0:
-        raise ValueError(f"t must be positive, got {t_r}")
 
     with working_precision(rough):
         ladder = [plan.initial_L]
@@ -482,30 +439,28 @@ def solve_general(
             if config.l_cap is not None and nxt > parse_decimal(config.l_cap, rough):
                 break
             ladder.append(nxt)
-        largest = max(t_r * vec.max_abs(), ladder[-1] * plan.reduced_max_abs, mpf(1))
+        if m:
+            largest = max(t_r * vec.max_abs(), ladder[-1] * plan.reduced_max_abs, mpf(1))
+        else:
+            # an all-zero configuration still reports t at full width
+            largest = max(t_r, mpf(1))
     eval_bits = raise_for_magnitude(bits, largest, plan.eps_inner)
     t_v = parse_decimal(t, eval_bits)
     eps_full = parse_decimal(eps, eval_bits)
 
     with working_precision(eval_bits):
         vec_eval = ComplexVector(vec.entries, eval_bits)
-        reduced = ComplexVector(
-            tuple(vec_eval.entries[b] / M for b in decomposition.basis_indices),
-            eval_bits,
-        )
-        eps_inner = eps_full / (2 * m * M**2)
+        # the independent block scaled by 1/M; empty when every entry is zero
+        reduced = [vec_eval.entries[b] / M for b in decomposition.basis_indices]
+        eps_inner = eps_full / (2 * m * M**2) if m else eps_full
 
     inner_config = replace(config, bits=eval_bits)
-    verify_bits = 2 * eval_bits
-
-    diagnostics: list = []
-    for w in decomposition.warnings:
-        diagnostics.append(f"relation-detection: {w}")
+    diagnostics = [f"relation-detection: {w}" for w in decomposition.warnings]
     total_steps = 0
-    best: Optional[SolveReport] = None
+    # (certify result, theta, phi, s, L_used, T) of the attempt that came closest
+    best: Optional[tuple] = None
 
-    attempts = 1 + config.max_phase_retries
-    for attempt in range(attempts):
+    for attempt in range(1 + config.max_phase_retries if m else 0):
         attempt_seed = seed if attempt == 0 else derive_seed(seed, attempt, "phase")
         phase = randomize_phase(reduced, attempt_seed, bits=eval_bits)
         if attempt > 0:
@@ -535,67 +490,44 @@ def solve_general(
         # examined counts as its first diagnostic
         diagnostics.append(f"inner-solve: {inner.diagnostics[0]}")
         theta = inner.theta * phase.rotation
-        per_point, max_frac = certify([theta], t_v, [vec_eval], eval_bits)
-        with working_precision(verify_bits):
+        certified = certify([theta], t_v, [vec_eval], eval_bits)
+        max_frac = certified[1]
+        with working_precision(2 * eval_bits):
             # what the coefficient chain predicts for the worst original
             # entry, recorded for comparison but never trusted
-            inner_worst = max(inner.per_point_frac)
-            predicted = M * m * inner_worst * M
-        achieved = bool(max_frac < eps_full)
+            predicted = M * m * max(inner.per_point_frac) * M
         diagnostics.append(
             f"chain-predicted bound {mpmath.nstr(predicted, 8)}, "
             f"verified max frac {mpmath.nstr(max_frac, 8)}"
         )
+        achieved = bool(max_frac < eps_full)
         if not achieved:
             diagnostics.append(
                 f"final-verification: max frac {mpmath.nstr(max_frac, 8)} not "
                 f"below eps at phase attempt {attempt}"
             )
-
-        report = SolveReport(
-            t=t_v,
-            theta=theta,
-            phi=phase.phi,
-            s_found=inner.s_found,
-            L_used=L_used,
-            T_threshold=dilation_threshold(L_used, plan.reduced_max_abs, eps_inner, eval_bits),
-            per_point_frac=per_point,
-            max_frac=max_frac,
-            achieved=achieved,
-            search_steps=total_steps,
-            seed=seed,
-            decomposition=decomposition,
-            bits=bits,
-            eval_bits=eval_bits,
-            diagnostics=tuple(diagnostics),
-        )
+        # an attempt that verifies is below every one that did not
+        if best is None or max_frac < best[0][1]:
+            T = dilation_threshold(L_used, plan.reduced_max_abs, eps_inner, eval_bits)
+            best = (certified, theta, phase.phi, inner.s_found, L_used, T)
         if achieved:
-            return report
-        if best is None or report.max_frac < best.max_frac:
-            best = report
+            break
 
-    if best is not None:
-        return best
-
-    # every phase attempt died in the search; report the identity with
-    # the full diagnostic trail
-    theta = _identity_rotation(eval_bits)
-    per_point, max_frac = certify([theta], t_v, [vec_eval], eval_bits)
-    diagnostics.append("density horizon exceeded")
-    return SolveReport(
-        t=t_v,
-        theta=theta,
-        phi=mpf(0),
-        s_found=None,
-        L_used=ladder[-1],
-        T_threshold=plan.T_threshold,
-        per_point_frac=per_point,
-        max_frac=max_frac,
-        achieved=False,
-        search_steps=total_steps,
-        seed=seed,
-        decomposition=decomposition,
-        bits=bits,
-        eval_bits=eval_bits,
+    if m == 0:
+        # every rotation fixes an all-zero configuration
+        diagnostics.append("all entries zero; identity rotation suffices")
+        best = (None, _identity_rotation(eval_bits), mpf(0), mpf(0), mpf(0), mpf(0))
+    elif best is None:
+        # every phase attempt died in the search: the identity, with the
+        # threshold of the last rung searched at the plan's precision
+        diagnostics.append("density horizon exceeded")
+        L_last = ladder[-1]
+        T = dilation_threshold(L_last, plan.reduced_max_abs, plan.eps_inner, rough)
+        best = (None, _identity_rotation(eval_bits), mpf(0), None, L_last, T)
+    certified, theta, phi, s_found, L_used, T = best
+    return _report(
+        vec_eval, t_v, eps_full, theta, certified,
+        phi=phi, s_found=s_found, L_used=L_used, T_threshold=T, search_steps=total_steps,
+        seed=seed, decomposition=decomposition, bits=bits, eval_bits=eval_bits,
         diagnostics=tuple(diagnostics),
     )

@@ -255,6 +255,29 @@ class TestSolveCommand:
         assert "per_plane" in report["results"][0]
         assert len(report["results"][0]["per_plane"]) == 2
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [["1", "0"], ["0.5", "0.25"], ["0.3", "0.7"], ["-0.2", "0.9"], ["0.6", "-0.1"]],
+            [["1", "0", "0.3", "0.7"], ["0.5", "0.25", "-0.2", "0.9"], ["0.3", "0.7", "1", "0"],
+             ["-0.2", "0.9", "0.5", "0.25"], ["0.6", "-0.1", "0.4", "0.45"]],
+        ],
+        ids=["planar", "block"],
+    )
+    def test_precision_advisory_listed_once(self, tmp_path, points):
+        # 5 entries at height 64 are advised 70 bits; both t values and
+        # both planes of the block raise the same advisory
+        data = _solve_spec(points=points, precision_bits=64, L_cap="0.001")
+        del data["t"]
+        data["t_range"] = {"from": "1e4", "to": "1e5", "count": 2, "spacing": "log"}
+        spec_path = _write_spec(tmp_path, data)
+        out_path = tmp_path / "report.json"
+        assert main(["solve", "--input", spec_path, "--output", str(out_path)]) == 0
+        assert json.loads(out_path.read_text())["warnings"] == [
+            "precision 64 below advised 70 for r=5, height_bound=64; "
+            "detection may miss relations"
+        ]
+
     def test_malformed_json_exits_2_without_output(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")

@@ -8,6 +8,7 @@ Every memo in the package states a finite bound, because the keys it
 holds (exact integers, high-precision numbers) have no size limit of
 their own.  Every solver setting and flow-search keyword names the
 caller that sets it, so a knob that nothing reads cannot slip in.
+solver.py makes its SolveReports at one call site.
 """
 
 import ast
@@ -104,6 +105,18 @@ def test_benchmark_bindings_resolve():
     ]
     assert not missing, f"names the benchmark wraps are gone: {missing}"
 
+
+def test_one_solve_report_site():
+    """Every solve entry point makes its report through one function, so a
+    second report path (with its own verification or trail) cannot creep
+    back in."""
+    _, tree = _parse(ROOT / "src" / "lattice_rotor" / "solver.py")
+    sites = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SolveReport"
+    ]
+    assert len(sites) == 1, f"solver.py calls SolveReport( at lines {sites}"
 
 
 def _unbounded_memos(tree):

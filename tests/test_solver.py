@@ -394,12 +394,59 @@ class TestSolveGeneral:
         assert first.L_used == 32 and first.T_threshold == report.T_threshold
         assert checked == [2048, 32]
 
+    def test_every_attempt_is_in_the_report(self, monkeypatch):
+        # all four phase attempts hit and fail verification at t = 1e5; the
+        # report keeps the closest attempt (2) and the trail of all four
+        walks, measured = [], []
+        real_solve, real_certify = solver.solve_typical, solver.certify
+
+        def solve(*args, **kwargs):
+            walks.append(real_solve(*args, **kwargs))
+            return walks[-1]
+
+        def count_certify(*args):
+            measured.append(real_certify(*args))
+            return measured[-1]
+
+        monkeypatch.setattr(solver, "solve_typical", solve)
+        monkeypatch.setattr(solver, "certify", count_certify)
+        with working_precision(BITS):
+            v = ComplexVector((mpc(1), mpc("0.5", "0.25")), BITS)
+        report = solve_general(v, "1e5", "0.1", seed=1)
+        assert not report.achieved
+        assert len(walks) == 4 and all(w.s_found is not None for w in walks)
+        assert report.search_steps == sum(w.search_steps for w in walks)
+        for attempt in range(4):
+            assert any(f"not below eps at phase attempt {attempt}" in d for d in report.diagnostics)
+        assert report.s_found == walks[2].s_found
+        # one certify in each solve_typical hit and one per attempt in
+        # solve_general: the report reuses the closest attempt's measurement
+        assert len(measured) == 8
+        assert (report.per_point_frac, report.max_frac) == measured[5]
+        assert report.max_frac == min(m[1] for m in measured[1::2])
+
+    def test_total_miss_threshold_is_the_last_rungs(self, monkeypatch):
+        # every rung of 2^-10 .. 2^-4 misses on each phase attempt
+        _start_ladder_at(monkeypatch, "0.0009765625")
+        v, eps = _unit_angle_one(), "1e-6"
+        report = solve_general(v, "1e6", eps, seed=0)
+        assert report.s_found is None and not report.achieved
+        assert report.L_used == mpf("0.0625")
+        plan = solve_plan(v, eps)
+        assert report.T_threshold == dilation_threshold(
+            report.L_used, plan.reduced_max_abs, plan.eps_inner, BITS + 64
+        )
+        assert abs(report.T_threshold - 15625) < 1e-9
+
     def test_invalid_inputs(self):
         v = ComplexVector((mpc(1),), BITS)
         with pytest.raises(ValueError):
             solve_general(v, 0, "0.1")
         with pytest.raises(ValueError):
             solve_general(v, 10, "0.8")
+        # t is checked before relation detection finds nothing to search
+        with pytest.raises(ValueError):
+            solve_general(ComplexVector((mpc(0),), BITS), 0, "0.1")
 
 
 def _golden_pi():
