@@ -72,7 +72,8 @@ class InternalCheckError(RuntimeError):
 
 DEFAULT_HEIGHT_BOUND = 64
 DEFAULT_MAX_PHASE_RETRIES = 3
-DEFAULT_MAX_ESCALATIONS = 6
+# the longest horizon a phase attempt walks, in units of the first one
+HORIZON_SPAN = 64
 
 
 @dataclass(frozen=True)
@@ -83,11 +84,10 @@ class SolverConfig:
     precision is raised automatically and is not configurable.
     height_bound caps the coefficients relation detection looks for, and
     max_phase_retries counts the fresh seeded phases solve_general tries
-    after the first.  l_cap, a decimal string, caps the search-horizon
-    ladder, which starts at initial_search_length.  The flow search
-    derives its scan prefix and windows from the flow itself; its budgets
-    and the ladder's escalation count are fixed constants
-    (flowsearch.DEFAULT_*_BUDGET, DEFAULT_MAX_ESCALATIONS).
+    after the first.  l_cap, a decimal string, caps the search horizon,
+    which solve_general otherwise derives from t (see solve_general).
+    The flow search derives its scan prefix and windows from the flow
+    itself; its budgets are fixed constants (flowsearch.DEFAULT_*_BUDGET).
     """
 
     bits: int = DEFAULT_PRECISION
@@ -108,9 +108,11 @@ class SolveReport:
     per_point_frac comes from an independent re-evaluation of the
     delivered rotation at twice the evaluation precision; achieved is
     that check of a rotation the search found, and nothing else (a miss
-    reports the identity, not achieved).  search_steps is the flow
-    search's examined count: scan grid points plus enumeration
-    candidates.  For solve_general it sums one walk per phase
+    reports the identity, not achieved).  L_used is the horizon the
+    search walked and T_threshold its dilation threshold; T_threshold <= t
+    means every hit up to L_used is certified by the linearization.
+    search_steps is the flow search's examined count: scan grid points
+    plus enumeration candidates.  For solve_general it sums one walk per phase
     attempt, and diagnostics names every attempt, including those after
     the one whose rotation is reported.
     """
@@ -151,7 +153,7 @@ def initial_search_length(eps, entries: int, bits: int = DEFAULT_PRECISION) -> m
 
     The generic waiting time for all entries to drift within eps of the
     lattice scales like eps^(-2*entries); 8/eps^(2*entries) pads that by
-    a comfortable constant so escalation is the exception.
+    a comfortable constant.
     """
     if entries < 1:
         raise ValueError("entries must be >= 1")
@@ -415,12 +417,13 @@ def solve_general(
     The reduced block is searched at eps/(2*m*M^2) so the detected
     coefficients can only amplify the error back up to eps/2 across the
     original entries.  The phase is drawn from the seed, and each phase
-    attempt walks the flow once to the last rung of the horizon ladder
-    L0*2^k; the horizon reported, and the threshold derived from it, is
-    the first rung at or past the hit, or the last rung when every
-    attempt misses.  Until one verifies, solve_general retries with fresh
-    derived phases up to config.max_phase_retries and reports the
-    attempt that came closest.  achieved reflects only the final
+    attempt walks the flow once to the horizon
+    H = max(L0, min(L_t, HORIZON_SPAN*L0, l_cap)), where L0 is the plan's
+    first horizon and L_t = sqrt(t*eps_inner/(2*max|z|)) the longest one
+    whose threshold t clears; a hit past L_t would not be certified.  H
+    is the reported horizon.  Until one verifies, solve_general retries
+    with fresh derived phases up to config.max_phase_retries and reports
+    the attempt that came closest.  achieved reflects only the final
     re-evaluation over all entries.
     """
     config = config or SolverConfig()
@@ -433,16 +436,15 @@ def solve_general(
     rough = bits + 64
 
     with working_precision(rough):
-        ladder = [plan.initial_L]
-        for _ in range(DEFAULT_MAX_ESCALATIONS):
-            nxt = ladder[-1] * 2
-            if config.l_cap is not None and nxt > parse_decimal(config.l_cap, rough):
-                break
-            ladder.append(nxt)
         if m:
-            largest = max(t_r * vec.max_abs(), ladder[-1] * plan.reduced_max_abs, mpf(1))
+            # the horizon t certifies: the threshold of L_t is t itself
+            L_t = mpmath.sqrt(t_r * plan.eps_inner / (2 * plan.reduced_max_abs))
+            cap = L_t if config.l_cap is None else parse_decimal(config.l_cap, rough)
+            H = max(plan.initial_L, min(L_t, HORIZON_SPAN * plan.initial_L, cap))
+            largest = max(t_r * vec.max_abs(), H * plan.reduced_max_abs, mpf(1))
         else:
             # an all-zero configuration still reports t at full width
+            H = L_t = mpf(0)
             largest = max(t_r, mpf(1))
     eval_bits = raise_for_magnitude(bits, largest, plan.eps_inner)
     t_v = parse_decimal(t, eval_bits)
@@ -457,7 +459,7 @@ def solve_general(
     inner_config = replace(config, bits=eval_bits)
     diagnostics = [f"relation-detection: {w}" for w in decomposition.warnings]
     total_steps = 0
-    # (certify result, theta, phi, s, L_used, T) of the attempt that came closest
+    # (certify result, theta, phi, s) of the attempt that came closest
     best: Optional[tuple] = None
 
     for attempt in range(1 + config.max_phase_retries if m else 0):
@@ -468,9 +470,7 @@ def solve_general(
                 f"phase-randomization: retry {attempt} with derived seed {attempt_seed}"
             )
 
-        # the grid and the walk do not depend on the horizon, so one walk to
-        # the last rung finds the hit every shorter rung would have found
-        inner = solve_typical(phase.rotated, t_v, eps_inner, ladder[-1], config=inner_config)
+        inner = solve_typical(phase.rotated, t_v, eps_inner, H, config=inner_config)
         total_steps += inner.search_steps
         if inner.s_found is None:
             diagnostics.append(
@@ -478,14 +478,6 @@ def solve_general(
             )
             continue
 
-        rungs = [parse_decimal(L, inner.eval_bits) for L in ladder]
-        L_used = next((L for L in rungs if inner.s_found <= L), rungs[-1])
-        # solve_typical bounded the remainder with the last rung; the
-        # reported horizon is the rung that hit, so check against that
-        _check_linearization(
-            inner.theta, inner.t, inner.s_found, phase.rotated, L_used,
-            phase.rotated.max_abs(), 2 * inner.eval_bits,
-        )
         # solve_typical records a hit's grid index, strategy, window and
         # examined counts as its first diagnostic
         diagnostics.append(f"inner-solve: {inner.diagnostics[0]}")
@@ -508,26 +500,29 @@ def solve_general(
             )
         # an attempt that verifies is below every one that did not
         if best is None or max_frac < best[0][1]:
-            T = dilation_threshold(L_used, plan.reduced_max_abs, eps_inner, eval_bits)
-            best = (certified, theta, phase.phi, inner.s_found, L_used, T)
+            best = (certified, theta, phase.phi, inner.s_found)
         if achieved:
             break
 
+    T = dilation_threshold(H, plan.reduced_max_abs, eps_inner, eval_bits)
     if m == 0:
         # every rotation fixes an all-zero configuration
         diagnostics.append("all entries zero; identity rotation suffices")
-        best = (None, _identity_rotation(eval_bits), mpf(0), mpf(0), mpf(0), mpf(0))
+        best = (None, _identity_rotation(eval_bits), mpf(0), mpf(0))
     elif best is None:
         # every phase attempt died in the search: the identity, with the
-        # threshold of the last rung searched at the plan's precision
+        # threshold of the horizon searched at the plan's precision
         diagnostics.append("density horizon exceeded")
-        L_last = ladder[-1]
-        T = dilation_threshold(L_last, plan.reduced_max_abs, plan.eps_inner, rough)
-        best = (None, _identity_rotation(eval_bits), mpf(0), None, L_last, T)
-    certified, theta, phi, s_found, L_used, T = best
+        best = (None, _identity_rotation(eval_bits), mpf(0), None)
+        T = dilation_threshold(H, plan.reduced_max_abs, plan.eps_inner, rough)
+    if H <= L_t:
+        # t certifies every s up to H; evaluating the threshold back can
+        # still round it a few units in the last place above t
+        T = min(T, t_v)
+    certified, theta, phi, s_found = best
     return _report(
         vec_eval, t_v, eps_full, theta, certified,
-        phi=phi, s_found=s_found, L_used=L_used, T_threshold=T, search_steps=total_steps,
+        phi=phi, s_found=s_found, L_used=H, T_threshold=T, search_steps=total_steps,
         seed=seed, decomposition=decomposition, bits=bits, eval_bits=eval_bits,
         diagnostics=tuple(diagnostics),
     )

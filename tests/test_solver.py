@@ -1,4 +1,3 @@
-from dataclasses import replace
 from types import SimpleNamespace
 
 import mpmath
@@ -40,9 +39,9 @@ def _unit_angle_one():
         return ComplexVector((mpmath.expj(mpf(1)),), BITS)
 
 
-def _start_ladder_at(monkeypatch, L0: str):
-    """Start solve_general's horizon ladder at L0, so a short first rung
-    forces the search past it."""
+def _first_horizon_at(monkeypatch, L0: str):
+    """Set solve_general's first horizon to L0, so the horizon t certifies
+    can lie past it."""
     monkeypatch.setattr(solver, "initial_search_length", lambda eps, entries, bits: mpf(L0))
 
 
@@ -364,11 +363,10 @@ class TestSolveGeneral:
         assert any("retry 1" in d for d in report.diagnostics)
         assert any("retry 2" in d for d in report.diagnostics)
 
-    def test_horizon_is_read_back_from_the_hit(self, monkeypatch):
-        # from a first rung of 1 the ladder runs to 64, and the hit at
-        # s ~ 20.3 lies on rung 32; the linearization check runs in
-        # solve_typical with the last rung, then in the driver with the
-        # rung that hit
+    def test_one_horizon_is_walked_and_checked(self, monkeypatch):
+        # from a first horizon of 1, t = 1e5 certifies L_t = sqrt(1e5*0.05/2)
+        # = 50, short of 64; the hit at s ~ 32.8 lies inside it, and the
+        # linearization check runs once, in solve_typical, with that horizon
         checked = []
         real_check = solver._check_linearization
 
@@ -377,22 +375,14 @@ class TestSolveGeneral:
             real_check(theta, t, s, vec, L, max_abs, bits)
 
         monkeypatch.setattr(solver, "_check_linearization", check)
+        _first_horizon_at(monkeypatch, "1")
         v, config = _unit_angle_one(), SolverConfig(max_phase_retries=0)
-        with monkeypatch.context() as m:
-            _start_ladder_at(m, "1")
-            report = solve_general(v, "1e4", "0.1", seed=0, config=config)
+        report = solve_general(v, "1e5", "0.1", seed=0, config=config)
         assert report.achieved
-        assert report.L_used / 2 < report.s_found <= report.L_used == 32
-        assert checked == [64, 32]
-        assert not any("escalating" in d for d in report.diagnostics)
-
-        # a first rung that covers the hit is the horizon reported
-        checked.clear()
-        _start_ladder_at(monkeypatch, "32")
-        first = solve_general(v, "1e4", "0.1", seed=0, config=config)
-        assert first.s_found == report.s_found
-        assert first.L_used == 32 and first.T_threshold == report.T_threshold
-        assert checked == [2048, 32]
+        assert report.s_found == mpf("32.8125")
+        assert abs(report.L_used - 50) < mpf(2) ** -100
+        assert report.T_threshold == report.t
+        assert len(checked) == 1 and abs(checked[0] - report.L_used) < mpf(2) ** -100
 
     def test_every_attempt_is_in_the_report(self, monkeypatch):
         # all four phase attempts hit and fail verification at t = 1e5; the
@@ -426,8 +416,9 @@ class TestSolveGeneral:
         assert report.max_frac == min(m[1] for m in measured[1::2])
 
     def test_total_miss_threshold_is_the_last_rungs(self, monkeypatch):
-        # every rung of 2^-10 .. 2^-4 misses on each phase attempt
-        _start_ladder_at(monkeypatch, "0.0009765625")
+        # the horizon 64 * 2^-10 = 2^-4, short of the L_t = 0.5 that t
+        # certifies, misses on each phase attempt
+        _first_horizon_at(monkeypatch, "0.0009765625")
         v, eps = _unit_angle_one(), "1e-6"
         report = solve_general(v, "1e6", eps, seed=0)
         assert report.s_found is None and not report.achieved
@@ -459,62 +450,86 @@ def _generic_pair():
         return ComplexVector((mpc("0.3", "0.7"), mpc(mpmath.sqrt(2), mpmath.sqrt(3))), BITS)
 
 
-class TestHorizonLadderFold:
-    """One walk to the last rung against the per-rung search it replaced:
-    a reference solve_typical that searches L0, 2*L0, ... in turn up to the
-    horizon it is handed and stops at the first rung that hits."""
+class TestSingleHorizonWalk:
+    """One walk per phase attempt to the horizon t certifies, against a
+    reference walk to HORIZON_SPAN*L0, the longest the search ever walked:
+    the walk returns the smallest grid hit, so where t clears the hit both
+    report the same rotation."""
 
     @staticmethod
     def _solve_both(monkeypatch, V, t, eps, seed, L0, config):
-        _start_ladder_at(monkeypatch, L0)
-        folded = solve_general(V, t, eps, seed=seed, config=config)
-        real, hit_rungs = solver.solve_typical, []
+        _first_horizon_at(monkeypatch, L0)
+        walk = solve_general(V, t, eps, seed=seed, config=config)
+        real = solver.solve_typical
 
-        def per_rung(V, t, eps, L_max, config=None):
-            L, steps = mpf(L0), 0
-            while True:
-                report = real(V, t, eps, L, config=config)
-                steps += report.search_steps
-                if report.s_found is not None:
-                    hit_rungs.append(report.L_used)
-                if report.s_found is not None or L >= L_max:
-                    return replace(report, search_steps=steps)
-                L *= 2
+        def to_the_longest(V, t, eps, L_max, config=None):
+            return real(V, t, eps, solver.HORIZON_SPAN * mpf(L0), config=config)
 
-        monkeypatch.setattr(solver, "solve_typical", per_rung)
-        return folded, solve_general(V, t, eps, seed=seed, config=config), hit_rungs
+        monkeypatch.setattr(solver, "solve_typical", to_the_longest)
+        return walk, solve_general(V, t, eps, seed=seed, config=config)
 
     @pytest.mark.parametrize(
         "vector, t, eps, seed, L0, l_cap, hits",
         [
-            # hit on rung 32 of 1 .. 64
-            (_unit_angle_one, "1e4", "0.1", 0, "1", None, True),
-            # l_cap 40 ends the ladder at 32; hit on rung 16
+            # t certifies L_t = 50 of 1 .. 64; hit at s ~ 32.8
+            (_unit_angle_one, "1e5", "0.1", 0, "1", None, True),
+            # l_cap ends the walk at 40, short of L_t ~ 5942; hit at s ~ 11.3
             (_golden_pi, "1e10", "0.05", 0, "1", "40", True),
-            # every rung of 2^-10 .. 2^-4 misses, on each of three phases
+            # the walk to 64 * 2^-10 misses, on each of three phases
             (_unit_angle_one, "1e6", "1e-6", 0, "0.0009765625", None, False),
-            # l_cap 5 ends the ladder at 4; every rung misses
+            # l_cap ends the walk at 5; every attempt misses
             (_generic_pair, "1e12", "0.1", 2, "1", "5", False),
         ],
     )
-    def test_same_report_as_the_per_rung_search(
+    def test_same_report_as_the_longest_walk(
         self, monkeypatch, vector, t, eps, seed, L0, l_cap, hits
     ):
         config = SolverConfig(l_cap=l_cap, max_phase_retries=2)
-        folded, ladder, hit_rungs = self._solve_both(
-            monkeypatch, vector(), t, eps, seed, L0, config
-        )
-        assert (folded.s_found is not None) == hits
-        if hits:
-            # the reference hit past its first rung, and that rung is the
-            # horizon the folded walk reads back
-            assert hit_rungs[-1] > mpf(L0)
-            assert folded.L_used == hit_rungs[-1]
-        for field in ("s_found", "L_used", "T_threshold", "eval_bits", "theta",
-                      "per_point_frac", "achieved"):
-            assert getattr(folded, field) == getattr(ladder, field), field
-        assert folded.search_steps <= ladder.search_steps
-        assert not any("escalating" in d for d in folded.diagnostics)
+        walk, longest = self._solve_both(monkeypatch, vector(), t, eps, seed, L0, config)
+        assert (walk.s_found is not None) == hits
+        assert walk.T_threshold <= walk.t
+        for field in ("s_found", "theta", "per_point_frac", "achieved", "eval_bits"):
+            assert getattr(walk, field) == getattr(longest, field), field
+        assert walk.search_steps <= longest.search_steps
+
+
+class TestCertifiedHorizon:
+    """No phase attempt walks past the horizon t certifies,
+    L_t = sqrt(t*eps_inner/(2*max|z|)), and none stops short of L0."""
+
+    @pytest.mark.parametrize(
+        "t, l_cap, horizon",
+        [
+            # t < T(L0) = 4.096e8: the first horizon, L0 = 3200
+            ("1e4", None, lambda plan, t: plan.initial_L),
+            # T(L0) <= t <= T(64*L0): L_t ~ 15811
+            (
+                "1e10", None,
+                lambda plan, t: mpmath.sqrt(t * plan.eps_inner / (2 * plan.reduced_max_abs)),
+            ),
+            # t > T(64*L0) ~ 1.7e12: 64*L0
+            ("1e20", None, lambda plan, t: solver.HORIZON_SPAN * plan.initial_L),
+            # L0 < l_cap < L_t: l_cap
+            ("1e10", "5000", lambda plan, t: mpf(5000)),
+        ],
+        ids=["below-T(L0)", "L_t", "past-T(64*L0)", "l_cap"],
+    )
+    def test_walks_exactly_the_certified_horizon(self, monkeypatch, t, l_cap, horizon):
+        walked, real = [], solver.solve_typical
+
+        def record(V, t, eps, L_max, config=None):
+            walked.append(L_max)
+            return real(V, t, eps, L_max, config=config)
+
+        monkeypatch.setattr(solver, "solve_typical", record)
+        v, config = _unit_angle_one(), SolverConfig(l_cap=l_cap)
+        report = solve_general(v, t, "0.1", seed=0, config=config)
+        plan = solve_plan(v, "0.1", config)
+        with working_precision(BITS + 64):
+            expected = horizon(plan, parse_decimal(t, BITS + 64))
+        assert walked and all(L == expected for L in walked)
+        assert report.L_used == expected
+        assert plan.initial_L <= expected <= solver.HORIZON_SPAN * plan.initial_L
 
 
 # a coordinate k + 1/2 + d with |d| <= 1e-9
@@ -540,3 +555,51 @@ class TestAdversarialSolveInputs:
         if report.achieved:
             _, worst = certify([report.theta], report.t, [vec], report.eval_bits)
             assert worst < parse_decimal(eps, report.eval_bits)
+
+    def test_near_relation_pair_stops_at_the_certified_horizon(self):
+        # the pair lies 1e-11 from z2 = (1+2i)/5 * z1, far above the
+        # detection residual, so both entries are searched; t clears T(L0)
+        # by 2^-20, so t certifies L0 * sqrt(1 + 2^-20) and no further
+        with working_precision(BITS):
+            vec = ComplexVector((mpc("0.49999999999", "0.5"), mpc("0.3", "0.7")), BITS)
+        plan = solve_plan(vec, "0.05")
+        assert plan.decomposition.num_basis == 2
+        with working_precision(BITS):
+            t = plan.T_threshold * (1 + mpf(2) ** -20)
+        report = solve_general(vec, t, "0.05", seed=1)
+        assert not report.achieved
+        assert plan.initial_L < report.L_used < plan.initial_L * (1 + mpf(2) ** -21)
+        assert report.T_threshold <= t
+        # four walks of about 2,800 points each; the walks to 64 * L0 that
+        # this horizon replaced examined 170,469
+        assert report.search_steps < 20_000
+
+    @pytest.mark.parametrize(
+        "z1, g, delta, eps, seed, verifies",
+        [
+            (("0.41", "-0.23"), (2, -1, 3), "3e-12", "0.05", 0, False),
+            (("1.7", "0.2"), (3, 0, 2), "1e-9", "0.1", 2, False),
+            (("-0.6", "0.45"), (0, 1, 2), "5e-13", "0.05", 3, False),
+            (("0.25", "0.9"), (1, 1, 3), "1e-13", "0.1", 0, False),
+            (("0.8", "-0.35"), (-2, 1, 5), "2e-10", "0.05", 1, False),
+            (("0.77", "0.11"), (-1, 2, 3), "6e-11", "0.1", 3, False),
+            (("-1.3", "-1.449"), (2, -3, 2), "2e-10", "0.1", 3, True),
+            (("1.271", "-0.076"), (-1, 2, 3), "1e-10", "0.2", 0, True),
+        ],
+    )
+    def test_near_relation_ends_honestly(self, z1, g, delta, eps, seed, verifies):
+        # z2 = g*z1 + delta with g = (a + bi)/d of small height, delta
+        # above the detection residual, at t just past the threshold
+        a, b, d = g
+        with working_precision(BITS):
+            first = mpc(*z1)
+            second = mpc(a, b) / d * first + mpc(mpf(delta), -mpf(delta) / 3)
+            vec = ComplexVector((first, second), BITS)
+            t = solve_plan(vec, eps).T_threshold * (1 + mpf(2) ** -20)
+        report = solve_general(vec, t, eps, seed=seed)
+        assert report.achieved == verifies
+        if report.achieved:
+            _, worst = certify([report.theta], report.t, [vec], report.eval_bits)
+            assert worst < parse_decimal(eps, report.eval_bits)
+        else:
+            assert report.T_threshold <= t
