@@ -45,7 +45,6 @@ from .solver import (
     randomize_phase,
     solve_general,
     solve_plan,
-    solve_typical,
 )
 
 __version__ = "0.1.0"
@@ -91,5 +90,4 @@ __all__ = [
     "randomize_phase",
     "solve_general",
     "solve_plan",
-    "solve_typical",
 ]

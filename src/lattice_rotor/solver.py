@@ -30,14 +30,14 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpc, mpf
 
 from .corelattice import ComplexVector, Rotation, frac_dist
-from .flowsearch import flow_search
+from .flowsearch import FlowSearchOutcome, flow_search
 from .precision import (
     DEFAULT_PRECISION,
     check_precision,
@@ -60,7 +60,6 @@ __all__ = [
     "randomize_phase",
     "lattice_residuals",
     "certify",
-    "solve_typical",
     "solve_plan",
     "solve_general",
 ]
@@ -78,14 +77,15 @@ HORIZON_SPAN = 64
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Settings shared by both solve entry points.
+    """Settings of solve_general and its plan, solve_plan.
 
     bits is the declared precision of the problem data; evaluation
     precision is raised automatically and is not configurable.
     height_bound caps the coefficients relation detection looks for, and
     max_phase_retries counts the fresh seeded phases solve_general tries
-    after the first.  l_cap, a decimal string, caps the search horizon,
-    which solve_general otherwise derives from t (see solve_general).
+    after the first.  l_cap, a positive decimal string, caps the search
+    horizon, which solve_general otherwise derives from t (see
+    solve_general).
     The flow search derives its scan prefix and windows from the flow
     itself; its budgets are fixed constants (flowsearch.DEFAULT_*_BUDGET).
     """
@@ -99,11 +99,13 @@ class SolverConfig:
         check_precision(self.bits)
         if self.max_phase_retries < 0:
             raise ValueError("max_phase_retries must be >= 0")
+        if self.l_cap is not None and not parse_decimal(self.l_cap, 64) > 0:
+            raise ValueError(f"l_cap must be positive, got {self.l_cap!r}")
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Everything one solve produced, verification included.
+    """Everything one solve_general call produced, verification included.
 
     per_point_frac comes from an independent re-evaluation of the
     delivered rotation at twice the evaluation precision; achieved is
@@ -111,10 +113,10 @@ class SolveReport:
     reports the identity, not achieved).  L_used is the horizon the
     search walked and T_threshold its dilation threshold; T_threshold <= t
     means every hit up to L_used is certified by the linearization.
-    search_steps is the flow search's examined count: scan grid points
-    plus enumeration candidates.  For solve_general it sums one walk per phase
-    attempt, and diagnostics names every attempt, including those after
-    the one whose rotation is reported.
+    search_steps is the flow search's examined count, scan grid points
+    plus enumeration candidates, summed over one walk per phase attempt;
+    diagnostics names every attempt, including those after the one whose
+    rotation is reported.
     """
 
     t: mpf
@@ -241,45 +243,9 @@ def _vector(V, config: SolverConfig) -> Tuple[ComplexVector, int]:
     return vec, max(config.bits, vec.bits)
 
 
-def _parse_eps(eps, bits: int) -> mpf:
-    """eps at bits + 64, checked to lie in (0, sqrt(2)/2)."""
-    eps_r = parse_decimal(eps, bits + 64)
-    with working_precision(bits + 64):
-        if not (0 < eps_r < mpf(2) ** mpf("0.5") / 2):
-            raise ValueError(f"eps must lie in (0, sqrt(2)/2), got {eps_r}")
-    return eps_r
-
-
-def _parse_t(t, bits: int) -> mpf:
-    """t at bits + 64, checked to be positive."""
-    t_r = parse_decimal(t, bits + 64)
-    if not t_r > 0:
-        raise ValueError(f"t must be positive, got {t_r}")
-    return t_r
-
-
 def _identity_rotation(bits: int) -> Rotation:
     with working_precision(bits):
         return Rotation(mpc(1), bits)
-
-
-def _report(vec, t, eps, theta, certified=None, **fields) -> SolveReport:
-    """Make the report of theta on vec; the only place a SolveReport is made.
-
-    certified is certify's result for theta, t and vec at the report's
-    eval_bits when the caller has it already; otherwise it is measured
-    here.  achieved needs a rotation the search found (s_found set) that
-    lands below eps.
-    """
-    per_point, max_frac = certified or certify([theta], t, [vec], fields["eval_bits"])
-    return SolveReport(
-        t=t,
-        theta=theta,
-        per_point_frac=per_point,
-        max_frac=max_frac,
-        achieved=fields["s_found"] is not None and bool(max_frac < eps),
-        **fields,
-    )
 
 
 def _check_linearization(
@@ -305,73 +271,28 @@ def _check_linearization(
                 )
 
 
-def solve_typical(V, t, eps, L_max, config: Optional[SolverConfig] = None) -> SolveReport:
-    """Direct solve: steer the linear flow, exponentiate, verify.
+def solve_typical(
+    vec: ComplexVector, t: mpf, eps: mpf, L: mpf, eval_bits: int
+) -> Tuple[FlowSearchOutcome, Optional[Rotation]]:
+    """Walk one phase attempt's flow and exponentiate its hit.
 
-    Searches the smallest s in [0, L_max] with every entry of
-    s*V - i*t*V within eps/2 of the lattice, then delivers
-    theta = e^(is/t).  The search can honestly come back empty when the
-    horizon is too short or the direction is rationally entangled; the
-    report then carries achieved=False and a density-horizon diagnostic
-    rather than an error.
+    Searches the smallest s in [0, L] with every entry of s*vec - i*t*vec
+    within eps/2 of the lattice; vec, t, eps and L are solve_general's
+    values at eval_bits.  A hit becomes theta = e^(is/t), which must pass
+    the linearization self check; a miss, which is honest when the
+    horizon is too short or the direction is rationally entangled, comes
+    back with theta None.
     """
-    vec, bits = _vector(V, config or SolverConfig())
-    eps_r, t_r = _parse_eps(eps, bits), _parse_t(t, bits)
-    rough = bits + 64
-    L_r = parse_decimal(L_max, rough)
-    if L_r < 0:
-        raise ValueError(f"L_max must be nonnegative, got {L_r}")
-
-    max_abs = vec.max_abs()
-    with working_precision(rough):
-        # an all-zero configuration still reports t at full width
-        largest = max_abs * max(t_r, L_r, mpf(1)) if max_abs else max(t_r, mpf(1))
-    eval_bits = raise_for_magnitude(bits, largest, eps_r)
-    t_v, eps_v, L_v = (parse_decimal(x, eval_bits) for x in (t, eps, L_max))
-    vec_eval = ComplexVector(vec.entries, eval_bits)
-    theta, certified, s_found, steps = _identity_rotation(eval_bits), None, None, 0
-
-    if max_abs == 0:
-        # every rotation fixes an all-zero configuration
-        s_found, L_v, T = mpf(0), mpf(0), mpf(0)
-        diagnostics = ["all entries zero; identity rotation suffices"]
-    else:
-        with working_precision(eval_bits):
-            offset = ComplexVector(
-                tuple(mpc(0, -1) * t_v * z for z in vec_eval.entries), eval_bits
-            )
-            flow_eps = eps_v / 2
-        outcome = flow_search(vec_eval, offset, flow_eps, L_v, bits=eval_bits)
-        T = dilation_threshold(L_v, max_abs, eps_v, eval_bits)
-        steps = outcome.examined
-        if outcome.found:
-            s_found = outcome.s
-            with working_precision(eval_bits):
-                theta = Rotation(mpmath.expj(s_found / t_v), eval_bits)
-            certified = certify([theta], t_v, [vec_eval], eval_bits)
-            _check_linearization(theta, t_v, s_found, vec_eval, L_v, max_abs, 2 * eval_bits)
-            diagnostics = [
-                f"flow search hit grid index {outcome.grid_index} "
-                f"({outcome.strategy}, {outcome.windows_used} windows, "
-                f"{outcome.examined} points examined)"
-            ]
-            if not certified[1] < eps_v:
-                diagnostics.append(
-                    "verification failed after a flow hit; t is likely below the "
-                    "dilation threshold for this horizon"
-                )
-        else:
-            diagnostics = [
-                f"density horizon exceeded: flow search reason={outcome.reason}, "
-                f"horizon L={mpmath.nstr(L_v, 8)}, {outcome.examined} points examined"
-            ]
-
-    return _report(
-        vec_eval, t_v, eps_v, theta, certified,
-        phi=mpf(0), s_found=s_found, L_used=L_v, T_threshold=T, search_steps=steps,
-        seed=None, decomposition=None, bits=bits, eval_bits=eval_bits,
-        diagnostics=tuple(diagnostics),
-    )
+    with working_precision(eval_bits):
+        offset = ComplexVector(tuple(mpc(0, -1) * t * z for z in vec.entries), eval_bits)
+        flow_eps = eps / 2
+    outcome = flow_search(vec, offset, flow_eps, L, bits=eval_bits)
+    if not outcome.found:
+        return outcome, None
+    with working_precision(eval_bits):
+        theta = Rotation(mpmath.expj(outcome.s / t), eval_bits)
+    _check_linearization(theta, t, outcome.s, vec, L, vec.max_abs(), 2 * eval_bits)
+    return outcome, theta
 
 
 @dataclass(frozen=True)
@@ -390,12 +311,15 @@ class GeneralPlan:
 def solve_plan(V, eps, config: Optional[SolverConfig] = None) -> GeneralPlan:
     config = config or SolverConfig()
     vec, bits = _vector(V, config)
-    eps_v = _parse_eps(eps, bits)
+    work = bits + 64
+    eps_v = parse_decimal(eps, work)
+    with working_precision(work):
+        if not (0 < eps_v < mpf(2) ** mpf("0.5") / 2):
+            raise ValueError(f"eps must lie in (0, sqrt(2)/2), got {eps_v}")
 
     decomposition = detect_relations(vec, config.height_bound, bits)
     m = decomposition.num_basis
     M = decomposition.M
-    work = bits + 64
     with working_precision(work):
         if m == 0:
             return GeneralPlan(decomposition, mpf(eps_v), mpf(0), mpf(0), mpf(0))
@@ -411,8 +335,8 @@ def solve_plan(V, eps, config: Optional[SolverConfig] = None) -> GeneralPlan:
 def solve_general(
     V, t, eps, seed: int = 0, config: Optional[SolverConfig] = None
 ) -> SolveReport:
-    """Full pipeline: relation detection, reduction, random phase, direct
-    solve on the reduced block, transfer back, and final verification.
+    """The solve entry point: relation detection, reduction, random phase,
+    flow walk on the reduced block, transfer back, and final verification.
 
     The reduced block is searched at eps/(2*m*M^2) so the detected
     coefficients can only amplify the error back up to eps/2 across the
@@ -421,19 +345,22 @@ def solve_general(
     H = max(L0, min(L_t, HORIZON_SPAN*L0, l_cap)), where L0 is the plan's
     first horizon and L_t = sqrt(t*eps_inner/(2*max|z|)) the longest one
     whose threshold t clears; a hit past L_t would not be certified.  H
-    is the reported horizon.  Until one verifies, solve_general retries
-    with fresh derived phases up to config.max_phase_retries and reports
-    the attempt that came closest.  achieved reflects only the final
+    is the reported horizon, and solve_typical walks it at the evaluation
+    precision derived here once.  Until an attempt verifies, solve_general
+    retries with fresh derived phases up to config.max_phase_retries and
+    reports the attempt that came closest.  achieved reflects only the final
     re-evaluation over all entries.
     """
     config = config or SolverConfig()
     vec, bits = _vector(V, config)
-    t_r = _parse_t(t, bits)
+    rough = bits + 64
+    t_r = parse_decimal(t, rough)
+    if not t_r > 0:
+        raise ValueError(f"t must be positive, got {t_r}")
     plan = solve_plan(vec, eps, config)
     decomposition = plan.decomposition
     m = decomposition.num_basis
     M = decomposition.M
-    rough = bits + 64
 
     with working_precision(rough):
         if m:
@@ -447,8 +374,7 @@ def solve_general(
             H = L_t = mpf(0)
             largest = max(t_r, mpf(1))
     eval_bits = raise_for_magnitude(bits, largest, plan.eps_inner)
-    t_v = parse_decimal(t, eval_bits)
-    eps_full = parse_decimal(eps, eval_bits)
+    t_v, eps_full, H_v = (parse_decimal(x, eval_bits) for x in (t, eps, H))
 
     with working_precision(eval_bits):
         vec_eval = ComplexVector(vec.entries, eval_bits)
@@ -456,7 +382,6 @@ def solve_general(
         reduced = [vec_eval.entries[b] / M for b in decomposition.basis_indices]
         eps_inner = eps_full / (2 * m * M**2) if m else eps_full
 
-    inner_config = replace(config, bits=eval_bits)
     diagnostics = [f"relation-detection: {w}" for w in decomposition.warnings]
     total_steps = 0
     # (certify result, theta, phi, s) of the attempt that came closest
@@ -470,24 +395,27 @@ def solve_general(
                 f"phase-randomization: retry {attempt} with derived seed {attempt_seed}"
             )
 
-        inner = solve_typical(phase.rotated, t_v, eps_inner, H, config=inner_config)
-        total_steps += inner.search_steps
-        if inner.s_found is None:
+        outcome, inner_theta = solve_typical(phase.rotated, t_v, eps_inner, H_v, eval_bits)
+        total_steps += outcome.examined
+        if inner_theta is None:
             diagnostics.append(
                 f"inner-solve: density horizon exceeded at phase attempt {attempt}"
             )
             continue
 
-        # solve_typical records a hit's grid index, strategy, window and
-        # examined counts as its first diagnostic
-        diagnostics.append(f"inner-solve: {inner.diagnostics[0]}")
-        theta = inner.theta * phase.rotation
+        diagnostics.append(
+            f"inner-solve: flow search hit grid index {outcome.grid_index} "
+            f"({outcome.strategy}, {outcome.windows_used} windows, "
+            f"{outcome.examined} points examined)"
+        )
+        _, inner_frac = certify([inner_theta], t_v, [phase.rotated], eval_bits)
+        theta = inner_theta * phase.rotation
         certified = certify([theta], t_v, [vec_eval], eval_bits)
         max_frac = certified[1]
         with working_precision(2 * eval_bits):
             # what the coefficient chain predicts for the worst original
             # entry, recorded for comparison but never trusted
-            predicted = M * m * max(inner.per_point_frac) * M
+            predicted = M * m * inner_frac * M
         diagnostics.append(
             f"chain-predicted bound {mpmath.nstr(predicted, 8)}, "
             f"verified max frac {mpmath.nstr(max_frac, 8)}"
@@ -500,7 +428,7 @@ def solve_general(
             )
         # an attempt that verifies is below every one that did not
         if best is None or max_frac < best[0][1]:
-            best = (certified, theta, phase.phi, inner.s_found)
+            best = (certified, theta, phase.phi, outcome.s)
         if achieved:
             break
 
@@ -520,9 +448,11 @@ def solve_general(
         # still round it a few units in the last place above t
         T = min(T, t_v)
     certified, theta, phi, s_found = best
-    return _report(
-        vec_eval, t_v, eps_full, theta, certified,
-        phi=phi, s_found=s_found, L_used=H, T_threshold=T, search_steps=total_steps,
-        seed=seed, decomposition=decomposition, bits=bits, eval_bits=eval_bits,
-        diagnostics=tuple(diagnostics),
+    per_point, max_frac = certified or certify([theta], t_v, [vec_eval], eval_bits)
+    return SolveReport(
+        t=t_v, theta=theta, phi=phi, s_found=s_found, L_used=H, T_threshold=T,
+        per_point_frac=per_point, max_frac=max_frac,
+        achieved=s_found is not None and bool(max_frac < eps_full),
+        search_steps=total_steps, seed=seed, decomposition=decomposition,
+        bits=bits, eval_bits=eval_bits, diagnostics=tuple(diagnostics),
     )

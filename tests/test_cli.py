@@ -338,14 +338,13 @@ def _half_cell_off(report):
 
 
 class TestInternalCheckExit:
-    """A result marked achieved whose rotation misses the lattice must be
-    refused by the recheck of the serialized result: exit 3, the
-    canonical error JSON on stdout, and no report written."""
+    """A result that its a-posteriori recheck refuses, such as a solve
+    marked achieved whose rotation misses the lattice, ends the run: exit
+    3, the canonical error JSON on stdout, and no report written."""
 
-    def _run_expecting_3(self, tmp_path, capsys, data):
-        spec_path = _write_spec(tmp_path, data)
+    def _run_expecting_3(self, tmp_path, capsys, argv):
         out_path = tmp_path / "report.json"
-        code = main(["solve", "--input", spec_path, "--output", str(out_path)])
+        code = main(argv + ["--output", str(out_path)])
         assert code == 3
         stdout = capsys.readouterr().out
         err = json.loads(stdout)
@@ -363,7 +362,8 @@ class TestInternalCheckExit:
             return dataclasses.replace(report, theta=_half_cell_off(report))
 
         monkeypatch.setattr(cli, "solve_general", corrupted)
-        self._run_expecting_3(tmp_path, capsys, _solve_spec())
+        spec_path = _write_spec(tmp_path, _solve_spec())
+        self._run_expecting_3(tmp_path, capsys, ["solve", "--input", spec_path])
 
     def test_corrupted_block_theta_exits_3(self, tmp_path, capsys, monkeypatch):
         solve_even_dim = cli.solve_even_dim
@@ -376,9 +376,41 @@ class TestInternalCheckExit:
             return dataclasses.replace(report, per_plane=(bad,) + report.per_plane[1:])
 
         monkeypatch.setattr(cli, "solve_even_dim", corrupted)
-        self._run_expecting_3(
-            tmp_path, capsys, _solve_spec(points=[["1", "0", "0", "1"]], t="1e10")
-        )
+        spec_path = _write_spec(tmp_path, _solve_spec(points=[["1", "0", "0", "1"]], t="1e10"))
+        self._run_expecting_3(tmp_path, capsys, ["solve", "--input", spec_path])
+
+    @pytest.mark.parametrize(
+        "runner, corrupt, argv",
+        [
+            # the argmin isometry reproduces 0.25, not the halved upper bound
+            (
+                "tau_estimate",
+                lambda est: dataclasses.replace(est, upper=est.upper / 2),
+                ["tau", "--input", "SPEC", "--grid-theta", "40", "--grid-trans", "40"],
+            ),
+            # the argmin sample reproduces the minimum, not half of it
+            (
+                "check_prop_sep",
+                lambda chk: dataclasses.replace(chk, minimum=chk.minimum / 2),
+                ["prop-sep", "--t", "2", "--samples", "50", "--seed", "9"],
+            ),
+            # covered, yet one cell short of every cell
+            (
+                "covering_time",
+                lambda out: dataclasses.replace(out, cells_visited=out.cells_visited - 1),
+                ["covering", "--direction", "1", "--eps", "0.2", "--cap", "10"],
+            ),
+        ],
+        ids=["tau", "prop-sep", "covering"],
+    )
+    def test_failed_oracle_recheck_exits_3(
+        self, tmp_path, capsys, monkeypatch, runner, corrupt, argv
+    ):
+        real = getattr(cli, runner)
+        monkeypatch.setattr(cli, runner, lambda *args, **kwargs: corrupt(real(*args, **kwargs)))
+        spec = {"mode": "tau", "points": [["0", "0"], ["0.5", "0"]], "t": "1"}
+        spec_path = _write_spec(tmp_path, spec)
+        self._run_expecting_3(tmp_path, capsys, [spec_path if a == "SPEC" else a for a in argv])
 
 
 class TestTauCommand:

@@ -8,7 +8,8 @@ Every memo in the package states a finite bound, because the keys it
 holds (exact integers, high-precision numbers) have no size limit of
 their own.  Every solver setting and flow-search keyword names the
 caller that sets it, so a knob that nothing reads cannot slip in.
-solver.py makes its SolveReports at one call site.
+solver.py makes its SolveReports at one call site and derives its
+evaluation precision at one.
 """
 
 import ast
@@ -106,17 +107,29 @@ def test_benchmark_bindings_resolve():
     assert not missing, f"names the benchmark wraps are gone: {missing}"
 
 
-def test_one_solve_report_site():
-    """Every solve entry point makes its report through one function, so a
-    second report path (with its own verification or trail) cannot creep
-    back in."""
+def _solver_call_sites(name):
+    """Line numbers where solver.py calls the bare name `name`."""
     _, tree = _parse(ROOT / "src" / "lattice_rotor" / "solver.py")
-    sites = [
+    return [
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SolveReport"
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
     ]
+
+
+def test_one_solve_report_site():
+    """solve_general makes the only report, so a second report path (with
+    its own verification or trail) cannot creep back in."""
+    sites = _solver_call_sites("SolveReport")
     assert len(sites) == 1, f"solver.py calls SolveReport( at lines {sites}"
+
+
+def test_one_precision_site():
+    """solve_general derives the evaluation precision once and every
+    phase attempt walks at it, so a second, inner precision (with its own
+    rounding of t, eps and the horizon) cannot creep back in."""
+    sites = _solver_call_sites("raise_for_magnitude")
+    assert len(sites) == 1, f"solver.py calls raise_for_magnitude( at lines {sites}"
 
 
 def _unbounded_memos(tree):

@@ -213,47 +213,32 @@ class TestRandomizePhase:
 
 
 class TestSolveTypical:
+    """One phase attempt's flow walk, on values already at BITS."""
+
     def test_integral_dilation_is_exact(self):
+        # 7*(1+i) is a Gaussian integer: the walk hits at grid index 0
         with working_precision(BITS):
             v = ComplexVector((mpc(1, 1),), BITS)
-        report = solve_typical(v, 7, "0.1", 4)
-        assert report.achieved
-        assert report.s_found == 0
-        assert report.max_frac == 0
-        assert report.theta.value == 1
+        outcome, theta = solve_typical(v, mpf(7), parse_decimal("0.1", BITS), mpf(4), BITS)
+        assert outcome.grid_index == 0 and outcome.s == 0
+        assert theta.value == 1
+        assert certify([theta], mpf(7), [v], BITS)[1] == 0
 
     def test_single_unit_entry_large_dilation(self):
         v = _unit_angle_one()
         L = initial_search_length("0.05", 1, BITS)
-        report = solve_typical(v, 1000, "0.1", L)
-        assert report.achieved
+        eps = parse_decimal("0.1", BITS)
+        outcome, theta = solve_typical(v, mpf(1000), eps, L, BITS)
+        assert outcome.found
         # independent re-evaluation at doubled precision
-        residuals = lattice_residuals(report.theta, mpf(1000), v, 2 * report.eval_bits)
-        assert max(residuals) < mpf("0.1") + residual_tol(report.eval_bits)
-
-    def test_all_zero_vector_trivial(self):
-        with working_precision(BITS):
-            v = ComplexVector((mpc(0), mpc(0)), BITS)
-        report = solve_typical(v, 100, "0.1", 10)
-        assert report.achieved
-        assert report.max_frac == 0
-        assert report.theta.value == 1
+        residuals = lattice_residuals(theta, mpf(1000), v, 2 * BITS)
+        assert max(residuals) < eps + residual_tol(BITS)
 
     def test_empty_horizon_reports_honestly(self):
         v = _unit_angle_one()
-        report = solve_typical(v, "1e6", "1e-6", 0)
-        assert not report.achieved
-        assert report.s_found is None
-        assert any("density horizon exceeded" in d for d in report.diagnostics)
-
-    def test_validation(self):
-        v = _unit_angle_one()
-        with pytest.raises(ValueError):
-            solve_typical(v, 0, "0.1", 1)
-        with pytest.raises(ValueError):
-            solve_typical(v, 10, "0.9", 1)
-        with pytest.raises(ValueError):
-            solve_typical(v, 10, "0.1", -1)
+        eps = parse_decimal("1e-6", BITS)
+        outcome, theta = solve_typical(v, mpf(10) ** 6, eps, mpf(0), BITS)
+        assert not outcome.found and theta is None
 
 
 class TestSolvePlan:
@@ -390,8 +375,8 @@ class TestSolveGeneral:
         walks, measured = [], []
         real_solve, real_certify = solver.solve_typical, solver.certify
 
-        def solve(*args, **kwargs):
-            walks.append(real_solve(*args, **kwargs))
+        def solve(*args):
+            walks.append(real_solve(*args))
             return walks[-1]
 
         def count_certify(*args):
@@ -404,13 +389,14 @@ class TestSolveGeneral:
             v = ComplexVector((mpc(1), mpc("0.5", "0.25")), BITS)
         report = solve_general(v, "1e5", "0.1", seed=1)
         assert not report.achieved
-        assert len(walks) == 4 and all(w.s_found is not None for w in walks)
-        assert report.search_steps == sum(w.search_steps for w in walks)
+        assert len(walks) == 4 and all(theta is not None for _, theta in walks)
+        assert report.search_steps == sum(outcome.examined for outcome, _ in walks)
         for attempt in range(4):
             assert any(f"not below eps at phase attempt {attempt}" in d for d in report.diagnostics)
-        assert report.s_found == walks[2].s_found
-        # one certify in each solve_typical hit and one per attempt in
-        # solve_general: the report reuses the closest attempt's measurement
+        assert report.s_found == walks[2][0].s
+        # each attempt certifies its inner hit for the chain-predicted line,
+        # then its transferred rotation: the report reuses the closest
+        # attempt's measurement
         assert len(measured) == 8
         assert (report.per_point_frac, report.max_frac) == measured[5]
         assert report.max_frac == min(m[1] for m in measured[1::2])
@@ -438,6 +424,10 @@ class TestSolveGeneral:
         # t is checked before relation detection finds nothing to search
         with pytest.raises(ValueError):
             solve_general(ComplexVector((mpc(0),), BITS), 0, "0.1")
+        # l_cap is a positive decimal, as the CLI's L_cap
+        for l_cap in ("0", "-1"):
+            with pytest.raises(ValueError, match="l_cap must be positive"):
+                solve_general(v, 10, "0.1", config=SolverConfig(l_cap=l_cap))
 
 
 def _golden_pi():
@@ -462,8 +452,8 @@ class TestSingleHorizonWalk:
         walk = solve_general(V, t, eps, seed=seed, config=config)
         real = solver.solve_typical
 
-        def to_the_longest(V, t, eps, L_max, config=None):
-            return real(V, t, eps, solver.HORIZON_SPAN * mpf(L0), config=config)
+        def to_the_longest(vec, t, eps, L, eval_bits):
+            return real(vec, t, eps, solver.HORIZON_SPAN * mpf(L0), eval_bits)
 
         monkeypatch.setattr(solver, "solve_typical", to_the_longest)
         return walk, solve_general(V, t, eps, seed=seed, config=config)
@@ -517,9 +507,9 @@ class TestCertifiedHorizon:
     def test_walks_exactly_the_certified_horizon(self, monkeypatch, t, l_cap, horizon):
         walked, real = [], solver.solve_typical
 
-        def record(V, t, eps, L_max, config=None):
-            walked.append(L_max)
-            return real(V, t, eps, L_max, config=config)
+        def record(vec, t, eps, L, eval_bits):
+            walked.append(L)
+            return real(vec, t, eps, L, eval_bits)
 
         monkeypatch.setattr(solver, "solve_typical", record)
         v, config = _unit_angle_one(), SolverConfig(l_cap=l_cap)
@@ -527,7 +517,8 @@ class TestCertifiedHorizon:
         plan = solve_plan(v, "0.1", config)
         with working_precision(BITS + 64):
             expected = horizon(plan, parse_decimal(t, BITS + 64))
-        assert walked and all(L == expected for L in walked)
+        # the walk takes the horizon rounded to the evaluation precision
+        assert walked and all(L == parse_decimal(expected, report.eval_bits) for L in walked)
         assert report.L_used == expected
         assert plan.initial_L <= expected <= solver.HORIZON_SPAN * plan.initial_L
 
