@@ -429,6 +429,20 @@ def _run_tau(spec: ProblemSpec, options: dict) -> _Outcome:
     return tuple(results), summary, ()
 
 
+def _replay_draw(seed: int, index: int) -> Tuple[float, bool, float, float]:
+    """Sample `index` of prop-sep's stream, reproduced on the stdlib
+    generator independently of the check: each sample takes four
+    random() calls of two 32-bit words each, and getrandbits(32 * k)
+    skips exactly k words."""
+    rng = random.Random(seed)
+    words = 8 * index
+    while words:
+        step = min(words, 1 << 20)
+        rng.getrandbits(32 * step)
+        words -= step
+    return rng.random(), rng.random() < 0.5, rng.random(), rng.random()
+
+
 def _run_prop_sep(spec: ProblemSpec, options: dict) -> _Outcome:
     t, samples, seed = spec.t_values[0], options["samples"], spec.seed
     bits = spec.precision_bits
@@ -437,11 +451,7 @@ def _run_prop_sep(spec: ProblemSpec, options: dict) -> _Outcome:
     except ValueError as exc:
         raise SpecError(str(exc))
 
-    # reproduce the argmin sample independently from the seed stream
-    rng = random.Random(seed)
-    draw = None
-    for i in range(chk.argmin_index + 1):
-        draw = (rng.random(), rng.random() < 0.5, rng.random(), rng.random())
+    draw = _replay_draw(seed, chk.argmin_index)
     probe = separated_probe(t, bits)
     with working_precision(bits):
         g = PlanarIsometry(

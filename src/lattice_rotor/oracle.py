@@ -62,6 +62,10 @@ _EXACT_ROTATION_MODULUS = _SCREEN_MARGIN * 2.0**46
 # of coordinates that large cannot tell any two cells apart
 _SCREEN_MAGNITUDE_LIMIT = 2.0**52
 
+# samples per chunk of the prop-sep screen: a chunk's float64
+# temporaries take a few MB, and numpy calls stay long enough to amortize
+_PROP_SEP_CHUNK = 1 << 16
+
 _COVERING_CELL_LIMIT = 1 << 27
 # about three minutes of simulation in two dimensions at 150 ns a step;
 # seven times the steps of a golden-direction run at eps 0.005 to 1e5
@@ -220,6 +224,9 @@ def tau_estimate(
     # single-axis contribution already exceeds the running best (plus
     # cushion) cannot hold the minimizer.  Pruned cells provably exceed
     # the final screen threshold, so pass 2 never misses a candidate.
+    # Pass 2 prunes the same way at that threshold: the kept cells'
+    # values are computed elementwise as in the full grid, and am, bm
+    # are increasing, so argwhere meets the same cells in the same order.
     margin = _SCREEN_MARGIN
     local_min = np.full((len(branches), n_t), np.inf, dtype=np.float64)
     vhat = np.inf
@@ -238,7 +245,7 @@ def tau_estimate(
             if val + 2 * margin < vhat:
                 vhat = val + 2 * margin
 
-    global_sq = float(local_min.min())
+    cut = float(local_min.min()) + margin
 
     best_val: Optional[mpf] = None
     best_key = None
@@ -246,14 +253,17 @@ def tau_estimate(
         two_pi = 2 * mpmath.pi
         for ri, refl in enumerate(branches):
             for j in range(n_t):
-                if local_min[ri, j] > global_sq + margin:
+                if local_min[ri, j] > cut:
                     continue
-                comb = _cell_max(*tables(refl, j))
-                for a_idx, b_idx in np.argwhere(comb <= global_sq + margin):
+                fa2, fb2 = tables(refl, j)
+                am = np.nonzero(fa2.max(axis=0) <= cut)[0]
+                bm = np.nonzero(fb2.max(axis=0) <= cut)[0]
+                sub = _cell_max(fa2[:, am], fb2[:, bm])
+                for a_sub, b_sub in np.argwhere(sub <= cut):
                     g = PlanarIsometry(
                         Rotation.from_angle(two_pi * j / n_t, bits),
                         refl,
-                        (mpf(int(a_idx)) / n_u, mpf(int(b_idx)) / n_u),
+                        (mpf(int(am[a_sub])) / n_u, mpf(int(bm[b_sub])) / n_u),
                     )
                     val = isometry_max_frac(g, vec, bits)
                     if best_val is None or val < best_val:
@@ -303,6 +313,28 @@ class PropSepCheck:
     bits: int = DEFAULT_PRECISION
 
 
+def _random_stream(seed: int):
+    """draw(n): the next n values of random.Random(seed).random().
+
+    numpy's MT19937 starts from the stdlib generator's state (624 key
+    words and a position), and each value joins two 32-bit words a, b
+    as CPython does: ((a >> 5) * 2^26 + (b >> 6)) / 2^53, exact in
+    float64.
+    """
+    words = random.Random(seed).getstate()[1]
+    gen = np.random.MT19937()
+    gen.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(words[:624], dtype=np.uint32), "pos": words[624]},
+    }
+
+    def draw(n: int) -> np.ndarray:
+        raw = gen.random_raw(2 * n)
+        return ((raw[0::2] >> 5) * 67108864.0 + (raw[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+
+    return draw
+
+
 def check_prop_sep(
     t, samples: int, seed: int, bits: int = DEFAULT_PRECISION
 ) -> PropSepCheck:
@@ -311,10 +343,14 @@ def check_prop_sep(
 
     Every sample is a genuine isometric embedding, so each value should
     stay at or above 1/8; anything below 1/8 minus the certification
-    slack is recorded as a violation.  Draw order per sample is fixed:
-    rotation turn, reflection bit, two translation coordinates.
+    slack is recorded as a violation.  The samples are the stream of
+    random.Random(seed).random(), four draws each in a fixed order:
+    rotation turn, reflection bit, two translation coordinates.  numpy's
+    MT19937 takes over that generator's state and draws the same values
+    bit for bit, so the stream is made in bulk, not one call at a time.
 
-    A float64 screen picks the samples worth an exact re-evaluation.  Once
+    A float64 screen, run over chunks of _PROP_SEP_CHUNK samples, picks
+    the samples worth an exact re-evaluation; only those are kept.  Once
     t passes _EXACT_ROTATION_MODULUS (about 7e4) the float64 rotation
     errs by more than the screen's margin, so every sample is
     re-evaluated exactly, at about half a millisecond each.
@@ -325,59 +361,61 @@ def check_prop_sep(
     probe = separated_probe(t, bits)
     re, im = _float_parts(probe)
 
-    rng = random.Random(seed)
-    turns = np.empty(samples, dtype=np.float64)
-    refls = np.empty(samples, dtype=bool)
-    u1 = np.empty(samples, dtype=np.float64)
-    u2 = np.empty(samples, dtype=np.float64)
-    for i in range(samples):
-        turns[i] = rng.random()
-        refls[i] = rng.random() < 0.5
-        u1[i] = rng.random()
-        u2[i] = rng.random()
-
-    c = np.cos(2 * np.pi * turns)
-    s = np.sin(2 * np.pi * turns)
-    sign = np.where(refls, -1.0, 1.0)
-    worst = np.zeros(samples, dtype=np.float64)
-    for k in range(len(probe)):
-        ik = sign * im[k]
-        x = c * re[k] - s * ik + u1
-        y = s * re[k] + c * ik + u2
-        fx = x - np.rint(x)
-        fy = y - np.rint(y)
-        np.maximum(worst, fx * fx + fy * fy, out=worst)
-
+    exact_all = float(probe.max_abs()) > _EXACT_ROTATION_MODULUS
     with working_precision(bits):
         eighth = mpf(1) / 8
         threshold = eighth - residual_tol(bits)
         screen_sq = float((eighth + mpf("1e-6")) ** 2)
-        float_min_sq = float(worst.min())
 
-        def exact_value(i: int) -> mpf:
-            g = PlanarIsometry(
-                Rotation.from_angle(2 * mpmath.pi * mpf(turns[i]), bits),
-                bool(refls[i]),
-                (mpf(u1[i]), mpf(u2[i])),
-            )
-            return isometry_max_frac(g, probe, bits)
+    # Screen chunk by chunk, keeping the samples within the cut the float
+    # minimum so far sets.  That cut only falls, so the kept samples hold
+    # every one within the final cut.  Past the rotation modulus the
+    # float64 rotation errs by more than the margin, the screen cannot
+    # rank samples, and every one is kept for exact re-evaluation.
+    draw = _random_stream(seed)
+    index, rows, screened = [], [], []
+    float_min_sq = np.inf
+    for start in range(0, samples, _PROP_SEP_CHUNK):
+        n = min(_PROP_SEP_CHUNK, samples - start)
+        vals = draw(4 * n).reshape(n, 4)
+        turn, coin, t1, t2 = vals.T
+        c = np.cos(2 * np.pi * turn)
+        s = np.sin(2 * np.pi * turn)
+        sign = np.where(coin < 0.5, -1.0, 1.0)
+        worst = np.zeros(n, dtype=np.float64)
+        for k in range(len(probe)):
+            ik = sign * im[k]
+            x = c * re[k] - s * ik + t1
+            y = s * re[k] + c * ik + t2
+            fx = x - np.rint(x)
+            fy = y - np.rint(y)
+            np.maximum(worst, fx * fx + fy * fy, out=worst)
+        float_min_sq = min(float_min_sq, float(worst.min()))
+        cut = np.inf if exact_all else max(screen_sq, float_min_sq + _SCREEN_MARGIN)
+        keep = np.nonzero(worst <= cut)[0]
+        index.append(start + keep)
+        rows.append(vals[keep])
+        screened.append(worst[keep])
+    # the last chunk's cut is the final one
+    final = np.concatenate(screened) <= cut
+    index, rows = np.concatenate(index)[final], np.concatenate(rows)[final]
 
-        if float(probe.max_abs()) > _EXACT_ROTATION_MODULUS:
-            # the float64 rotation errs by more than the margin here, so
-            # the screen cannot rank samples and every one is re-evaluated
-            candidates = np.arange(samples)
-        else:
-            candidates = np.nonzero(worst <= max(screen_sq, float_min_sq + _SCREEN_MARGIN))[0]
+    with working_precision(bits):
         minimum: Optional[mpf] = None
         argmin_index = -1
         violations = []
-        for i in candidates:
-            val = exact_value(int(i))
+        for i, (turn, coin, t1, t2) in zip(index.tolist(), rows.tolist()):
+            g = PlanarIsometry(
+                Rotation.from_angle(2 * mpmath.pi * mpf(turn), bits),
+                coin < 0.5,
+                (mpf(t1), mpf(t2)),
+            )
+            val = isometry_max_frac(g, probe, bits)
             if minimum is None or val < minimum:
                 minimum = val
-                argmin_index = int(i)
+                argmin_index = i
             if val < threshold:
-                violations.append((int(i), val))
+                violations.append((i, val))
         assert minimum is not None
 
     return PropSepCheck(

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 
 import pytest
 from mpmath import mpf
@@ -490,6 +491,18 @@ class TestPropSepCommand:
     def test_bad_samples_exits_2(self, capsys):
         assert main(["prop-sep", "--t", "2", "--samples", "0", "--seed", "1"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("seed", [1, 2, 2**40 + 3])
+    def test_recheck_skips_to_the_argmin_draw(self, seed):
+        # the recheck skips 8 words a sample with getrandbits, in slices of
+        # 2^20 words (131,072 samples); it must land on the draw a plain
+        # loop of random() calls makes, inside, at and past a slice
+        checked = (0, 99_997, 131_072, 131_073)
+        rng = random.Random(seed)
+        for index in range(checked[-1] + 1):
+            draw = (rng.random(), rng.random() < 0.5, rng.random(), rng.random())
+            if index in checked:
+                assert cli._replay_draw(seed, index) == draw
 
 
 class TestCoveringCommand:

@@ -2,9 +2,11 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 from mpmath import mpc, mpf
 
+import lattice_rotor.oracle as oracle
 from lattice_rotor.corelattice import ComplexVector, Rotation
 from lattice_rotor.oracle import (
     CoveringOutcome,
@@ -165,6 +167,54 @@ class TestTauEstimate:
             )
         assert est.upper == exact
 
+    @pytest.mark.parametrize("scale", [1, "1e5"])
+    def test_pruned_candidates_match_full_grid(self, scale, monkeypatch):
+        # the unpruned candidate pass: every rotation's full translation
+        # grid, every cell within the margin of the global float minimum,
+        # in (branch, rotation, a, b) order; 1e5 lies past
+        # _EXACT_ROTATION_MODULUS, where rotations are formed exactly
+        n_t, n_u = 12, 16
+        vec = _triangle(scale)
+        assert (float(vec.max_abs()) > oracle._EXACT_ROTATION_MODULUS) == (scale != 1)
+        u = np.arange(n_u, dtype=np.float64) / n_u
+        angles = 2 * np.pi * np.arange(n_t, dtype=np.float64) / n_t
+        re = np.array([float(z.real) for z in vec.entries])
+        im = np.array([float(z.imag) for z in vec.entries])
+        grids = {}
+        with working_precision(B):
+            for refl in (False, True):
+                for j in range(n_t):
+                    rot = Rotation.from_angle(2 * mpmath.pi * j / n_t, B)
+                    if scale == 1:
+                        c, s, base_im = np.cos(angles[j]), np.sin(angles[j]), -im if refl else im
+                        rw = c * re - s * base_im
+                        iw = s * re + c * base_im
+                    else:
+                        ws = [rot.value * (mpmath.conj(z) if refl else z) for z in vec.entries]
+                        rw = np.array([float(w.real - mpmath.nint(w.real)) for w in ws])
+                        iw = np.array([float(w.imag - mpmath.nint(w.imag)) for w in ws])
+                    grids[refl, j] = (rot, oracle._cell_max(*oracle._frac_sq_tables(rw, iw, u)))
+            cut = min(float(g.min()) for _, g in grids.values()) + oracle._SCREEN_MARGIN
+            best, best_g, evals = None, None, 0
+            for (refl, j), (rot, grid) in grids.items():
+                for a, b in np.argwhere(grid <= cut):
+                    g = PlanarIsometry(rot, refl, (mpf(int(a)) / n_u, mpf(int(b)) / n_u))
+                    val = isometry_max_frac(g, vec, B)
+                    evals += 1
+                    if best is None or val < best:
+                        best, best_g = val, g
+
+        calls = []
+        real = oracle.isometry_max_frac
+        monkeypatch.setattr(
+            oracle, "isometry_max_frac", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        est = tau_estimate(vec, n_t, n_u, with_reflection=True, bits=B)
+        assert evals > 1
+        assert len(calls) == evals
+        assert est.upper == best
+        assert to_json_data(est.argmin) == to_json_data(best_g)
+
     def test_deterministic(self):
         a = tau_estimate(_triangle(2), 60, 60, with_reflection=True, bits=B)
         b = tau_estimate(_triangle(2), 60, 60, with_reflection=True, bits=B)
@@ -204,6 +254,17 @@ def _sampled_isometries(seed, samples):
     return out
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3, -5])
+def test_random_stream_equals_stdlib(seed):
+    # check_prop_sep's numpy stream must stay random.Random(seed)'s, draw
+    # for draw, whatever either library changes; two calls cover the
+    # continuation of the generator between chunks
+    rng = random.Random(seed)
+    expected = [rng.random() for _ in range(5000)]
+    draw = oracle._random_stream(seed)
+    assert np.concatenate([draw(1), draw(4999)]).tolist() == expected
+
+
 class TestPropSepCheck:
     def test_no_violations_in_short_run(self):
         chk = check_prop_sep(2, 2000, seed=11, bits=B)
@@ -227,6 +288,30 @@ class TestPropSepCheck:
         chk = check_prop_sep("1e15", 300, seed=1, bits=B)
         assert chk.minimum == exact
         assert chk.argmin_index == values.index(exact)
+
+    @pytest.mark.parametrize("t", ["2", "1e5"])
+    @pytest.mark.parametrize("samples", [1, 8, 9, 19])
+    def test_chunk_boundaries(self, t, samples, monkeypatch):
+        # a chunk of 8 puts sample counts of 1, chunk, chunk + 1 and
+        # 2 * chunk + 3 on each side of the chunk boundaries; seed 2 puts
+        # the minimum past the first chunk at 9 and 19 samples, and at 1e5
+        # every sample is kept for the exact pass
+        probe = separated_probe(t, B)
+        values = [isometry_max_frac(g, probe, B) for g in _sampled_isometries(2, samples)]
+        calls = []
+        real = oracle.isometry_max_frac
+        monkeypatch.setattr(
+            oracle, "isometry_max_frac", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        check_prop_sep(t, samples, seed=2, bits=B)
+        whole = len(calls)
+        monkeypatch.setattr(oracle, "_PROP_SEP_CHUNK", 8)
+        chk = check_prop_sep(t, samples, seed=2, bits=B)
+        # chunks re-evaluate exactly the samples one screen would
+        assert len(calls) == 2 * whole
+        assert chk.minimum == min(values)
+        assert chk.argmin_index == values.index(min(values))
+        assert chk.violations == tuple((i, v) for i, v in enumerate(values) if v < chk.threshold)
 
     def test_deterministic(self):
         a = check_prop_sep(2, 500, seed=9, bits=B)
