@@ -173,6 +173,37 @@ def _cell_max(fa2: np.ndarray, fb2: np.ndarray) -> np.ndarray:
     return comb
 
 
+def _rotated_images(vec: ComplexVector, n_t: int, branches, bits: int):
+    # image coordinates of every (branch, rotation) in grid order, a row
+    # each; past _EXACT_ROTATION_MODULUS formed exactly and reduced mod 1
+    re, im = _float_parts(vec)
+    if float(vec.max_abs()) <= _EXACT_ROTATION_MODULUS:
+        angles = 2 * np.pi * np.arange(n_t, dtype=np.float64) / n_t
+        c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
+        base = [-im if refl else im for refl in branches]
+        return np.vstack([c * re - s * b for b in base]), np.vstack([s * re + c * b for b in base])
+    rw, iw = [], []
+    with working_precision(bits):
+        rots = [Rotation.from_angle(2 * mpmath.pi * j / n_t, bits).value for j in range(n_t)]
+        for refl in branches:
+            for rot in rots:
+                ws = [rot * (mpmath.conj(z) if refl else z) for z in vec.entries]
+                rw.append([float(w.real - mpmath.nint(w.real)) for w in ws])
+                iw.append([float(w.imag - mpmath.nint(w.imag)) for w in ws])
+    return np.array(rw), np.array(iw)
+
+
+def _rotation_bound(rw: np.ndarray, iw: np.ndarray) -> np.ndarray:
+    # per row, max over entry pairs of (d(rw_k - rw_l)^2 + d(iw_k - iw_l)^2)
+    # / 4, with d the distance to the nearest integer
+    lb = np.zeros(len(rw), dtype=np.float64)
+    for k in range(1, rw.shape[1]):
+        da, db = rw[:, :k] - rw[:, k, None], iw[:, :k] - iw[:, k, None]
+        da, db = da - np.rint(da), db - np.rint(db)
+        lb = np.maximum(lb, (da * da + db * db).max(axis=1) / 4)
+    return lb
+
+
 def tau_estimate(
     S,
     grid_theta: int,
@@ -185,65 +216,50 @@ def tau_estimate(
 
     The sweep screens in float64 and exactly re-evaluates every cell
     within a fixed margin of the float minimum; ties resolve to the
-    lowest grid index, reflection branch last among equals.  Once an
-    entry's modulus passes _EXACT_ROTATION_MODULUS (about 7e4), the
-    rotated coordinates are formed at working precision and reduced mod
-    1 before the screen, because float64 products would err by more
-    than the margin.  A configuration with an entry of modulus 2^52 or
-    more is still refused with ValueError by the float64 guard that
+    lowest grid index, reflection branch last among equals.  The screen
+    skips rotations whose pairwise bound (_rotation_bound) exceeds the
+    best cell found, which changes its cost only.  Past modulus
+    _EXACT_ROTATION_MODULUS (about 7e4) rotated coordinates are formed
+    at working precision and reduced mod 1 first, because float64
+    products would err by more than the margin.  An entry of modulus
+    2^52 or more is refused with ValueError by the float64 guard that
     check_prop_sep shares.
     """
     check_precision(bits)
     vec = S if isinstance(S, ComplexVector) else ComplexVector(tuple(S), bits)
     if grid_theta < 1 or grid_trans < 1:
         raise ValueError("grids must have at least one point")
-    re, im = _float_parts(vec)
     n_t, n_u = int(grid_theta), int(grid_trans)
     u = np.arange(n_u, dtype=np.float64) / n_u
-    angles = 2 * np.pi * np.arange(n_t, dtype=np.float64) / n_t
     branches = [False, True] if with_reflection else [False]
-    exact = float(vec.max_abs()) > _EXACT_ROTATION_MODULUS
+    rw, iw = _rotated_images(vec, n_t, branches, bits)
 
-    def tables(refl: bool, j: int):
-        # per-axis squared distance tables of rotation j's image
-        if exact:
-            with working_precision(bits):
-                rot = Rotation.from_angle(2 * mpmath.pi * j / n_t, bits).value
-                ws = [rot * (mpmath.conj(z) if refl else z) for z in vec.entries]
-                rw = np.array([float(w.real - mpmath.nint(w.real)) for w in ws])
-                iw = np.array([float(w.imag - mpmath.nint(w.imag)) for w in ws])
-        else:
-            c, s = np.cos(angles[j]), np.sin(angles[j])
-            base_im = -im if refl else im
-            rw = c * re - s * base_im
-            iw = s * re + c * base_im
-        return _frac_sq_tables(rw, iw, u)
-
-    # Sequential screen with a sound prune: a cell is at least as large
-    # as each entry's own axis table, so translation columns whose worst
-    # single-axis contribution already exceeds the running best (plus
-    # cushion) cannot hold the minimizer.  Pruned cells provably exceed
-    # the final screen threshold, so pass 2 never misses a candidate.
-    # Pass 2 prunes the same way at that threshold: the kept cells'
-    # values are computed elementwise as in the full grid, and am, bm
-    # are increasing, so argwhere meets the same cells in the same order.
+    # Branch and bound over rotations.  A cell is at least the mean of two
+    # entries' values, so at least ((fa_k + fa_l)^2 + (fb_k + fb_l)^2) / 4,
+    # and fa_k + fa_l >= d(rw_k - rw_l): no cell lies below _rotation_bound.
+    # Rotations go in stable bound order until a bound passes vhat + margin;
+    # as a cell is at least each entry's axis value, columns whose worst one
+    # exceeds vhat are dropped.  vhat is a real cell (the first at the argmins
+    # of the column maxima) plus twice the margin, so no prune loses a cell
+    # within cut = float minimum + margin, whatever the order.  Pass 2 walks
+    # (branch, rotation) in grid order and prunes at cut: kept cells are
+    # computed as in the full grid and am, bm increase, so argwhere meets the
+    # same cells in the same order.
     margin = _SCREEN_MARGIN
-    local_min = np.full((len(branches), n_t), np.inf, dtype=np.float64)
+    lb = _rotation_bound(rw, iw)
+    local_min = np.full(len(lb), np.inf, dtype=np.float64)
     vhat = np.inf
-    for ri, refl in enumerate(branches):
-        for j in range(n_t):
-            fa2, fb2 = tables(refl, j)
-            am = np.nonzero(fa2.max(axis=0) <= vhat)[0]
-            if am.size == 0:
-                continue
-            bm = np.nonzero(fb2.max(axis=0) <= vhat)[0]
-            if bm.size == 0:
-                continue
-            sub = _cell_max(fa2[:, am], fb2[:, bm])
-            val = float(sub.min())
-            local_min[ri, j] = val
-            if val + 2 * margin < vhat:
-                vhat = val + 2 * margin
+    for idx in np.argsort(lb, kind="stable").tolist():
+        if lb[idx] > vhat + margin:
+            break
+        fa2, fb2 = _frac_sq_tables(rw[idx], iw[idx], u)
+        fa_max, fb_max = fa2.max(axis=0), fb2.max(axis=0)
+        if vhat == np.inf:
+            vhat = float((fa2[:, fa_max.argmin()] + fb2[:, fb_max.argmin()]).max()) + 2 * margin
+        sub = _cell_max(fa2[:, fa_max <= vhat], fb2[:, fb_max <= vhat])
+        if sub.size:
+            local_min[idx] = float(sub.min())
+            vhat = min(vhat, local_min[idx] + 2 * margin)
 
     cut = float(local_min.min()) + margin
 
@@ -251,24 +267,17 @@ def tau_estimate(
     best_key = None
     with working_precision(bits):
         two_pi = 2 * mpmath.pi
-        for ri, refl in enumerate(branches):
-            for j in range(n_t):
-                if local_min[ri, j] > cut:
-                    continue
-                fa2, fb2 = tables(refl, j)
-                am = np.nonzero(fa2.max(axis=0) <= cut)[0]
-                bm = np.nonzero(fb2.max(axis=0) <= cut)[0]
-                sub = _cell_max(fa2[:, am], fb2[:, bm])
-                for a_sub, b_sub in np.argwhere(sub <= cut):
-                    g = PlanarIsometry(
-                        Rotation.from_angle(two_pi * j / n_t, bits),
-                        refl,
-                        (mpf(int(am[a_sub])) / n_u, mpf(int(bm[b_sub])) / n_u),
-                    )
-                    val = isometry_max_frac(g, vec, bits)
-                    if best_val is None or val < best_val:
-                        best_val = val
-                        best_key = g
+        for idx in np.nonzero(local_min <= cut)[0].tolist():
+            refl, j = branches[idx // n_t], idx % n_t
+            rot = Rotation.from_angle(two_pi * j / n_t, bits)
+            fa2, fb2 = _frac_sq_tables(rw[idx], iw[idx], u)
+            am = np.nonzero(fa2.max(axis=0) <= cut)[0]
+            bm = np.nonzero(fb2.max(axis=0) <= cut)[0]
+            for a, b in np.argwhere(_cell_max(fa2[:, am], fb2[:, bm]) <= cut):
+                g = PlanarIsometry(rot, refl, (mpf(int(am[a])) / n_u, mpf(int(bm[b])) / n_u))
+                val = isometry_max_frac(g, vec, bits)
+                if best_val is None or val < best_val:
+                    best_val, best_key = val, g
         assert best_val is not None and best_key is not None
         lip = two_pi * vec.max_abs() + mpmath.sqrt(mpf(2))
         h = max(mpf(1) / n_t, mpf(1) / n_u)
@@ -523,9 +532,10 @@ def covering_time(
 
     visited = np.zeros(total, dtype=bool)
     visited_count = 0
+    last = max_index  # the index of the last step simulated
     chunk = 1 << 16
     start = 0
-    while start <= max_index:
+    while start <= max_index and visited_count < total:
         stop = min(start + chunk, max_index + 1)
         js = np.arange(start, stop, dtype=np.float64)
         pos = (js[:, None] * h * v[None, :]) % 1.0
@@ -537,28 +547,18 @@ def covering_time(
             visited[uniq[new_mask]] = True
             visited_count += int(new_mask.sum())
             if visited_count == total:
-                j_done = start + int(first[new_mask].max())
-                return CoveringOutcome(
-                    covered=True,
-                    L=j_done * h,
-                    cells_total=total,
-                    cells_visited=total,
-                    dim=dim,
-                    eps=eps_f,
-                    cell=cell_f,
-                    cap=cap_f,
-                    steps=j_done + 1,
-                )
+                last = start + int(first[new_mask].max())
         start = stop
 
+    covered = visited_count == total
     return CoveringOutcome(
-        covered=False,
-        L=None,
+        covered=covered,
+        L=last * h if covered else None,
         cells_total=total,
         cells_visited=visited_count,
         dim=dim,
         eps=eps_f,
         cell=cell_f,
         cap=cap_f,
-        steps=max_index + 1,
+        steps=last + 1,
     )

@@ -4,6 +4,8 @@ import random
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
 import lattice_rotor.oracle as oracle
@@ -28,6 +30,30 @@ B = 128
 def _pair():
     with working_precision(B):
         return ComplexVector((mpc(0), mpc(mpf("0.5"), 0)), B)
+
+
+def _entries(pairs):
+    # (real, imaginary) pairs of decimals or "p/q" rationals at B bits
+    def q(text):
+        p, _, d = text.partition("/")
+        return mpf(p) / mpf(d or 1)
+
+    with working_precision(B):
+        return ComplexVector(tuple(mpc(q(x), q(y)) for x, y in pairs), B)
+
+
+# half-integer and small-rational configurations, full of exact ties
+FIVE_HALF = [("0", "0"), ("1/2", "0"), ("0", "1/2"), ("1", "1/2"), ("-1/2", "-1")]
+FIVE_RATIONAL = [("1/3", "0"), ("0", "2/3"), ("1/4", "1/6"), ("-3/5", "1/2"), ("5/7", "-2/3")]
+
+# coordinates up to modulus ~7e4: floats, half-integers, and half-integers
+# nudged by less than a float64 screen can see at that size
+HALVES = st.integers(-98_000, 98_000).map(lambda k: k / 2)
+COORD = st.one_of(
+    st.floats(-49_000, 49_000),
+    HALVES,
+    st.tuples(HALVES, st.floats(-1e-6, 1e-6)).map(lambda p: p[0] + p[1]),
+)
 
 
 def _triangle(scale=1):
@@ -167,25 +193,43 @@ class TestTauEstimate:
             )
         assert est.upper == exact
 
-    @pytest.mark.parametrize("scale", [1, "1e5"])
-    def test_pruned_candidates_match_full_grid(self, scale, monkeypatch):
+    @pytest.mark.parametrize(
+        "vec, reflect, n_t, n_u",
+        [
+            pytest.param(_triangle(), True, 12, 16, id="1"),
+            pytest.param(_triangle("1e5"), True, 12, 16, id="1e5"),
+            pytest.param(
+                _entries([("100000", "1/2"), ("-1/2", "30000"), ("1/3", "0")]), True, 12, 16,
+                id="three-exact",
+            ),
+            pytest.param(_entries([("1/3", "2/5")]), True, 12, 15, id="one-rational"),
+            pytest.param(_entries([("0", "0"), ("1/2", "0")]), False, 12, 16, id="two-half"),
+            pytest.param(
+                _entries([("1/2", "1/2"), ("-1/2", "1/2")]), True, 8, 8, id="two-half-reflect"
+            ),
+            pytest.param(_entries(FIVE_HALF), True, 12, 16, id="five-half"),
+            pytest.param(_entries(FIVE_RATIONAL), False, 12, 12, id="five-rational"),
+            pytest.param(_entries(FIVE_RATIONAL), True, 12, 12, id="five-rational-reflect"),
+        ],
+    )
+    def test_pruned_candidates_match_full_grid(self, vec, reflect, n_t, n_u, monkeypatch):
         # the unpruned candidate pass: every rotation's full translation
         # grid, every cell within the margin of the global float minimum,
-        # in (branch, rotation, a, b) order; 1e5 lies past
-        # _EXACT_ROTATION_MODULUS, where rotations are formed exactly
-        n_t, n_u = 12, 16
-        vec = _triangle(scale)
-        assert (float(vec.max_abs()) > oracle._EXACT_ROTATION_MODULUS) == (scale != 1)
+        # in (branch, rotation, a, b) order, with no bound over rotations;
+        # "1e5" lies past _EXACT_ROTATION_MODULUS, where rotations are
+        # formed exactly
+        exact = float(vec.max_abs()) > oracle._EXACT_ROTATION_MODULUS
+        assert exact == (float(vec.max_abs()) > 1e4)
         u = np.arange(n_u, dtype=np.float64) / n_u
         angles = 2 * np.pi * np.arange(n_t, dtype=np.float64) / n_t
         re = np.array([float(z.real) for z in vec.entries])
         im = np.array([float(z.imag) for z in vec.entries])
         grids = {}
         with working_precision(B):
-            for refl in (False, True):
+            for refl in (False, True) if reflect else (False,):
                 for j in range(n_t):
                     rot = Rotation.from_angle(2 * mpmath.pi * j / n_t, B)
-                    if scale == 1:
+                    if not exact:
                         c, s, base_im = np.cos(angles[j]), np.sin(angles[j]), -im if refl else im
                         rw = c * re - s * base_im
                         iw = s * re + c * base_im
@@ -209,11 +253,70 @@ class TestTauEstimate:
         monkeypatch.setattr(
             oracle, "isometry_max_frac", lambda *a, **k: calls.append(1) or real(*a, **k)
         )
-        est = tau_estimate(vec, n_t, n_u, with_reflection=True, bits=B)
+        est = tau_estimate(vec, n_t, n_u, with_reflection=reflect, bits=B)
         assert evals > 1
         assert len(calls) == evals
         assert est.upper == best
         assert to_json_data(est.argmin) == to_json_data(best_g)
+
+    @pytest.mark.parametrize(
+        "entries, shift",
+        [
+            pytest.param([("0", "0")], ("0", "0"), id="origin"),
+            pytest.param([("0", "0"), ("1", "0")], ("0", "0"), id="pair"),
+            pytest.param(
+                [("0", "0"), ("1", "0"), ("0", "1"), ("1", "1")], ("0", "0"), id="unit-square"
+            ),
+            pytest.param([("1/2", "1/2"), ("-1/2", "1/2")], ("0.5", "0.5"), id="half-pair"),
+        ],
+    )
+    def test_ties_resolve_to_lowest_grid_index(self, entries, shift):
+        # every rotation by a quarter turn, and its reflection, also reaches
+        # 0; the first rotation, unreflected, at the first translation wins
+        est = tau_estimate(_entries(entries), 8, 8, with_reflection=True, bits=B)
+        assert est.upper == 0
+        assert est.argmin.theta.value == Rotation.from_angle(0, B).value
+        assert not est.argmin.reflect
+        assert est.argmin.translation == (mpf(shift[0]), mpf(shift[1]))
+
+    @pytest.mark.parametrize("n_t", [1, 7, 12, 1000, 1600])
+    def test_rotated_rows_match_scalar_formula(self, n_t):
+        # the sweep rotates all angles at once; each row must equal the
+        # per-rotation scalar formula bit for bit, or a numpy whose vector
+        # cos or sin differs from its scalar path would move the goldens
+        vec = _entries(FIVE_RATIONAL[:3] + [("3", "-7"), ("123.25", "-0.5")])
+        rw, iw = oracle._rotated_images(vec, n_t, [False, True], B)
+        re = np.array([float(z.real) for z in vec.entries])
+        im = np.array([float(z.imag) for z in vec.entries])
+        angles = 2 * np.pi * np.arange(n_t, dtype=np.float64) / n_t
+        want_rw, want_iw = [], []
+        for base_im in (im, -im):
+            for j in range(n_t):
+                c, s = np.cos(angles[j]), np.sin(angles[j])
+                want_rw.append(c * re - s * base_im)
+                want_iw.append(s * re + c * base_im)
+        assert rw.tobytes() == np.vstack(want_rw).tobytes()
+        assert iw.tobytes() == np.vstack(want_iw).tobytes()
+
+    @given(
+        st.lists(st.tuples(COORD, COORD), min_size=1, max_size=5),
+        st.integers(1, 24),
+        st.integers(1, 16),
+        st.booleans(),
+    )
+    def test_rotation_bound_is_sound(self, points, n_t, n_u, reflect):
+        # no cell of a rotation lies below its bound by more than float
+        # error, which stays far below the screen margin up to the modulus
+        # where rotations are formed exactly
+        with working_precision(B):
+            vec = ComplexVector(tuple(mpc(x, y) for x, y in points), B)
+        assert float(vec.max_abs()) < oracle._EXACT_ROTATION_MODULUS
+        rw, iw = oracle._rotated_images(vec, n_t, [False, True] if reflect else [False], B)
+        lb = oracle._rotation_bound(rw, iw)
+        u = np.arange(n_u, dtype=np.float64) / n_u
+        for j in range(len(rw)):
+            cells = oracle._cell_max(*oracle._frac_sq_tables(rw[j], iw[j], u))
+            assert lb[j] <= cells.min() + oracle._SCREEN_MARGIN / 10
 
     def test_deterministic(self):
         a = tau_estimate(_triangle(2), 60, 60, with_reflection=True, bits=B)
