@@ -7,37 +7,29 @@ grid is fine enough that a continuous witness interval at half the target
 cannot fall between grid points, and only samples strictly below eps are
 ever accepted.
 
-flow_search answers it with one walk over the grid indices in increasing
-j.  Each step of the walk covers a block of indices, proposes a sorted set
-of candidate indices in it, and re-checks every candidate exactly, so the
-first verified index is the true grid minimum.  Two kinds of step propose
-candidates:
+flow_search answers it with one walk of lattice-point enumeration windows
+over the grid indices, in increasing j from j = 0.  Writing the condition
+"j*delta*V close to Z[i]^m - W" as a closest-point question in a
+(2m+1)-dimensional lattice makes the qualifying j of a window enumerable
+without visiting the grid, in time that depends on the number of
+near-solutions rather than on the window length (Fincke-Pohst bounds,
+Math. Comp. 44, 1985).  Every window yields every qualifying index in it,
+sorted, and every candidate is re-checked exactly, so the first verified
+index is the true grid minimum.
 
-  * on a short prefix, a dense vectorized screen in double precision
-    touches every grid point, one chunk at a time;
-  * beyond it, lattice-point enumeration.  Writing the condition
-    "j*delta*V close to Z[i]^m - W" as a closest-point question in a
-    (2m+1)-dimensional lattice makes the qualifying j of a window
-    enumerable without visiting the grid, in time that depends on the
-    number of near-solutions rather than on the window length.  Windows
-    grow while they come up empty and shrink when the enumeration
-    exceeds its node budget.
-
-Where one kind of step hands over to the other is derived from the
+Windows grow while they come up empty and shrink when the enumeration
+exceeds its node budget.  The first window's length is derived from the
 flow's own m (active entries) and eps.  For generic entries a grid point
 lands within eps of the lattice with probability about (pi*eps^2)^m, so
-the first hit is expected near index E = (pi*eps^2)^(-m).  The first
-window is placed a few factors of the growth rate below E, and the dense
-screen stops once the points it has screened cost as much as one
-window.  The placement only decides how fast the walk gets there: the
-steps run in increasing j, every window yields every qualifying index in
-it, and every candidate is re-checked exactly, so a flow that hits long
-before E (rational structure pins it to a subtorus) gets the same answer.
+the first hit is expected near index E = (pi*eps^2)^(-m), and the first
+window is a few factors of the growth rate shorter than E.  The length
+only decides how fast the walk gets there: a flow that hits long before E
+(rational structure pins it to a subtorus) gets the same answer.
 
-Both kinds of step start from the signed fractional parts of W + j0*delta*V
-at the step's first index, computed at working precision.  Every
-candidate is re-evaluated with mpmath before being accepted; doubles only
-ever decide what to look at, never what to return.
+Each window starts from the signed fractional parts of W + j0*delta*V at
+its first index, computed at working precision.  Every candidate is
+re-evaluated with mpmath before being accepted; doubles only ever decide
+what to look at, never what to return.
 """
 from __future__ import annotations
 
@@ -58,10 +50,6 @@ from .precision import raise_for_magnitude, working_precision
 DEFAULT_WINDOW_BUDGET = 256
 DEFAULT_NODE_BUDGET = 2_000_000
 
-# rows per screened chunk; a chunk of 2m float64 columns stays near 2 MB
-# for m = 8, so the screen adds little to the peak resident size
-_SCAN_CHUNK = 1 << 14
-
 # enumeration windows grow by _WINDOW_GROWTH while empty and shrink by it,
 # down to _WINDOW_FLOOR, when the enumeration exceeds its node budget;
 # the first window is 2^_WINDOW_LEAD_BITS times shorter than the expected
@@ -70,28 +58,12 @@ _WINDOW_FLOOR = 1 << 16
 _WINDOW_GROWTH = 4
 _WINDOW_LEAD_BITS = 4
 
-# Cost model of the hand-over, measured on a 2-core Xeon (Python 3.11,
-# numpy 2.4, pure-Python mpmath).  The dense screen costs 50 ns per grid
-# point with one active entry and 160-350 ns with two to six.  One window
-# without candidates costs, for an n = 2m+1 dimensional lattice embedded
-# at b scale bits, 0.21 ms at (n, b) = (3, 75), 0.45 ms at (5, 75),
-# 1.4 ms at (7, 75), 10 ms at (9, 99), 72 ms at (11, 129) and 240 ms at
-# (13, 159): the exact LLL dominates, and a least-squares fit gives
-# n^3.2 * b^4.0.  The model keeps round exponents and is within a factor
-# of 2.5 of every measurement, which is all a hand-over point needs.
-# The window costs are those of a first reduction.  lll_reduce remembers
-# its recent answers, so a window basis met again costs less, but the
-# constants stay on purpose: they fix the scan prefix and with it the
-# reported search_steps, and a schedule that read the memo's state would
-# not take the same walk in every process.
-_SCAN_POINT_NS = 200
-_WINDOW_NS = 500_000  # at n = 5, b = 75
-
 
 @dataclass(frozen=True)
 class FlowSearchOutcome:
     """Result of one grid search; reason is one of found / absent /
-    exhausted / infeasible-constant."""
+    exhausted / infeasible-constant.  strategy is "precheck" when a
+    constant entry rules out every s, else "enumerate"."""
 
     found: bool
     reason: str
@@ -106,23 +78,8 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def flow_search(
-    direction,
-    offset,
-    eps,
-    L_max,
-    bits: int,
-    grid_step=None,
-    scan_limit: Optional[int] = None,
-) -> FlowSearchOutcome:
-    """Smallest grid point s in [0, L_max] with vec_frac_dist(W + sV) < eps.
-
-    grid_step overrides the default delta; it exists for refinement
-    experiments and for cross-checks against finer grids and must divide
-    the intent of the caller, not the other way around.  scan_limit
-    overrides the derived length of the dense-screen prefix, so tests can
-    send any part of the grid through either kind of step.
-    """
+def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
+    """Smallest grid point s in [0, L_max] with vec_frac_dist(W + sV) < eps."""
     vec_v = direction if isinstance(direction, ComplexVector) else ComplexVector(tuple(direction), bits)
     vec_w = offset if isinstance(offset, ComplexVector) else ComplexVector(tuple(offset), bits)
     if len(vec_v) != len(vec_w):
@@ -146,12 +103,7 @@ def flow_search(
     )
 
     with working_precision(bits_eval):
-        if grid_step is None:
-            delta = eps / (4 * max_abs)
-        else:
-            delta = mpf(grid_step)
-            if delta <= 0:
-                raise ValueError("grid_step must be positive")
+        delta = eps / (4 * max_abs)
         grid_last = int(mpmath.floor(L_max / delta))
 
     # entries are already mpc at the vector's precision; re-wrapping in
@@ -179,9 +131,6 @@ def flow_search(
     with working_precision(bits_eval):
         dv = [delta * values_v[k] for k in active]
         dv_coords = [z.real for z in dv] + [z.imag for z in dv]
-    step_f = np.array([float(c) for c in dv_coords], dtype=np.float64)
-    # slightly inflated float threshold; exact verification makes the call
-    thresh_sq = (float(eps) * (1 + 1e-9)) ** 2
 
     def residues(j0: int) -> np.ndarray:
         """Signed fractional parts of W + j0*delta*V, real parts first."""
@@ -201,57 +150,39 @@ def flow_search(
                     worst = d
             return s if worst < eps else None
 
-    derived_scan, window_len = _schedule(m, eps)
-    if scan_limit is None:
-        scan_limit = derived_scan
-    scan_last = min(grid_last, max(scan_limit - 1, 0))
+    window_len = _first_window(m, eps)
     examined = windows = j0 = 0
 
     def outcome(reason: str, j: Optional[int] = None, s=None) -> FlowSearchOutcome:
-        # a hit is attributed to the phase that reached its index, a miss
-        # to the phase that reached the end of the grid
-        scan = (grid_last if j is None else j) <= scan_last
         return FlowSearchOutcome(
             found=s is not None,
             reason=reason,
             s=s,
             grid_index=j,
-            strategy="scan" if scan else "enumerate",
-            # the scan stops screening at its hit; enumeration has already
-            # produced every candidate of the hit's window
-            examined=j + 1 if scan and j is not None else examined,
+            strategy="enumerate",
+            examined=examined,
             windows_used=windows,
         )
 
-    # one walk in increasing j: dense float screening of [0, scan_last] in
-    # chunks, then enumeration windows over (scan_last, grid_last]; each
-    # step yields sorted relative candidates that are re-checked exactly,
+    # one walk of enumeration windows in increasing j from j = 0; each
+    # window yields sorted relative candidates that are re-checked exactly,
     # so the first verified index is the grid minimum
     while j0 <= grid_last:
-        if j0 <= scan_last:
-            count = min(_SCAN_CHUNK, scan_last - j0 + 1)
-            js = np.arange(count, dtype=np.float64)
-            vals = residues(j0)[None, :] + js[:, None] * step_f[None, :]
-            resid = vals - np.rint(vals)
-            worst = (resid[:, :m] ** 2 + resid[:, m:] ** 2).max(axis=1)
-            candidates = np.flatnonzero(worst < thresh_sq).tolist()
-            examined += count
-        else:
-            if windows >= DEFAULT_WINDOW_BUDGET:
-                return outcome("exhausted")
-            windows += 1
-            count = min(window_len, grid_last - j0 + 1)
-            try:
-                candidates = _window_candidates(
-                    dv_coords, -residues(j0), eps, count, DEFAULT_NODE_BUDGET, bits_eval
-                )
-            except _BudgetExceeded:
-                if window_len > _WINDOW_FLOOR:
-                    window_len = max(_WINDOW_FLOOR, window_len // _WINDOW_GROWTH)
-                    continue
-                return outcome("exhausted")
-            examined += len(candidates)
-            window_len *= _WINDOW_GROWTH
+        if windows >= DEFAULT_WINDOW_BUDGET:
+            return outcome("exhausted")
+        windows += 1
+        count = min(window_len, grid_last - j0 + 1)
+        try:
+            candidates = _window_candidates(
+                dv_coords, -residues(j0), eps, count, DEFAULT_NODE_BUDGET, bits_eval
+            )
+        except _BudgetExceeded:
+            if window_len > _WINDOW_FLOOR:
+                window_len = max(_WINDOW_FLOOR, window_len // _WINDOW_GROWTH)
+                continue
+            return outcome("exhausted")
+        examined += len(candidates)
+        window_len *= _WINDOW_GROWTH
         for j_rel in candidates:
             s = verify(j0 + j_rel)
             if s is not None:
@@ -260,27 +191,18 @@ def flow_search(
     return outcome("absent")
 
 
-def _schedule(m: int, eps: mpf) -> Tuple[int, int]:
-    """Dense-screen prefix length and first window length for a flow with
-    m active entries at tolerance eps.
+def _first_window(m: int, eps: mpf) -> int:
+    """First enumeration window length for a flow with m active entries at
+    tolerance eps.
 
-    Both follow from m and eps alone, never from a clock or a budget, so
+    It follows from m and eps alone, never from a clock or a budget, so
     the same flow always takes the same walk.
     """
     with working_precision(53):
         log2_eps = float(mpmath.log(eps, 2))
     # log2 of the expected first-hit index E = (pi*eps^2)^(-m)
     log2_hit = math.floor(-m * (math.log2(math.pi) + 2 * log2_eps))
-    first_window = max(_WINDOW_FLOOR, 1 << max(0, log2_hit - _WINDOW_LEAD_BITS))
-    n, b = 2 * m + 1, _scale_bits(first_window, log2_eps)
-    window_ns = _WINDOW_NS * (n / 5) ** 3 * (b / 75) ** 4
-    return math.ceil(window_ns / _SCAN_POINT_NS), first_window
-
-
-def _scale_bits(window_len: int, log2_eps: float) -> int:
-    # embedding scale keeping rounding error far below one eps-unit across
-    # the whole window
-    return max(64, window_len.bit_length() + max(0, int(-log2_eps)) + 48)
+    return max(_WINDOW_FLOOR, 1 << max(0, log2_hit - _WINDOW_LEAD_BITS))
 
 
 def _window_candidates(
@@ -305,7 +227,9 @@ def _window_candidates(
     n = d + 1
     eps_f = float(eps)
 
-    scale_bits = _scale_bits(window_len, math.log2(eps_f))
+    # embedding scale keeping rounding error far below one eps-unit across
+    # the whole window
+    scale_bits = max(64, window_len.bit_length() + max(0, int(-math.log2(eps_f))) + 48)
     K = 1 << scale_bits
 
     with working_precision(max(bits_eval, scale_bits + 32)):

@@ -86,8 +86,8 @@ class SolverConfig:
     after the first.  l_cap, a positive decimal string, caps the search
     horizon, which solve_general otherwise derives from t (see
     solve_general).
-    The flow search derives its scan prefix and windows from the flow
-    itself; its budgets are fixed constants (flowsearch.DEFAULT_*_BUDGET).
+    The flow search derives its enumeration windows from the flow itself;
+    its budgets are fixed constants (flowsearch.DEFAULT_*_BUDGET).
     """
 
     bits: int = DEFAULT_PRECISION
@@ -113,8 +113,8 @@ class SolveReport:
     reports the identity, not achieved).  L_used is the horizon the
     search walked and T_threshold its dilation threshold; T_threshold <= t
     means every hit up to L_used is certified by the linearization.
-    search_steps is the flow search's examined count, scan grid points
-    plus enumeration candidates, summed over one walk per phase attempt;
+    search_steps is the flow search's examined count, its enumeration
+    candidates, summed over one walk per phase attempt;
     diagnostics names every attempt, including those after the one whose
     rotation is reported.
     """

@@ -25,6 +25,34 @@ def _half_offset():
         return ComplexVector((mpc(mpf("0.5"), mpf("0.5")),), BITS)
 
 
+def _first_hit_reference(v, w, eps, L_max):
+    """(grid index, s) of the first grid point with vec_frac_dist(W + sV) <
+    eps, or (None, None): every point of the grid is screened in float64
+    with a generous margin, and the candidates are re-checked exactly in
+    increasing j."""
+    with working_precision(BITS):
+        eps = mpf(eps)
+        delta = eps / (4 * v.max_abs())
+        count = int(mpmath.floor(mpf(L_max) / delta)) + 1
+        start = [float(x - mpmath.nint(x)) for z in w for x in (z.real, z.imag)]
+        step = [float(delta * x) for z in v for x in (z.real, z.imag)]
+    vals = np.array(start) + np.arange(count)[:, None] * np.array(step)
+    resid = (vals - np.rint(vals)) ** 2
+    worst = (resid[:, 0::2] + resid[:, 1::2]).max(axis=1)
+    for j in np.flatnonzero(worst < (float(eps) + 1e-6) ** 2).tolist():
+        with working_precision(BITS):
+            s = j * delta
+            if vec_frac_dist([zw + s * zv for zv, zw in zip(v, w)], BITS) < eps:
+                return j, s
+    return None, None
+
+
+def _assert_matches_reference(out, v, w, eps, L_max):
+    j, s = _first_hit_reference(v, w, eps, L_max)
+    assert (out.found, out.grid_index, out.s) == (j is not None, j, s)
+    assert out.strategy == "enumerate"
+
+
 class TestTrivialCases:
     def test_zero_offset_found_immediately(self):
         out = flow_search(_golden_direction(), ComplexVector((mpc(0),), BITS), "0.3", 100, BITS)
@@ -72,8 +100,6 @@ class TestTrivialCases:
         with pytest.raises(ValueError):
             flow_search(v, w, "0.1", -1, BITS)
         with pytest.raises(ValueError):
-            flow_search(v, w, "0.1", 10, BITS, grid_step=mpf(0))
-        with pytest.raises(ValueError):
             flow_search(v, ComplexVector((mpc(0), mpc(0)), BITS), "0.1", 10, BITS)
 
 
@@ -94,6 +120,18 @@ class TestGoldenLineFixture:
         with working_precision(BITS):
             return mpf(self.EPS) / (4 * v.max_abs())
 
+    def _walk(self, step):
+        """First index j, and its distance, of a plain exact walk over the
+        grid {j * step} in [0, L_MAX]."""
+        v = _golden_direction()
+        w = _half_offset()
+        with working_precision(BITS):
+            for j in range(int(mpmath.floor(self.L_MAX / step)) + 1):
+                d = vec_frac_dist([w[0] + j * step * v[0]], BITS)
+                if d < mpf(self.EPS):
+                    return j, d
+        return None, None
+
     def test_first_grid_hit_matches_independent_scan(self):
         v = _golden_direction()
         w = _half_offset()
@@ -102,16 +140,10 @@ class TestGoldenLineFixture:
         assert out.grid_index == self.FIRST_HIT
 
         # independent re-derivation: plain walk over the same grid
+        delta = self._delta()
+        first, d = self._walk(delta)
+        assert first == self.FIRST_HIT
         with working_precision(BITS):
-            delta = self._delta()
-            eps = mpf(self.EPS)
-            first = None
-            for j in range(self.FIRST_HIT + 1):
-                d = vec_frac_dist([w[0] + j * delta * v[0]], BITS)
-                if d < eps:
-                    first = j
-                    break
-            assert first == self.FIRST_HIT
             assert out.s == self.FIRST_HIT * delta
             assert abs(d - mpf(self.HIT_VALUE)) < mpf("1e-9")
 
@@ -124,11 +156,12 @@ class TestGoldenLineFixture:
         with working_precision(BITS):
             sixteenth = delta / 16
         coarse = flow_search(v, w, self.EPS, self.L_MAX, BITS)
-        fine = flow_search(v, w, self.EPS, self.L_MAX, BITS, grid_step=sixteenth)
-        assert fine.found
-        assert fine.grid_index == 3691
-        assert fine.s <= coarse.s
-        assert coarse.s - fine.s <= delta
+        fine, _ = self._walk(sixteenth)
+        assert fine == 3691
+        with working_precision(BITS):
+            fine_s = fine * sixteenth
+        assert fine_s <= coarse.s
+        assert coarse.s - fine_s <= delta
 
     def test_halving_the_grid_keeps_success(self):
         v = _golden_direction()
@@ -136,11 +169,13 @@ class TestGoldenLineFixture:
         delta = self._delta()
         with working_precision(BITS):
             halved = delta / 2
-        base = flow_search(v, w, self.EPS, self.L_MAX, BITS, grid_step=delta)
-        half = flow_search(v, w, self.EPS, self.L_MAX, BITS, grid_step=halved)
-        assert base.found and half.found
-        assert half.s <= base.s
-        assert base.s - half.s <= delta
+        base = flow_search(v, w, self.EPS, self.L_MAX, BITS)
+        half, _ = self._walk(halved)
+        assert base.found and half is not None
+        with working_precision(BITS):
+            half_s = half * halved
+        assert half_s <= base.s
+        assert base.s - half_s <= delta
 
     def test_deterministic(self):
         v = _golden_direction()
@@ -150,28 +185,25 @@ class TestGoldenLineFixture:
         assert a == b
 
 
-class TestSearchBeyondScanPrefix:
+class TestEnumerationWindows:
     def test_budget_exhaustion_is_reported(self, monkeypatch):
         with working_precision(BITS):
             v = ComplexVector((mpc(1), mpc(mpmath.sqrt(mpf(2)))), BITS)
             w = ComplexVector((mpc("0.3", "0.4"), mpc("0.1", "0.2")), BITS)
         monkeypatch.setattr(flowsearch, "DEFAULT_WINDOW_BUDGET", 1)
         monkeypatch.setattr(flowsearch, "DEFAULT_NODE_BUDGET", 8)
-        out = flow_search(v, w, "0.01", mpf(10) ** 9, BITS, scan_limit=4)
+        out = flow_search(v, w, "0.01", mpf(10) ** 9, BITS)
         assert not out.found
         assert out.reason == "exhausted"
         assert isinstance(out, FlowSearchOutcome)
 
     def test_enumeration_agrees_with_scan(self):
-        # force the enumeration path by shrinking the scan prefix, then
-        # confirm it lands on the same first hit the dense scan finds
+        # the enumeration walk lands on the first hit a whole-grid scan finds
         v = _golden_direction()
         w = _half_offset()
-        full = flow_search(v, w, "0.05", 4, BITS)
-        windowed = flow_search(v, w, "0.05", 4, BITS, scan_limit=16)
+        windowed = flow_search(v, w, "0.05", 4, BITS)
         assert windowed.found
-        assert windowed.grid_index == full.grid_index
-        assert windowed.s == full.s
+        _assert_matches_reference(windowed, v, w, "0.05", 4)
 
 
 def _near_half(a: int, nudge: float):
@@ -212,42 +244,53 @@ def flows(draw):
 class TestScanEnumerationDifferential:
     @given(flow=flows())
     def test_enumeration_finds_the_scan_minimum(self, flow):
-        # scan_limit=1 leaves only j=0 to the scan, so every later grid
-        # index is reached through enumeration windows
+        # enumeration windows from j = 0 find the whole-grid scan's minimum
         v, w, eps, L_max = flow
-        scan = flow_search(v, w, eps, L_max, BITS)
-        enum = flow_search(v, w, eps, L_max, BITS, scan_limit=1)
-        assert (enum.found, enum.grid_index, enum.s) == (scan.found, scan.grid_index, scan.s)
+        _assert_matches_reference(flow_search(v, w, eps, L_max, BITS), v, w, eps, L_max)
 
     @pytest.mark.parametrize("ratio", [mpc(1, 1), mpc(1, -2) / 3], ids=["1+i", "(1-2i)/3"])
     def test_early_hit_of_a_rational_flow(self, ratio):
         # the second entry is a Gaussian-rational multiple of the first, so
         # the flow lives on a subtorus and hits hundreds of times earlier
-        # than the generic estimate E that places the first window
+        # than the generic estimate E that sizes the first window
         eps = mpf("0.01")
         with working_precision(BITS):
             first, offset = mpc(1, (1 + mpmath.sqrt(5)) / 2), mpc("0.5", "0.5")
             v = ComplexVector((first, ratio * first), BITS)
             w = ComplexVector((offset, ratio * offset), BITS)
-            grid = 1 << 17
-            L_max = grid * eps / (4 * v.max_abs())
+            L_max = (1 << 17) * eps / (4 * v.max_abs())
             E = (mpmath.pi * eps**2) ** -2
-        derived_scan, first_window = flowsearch._schedule(2, eps)
-        whole = flow_search(v, w, eps, L_max, BITS, scan_limit=grid + 1)
-        assert whole.found and whole.strategy == "scan"
-        assert derived_scan < whole.grid_index < E / 100 < first_window
-        for scan_limit in (None, 1):
-            out = flow_search(v, w, eps, L_max, BITS, scan_limit=scan_limit)
-            assert out.strategy == "enumerate"
-            assert (out.found, out.grid_index, out.s) == (whole.found, whole.grid_index, whole.s)
+        hit, _ = _first_hit_reference(v, w, eps, L_max)
+        assert hit < E / 100 < flowsearch._first_window(2, eps)
+        _assert_matches_reference(flow_search(v, w, eps, L_max, BITS), v, w, eps, L_max)
+
+    @pytest.mark.parametrize("kind", ["generic", "rational"])
+    def test_three_entries_on_a_long_grid(self, kind):
+        # m = 3 over a 2^17-point grid: a generic flow, and one whose third
+        # entry is a Gaussian-rational multiple of the first, so it lives on
+        # a subtorus of the 3-entry torus
+        eps = mpf("0.1")
+        with working_precision(BITS):
+            a, w_a = mpc(1, (1 + mpmath.sqrt(5)) / 2), mpc("0.5", "0.5")
+            b, w_b = mpc(mpmath.sqrt(2), mpmath.sqrt(3) - 1), mpc("0.3", "0.1")
+            if kind == "rational":
+                c, w_c = a * mpc(1, -2) / 3, w_a * mpc(1, -2) / 3
+            else:
+                c, w_c = mpc(mpmath.e / 2, mpmath.pi / 3), mpc("0.2", "0.45")
+            v = ComplexVector((a, b, c), BITS)
+            w = ComplexVector((w_a, w_b, w_c), BITS)
+            L_max = (1 << 17) * eps / (4 * v.max_abs())
+        out = flow_search(v, w, eps, L_max, BITS)
+        assert out.found
+        _assert_matches_reference(out, v, w, eps, L_max)
 
 
 class TestReadmeWorkGuard:
     def test_search_work_stays_bounded(self, monkeypatch):
         # the README solve at its first dilation: the reduced flow has two
-        # entries at eps 0.1/8, so E is about 2^22.  The derived prefix
-        # screens about 2^11 points and the windows start at 2^17, growing
-        # 4x; a prefix of the old fixed 2^22 points would fail both bounds
+        # entries at eps 0.1/8, so E is about 2^22.  The windows start at
+        # j = 0 with 2^17 indices and grow 4x; the hit at index 9,845,939
+        # lies in the fourth, and the walk examines 8 candidates in all
         outcomes = []
 
         def recording(*args, **kwargs):
@@ -262,7 +305,7 @@ class TestReadmeWorkGuard:
         )
         assert report.achieved
         assert len(outcomes) == 1
-        assert report.search_steps == outcomes[0].examined <= 1 << 13
+        assert report.search_steps == outcomes[0].examined <= 32
         assert outcomes[0].windows_used <= 6
 
 
@@ -279,7 +322,7 @@ class TestWrongCandidatesRejected:
             return list(range(window_len))
 
         monkeypatch.setattr(flowsearch, "_window_candidates", every_index)
-        out = flow_search(v, w, eps, 4, BITS, scan_limit=1)
+        out = flow_search(v, w, eps, 4, BITS)
         if out.s is not None:
             with working_precision(BITS):
                 point = [zw + out.s * zv for zv, zw in zip(v, w)]

@@ -191,8 +191,6 @@ KNOBS = {
     "SolverConfig.height_bound": "CLI spec key height_bound",
     "SolverConfig.l_cap": "CLI spec key L_cap",
     "SolverConfig.max_phase_retries": "acceptance criterion 3 runs with 0 and with 3",
-    "flow_search.grid_step": "the refinement tests",
-    "flow_search.scan_limit": "the scan-vs-enumeration differential tests",
 }
 
 
