@@ -26,7 +26,17 @@ window is a few factors of the growth rate shorter than E.  The length
 only decides how fast the walk gets there: a flow that hits long before E
 (rational structure pins it to a subtorus) gets the same answer.
 
-Each window starts from the signed fractional parts of W + j0*delta*V at
+Consecutive windows of one walk differ only in length: the scale K grows
+with the window while the step's time entry 2K/length stays put, so each
+window's exact LLL starts from the previous window's unimodular
+transform (lll_reduce's start), whose product with the new rows is
+nearly reduced already.  The enumerated point set is a property of the
+lattice, not of the basis that spans it, so the warm start changes no
+candidate.  Dilations of one direction walk the same windows from the
+same starts, so lll_reduce's memo answers every window that an earlier
+walk has reduced.
+
+Each window's target is the signed fractional parts of W + j0*delta*V at
 its first index, computed at working precision.  Every candidate is
 re-evaluated with mpmath before being accepted; doubles only ever decide
 what to look at, never what to return.
@@ -152,6 +162,7 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
 
     window_len = _first_window(m, eps)
     examined = windows = j0 = 0
+    transform: Optional[List[List[int]]] = None
 
     def outcome(reason: str, j: Optional[int] = None, s=None) -> FlowSearchOutcome:
         return FlowSearchOutcome(
@@ -172,9 +183,13 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
             return outcome("exhausted")
         windows += 1
         count = min(window_len, grid_last - j0 + 1)
+        rows, scale = _window_lattice(dv_coords, eps, count, bits_eval)
+        # warm start from the last window's transform, also one whose
+        # enumeration outgrew the node budget
+        basis, transform = lll_reduce(rows, transform)
         try:
             candidates = _window_candidates(
-                dv_coords, -residues(j0), eps, count, DEFAULT_NODE_BUDGET, bits_eval
+                basis, transform, scale, -residues(j0), eps, count, DEFAULT_NODE_BUDGET
             )
         except _BudgetExceeded:
             if window_len > _WINDOW_FLOOR:
@@ -205,31 +220,22 @@ def _first_window(m: int, eps: mpf) -> int:
     return max(_WINDOW_FLOOR, 1 << max(0, log2_hit - _WINDOW_LEAD_BITS))
 
 
-def _window_candidates(
-    dv_coords: Sequence[mpf],
-    target: Sequence[float],
-    eps: mpf,
-    window_len: int,
-    node_budget: int,
-    bits_eval: int,
-) -> List[int]:
-    """Sorted relative grid indices in [0, window_len) whose flow point can
-    lie within eps of the integer lattice, with safety margins.
+def _window_lattice(
+    dv_coords: Sequence[mpf], eps: mpf, window_len: int, bits_eval: int
+) -> Tuple[List[List[int]], int]:
+    """Integer rows of the rank d+1 lattice of one window, and its scale K.
 
-    Builds the rank d+1 lattice spanned by one grid step and the unit
-    translations, scaled so the admissible region is an O(1) box, reduces
-    it exactly, and enumerates a covering ball around the window target.
-    The integer embedding is computed from the exact step coordinates;
-    rounding the step to a double first would drift by many eps over a
-    long window and falsify the lattice itself.
+    The lattice is spanned by one grid step and the unit translations,
+    scaled by K/eps so the admissible region is an O(1) box; the step's
+    time entry 2K/window_len maps the window onto [0, 2).  The embedding is
+    computed from the exact step coordinates; rounding the step to a
+    double first would drift by many eps over a long window and falsify
+    the lattice itself.
     """
     d = len(dv_coords)
-    n = d + 1
-    eps_f = float(eps)
-
     # embedding scale keeping rounding error far below one eps-unit across
     # the whole window
-    scale_bits = max(64, window_len.bit_length() + max(0, int(-math.log2(eps_f))) + 48)
+    scale_bits = max(64, window_len.bit_length() + max(0, int(-math.log2(float(eps)))) + 48)
     K = 1 << scale_bits
 
     with working_precision(max(bits_eval, scale_bits + 32)):
@@ -237,14 +243,36 @@ def _window_candidates(
         step_row = [int(mpmath.nint(big * c / eps)) for c in dv_coords]
         step_row.append(int(mpmath.nint(2 * big / window_len)))
         trans_entry = int(mpmath.nint(big / eps))
-    rows_int = [step_row]
+    rows = [step_row]
     for c in range(d):
-        tr = [0] * n
+        tr = [0] * (d + 1)
         tr[c] = trans_entry
-        rows_int.append(tr)
+        rows.append(tr)
+    return rows, K
 
-    reduced_int, transform = lll_reduce(rows_int)
-    reduced_f = np.array(reduced_int, dtype=np.float64) / float(K)
+
+def _window_candidates(
+    basis: Sequence[Sequence[int]],
+    transform: Sequence[Sequence[int]],
+    scale: int,
+    target: Sequence[float],
+    eps: mpf,
+    window_len: int,
+    node_budget: int,
+) -> List[int]:
+    """Sorted relative grid indices in [0, window_len) whose flow point can
+    lie within eps of the integer lattice, with safety margins.
+
+    basis is an LLL-reduced basis of the window's _window_lattice rows at
+    scale K, and transform maps those rows to it; the candidates depend on
+    the lattice only, never on which reduced basis spans it.  Enumerates a
+    covering ball around the window target and reads each surviving
+    point's grid index off the transform's first column.
+    """
+    n = len(basis)
+    d = n - 1
+    eps_f = float(eps)
+    reduced_f = np.array(basis, dtype=np.float64) / float(scale)
 
     mu, bstar_sq = _gso(reduced_f)
     if min(bstar_sq) <= 0:

@@ -13,18 +13,29 @@ Rows are plain lists of Python ints.  The transform matrix returned by
 lll_reduce expresses each reduced row as an integer combination of the
 input rows; its determinant is +-1.
 
+A caller that already holds a unimodular transform close to the answer
+can pass it as start: the reduction then begins from start * rows, and
+the transform it returns is composed with start and checked exactly
+against the rows, so it still maps the input rows to the basis.  The
+flow search starts each enumeration window from the previous window's
+transform; consecutive windows differ only in length, so that product
+is nearly reduced already.
+
 Both callers reduce the same few bases again and again (relation
-detection once per dilation, the flow search once per window length), so
-lll_reduce remembers its last 32 answers, keyed on the exact integer rows.
-The key is the whole input, so a remembered answer is the answer; every
-call returns fresh lists, so a caller that edits them cannot reach the
-memo, and inputs that raise are never remembered.
+detection once per dilation, the flow search once per window of a walk
+that every dilation of the same direction repeats), so lll_reduce
+remembers its last 32 answers, keyed on the exact integer rows and the
+exact start (none for a cold reduction); a remembered warm answer skips
+the reduction, the composition and its check alike.  The key is the
+whole input, so a remembered answer is the answer; every call returns
+fresh lists, so a caller that edits them cannot reach the memo, and
+inputs that raise are never remembered.
 """
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 Row = List[int]
 
@@ -51,30 +62,77 @@ def _exact_div(num: int, den: int) -> int:
 Key = Tuple[Tuple[int, ...], ...]
 
 
-def lll_reduce(rows: Sequence[Sequence[int]]) -> Tuple[List[Row], List[Row]]:
+def lll_reduce(
+    rows: Sequence[Sequence[int]], start: Optional[Sequence[Sequence[int]]] = None
+) -> Tuple[List[Row], List[Row]]:
     """Reduce a linearly independent integer basis; return (basis, transform).
 
     transform[i] holds the coefficients of reduced basis[i] in terms of the
     input rows; the exchange condition uses the Lovasz constant 3/4.
-    Raises ValueError if the rows are empty, ragged or linearly dependent.
+    start, when given, is a unimodular integer matrix with one row per
+    input row, and the reduction begins from start * rows.
+    Raises ValueError if the rows are empty, ragged or linearly dependent,
+    or if start is not square and unimodular of that size.
 
     Answers for the last 32 distinct inputs are remembered, keyed on the
-    exact rows; both lists returned are new on every call.
+    exact rows and start; both lists returned are new on every call.
     """
-    basis, transform = _reduce(tuple(tuple(map(int, r)) for r in rows))
+    basis, transform = _reduce(
+        tuple(tuple(map(int, r)) for r in rows),
+        None if start is None else tuple(tuple(map(int, r)) for r in start),
+    )
     return [list(r) for r in basis], [list(r) for r in transform]
 
 
 @functools.lru_cache(maxsize=32)
-def _reduce(rows: Key) -> Tuple[Key, Key]:
-    # the memoized worker behind lll_reduce; it returns tuples, so the
+def _reduce(rows: Key, start: Optional[Key] = None) -> Tuple[Key, Key]:
+    # the memoized front of the reduction; it returns tuples, so the
     # answers it keeps cannot be changed by anyone who reads them
     if not rows:
         raise ValueError("empty basis")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged basis")
+    if start is None:
+        return _lll(rows)
+    if len(start) != len(rows) or any(len(r) != len(rows) for r in start):
+        raise ValueError("start transform must be square with one row per basis row")
+    if abs(_det(start)) != 1:
+        raise ValueError("start transform is not unimodular")
+    basis, warm = _lll(tuple(map(tuple, _matmul(start, rows))))
+    transform = _matmul(warm, start)
+    if _matmul(transform, rows) != [list(r) for r in basis]:
+        raise ArithmeticError("composed transform does not map the rows to the basis")
+    return basis, tuple(map(tuple, transform))
+
+
+def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> List[Row]:
+    cols = list(zip(*b))
+    return [[_dot(row, col) for col in cols] for row in a]
+
+
+def _det(matrix: Sequence[Sequence[int]]) -> int:
+    # Bareiss fraction-free elimination: every division is exact
+    a = [list(r) for r in matrix]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = _exact_div(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
+        prev = a[k][k]
+    return sign * prev
+
+
+def _lll(rows: Key) -> Tuple[Key, Key]:
+    # the integer reduction itself, on non-empty rectangular rows
     n = len(rows)
     width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("ragged basis")
 
     b: List[Row] = [list(r) for r in rows]
     h: List[Row] = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -8,6 +8,7 @@ from mpmath import mpc, mpf
 from lattice_rotor import flowsearch, solver
 from lattice_rotor.corelattice import ComplexVector, vec_frac_dist
 from lattice_rotor.flowsearch import FlowSearchOutcome, flow_search
+from lattice_rotor.lll import lll_reduce
 from lattice_rotor.precision import working_precision
 from lattice_rotor.solver import SolverConfig
 
@@ -219,26 +220,32 @@ NEAR_HALF = st.builds(
 
 
 @st.composite
-def flows(draw):
-    """(direction, offset, eps, L_max) with one or two entries; a second
-    entry is generic or a Gaussian-rational multiple of the first, so the
-    flow may live on a lower-dimensional subtorus."""
+def entries_and_offsets(draw, m):
+    """m direction entries and their offsets; each entry after the first is
+    generic or a Gaussian-rational multiple of the first, so the flow may
+    live on a lower-dimensional subtorus."""
     with working_precision(BITS):
         polar = st.tuples(st.floats(0.2, 2), st.floats(0, 6.283))
         first = mpmath.rect(*draw(polar))
         entries = [first]
-        kind = draw(st.sampled_from(["one", "generic", "rational"]))
-        if kind == "generic":
-            entries.append(mpmath.rect(*draw(polar)))
-        elif kind == "rational":
-            p, q = draw(
-                st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda pq: pq != (0, 0))
-            )
-            entries.append(first * mpc(p, q) / draw(st.integers(1, 4)))
+        for _ in range(m - 1):
+            if draw(st.booleans()):
+                entries.append(mpmath.rect(*draw(polar)))
+            else:
+                p, q = draw(
+                    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda pq: pq != (0, 0))
+                )
+                entries.append(first * mpc(p, q) / draw(st.integers(1, 4)))
         offset = [mpc(draw(NEAR_HALF), draw(NEAR_HALF)) for _ in entries]
-    eps = draw(st.floats(0.05, 0.3))
-    L_max = draw(st.integers(1, 60))
-    return ComplexVector(tuple(entries), BITS), ComplexVector(tuple(offset), BITS), eps, L_max
+    return ComplexVector(tuple(entries), BITS), ComplexVector(tuple(offset), BITS)
+
+
+@st.composite
+def flows(draw):
+    """(direction, offset, eps, L_max) with one or two entries on a short
+    grid."""
+    v, w = draw(entries_and_offsets(draw(st.integers(1, 2))))
+    return v, w, draw(st.floats(0.05, 0.3)), draw(st.integers(1, 60))
 
 
 class TestScanEnumerationDifferential:
@@ -285,6 +292,86 @@ class TestScanEnumerationDifferential:
         _assert_matches_reference(out, v, w, eps, L_max)
 
 
+@st.composite
+def long_flows(draw):
+    """(direction, offset, eps, L_max) with 1-3 entries whose walk can span
+    several windows: eps puts the generic first-hit estimate
+    E = (pi*eps^2)^(-m) at 2^17-2^20 grid indices, past the first window,
+    and the grid runs to 4E."""
+    m = draw(st.integers(1, 3))
+    log2_hit = draw(st.integers(17, 20))
+    v, w = draw(entries_and_offsets(m))
+    with working_precision(BITS):
+        eps = mpmath.sqrt(mpf(2) ** (-mpf(log2_hit) / m) / mpmath.pi)
+        L_max = (4 << log2_hit) * eps / (4 * v.max_abs())
+    return v, w, eps, L_max
+
+
+class TestWarmStartedWindows:
+    """Each window's exact LLL starts from the transform of the window
+    before it; a walk whose every reduction starts cold, the test's own
+    reference, must end identically."""
+
+    @staticmethod
+    def _warm_and_cold(monkeypatch, v, w, eps, L_max):
+        # the warm walk records each window's length, the start it passed
+        # and the transform it got back
+        windows = []
+        real_lattice = flowsearch._window_lattice
+
+        def lattice(dv_coords, eps, window_len, bits_eval):
+            windows.append({"len": window_len})
+            return real_lattice(dv_coords, eps, window_len, bits_eval)
+
+        def reduce_(rows, start=None):
+            out = lll_reduce(rows, start)
+            windows[-1].update(start=start, transform=out[1])
+            return out
+
+        monkeypatch.setattr(flowsearch, "_window_lattice", lattice)
+        monkeypatch.setattr(flowsearch, "lll_reduce", reduce_)
+        warm = flow_search(v, w, eps, L_max, BITS)
+        monkeypatch.setattr(flowsearch, "_window_lattice", real_lattice)
+        monkeypatch.setattr(flowsearch, "lll_reduce", lambda rows, start=None: lll_reduce(rows))
+        cold = flow_search(v, w, eps, L_max, BITS)
+
+        assert windows and windows[0]["start"] is None
+        for before, after in zip(windows, windows[1:]):
+            assert after["start"] == before["transform"]
+        return warm, cold, windows
+
+    @staticmethod
+    def _assert_same_walk(warm, cold):
+        fields = ("found", "reason", "s", "grid_index", "examined", "windows_used")
+        assert [getattr(warm, f) for f in fields] == [getattr(cold, f) for f in fields]
+
+    @given(flow=long_flows())
+    def test_warm_walk_equals_cold_walk(self, flow):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            warm, cold, windows = self._warm_and_cold(monkeypatch, *flow)
+        self._assert_same_walk(warm, cold)
+        assert len(windows) == warm.windows_used
+
+    def test_a_shrunken_window_starts_from_the_longer_window(self, monkeypatch):
+        # a 40-node budget makes the 2^25-index windows of this walk fail
+        # and shrink to 2^23, so those windows start from the transform of
+        # a window four times longer than themselves
+        eps = mpf("0.01")
+        with working_precision(BITS):
+            a, w_a = mpc(1, (1 + mpmath.sqrt(5)) / 2), mpc("0.5", "0.5")
+            b, w_b = mpc(mpmath.sqrt(2), mpmath.sqrt(3) - 1), mpc("0.3", "0.1")
+            v = ComplexVector((a, b), BITS)
+            w = ComplexVector((w_a, w_b), BITS)
+            L_max = (1 << 28) * eps / (4 * v.max_abs())
+        monkeypatch.setattr(flowsearch, "DEFAULT_NODE_BUDGET", 40)
+        warm, cold, windows = self._warm_and_cold(monkeypatch, v, w, eps, L_max)
+        self._assert_same_walk(warm, cold)
+        assert warm.found and warm.grid_index == 69_759_995
+        lengths = [win["len"] for win in windows]
+        assert any(after < before for before, after in zip(lengths, lengths[1:]))
+        assert len(lengths) == warm.windows_used == 19
+
+
 class TestReadmeWorkGuard:
     def test_search_work_stays_bounded(self, monkeypatch):
         # the README solve at its first dilation: the reduced flow has two
@@ -318,7 +405,7 @@ class TestWrongCandidatesRejected:
             w = ComplexVector((mpc(0, "0.5"), mpc("0.1", "0.2")), BITS)
         eps = mpf("0.1")
 
-        def every_index(dv_coords, target, eps, window_len, node_budget, bits_eval):
+        def every_index(basis, transform, scale, target, eps, window_len, node_budget):
             return list(range(window_len))
 
         monkeypatch.setattr(flowsearch, "_window_candidates", every_index)
@@ -334,44 +421,42 @@ class TestWrongCandidatesRejected:
 class TestWindowCandidates:
     def _window(self):
         # one window of the golden line's enumeration, at the first index
-        # of its 0.05-neighbourhood search
+        # of its 0.05-neighbourhood search: the reduced basis, its
+        # transform and scale, the target, eps and the window length
         with working_precision(BITS):
             step = mpf("0.05") / (4 * _golden_direction().max_abs())
             g = (1 + mpmath.sqrt(mpf(5))) / 2
-            return [step, step * g], [-0.5, -0.5], mpf("0.05"), 1 << 10
+        eps, length = mpf("0.05"), 1 << 10
+        rows, scale = flowsearch._window_lattice([step, step * g], eps, length, BITS)
+        basis, transform = lll_reduce(rows)
+        return basis, transform, scale, [-0.5, -0.5], eps, length
 
     def test_no_enumerated_point_gives_no_candidate(self, monkeypatch):
         monkeypatch.setattr(flowsearch, "_enumerate_ball", lambda *args: [])
-        dv, target, eps, length = self._window()
-        assert flowsearch._window_candidates(dv, target, eps, length, 10**6, BITS) == []
+        assert flowsearch._window_candidates(*self._window(), 10**6) == []
 
     def test_box_filter_matches_a_point_by_point_filter(self, monkeypatch):
         # the filter screens every enumerated point in one array pass; a
         # loop over the points with the same box gives the same indices,
         # except for a point within float rounding of the box edge
         seen = {}
-        real_reduce, real_enumerate = flowsearch.lll_reduce, flowsearch._enumerate_ball
-
-        def reduce_(rows):
-            out = real_reduce(rows)
-            seen["transform"] = out[1]
-            return out
+        real_enumerate = flowsearch._enumerate_ball
 
         def enumerate_(basis, mu, bstar_sq, tau, radius_sq, node_budget):
             seen.update(basis=basis, tau=tau)
             seen["coeffs"] = real_enumerate(basis, mu, bstar_sq, tau, radius_sq, node_budget)
             return seen["coeffs"]
 
-        monkeypatch.setattr(flowsearch, "lll_reduce", reduce_)
         monkeypatch.setattr(flowsearch, "_enumerate_ball", enumerate_)
-        dv, target, eps, length = self._window()
-        got = flowsearch._window_candidates(dv, target, eps, length, 10**6, BITS)
+        window = self._window()
+        transform, length = window[1], window[-1]
+        got = flowsearch._window_candidates(*window, 10**6)
 
-        d = len(dv)
+        d = len(transform) - 1
         kept, edge = set(), set()
         for u in seen["coeffs"]:
             worst = np.max(np.abs(u @ seen["basis"] - seen["tau"])[:d])
-            j_rel = sum(int(c) * row[0] for c, row in zip(u, seen["transform"]))
+            j_rel = sum(int(c) * row[0] for c, row in zip(u, transform))
             if not 0 <= j_rel < length:
                 continue
             if abs(worst - 1.02) < 1e-9:

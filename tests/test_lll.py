@@ -44,6 +44,35 @@ def bases(draw):
     return rows
 
 
+@st.composite
+def unimodular(draw, n):
+    """n x n integer matrices of determinant +-1: the identity after a
+    random product of elementary row operations (add a multiple of one
+    row to another, swap two rows, negate a row)."""
+    matrix = [[int(i == j) for j in range(n)] for i in range(n)]
+    ops = st.tuples(
+        st.sampled_from(["add", "swap", "negate"]),
+        st.integers(0, n - 1),
+        st.integers(0, n - 1),
+        st.integers(-50, 50),
+    )
+    for kind, i, j, k in draw(st.lists(ops, max_size=12)):
+        if kind == "add" and i != j:
+            matrix[i] = [a + k * b for a, b in zip(matrix[i], matrix[j])]
+        elif kind == "swap":
+            matrix[i], matrix[j] = matrix[j], matrix[i]
+        elif kind == "negate":
+            matrix[i] = [-a for a in matrix[i]]
+    return matrix
+
+
+@st.composite
+def warm_starts(draw):
+    """A basis from bases() and a unimodular start of its size."""
+    rows = draw(bases())
+    return rows, draw(unimodular(len(rows)))
+
+
 class TestLllReduce:
     @given(rows=bases())
     def test_transform_maps_input_to_output(self, rows):
@@ -103,6 +132,54 @@ class TestLllReduce:
             lll_reduce([])
 
 
+class TestWarmStart:
+    """lll_reduce(rows, start) begins from start * rows and answers for the
+    input rows themselves."""
+
+    @given(case=warm_starts())
+    def test_transform_is_unimodular_and_maps_input_to_reduced_output(self, case):
+        rows, start = case
+        reduced, transform = lll_reduce(rows, start)
+        assert _matmul(transform, rows) == reduced
+        assert abs(_det(transform)) == 1
+        assert is_reduced(reduced)
+
+    @given(rows=bases())
+    def test_a_start_that_already_reduces_the_rows_is_kept(self, rows):
+        cold = lll_reduce(rows)
+        assert lll_reduce(rows, cold[1]) == cold
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            [[1, 0], [0, 1]],
+            [[1, 0, 0], [0, 1, 0]],
+            [[1, 0, 0], [0, 1], [0, 0, 1]],
+            [[1, 0, 0], [0, 1, 0], [1, 1, 0]],
+            [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+        ],
+        ids=["too-small", "too-few-rows", "ragged", "singular", "determinant-2"],
+    )
+    def test_bad_start_raises(self, start):
+        rows = [[1, 0, 0], [5, 1, 0], [7, 3, 1]]
+        with pytest.raises(ValueError, match="start transform"):
+            lll_reduce(rows, start)
+
+    def test_a_wrong_composed_transform_raises(self, monkeypatch):
+        # the composition is checked against the rows in exact integers
+        real = lll._lll
+
+        def corrupt(rows):
+            basis, transform = real(rows)
+            return basis, ((transform[0][0] + 1,) + transform[0][1:],) + transform[1:]
+
+        monkeypatch.setattr(lll, "_lll", corrupt)
+        rows = ((3, 1, 4), (1, 5, 9), (2, 6, 5))
+        start = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+        with pytest.raises(ArithmeticError, match="composed transform"):
+            lll._reduce.__wrapped__(rows, start)
+
+
 class TestMemo:
     """lll_reduce remembers answers keyed on the exact rows; the memo must
     be invisible apart from the time it saves."""
@@ -113,6 +190,13 @@ class TestMemo:
         for _ in range(2):
             reduced, transform = lll_reduce(rows)
             assert (reduced, transform) == tuple([list(r) for r in m] for m in fresh)
+
+    @given(case=warm_starts())
+    def test_memoized_warm_answer_equals_a_fresh_reduction(self, case):
+        rows, start = case
+        fresh = lll._reduce.__wrapped__(tuple(map(tuple, rows)), tuple(map(tuple, start)))
+        for _ in range(2):
+            assert lll_reduce(rows, start) == tuple([list(r) for r in m] for m in fresh)
 
     def test_editing_a_returned_basis_or_transform_changes_nothing(self):
         rows = [[1, 0, 0], [5, 1, 0], [7, 3, 1]]
