@@ -13,7 +13,10 @@ over the grid indices, in increasing j from j = 0.  Writing the condition
 (2m+1)-dimensional lattice makes the qualifying j of a window enumerable
 without visiting the grid, in time that depends on the number of
 near-solutions rather than on the window length (Fincke-Pohst bounds,
-Math. Comp. 44, 1985).  Every window yields every qualifying index in it,
+Math. Comp. 44, 1985).  The admissible region of a window is m unit
+disks, one per active entry, times the time interval, so the enumerated
+ball has radius sqrt(m+1), and a point is a candidate when every entry
+lies in its own disk.  Every window yields every qualifying index in it,
 sorted, and every candidate is re-checked exactly, so the first verified
 index is the true grid minimum.
 
@@ -226,8 +229,9 @@ def _window_lattice(
     """Integer rows of the rank d+1 lattice of one window, and its scale K.
 
     The lattice is spanned by one grid step and the unit translations,
-    scaled by K/eps so the admissible region is an O(1) box; the step's
-    time entry 2K/window_len maps the window onto [0, 2).  The embedding is
+    scaled by K/eps so the admissible region is m unit disks, one per
+    active entry, times the time interval; the step's time entry
+    2K/window_len maps the window onto [0, 2).  The embedding is
     computed from the exact step coordinates; rounding the step to a
     double first would drift by many eps over a long window and falsify
     the lattice itself.
@@ -265,12 +269,16 @@ def _window_candidates(
 
     basis is an LLL-reduced basis of the window's _window_lattice rows at
     scale K, and transform maps those rows to it; the candidates depend on
-    the lattice only, never on which reduced basis spans it.  Enumerates a
-    covering ball around the window target and reads each surviving
-    point's grid index off the transform's first column.
+    the lattice only, never on which reduced basis spans it.  The
+    admissible region, m unit disks times the time interval, lies within
+    sqrt(m+1) of the window target: that ball is enumerated, each point
+    is kept when every active entry lies in its own slightly inflated
+    disk, and each survivor's grid index is read off the transform's first
+    column.
     """
     n = len(basis)
     d = n - 1
+    m = d // 2
     eps_f = float(eps)
     reduced_f = np.array(basis, dtype=np.float64) / float(scale)
 
@@ -278,22 +286,23 @@ def _window_candidates(
     if min(bstar_sq) <= 0:
         raise ArithmeticError("degenerate lattice in flow enumeration")
 
-    radius = math.sqrt(n) * 1.01 + 0.05
+    radius = math.sqrt(m + 1) * 1.01 + 0.05
     tau = np.array(
         [t * (1.0 / eps_f) for t in target] + [1.0], dtype=np.float64
     )
 
-    coeffs = _enumerate_ball(
+    us = _enumerate_ball(
         reduced_f, mu, bstar_sq, tau, radius * radius, node_budget
     )
 
-    if not coeffs:
+    if not len(us):
         return []
-    # keep the lattice points inside the slightly inflated box, all at once;
+    # keep the lattice points whose every entry lies in its slightly
+    # inflated disk (real parts first, then imaginary parts), all at once;
     # only the survivors get their exact grid index
-    box_tol = 1.0 + 0.02
-    us = np.array(coeffs)
-    inside = np.abs(us @ reduced_f - tau)[:, :d].max(axis=1) <= box_tol
+    disk_tol = 1.0 + 0.02
+    offsets = us @ reduced_f - tau
+    inside = (offsets[:, :m] ** 2 + offsets[:, m:d] ** 2).max(axis=1) <= disk_tol * disk_tol
     j_col = [row[0] for row in transform]
     out = set()
     for u in us[inside].tolist():
@@ -323,42 +332,81 @@ def _enumerate_ball(
     tau: np.ndarray,
     radius_sq: float,
     node_budget: int,
-) -> List[np.ndarray]:
-    """All integer coefficient vectors u with |u*basis - tau| <= radius."""
-    n = basis.shape[0]
-    y = np.linalg.solve(basis.T, tau)
+) -> np.ndarray:
+    """All integer coefficient vectors u with |u*basis - tau| <= radius, as
+    the rows of one int64 array.
 
-    results: List[np.ndarray] = []
-    u = np.zeros(n, dtype=np.int64)
-    diff = np.zeros(n)
+    A depth-first walk of the Fincke-Pohst bounds from the last level
+    down, as an explicit loop; the first level's admissible values form
+    one integer range, emitted whole.  Every value tried at any level
+    counts as one node, and _BudgetExceeded is raised once the count
+    passes node_budget.
+    """
+    n = basis.shape[0]
+    # plain floats: the same IEEE arithmetic as numpy scalars, faster
+    y = np.linalg.solve(basis.T, tau).tolist()
+    mu_t = mu.T.tolist()
+    b = bstar_sq.tolist()
+
+    u = [0] * n
+    diff = [0.0] * n
+    remaining = [0.0] * n
+    center = [0.0] * n
+    top = [0] * n
+    # one record per emitted range: first value, length, then u[1:]
+    ranges: List[List[int]] = []
     nodes = 0
 
-    def descend(k: int, remaining: float) -> None:
-        nonlocal nodes
-        center = y[k]
+    k = n - 1
+    remaining[k] = radius_sq
+    while k < n:
+        # enter level k: bounds from the levels above it
+        c = y[k]
+        mu_k = mu_t[k]
         for i in range(k + 1, n):
-            center -= diff[i] * mu[i, k]
-        if bstar_sq[k] <= 0:
-            return
-        half = math.sqrt(max(remaining, 0.0) / bstar_sq[k])
-        lo = math.ceil(center - half - 1e-12)
-        hi = math.floor(center + half + 1e-12)
-        for cand in range(lo, hi + 1):
+            c -= diff[i] * mu_k[i]
+        half = math.sqrt(max(remaining[k], 0.0) / b[k])
+        lo = math.ceil(c - half - 1e-12)
+        hi = math.floor(c + half + 1e-12)
+        if k > 0:
+            center[k], u[k], top[k] = c, lo - 1, hi
+        else:
+            nodes += max(0, hi - lo + 1)
+            if nodes > node_budget:
+                raise _BudgetExceeded
+            # the range's ends may overshoot the bound by the rounding
+            # slack; the values between them are inside
+            bound = remaining[0] + 1e-12
+            while lo <= hi and (lo - c) * (lo - c) * b[0] > bound:
+                lo += 1
+            while lo <= hi and (hi - c) * (hi - c) * b[0] > bound:
+                hi -= 1
+            if lo <= hi:
+                ranges.append([lo, hi - lo + 1] + u[1:])
+            k = 1
+        # next value at level k, climbing while a level is used up
+        while k < n:
+            cand = u[k] + 1
+            if cand > top[k]:
+                k += 1
+                continue
+            u[k] = cand
             nodes += 1
             if nodes > node_budget:
                 raise _BudgetExceeded
-            step = cand - center
-            used = step * step * bstar_sq[k]
-            if used > remaining + 1e-12:
-                continue
-            u[k] = cand
-            diff[k] = cand - y[k]
-            if k == 0:
-                results.append(u.copy())
-            else:
-                descend(k - 1, remaining - used)
-        u[k] = 0
-        diff[k] = 0.0
+            step = cand - center[k]
+            used = step * step * b[k]
+            if used <= remaining[k] + 1e-12:
+                diff[k] = cand - y[k]
+                remaining[k - 1] = remaining[k] - used
+                k -= 1
+                break
 
-    descend(n - 1, radius_sq)
-    return results
+    records = np.array(ranges, dtype=np.int64).reshape(len(ranges), n + 1)
+    sizes = records[:, 1]
+    rows = np.repeat(records[:, 1:], sizes, axis=0)
+    # the first coefficient runs through each range: its start, shifted by
+    # the range's offset among the rows, plus the row number
+    shift = records[:, 0] - (np.cumsum(sizes) - sizes)
+    rows[:, 0] = np.repeat(shift, sizes) + np.arange(len(rows))
+    return rows

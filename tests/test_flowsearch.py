@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -353,7 +355,7 @@ class TestWarmStartedWindows:
         assert len(windows) == warm.windows_used
 
     def test_a_shrunken_window_starts_from_the_longer_window(self, monkeypatch):
-        # a 40-node budget makes the 2^25-index windows of this walk fail
+        # a 16-node budget makes the 2^25-index windows of this walk fail
         # and shrink to 2^23, so those windows start from the transform of
         # a window four times longer than themselves
         eps = mpf("0.01")
@@ -363,7 +365,7 @@ class TestWarmStartedWindows:
             v = ComplexVector((a, b), BITS)
             w = ComplexVector((w_a, w_b), BITS)
             L_max = (1 << 28) * eps / (4 * v.max_abs())
-        monkeypatch.setattr(flowsearch, "DEFAULT_NODE_BUDGET", 40)
+        monkeypatch.setattr(flowsearch, "DEFAULT_NODE_BUDGET", 16)
         warm, cold, windows = self._warm_and_cold(monkeypatch, v, w, eps, L_max)
         self._assert_same_walk(warm, cold)
         assert warm.found and warm.grid_index == 69_759_995
@@ -377,7 +379,7 @@ class TestReadmeWorkGuard:
         # the README solve at its first dilation: the reduced flow has two
         # entries at eps 0.1/8, so E is about 2^22.  The windows start at
         # j = 0 with 2^17 indices and grow 4x; the hit at index 9,845,939
-        # lies in the fourth, and the walk examines 8 candidates in all
+        # lies in the fourth, and the walk examines 6 candidates in all
         outcomes = []
 
         def recording(*args, **kwargs):
@@ -392,7 +394,7 @@ class TestReadmeWorkGuard:
         )
         assert report.achieved
         assert len(outcomes) == 1
-        assert report.search_steps == outcomes[0].examined <= 32
+        assert report.search_steps == outcomes[0].examined <= 16
         assert outcomes[0].windows_used <= 6
 
 
@@ -435,10 +437,10 @@ class TestWindowCandidates:
         monkeypatch.setattr(flowsearch, "_enumerate_ball", lambda *args: [])
         assert flowsearch._window_candidates(*self._window(), 10**6) == []
 
-    def test_box_filter_matches_a_point_by_point_filter(self, monkeypatch):
+    def test_disk_filter_matches_a_point_by_point_filter(self, monkeypatch):
         # the filter screens every enumerated point in one array pass; a
-        # loop over the points with the same box gives the same indices,
-        # except for a point within float rounding of the box edge
+        # loop over the points with the same per-entry disks gives the same
+        # indices, except for a point within float rounding of a disk's edge
         seen = {}
         real_enumerate = flowsearch._enumerate_ball
 
@@ -452,17 +454,129 @@ class TestWindowCandidates:
         transform, length = window[1], window[-1]
         got = flowsearch._window_candidates(*window, 10**6)
 
-        d = len(transform) - 1
-        kept, edge = set(), set()
-        for u in seen["coeffs"]:
-            worst = np.max(np.abs(u @ seen["basis"] - seen["tau"])[:d])
-            j_rel = sum(int(c) * row[0] for c, row in zip(u, transform))
-            if not 0 <= j_rel < length:
-                continue
-            if abs(worst - 1.02) < 1e-9:
-                edge.add(j_rel)
-            elif worst < 1.02:
-                kept.add(j_rel)
+        kept, edge = _disk_filter(seen["coeffs"], seen["basis"], seen["tau"], transform, length)
         assert len(seen["coeffs"]) > len(got) > 0
         assert kept <= set(got) <= kept | edge
         assert got == sorted(got)
+
+
+def _disk_filter(coeffs, basis, tau, transform, length):
+    """(kept, edge): the relative grid indices in [0, length) of the
+    enumerated points whose every entry lies within 1.02 of its disk
+    centre, judged point by point, and those of the points within float
+    rounding of a disk's edge."""
+    m = (len(transform) - 1) // 2
+    kept, edge = set(), set()
+    for u in coeffs:
+        offset = np.asarray(u) @ basis - tau
+        worst = max(offset[k] ** 2 + offset[k + m] ** 2 for k in range(m))
+        j_rel = sum(int(c) * row[0] for c, row in zip(u, transform))
+        if not 0 <= j_rel < length:
+            continue
+        if abs(worst - 1.02**2) < 1e-9:
+            edge.add(j_rel)
+        elif worst < 1.02**2:
+            kept.add(j_rel)
+    return kept, edge
+
+
+def _recursive_ball(basis, mu, bstar_sq, tau, radius_sq):
+    """(coefficient vectors, node count) of a recursive Fincke-Pohst
+    enumeration of the ball |u*basis - tau| <= radius, one point at a
+    time: the enumerator the explicit loop replaced, kept as its
+    reference."""
+    n = basis.shape[0]
+    y = np.linalg.solve(basis.T, tau)
+    results = []
+    u = np.zeros(n, dtype=np.int64)
+    diff = np.zeros(n)
+    nodes = 0
+
+    def descend(k, remaining):
+        nonlocal nodes
+        center = y[k]
+        for i in range(k + 1, n):
+            center -= diff[i] * mu[i, k]
+        half = math.sqrt(max(remaining, 0.0) / bstar_sq[k])
+        lo = math.ceil(center - half - 1e-12)
+        hi = math.floor(center + half + 1e-12)
+        for cand in range(lo, hi + 1):
+            nodes += 1
+            step = cand - center
+            used = step * step * bstar_sq[k]
+            if used > remaining + 1e-12:
+                continue
+            u[k] = cand
+            diff[k] = cand - y[k]
+            if k == 0:
+                results.append(u.copy())
+            else:
+                descend(k - 1, remaining - used)
+        u[k] = 0
+        diff[k] = 0.0
+
+    descend(n - 1, radius_sq)
+    return results, nodes
+
+
+@st.composite
+def planted_windows(draw):
+    """One enumeration window of a flow with 1-3 entries (generic or
+    Gaussian-rational multiples of the first) at eps in [1e-3, 0.7], whose
+    target puts a point within 0.71*eps of the lattice at one index of the
+    window: the window's reduced basis, transform, scale, target, eps and
+    length.  The length keeps the expected number of near points small."""
+    m = draw(st.integers(1, 3))
+    v, _ = draw(entries_and_offsets(m))
+    eps = 10 ** draw(st.floats(-3, math.log10(0.7)))
+    cap = max(16, int(64 / (math.pi * eps * eps) ** m))
+    length = min(1 << draw(st.integers(4, 16)), 1 << (cap.bit_length() - 1))
+    hit = draw(st.integers(0, length - 1))
+    noise = draw(st.lists(st.floats(-0.5, 0.5), min_size=2 * m, max_size=2 * m))
+    with working_precision(BITS):
+        delta = mpf(eps) / (4 * v.max_abs())
+        dv = [delta * z.real for z in v] + [delta * z.imag for z in v]
+        target = [hit * c - mpf(x) * mpf(eps) for c, x in zip(dv, noise)]
+        target = [float(x - mpmath.nint(x)) for x in target]
+    rows, scale = flowsearch._window_lattice(dv, mpf(eps), length, BITS)
+    basis, transform = lll_reduce(rows)
+    return basis, transform, scale, target, mpf(eps), length
+
+
+def _ball_inputs(basis, scale, target, eps, radius):
+    reduced_f = np.array(basis, dtype=np.float64) / float(scale)
+    mu, bstar_sq = flowsearch._gso(reduced_f)
+    tau = np.array([t / float(eps) for t in target] + [1.0])
+    return reduced_f, mu, bstar_sq, tau, radius * radius
+
+
+class TestDiskEnumeration:
+    """Each window enumerates the ball of radius sqrt(m+1) around its
+    target, which covers the m admissible disks times the time interval,
+    not the ball of radius sqrt(2m+1) around their bounding cube."""
+
+    @given(window=planted_windows())
+    def test_candidates_equal_the_cube_ball_filtered_by_disks(self, window):
+        basis, transform, scale, target, eps, length = window
+        m = (len(basis) - 1) // 2
+        got = flowsearch._window_candidates(*window, 10**7)
+
+        inputs = _ball_inputs(basis, scale, target, eps, math.sqrt(2 * m + 1) * 1.01 + 0.05)
+        coeffs, _ = _recursive_ball(*inputs)
+        kept, edge = _disk_filter(coeffs, inputs[0], inputs[3], transform, length)
+        assert kept <= set(got) <= kept | edge
+
+    @given(window=planted_windows())
+    def test_explicit_loop_equals_the_recursion(self, window):
+        # the same coefficient set and node count at the same radius, so
+        # the node budget runs out in the same window
+        basis, _, scale, target, eps, _ = window
+        m = (len(basis) - 1) // 2
+        inputs = _ball_inputs(basis, scale, target, eps, math.sqrt(m + 1) * 1.01 + 0.05)
+        coeffs, nodes = _recursive_ball(*inputs)
+        rows = flowsearch._enumerate_ball(*inputs, nodes)
+        assert rows.dtype == np.int64 and rows.shape == (len(coeffs), len(basis))
+        assert sorted(map(tuple, rows.tolist())) == sorted(tuple(int(c) for c in u) for u in coeffs)
+        if nodes:
+            with pytest.raises(flowsearch._BudgetExceeded):
+                flowsearch._enumerate_ball(*inputs, nodes - 1)

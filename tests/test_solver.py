@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
-from lattice_rotor import lll, solver
+from lattice_rotor import flowsearch, lll, solver
 from lattice_rotor.corelattice import ComplexVector, Rotation, real_dist_to_lattice
 from lattice_rotor.precision import (
     parse_complex_pair,
@@ -597,23 +597,50 @@ class TestAdversarialSolveInputs:
             assert report.T_threshold <= t
 
 
+def _planted_dilations():
+    """Four generic entries and one Gaussian-rational combination, as in the
+    planted benchmark, at 256 bits, with two dilations past the threshold."""
+    rng = random.Random(5)
+    with working_precision(256):
+        z = [mpc(*(mpf(rng.getrandbits(180)) / mpf(2) ** 179 - 1 for _ in "xy")) for _ in range(4)]
+        z.append(mpc(mpf(3) / 8, mpf(1) / 2) * z[0] + mpc(-1, mpf(1) / 4) * z[2])
+        vec = ComplexVector(tuple(z), 256)
+    config = SolverConfig(bits=256)
+    plan = solve_plan(vec, "0.1", config)
+    assert plan.decomposition.num_basis == 4
+    with working_precision(320):
+        ts = [plan.T_threshold * 2, plan.T_threshold * 7]
+    return vec, ts, config
+
+
 class TestReductionMemo:
     def test_a_second_dilation_reduces_no_new_lattice(self):
-        # four generic entries and one Gaussian-rational combination, as in
-        # the planted benchmark: relation detection and every flow window
-        # (with its warm start) depend on the phase-rotated direction, not
-        # on t, so lll_reduce's memo answers the whole second solve
-        rng = random.Random(5)
-        with working_precision(256):
-            z = [mpc(*(mpf(rng.getrandbits(180)) / mpf(2) ** 179 - 1 for _ in "xy")) for _ in range(4)]
-            z.append(mpc(mpf(3) / 8, mpf(1) / 2) * z[0] + mpc(-1, mpf(1) / 4) * z[2])
-            vec = ComplexVector(tuple(z), 256)
-        config = SolverConfig(bits=256)
-        plan = solve_plan(vec, "0.1", config)
-        assert plan.decomposition.num_basis == 4
-        with working_precision(320):
-            ts = [plan.T_threshold * 2, plan.T_threshold * 7]
+        # relation detection and every flow window (with its warm start)
+        # depend on the phase-rotated direction, not on t, so lll_reduce's
+        # memo answers the whole second solve
+        vec, ts, config = _planted_dilations()
         assert solve_general(vec, ts[0], "0.1", seed=3, config=config).achieved
         misses = lll._reduce.cache_info().misses
         assert solve_general(vec, ts[1], "0.1", seed=3, config=config).achieved
         assert lll._reduce.cache_info().misses == misses
+
+
+class TestPlantedWorkGuard:
+    def test_enumerated_points_stay_bounded(self, monkeypatch):
+        # the reduced flow has four entries, so each window is a 9-D
+        # lattice; enumerating the ball around the four admissible disks
+        # gives 23 points over the whole solve, where the ball around their
+        # bounding cube gave 289.  search_steps counts only the survivors
+        # of the disk filter, so it cannot show this work
+        vec, ts, config = _planted_dilations()
+        points = []
+        real_enumerate = flowsearch._enumerate_ball
+
+        def counting(*args):
+            rows = real_enumerate(*args)
+            points.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(flowsearch, "_enumerate_ball", counting)
+        assert solve_general(vec, ts[0], "0.1", seed=3, config=config).achieved
+        assert points and sum(points) <= 35
