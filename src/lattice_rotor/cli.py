@@ -353,10 +353,9 @@ def _run_solve(spec: ProblemSpec, options: dict) -> _Outcome:
     worst = None
     # strictly ordered by t; see the module docstring for why the per-t
     # lane count stays at one
+    eps_v = parse_decimal(spec.epsilon, bits)
     for t_str in spec.t_values:
-        with working_precision(bits):
-            t_v = parse_decimal(t_str, bits)
-            eps_v = parse_decimal(spec.epsilon, bits)
+        t_v = parse_decimal(t_str, bits)
         if planar:
             rep = solve_general(planes[0], t_v, eps_v, seed=spec.seed, config=config)
             plane_reports, frac = (rep,), rep.max_frac

@@ -116,7 +116,6 @@ class BlockEmbeddingReport:
     seed: int
     bits: int = DEFAULT_PRECISION
     eval_bits: int = DEFAULT_PRECISION
-    diagnostics: Tuple[str, ...] = ()
 
 
 def embed_points(
@@ -171,15 +170,10 @@ def solve_even_dim(
         share = eps_v / mpmath.sqrt(mpf(d))
 
     planes = project_planes(ps)
-    reports = []
-    diagnostics: list = []
-    for i, plane in enumerate(planes):
-        rep = solve_general(
-            plane, t, share, seed=derive_seed(seed, i, "plane"), config=config
-        )
-        reports.append(rep)
-        if not rep.achieved:
-            diagnostics.append(f"plane {i} failed its share of the budget")
+    reports = [
+        solve_general(plane, t, share, seed=derive_seed(seed, i, "plane"), config=config)
+        for i, plane in enumerate(planes)
+    ]
 
     eval_bits = max(r.eval_bits for r in reports)
     t_v = parse_decimal(t, eval_bits)
@@ -199,5 +193,4 @@ def solve_even_dim(
         seed=seed,
         bits=bits,
         eval_bits=eval_bits,
-        diagnostics=tuple(diagnostics),
     )

@@ -114,9 +114,14 @@ class SolveReport:
     search walked and T_threshold its dilation threshold; T_threshold <= t
     means every hit up to L_used is certified by the linearization.
     search_steps is the flow search's examined count, its enumeration
-    candidates, summed over one walk per phase attempt;
-    diagnostics names every attempt, including those after the one whose
-    rotation is reported.
+    candidates, summed over one walk per phase attempt.
+    diagnostics names every attempt in order, including those after the
+    one whose rotation is reported: a retry line with the derived seed
+    for each attempt after the first, the flow search's hit or miss line,
+    and a final-verification line for a hit that does not verify.
+    Relation detection's precision advisory is in decomposition.warnings
+    (the CLI gathers it into the run's warnings), and a block result
+    carries no diagnostics of its own, only its planes' reports.
     """
 
     t: mpf
@@ -382,7 +387,7 @@ def solve_general(
         reduced = [vec_eval.entries[b] / M for b in decomposition.basis_indices]
         eps_inner = eps_full / (2 * m * M**2) if m else eps_full
 
-    diagnostics = [f"relation-detection: {w}" for w in decomposition.warnings]
+    diagnostics = []
     total_steps = 0
     # (certify result, theta, phi, s) of the attempt that came closest
     best: Optional[tuple] = None
@@ -405,21 +410,11 @@ def solve_general(
 
         diagnostics.append(
             f"inner-solve: flow search hit grid index {outcome.grid_index} "
-            f"({outcome.strategy}, {outcome.windows_used} windows, "
-            f"{outcome.examined} points examined)"
+            f"({outcome.windows_used} windows, {outcome.examined} points examined)"
         )
-        _, inner_frac = certify([inner_theta], t_v, [phase.rotated], eval_bits)
         theta = inner_theta * phase.rotation
         certified = certify([theta], t_v, [vec_eval], eval_bits)
         max_frac = certified[1]
-        with working_precision(2 * eval_bits):
-            # what the coefficient chain predicts for the worst original
-            # entry, recorded for comparison but never trusted
-            predicted = M * m * inner_frac * M
-        diagnostics.append(
-            f"chain-predicted bound {mpmath.nstr(predicted, 8)}, "
-            f"verified max frac {mpmath.nstr(max_frac, 8)}"
-        )
         achieved = bool(max_frac < eps_full)
         if not achieved:
             diagnostics.append(
@@ -438,11 +433,8 @@ def solve_general(
         diagnostics.append("all entries zero; identity rotation suffices")
         best = (None, _identity_rotation(eval_bits), mpf(0), mpf(0))
     elif best is None:
-        # every phase attempt died in the search: the identity, with the
-        # threshold of the horizon searched at the plan's precision
-        diagnostics.append("density horizon exceeded")
+        # every phase attempt died in the search: the identity
         best = (None, _identity_rotation(eval_bits), mpf(0), None)
-        T = dilation_threshold(H, plan.reduced_max_abs, plan.eps_inner, rough)
     if H <= L_t:
         # t certifies every s up to H; evaluating the threshold back can
         # still round it a few units in the last place above t

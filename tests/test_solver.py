@@ -46,6 +46,19 @@ def _first_horizon_at(monkeypatch, L0: str):
     monkeypatch.setattr(solver, "initial_search_length", lambda eps, entries, bits: mpf(L0))
 
 
+def _record_calls(monkeypatch, name):
+    """Replace solver.<name> by a wrapper that appends each call's result
+    to the returned list."""
+    results, real = [], getattr(solver, name)
+
+    def record(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(solver, name, record)
+    return results
+
+
 def _triangle():
     with working_precision(BITS):
         w = mpmath.expjpi(mpf(2) / 3)
@@ -308,7 +321,7 @@ class TestSolveGeneral:
         # a-posteriori master check at doubled precision
         residuals = lattice_residuals(report.theta, report.t, v, 2 * report.eval_bits)
         assert max(residuals) < mpf("0.1") + residual_tol(report.eval_bits)
-        assert any("chain-predicted" in d for d in report.diagnostics)
+        assert any(d.startswith("inner-solve: flow search hit grid index") for d in report.diagnostics)
 
     def test_seed_changes_phase(self):
         v = ComplexVector((mpc(1),), BITS)
@@ -345,7 +358,8 @@ class TestSolveGeneral:
         report = solve_general(_unit_angle_one(), "1e6", "1e-6", seed=0, config=config)
         assert not report.achieved
         assert report.s_found is None
-        assert any("density horizon exceeded" in d for d in report.diagnostics)
+        for attempt in range(3):
+            assert f"inner-solve: density horizon exceeded at phase attempt {attempt}" in report.diagnostics
         assert any("retry 1" in d for d in report.diagnostics)
         assert any("retry 2" in d for d in report.diagnostics)
 
@@ -373,19 +387,8 @@ class TestSolveGeneral:
     def test_every_attempt_is_in_the_report(self, monkeypatch):
         # all four phase attempts hit and fail verification at t = 1e5; the
         # report keeps the closest attempt (2) and the trail of all four
-        walks, measured = [], []
-        real_solve, real_certify = solver.solve_typical, solver.certify
-
-        def solve(*args):
-            walks.append(real_solve(*args))
-            return walks[-1]
-
-        def count_certify(*args):
-            measured.append(real_certify(*args))
-            return measured[-1]
-
-        monkeypatch.setattr(solver, "solve_typical", solve)
-        monkeypatch.setattr(solver, "certify", count_certify)
+        walks = _record_calls(monkeypatch, "solve_typical")
+        measured = _record_calls(monkeypatch, "certify")
         with working_precision(BITS):
             v = ComplexVector((mpc(1), mpc("0.5", "0.25")), BITS)
         report = solve_general(v, "1e5", "0.1", seed=1)
@@ -395,12 +398,11 @@ class TestSolveGeneral:
         for attempt in range(4):
             assert any(f"not below eps at phase attempt {attempt}" in d for d in report.diagnostics)
         assert report.s_found == walks[2][0].s
-        # each attempt certifies its inner hit for the chain-predicted line,
-        # then its transferred rotation: the report reuses the closest
-        # attempt's measurement
-        assert len(measured) == 8
-        assert (report.per_point_frac, report.max_frac) == measured[5]
-        assert report.max_frac == min(m[1] for m in measured[1::2])
+        # each hit is measured once, against the original entries: the
+        # report reuses the closest attempt's measurement
+        assert len(measured) == 4
+        assert (report.per_point_frac, report.max_frac) == measured[2]
+        assert report.max_frac == min(m[1] for m in measured)
 
     def test_total_miss_threshold_is_the_last_rungs(self, monkeypatch):
         # the horizon 64 * 2^-10 = 2^-4, short of the L_t = 0.5 that t
@@ -410,9 +412,13 @@ class TestSolveGeneral:
         report = solve_general(v, "1e6", eps, seed=0)
         assert report.s_found is None and not report.achieved
         assert report.L_used == mpf("0.0625")
+        # the one threshold formula of hits and misses: the horizon, the
+        # plan's reduced max|z| and eps/2 (one unit entry), at eval_bits
         plan = solve_plan(v, eps)
+        with working_precision(report.eval_bits):
+            eps_inner = parse_decimal(eps, report.eval_bits) / 2
         assert report.T_threshold == dilation_threshold(
-            report.L_used, plan.reduced_max_abs, plan.eps_inner, BITS + 64
+            report.L_used, plan.reduced_max_abs, eps_inner, report.eval_bits
         )
         assert abs(report.T_threshold - 15625) < 1e-9
 
@@ -548,10 +554,11 @@ class TestAdversarialSolveInputs:
             _, worst = certify([report.theta], report.t, [vec], report.eval_bits)
             assert worst < parse_decimal(eps, report.eval_bits)
 
-    def test_near_relation_pair_stops_at_the_certified_horizon(self):
+    def test_near_relation_pair_stops_at_the_certified_horizon(self, monkeypatch):
         # the pair lies 1e-11 from z2 = (1+2i)/5 * z1, far above the
         # detection residual, so both entries are searched; t clears T(L0)
         # by 2^-20, so t certifies L0 * sqrt(1 + 2^-20) and no further
+        walks = _record_calls(monkeypatch, "solve_typical")
         with working_precision(BITS):
             vec = ComplexVector((mpc("0.49999999999", "0.5"), mpc("0.3", "0.7")), BITS)
         plan = solve_plan(vec, "0.05")
@@ -562,9 +569,13 @@ class TestAdversarialSolveInputs:
         assert not report.achieved
         assert plan.initial_L < report.L_used < plan.initial_L * (1 + mpf(2) ** -21)
         assert report.T_threshold <= t
-        # four walks of about 2,800 points each; the walks to 64 * L0 that
-        # this horizon replaced examined 170,469
-        assert report.search_steps < 20_000
+        # four walks, each ending absent after 9 windows with no point
+        # examined; walked to 64 * L0 instead, they take 12, 23, 12 and 12
+        # windows, and one hits past the certified horizon after 34,472
+        assert len(walks) == 4
+        assert all(theta is None and outcome.reason == "absent" for outcome, theta in walks)
+        assert report.search_steps == sum(outcome.examined for outcome, _ in walks)
+        assert sum(outcome.windows_used for outcome, _ in walks) < 4 * 12
 
     @pytest.mark.parametrize(
         "z1, g, delta, eps, seed, verifies",
