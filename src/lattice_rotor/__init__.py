@@ -25,7 +25,6 @@ from .oracle import (
 )
 from .products import (
     BlockEmbeddingReport,
-    EvenDimPointSet,
     embed_points,
     project_planes,
     solve_even_dim,
@@ -71,7 +70,6 @@ __all__ = [
     "separation",
     "tau_estimate",
     "BlockEmbeddingReport",
-    "EvenDimPointSet",
     "embed_points",
     "project_planes",
     "solve_even_dim",

@@ -56,7 +56,7 @@ from .precision import (
     residual_tol,
     working_precision,
 )
-from .products import EvenDimPointSet, project_planes, solve_even_dim
+from .products import project_planes, solve_even_dim
 from .reporting import RunReport, canonical_json, tau_csv, to_json_data
 from .solver import (
     InternalCheckError,
@@ -247,6 +247,10 @@ def parse_problem_spec(data, mode_expected: str) -> ProblemSpec:
         raise SpecError(f"mode must be one of {_MODES}, got {mode!r}")
     if mode != mode_expected:
         raise SpecError(f"spec mode {mode!r} does not match subcommand {mode_expected!r}")
+    # tau reads no tolerance, horizon cap or relation height
+    unread = {"epsilon", "L_cap", "height_bound"} & set(data)
+    if mode == "tau" and unread:
+        raise SpecError(f"mode tau does not read spec keys {sorted(unread)}")
 
     bits = _require_int(data.get("precision_bits", 128), "precision_bits", 1)
     if bits < MIN_PRECISION:
@@ -302,14 +306,6 @@ def parse_problem_spec(data, mode_expected: str) -> ProblemSpec:
     )
 
 
-def _point_set(spec: ProblemSpec, bits: int) -> EvenDimPointSet:
-    with working_precision(bits):
-        pts = tuple(
-            tuple(parse_decimal(c, bits) for c in p) for p in spec.points
-        )
-        return EvenDimPointSet(pts, bits)
-
-
 def _result_rotations(result: dict) -> Tuple[int, mpf, Tuple[mpc, ...]]:
     """(eval_bits, t, plane thetas) read back from a serialized solve
     result; a planar result is a block of one plane."""
@@ -344,8 +340,7 @@ def _run_solve(spec: ProblemSpec, options: dict) -> _Outcome:
         bits=bits, height_bound=spec.height_bound, l_cap=spec.l_cap
     )
     planar = spec.dim == 2
-    pset = _point_set(spec, bits)
-    planes = project_planes(pset)
+    planes = project_planes(spec.points, bits)
 
     warnings = []
     results = []
@@ -360,7 +355,7 @@ def _run_solve(spec: ProblemSpec, options: dict) -> _Outcome:
             rep = solve_general(planes[0], t_v, eps_v, seed=spec.seed, config=config)
             plane_reports, frac = (rep,), rep.max_frac
         else:
-            rep = solve_even_dim(pset, t_v, eps_v, seed=spec.seed, config=config)
+            rep = solve_even_dim(planes, t_v, eps_v, seed=spec.seed, config=config)
             plane_reports, frac = rep.per_plane, rep.combined_max_frac
         # relation detection's advisories, once each across planes and t
         for w in (w for r in plane_reports for w in r.decomposition.warnings):
@@ -386,7 +381,7 @@ def _run_solve(spec: ProblemSpec, options: dict) -> _Outcome:
 
 def _run_tau(spec: ProblemSpec, options: dict) -> _Outcome:
     bits = spec.precision_bits
-    base = project_planes(_point_set(spec, bits))[0]
+    base = project_planes(spec.points, bits)[0]
     results = []
     uppers = []
     for t_str in spec.t_values:

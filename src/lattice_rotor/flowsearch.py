@@ -14,7 +14,7 @@ over the grid indices, in increasing j from j = 0.  Writing the condition
 without visiting the grid, in time that depends on the number of
 near-solutions rather than on the window length (Fincke-Pohst bounds,
 Math. Comp. 44, 1985).  The admissible region of a window is m unit
-disks, one per active entry, times the time interval, so the enumerated
+disks, one per entry, times the time interval, so the enumerated
 ball has radius sqrt(m+1), and a point is a candidate when every entry
 lies in its own disk.  Every window yields every qualifying index in it,
 sorted, and every candidate is re-checked exactly, so the first verified
@@ -22,7 +22,7 @@ index is the true grid minimum.
 
 Windows grow while they come up empty and shrink when the enumeration
 exceeds its node budget.  The first window's length is derived from the
-flow's own m (active entries) and eps.  For generic entries a grid point
+flow's own entry count m and eps.  For generic entries a grid point
 lands within eps of the lattice with probability about (pi*eps^2)^m, so
 the first hit is expected near index E = (pi*eps^2)^(-m), and the first
 window is a few factors of the growth rate shorter than E.  The length
@@ -75,8 +75,8 @@ _WINDOW_LEAD_BITS = 4
 @dataclass(frozen=True)
 class FlowSearchOutcome:
     """Result of one grid search; reason is one of found / absent /
-    exhausted / infeasible-constant.  strategy is "precheck" when a
-    constant entry rules out every s, else "enumerate"."""
+    exhausted.  strategy is always "enumerate", the walk's one candidate
+    source."""
 
     found: bool
     reason: str
@@ -92,7 +92,8 @@ class _BudgetExceeded(Exception):
 
 
 def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
-    """Smallest grid point s in [0, L_max] with vec_frac_dist(W + sV) < eps."""
+    """Smallest grid point s in [0, L_max] with vec_frac_dist(W + sV) < eps,
+    for a direction without zero entries."""
     vec_v = direction if isinstance(direction, ComplexVector) else ComplexVector(tuple(direction), bits)
     vec_w = offset if isinstance(offset, ComplexVector) else ComplexVector(tuple(offset), bits)
     if len(vec_v) != len(vec_w):
@@ -106,9 +107,11 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
     if not (mpmath.isfinite(L_max) and L_max >= 0):
         raise ValueError(f"L_max must be finite and >= 0, got {L_max}")
 
+    # a zero entry never moves; relation detection keeps zeros out of the
+    # solver's reduced blocks
+    if any(z == 0 for z in vec_v):
+        raise ValueError("degenerate direction: a direction entry is zero")
     max_abs = vec_v.max_abs()
-    if max_abs == 0:
-        raise ValueError("degenerate direction: all direction entries are zero")
 
     # evaluation precision must resolve eps on top of the largest value met
     bits_eval = raise_for_magnitude(
@@ -123,33 +126,17 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
     # mpc() here would round them to the ambient 53-bit default
     values_v = list(vec_v)
     values_w = list(vec_w)
-
-    # constant entries cannot be repaired by any s
-    active: List[int] = []
-    for k, z in enumerate(values_v):
-        if z.real == 0 and z.imag == 0:
-            if frac_dist(values_w[k], bits_eval) >= eps:
-                return FlowSearchOutcome(
-                    found=False,
-                    reason="infeasible-constant",
-                    s=None,
-                    grid_index=None,
-                    strategy="precheck",
-                    examined=0,
-                )
-        else:
-            active.append(k)
-    m = len(active)
+    m = len(values_v)
 
     with working_precision(bits_eval):
-        dv = [delta * values_v[k] for k in active]
+        dv = [delta * z for z in values_v]
         dv_coords = [z.real for z in dv] + [z.imag for z in dv]
 
     def residues(j0: int) -> np.ndarray:
         """Signed fractional parts of W + j0*delta*V, real parts first."""
         with working_precision(bits_eval):
             s0 = mpf(j0) * delta
-            w = [values_w[k] + s0 * values_v[k] for k in active]
+            w = [zw + s0 * zv for zv, zw in zip(values_v, values_w)]
             parts = [z.real for z in w] + [z.imag for z in w]
             return np.array([float(x - mpmath.nint(x)) for x in parts], dtype=np.float64)
 
@@ -210,7 +197,7 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
 
 
 def _first_window(m: int, eps: mpf) -> int:
-    """First enumeration window length for a flow with m active entries at
+    """First enumeration window length for a flow with m entries at
     tolerance eps.
 
     It follows from m and eps alone, never from a clock or a budget, so
@@ -230,7 +217,7 @@ def _window_lattice(
 
     The lattice is spanned by one grid step and the unit translations,
     scaled by K/eps so the admissible region is m unit disks, one per
-    active entry, times the time interval; the step's time entry
+    entry, times the time interval; the step's time entry
     2K/window_len maps the window onto [0, 2).  The embedding is
     computed from the exact step coordinates; rounding the step to a
     double first would drift by many eps over a long window and falsify
@@ -272,7 +259,7 @@ def _window_candidates(
     the lattice only, never on which reduced basis spans it.  The
     admissible region, m unit disks times the time interval, lies within
     sqrt(m+1) of the window target: that ball is enumerated, each point
-    is kept when every active entry lies in its own slightly inflated
+    is kept when every entry lies in its own slightly inflated
     disk, and each survivor's grid index is read off the transform's first
     column.
     """

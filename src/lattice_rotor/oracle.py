@@ -503,7 +503,9 @@ def covering_time(
     cap_f = float(L_cap)
     if not cap_f > 0:
         raise ValueError("L_cap must be positive")
-    norm = float(np.linalg.norm(v))
+    # a norm past float64 is inf, which the step check below refuses
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
     if norm == 0:
         raise ValueError("degenerate direction: all coordinates are zero")
 

@@ -10,7 +10,7 @@ locale, dict order, or float repr.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 __all__ = ["curve_svg", "cell_svg"]
 
@@ -148,7 +148,7 @@ def curve_svg(
 
 def cell_svg(
     residues: Sequence[Tuple[float, float]],
-    eps: Optional[float],
+    eps: float,
     title: str,
 ) -> str:
     """Residues of the rotated, dilated configuration inside one lattice
@@ -180,12 +180,9 @@ def cell_svg(
         f'<line x1="{_f(px(0.0))}" y1="{_f(py(-0.5))}" x2="{_f(px(0.0))}" '
         f'y2="{_f(py(0.5))}" stroke="#dddddd" stroke-width="1"/>',
         f'<circle cx="{_f(px(0.0))}" cy="{_f(py(0.0))}" r="3" fill="#444444"/>',
+        f'<circle cx="{_f(px(0.0))}" cy="{_f(py(0.0))}" r="{_f(side * eps)}" '
+        f'fill="none" stroke="#888888" stroke-width="1" stroke-dasharray="6,4"/>',
     ]
-    if eps is not None:
-        parts.append(
-            f'<circle cx="{_f(px(0.0))}" cy="{_f(py(0.0))}" r="{_f(side * eps)}" '
-            f'fill="none" stroke="#888888" stroke-width="1" stroke-dasharray="6,4"/>'
-        )
     for fx, fy in residues:
         parts.append(
             f'<circle cx="{_f(px(fx))}" cy="{_f(py(fy))}" r="4" fill="#3465a4" '

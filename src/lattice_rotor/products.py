@@ -18,7 +18,7 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpc, mpf
@@ -26,7 +26,6 @@ from mpmath import mpc, mpf
 from .corelattice import ComplexVector
 from .precision import (
     DEFAULT_PRECISION,
-    check_precision,
     parse_decimal,
     working_precision,
 )
@@ -39,67 +38,33 @@ from .solver import (
 )
 
 __all__ = [
-    "EvenDimPointSet",
     "BlockEmbeddingReport",
     "project_planes",
     "solve_even_dim",
 ]
 
 
-@dataclass(frozen=True)
-class EvenDimPointSet:
-    """A nonempty tuple of real vectors sharing one even dimension."""
+def project_planes(points, bits: int = DEFAULT_PRECISION) -> Tuple[ComplexVector, ...]:
+    """Split a point set in R^(2d) into d planar configurations.
 
-    points: tuple
-    bits: int = DEFAULT_PRECISION
-
-    def __post_init__(self) -> None:
-        check_precision(self.bits)
-        if not self.points:
-            raise ValueError("a point set needs at least one point")
-        dims = {len(p) for p in self.points}
-        if len(dims) != 1:
-            raise ValueError(f"points have mixed dimensions: {sorted(dims)}")
-        dim = dims.pop()
-        if dim < 2 or dim % 2 != 0:
-            raise ValueError(f"dimension must be even and >= 2, got {dim}")
-        with working_precision(self.bits):
-            converted = tuple(tuple(mpf(c) for c in p) for p in self.points)
-        for p in converted:
-            for c in p:
-                if not mpmath.isfinite(c):
-                    raise ValueError("coordinates must be finite")
-        object.__setattr__(self, "points", converted)
-
-    @property
-    def dim(self) -> int:
-        return len(self.points[0])
-
-    @property
-    def num_planes(self) -> int:
-        return self.dim // 2
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-
-def project_planes(point_set: EvenDimPointSet) -> Tuple[ComplexVector, ...]:
-    """Split a 2d-dimensional set into d planar configurations.
-
-    Plane i carries coordinates (2i, 2i+1) of every point as real and
-    imaginary parts.  Pure re-pairing, no arithmetic, so the planes carry
-    the original coordinates exactly.
+    The one check of a point set: nonempty, one even dimension 2d >= 2,
+    finite coordinates (decimal strings or numbers, read at bits).  Plane
+    i carries coordinates (2i, 2i+1) of every point as real and imaginary
+    parts, so the planes carry the coordinates exactly.
     """
-    ps = point_set if isinstance(point_set, EvenDimPointSet) else EvenDimPointSet(tuple(point_set))
-    with working_precision(ps.bits):
+    rows = [tuple(parse_decimal(c, bits) for c in p) for p in points]
+    if not rows:
+        raise ValueError("a point set needs at least one point")
+    dims = {len(p) for p in rows}
+    if len(dims) != 1:
+        raise ValueError(f"points have mixed dimensions: {sorted(dims)}")
+    dim = dims.pop()
+    if dim < 2 or dim % 2 != 0:
+        raise ValueError(f"dimension must be even and >= 2, got {dim}")
+    with working_precision(bits):
         return tuple(
-            ComplexVector(
-                tuple(mpc(p[2 * i], p[2 * i + 1]) for p in ps.points), ps.bits
-            )
-            for i in range(ps.num_planes)
+            ComplexVector(tuple(mpc(p[2 * i], p[2 * i + 1]) for p in rows), bits)
+            for i in range(dim // 2)
         )
 
 
@@ -119,26 +84,25 @@ class BlockEmbeddingReport:
 
 
 def embed_points(
-    point_set: EvenDimPointSet,
+    planes: Sequence[ComplexVector],
     report: "BlockEmbeddingReport",
 ) -> Tuple[Tuple[mpf, ...], ...]:
-    """Images psi(x) of every point under the report's rotations."""
-    eval_bits = report.eval_bits
-    with working_precision(eval_bits):
+    """Images psi(x) of every point under the report's rotations, for the
+    planes of project_planes."""
+    with working_precision(report.eval_bits):
         t = mpf(report.t)
         out = []
-        for p in point_set.points:
+        for entries in zip(*planes, strict=True):
             coords = []
-            for i, plane_rep in enumerate(report.per_plane):
-                w = plane_rep.theta.value * t * mpc(p[2 * i], p[2 * i + 1])
-                coords.append(w.real)
-                coords.append(w.imag)
+            for plane_rep, z in zip(report.per_plane, entries):
+                w = plane_rep.theta.value * t * z
+                coords += [w.real, w.imag]
             out.append(tuple(coords))
         return tuple(out)
 
 
 def solve_even_dim(
-    point_set,
+    planes: Sequence[ComplexVector],
     t,
     eps,
     seed: int = 0,
@@ -146,22 +110,20 @@ def solve_even_dim(
 ) -> BlockEmbeddingReport:
     """Solve every coordinate plane, assemble, and verify the assembly.
 
-    Each plane gets the equal share eps/sqrt(d), so the Pythagorean
-    combination certifies the target.  Plane i is solved with a child seed
-    derived from the master seed and the plane index, so runs are
-    reproducible regardless of how many planes there are.
+    planes are project_planes' split of a point set in R^(2d).  Each
+    gets the equal share eps/sqrt(d), so the Pythagorean combination
+    certifies the target.  Plane i is solved with a child seed derived
+    from the master seed and the plane index, so runs are reproducible
+    regardless of how many planes there are.
     """
     config = config or SolverConfig()
-    ps = point_set if isinstance(point_set, EvenDimPointSet) else EvenDimPointSet(
-        tuple(point_set), config.bits
-    )
-    bits = max(config.bits, ps.bits)
-    d = ps.num_planes
+    bits = max([config.bits] + [plane.bits for plane in planes])
+    d = len(planes)
 
     work = bits + 64
     eps_v = parse_decimal(eps, work)
     with working_precision(work):
-        k = mpf(ps.dim)
+        k = mpf(2 * d)
         if not (0 < eps_v < mpmath.sqrt(k) / 2):
             raise ValueError(
                 f"eps must lie in (0, sqrt(dim)/2) = (0, {mpmath.nstr(mpmath.sqrt(k) / 2, 8)}), "
@@ -169,7 +131,6 @@ def solve_even_dim(
             )
         share = eps_v / mpmath.sqrt(mpf(d))
 
-    planes = project_planes(ps)
     reports = [
         solve_general(plane, t, share, seed=derive_seed(seed, i, "plane"), config=config)
         for i, plane in enumerate(planes)

@@ -70,7 +70,8 @@ class InternalCheckError(RuntimeError):
 
 
 DEFAULT_HEIGHT_BOUND = 64
-DEFAULT_MAX_PHASE_RETRIES = 3
+# fresh seeded phases solve_general tries after the first, read at call time
+MAX_PHASE_RETRIES = 3
 # the longest horizon a phase attempt walks, in units of the first one
 HORIZON_SPAN = 64
 
@@ -81,24 +82,20 @@ class SolverConfig:
 
     bits is the declared precision of the problem data; evaluation
     precision is raised automatically and is not configurable.
-    height_bound caps the coefficients relation detection looks for, and
-    max_phase_retries counts the fresh seeded phases solve_general tries
-    after the first.  l_cap, a positive decimal string, caps the search
-    horizon, which solve_general otherwise derives from t (see
-    solve_general).
+    height_bound caps the coefficients relation detection looks for.
+    l_cap, a positive decimal string, caps the search horizon, which
+    solve_general otherwise derives from t (see solve_general).
     The flow search derives its enumeration windows from the flow itself;
-    its budgets are fixed constants (flowsearch.DEFAULT_*_BUDGET).
+    its budgets are fixed constants (flowsearch.DEFAULT_*_BUDGET), as is
+    the number of phase retries (MAX_PHASE_RETRIES).
     """
 
     bits: int = DEFAULT_PRECISION
     height_bound: int = DEFAULT_HEIGHT_BOUND
-    max_phase_retries: int = DEFAULT_MAX_PHASE_RETRIES
     l_cap: Optional[str] = None
 
     def __post_init__(self) -> None:
         check_precision(self.bits)
-        if self.max_phase_retries < 0:
-            raise ValueError("max_phase_retries must be >= 0")
         if self.l_cap is not None and not parse_decimal(self.l_cap, 64) > 0:
             raise ValueError(f"l_cap must be positive, got {self.l_cap!r}")
 
@@ -117,7 +114,8 @@ class SolveReport:
     candidates, summed over one walk per phase attempt.
     diagnostics names every attempt in order, including those after the
     one whose rotation is reported: a retry line with the derived seed
-    for each attempt after the first, the flow search's hit or miss line,
+    for each attempt after the first, the flow search's hit line or its
+    miss line ("density horizon exceeded" or "search budget exhausted"),
     and a final-verification line for a hit that does not verify.
     Relation detection's precision advisory is in decomposition.warnings
     (the CLI gathers it into the run's warnings), and a block result
@@ -234,7 +232,7 @@ def certify(
     hi = 2 * eval_bits
     per_plane = [lattice_residuals(th, t, pl, hi) for th, pl in zip(thetas, planes)]
     with working_precision(hi):
-        combined = [mpmath.sqrt(sum(r * r for r in rs)) for rs in zip(*per_plane)]
+        combined = [mpmath.sqrt(sum(r * r for r in rs)) for rs in zip(*per_plane, strict=True)]
     with working_precision(eval_bits):
         per_point = tuple(mpf(v) for v in combined)
         worst = max(per_point)
@@ -352,7 +350,7 @@ def solve_general(
     whose threshold t clears; a hit past L_t would not be certified.  H
     is the reported horizon, and solve_typical walks it at the evaluation
     precision derived here once.  Until an attempt verifies, solve_general
-    retries with fresh derived phases up to config.max_phase_retries and
+    retries with fresh derived phases up to MAX_PHASE_RETRIES and
     reports the attempt that came closest.  achieved reflects only the final
     re-evaluation over all entries.
     """
@@ -392,7 +390,7 @@ def solve_general(
     # (certify result, theta, phi, s) of the attempt that came closest
     best: Optional[tuple] = None
 
-    for attempt in range(1 + config.max_phase_retries if m else 0):
+    for attempt in range(1 + MAX_PHASE_RETRIES if m else 0):
         attempt_seed = seed if attempt == 0 else derive_seed(seed, attempt, "phase")
         phase = randomize_phase(reduced, attempt_seed, bits=eval_bits)
         if attempt > 0:
@@ -403,9 +401,11 @@ def solve_general(
         outcome, inner_theta = solve_typical(phase.rotated, t_v, eps_inner, H_v, eval_bits)
         total_steps += outcome.examined
         if inner_theta is None:
-            diagnostics.append(
-                f"inner-solve: density horizon exceeded at phase attempt {attempt}"
-            )
+            if outcome.reason == "exhausted":
+                miss = f"search budget exhausted after {outcome.windows_used} windows"
+            else:
+                miss = "density horizon exceeded"
+            diagnostics.append(f"inner-solve: {miss} at phase attempt {attempt}")
             continue
 
         diagnostics.append(

@@ -14,6 +14,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpc, mpf
 
+from lattice_rotor import solver
 from lattice_rotor.cli import main
 from lattice_rotor.corelattice import ComplexVector, frac_dist
 from lattice_rotor.gaussian import GaussianInteger, GaussianRational
@@ -24,13 +25,8 @@ from lattice_rotor.oracle import (
     separation,
     tau_estimate,
 )
-from lattice_rotor.precision import residual_tol, working_precision
-from lattice_rotor.products import (
-    EvenDimPointSet,
-    embed_points,
-    project_planes,
-    solve_even_dim,
-)
+from lattice_rotor.precision import parse_decimal, residual_tol, working_precision
+from lattice_rotor.products import embed_points, project_planes, solve_even_dim
 from lattice_rotor.relations import detect_relations
 from lattice_rotor.solver import (
     SolverConfig,
@@ -124,7 +120,7 @@ def test_criterion_2_separated_probe_sampling():
         assert elapsed < 30.0
 
 
-def test_criterion_3_solver_success_rates():
+def test_criterion_3_solver_success_rates(monkeypatch):
     with _criterion(3):
         start = time.monotonic()
         fixtures = [
@@ -138,8 +134,8 @@ def test_criterion_3_solver_success_rates():
 
         for name, vec, bits in fixtures:
             for eps in ("0.1", "0.02"):
-                base = SolverConfig(bits=bits, max_phase_retries=0)
-                plan = solve_plan(vec, eps, base)
+                config = SolverConfig(bits=bits)
+                plan = solve_plan(vec, eps, config)
                 with working_precision(bits + 64):
                     T = plan.T_threshold
                     la, lb = mpmath.log(T), mpmath.log(10 * T)
@@ -147,12 +143,13 @@ def test_criterion_3_solver_success_rates():
                 first_try = 0
                 total = 0
                 for t in ts:
-                    rep = solve_general(vec, t, eps, seed=0, config=base)
+                    monkeypatch.setattr(solver, "MAX_PHASE_RETRIES", 0)
+                    rep = solve_general(vec, t, eps, seed=0, config=config)
                     if rep.achieved:
                         first_try += 1
                     else:
-                        retry_cfg = SolverConfig(bits=bits, max_phase_retries=3)
-                        rep = solve_general(vec, t, eps, seed=0, config=retry_cfg)
+                        monkeypatch.setattr(solver, "MAX_PHASE_RETRIES", 3)
+                        rep = solve_general(vec, t, eps, seed=0, config=config)
                     assert rep.achieved, f"{name} eps={eps} t={mpmath.nstr(t, 6)}"
                     total += 1
                     # final verification at doubled precision
@@ -242,15 +239,14 @@ def test_criterion_4_planted_relation_recovery():
 def test_criterion_5_two_plane_product():
     with _criterion(5):
         start = time.monotonic()
-        ps = EvenDimPointSet(
-            (("0.3", "1.7", "-0.4", "0.9"), ("1.1", "-0.2", "0.5", "0.6")), B
-        )
+        points = (("0.3", "1.7", "-0.4", "0.9"), ("1.1", "-0.2", "0.5", "0.6"))
+        planes = project_planes(points, B)
         eps = "0.1"
         with working_precision(B + 64):
             share = mpf(eps) / mpmath.sqrt(mpf(2))
-            T = max(solve_plan(pl, share).T_threshold for pl in project_planes(ps))
+            T = max(solve_plan(pl, share).T_threshold for pl in planes)
             t = 2 * T
-        report = solve_even_dim(ps, t, eps, seed=0)
+        report = solve_even_dim(planes, t, eps, seed=0)
         for i, rep in enumerate(report.per_plane):
             assert rep.achieved and rep.max_frac < share, f"plane {i}"
         assert report.achieved
@@ -261,10 +257,10 @@ def test_criterion_5_two_plane_product():
         )
 
         # the assembled map scales every pairwise distance by t
-        images = embed_points(ps, report)
+        images = embed_points(planes, report)
         with working_precision(2 * report.eval_bits):
             t_v = mpf(report.t)
-            (xa, ya) = ps.points
+            (xa, ya) = (tuple(parse_decimal(c, B) for c in p) for p in points)
             (pa, pb) = images
             orig = mpmath.sqrt(sum((mpf(a) - mpf(b)) ** 2 for a, b in zip(xa, ya)))
             mapped = mpmath.sqrt(sum((a - b) ** 2 for a, b in zip(pa, pb)))

@@ -145,6 +145,41 @@ class TestSpecValidation:
                 {**base, "t_range": {"from": "1", "to": "2", "spacing": "cubic"}}, "solve"
             )
 
+    def test_t_range_single_value_and_shape(self):
+        base = _solve_spec()
+        del base["t"]
+        # count 1 is the start alone, whatever the end and spacing
+        for spacing in ("linear", "log"):
+            spec = parse_problem_spec(
+                {**base, "t_range": {"from": "5", "to": "9", "count": 1, "spacing": spacing}},
+                "solve",
+            )
+            assert spec.t_values == ("5.0000000000000000000000000000000000000000",)
+        with pytest.raises(SpecError, match="must be an object"):
+            parse_problem_spec({**base, "t_range": ["1", "2"]}, "solve")
+        for key in ("from", "to"):
+            rng = {"from": "1", "to": "2"}
+            del rng[key]
+            with pytest.raises(SpecError, match=f"missing '{key}'"):
+                parse_problem_spec({**base, "t_range": rng}, "solve")
+        for start, end in (("0", "2"), ("-1", "2"), ("1", "0")):
+            with pytest.raises(SpecError, match="endpoints must be positive"):
+                parse_problem_spec(
+                    {**base, "t_range": {"from": start, "to": end, "count": 2}}, "solve"
+                )
+
+    @pytest.mark.parametrize(
+        "key, value", [("epsilon", "0.3"), ("L_cap", "5"), ("height_bound", 3)]
+    )
+    def test_tau_refuses_solver_keys(self, tmp_path, capsys, key, value):
+        # tau reads no tolerance, horizon cap or relation height
+        data = {"mode": "tau", "points": [["0", "0"], ["0.5", "0"]], "t": "1", key: value}
+        with pytest.raises(SpecError, match=f"does not read spec keys \\['{key}'\\]"):
+            parse_problem_spec(data, "tau")
+        spec_path = _write_spec(tmp_path, data)
+        assert main(["tau", "--input", spec_path, "--grid-theta", "4", "--grid-trans", "4"]) == 2
+        assert json.loads(capsys.readouterr().out)["exit_code"] == 2
+
     def test_tau_requires_planar_points(self):
         data = {
             "mode": "tau",

@@ -70,28 +70,17 @@ class TestTrivialCases:
         assert out2.found and out2.s == 0
 
     def test_all_zero_direction_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            flow_search(
-                ComplexVector((mpc(0), mpc(0)), BITS),
-                ComplexVector((mpc("0.5"), mpc(0)), BITS),
-                "0.1",
-                10,
-                BITS,
-            )
-
-    def test_constant_entry_precheck(self):
-        # one zero direction entry whose offset can never be repaired
-        v = ComplexVector((mpc(1), mpc(0)), BITS)
-        w = ComplexVector((mpc(0), mpc("0.5", "0.5")), BITS)
-        out = flow_search(v, w, "0.1", 100, BITS)
-        assert not out.found
-        assert out.reason == "infeasible-constant"
-
-    def test_constant_entry_already_close(self):
-        v = ComplexVector((mpc(1), mpc(0)), BITS)
-        w = ComplexVector((mpc("0.04"), mpc("0.01")), BITS)
-        out = flow_search(v, w, "0.1", 100, BITS)
-        assert out.found and out.s == 0
+        # so is one zero entry: it never moves, and the solver's reduced
+        # blocks have none
+        for direction in ((mpc(0), mpc(0)), (mpc(1), mpc(0))):
+            with pytest.raises(ValueError, match="degenerate"):
+                flow_search(
+                    ComplexVector(direction, BITS),
+                    ComplexVector((mpc("0.5"), mpc(0)), BITS),
+                    "0.1",
+                    10,
+                    BITS,
+                )
 
     def test_parameter_validation(self):
         v = _golden_direction()
@@ -199,6 +188,17 @@ class TestEnumerationWindows:
         assert not out.found
         assert out.reason == "exhausted"
         assert isinstance(out, FlowSearchOutcome)
+
+    def test_floor_window_over_node_budget_is_exhausted(self, monkeypatch):
+        # the golden line's first window is already the floor length, so a
+        # window that outgrows the node budget cannot shrink and the walk
+        # gives up in it
+        assert flowsearch._first_window(1, mpf("0.05")) == flowsearch._WINDOW_FLOOR
+        monkeypatch.setattr(flowsearch, "DEFAULT_NODE_BUDGET", 0)
+        out = flow_search(_golden_direction(), _half_offset(), "0.05", 4, BITS)
+        assert (out.found, out.reason, out.windows_used, out.examined) == (
+            False, "exhausted", 1, 0
+        )
 
     def test_enumeration_agrees_with_scan(self):
         # the enumeration walk lands on the first hit a whole-grid scan finds

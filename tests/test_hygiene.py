@@ -190,7 +190,6 @@ KNOBS = {
     "SolverConfig.bits": "CLI spec key precision_bits",
     "SolverConfig.height_bound": "CLI spec key height_bound",
     "SolverConfig.l_cap": "CLI spec key L_cap",
-    "SolverConfig.max_phase_retries": "acceptance criterion 3 runs with 0 and with 3",
 }
 
 

@@ -36,11 +36,6 @@ class TestCellSvg:
         residues = [(0.02, -0.03), (-0.4, 0.1)]
         assert cell_svg(residues, 0.1, "cell") == cell_svg(residues, 0.1, "cell")
 
-    def test_tolerance_circle_optional(self):
-        with_eps = cell_svg([(0.0, 0.0)], 0.1, "a")
-        without = cell_svg([(0.0, 0.0)], None, "a")
-        assert with_eps.count("<circle") > without.count("<circle")
-
     def test_empty_residues_still_render(self):
         svg = cell_svg([], 0.1, "empty")
         assert svg.startswith("<svg")

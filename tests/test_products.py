@@ -4,12 +4,7 @@ from mpmath import mpc, mpf
 
 from lattice_rotor.corelattice import ComplexVector
 from lattice_rotor.precision import working_precision
-from lattice_rotor.products import (
-    EvenDimPointSet,
-    embed_points,
-    project_planes,
-    solve_even_dim,
-)
+from lattice_rotor.products import embed_points, project_planes, solve_even_dim
 from lattice_rotor.precision import parse_complex_pair, parse_decimal
 from lattice_rotor.reporting import to_json_data
 from lattice_rotor.solver import derive_seed, solve_general, solve_plan
@@ -17,72 +12,85 @@ from lattice_rotor.solver import derive_seed, solve_general, solve_plan
 BITS = 128
 
 
+_TWO_PLANE_POINTS = (
+    ("0.3", "1.7", "-0.4", "0.9"),
+    ("1.1", "-0.2", "0.5", "0.6"),
+)
+
+
 def _two_plane_fixture():
-    return EvenDimPointSet(
-        (
-            ("0.3", "1.7", "-0.4", "0.9"),
-            ("1.1", "-0.2", "0.5", "0.6"),
-        ),
-        BITS,
-    )
+    return project_planes(_TWO_PLANE_POINTS, BITS)
 
 
-def _block_dilation(ps, eps):
+def _two_plane_coords():
+    """The fixture's coordinates as project_planes reads them."""
+    return tuple(tuple(parse_decimal(c, BITS) for c in p) for p in _TWO_PLANE_POINTS)
+
+
+def _block_dilation(planes, eps):
     # past the largest per-plane threshold both planes are in regime
     with working_precision(BITS + 64):
-        share = mpf(eps) / mpmath.sqrt(mpf(ps.num_planes))
-        worst = max(solve_plan(pl, share).T_threshold for pl in project_planes(ps))
+        share = mpf(eps) / mpmath.sqrt(mpf(len(planes)))
+        worst = max(solve_plan(pl, share).T_threshold for pl in planes)
         return 2 * worst
 
 
 class TestPointSetContainer:
+    """project_planes is the one check of a point set: nonempty, one even
+    dimension, finite coordinates."""
+
     def test_rejects_odd_dimension(self):
-        with pytest.raises(ValueError):
-            EvenDimPointSet(((1, 2, 3),), BITS)
+        with pytest.raises(ValueError, match="even"):
+            project_planes(((1, 2, 3),), BITS)
 
     def test_rejects_mixed_dimensions(self):
-        with pytest.raises(ValueError):
-            EvenDimPointSet(((1, 2), (1, 2, 3, 4)), BITS)
+        with pytest.raises(ValueError, match="mixed"):
+            project_planes(((1, 2), (1, 2, 3, 4)), BITS)
 
     def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            project_planes((), BITS)
+
+    def test_rejects_empty_point(self):
+        with pytest.raises(ValueError, match="even"):
+            project_planes(((),), BITS)
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", mpf("-inf")])
+    def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
-            EvenDimPointSet((), BITS)
+            project_planes((("1", "2"), (bad, "0")), BITS)
 
     def test_dim_and_planes(self):
-        ps = _two_plane_fixture()
-        assert ps.dim == 4
-        assert ps.num_planes == 2
-        assert len(ps) == 2
+        planes = _two_plane_fixture()
+        assert len(planes) == 2
+        assert all(len(pl) == 2 and pl.bits == BITS for pl in planes)
 
 
 class TestPlaneProjection:
     def test_single_point_split(self):
-        ps = EvenDimPointSet(((1, 2, 3, 4),), BITS)
-        planes = project_planes(ps)
+        planes = project_planes(((1, 2, 3, 4),), BITS)
         assert len(planes) == 2
         assert planes[0].entries == (mpc(1, 2),)
         assert planes[1].entries == (mpc(3, 4),)
 
     def test_round_trip_is_exact(self):
-        ps = _two_plane_fixture()
-        planes = project_planes(ps)
+        planes = _two_plane_fixture()
         back = tuple(
             tuple(c for pl in planes for c in (pl.entries[j].real, pl.entries[j].imag))
-            for j in range(len(ps))
+            for j in range(len(_TWO_PLANE_POINTS))
         )
-        assert back == ps.points
+        assert back == _two_plane_coords()
 
     def test_two_dim_is_one_plane(self):
-        ps = EvenDimPointSet((("0.5", "0.25"), ("1.5", "-0.75")), BITS)
-        planes = project_planes(ps)
+        planes = project_planes((("0.5", "0.25"), ("1.5", "-0.75")), BITS)
         assert len(planes) == 1
         assert planes[0].entries == (mpc(mpf("0.5"), mpf("0.25")), mpc(mpf("1.5"), mpf("-0.75")))
 
 
 class TestSinglePlaneReduction:
     def test_matches_planar_solver_exactly(self):
-        ps = EvenDimPointSet((("1", "0"),), BITS)
-        block = solve_even_dim(ps, "1e4", "0.1", seed=5)
+        planes = project_planes((("1", "0"),), BITS)
+        block = solve_even_dim(planes, "1e4", "0.1", seed=5)
         direct = solve_general(
             ComplexVector((mpc(1),), BITS),
             "1e4",
@@ -116,7 +124,7 @@ class TestTwoPlaneSolve:
         t = _block_dilation(ps, "0.1")
         report = solve_even_dim(ps, t, "0.1", seed=0)
         slack = mpf(2) ** (-report.eval_bits + 16)
-        for j in range(len(ps)):
+        for j in range(len(_TWO_PLANE_POINTS)):
             total = sum(r.per_point_frac[j] ** 2 for r in report.per_plane)
             assert report.combined_per_point[j] ** 2 <= total + slack
 
@@ -127,7 +135,7 @@ class TestTwoPlaneSolve:
         images = embed_points(ps, report)
         with working_precision(2 * report.eval_bits):
             t_v = mpf(report.t)
-            x, y = ps.points
+            x, y = _two_plane_coords()
             px, py = images
             original = mpmath.sqrt(sum((mpf(a) - mpf(b)) ** 2 for a, b in zip(x, y)))
             mapped = mpmath.sqrt(sum((a - b) ** 2 for a, b in zip(px, py)))
@@ -164,7 +172,13 @@ class TestToleranceSplits:
         with pytest.raises(ValueError):
             solve_even_dim(ps, "1e4", "1.1", seed=0)  # sqrt(4)/2 = 1 is the cap
 
+    def test_planes_of_different_lengths_refused(self):
+        # point j is entry j of every plane, so ragged planes are no point set
+        planes = (project_planes((("1", "0"),), BITS)[0],) + _two_plane_fixture()[1:]
+        with pytest.raises(ValueError, match="zip"):
+            solve_even_dim(planes, "1e4", "0.1", seed=0)
+
     def test_planar_cap_still_applies_through_solver(self):
-        ps = EvenDimPointSet((("1", "0"),), BITS)
+        ps = project_planes((("1", "0"),), BITS)
         with pytest.raises(ValueError):
             solve_even_dim(ps, "1e4", "0.8", seed=0)  # over sqrt(2)/2

@@ -17,7 +17,7 @@ from lattice_rotor.precision import (
     unit_modulus_tol,
     working_precision,
 )
-from lattice_rotor.products import EvenDimPointSet, embed_points, project_planes
+from lattice_rotor.products import embed_points, project_planes
 from lattice_rotor.reporting import to_json_data
 from lattice_rotor.solver import (
     SolverConfig,
@@ -86,7 +86,7 @@ IMAGE_COORDS = st.builds(
 
 @st.composite
 def certify_cases(draw, num_planes: int):
-    """(thetas, t, point set, bits) whose images theta_i*t*z are drawn
+    """(thetas, t, planes, bits) whose images theta_i*t*z are drawn
     first, so near-half-integer coordinates survive the map back to the
     points."""
     bits = draw(st.sampled_from([64, 106, 128, 256, 512]))
@@ -100,14 +100,13 @@ def certify_cases(draw, num_planes: int):
                 z = mpc(draw(IMAGE_COORDS), draw(IMAGE_COORDS)) / (theta.value * t)
                 coords += [z.real, z.imag]
             points.append(tuple(coords))
-    return thetas, t, EvenDimPointSet(tuple(points), bits), bits
+    return thetas, t, project_planes(points, bits), bits
 
 
 class TestCertify:
     @given(case=certify_cases(1))
     def test_one_plane_is_lattice_residuals_rounded(self, case):
-        (theta,), t, ps, bits = case
-        vec = project_planes(ps)[0]
+        (theta,), t, (vec,), bits = case
         per_point, worst = certify([theta], t, [vec], bits)
         hi = lattice_residuals(theta, t, vec, 2 * bits)
         with working_precision(bits):
@@ -119,15 +118,15 @@ class TestCertify:
     def test_two_planes_match_interleaved_distance(self, case):
         # the arithmetic certify replaced: real_dist_to_lattice over the
         # interleaved image coordinates at doubled precision
-        thetas, t, ps, bits = case
-        per_point, worst = certify(thetas, t, project_planes(ps), bits)
+        thetas, t, planes, bits = case
+        per_point, worst = certify(thetas, t, planes, bits)
         hi = 2 * bits
         report = SimpleNamespace(
             eval_bits=hi, t=t, per_plane=[SimpleNamespace(theta=th) for th in thetas]
         )
         with working_precision(hi):
             tol = mpf(2) ** -(bits - 8)
-            for got, coords in zip(per_point, embed_points(ps, report)):
+            for got, coords in zip(per_point, embed_points(planes, report)):
                 assert abs(got - real_dist_to_lattice(coords, hi)) <= tol
         assert worst == max(per_point)
 
@@ -353,8 +352,9 @@ class TestSolveGeneral:
             assert tuple(parse_decimal(x, bits) for x in data["per_point_frac"]) == report.per_point_frac
             assert data["achieved"] == report.achieved
 
-    def test_starved_horizon_retries_then_reports(self):
-        config = SolverConfig(l_cap="0.01", max_phase_retries=2)
+    def test_starved_horizon_retries_then_reports(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_PHASE_RETRIES", 2)
+        config = SolverConfig(l_cap="0.01")
         report = solve_general(_unit_angle_one(), "1e6", "1e-6", seed=0, config=config)
         assert not report.achieved
         assert report.s_found is None
@@ -362,6 +362,19 @@ class TestSolveGeneral:
             assert f"inner-solve: density horizon exceeded at phase attempt {attempt}" in report.diagnostics
         assert any("retry 1" in d for d in report.diagnostics)
         assert any("retry 2" in d for d in report.diagnostics)
+
+    def test_exhausted_walk_says_so(self, monkeypatch):
+        # with its full window budget the first attempt hits grid index
+        # 1997057 in its fourth window; one window gives up on every attempt
+        monkeypatch.setattr(flowsearch, "DEFAULT_WINDOW_BUDGET", 1)
+        with working_precision(BITS):
+            v = ComplexVector((mpc(1), mpc("0.5", "0.25")), BITS)
+        report = solve_general(v, "1e12", "0.05", seed=1)
+        assert not report.achieved and report.s_found is None
+        assert [d for d in report.diagnostics if d.startswith("inner-solve:")] == [
+            f"inner-solve: search budget exhausted after 1 windows at phase attempt {attempt}"
+            for attempt in range(4)
+        ]
 
     def test_one_horizon_is_walked_and_checked(self, monkeypatch):
         # from a first horizon of 1, t = 1e5 certifies L_t = sqrt(1e5*0.05/2)
@@ -376,8 +389,8 @@ class TestSolveGeneral:
 
         monkeypatch.setattr(solver, "_check_linearization", check)
         _first_horizon_at(monkeypatch, "1")
-        v, config = _unit_angle_one(), SolverConfig(max_phase_retries=0)
-        report = solve_general(v, "1e5", "0.1", seed=0, config=config)
+        monkeypatch.setattr(solver, "MAX_PHASE_RETRIES", 0)
+        report = solve_general(_unit_angle_one(), "1e5", "0.1", seed=0)
         assert report.achieved
         assert report.s_found == mpf("32.8125")
         assert abs(report.L_used - 50) < mpf(2) ** -100
@@ -481,7 +494,8 @@ class TestSingleHorizonWalk:
     def test_same_report_as_the_longest_walk(
         self, monkeypatch, vector, t, eps, seed, L0, l_cap, hits
     ):
-        config = SolverConfig(l_cap=l_cap, max_phase_retries=2)
+        monkeypatch.setattr(solver, "MAX_PHASE_RETRIES", 2)
+        config = SolverConfig(l_cap=l_cap)
         walk, longest = self._solve_both(monkeypatch, vector(), t, eps, seed, L0, config)
         assert (walk.s_found is not None) == hits
         assert walk.T_threshold <= walk.t
