@@ -16,20 +16,27 @@ input rows; its determinant is +-1.
 A caller that already holds a unimodular transform close to the answer
 can pass it as start: the reduction then begins from start * rows, and
 the transform it returns is composed with start and checked exactly
-against the rows, so it still maps the input rows to the basis.  The
-flow search starts each enumeration window from the previous window's
-transform; consecutive windows differ only in length, so that product
-is nearly reduced already.
+against the rows, so it still maps the input rows to the basis.  Both
+callers warm-start.  The flow search starts each enumeration window from
+the previous window's transform; consecutive windows differ only in
+length, so that product is nearly reduced already.  Relation detection
+starts each membership test from the transform of the last test whose
+candidate joined the basis; that product is the earlier reduced lattice
+with the new candidate's two rows appended, so only those two are left
+to reduce.
 
 Both callers reduce the same few bases again and again (relation
 detection once per dilation, the flow search once per window of a walk
 that every dilation of the same direction repeats), so lll_reduce
 remembers its last 32 answers, keyed on the exact integer rows and the
 exact start (none for a cold reduction); a remembered warm answer skips
-the reduction, the composition and its check alike.  The key is the
-whole input, so a remembered answer is the answer; every call returns
-fresh lists, so a caller that edits them cannot reach the memo, and
-inputs that raise are never remembered.
+the reduction, the composition and its check alike.  Each caller makes
+one call per lattice, so each flow window and each membership test
+takes one memo slot, and a repeated walk or detection, whose starts
+repeat too, hits on every call.  The key is the whole input, so a
+remembered answer is the answer; every call returns fresh lists, so a
+caller that edits them cannot reach the memo, and inputs that raise are
+never remembered.
 """
 from __future__ import annotations
 

@@ -16,6 +16,18 @@ at this precision" is the only negative statement made.  The solver is
 built to tolerate that (an undetected relation can only cause a failed
 search later, never a wrong answer), and the documentation repeats it
 wherever a caller might be tempted to read more into an empty result.
+
+Each membership test against two or more basis entries reduces its
+lattice from the transform of the last test whose candidate joined the
+basis (lll_reduce's start).  That test's lattice is this one's without
+the new candidate, so the start hands the reduction an already reduced
+basis plus two fresh rows, as in incremental integer-relation search
+(Hastad-Just-Lagarias-Schnorr).  A test that finds a dependent, and a
+zero entry, leave the carried transform as it was; the first test, on a
+one-entry basis, reduces from scratch.  A start changes only the work,
+not the lattice, and each test still makes one lll_reduce call, so it
+takes one slot of lll_reduce's memo and a repeated detection (one per
+dilation) hits on every test.
 """
 from __future__ import annotations
 
@@ -30,6 +42,8 @@ from .corelattice import ComplexVector
 from .gaussian import GaussianInteger, GaussianRational, lcm_int
 from .lll import lll_reduce
 from .precision import check_precision, residual_tol, working_precision
+
+Transform = List[List[int]]
 
 # margin between the working mantissa and the lattice scale; keeps the
 # rounding rattle of the embedded forms well below the relation signal
@@ -126,7 +140,7 @@ def detect_relations(
     caps the numerator and denominator magnitudes of reported coefficients.
     """
     check_precision(bits)
-    if not isinstance(height_bound, int) or height_bound < 1:
+    if not isinstance(height_bound, int) or isinstance(height_bound, bool) or height_bound < 1:
         raise ValueError(f"height_bound must be an integer >= 1, got {height_bound!r}")
 
     vec = entries if isinstance(entries, ComplexVector) else ComplexVector(tuple(entries), bits)
@@ -146,6 +160,8 @@ def detect_relations(
     with working_precision(bits):
         values = [mpc(z) for z in vec]
 
+    # transform of the last membership test whose candidate joined the basis
+    joined: Optional[Transform] = None
     for idx, z in enumerate(values):
         if z.real == 0 and z.imag == 0:
             dependent_indices.append(idx)
@@ -154,11 +170,12 @@ def detect_relations(
         if not basis_indices:
             basis_indices.append(idx)
             continue
-        found = _find_relation(
-            z, [values[b] for b in basis_indices], height_bound, bits
+        found, transform = _find_relation(
+            z, [values[b] for b in basis_indices], height_bound, bits, joined
         )
         if found is None:
             basis_indices.append(idx)
+            joined = transform
         else:
             dependent_indices.append(idx)
             rows.append(found)
@@ -185,13 +202,17 @@ def _find_relation(
     basis_values: List[mpc],
     height_bound: int,
     bits: int,
-) -> Optional[Tuple[GaussianRational, ...]]:
+    joined: Optional[Transform],
+) -> Tuple[Optional[Tuple[GaussianRational, ...]], Transform]:
     """One membership test: candidate against the current basis.
 
     Builds the integer lattice whose short vectors encode Gaussian-integer
     combinations g0*candidate + sum gk*basis_k that nearly vanish, reduces
     it, and screens the reduced rows through the height and residual gates.
-    Returns the coefficient row for the first certified candidate, or None.
+    joined is the transform of the test whose candidate became the last
+    basis entry (None for a cold reduction).  Returns the coefficient row
+    for the first certified candidate, or None, with the reduction's
+    transform.
     """
     q = len(basis_values)
     unknowns = 2 * (q + 1)
@@ -216,7 +237,17 @@ def _find_relation(
             [1 if c == u else 0 for c in range(unknowns)] + [f1, f2]
         )
 
-    reduced, _ = lll_reduce(lattice_rows)
+    start = None
+    if joined is not None:
+        # joined reduced the rows [last basis entry, b1..b(q-1)]; they
+        # reappear here as rows 2.. in the order [b1..b(q-1), last basis
+        # entry], with the same scaled columns, so start * rows is that
+        # reduced basis (its unit columns moved along) followed by the
+        # candidate's two rows, and only the candidate is left to reduce
+        start = [[0, 0] + row[2:] + row[:2] for row in joined]
+        start += [[1 if c == u else 0 for c in range(unknowns)] for u in range(2)]
+
+    reduced, transform = lll_reduce(lattice_rows, start)
 
     tol = residual_tol(bits)
     for row in reduced:
@@ -234,8 +265,8 @@ def _find_relation(
         if any(f.height() > height_bound for f in coeffs):
             continue
         if _relation_residual(candidate, basis_values, coeffs, 2 * bits) < tol:
-            return coeffs
-    return None
+            return coeffs, transform
+    return None, transform
 
 
 def _relation_residual(candidate, basis_values, coeffs, bits: int) -> mpf:

@@ -67,6 +67,21 @@ def unimodular(draw, n):
 
 
 @st.composite
+def knapsack_starts(draw):
+    """Identity rows next to two big columns, the shape of a relation
+    lattice, with a block-triangular unimodular start: a unimodular block
+    on the last columns, then identity rows on the first two."""
+    n = draw(st.integers(3, 8))
+    size = draw(st.sampled_from([2**20, 2**60, 2**100]))
+    big = st.integers(-size, size)
+    rows = [[int(i == j) for j in range(n)] + [draw(big), draw(big)] for i in range(n)]
+    start = [[0, 0] + row for row in draw(unimodular(n - 2))]
+    tail = st.lists(st.integers(-5, 5), min_size=n - 2, max_size=n - 2)
+    start += [[int(i == j) for j in range(2)] + draw(tail) for i in range(2)]
+    return rows, start
+
+
+@st.composite
 def warm_starts(draw):
     """A basis from bases() and a unimodular start of its size."""
     rows = draw(bases())
@@ -143,6 +158,13 @@ class TestWarmStart:
         assert _matmul(transform, rows) == reduced
         assert abs(_det(transform)) == 1
         assert is_reduced(reduced)
+
+    @given(case=knapsack_starts())
+    def test_knapsack_rows_from_a_block_triangular_start(self, case):
+        rows, start = case
+        reduced, transform = lll_reduce(rows, start)
+        assert is_reduced(reduced)
+        assert _matmul(transform, rows) == reduced
 
     @given(rows=bases())
     def test_a_start_that_already_reduces_the_rows_is_kept(self, rows):

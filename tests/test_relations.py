@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
+from lattice_rotor import lll, relations
 from lattice_rotor.corelattice import ComplexVector
 from lattice_rotor.gaussian import GaussianInteger, GaussianRational
 from lattice_rotor.precision import working_precision
@@ -26,6 +29,14 @@ def _gr(re_num, re_den=1, im_num=0, im_den=1):
 def _vec(entries, bits=BITS):
     with working_precision(bits):
         return ComplexVector(tuple(mpc(z) for z in entries), bits)
+
+
+def _generic(rng):
+    # a random 120-bit Gaussian dyadic in the unit square around 0
+    return mpc(
+        mpf(rng.getrandbits(120)) / mpf(2) ** 119 - 1,
+        mpf(rng.getrandbits(120)) / mpf(2) ** 119 - 1,
+    )
 
 
 class TestDetectNumeric:
@@ -86,6 +97,9 @@ class TestDetectNumeric:
             detect_relations(v, 0, BITS)
         with pytest.raises(ValueError):
             detect_relations(v, "8", BITS)
+        # bool is an int subclass; True would otherwise run as height bound 1
+        with pytest.raises(ValueError):
+            detect_relations(v, True, BITS)
 
 
 class TestDetectExact:
@@ -264,3 +278,77 @@ class TestPslqOracle:
         assert self._pslq(entries, self.BITS) is None
         dec = detect_relations(_vec(entries, self.BITS), 64, self.BITS)
         assert dec.dependent_indices == ()
+
+
+@st.composite
+def relation_entries(draw):
+    """2-6 entries, each a generic random dyadic, an exact zero, or a
+    Gaussian-rational combination (height <= 8) of the generic entries
+    before it.  Returns the entries and the indices of the combinations."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kinds = draw(st.lists(st.sampled_from(["generic", "planted", "zero"]), min_size=2, max_size=6))
+    entries, generic, planted = [], [], []
+    with working_precision(2 * BITS):
+        for idx, kind in enumerate(kinds):
+            if kind == "zero":
+                entries.append(mpc(0))
+            elif kind == "planted" and generic:
+                coeff = st.tuples(st.integers(-8, 8), st.integers(-8, 8), st.integers(1, 8))
+                coeffs = draw(st.lists(coeff, min_size=len(generic), max_size=len(generic)))
+                terms = zip(coeffs, generic)
+                entries.append(sum(mpc(mpf(re) / den, mpf(im) / den) * g for (re, im, den), g in terms))
+                planted.append(idx)
+            else:
+                generic.append(_generic(rng))
+                entries.append(generic[-1])
+    return entries, planted
+
+
+class TestWarmStartedDetection:
+    """Each membership test against two or more basis entries starts its
+    reduction from the transform of the test whose candidate joined the
+    basis last; the decomposition must be the one that reducing every
+    relation lattice from scratch gives."""
+
+    @settings(max_examples=30)
+    @given(case=relation_entries())
+    def test_warm_detection_equals_cold_detection(self, case):
+        entries, planted = case
+        vec = _vec(entries)
+        calls = []
+
+        def recording(rows, start=None):
+            basis, transform = lll.lll_reduce(rows, start)
+            calls.append((len(rows), start, basis))
+            return basis, transform
+
+        def cold(rows, start=None):
+            return lll.lll_reduce(rows)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(relations, "lll_reduce", recording)
+            warm = detect_relations(vec, 8, BITS)
+            mp.setattr(relations, "lll_reduce", cold)
+            assert detect_relations(vec, 8, BITS) == warm
+        assert set(planted) <= set(warm.dependent_indices)
+        for n, start, basis in calls:
+            # only a test against a single basis entry (4 rows) has no
+            # earlier transform to start from
+            assert (start is None) == (n == 4)
+            assert lll.is_reduced(basis)
+
+    def test_each_membership_test_takes_at_most_one_memo_slot(self):
+        rng = random.Random(20)
+        with working_precision(2 * BITS):
+            basis = [_generic(rng) for _ in range(3)]
+            # a dependent in the middle, so the last test starts from a
+            # transform older than the test just before it
+            entries = basis[:2] + [mpf(3) / 2 * basis[0] - mpc(0, 1) * basis[1], basis[2]]
+        vec = _vec(entries)
+        misses = lll._reduce.cache_info().misses
+        first = detect_relations(vec, 8, BITS)
+        assert first.dependent_indices == (2,)
+        assert lll._reduce.cache_info().misses - misses <= len(entries) - 1
+        misses = lll._reduce.cache_info().misses
+        assert detect_relations(vec, 8, BITS) == first
+        assert lll._reduce.cache_info().misses == misses
