@@ -194,13 +194,21 @@ def _rotated_images(vec: ComplexVector, n_t: int, branches, bits: int):
 
 
 def _rotation_bound(rw: np.ndarray, iw: np.ndarray) -> np.ndarray:
-    # per row, max over entry pairs of (d(rw_k - rw_l)^2 + d(iw_k - iw_l)^2)
-    # / 4, with d the distance to the nearest integer
+    # per row, the larger of two lower bounds on every cell:
+    # - max over entry pairs of (d(rw_k - rw_l)^2 + d(iw_k - iw_l)^2) / 4,
+    #   with d the distance to the nearest integer;
+    # - per axis ((1 - g) / 2)^2, with g the widest cyclic gap between the
+    #   coordinates mod 1: they fill an arc of length 1 - g whatever the
+    #   translation, so one of them stays half that arc from the integers
     lb = np.zeros(len(rw), dtype=np.float64)
     for k in range(1, rw.shape[1]):
         da, db = rw[:, :k] - rw[:, k, None], iw[:, :k] - iw[:, k, None]
         da, db = da - np.rint(da), db - np.rint(db)
         lb = np.maximum(lb, (da * da + db * db).max(axis=1) / 4)
+    for w in (rw, iw):
+        f = np.sort(w - np.floor(w), axis=1)
+        gap = np.maximum(np.diff(f, axis=1).max(axis=1, initial=0.0), f[:, 0] + 1 - f[:, -1])
+        np.maximum(lb, ((1 - gap) / 2) ** 2, out=lb)
     return lb
 
 
@@ -217,8 +225,11 @@ def tau_estimate(
     The sweep screens in float64 and exactly re-evaluates every cell
     within a fixed margin of the float minimum; ties resolve to the
     lowest grid index, reflection branch last among equals.  The screen
-    skips rotations whose pairwise bound (_rotation_bound) exceeds the
-    best cell found, which changes its cost only.  Past modulus
+    skips rotations whose lower bound (_rotation_bound) exceeds the best
+    cell found, which changes its cost only.  That bound is the larger
+    of a pairwise one, from the image differences of two entries, and a
+    per-axis one, from the widest cyclic gap between one axis's image
+    coordinates mod 1.  Past modulus
     _EXACT_ROTATION_MODULUS (about 7e4) rotated coordinates are formed
     at working precision and reduced mod 1 first, because float64
     products would err by more than the margin.  An entry of modulus
@@ -236,7 +247,9 @@ def tau_estimate(
 
     # Branch and bound over rotations.  A cell is at least the mean of two
     # entries' values, so at least ((fa_k + fa_l)^2 + (fb_k + fb_l)^2) / 4,
-    # and fa_k + fa_l >= d(rw_k - rw_l): no cell lies below _rotation_bound.
+    # and fa_k + fa_l >= d(rw_k - rw_l); it is also at least every fa_k^2,
+    # and some fa_k is half the shortest arc that holds the rw mod 1 or more
+    # (likewise on the other axis): no cell lies below _rotation_bound.
     # Rotations go in stable bound order until a bound passes vhat + margin;
     # as a cell is at least each entry's axis value, columns whose worst one
     # exceeds vhat are dropped.  vhat is a real cell (the first at the argmins
@@ -326,9 +339,10 @@ def _random_stream(seed: int):
     """draw(n): the next n values of random.Random(seed).random().
 
     numpy's MT19937 starts from the stdlib generator's state (624 key
-    words and a position), and each value joins two 32-bit words a, b
-    as CPython does: ((a >> 5) * 2^26 + (b >> 6)) / 2^53, exact in
-    float64.
+    words and a position), and numpy's Generator.random joins each two
+    32-bit words a, b as CPython's random() does:
+    ((a >> 5) * 2^26 + (b >> 6)) / 2^53, exact in float64.  The values
+    are the stdlib's bit for bit, drawn at C speed.
     """
     words = random.Random(seed).getstate()[1]
     gen = np.random.MT19937()
@@ -336,12 +350,7 @@ def _random_stream(seed: int):
         "bit_generator": "MT19937",
         "state": {"key": np.array(words[:624], dtype=np.uint32), "pos": words[624]},
     }
-
-    def draw(n: int) -> np.ndarray:
-        raw = gen.random_raw(2 * n)
-        return ((raw[0::2] >> 5) * 67108864.0 + (raw[1::2] >> 6)) * (1.0 / 9007199254740992.0)
-
-    return draw
+    return np.random.Generator(gen).random
 
 
 def check_prop_sep(
@@ -359,7 +368,11 @@ def check_prop_sep(
     bit for bit, so the stream is made in bulk, not one call at a time.
 
     A float64 screen, run over chunks of _PROP_SEP_CHUNK samples, picks
-    the samples worth an exact re-evaluation; only those are kept.  Once
+    the samples worth an exact re-evaluation; only those are kept.  From
+    the second chunk on, a sample is first bounded by its translation
+    alone, the image of the probe's origin; only the few whose bound
+    stays within the cut of the chunks before have their rotation
+    formed, which changes the screen's cost only.  Once
     t passes _EXACT_ROTATION_MODULUS (about 7e4) the float64 rotation
     errs by more than the screen's margin, so every sample is
     re-evaluated exactly, at about half a millisecond each.
@@ -378,33 +391,43 @@ def check_prop_sep(
 
     # Screen chunk by chunk, keeping the samples within the cut the float
     # minimum so far sets.  That cut only falls, so the kept samples hold
-    # every one within the final cut.  Past the rotation modulus the
-    # float64 rotation errs by more than the margin, the screen cannot
-    # rank samples, and every one is kept for exact re-evaluation.
+    # every one within the final cut.  The probe's first point is the
+    # origin, whose image is the translation (t1, t2) bit for bit, so
+    # d(t1)^2 + d(t2)^2 is the first term of a sample's worst value.  A
+    # sample whose first term passes the cut of the chunks before it can
+    # neither be kept nor lower the float minimum, and its rotation is
+    # never formed; the first chunk meets an infinite cut and is screened
+    # in full.  Past the rotation modulus the float64 rotation errs by
+    # more than the margin, the screen cannot rank samples, and every one
+    # is kept for exact re-evaluation.
     draw = _random_stream(seed)
     index, rows, screened = [], [], []
-    float_min_sq = np.inf
+    float_min_sq = cut = np.inf
     for start in range(0, samples, _PROP_SEP_CHUNK):
         n = min(_PROP_SEP_CHUNK, samples - start)
         vals = draw(4 * n).reshape(n, 4)
-        turn, coin, t1, t2 = vals.T
+        fx = vals[:, 2] - np.rint(vals[:, 2])
+        fy = vals[:, 3] - np.rint(vals[:, 3])
+        first = fx * fx + fy * fy
+        live = np.nonzero(first <= cut)[0]
+        worst = first[live]
+        turn, coin, t1, t2 = vals[live].T
         c = np.cos(2 * np.pi * turn)
         s = np.sin(2 * np.pi * turn)
         sign = np.where(coin < 0.5, -1.0, 1.0)
-        worst = np.zeros(n, dtype=np.float64)
-        for k in range(len(probe)):
+        for k in range(1, len(probe)):
             ik = sign * im[k]
             x = c * re[k] - s * ik + t1
             y = s * re[k] + c * ik + t2
             fx = x - np.rint(x)
             fy = y - np.rint(y)
             np.maximum(worst, fx * fx + fy * fy, out=worst)
-        float_min_sq = min(float_min_sq, float(worst.min()))
+        float_min_sq = min(float_min_sq, float(worst.min(initial=np.inf)))
         cut = np.inf if exact_all else max(screen_sq, float_min_sq + _SCREEN_MARGIN)
-        keep = np.nonzero(worst <= cut)[0]
-        index.append(start + keep)
-        rows.append(vals[keep])
-        screened.append(worst[keep])
+        kept = worst <= cut
+        index.append(start + live[kept])
+        rows.append(vals[live[kept]])
+        screened.append(worst[kept])
     # the last chunk's cut is the final one
     final = np.concatenate(screened) <= cut
     index, rows = np.concatenate(index)[final], np.concatenate(rows)[final]

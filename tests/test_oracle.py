@@ -55,11 +55,30 @@ COORD = st.one_of(
     st.tuples(HALVES, st.floats(-1e-6, 1e-6)).map(lambda p: p[0] + p[1]),
 )
 
+# coordinates past _EXACT_ROTATION_MODULUS: half-integers, nudged ones and
+# plain floats up to 1e9
+FAR_HALVES = st.integers(-2 * 10**9, 2 * 10**9).map(lambda k: k / 2)
+FAR = st.one_of(
+    st.floats(-1e9, 1e9),
+    FAR_HALVES,
+    st.tuples(FAR_HALVES, st.floats(-1e-6, 1e-6)).map(lambda p: p[0] + p[1]),
+)
+
 
 def _triangle(scale=1):
     with working_precision(B):
         w = mpmath.expjpi(mpf(2) / 3)
         return ComplexVector(tuple(mpf(scale) * z for z in (mpc(1), w, w * w)), B)
+
+
+def _assert_rotation_bound_sound(vec, n_t, n_u, reflect):
+    # no cell of a rotation lies below its bound by more than float error
+    rw, iw = oracle._rotated_images(vec, n_t, [False, True] if reflect else [False], B)
+    lb = oracle._rotation_bound(rw, iw)
+    u = np.arange(n_u, dtype=np.float64) / n_u
+    for j in range(len(rw)):
+        cells = oracle._cell_max(*oracle._frac_sq_tables(rw[j], iw[j], u))
+        assert lb[j] <= cells.min() + oracle._SCREEN_MARGIN / 10
 
 
 class TestPlanarIsometry:
@@ -311,12 +330,49 @@ class TestTauEstimate:
         with working_precision(B):
             vec = ComplexVector(tuple(mpc(x, y) for x, y in points), B)
         assert float(vec.max_abs()) < oracle._EXACT_ROTATION_MODULUS
-        rw, iw = oracle._rotated_images(vec, n_t, [False, True] if reflect else [False], B)
-        lb = oracle._rotation_bound(rw, iw)
-        u = np.arange(n_u, dtype=np.float64) / n_u
-        for j in range(len(rw)):
-            cells = oracle._cell_max(*oracle._frac_sq_tables(rw[j], iw[j], u))
-            assert lb[j] <= cells.min() + oracle._SCREEN_MARGIN / 10
+        _assert_rotation_bound_sound(vec, n_t, n_u, reflect)
+
+    @given(
+        st.lists(st.tuples(FAR, FAR), min_size=1, max_size=4),
+        st.integers(1, 12),
+        st.integers(1, 16),
+        st.booleans(),
+    )
+    def test_rotation_bound_is_sound_on_exact_rows(self, points, n_t, n_u, reflect):
+        # rows formed at working precision and reduced mod 1, past the
+        # modulus where float64 rotation would err by more than the margin
+        with working_precision(B):
+            far = mpc(oracle._EXACT_ROTATION_MODULUS * 2, 0)
+            vec = ComplexVector((far,) + tuple(mpc(x, y) for x, y in points), B)
+        _assert_rotation_bound_sound(vec, n_t, n_u, reflect)
+
+    @pytest.mark.parametrize(
+        "row, want",
+        [
+            pytest.param([0.0, 0.2, 0.45, 0.7], 0.35**2, id="gap-0.3"),
+            pytest.param([0.9, 0.2, 0.55], 0.325**2, id="gap-across-zero"),
+            pytest.param([-0.4, 0.4, 0.0, -0.2], 0.3**2, id="negative"),
+            pytest.param([0.1, 0.3, 0.5], 0.2**2, id="half-arc"),
+            pytest.param([0.7], 0.0, id="single"),
+        ],
+    )
+    def test_rotation_bound_gap_term(self, row, want):
+        # entries spread over one axis only: past half the circle the
+        # pairwise term d^2 / 4 stays below 1/16, and the bound is the gap
+        # term ((1 - widest cyclic gap) / 2)^2
+        rw = np.array([row], dtype=np.float64)
+        lb = oracle._rotation_bound(rw, np.zeros_like(rw))
+        assert lb[0] == pytest.approx(want, abs=1e-12)
+
+    def test_sweep_work_on_the_unit_triangle(self, monkeypatch):
+        # the per-axis gap bound prunes most rotations of the benchmark
+        # triangle: the pairwise bound alone builds 1872 translation tables
+        # at this grid, both passes together
+        calls = []
+        real = oracle._frac_sq_tables
+        monkeypatch.setattr(oracle, "_frac_sq_tables", lambda *a: calls.append(1) or real(*a))
+        tau_estimate(_triangle(), 1600, 1600, with_reflection=True, bits=B)
+        assert len(calls) <= 600
 
     def test_deterministic(self):
         a = tau_estimate(_triangle(2), 60, 60, with_reflection=True, bits=B)
@@ -368,7 +424,98 @@ def test_random_stream_equals_stdlib(seed):
     assert np.concatenate([draw(1), draw(4999)]).tolist() == expected
 
 
+def _unbounded_kept(t, samples, seed):
+    """The prop-sep float screen with no bound before the rotation: every
+    sample's image is formed, chunk by chunk, and the kept (index, row)
+    pairs are returned as check_prop_sep re-evaluates them.  Draws come
+    from random.Random(seed) itself."""
+    probe = separated_probe(t, B)
+    re = np.array([float(z.real) for z in probe.entries])
+    im = np.array([float(z.imag) for z in probe.entries])
+    exact_all = float(probe.max_abs()) > oracle._EXACT_ROTATION_MODULUS
+    with working_precision(B):
+        screen_sq = float((mpf(1) / 8 + mpf("1e-6")) ** 2)
+    rng = random.Random(seed)
+    index, rows, screened = [], [], []
+    float_min_sq = np.inf
+    for start in range(0, samples, oracle._PROP_SEP_CHUNK):
+        n = min(oracle._PROP_SEP_CHUNK, samples - start)
+        vals = np.array([rng.random() for _ in range(4 * n)]).reshape(n, 4)
+        turn, coin, t1, t2 = vals.T
+        c = np.cos(2 * np.pi * turn)
+        s = np.sin(2 * np.pi * turn)
+        sign = np.where(coin < 0.5, -1.0, 1.0)
+        worst = np.zeros(n)
+        for k in range(len(probe)):
+            ik = sign * im[k]
+            x = c * re[k] - s * ik + t1
+            y = s * re[k] + c * ik + t2
+            fx = x - np.rint(x)
+            fy = y - np.rint(y)
+            np.maximum(worst, fx * fx + fy * fy, out=worst)
+        float_min_sq = min(float_min_sq, float(worst.min()))
+        cut = np.inf if exact_all else max(screen_sq, float_min_sq + oracle._SCREEN_MARGIN)
+        keep = np.nonzero(worst <= cut)[0]
+        index.append(start + keep)
+        rows.append(vals[keep])
+        screened.append(worst[keep])
+    final = np.concatenate(screened) <= cut
+    return np.concatenate(index)[final].tolist(), np.concatenate(rows)[final].tolist()
+
+
 class TestPropSepCheck:
+    @pytest.mark.parametrize("margin", [None, 0.03], ids=["margin", "wide"])
+    @pytest.mark.parametrize("seed", [0, 1, 5, 2**40 + 3])
+    @pytest.mark.parametrize("t, samples", [("0.6", 3000), ("2", 3000), ("1e5", 20)])
+    def test_translation_bound_matches_unbounded_screen(self, t, samples, seed, margin, monkeypatch):
+        # chunks of 64 put the translation bound to work from the second
+        # chunk on; a wide margin keeps dozens of samples, and at 1e5,
+        # past the rotation modulus, every sample is kept
+        monkeypatch.setattr(oracle, "_PROP_SEP_CHUNK", 64)
+        if margin is not None:
+            monkeypatch.setattr(oracle, "_SCREEN_MARGIN", margin)
+        index, rows = _unbounded_kept(t, samples, seed)
+        probe = separated_probe(t, B)
+        with working_precision(B):
+            kept = [
+                PlanarIsometry(
+                    Rotation.from_angle(2 * mpmath.pi * mpf(turn), B), coin < 0.5, (mpf(t1), mpf(t2))
+                )
+                for turn, coin, t1, t2 in rows
+            ]
+        values = [isometry_max_frac(g, probe, B) for g in kept]
+        seen = []
+        real = oracle.isometry_max_frac
+        monkeypatch.setattr(
+            oracle, "isometry_max_frac", lambda g, *a, **k: seen.append(g) or real(g, *a, **k)
+        )
+        chk = check_prop_sep(t, samples, seed=seed, bits=B)
+        assert [to_json_data(g) for g in seen] == [to_json_data(g) for g in kept]
+        assert len(kept) == samples if t == "1e5" else len(kept) >= 1
+        best = min(values)
+        want = oracle.PropSepCheck(
+            t=parse_decimal(t, B),
+            samples=samples,
+            seed=seed,
+            minimum=best,
+            argmin_index=index[values.index(best)],
+            violations=tuple((i, v) for i, v in zip(index, values) if v < chk.threshold),
+            threshold=chk.threshold,
+            bits=B,
+        )
+        assert to_json_data(chk) == to_json_data(want)
+
+    def test_translation_bound_skips_most_rotations(self, monkeypatch):
+        # at t = 2 about 5% of translations lie within the cut of 1/8 on
+        # their own; from the second chunk on only those are rotated
+        sizes = []
+        real = np.cos
+        monkeypatch.setattr(np, "cos", lambda x, *a, **k: sizes.append(np.size(x)) or real(x, *a, **k))
+        chunk = oracle._PROP_SEP_CHUNK
+        check_prop_sep("2", 8 * chunk, seed=1, bits=B)
+        assert sizes[0] == chunk
+        assert sum(sizes[1:]) <= 0.1 * 7 * chunk
+
     def test_no_violations_in_short_run(self):
         chk = check_prop_sep(2, 2000, seed=11, bits=B)
         assert chk.samples == 2000
