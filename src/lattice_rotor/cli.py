@@ -89,6 +89,8 @@ _SPEC_KEYS = {
     "L_cap",
 }
 _MAX_T_COUNT = 10000
+# the modes that draw from the spec seed; only they echo one
+_SEEDED_MODES = ("solve", "prop_sep")
 
 
 class SpecError(ValueError):
@@ -126,7 +128,7 @@ class ProblemSpec:
     t_echo: Optional[dict]
     t_values: Tuple[str, ...]
     precision_bits: int
-    seed: int
+    seed: Optional[int]  # solve and prop_sep only
     height_bound: Optional[int]  # solve only
     l_cap: Optional[str]
 
@@ -135,11 +137,9 @@ class ProblemSpec:
         return len(self.points[0]) if self.points else 0
 
     def echo(self) -> dict:
-        data: dict = {
-            "mode": self.mode,
-            "precision_bits": self.precision_bits,
-            "seed": self.seed,
-        }
+        data: dict = {"mode": self.mode, "precision_bits": self.precision_bits}
+        if self.seed is not None:
+            data["seed"] = self.seed
         if self.points:
             data["points"] = [list(p) for p in self.points]
         if self.epsilon is not None:
@@ -154,29 +154,24 @@ class ProblemSpec:
         return data
 
 
-def _parse_points(raw, mode: str) -> Tuple[Tuple[str, ...], ...]:
-    if not isinstance(raw, list) or not raw:
-        raise SpecError("points must be a non-empty list")
+def _parse_points(raw, mode: str, bits: int) -> Tuple[Tuple[str, ...], ...]:
+    # the JSON shapes and decimal strings here; the point-set rules (some
+    # points, one even dimension) are project_planes'
+    if not isinstance(raw, list):
+        raise SpecError("points must be a list")
     points = []
-    width = None
     for idx, entry in enumerate(raw):
-        if not isinstance(entry, list) or not entry:
-            raise SpecError(f"points[{idx}] must be a non-empty list of decimal strings")
-        if width is None:
-            width = len(entry)
-            if width % 2 != 0:
-                raise SpecError(
-                    f"points must have even dimension (pairs of coordinates), got {width}"
-                )
-        elif len(entry) != width:
-            raise SpecError(
-                f"points[{idx}] has {len(entry)} coordinates, expected {width}"
-            )
+        if not isinstance(entry, list):
+            raise SpecError(f"points[{idx}] must be a list of decimal strings")
         points.append(
             tuple(_require_decimal(c, f"points[{idx}][{j}]") for j, c in enumerate(entry))
         )
-    if mode in ("tau", "prop_sep") and width != 2:
-        raise SpecError(f"mode {mode} requires planar points, got dimension {width}")
+    try:
+        planes = project_planes(points, bits)
+    except ValueError as exc:
+        raise SpecError(str(exc))
+    if mode in ("tau", "prop_sep") and len(planes) != 1:
+        raise SpecError(f"mode {mode} requires planar points, got dimension {2 * len(planes)}")
     return tuple(points)
 
 
@@ -247,8 +242,8 @@ def parse_problem_spec(data, mode_expected: str) -> ProblemSpec:
         raise SpecError(f"mode must be one of {_MODES}, got {mode!r}")
     if mode != mode_expected:
         raise SpecError(f"spec mode {mode!r} does not match subcommand {mode_expected!r}")
-    # tau reads no tolerance, horizon cap or relation height
-    unread = {"epsilon", "L_cap", "height_bound"} & set(data)
+    # tau reads no tolerance, horizon cap, relation height or seed
+    unread = {"epsilon", "L_cap", "height_bound", "seed"} & set(data)
     if mode == "tau" and unread:
         raise SpecError(f"mode tau does not read spec keys {sorted(unread)}")
 
@@ -257,16 +252,16 @@ def parse_problem_spec(data, mode_expected: str) -> ProblemSpec:
         raise SpecError(f"precision_bits must be >= {MIN_PRECISION}, got {bits}")
     if bits > (1 << 20):
         raise SpecError(f"precision_bits is implausibly large: {bits}")
-    seed = _require_int(data.get("seed", 0), "seed", 0)
+    seed = _require_int(data.get("seed", 0), "seed", 0) if mode in _SEEDED_MODES else None
     height_bound = _require_int(data.get("height_bound", 64), "height_bound", 1)
 
     points: Tuple[Tuple[str, ...], ...] = ()
     if mode in ("solve", "tau"):
         if "points" not in data:
             raise SpecError(f"mode {mode} requires points")
-        points = _parse_points(data["points"], mode)
+        points = _parse_points(data["points"], mode, bits)
     elif "points" in data:
-        points = _parse_points(data["points"], mode)
+        points = _parse_points(data["points"], mode, bits)
 
     epsilon = None
     if "epsilon" in data or mode == "solve":

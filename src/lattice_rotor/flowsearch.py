@@ -29,15 +29,19 @@ window is a few factors of the growth rate shorter than E.  The length
 only decides how fast the walk gets there: a flow that hits long before E
 (rational structure pins it to a subtorus) gets the same answer.
 
-Consecutive windows of one walk differ only in length: the scale K grows
-with the window while the step's time entry 2K/length stays put, so each
-window's exact LLL starts from the previous window's unimodular
-transform (lll_reduce's start), whose product with the new rows is
-nearly reduced already.  The enumerated point set is a property of the
-lattice, not of the basis that spans it, so the warm start changes no
+Every window's basis comes from the exact LLL (lll_reduce), at the one
+call site the benchmark times; only its start differs.  A walk's first
+window starts from float_start, a double-precision pre-reduction of its
+rows (cold when doubles cannot carry it), so the exact reduction only
+finishes an almost reduced basis.  Consecutive windows of one walk
+differ only in length: the scale K grows with the window while the
+step's time entry 2K/length stays put, so each later window starts from
+the previous window's unimodular transform, whose product with the new
+rows is nearly reduced already.  The enumerated point set is a property
+of the lattice, not of the basis that spans it, so no start changes a
 candidate.  Dilations of one direction walk the same windows from the
-same starts, so lll_reduce's memo answers every window that an earlier
-walk has reduced.
+same starts, so the memos of float_start and lll_reduce answer every
+window that an earlier walk has reduced.
 
 Each window's target is the signed fractional parts of W + j0*delta*V at
 its first index, computed at working precision.  Every candidate is
@@ -55,7 +59,7 @@ import numpy as np
 from mpmath import mpf
 
 from .corelattice import ComplexVector, frac_dist
-from .lll import lll_reduce
+from .lll import float_start, lll_reduce
 from .precision import raise_for_magnitude, working_precision
 
 # a walk ends "exhausted" after this many windows, or when a window of the
@@ -174,8 +178,12 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
         windows += 1
         count = min(window_len, grid_last - j0 + 1)
         rows, scale = _window_lattice(dv_coords, eps, count, bits_eval)
-        # warm start from the last window's transform, also one whose
-        # enumeration outgrew the node budget
+        # the first window starts from a double-precision pre-reduction
+        # (cold when there is none), every later one from the last
+        # window's transform, also one whose enumeration outgrew the node
+        # budget
+        if transform is None:
+            transform = float_start(rows)
         basis, transform = lll_reduce(rows, transform)
         try:
             candidates = _window_candidates(

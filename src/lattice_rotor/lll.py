@@ -9,6 +9,16 @@ matters because two different callers rely on it for completeness
 arguments: the rational-relation detector and the lattice-point
 enumeration inside the flow search.
 
+float_start is the one place doubles enter: a pre-reduction in the
+style of L^2 (Nguyen-Stehle, SIAM J. Comput. 39, 2009) that keeps the
+Gram matrix exact, recomputes each visited row's Gram-Schmidt data in
+doubles from it, and returns only the unimodular transform it built from
+elementary integer row operations, or None when doubles cannot carry
+the reduction.  Its answer is a start for lll_reduce, never a basis, so
+lll_reduce's answer and its exact check are the same whichever start it
+is given; the exact integer reduction then only finishes a basis that is
+almost reduced already.
+
 Rows are plain lists of Python ints.  The transform matrix returned by
 lll_reduce expresses each reduced row as an integer combination of the
 input rows; its determinant is +-1.
@@ -17,9 +27,10 @@ A caller that already holds a unimodular transform close to the answer
 can pass it as start: the reduction then begins from start * rows, and
 the transform it returns is composed with start and checked exactly
 against the rows, so it still maps the input rows to the basis.  Both
-callers warm-start.  The flow search starts each enumeration window from
-the previous window's transform; consecutive windows differ only in
-length, so that product is nearly reduced already.  Relation detection
+callers warm-start.  The flow search starts each walk's first window
+from float_start's transform and each later window from the previous
+window's; consecutive windows differ only in length, so that product is
+nearly reduced already.  Relation detection
 starts each membership test from the transform of the last test whose
 candidate joined the basis; that product is the earlier reduced lattice
 with the new candidate's two rows appended, so only those two are left
@@ -36,11 +47,14 @@ takes one memo slot, and a repeated walk or detection, whose starts
 repeat too, hits on every call.  The key is the whole input, so a
 remembered answer is the answer; every call returns fresh lists, so a
 caller that edits them cannot reach the memo, and inputs that raise are
-never remembered.
+never remembered.  float_start remembers its last 32 answers the same
+way, keyed on the exact rows, so a repeated walk's first window costs
+neither reduction again.
 """
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -200,6 +214,122 @@ def _lll(rows: Key) -> Tuple[Key, Key]:
             k += 1
 
     return tuple(map(tuple, b)), tuple(map(tuple, h))
+
+
+# float_start's reduction parameters: the lazy size-reduction bound eta and
+# the Lovasz constant delta, as in L^2
+_FLOAT_ETA = 0.51
+_FLOAT_DELTA = 0.99
+
+
+def float_start(rows: Sequence[Sequence[int]]) -> Optional[List[Row]]:
+    """A unimodular start for lll_reduce from a double-precision reduction.
+
+    Returns an integer matrix T of determinant +-1, with one row per input
+    row, such that T * rows is nearly reduced (|mu| <= 0.51 and the
+    Lovasz condition at 0.99, up to double rounding), or None when doubles
+    cannot carry the reduction: a Gram entry past the double range, a zero
+    or non-finite Gram-Schmidt pivot, or more loop iterations than
+    _float_iterations allows.  Either answer is a valid start: None means
+    a cold exact reduction.
+
+    Answers for the last 32 distinct inputs are remembered, keyed on the
+    exact rows; the list returned is new on every call.
+    """
+    start = _float_start(tuple(tuple(map(int, r)) for r in rows))
+    return None if start is None else [list(r) for r in start]
+
+
+def _float_iterations(n: int, bits: int) -> int:
+    # a cap on the visits (size-reduction passes and exchanges) of the
+    # loop below, which follows LLL's O(n^2 log B) exchange count: the
+    # cold 9-D flow window of a 256-bit planted solve, with 171-bit
+    # entries, takes 1,098 of its 14,580, and 13-D and 15-D windows with
+    # 70-bit entries take 409 and 541 of 14,027 and 19,125
+    return n * n * (bits + n)
+
+
+@functools.lru_cache(maxsize=32)
+def _float_start(rows: Key) -> Optional[Key]:
+    # The reduction of L^2 (Nguyen-Stehle, SIAM J. Comput. 39, 2009): the
+    # Gram matrix stays exact and follows every row operation, and each
+    # time row k is visited its Cholesky row is recomputed in doubles from
+    # the exact Gram row and the rows before it, so rounding errors never
+    # accumulate across visits.  The exact rows themselves are carried as
+    # the transform h, which only elementary row operations ever touch.
+    n = len(rows)
+    if not n or not rows[0]:
+        return None
+    gram = [[_dot(u, v) for v in rows] for u in rows]
+    h: List[Row] = [[int(i == j) for j in range(n)] for i in range(n)]
+    bits = max(abs(x) for r in rows for x in r).bit_length()
+    limit = _float_iterations(n, bits)
+    r = [[0.0] * n for _ in range(n)]
+    mu = [[0.0] * n for _ in range(n)]
+    iterations = 0
+    try:
+        r[0][0] = float(gram[0][0])
+        if not 0.0 < r[0][0] < math.inf:
+            return None
+        k = 1
+        while k < n:
+            gk, rk, muk = gram[k], r[k], mu[k]
+            # lazy size reduction: recompute row k's Cholesky data from the
+            # exact Gram row until every |mu_kj| is within eta
+            while True:
+                iterations += 1
+                if iterations > limit:
+                    return None
+                for j in range(k):
+                    s = float(gk[j])
+                    muj = mu[j]
+                    for i in range(j):
+                        s -= muj[i] * rk[i]
+                    rk[j] = s
+                    muk[j] = s / r[j][j]
+                if all(abs(x) <= _FLOAT_ETA for x in muk[:k]):
+                    break
+                for j in range(k - 1, -1, -1):
+                    x = round(muk[j])
+                    if not x:
+                        continue
+                    # b_k -= x * b_j, in the Gram matrix and the transform
+                    gj = gram[j]
+                    gk[k] += x * (x * gj[j] - 2 * gk[j])
+                    for i in range(n):
+                        if i != k:
+                            gk[i] -= x * gj[i]
+                            gram[i][k] = gk[i]
+                    hk, hj = h[k], h[j]
+                    for i in range(n):
+                        hk[i] -= x * hj[i]
+                    muj = mu[j]
+                    for i in range(j):
+                        muk[i] -= x * muj[i]
+            # s = |b*_k|^2 + mu_{k,k-1}^2 |b*_{k-1}|^2, what b*_{k-1}
+            # would be after an exchange
+            s = float(gk[k])
+            for i in range(k - 1):
+                s -= muk[i] * rk[i]
+            if _FLOAT_DELTA * r[k - 1][k - 1] > s:
+                gram[k - 1], gram[k] = gram[k], gram[k - 1]
+                for g in gram:
+                    g[k - 1], g[k] = g[k], g[k - 1]
+                h[k - 1], h[k] = h[k], h[k - 1]
+                k = max(1, k - 1)
+                if k == 1:
+                    r[0][0] = float(gram[0][0])
+            else:
+                rk[k] = s - muk[k - 1] * rk[k - 1]
+                k += 1
+            pivot = r[k - 1][k - 1]
+            if not 0.0 < pivot < math.inf:
+                return None
+    except (OverflowError, ValueError):
+        # a Gram entry past the double range, or a non-finite mu that
+        # cannot be rounded to an integer
+        return None
+    return tuple(map(tuple, h))
 
 
 def gram_schmidt_fractions(rows: Sequence[Sequence[int]]):

@@ -60,7 +60,7 @@ def project_planes(points, bits: int = DEFAULT_PRECISION) -> Tuple[ComplexVector
         raise ValueError(f"points have mixed dimensions: {sorted(dims)}")
     dim = dims.pop()
     if dim < 2 or dim % 2 != 0:
-        raise ValueError(f"dimension must be even and >= 2, got {dim}")
+        raise ValueError(f"points need an even dimension >= 2, got {dim}")
     with working_precision(bits):
         return tuple(
             ComplexVector(tuple(mpc(p[2 * i], p[2 * i + 1]) for p in rows), bits)

@@ -64,6 +64,44 @@ class TestSpecValidation:
                 _solve_spec(points=[["1", "0"], ["1", "0", "2", "3"]]), "solve"
             )
 
+    @pytest.mark.parametrize(
+        "points, match",
+        [
+            ([], "at least one point"),
+            ([[]], "even dimension"),
+            ([["1", "0", "2"]], "even dimension"),
+            ([["1", "0"], ["1", "0", "2", "3"]], "mixed dimensions"),
+            ([["1", "inf"]], "not a valid decimal"),
+            ("1,0", "points must be a list"),
+            ([["1", "0"], "2"], "points\\[1\\] must be a list"),
+        ],
+        ids=["no-points", "empty-point", "odd", "ragged", "not-a-decimal", "not-a-list", "not-a-row"],
+    )
+    def test_point_set_faults_exit_2(self, tmp_path, capsys, points, match):
+        # the point-set rules are project_planes'; the spec maps them to
+        # SpecError, and main to exit code 2
+        data = _solve_spec(points=points)
+        with pytest.raises(SpecError, match=match):
+            parse_problem_spec(data, "solve")
+        spec_path = _write_spec(tmp_path, data)
+        assert main(["solve", "--input", spec_path, "--output", str(tmp_path / "r.json")]) == 2
+        assert json.loads(capsys.readouterr().out)["exit_code"] == 2
+
+    @pytest.mark.parametrize(
+        "mode, data, seed",
+        [
+            ("solve", _solve_spec(seed=4), 4),
+            ("prop_sep", {"mode": "prop_sep", "t": "2", "seed": 4}, 4),
+            ("tau", {"mode": "tau", "points": [["0", "0"]], "t": "1"}, None),
+            ("covering", {"mode": "covering"}, None),
+        ],
+    )
+    def test_only_seeded_modes_echo_a_seed(self, mode, data, seed):
+        spec = parse_problem_spec(data, mode)
+        assert spec.seed == seed
+        assert ("seed" in spec.echo()) == (seed is not None)
+        assert spec.echo().get("seed") == seed
+
     def test_rejects_mode_mismatch(self):
         with pytest.raises(SpecError, match="does not match"):
             parse_problem_spec(_solve_spec(), "tau")
@@ -169,10 +207,10 @@ class TestSpecValidation:
                 )
 
     @pytest.mark.parametrize(
-        "key, value", [("epsilon", "0.3"), ("L_cap", "5"), ("height_bound", 3)]
+        "key, value", [("epsilon", "0.3"), ("L_cap", "5"), ("height_bound", 3), ("seed", 5)]
     )
     def test_tau_refuses_solver_keys(self, tmp_path, capsys, key, value):
-        # tau reads no tolerance, horizon cap or relation height
+        # tau reads no tolerance, horizon cap, relation height or seed
         data = {"mode": "tau", "points": [["0", "0"], ["0.5", "0"]], "t": "1", key: value}
         with pytest.raises(SpecError, match=f"does not read spec keys \\['{key}'\\]"):
             parse_problem_spec(data, "tau")

@@ -7,10 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
-from lattice_rotor import flowsearch, solver
+from lattice_rotor import flowsearch, lll, solver
 from lattice_rotor.corelattice import ComplexVector, vec_frac_dist
 from lattice_rotor.flowsearch import FlowSearchOutcome, flow_search
-from lattice_rotor.lll import lll_reduce
+from lattice_rotor.lll import float_start, lll_reduce
 from lattice_rotor.precision import working_precision
 from lattice_rotor.solver import SolverConfig
 
@@ -310,14 +310,15 @@ def long_flows(draw):
 
 
 class TestWarmStartedWindows:
-    """Each window's exact LLL starts from the transform of the window
+    """The first window's exact LLL starts from float_start's pre-reduction
+    of its rows, and each later window's from the transform of the window
     before it; a walk whose every reduction starts cold, the test's own
     reference, must end identically."""
 
     @staticmethod
     def _warm_and_cold(monkeypatch, v, w, eps, L_max):
-        # the warm walk records each window's length, the start it passed
-        # and the transform it got back
+        # the warm walk records each window's length, rows, the start it
+        # passed and the transform it got back
         windows = []
         real_lattice = flowsearch._window_lattice
 
@@ -327,7 +328,7 @@ class TestWarmStartedWindows:
 
         def reduce_(rows, start=None):
             out = lll_reduce(rows, start)
-            windows[-1].update(start=start, transform=out[1])
+            windows[-1].update(rows=rows, start=start, transform=out[1])
             return out
 
         monkeypatch.setattr(flowsearch, "_window_lattice", lattice)
@@ -337,7 +338,7 @@ class TestWarmStartedWindows:
         monkeypatch.setattr(flowsearch, "lll_reduce", lambda rows, start=None: lll_reduce(rows))
         cold = flow_search(v, w, eps, L_max, BITS)
 
-        assert windows and windows[0]["start"] is None
+        assert windows and windows[0]["start"] == float_start(windows[0]["rows"])
         for before, after in zip(windows, windows[1:]):
             assert after["start"] == before["transform"]
         return warm, cold, windows
@@ -372,6 +373,42 @@ class TestWarmStartedWindows:
         lengths = [win["len"] for win in windows]
         assert any(after < before for before, after in zip(lengths, lengths[1:]))
         assert len(lengths) == warm.windows_used == 19
+
+    @staticmethod
+    def _generic_flow(m):
+        """m generic entries and offsets at the eps that puts the first-hit
+        estimate E at 2^20 grid indices, on a grid of 4E."""
+        with working_precision(BITS):
+            eps = mpmath.sqrt(mpf(2) ** (-mpf(20) / m) / mpmath.pi)
+            v = ComplexVector(
+                tuple(mpmath.rect(mpf("0.5") + mpf(k) / 7, mpmath.sqrt(k + 2)) for k in range(m)),
+                BITS,
+            )
+            w = ComplexVector(
+                tuple(mpc(mpf(k + 1) / (m + 3), mpf(2 * k + 1) / (2 * m + 5)) for k in range(m)),
+                BITS,
+            )
+            L_max = (4 << 20) * eps / (4 * v.max_abs())
+        return v, w, eps, L_max
+
+    @pytest.mark.parametrize("m, grid_index", [(6, 1_841_033), (7, 1_744_591)])
+    def test_thirteen_and_fifteen_dimensional_windows(self, monkeypatch, m, grid_index):
+        # 2m+1 = 13 and 15 come near the dimension where doubles stop
+        # carrying L^2's reduction; the float start still leaves the walk
+        # as cold reductions leave it
+        warm, cold, windows = self._warm_and_cold(monkeypatch, *self._generic_flow(m))
+        self._assert_same_walk(warm, cold)
+        assert len(windows[0]["rows"]) == 2 * m + 1
+        assert windows[0]["start"] is not None
+        assert warm.found and warm.grid_index == grid_index
+
+    def test_a_refused_float_start_leaves_the_first_window_cold(self, monkeypatch):
+        monkeypatch.setattr(lll, "_float_iterations", lambda n, bits: 0)
+        monkeypatch.setattr(lll, "_float_start", lll._float_start.__wrapped__)
+        warm, cold, windows = self._warm_and_cold(monkeypatch, *self._generic_flow(6))
+        self._assert_same_walk(warm, cold)
+        assert windows[0]["start"] is None
+        assert warm.found and warm.grid_index == 1_841_033
 
 
 class TestReadmeWorkGuard:

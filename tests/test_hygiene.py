@@ -9,7 +9,8 @@ holds (exact integers, high-precision numbers) have no size limit of
 their own.  Every solver setting and flow-search keyword names the
 caller that sets it, so a knob that nothing reads cannot slip in.
 solver.py makes its SolveReports at one call site and derives its
-evaluation precision at one.
+evaluation precision at one, and flowsearch.py reduces its windows at
+one.
 """
 
 import ast
@@ -107,9 +108,10 @@ def test_benchmark_bindings_resolve():
     assert not missing, f"names the benchmark wraps are gone: {missing}"
 
 
-def _solver_call_sites(name):
-    """Line numbers where solver.py calls the bare name `name`."""
-    _, tree = _parse(ROOT / "src" / "lattice_rotor" / "solver.py")
+def _call_sites(module, name):
+    """Line numbers where the package module `module` calls the bare name
+    `name`."""
+    _, tree = _parse(ROOT / "src" / "lattice_rotor" / module)
     return [
         node.lineno
         for node in ast.walk(tree)
@@ -120,7 +122,7 @@ def _solver_call_sites(name):
 def test_one_solve_report_site():
     """solve_general makes the only report, so a second report path (with
     its own verification or trail) cannot creep back in."""
-    sites = _solver_call_sites("SolveReport")
+    sites = _call_sites("solver.py", "SolveReport")
     assert len(sites) == 1, f"solver.py calls SolveReport( at lines {sites}"
 
 
@@ -128,8 +130,16 @@ def test_one_precision_site():
     """solve_general derives the evaluation precision once and every
     phase attempt walks at it, so a second, inner precision (with its own
     rounding of t, eps and the horizon) cannot creep back in."""
-    sites = _solver_call_sites("raise_for_magnitude")
+    sites = _call_sites("solver.py", "raise_for_magnitude")
     assert len(sites) == 1, f"solver.py calls raise_for_magnitude( at lines {sites}"
+
+
+def test_one_flow_reduction_site():
+    """flow_search reduces every window through one lll_reduce call, so
+    no second reduction path can slip out of the benchmark's
+    lll.flowsearch span."""
+    sites = _call_sites("flowsearch.py", "lll_reduce")
+    assert len(sites) == 1, f"flowsearch.py calls lll_reduce( at lines {sites}"
 
 
 def _unbounded_memos(tree):

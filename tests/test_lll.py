@@ -5,7 +5,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lattice_rotor import lll
-from lattice_rotor.lll import gram_schmidt_fractions, is_reduced, lll_reduce
+from lattice_rotor.lll import float_start, gram_schmidt_fractions, is_reduced, lll_reduce
 
 
 def _det(matrix):
@@ -79,6 +79,18 @@ def knapsack_starts(draw):
     tail = st.lists(st.integers(-5, 5), min_size=n - 2, max_size=n - 2)
     start += [[int(i == j) for j in range(2)] + draw(tail) for i in range(2)]
     return rows, start
+
+
+@st.composite
+def window_rows(draw):
+    """One row of big entries, the last of them positive, above scaled
+    identity rows: the shape of a flow-search window lattice, in 2 to 9
+    dimensions."""
+    n = draw(st.integers(2, 9))
+    size = 2 ** draw(st.sampled_from([20, 60, 120, 170]))
+    scale = draw(st.integers(size // 4, size))
+    step = [draw(st.integers(-size, size)) for _ in range(n - 1)] + [draw(st.integers(1, size))]
+    return [step] + [[scale * int(i == j) for j in range(n)] for i in range(n - 1)]
 
 
 @st.composite
@@ -246,3 +258,55 @@ class TestMemo:
         for k in range(limit + 8):
             lll_reduce([[1, k + 1], [0, 1]])
         assert lll._reduce.cache_info().currsize <= limit
+
+
+class TestFloatStart:
+    """float_start answers None or a unimodular start whose product with
+    the rows is nearly reduced, checked in exact rationals."""
+
+    @staticmethod
+    def _assert_nearly_reduced(rows, start):
+        assert all(type(x) is int for r in start for x in r)
+        assert len(start) == len(rows) and all(len(r) == len(rows) for r in start)
+        assert abs(_det(start)) == 1
+        ortho_sq, mu = gram_schmidt_fractions(_matmul(start, rows))
+        eta, delta = Fraction(52, 100), Fraction(98, 100)
+        assert all(abs(mu[i][j]) <= eta for i in range(len(rows)) for j in range(i))
+        for i in range(1, len(rows)):
+            assert ortho_sq[i] >= (delta - mu[i][i - 1] ** 2) * ortho_sq[i - 1]
+
+    @given(rows=bases())
+    def test_a_start_is_unimodular_and_nearly_reduces_the_rows(self, rows):
+        start = float_start(rows)
+        if start is not None:
+            self._assert_nearly_reduced(rows, start)
+
+    @given(rows=window_rows())
+    def test_window_shaped_rows_are_nearly_reduced(self, rows):
+        start = float_start(rows)
+        assert start is not None
+        self._assert_nearly_reduced(rows, start)
+        assert is_reduced(lll_reduce(rows, start)[0])
+
+    def test_entries_past_the_double_range_give_none(self):
+        big = 2**600
+        assert float_start([[big, 1], [3, big]]) is None
+
+    def test_the_iteration_bound_gives_none(self, monkeypatch):
+        rows = [[2**100 + 17, 2**99 + 5, 1], [2**98 + 3, 2**100 - 1, 0], [7, 11, 13]]
+        assert float_start(rows) is not None
+        monkeypatch.setattr(lll, "_float_iterations", lambda n, bits: 1)
+        monkeypatch.setattr(lll, "_float_start", lll._float_start.__wrapped__)
+        assert float_start(rows) is None
+
+    def test_dependent_rows_give_none_or_a_unimodular_start(self):
+        for rows in ([[1, 2], [2, 4]], [[0, 0]], [[3, 1, 4], [1, 5, 9], [4, 6, 13]]):
+            start = float_start(rows)
+            assert start is None or abs(_det(start)) == 1
+
+    def test_editing_a_returned_start_changes_nothing(self):
+        rows = [[1, 0, 0], [5, 1, 0], [7, 3, 1]]
+        first = float_start(rows)
+        expected = [list(r) for r in first]
+        first[0][0] += 99
+        assert float_start(rows) == expected

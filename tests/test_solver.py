@@ -640,14 +640,15 @@ def _planted_dilations():
 
 class TestReductionMemo:
     def test_a_second_dilation_reduces_no_new_lattice(self):
-        # relation detection and every flow window (with its warm start)
-        # depend on the phase-rotated direction, not on t, so lll_reduce's
-        # memo answers the whole second solve
+        # relation detection and every flow window (with its float or warm
+        # start) depend on the phase-rotated direction, not on t, so the
+        # memos of lll_reduce and float_start answer the whole second solve
         vec, ts, config = _planted_dilations()
+        memos = (lll._reduce, lll._float_start)
         assert solve_general(vec, ts[0], "0.1", seed=3, config=config).achieved
-        misses = lll._reduce.cache_info().misses
+        misses = [memo.cache_info().misses for memo in memos]
         assert solve_general(vec, ts[1], "0.1", seed=3, config=config).achieved
-        assert lll._reduce.cache_info().misses == misses
+        assert [memo.cache_info().misses for memo in memos] == misses
 
 
 class TestPlantedWorkGuard:
