@@ -1,11 +1,15 @@
 """Command-line front end: one path from arguments to report.
 
 main parses the arguments, and _spec_and_options turns them into a
-ProblemSpec (always through parse_problem_spec) and the subcommand's
-options.  run(spec, options=None, timings=False) calls the mode's
-_run_<mode>(spec, options) from one table, echoes the options under
-spec.options and returns the RunReport.  main writes the report to
---output or stdout, then the tau CSV (--csv) and the solve SVG (--plot).
+ProblemSpec and the subcommand's options.  Every spec passes
+parse_problem_spec, which reads one table, SPEC_SCHEMA: per mode, the
+spec keys it requires and those it may carry with their defaults.  It
+refuses every other key and every missing one, and a report echoes
+exactly the keys its mode reads.  run(spec, options=None, timings=False)
+calls the mode's _run_<mode>(spec, options) from one table, echoes the
+options under spec.options and returns the RunReport.  main writes the
+report to --output or stdout, then the tau CSV (--csv) and the solve SVG
+(--plot).
 
 Numbers cross this boundary as decimal strings in both directions; JSON
 floats are rejected outright because a double-precision detour would
@@ -31,7 +35,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpc, mpf
@@ -68,6 +72,7 @@ from .solver import (
 )
 
 __all__ = [
+    "SPEC_SCHEMA",
     "SpecError",
     "ProblemSpec",
     "parse_problem_spec",
@@ -76,21 +81,19 @@ __all__ = [
     "main",
 ]
 
-_MODES = ("solve", "tau", "prop_sep", "covering")
-_SPEC_KEYS = {
-    "mode",
-    "points",
-    "epsilon",
-    "t",
-    "t_range",
-    "precision_bits",
-    "seed",
-    "height_bound",
-    "L_cap",
+# mode -> (the spec keys it requires, the keys it may carry with their
+# defaults), the one schema parsing, refusal and the report echo read;
+# "t" stands for t or t_range, and an L_cap of None is no cap
+SPEC_SCHEMA = {
+    "solve": (
+        ("points", "epsilon", "t"),
+        {"seed": 0, "precision_bits": 128, "height_bound": 64, "L_cap": None},
+    ),
+    "tau": (("points", "t"), {"precision_bits": 128}),
+    "prop_sep": (("t",), {"seed": 0, "precision_bits": 128}),
+    "covering": ((), {}),
 }
 _MAX_T_COUNT = 10000
-# the modes that draw from the spec seed; only they echo one
-_SEEDED_MODES = ("solve", "prop_sep")
 
 
 class SpecError(ValueError):
@@ -110,6 +113,13 @@ def _require_decimal(value, name: str, bits: int = 64) -> str:
     return value
 
 
+def _positive_decimal(value, name: str, bits: int) -> str:
+    text = _require_decimal(value, name)
+    if not parse_decimal(text, bits) > 0:
+        raise SpecError(f"{name} must be positive, got {text}")
+    return text
+
+
 def _require_int(value, name: str, minimum: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise SpecError(f"{name} must be an integer, got {type(value).__name__}")
@@ -120,41 +130,27 @@ def _require_int(value, name: str, minimum: int) -> int:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Validated, normalized run description."""
+    """Validated run description: the mode and every spec key the mode
+    reads, each with its normalized value or its default.  "t" holds the
+    t or t_range echo together with the expanded t_values."""
 
-    mode: str
-    points: Tuple[Tuple[str, ...], ...]
-    epsilon: Optional[str]
-    t_echo: Optional[dict]
-    t_values: Tuple[str, ...]
-    precision_bits: int
-    seed: Optional[int]  # solve and prop_sep only
-    height_bound: Optional[int]  # solve only
-    l_cap: Optional[str]
+    values: dict
 
     @property
-    def dim(self) -> int:
-        return len(self.points[0]) if self.points else 0
+    def mode(self) -> str:
+        return self.values["mode"]
+
+    @property
+    def t_values(self) -> List[str]:
+        return self.values["t"]["t_values"]
 
     def echo(self) -> dict:
-        data: dict = {"mode": self.mode, "precision_bits": self.precision_bits}
-        if self.seed is not None:
-            data["seed"] = self.seed
-        if self.points:
-            data["points"] = [list(p) for p in self.points]
-        if self.epsilon is not None:
-            data["epsilon"] = self.epsilon
-        if self.t_echo is not None:
-            data.update(self.t_echo)
-            data["t_values"] = list(self.t_values)
-        if self.height_bound is not None:
-            data["height_bound"] = self.height_bound
-        if self.l_cap is not None:
-            data["L_cap"] = self.l_cap
+        data = {k: v for k, v in self.values.items() if k != "t" and v is not None}
+        data.update(self.values.get("t", {}))
         return data
 
 
-def _parse_points(raw, mode: str, bits: int) -> Tuple[Tuple[str, ...], ...]:
+def _parse_points(raw, mode: str, bits: int) -> List[List[str]]:
     # the JSON shapes and decimal strings here; the point-set rules (some
     # points, one even dimension) are project_planes'
     if not isinstance(raw, list):
@@ -163,32 +159,25 @@ def _parse_points(raw, mode: str, bits: int) -> Tuple[Tuple[str, ...], ...]:
     for idx, entry in enumerate(raw):
         if not isinstance(entry, list):
             raise SpecError(f"points[{idx}] must be a list of decimal strings")
-        points.append(
-            tuple(_require_decimal(c, f"points[{idx}][{j}]") for j, c in enumerate(entry))
-        )
+        points.append([_require_decimal(c, f"points[{idx}][{j}]") for j, c in enumerate(entry)])
     try:
         planes = project_planes(points, bits)
     except ValueError as exc:
         raise SpecError(str(exc))
-    if mode in ("tau", "prop_sep") and len(planes) != 1:
+    if mode == "tau" and len(planes) != 1:
         raise SpecError(f"mode {mode} requires planar points, got dimension {2 * len(planes)}")
-    return tuple(points)
+    return points
 
 
-def _expand_t(data: dict, bits: int) -> Tuple[Optional[dict], Tuple[str, ...]]:
-    has_t = "t" in data
-    has_range = "t_range" in data
-    if has_t and has_range:
+def _expand_t(given: dict, bits: int) -> dict:
+    """The t or t_range echo of a spec, with its expanded t_values."""
+    if len(given) > 1:
         raise SpecError("give either t or t_range, not both")
-    if not has_t and not has_range:
-        return None, ()
     with working_precision(bits + 32):
-        if has_t:
-            t_str = _require_decimal(data["t"], "t")
-            if not parse_decimal(t_str, bits + 32) > 0:
-                raise SpecError(f"t must be positive, got {t_str}")
-            return {"t": t_str}, (t_str,)
-        rng = data["t_range"]
+        if "t" in given:
+            t_str = _positive_decimal(given["t"], "t", bits + 32)
+            return {"t": t_str, "t_values": [t_str]}
+        rng = given["t_range"]
         if not isinstance(rng, dict):
             raise SpecError("t_range must be an object")
         unknown = set(rng) - {"from", "to", "count", "spacing"}
@@ -218,87 +207,75 @@ def _expand_t(data: dict, bits: int) -> Tuple[Optional[dict], Tuple[str, ...]]:
             la, lb = mpmath.log(a), mpmath.log(b)
             step = (lb - la) / (count - 1)
             values = [mpmath.exp(la + step * i) for i in range(count)]
-        echo = {
-            "t_range": {
-                "from": rng["from"],
-                "to": rng["to"],
-                "count": count,
-                "spacing": spacing,
-            }
+        return {
+            "t_range": {"from": rng["from"], "to": rng["to"], "count": count, "spacing": spacing},
+            "t_values": [format_decimal(v, bits) for v in values],
         }
-        return echo, tuple(format_decimal(v, bits) for v in values)
+
+
+def _check_precision(value, got: dict) -> int:
+    bits = _require_int(value, "precision_bits", MIN_PRECISION)
+    if bits > (1 << 20):
+        raise SpecError(f"precision_bits is implausibly large: {bits}")
+    return bits
+
+
+def _check_epsilon(value, got: dict) -> str:
+    epsilon = _require_decimal(value, "epsilon")
+    k = len(got["points"][0])
+    bits = max(got["precision_bits"], 64)
+    with working_precision(bits):
+        eps_v = parse_decimal(epsilon, bits)
+        limit = mpmath.sqrt(mpf(k)) / 2
+        if not (0 < eps_v < limit):
+            raise SpecError(
+                f"epsilon must lie in (0, sqrt({k})/2 = {mpmath.nstr(limit, 8)}), "
+                f"got {epsilon}"
+            )
+    return epsilon
+
+
+# each spec key's validator, given the key's value and the keys validated
+# before it; they run in this order, so bits and points come first
+_VALIDATORS = {
+    "precision_bits": _check_precision,
+    "seed": lambda value, got: _require_int(value, "seed", 0),
+    "height_bound": lambda value, got: _require_int(value, "height_bound", 1),
+    "points": lambda value, got: _parse_points(value, got["mode"], got["precision_bits"]),
+    "epsilon": _check_epsilon,
+    "t": lambda value, got: _expand_t(value, got["precision_bits"]),
+    "L_cap": lambda value, got: _positive_decimal(value, "L_cap", 64),
+}
 
 
 def parse_problem_spec(data, mode_expected: str) -> ProblemSpec:
-    """Validate a raw spec object for the given subcommand; SpecError on
-    any schema violation."""
+    """Validate a raw spec object for the given subcommand against
+    SPEC_SCHEMA; SpecError on a key the mode does not read, a missing
+    required key or any value its validator refuses."""
     if not isinstance(data, dict):
         raise SpecError("problem spec must be a JSON object")
-    unknown = set(data) - _SPEC_KEYS
-    if unknown:
-        raise SpecError(f"unknown spec keys: {sorted(unknown)}")
     mode = data.get("mode", mode_expected)
-    if mode not in _MODES:
-        raise SpecError(f"mode must be one of {_MODES}, got {mode!r}")
+    if mode not in SPEC_SCHEMA:
+        raise SpecError(f"mode must be one of {tuple(SPEC_SCHEMA)}, got {mode!r}")
     if mode != mode_expected:
         raise SpecError(f"spec mode {mode!r} does not match subcommand {mode_expected!r}")
-    # tau reads no tolerance, horizon cap, relation height or seed
-    unread = {"epsilon", "L_cap", "height_bound", "seed"} & set(data)
-    if mode == "tau" and unread:
-        raise SpecError(f"mode tau does not read spec keys {sorted(unread)}")
+    required, optional = SPEC_SCHEMA[mode]
+    reads = {"mode", *required, *optional} | ({"t_range"} if "t" in required else set())
+    unread = set(data) - reads
+    if unread:
+        raise SpecError(f"mode {mode} does not read spec keys {sorted(unread)}")
+    for key in required:
+        if key not in data and (key != "t" or "t_range" not in data):
+            raise SpecError(f"mode {mode} requires {'t or t_range' if key == 't' else key}")
 
-    bits = _require_int(data.get("precision_bits", 128), "precision_bits", 1)
-    if bits < MIN_PRECISION:
-        raise SpecError(f"precision_bits must be >= {MIN_PRECISION}, got {bits}")
-    if bits > (1 << 20):
-        raise SpecError(f"precision_bits is implausibly large: {bits}")
-    seed = _require_int(data.get("seed", 0), "seed", 0) if mode in _SEEDED_MODES else None
-    height_bound = _require_int(data.get("height_bound", 64), "height_bound", 1)
-
-    points: Tuple[Tuple[str, ...], ...] = ()
-    if mode in ("solve", "tau"):
-        if "points" not in data:
-            raise SpecError(f"mode {mode} requires points")
-        points = _parse_points(data["points"], mode, bits)
-    elif "points" in data:
-        points = _parse_points(data["points"], mode, bits)
-
-    epsilon = None
-    if "epsilon" in data or mode == "solve":
-        if "epsilon" not in data:
-            raise SpecError("mode solve requires epsilon")
-        epsilon = _require_decimal(data["epsilon"], "epsilon")
-        k = len(points[0]) if points else 2
-        with working_precision(max(bits, 64)):
-            eps_v = parse_decimal(epsilon, max(bits, 64))
-            limit = mpmath.sqrt(mpf(k)) / 2
-            if not (0 < eps_v < limit):
-                raise SpecError(
-                    f"epsilon must lie in (0, sqrt({k})/2 = {mpmath.nstr(limit, 8)}), "
-                    f"got {epsilon}"
-                )
-
-    t_echo, t_values = _expand_t(data, bits)
-    if mode in ("solve", "tau") and not t_values:
-        raise SpecError(f"mode {mode} requires t or t_range")
-
-    l_cap = None
-    if "L_cap" in data:
-        l_cap = _require_decimal(data["L_cap"], "L_cap")
-        if not parse_decimal(l_cap, 64) > 0:
-            raise SpecError(f"L_cap must be positive, got {l_cap}")
-
-    return ProblemSpec(
-        mode=mode,
-        points=points,
-        epsilon=epsilon,
-        t_echo=t_echo,
-        t_values=t_values,
-        precision_bits=bits,
-        seed=seed,
-        height_bound=height_bound if mode == "solve" else None,
-        l_cap=l_cap,
-    )
+    given = {**optional, **data, "t": {k: data[k] for k in ("t", "t_range") if k in data}}
+    got = {"mode": mode}
+    for key, check in _VALIDATORS.items():
+        if key in required or key in optional:
+            # a default of None stands for the key's absence
+            absent = given[key] is None and key not in data
+            got[key] = None if absent else check(given[key], got)
+    return ProblemSpec(got)
 
 
 def _result_rotations(result: dict) -> Tuple[int, mpf, Tuple[mpc, ...]]:
@@ -330,12 +307,11 @@ _Outcome = Tuple[Tuple[dict, ...], dict, Tuple[str, ...]]
 
 
 def _run_solve(spec: ProblemSpec, options: dict) -> _Outcome:
-    bits = spec.precision_bits
-    config = SolverConfig(
-        bits=bits, height_bound=spec.height_bound, l_cap=spec.l_cap
-    )
-    planar = spec.dim == 2
-    planes = project_planes(spec.points, bits)
+    keys = spec.values
+    bits, seed = keys["precision_bits"], keys["seed"]
+    config = SolverConfig(bits=bits, height_bound=keys["height_bound"], l_cap=keys["L_cap"])
+    planes = project_planes(keys["points"], bits)
+    planar = len(planes) == 1
 
     warnings = []
     results = []
@@ -343,14 +319,14 @@ def _run_solve(spec: ProblemSpec, options: dict) -> _Outcome:
     worst = None
     # strictly ordered by t; see the module docstring for why the per-t
     # lane count stays at one
-    eps_v = parse_decimal(spec.epsilon, bits)
+    eps_v = parse_decimal(keys["epsilon"], bits)
     for t_str in spec.t_values:
         t_v = parse_decimal(t_str, bits)
         if planar:
-            rep = solve_general(planes[0], t_v, eps_v, seed=spec.seed, config=config)
+            rep = solve_general(planes[0], t_v, eps_v, seed=seed, config=config)
             plane_reports, frac = (rep,), rep.max_frac
         else:
-            rep = solve_even_dim(planes, t_v, eps_v, seed=spec.seed, config=config)
+            rep = solve_even_dim(planes, t_v, eps_v, seed=seed, config=config)
             plane_reports, frac = rep.per_plane, rep.combined_max_frac
         # relation detection's advisories, once each across planes and t
         for w in (w for r in plane_reports for w in r.decomposition.warnings):
@@ -375,8 +351,8 @@ def _run_solve(spec: ProblemSpec, options: dict) -> _Outcome:
 
 
 def _run_tau(spec: ProblemSpec, options: dict) -> _Outcome:
-    bits = spec.precision_bits
-    base = project_planes(spec.points, bits)[0]
+    bits = spec.values["precision_bits"]
+    base = project_planes(spec.values["points"], bits)[0]
     results = []
     uppers = []
     for t_str in spec.t_values:
@@ -433,8 +409,8 @@ def _replay_draw(seed: int, index: int) -> Tuple[float, bool, float, float]:
 
 
 def _run_prop_sep(spec: ProblemSpec, options: dict) -> _Outcome:
-    t, samples, seed = spec.t_values[0], options["samples"], spec.seed
-    bits = spec.precision_bits
+    t, samples = spec.t_values[0], options["samples"]
+    seed, bits = spec.values["seed"], spec.values["precision_bits"]
     try:
         chk = check_prop_sep(t, samples, seed, bits=bits)
     except ValueError as exc:
@@ -634,7 +610,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sep.add_argument("--t", required=True, help="separation parameter (decimal)")
     p_sep.add_argument("--samples", type=int, required=True)
     p_sep.add_argument("--seed", type=int, required=True)
-    p_sep.add_argument("--precision", type=int, default=128)
+    p_sep.add_argument("--precision", type=int, help="precision_bits (default 128)")
     p_sep.add_argument("--output", help="report JSON path (default stdout)")
     p_sep.add_argument("--timings", action="store_true")
 
@@ -648,27 +624,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cov.add_argument("--output", help="report JSON path (default stdout)")
     p_cov.add_argument("--timings", action="store_true")
     # flags some subcommands lack, so every namespace has the same shape
-    parser.set_defaults(csv=None, plot=None, plot_kind="curve", seed=None)
+    parser.set_defaults(
+        input=None, csv=None, plot=None, plot_kind="curve", t=None, seed=None, precision=None
+    )
     return parser
 
 
 def _spec_and_options(args) -> Tuple[ProblemSpec, dict]:
     """The validated spec for the subcommand, and the options its report
     echoes under spec.options."""
-    if args.command == "prop-sep":
-        data = {
-            "mode": "prop_sep",
-            "t": args.t,
-            "seed": args.seed,
-            "precision_bits": args.precision,
-        }
-    elif args.command == "covering":
-        data = {"mode": "covering", "precision_bits": MIN_PRECISION}
-    else:
-        data = _load_spec_file(args.input)
-        for key, value in (("seed", args.seed), ("precision_bits", args.precision)):
-            if value is not None and isinstance(data, dict):
-                data[key] = value
+    # prop-sep and covering take flags only, so their specs start empty
+    data = {} if args.input is None else _load_spec_file(args.input)
+    for key, value in (("t", args.t), ("seed", args.seed), ("precision_bits", args.precision)):
+        if value is not None and isinstance(data, dict):
+            data[key] = value
     spec = parse_problem_spec(data, args.command.replace("-", "_"))
 
     if args.command == "tau":

@@ -62,8 +62,9 @@ from .corelattice import ComplexVector, frac_dist
 from .lll import float_start, lll_reduce
 from .precision import raise_for_magnitude, working_precision
 
-# a walk ends "exhausted" after this many windows, or when a window of the
-# floor length outgrows the node budget; flow_search reads both at call time
+# a walk ends "exhausted" after this many windows, when a window of the
+# floor length outgrows the node budget, or when a window's target leaves
+# the int64 range; flow_search reads both budgets at call time
 DEFAULT_WINDOW_BUDGET = 256
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -193,6 +194,10 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
             if window_len > _WINDOW_FLOOR:
                 window_len = max(_WINDOW_FLOOR, window_len // _WINDOW_GROWTH)
                 continue
+            return outcome("exhausted")
+        except OverflowError:
+            # the target's coefficients passed the int64 range, where
+            # doubles have long lost their integer part: no window resolves
             return outcome("exhausted")
         examined += len(candidates)
         window_len *= _WINDOW_GROWTH

@@ -34,13 +34,53 @@ def _write_spec(tmp_path, data, name="spec.json"):
     return str(path)
 
 
+# a valid spec for each mode, and a value for every spec key any mode
+# reads plus one that no mode reads
+_VALID_SPECS = {
+    "solve": _solve_spec(),
+    "tau": {"mode": "tau", "points": [["0", "0"], ["0.5", "0"]], "t": "1"},
+    "prop_sep": {"mode": "prop_sep", "t": "2", "seed": 4},
+    "covering": {"mode": "covering"},
+}
+_KEY_VALUES = {
+    "points": [["1", "0"]],
+    "epsilon": "0.3",
+    "t": "1",
+    "t_range": {"from": "1", "to": "2"},
+    "seed": 5,
+    "precision_bits": 128,
+    "height_bound": 3,
+    "L_cap": "5",
+    "extra": 1,
+}
+# the flags that complete a spec-file run, for the modes that take --input
+_INPUT_ARGS = {
+    "solve": ["--output", "report.json"],
+    "tau": ["--grid-theta", "4", "--grid-trans", "4"],
+}
+
+
+_FAULT_MESSAGES = {"unread": "does not read spec keys", "missing": "requires"}
+
+
+def _schema_faults():
+    """(mode, key, fault) for every key a mode does not read and every key
+    it requires, walked from the schema."""
+    faults = []
+    for mode, (required, optional) in cli.SPEC_SCHEMA.items():
+        reads = {"mode", *required, *optional, *(("t_range",) if "t" in required else ())}
+        faults += [(mode, k, "unread") for k in _KEY_VALUES if k not in reads]
+        faults += [(mode, k, "missing") for k in required]
+    return faults
+
+
 class TestSpecValidation:
     def test_accepts_minimal_solve_spec(self):
         spec = parse_problem_spec(_solve_spec(), "solve")
         assert spec.mode == "solve"
-        assert spec.t_values == ("1e4",)
-        assert spec.precision_bits == 128
-        assert spec.seed == 0
+        assert spec.t_values == ["1e4"]
+        assert spec.values["precision_bits"] == 128
+        assert spec.values["seed"] == 0
 
     def test_rejects_json_numbers_for_decimals(self):
         with pytest.raises(SpecError, match="decimal string"):
@@ -51,7 +91,7 @@ class TestSpecValidation:
             parse_problem_spec(_solve_spec(points=[["1", 0.0]]), "solve")
 
     def test_rejects_unknown_keys(self):
-        with pytest.raises(SpecError, match="unknown spec keys"):
+        with pytest.raises(SpecError, match="does not read spec keys \\['extra'\\]"):
             parse_problem_spec(_solve_spec(extra=1), "solve")
 
     def test_rejects_odd_dimension(self):
@@ -98,9 +138,27 @@ class TestSpecValidation:
     )
     def test_only_seeded_modes_echo_a_seed(self, mode, data, seed):
         spec = parse_problem_spec(data, mode)
-        assert spec.seed == seed
+        assert spec.values.get("seed") == seed
         assert ("seed" in spec.echo()) == (seed is not None)
         assert spec.echo().get("seed") == seed
+
+    @pytest.mark.parametrize("mode, key, fault", _schema_faults())
+    def test_schema_faults_exit_2(self, tmp_path, capsys, monkeypatch, mode, key, fault):
+        # a valid spec with one key the mode does not read added, or one
+        # key it requires taken out
+        data = dict(_VALID_SPECS[mode])
+        if fault == "missing":
+            del data[key]
+        else:
+            data[key] = _KEY_VALUES[key]
+        with pytest.raises(SpecError, match=f"mode {mode} {_FAULT_MESSAGES[fault]}"):
+            parse_problem_spec(data, mode)
+        if mode in _INPUT_ARGS:
+            monkeypatch.chdir(tmp_path)
+            spec_path = _write_spec(tmp_path, data)
+            assert main([mode, "--input", spec_path] + _INPUT_ARGS[mode]) == 2
+            assert json.loads(capsys.readouterr().out)["exit_code"] == 2
+            assert not (tmp_path / "report.json").exists()
 
     def test_rejects_mode_mismatch(self):
         with pytest.raises(SpecError, match="does not match"):
@@ -115,7 +173,7 @@ class TestSpecValidation:
         spec = parse_problem_spec(
             _solve_spec(points=[["1", "0", "0", "1"]], epsilon="0.9"), "solve"
         )
-        assert spec.dim == 4
+        assert len(spec.values["points"][0]) == 4
 
     def test_rejects_both_t_and_range(self):
         with pytest.raises(SpecError, match="not both"):
@@ -192,7 +250,7 @@ class TestSpecValidation:
                 {**base, "t_range": {"from": "5", "to": "9", "count": 1, "spacing": spacing}},
                 "solve",
             )
-            assert spec.t_values == ("5.0000000000000000000000000000000000000000",)
+            assert spec.t_values == ["5.0000000000000000000000000000000000000000"]
         with pytest.raises(SpecError, match="must be an object"):
             parse_problem_spec({**base, "t_range": ["1", "2"]}, "solve")
         for key in ("from", "to"):
@@ -231,7 +289,7 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="L_cap"):
             parse_problem_spec(_solve_spec(L_cap="0"), "solve")
         spec = parse_problem_spec(_solve_spec(L_cap="100"), "solve")
-        assert spec.l_cap == "100"
+        assert spec.values["L_cap"] == "100"
 
 
 class TestSolveCommand:
@@ -351,6 +409,13 @@ class TestSolveCommand:
             "precision 64 below advised 70 for r=5, height_bound=64; "
             "detection may miss relations"
         ]
+
+    @pytest.mark.parametrize("eps", ["1e-17", "1e-20"])
+    def test_tiny_epsilon_exits_0_as_a_miss(self, tmp_path, eps):
+        spec_path = _write_spec(tmp_path, _solve_spec(epsilon=eps))
+        out_path = tmp_path / "report.json"
+        assert main(["solve", "--input", spec_path, "--output", str(out_path)]) == 0
+        assert json.loads(out_path.read_text())["results"][0]["achieved"] is False
 
     def test_malformed_json_exits_2_without_output(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -7,7 +7,8 @@ another module.  Every name the benchmark's tracer wraps still exists.
 Every memo in the package states a finite bound, because the keys it
 holds (exact integers, high-precision numbers) have no size limit of
 their own.  Every solver setting and flow-search keyword names the
-caller that sets it, so a knob that nothing reads cannot slip in.
+caller that sets it, so a knob that nothing reads cannot slip in, and
+the README's table of spec keys states the CLI's spec schema.
 solver.py makes its SolveReports at one call site and derives its
 evaluation precision at one, and flowsearch.py reduces its windows at
 one.
@@ -17,11 +18,12 @@ import ast
 import dataclasses
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pytest
 
-from lattice_rotor.cli import _SPEC_KEYS
+from lattice_rotor.cli import SPEC_SCHEMA
 from lattice_rotor.flowsearch import flow_search
 from lattice_rotor.solver import SolverConfig
 
@@ -214,4 +216,25 @@ def test_every_knob_has_a_caller():
     }
     assert fields | keywords == set(KNOBS)
     spec_keys = {r.rsplit(" ", 1)[1] for r in KNOBS.values() if r.startswith("CLI spec key")}
-    assert spec_keys <= _SPEC_KEYS
+    required, optional = SPEC_SCHEMA["solve"]
+    assert spec_keys <= {*required, *optional}
+
+
+def _readme_schema():
+    """The README's table of the keys each spec mode reads, as SPEC_SCHEMA
+    states it: required keys ("t" for "t or t_range") and optional keys
+    with their defaults ("none" for None)."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text[text.index("The keys each spec mode reads") :].split("\n\n")[1]
+    schema = {}
+    for row in table.splitlines()[2:]:
+        mode, required, optional = [c.strip() for c in row.strip("|").split("|")][:3]
+        schema[mode.strip("`").replace("-", "_")] = (
+            tuple(k for k in re.findall(r"`(\w+)`", required) if k != "t_range"),
+            {k: None if v == "none" else int(v) for k, v in re.findall(r"`(\w+)` (\w+)", optional)},
+        )
+    return schema
+
+
+def test_readme_states_the_spec_schema():
+    assert _readme_schema() == SPEC_SCHEMA

@@ -591,6 +591,19 @@ class TestAdversarialSolveInputs:
         assert report.search_steps == sum(outcome.examined for outcome, _ in walks)
         assert sum(outcome.windows_used for outcome, _ in walks) < 4 * 12
 
+    @pytest.mark.parametrize("eps", ["1e-17", "1e-20"])
+    @pytest.mark.parametrize(
+        "points", [[["1", "0"]], [["1", "0"], ["0.5", "0.25"]]], ids=["one", "two"]
+    )
+    def test_tiny_epsilon_ends_as_a_miss(self, monkeypatch, points, eps):
+        # the window target's coefficients pass 2^63, past the int64 range
+        # and far past the doubles' integer resolution: those walks end
+        # exhausted instead of overflowing
+        walks = _record_calls(monkeypatch, "solve_typical")
+        report = solve_general(project_planes(points, BITS)[0], mpf("1e4"), eps, seed=0)
+        assert not report.achieved
+        assert any(outcome.reason == "exhausted" for outcome, _ in walks)
+
     @pytest.mark.parametrize(
         "z1, g, delta, eps, seed, verifies",
         [
