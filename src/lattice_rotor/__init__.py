@@ -10,19 +10,6 @@ from .corelattice import (
     vec_frac_dist,
 )
 from .flowsearch import FlowSearchOutcome, flow_search
-from .oracle import (
-    CoveringOutcome,
-    PlanarIsometry,
-    PropSepCheck,
-    TauEstimate,
-    apply_isometry,
-    check_prop_sep,
-    covering_time,
-    isometry_max_frac,
-    separated_probe,
-    separation,
-    tau_estimate,
-)
 from .products import (
     BlockEmbeddingReport,
     embed_points,
@@ -47,6 +34,30 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
+
+# the oracles need numpy and nothing else does, so they load on first use
+_ORACLE_NAMES = (
+    "CoveringOutcome",
+    "PlanarIsometry",
+    "PropSepCheck",
+    "TauEstimate",
+    "apply_isometry",
+    "check_prop_sep",
+    "covering_time",
+    "isometry_max_frac",
+    "separated_probe",
+    "separation",
+    "tau_estimate",
+)
+
+
+def __getattr__(name):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    return getattr(oracle, name)
+
 
 __all__ = [
     "__version__",

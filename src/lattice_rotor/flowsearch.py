@@ -46,16 +46,23 @@ window that an earlier walk has reduced.
 Each window's target is the signed fractional parts of W + j0*delta*V at
 its first index, computed at working precision.  Every candidate is
 re-evaluated with mpmath before being accepted; doubles only ever decide
-what to look at, never what to return.
+what to look at, never what to return.  A window whose target lies so
+far out that a double no longer holds its coordinates' integer part
+(2^52 and up) ends the walk "exhausted": doubles cannot tell there what
+to look at.
+
+The lattices are at most (2m+1)-dimensional, so the window arithmetic
+runs on plain Python floats and ints, which at this size cost less than
+any array library's per-call overhead; the module imports no numpy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath
-import numpy as np
 from mpmath import mpf
 
 from .corelattice import ComplexVector, frac_dist
@@ -63,8 +70,9 @@ from .lll import float_start, lll_reduce
 from .precision import raise_for_magnitude, working_precision
 
 # a walk ends "exhausted" after this many windows, when a window of the
-# floor length outgrows the node budget, or when a window's target leaves
-# the int64 range; flow_search reads both budgets at call time
+# floor length outgrows the node budget, or when a window's target
+# coordinates reach _Y_RESOLUTION; flow_search reads both budgets at call
+# time
 DEFAULT_WINDOW_BUDGET = 256
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -75,6 +83,10 @@ DEFAULT_NODE_BUDGET = 2_000_000
 _WINDOW_FLOOR = 1 << 16
 _WINDOW_GROWTH = 4
 _WINDOW_LEAD_BITS = 4
+
+# from 2^52 on, a double's spacing is 1 or more, so it no longer holds the
+# integer part of a target coordinate and its enumeration is noise
+_Y_RESOLUTION = 2.0**52
 
 
 @dataclass(frozen=True)
@@ -94,6 +106,11 @@ class FlowSearchOutcome:
 
 class _BudgetExceeded(Exception):
     pass
+
+
+class _Unresolved(Exception):
+    """A window's target coordinates are past the doubles' integer
+    resolution."""
 
 
 def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
@@ -137,13 +154,13 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
         dv = [delta * z for z in values_v]
         dv_coords = [z.real for z in dv] + [z.imag for z in dv]
 
-    def residues(j0: int) -> np.ndarray:
+    def residues(j0: int) -> List[float]:
         """Signed fractional parts of W + j0*delta*V, real parts first."""
         with working_precision(bits_eval):
             s0 = mpf(j0) * delta
             w = [zw + s0 * zv for zv, zw in zip(values_v, values_w)]
             parts = [z.real for z in w] + [z.imag for z in w]
-            return np.array([float(x - mpmath.nint(x)) for x in parts], dtype=np.float64)
+            return [float(x - mpmath.nint(x)) for x in parts]
 
     def verify(j: int) -> Optional[mpf]:
         with working_precision(bits_eval):
@@ -188,16 +205,16 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
         basis, transform = lll_reduce(rows, transform)
         try:
             candidates = _window_candidates(
-                basis, transform, scale, -residues(j0), eps, count, DEFAULT_NODE_BUDGET
+                basis, transform, scale, [-r for r in residues(j0)], eps, count,
+                DEFAULT_NODE_BUDGET,
             )
         except _BudgetExceeded:
             if window_len > _WINDOW_FLOOR:
                 window_len = max(_WINDOW_FLOOR, window_len // _WINDOW_GROWTH)
                 continue
             return outcome("exhausted")
-        except OverflowError:
-            # the target's coefficients passed the int64 range, where
-            # doubles have long lost their integer part: no window resolves
+        except _Unresolved:
+            # skipping the window would lose the grid minimum
             return outcome("exhausted")
         examined += len(candidates)
         window_len *= _WINDOW_GROWTH
@@ -274,67 +291,91 @@ def _window_candidates(
     sqrt(m+1) of the window target: that ball is enumerated, each point
     is kept when every entry lies in its own slightly inflated
     disk, and each survivor's grid index is read off the transform's first
-    column.
+    column.  _Unresolved when a target coordinate reaches _Y_RESOLUTION.
     """
     n = len(basis)
     d = n - 1
     m = d // 2
     eps_f = float(eps)
-    reduced_f = np.array(basis, dtype=np.float64) / float(scale)
+    scale_f = float(scale)
+    reduced_f = [[float(c) / scale_f for c in row] for row in basis]
+    tau = [t * (1.0 / eps_f) for t in target] + [1.0]
 
-    mu, bstar_sq = _gso(reduced_f)
-    if min(bstar_sq) <= 0:
-        raise ArithmeticError("degenerate lattice in flow enumeration")
+    mu, bstar_sq, y = _gso(reduced_f, tau)
+    if max(abs(c) for c in y) >= _Y_RESOLUTION:
+        raise _Unresolved
 
     radius = math.sqrt(m + 1) * 1.01 + 0.05
-    tau = np.array(
-        [t * (1.0 / eps_f) for t in target] + [1.0], dtype=np.float64
-    )
+    ranges = _enumerate_ball(mu, bstar_sq, y, radius * radius, node_budget)
 
-    us = _enumerate_ball(
-        reduced_f, mu, bstar_sq, tau, radius * radius, node_budget
-    )
-
-    if not len(us):
-        return []
     # keep the lattice points whose every entry lies in its slightly
-    # inflated disk (real parts first, then imaginary parts), all at once;
-    # only the survivors get their exact grid index
-    disk_tol = 1.0 + 0.02
-    offsets = us @ reduced_f - tau
-    inside = (offsets[:, :m] ** 2 + offsets[:, m:d] ** 2).max(axis=1) <= disk_tol * disk_tol
+    # inflated disk (real parts first, then imaginary parts); the points
+    # of a range step along it by the first basis row
+    disk_sq = (1.0 + 0.02) ** 2
+    first = reduced_f[0]
     j_col = [row[0] for row in transform]
     out = set()
-    for u in us[inside].tolist():
-        j_rel = sum(c * j for c, j in zip(u, j_col))
-        if 0 <= j_rel < window_len:
-            out.add(j_rel)
+    for lo, count, rest in ranges:
+        point = [lo * b - t for b, t in zip(first, tau)]
+        for c, row in zip(rest, reduced_f[1:]):
+            if c:
+                point = [p + c * b for p, b in zip(point, row)]
+        j_lo = lo * j_col[0] + sum(map(mul, rest, j_col[1:]))
+        disks = list(zip(point[:m], point[m:d], first[:m], first[m:d]))
+        for i in range(count):
+            for re, im, step_re, step_im in disks:
+                a = re + i * step_re
+                b = im + i * step_im
+                if a * a + b * b > disk_sq:
+                    break
+            else:
+                j_rel = j_lo + i * j_col[0]
+                if 0 <= j_rel < window_len:
+                    out.add(j_rel)
     return sorted(out)
 
 
-def _gso(basis: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    n = basis.shape[0]
-    mu = np.zeros((n, n))
-    ortho = basis.astype(np.float64).copy()
-    bstar_sq = np.zeros(n)
-    for i in range(n):
-        for j in range(i):
-            mu[i, j] = float(np.dot(basis[i], ortho[j]) / bstar_sq[j])
-            ortho[i] -= mu[i, j] * ortho[j]
-        bstar_sq[i] = float(np.dot(ortho[i], ortho[i]))
-    return mu, bstar_sq
+def _gso(
+    basis: Sequence[Sequence[float]], target: Sequence[float]
+) -> Tuple[List[List[float]], List[float], List[float]]:
+    """(mu, |b*_k|^2, y) of the rows b_k of a square basis: the Gram-Schmidt
+    coefficients, with mu[i][j] for j < i, the squared lengths of the
+    orthogonalized rows, and target's coordinates, target = sum y_k b_k.
+
+    target's component along b*_k is y_k + sum_{i>k} y_i mu[i][k], so y
+    follows from the projections by back-substitution.
+    """
+    n = len(basis)
+    mu = [[0.0] * n for _ in range(n)]
+    ortho: List[List[float]] = []
+    bstar_sq: List[float] = []
+    for row, mu_row in zip(basis, mu):
+        v = row
+        for j, o in enumerate(ortho):
+            f = mu_row[j] = sum(map(mul, row, o)) / bstar_sq[j]
+            v = [a - f * b for a, b in zip(v, o)]
+        norm_sq = sum(map(mul, v, v))
+        if not norm_sq > 0:
+            raise ArithmeticError("degenerate lattice in flow enumeration")
+        ortho.append(v)
+        bstar_sq.append(norm_sq)
+    y = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        along = sum(map(mul, target, ortho[k])) / bstar_sq[k]
+        y[k] = along - sum(y[i] * mu[i][k] for i in range(k + 1, n))
+    return mu, bstar_sq, y
 
 
 def _enumerate_ball(
-    basis: np.ndarray,
-    mu: np.ndarray,
-    bstar_sq: np.ndarray,
-    tau: np.ndarray,
+    mu: Sequence[Sequence[float]],
+    bstar_sq: Sequence[float],
+    y: Sequence[float],
     radius_sq: float,
     node_budget: int,
-) -> np.ndarray:
-    """All integer coefficient vectors u with |u*basis - tau| <= radius, as
-    the rows of one int64 array.
+) -> List[Tuple[int, int, Tuple[int, ...]]]:
+    """All integer coefficient vectors u with |sum (u_k - y_k) b_k| <= radius,
+    for the basis b_k with Gram-Schmidt data mu and bstar_sq, as ranges
+    (first, count, rest): the vectors (first + i, *rest) for i < count.
 
     A depth-first walk of the Fincke-Pohst bounds from the last level
     down, as an explicit loop; the first level's admissible values form
@@ -342,19 +383,16 @@ def _enumerate_ball(
     counts as one node, and _BudgetExceeded is raised once the count
     passes node_budget.
     """
-    n = basis.shape[0]
-    # plain floats: the same IEEE arithmetic as numpy scalars, faster
-    y = np.linalg.solve(basis.T, tau).tolist()
-    mu_t = mu.T.tolist()
-    b = bstar_sq.tolist()
+    n = len(bstar_sq)
+    mu_t = [list(col) for col in zip(*mu)]
+    b = bstar_sq
 
     u = [0] * n
     diff = [0.0] * n
     remaining = [0.0] * n
     center = [0.0] * n
     top = [0] * n
-    # one record per emitted range: first value, length, then u[1:]
-    ranges: List[List[int]] = []
+    ranges: List[Tuple[int, int, Tuple[int, ...]]] = []
     nodes = 0
 
     k = n - 1
@@ -382,7 +420,7 @@ def _enumerate_ball(
             while lo <= hi and (hi - c) * (hi - c) * b[0] > bound:
                 hi -= 1
             if lo <= hi:
-                ranges.append([lo, hi - lo + 1] + u[1:])
+                ranges.append((lo, hi - lo + 1, tuple(u[1:])))
             k = 1
         # next value at level k, climbing while a level is used up
         while k < n:
@@ -401,12 +439,4 @@ def _enumerate_ball(
                 remaining[k - 1] = remaining[k] - used
                 k -= 1
                 break
-
-    records = np.array(ranges, dtype=np.int64).reshape(len(ranges), n + 1)
-    sizes = records[:, 1]
-    rows = np.repeat(records[:, 1:], sizes, axis=0)
-    # the first coefficient runs through each range: its start, shifted by
-    # the range's offset among the rows, plus the row number
-    shift = records[:, 0] - (np.cumsum(sizes) - sizes)
-    rows[:, 0] = np.repeat(shift, sizes) + np.arange(len(rows))
-    return rows
+    return ranges

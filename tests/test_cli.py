@@ -160,6 +160,25 @@ class TestSpecValidation:
             assert json.loads(capsys.readouterr().out)["exit_code"] == 2
             assert not (tmp_path / "report.json").exists()
 
+    def test_prop_sep_checks_one_t(self, capsys, monkeypatch):
+        # a check runs at one t, so a t_range of several values is refused
+        # rather than checked at its first value and echoed whole
+        data = {"mode": "prop_sep", "t_range": {"from": "1", "to": "2", "count": 3}, "seed": 1}
+        checks = []
+        monkeypatch.setattr(cli, "check_prop_sep", lambda *args, **kw: checks.append(args))
+        with pytest.raises(SpecError, match="mode prop_sep checks one t, got 3 values"):
+            cli.run(parse_problem_spec(data, "prop_sep"), {"samples": 4})
+        # the prop-sep command takes --t; the t_range reaches main's parse
+        real_parse = cli.parse_problem_spec
+        monkeypatch.setattr(
+            cli, "parse_problem_spec", lambda raw, mode: real_parse({**data, "seed": raw["seed"]}, mode)
+        )
+        assert main(["prop-sep", "--t", "1", "--samples", "4", "--seed", "1"]) == 2
+        assert json.loads(capsys.readouterr().out)["exit_code"] == 2
+        assert checks == []
+        one = {**data, "t_range": {"from": "1", "to": "2", "count": 1}}
+        assert len(real_parse(one, "prop_sep").t_values) == 1
+
     def test_rejects_mode_mismatch(self):
         with pytest.raises(SpecError, match="does not match"):
             parse_problem_spec(_solve_spec(), "tau")

@@ -200,6 +200,26 @@ class TestEnumerationWindows:
             False, "exhausted", 1, 0
         )
 
+    def test_target_past_double_resolution_is_exhausted(self, monkeypatch):
+        # at eps 1e-16 the golden line's first window is 2^101 indices long
+        # and its target's coordinates in the reduced basis pass 2^52, where
+        # a double no longer holds their integer part, though not 2^63: the
+        # walk ends there instead of enumerating around a rounded target
+        largest = []
+        real_gso = flowsearch._gso
+
+        def gso(basis, target):
+            out = real_gso(basis, target)
+            largest.append(max(abs(c) for c in out[2]))
+            return out
+
+        monkeypatch.setattr(flowsearch, "_gso", gso)
+        out = flow_search(_golden_direction(), _half_offset(), "1e-16", mpf(10) ** 40, BITS)
+        assert (out.found, out.reason, out.windows_used, out.examined) == (
+            False, "exhausted", 1, 0
+        )
+        assert len(largest) == 1 and 2.0**52 <= largest[0] < 2.0**63
+
     def test_enumeration_agrees_with_scan(self):
         # the enumeration walk lands on the first hit a whole-grid scan finds
         v = _golden_direction()
@@ -475,26 +495,37 @@ class TestWindowCandidates:
         assert flowsearch._window_candidates(*self._window(), 10**6) == []
 
     def test_disk_filter_matches_a_point_by_point_filter(self, monkeypatch):
-        # the filter screens every enumerated point in one array pass; a
-        # loop over the points with the same per-entry disks gives the same
-        # indices, except for a point within float rounding of a disk's edge
+        # the filter steps along each enumerated range by the first basis
+        # row; a loop over the points with the same per-entry disks gives
+        # the same indices, except for a point within float rounding of a
+        # disk's edge
         seen = {}
-        real_enumerate = flowsearch._enumerate_ball
+        real_gso, real_enumerate = flowsearch._gso, flowsearch._enumerate_ball
 
-        def enumerate_(basis, mu, bstar_sq, tau, radius_sq, node_budget):
-            seen.update(basis=basis, tau=tau)
-            seen["coeffs"] = real_enumerate(basis, mu, bstar_sq, tau, radius_sq, node_budget)
-            return seen["coeffs"]
+        def gso(basis, target):
+            seen.update(basis=basis, tau=target)
+            return real_gso(basis, target)
 
+        def enumerate_(*args):
+            seen["ranges"] = real_enumerate(*args)
+            return seen["ranges"]
+
+        monkeypatch.setattr(flowsearch, "_gso", gso)
         monkeypatch.setattr(flowsearch, "_enumerate_ball", enumerate_)
         window = self._window()
         transform, length = window[1], window[-1]
         got = flowsearch._window_candidates(*window, 10**6)
 
-        kept, edge = _disk_filter(seen["coeffs"], seen["basis"], seen["tau"], transform, length)
-        assert len(seen["coeffs"]) > len(got) > 0
+        coeffs = _range_points(seen["ranges"])
+        kept, edge = _disk_filter(coeffs, seen["basis"], seen["tau"], transform, length)
+        assert len(coeffs) > len(got) > 0
         assert kept <= set(got) <= kept | edge
         assert got == sorted(got)
+
+
+def _range_points(ranges):
+    """The coefficient vectors of _enumerate_ball's ranges, one by one."""
+    return [(first + i, *rest) for first, count, rest in ranges for i in range(count)]
 
 
 def _disk_filter(coeffs, basis, tau, transform, length):
@@ -504,6 +535,7 @@ def _disk_filter(coeffs, basis, tau, transform, length):
     rounding of a disk's edge."""
     m = (len(transform) - 1) // 2
     kept, edge = set(), set()
+    basis, tau = np.asarray(basis), np.asarray(tau)
     for u in coeffs:
         offset = np.asarray(u) @ basis - tau
         worst = max(offset[k] ** 2 + offset[k + m] ** 2 for k in range(m))
@@ -517,11 +549,45 @@ def _disk_filter(coeffs, basis, tau, transform, length):
     return kept, edge
 
 
+def _vectorized_candidates(basis, transform, scale, target, eps, length):
+    """(kept, edge) of one window as numpy arrays give them: Gram-Schmidt
+    on the float basis, the ball of radius sqrt(m+1) around the target
+    coordinates np.linalg.solve gives, and one array pass of the
+    1.02-disk filter over its points; edge holds the indices of the
+    points within float rounding of a disk's edge."""
+    n = len(basis)
+    m = (n - 1) // 2
+    reduced_f = np.array(basis, dtype=np.float64) / float(scale)
+    mu, ortho, bstar_sq = np.zeros((n, n)), reduced_f.copy(), np.zeros(n)
+    for i in range(n):
+        for j in range(i):
+            mu[i, j] = np.dot(reduced_f[i], ortho[j]) / bstar_sq[j]
+            ortho[i] -= mu[i, j] * ortho[j]
+        bstar_sq[i] = np.dot(ortho[i], ortho[i])
+    tau = np.array([t * (1.0 / float(eps)) for t in target] + [1.0])
+    radius = math.sqrt(m + 1) * 1.01 + 0.05
+    coeffs, _ = _recursive_ball(reduced_f, mu, bstar_sq, tau, radius * radius)
+    us = np.array(coeffs, dtype=np.int64).reshape(len(coeffs), n)
+    offsets = us @ reduced_f - tau
+    worst = (offsets[:, :m] ** 2 + offsets[:, m : n - 1] ** 2).max(axis=1)
+    kept, edge = set(), set()
+    for u, w in zip(us.tolist(), worst.tolist()):
+        j_rel = sum(c * row[0] for c, row in zip(u, transform))
+        if not 0 <= j_rel < length:
+            continue
+        if abs(w - 1.02**2) < 1e-9:
+            edge.add(j_rel)
+        elif w < 1.02**2:
+            kept.add(j_rel)
+    return kept, edge
+
+
 def _recursive_ball(basis, mu, bstar_sq, tau, radius_sq):
     """(coefficient vectors, node count) of a recursive Fincke-Pohst
     enumeration of the ball |u*basis - tau| <= radius, one point at a
     time: the enumerator the explicit loop replaced, kept as its
     reference."""
+    basis, mu = np.asarray(basis), np.asarray(mu)
     n = basis.shape[0]
     y = np.linalg.solve(basis.T, tau)
     results = []
@@ -580,11 +646,12 @@ def planted_windows(draw):
     return basis, transform, scale, target, mpf(eps), length
 
 
-def _ball_inputs(basis, scale, target, eps, radius):
-    reduced_f = np.array(basis, dtype=np.float64) / float(scale)
-    mu, bstar_sq = flowsearch._gso(reduced_f)
-    tau = np.array([t / float(eps) for t in target] + [1.0])
-    return reduced_f, mu, bstar_sq, tau, radius * radius
+def _ball_inputs(basis, scale, target, eps):
+    """The window's float basis and target, as _window_candidates scales
+    them, and their Gram-Schmidt data (mu, bstar_sq, y)."""
+    reduced_f = [[c / float(scale) for c in row] for row in basis]
+    tau = [t / float(eps) for t in target] + [1.0]
+    return (reduced_f, tau) + flowsearch._gso(reduced_f, tau)
 
 
 class TestDiskEnumeration:
@@ -598,9 +665,19 @@ class TestDiskEnumeration:
         m = (len(basis) - 1) // 2
         got = flowsearch._window_candidates(*window, 10**7)
 
-        inputs = _ball_inputs(basis, scale, target, eps, math.sqrt(2 * m + 1) * 1.01 + 0.05)
-        coeffs, _ = _recursive_ball(*inputs)
-        kept, edge = _disk_filter(coeffs, inputs[0], inputs[3], transform, length)
+        reduced_f, tau, mu, bstar_sq, _ = _ball_inputs(basis, scale, target, eps)
+        radius = math.sqrt(2 * m + 1) * 1.01 + 0.05
+        coeffs, _ = _recursive_ball(reduced_f, mu, bstar_sq, tau, radius * radius)
+        kept, edge = _disk_filter(coeffs, reduced_f, tau, transform, length)
+        assert kept <= set(got) <= kept | edge
+
+    @given(window=planted_windows())
+    def test_plain_lists_equal_the_vectorized_filter(self, window):
+        # the same indices as the array version of the window: its target
+        # coordinates from np.linalg.solve and one array pass of the disk
+        # filter, except for a point within float rounding of a disk's edge
+        got = flowsearch._window_candidates(*window, 10**7)
+        kept, edge = _vectorized_candidates(*window)
         assert kept <= set(got) <= kept | edge
 
     @given(window=planted_windows())
@@ -609,11 +686,12 @@ class TestDiskEnumeration:
         # the node budget runs out in the same window
         basis, _, scale, target, eps, _ = window
         m = (len(basis) - 1) // 2
-        inputs = _ball_inputs(basis, scale, target, eps, math.sqrt(m + 1) * 1.01 + 0.05)
-        coeffs, nodes = _recursive_ball(*inputs)
-        rows = flowsearch._enumerate_ball(*inputs, nodes)
-        assert rows.dtype == np.int64 and rows.shape == (len(coeffs), len(basis))
-        assert sorted(map(tuple, rows.tolist())) == sorted(tuple(int(c) for c in u) for u in coeffs)
+        reduced_f, tau, mu, bstar_sq, y = _ball_inputs(basis, scale, target, eps)
+        radius_sq = (math.sqrt(m + 1) * 1.01 + 0.05) ** 2
+        coeffs, nodes = _recursive_ball(reduced_f, mu, bstar_sq, tau, radius_sq)
+        points = _range_points(flowsearch._enumerate_ball(mu, bstar_sq, y, radius_sq, nodes))
+        assert all(type(c) is int for u in points for c in u)
+        assert sorted(points) == sorted(tuple(int(c) for c in u) for u in coeffs)
         if nodes:
             with pytest.raises(flowsearch._BudgetExceeded):
-                flowsearch._enumerate_ball(*inputs, nodes - 1)
+                flowsearch._enumerate_ball(mu, bstar_sq, y, radius_sq, nodes - 1)

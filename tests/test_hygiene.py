@@ -8,7 +8,8 @@ Every memo in the package states a finite bound, because the keys it
 holds (exact integers, high-precision numbers) have no size limit of
 their own.  Every solver setting and flow-search keyword names the
 caller that sets it, so a knob that nothing reads cannot slip in, and
-the README's table of spec keys states the CLI's spec schema.
+the README's table of spec keys states the CLI's spec schema.  A solve
+never loads numpy, which only the oracles need.
 solver.py makes its SolveReports at one call site and derives its
 evaluation precision at one, and flowsearch.py reduces its windows at
 one.
@@ -18,7 +19,11 @@ import ast
 import dataclasses
 import importlib.util
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,6 +113,35 @@ def test_benchmark_bindings_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert not missing, f"names the benchmark wraps are gone: {missing}"
+
+
+# a whole solve in a fresh interpreter; only the oracles need numpy
+_NUMPY_FREE_SOLVE = """
+import sys
+import lattice_rotor
+import lattice_rotor.cli as cli
+code = cli.main(["solve", "--input", sys.argv[1], "--output", sys.argv[2]])
+print(code, "numpy" in sys.modules)
+print(callable(lattice_rotor.tau_estimate), callable(cli.check_prop_sep))
+"""
+
+
+def test_a_solve_never_imports_numpy(tmp_path):
+    """Importing the package and its CLI and running a solve leave numpy
+    unloaded, while the oracle names still resolve on first use."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        '{"mode": "solve", "points": [["1", "0"], ["0.5", "0.25"]], "epsilon": "0.1", "t": "1e4"}',
+        encoding="utf-8",
+    )
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_SOLVE, str(spec), str(tmp_path / "report.json")],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert out.split() == ["0", "False", "True", "True"]
+    assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["mode"] == "solve"
 
 
 def _call_sites(module, name):

@@ -676,9 +676,9 @@ class TestPlantedWorkGuard:
         real_enumerate = flowsearch._enumerate_ball
 
         def counting(*args):
-            rows = real_enumerate(*args)
-            points.append(len(rows))
-            return rows
+            ranges = real_enumerate(*args)
+            points.append(sum(count for _, count, _ in ranges))
+            return ranges
 
         monkeypatch.setattr(flowsearch, "_enumerate_ball", counting)
         assert solve_general(vec, ts[0], "0.1", seed=3, config=config).achieved
