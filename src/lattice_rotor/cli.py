@@ -86,19 +86,11 @@ SPEC_SCHEMA = {
 }
 _MAX_T_COUNT = 10000
 
-# oracle imports numpy, which a solve never needs: the oracle names the
-# tau, prop-sep and covering runners call are imported on first use and
-# kept as module attributes, and the runners look them up here at call
-# time, so a rebinding takes effect (perfbench/tracer.py wraps three)
-_ORACLE_NAMES = (
-    "PlanarIsometry",
-    "check_prop_sep",
-    "covering_time",
-    "isometry_max_frac",
-    "separated_probe",
-    "separation",
-    "tau_estimate",
-)
+# oracle imports numpy, which a solve never needs, so the tau, prop-sep
+# and covering runners import it at call time.  Their three entry points
+# are module attributes, imported on first use and looked up here at call
+# time, so a rebinding takes effect (perfbench/tracer.py wraps them).
+_ORACLE_NAMES = ("check_prop_sep", "covering_time", "tau_estimate")
 
 
 def __getattr__(name):
@@ -111,10 +103,9 @@ def __getattr__(name):
     return globals()[name]
 
 
-def _oracle(*names):
-    """This module's current bindings of the given oracle names."""
-    module = sys.modules[__name__]
-    return [getattr(module, name) for name in names]
+def _oracle(name):
+    """This module's current binding of an oracle entry point."""
+    return getattr(sys.modules[__name__], name)
 
 
 class SpecError(ValueError):
@@ -380,7 +371,9 @@ def _run_solve(spec: ProblemSpec, options: dict) -> _Outcome:
 
 
 def _run_tau(spec: ProblemSpec, options: dict) -> _Outcome:
-    tau_estimate, isometry_max_frac = _oracle("tau_estimate", "isometry_max_frac")
+    from .oracle import isometry_max_frac
+
+    tau_estimate = _oracle("tau_estimate")
     bits = spec.values["precision_bits"]
     base = project_planes(spec.values["points"], bits)[0]
     results = []
@@ -439,9 +432,9 @@ def _replay_draw(seed: int, index: int) -> Tuple[float, bool, float, float]:
 
 
 def _run_prop_sep(spec: ProblemSpec, options: dict) -> _Outcome:
-    check_prop_sep, PlanarIsometry, isometry_max_frac, separated_probe, separation = _oracle(
-        "check_prop_sep", "PlanarIsometry", "isometry_max_frac", "separated_probe", "separation"
-    )
+    from .oracle import PlanarIsometry, isometry_max_frac, separated_probe, separation
+
+    check_prop_sep = _oracle("check_prop_sep")
     t, samples = spec.t_values[0], options["samples"]
     seed, bits = spec.values["seed"], spec.values["precision_bits"]
     try:
@@ -477,7 +470,7 @@ def _run_prop_sep(spec: ProblemSpec, options: dict) -> _Outcome:
 
 
 def _run_covering(spec: ProblemSpec, options: dict) -> _Outcome:
-    (covering_time,) = _oracle("covering_time")
+    covering_time = _oracle("covering_time")
     dir_floats = [float(parse_decimal(c, 64)) for c in options["direction"]]
     eps_f = float(parse_decimal(options["eps"], 64))
     cap_f = float(parse_decimal(options["cap"], 64))

@@ -48,8 +48,8 @@ its first index, computed at working precision.  Every candidate is
 re-evaluated with mpmath before being accepted; doubles only ever decide
 what to look at, never what to return.  A window whose target lies so
 far out that a double no longer holds its coordinates' integer part
-(2^52 and up) ends the walk "exhausted": doubles cannot tell there what
-to look at.
+(2^52 and up), or whose scale is past the double range, ends the walk
+"exhausted": doubles cannot tell there what to look at.
 
 The lattices are at most (2m+1)-dimensional, so the window arithmetic
 runs on plain Python floats and ints, which at this size cost less than
@@ -71,8 +71,8 @@ from .precision import raise_for_magnitude, working_precision
 
 # a walk ends "exhausted" after this many windows, when a window of the
 # floor length outgrows the node budget, or when a window's target
-# coordinates reach _Y_RESOLUTION; flow_search reads both budgets at call
-# time
+# coordinates reach _Y_RESOLUTION or its scale passes the double range;
+# flow_search reads both budgets at call time
 DEFAULT_WINDOW_BUDGET = 256
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -106,11 +106,6 @@ class FlowSearchOutcome:
 
 class _BudgetExceeded(Exception):
     pass
-
-
-class _Unresolved(Exception):
-    """A window's target coordinates are past the doubles' integer
-    resolution."""
 
 
 def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
@@ -213,8 +208,10 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
                 window_len = max(_WINDOW_FLOOR, window_len // _WINDOW_GROWTH)
                 continue
             return outcome("exhausted")
-        except _Unresolved:
-            # skipping the window would lose the grid minimum
+        except OverflowError:
+            # the window's scale or target coordinates are past what
+            # doubles resolve, and skipping the window would lose the
+            # grid minimum
             return outcome("exhausted")
         examined += len(candidates)
         window_len *= _WINDOW_GROWTH
@@ -255,8 +252,11 @@ def _window_lattice(
     """
     d = len(dv_coords)
     # embedding scale keeping rounding error far below one eps-unit across
-    # the whole window
-    scale_bits = max(64, window_len.bit_length() + max(0, int(-math.log2(float(eps)))) + 48)
+    # the whole window; an eps that rounds to a zero double takes its bit
+    # count from mpmath, and its scale is past the double range
+    eps_f = float(eps)
+    eps_bits = -math.log2(eps_f) if eps_f else -float(mpmath.log(eps, 2))
+    scale_bits = max(64, window_len.bit_length() + max(0, int(eps_bits)) + 48)
     K = 1 << scale_bits
 
     with working_precision(max(bits_eval, scale_bits + 32)):
@@ -291,7 +291,8 @@ def _window_candidates(
     sqrt(m+1) of the window target: that ball is enumerated, each point
     is kept when every entry lies in its own slightly inflated
     disk, and each survivor's grid index is read off the transform's first
-    column.  _Unresolved when a target coordinate reaches _Y_RESOLUTION.
+    column.  OverflowError when the basis or its scale is past the double
+    range or a target coordinate reaches _Y_RESOLUTION.
     """
     n = len(basis)
     d = n - 1
@@ -303,7 +304,7 @@ def _window_candidates(
 
     mu, bstar_sq, y = _gso(reduced_f, tau)
     if max(abs(c) for c in y) >= _Y_RESOLUTION:
-        raise _Unresolved
+        raise OverflowError("window target past the doubles' integer resolution")
 
     radius = math.sqrt(m + 1) * 1.01 + 0.05
     ranges = _enumerate_ball(mu, bstar_sq, y, radius * radius, node_budget)

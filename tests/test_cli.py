@@ -429,7 +429,7 @@ class TestSolveCommand:
             "detection may miss relations"
         ]
 
-    @pytest.mark.parametrize("eps", ["1e-17", "1e-20"])
+    @pytest.mark.parametrize("eps", ["1e-17", "1e-20", "1e-250", "1e-330"])
     def test_tiny_epsilon_exits_0_as_a_miss(self, tmp_path, eps):
         spec_path = _write_spec(tmp_path, _solve_spec(epsilon=eps))
         out_path = tmp_path / "report.json"
