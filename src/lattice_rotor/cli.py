@@ -86,26 +86,27 @@ SPEC_SCHEMA = {
 }
 _MAX_T_COUNT = 10000
 
-# oracle imports numpy, which a solve never needs, so the tau, prop-sep
-# and covering runners import it at call time.  Their three entry points
-# are module attributes, imported on first use and looked up here at call
-# time, so a rebinding takes effect (perfbench/tracer.py wraps them).
-_ORACLE_NAMES = ("check_prop_sep", "covering_time", "tau_estimate")
+# oracle imports numpy, which a solve never needs.  These three entry
+# points import their oracle namesake only when called, so looking them
+# up imports nothing; the runners call them by their global names, so a
+# rebinding of this module's attribute (perfbench/tracer.py wraps them)
+# takes effect.
+def tau_estimate(*args, **kwargs):
+    from .oracle import tau_estimate
+
+    return tau_estimate(*args, **kwargs)
 
 
-def __getattr__(name):
-    if name not in _ORACLE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import oracle
+def check_prop_sep(*args, **kwargs):
+    from .oracle import check_prop_sep
 
-    for key in _ORACLE_NAMES:
-        globals().setdefault(key, getattr(oracle, key))
-    return globals()[name]
+    return check_prop_sep(*args, **kwargs)
 
 
-def _oracle(name):
-    """This module's current binding of an oracle entry point."""
-    return getattr(sys.modules[__name__], name)
+def covering_time(*args, **kwargs):
+    from .oracle import covering_time
+
+    return covering_time(*args, **kwargs)
 
 
 class SpecError(ValueError):
@@ -373,7 +374,6 @@ def _run_solve(spec: ProblemSpec, options: dict) -> _Outcome:
 def _run_tau(spec: ProblemSpec, options: dict) -> _Outcome:
     from .oracle import isometry_max_frac
 
-    tau_estimate = _oracle("tau_estimate")
     bits = spec.values["precision_bits"]
     base = project_planes(spec.values["points"], bits)[0]
     results = []
@@ -434,7 +434,6 @@ def _replay_draw(seed: int, index: int) -> Tuple[float, bool, float, float]:
 def _run_prop_sep(spec: ProblemSpec, options: dict) -> _Outcome:
     from .oracle import PlanarIsometry, isometry_max_frac, separated_probe, separation
 
-    check_prop_sep = _oracle("check_prop_sep")
     t, samples = spec.t_values[0], options["samples"]
     seed, bits = spec.values["seed"], spec.values["precision_bits"]
     try:
@@ -470,7 +469,6 @@ def _run_prop_sep(spec: ProblemSpec, options: dict) -> _Outcome:
 
 
 def _run_covering(spec: ProblemSpec, options: dict) -> _Outcome:
-    covering_time = _oracle("covering_time")
     dir_floats = [float(parse_decimal(c, 64)) for c in options["direction"]]
     eps_f = float(parse_decimal(options["eps"], 64))
     cap_f = float(parse_decimal(options["cap"], 64))

@@ -10,8 +10,6 @@ search phases whose results are always re-verified at full precision.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from typing import Iterator
 
 import mpmath
 from mpmath import mpc, mpf
@@ -29,12 +27,10 @@ def check_precision(bits: int) -> int:
     return bits
 
 
-@contextmanager
-def working_precision(bits: int) -> Iterator[None]:
-    """Scope mpmath's global precision to exactly `bits` mantissa bits."""
-    check_precision(bits)
-    with mpmath.workprec(bits):
-        yield
+def working_precision(bits: int):
+    """Scope mpmath's global precision to exactly `bits` mantissa bits: a
+    context manager, with `bits` checked when it is made."""
+    return mpmath.workprec(check_precision(bits))
 
 
 def unit_modulus_tol(bits: int) -> mpf:

@@ -9,7 +9,8 @@ holds (exact integers, high-precision numbers) have no size limit of
 their own.  Every solver setting and flow-search keyword names the
 caller that sets it, so a knob that nothing reads cannot slip in, and
 the README's table of spec keys states the CLI's spec schema.  A solve
-never loads numpy, which only the oracles need.
+never loads numpy, which only the oracles need, and no other module
+imports it at module level.
 solver.py makes its SolveReports at one call site and derives its
 evaluation precision at one, and flowsearch.py reduces its windows at
 one.
@@ -115,20 +116,23 @@ def test_benchmark_bindings_resolve():
     assert not missing, f"names the benchmark wraps are gone: {missing}"
 
 
-# a whole solve in a fresh interpreter; only the oracles need numpy
+# a whole solve in a fresh interpreter, after looking up the CLI's oracle
+# entry points as the benchmark's clock does; only the oracles need numpy
 _NUMPY_FREE_SOLVE = """
 import sys
 import lattice_rotor
 import lattice_rotor.cli as cli
+entries = [cli.tau_estimate, cli.check_prop_sep, cli.covering_time]
 code = cli.main(["solve", "--input", sys.argv[1], "--output", sys.argv[2]])
-print(code, "numpy" in sys.modules)
-print(callable(lattice_rotor.tau_estimate), callable(cli.check_prop_sep))
+print(code, all(map(callable, entries)), "numpy" in sys.modules, "lattice_rotor.oracle" in sys.modules)
+print(callable(lattice_rotor.tau_estimate), "numpy" in sys.modules)
 """
 
 
 def test_a_solve_never_imports_numpy(tmp_path):
-    """Importing the package and its CLI and running a solve leave numpy
-    unloaded, while the oracle names still resolve on first use."""
+    """Importing the package and its CLI, looking up the CLI's oracle entry
+    points and running a solve leave numpy and the oracle module unloaded,
+    while the package's oracle names still resolve on first use."""
     spec = tmp_path / "spec.json"
     spec.write_text(
         '{"mode": "solve", "points": [["1", "0"], ["0.5", "0.25"]], "epsilon": "0.1", "t": "1e4"}',
@@ -140,8 +144,33 @@ def test_a_solve_never_imports_numpy(tmp_path):
         [sys.executable, "-c", _NUMPY_FREE_SOLVE, str(spec), str(tmp_path / "report.json")],
         capture_output=True, text=True, env=env, check=True,
     ).stdout
-    assert out.split() == ["0", "False", "True", "True"]
+    assert out.split() == ["0", "True", "False", "False", "True", "True"]
     assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["mode"] == "solve"
+
+
+def test_only_the_oracle_imports_numpy():
+    """No package module but oracle.py imports numpy at module level, and
+    cli.py binds its oracle entry points as plain functions, not through a
+    module __getattr__ whose first lookup would import the oracle."""
+    importers = []
+    for path in SOURCES:
+        if path.name == "oracle.py":
+            continue
+        _, tree = _parse(path)
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert not importers, f"module-level numpy imports: {importers}"
+    _, tree = _parse(ROOT / "src" / "lattice_rotor" / "cli.py")
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "__getattr__" not in functions
+    assert {"tau_estimate", "check_prop_sep", "covering_time"} <= functions
 
 
 def _call_sites(module, name):

@@ -46,6 +46,14 @@ def test_working_precision_restores_on_error():
     assert mp.prec == before
 
 
+def test_working_precision_refuses_too_few_bits():
+    before = mp.prec
+    with pytest.raises(ValueError, match="precision must be an integer >= 53"):
+        with working_precision(52):
+            raise AssertionError("entered a 52-bit scope")
+    assert mp.prec == before
+
+
 def test_tolerance_ladder_values():
     assert unit_modulus_tol(128) == mpf(2) ** -124
     assert identity_slack(128) == mpf(2) ** -122

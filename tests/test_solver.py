@@ -607,6 +607,21 @@ class TestAdversarialSolveInputs:
         assert any(outcome.reason == "exhausted" for outcome, _ in walks)
 
     @pytest.mark.parametrize(
+        "point", [["1e-30", "2e-30"], ["1e30", "3e29"]], ids=["near-zero", "huge"]
+    )
+    def test_extreme_modulus_ends_honestly(self, point):
+        # a single entry of modulus about 2e-30 or 1e30: the threshold and
+        # the evaluation precision follow |z|, and the solve either
+        # verifies or reports the identity as a miss
+        vec = project_planes([point], BITS)[0]
+        report = solve_general(vec, mpf("1e6"), "0.1", seed=0)
+        if report.achieved:
+            _, worst = certify([report.theta], report.t, [vec], report.eval_bits)
+            assert worst < parse_decimal("0.1", report.eval_bits)
+        else:
+            assert report.s_found is None and report.diagnostics
+
+    @pytest.mark.parametrize(
         "z1, g, delta, eps, seed, verifies",
         [
             (("0.41", "-0.23"), (2, -1, 3), "3e-12", "0.05", 0, False),
