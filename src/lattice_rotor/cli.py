@@ -341,13 +341,16 @@ def _run_solve(spec: ProblemSpec, options: dict) -> _Outcome:
     # strictly ordered by t; see the module docstring for why the per-t
     # lane count stays at one
     eps_v = parse_decimal(keys["epsilon"], bits)
+    # the first solve fills it with the run's plan and phase draws, which
+    # no t changes, and every later one reads them back
+    cache: dict = {}
     for t_str in spec.t_values:
         t_v = parse_decimal(t_str, bits)
         if planar:
-            rep = solve_general(planes[0], t_v, eps_v, seed=seed, config=config)
+            rep = solve_general(planes[0], t_v, eps_v, seed=seed, config=config, cache=cache)
             plane_reports, frac = (rep,), rep.max_frac
         else:
-            rep = solve_even_dim(planes, t_v, eps_v, seed=seed, config=config)
+            rep = solve_even_dim(planes, t_v, eps_v, seed=seed, config=config, cache=cache)
             plane_reports, frac = rep.per_plane, rep.combined_max_frac
         # relation detection's advisories, once each across planes and t
         for w in (w for r in plane_reports for w in r.decomposition.warnings):

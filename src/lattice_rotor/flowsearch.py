@@ -39,9 +39,18 @@ step's time entry 2K/length stays put, so each later window starts from
 the previous window's unimodular transform, whose product with the new
 rows is nearly reduced already.  The enumerated point set is a property
 of the lattice, not of the basis that spans it, so no start changes a
-candidate.  Dilations of one direction walk the same windows from the
-same starts, so the memos of float_start and lll_reduce answer every
-window that an earlier walk has reduced.
+candidate.
+
+Dilations of one direction walk the same windows from the same starts:
+a window's lattice follows from the step coordinates, eps, its length
+and the evaluation precision, never from t.  So four memos answer every
+window an earlier walk has met: _window_lattice for its rows, float_start
+and lll_reduce for its reduction, and the basis half of _gso for its
+Gram-Schmidt data.  Each keeps its last 32 answers under the exact input,
+so a remembered answer is the answer, and hands out fresh lists or
+tuples, so no caller can change what it keeps.  Only the target moves
+with t; its residues, its coordinates, the enumeration and the exact
+verification run on every window.
 
 Each window's target is the signed fractional parts of W + j0*delta*V at
 its first index, computed at working precision.  Every candidate is
@@ -49,7 +58,9 @@ re-evaluated with mpmath before being accepted; doubles only ever decide
 what to look at, never what to return.  A window whose target lies so
 far out that a double no longer holds its coordinates' integer part
 (2^52 and up), or whose scale is past the double range, ends the walk
-"exhausted": doubles cannot tell there what to look at.
+"exhausted": doubles cannot tell there what to look at.  The scale is
+checked as soon as the window's lattice is built, before either
+reduction, since no basis would let the enumeration read it.
 
 The lattices are at most (2m+1)-dimensional, so the window arithmetic
 runs on plain Python floats and ints, which at this size cost less than
@@ -57,7 +68,9 @@ any array library's per-call overhead; the module imports no numpy.
 """
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -191,6 +204,10 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
         windows += 1
         count = min(window_len, grid_last - j0 + 1)
         rows, scale = _window_lattice(dv_coords, eps, count, bits_eval)
+        if scale > sys.float_info.max:
+            # _window_candidates cannot read a scale past the double range,
+            # whatever the basis, so the walk ends before reducing it
+            return outcome("exhausted")
         # the first window starts from a double-precision pre-reduction
         # (cold when there is none), every later one from the last
         # window's transform, also one whose enumeration outgrew the node
@@ -249,7 +266,21 @@ def _window_lattice(
     computed from the exact step coordinates; rounding the step to a
     double first would drift by many eps over a long window and falsify
     the lattice itself.
+
+    Answers for the last 32 distinct inputs are remembered, keyed on the
+    exact step coordinates, eps, length and bits_eval; the rows returned
+    are new lists on every call.
     """
+    rows, K = _lattice_rows(tuple(dv_coords), eps, window_len, bits_eval)
+    return [list(r) for r in rows], K
+
+
+@functools.lru_cache(maxsize=32)
+def _lattice_rows(
+    dv_coords: Tuple[mpf, ...], eps: mpf, window_len: int, bits_eval: int
+) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+    # the memoized body of _window_lattice; it returns tuples, so the
+    # answers it keeps cannot be changed by anyone who reads them
     d = len(dv_coords)
     # embedding scale keeping rounding error far below one eps-unit across
     # the whole window; an eps that rounds to a zero double takes its bit
@@ -264,12 +295,12 @@ def _window_lattice(
         step_row = [int(mpmath.nint(big * c / eps)) for c in dv_coords]
         step_row.append(int(mpmath.nint(2 * big / window_len)))
         trans_entry = int(mpmath.nint(big / eps))
-    rows = [step_row]
+    rows = [tuple(step_row)]
     for c in range(d):
         tr = [0] * (d + 1)
         tr[c] = trans_entry
-        rows.append(tr)
-    return rows, K
+        rows.append(tuple(tr))
+    return tuple(rows), K
 
 
 def _window_candidates(
@@ -338,14 +369,29 @@ def _window_candidates(
 
 def _gso(
     basis: Sequence[Sequence[float]], target: Sequence[float]
-) -> Tuple[List[List[float]], List[float], List[float]]:
+) -> Tuple[Sequence[Sequence[float]], Sequence[float], List[float]]:
     """(mu, |b*_k|^2, y) of the rows b_k of a square basis: the Gram-Schmidt
     coefficients, with mu[i][j] for j < i, the squared lengths of the
     orthogonalized rows, and target's coordinates, target = sum y_k b_k.
 
     target's component along b*_k is y_k + sum_{i>k} y_i mu[i][k], so y
-    follows from the projections by back-substitution.
+    follows from the projections by back-substitution.  The basis half
+    is remembered for the last 32 distinct bases, keyed on the exact
+    float rows, and returned as tuples; y is computed on every call.
     """
+    mu, bstar_sq, ortho = _basis_gso(tuple(map(tuple, basis)))
+    n = len(bstar_sq)
+    y = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        along = sum(map(mul, target, ortho[k])) / bstar_sq[k]
+        y[k] = along - sum(y[i] * mu[i][k] for i in range(k + 1, n))
+    return mu, bstar_sq, y
+
+
+@functools.lru_cache(maxsize=32)
+def _basis_gso(basis: Tuple[Tuple[float, ...], ...]) -> Tuple[tuple, tuple, tuple]:
+    # (mu, |b*_k|^2, b*_k) of the rows, the half of _gso that the target
+    # does not change; tuples, so the answers kept cannot be changed
     n = len(basis)
     mu = [[0.0] * n for _ in range(n)]
     ortho: List[List[float]] = []
@@ -360,11 +406,7 @@ def _gso(
             raise ArithmeticError("degenerate lattice in flow enumeration")
         ortho.append(v)
         bstar_sq.append(norm_sq)
-    y = [0.0] * n
-    for k in range(n - 1, -1, -1):
-        along = sum(map(mul, target, ortho[k])) / bstar_sq[k]
-        y[k] = along - sum(y[i] * mu[i][k] for i in range(k + 1, n))
-    return mu, bstar_sq, y
+    return tuple(map(tuple, mu)), tuple(bstar_sq), tuple(map(tuple, ortho))
 
 
 def _enumerate_ball(

@@ -37,8 +37,9 @@ with the new candidate's two rows appended, so only those two are left
 to reduce.
 
 Both callers reduce the same few bases again and again (relation
-detection once per dilation, the flow search once per window of a walk
-that every dilation of the same direction repeats), so lll_reduce
+detection once per solve that has no run cache, the flow search once
+per window of a walk that every dilation of the same direction
+repeats), so lll_reduce
 remembers its last 32 answers, keyed on the exact integer rows and the
 exact start (none for a cold reduction); a remembered warm answer skips
 the reduction, the composition and its check alike.  Each caller makes

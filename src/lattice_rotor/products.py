@@ -107,6 +107,7 @@ def solve_even_dim(
     eps,
     seed: int = 0,
     config: Optional[SolverConfig] = None,
+    cache: Optional[dict] = None,
 ) -> BlockEmbeddingReport:
     """Solve every coordinate plane, assemble, and verify the assembly.
 
@@ -114,7 +115,9 @@ def solve_even_dim(
     gets the equal share eps/sqrt(d), so the Pythagorean combination
     certifies the target.  Plane i is solved with a child seed derived
     from the master seed and the plane index, so runs are reproducible
-    regardless of how many planes there are.
+    regardless of how many planes there are.  cache is solve_general's
+    run cache, forwarded to every plane's solve; its keys hold each
+    plane's entries and seed, so the planes of a block run share one.
     """
     config = config or SolverConfig()
     bits = max([config.bits] + [plane.bits for plane in planes])
@@ -132,7 +135,9 @@ def solve_even_dim(
         share = eps_v / mpmath.sqrt(mpf(d))
 
     reports = [
-        solve_general(plane, t, share, seed=derive_seed(seed, i, "plane"), config=config)
+        solve_general(
+            plane, t, share, seed=derive_seed(seed, i, "plane"), config=config, cache=cache
+        )
         for i, plane in enumerate(planes)
     ]
 

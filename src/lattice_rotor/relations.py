@@ -27,7 +27,7 @@ zero entry, leave the carried transform as it was; the first test, on a
 one-entry basis, reduces from scratch.  A start changes only the work,
 not the lattice, and each test still makes one lll_reduce call, so it
 takes one slot of lll_reduce's memo and a repeated detection (one per
-dilation) hits on every test.
+solve that has no run cache) hits on every test.
 """
 from __future__ import annotations
 

@@ -302,7 +302,12 @@ def solve_typical(
 class GeneralPlan:
     """What the general driver would do for a configuration, before any
     searching: the detected decomposition, the reduced tolerance, the
-    first search horizon and the dilation threshold they imply."""
+    first search horizon and the dilation threshold they imply.
+
+    None of it depends on t, so a solve run over many dilations builds
+    it once: solve_general keeps it in the run's cache and reads it
+    back on every later call of that run.
+    """
 
     decomposition: RelationDecomposition
     eps_inner: mpf
@@ -336,7 +341,12 @@ def solve_plan(V, eps, config: Optional[SolverConfig] = None) -> GeneralPlan:
 
 
 def solve_general(
-    V, t, eps, seed: int = 0, config: Optional[SolverConfig] = None
+    V,
+    t,
+    eps,
+    seed: int = 0,
+    config: Optional[SolverConfig] = None,
+    cache: Optional[dict] = None,
 ) -> SolveReport:
     """The solve entry point: relation detection, reduction, random phase,
     flow walk on the reduced block, transfer back, and final verification.
@@ -353,6 +363,17 @@ def solve_general(
     retries with fresh derived phases up to MAX_PHASE_RETRIES and
     reports the attempt that came closest.  achieved reflects only the final
     re-evaluation over all entries.
+
+    The plan and the phase draws do not depend on t.  cache, a dict that
+    a solve run creates empty and passes to each of its calls, keeps
+    them for the run: the first call stores the plan under the exact
+    entries, eps and config, and each phase under the plan's key, the
+    attempt's seed and eval_bits, since eval_bits moves with t and the
+    phase with it.  Later calls read them back instead of detecting
+    relations and drawing phases again; everything else is per call.
+    A key holds every input of its value, so a cache shared by several
+    point sets stays correct, and the report is the same with or
+    without one.  Without it nothing outlives the call.
     """
     config = config or SolverConfig()
     vec, bits = _vector(V, config)
@@ -360,7 +381,11 @@ def solve_general(
     t_r = parse_decimal(t, rough)
     if not t_r > 0:
         raise ValueError(f"t must be positive, got {t_r}")
-    plan = solve_plan(vec, eps, config)
+    cache = {} if cache is None else cache
+    plan_key = (vec.entries, vec.bits, eps, config)
+    plan = cache.get(plan_key)
+    if plan is None:
+        plan = cache[plan_key] = solve_plan(vec, eps, config)
     decomposition = plan.decomposition
     m = decomposition.num_basis
     M = decomposition.M
@@ -392,7 +417,10 @@ def solve_general(
 
     for attempt in range(1 + MAX_PHASE_RETRIES if m else 0):
         attempt_seed = seed if attempt == 0 else derive_seed(seed, attempt, "phase")
-        phase = randomize_phase(reduced, attempt_seed, bits=eval_bits)
+        phase_key = (plan_key, attempt_seed, eval_bits)
+        phase = cache.get(phase_key)
+        if phase is None:
+            phase = cache[phase_key] = randomize_phase(reduced, attempt_seed, bits=eval_bits)
         if attempt > 0:
             diagnostics.append(
                 f"phase-randomization: retry {attempt} with derived seed {attempt_seed}"

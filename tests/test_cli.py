@@ -6,6 +6,7 @@ import pytest
 from mpmath import mpf
 
 import lattice_rotor.cli as cli
+from lattice_rotor import solver
 from lattice_rotor.cli import (
     SpecError,
     emit_plot,
@@ -14,7 +15,9 @@ from lattice_rotor.cli import (
 )
 from lattice_rotor.corelattice import Rotation
 from lattice_rotor.precision import parse_decimal, working_precision
-from lattice_rotor.reporting import RunReport, canonical_json
+from lattice_rotor.products import project_planes, solve_even_dim
+from lattice_rotor.reporting import RunReport, canonical_json, to_json_data
+from lattice_rotor.solver import SolverConfig, solve_general
 
 
 def _solve_spec(**overrides):
@@ -484,6 +487,83 @@ class TestSolveCommand:
     def test_argparse_errors_propagate_exit_code(self, capsys):
         assert main(["solve"]) == 2
         capsys.readouterr()
+
+
+# a planar and a 4-D point set with no relation of small height between
+# their entries, so every plane's flow has two entries
+_RUN_POINTS = {
+    "planar": [["1", "0"], ["0.5", "0.866025403784438646763723170753"]],
+    "block": [
+        ["1", "0", "0.6", "0.8"],
+        ["0.5", "0.866025403784438646763723170753", "0.7071067811865475244", "0.7071067811865475244"],
+    ],
+}
+
+
+def _run_spec(tmp_path, points):
+    """Solve points over a t range from a miss at 1e4 to verified
+    rotations at 1e17 and 1e30, whose magnitude raises eval_bits past 128;
+    the report's results and t values."""
+    data = _solve_spec(points=points, seed=3)
+    del data["t"]
+    data["t_range"] = {"from": "1e4", "to": "1e30", "count": 3, "spacing": "log"}
+    out = tmp_path / "report.json"
+    assert main(["solve", "--input", _write_spec(tmp_path, data), "--output", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    return report["results"], report["spec"]["t_values"]
+
+
+class TestSolveRunPlansOnce:
+    """A solve run detects relations and draws its phases once, for all
+    of its dilations, and reports what independent solves report."""
+
+    @pytest.mark.parametrize("kind", ["planar", "block"])
+    def test_results_equal_independent_solves(self, tmp_path, kind):
+        # each t solved on its own, with no run cache, gives the run's
+        # result byte for byte, across a change of eval_bits
+        results, t_values = _run_spec(tmp_path, _RUN_POINTS[kind])
+        assert len({r["eval_bits"] for r in results}) >= 2
+        assert not results[0]["achieved"] and results[-1]["achieved"]
+        planes = project_planes(_RUN_POINTS[kind], 128)
+        eps = parse_decimal("0.1", 128)
+        for t_str, result in zip(t_values, results, strict=True):
+            t = parse_decimal(t_str, 128)
+            if kind == "planar":
+                alone = solve_general(planes[0], t, eps, seed=3, config=SolverConfig())
+            else:
+                alone = solve_even_dim(planes, t, eps, seed=3, config=SolverConfig())
+            assert canonical_json(result) == canonical_json(to_json_data(alone))
+
+    @pytest.mark.parametrize("kind, planes", [("planar", 1), ("block", 2)])
+    def test_relations_are_detected_once_per_plane(self, tmp_path, monkeypatch, kind, planes):
+        calls, real = [], solver.detect_relations
+
+        def detect(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "detect_relations", detect)
+        results, _ = _run_spec(tmp_path, _RUN_POINTS[kind])
+        assert len(results) == 3 and len(calls) == planes
+
+    def test_a_solved_point_set_honours_patched_settings(self, tmp_path, monkeypatch):
+        # a CLI run has solved the points already; a plan or phase kept
+        # past that run would ignore the first horizon and retry count
+        # patched below, as a module-level memo of them did
+        _run_spec(tmp_path, _RUN_POINTS["planar"])
+        monkeypatch.setattr(solver, "initial_search_length", lambda eps, entries, bits: mpf(5))
+        monkeypatch.setattr(solver, "MAX_PHASE_RETRIES", 1)
+        walks, real = [], solver.solve_typical
+
+        def walk(*args):
+            walks.append(real(*args))
+            return walks[-1]
+
+        monkeypatch.setattr(solver, "solve_typical", walk)
+        vec = project_planes(_RUN_POINTS["planar"], 128)[0]
+        report = solve_general(vec, parse_decimal("1e2", 128), parse_decimal("0.1", 128), seed=3)
+        assert report.L_used == 5 and not report.achieved
+        assert len(walks) == 2
 
 
 def _half_cell_off(report):

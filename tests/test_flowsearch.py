@@ -523,6 +523,53 @@ class TestWindowCandidates:
         assert got == sorted(got)
 
 
+class TestWindowMemos:
+    """_window_lattice and the basis half of _gso remember their answers
+    under exact keys, and no caller can change what they remember."""
+
+    @staticmethod
+    def _step():
+        with working_precision(BITS):
+            step = mpf("0.05") / (4 * _golden_direction().max_abs())
+            return [step, step * (1 + mpmath.sqrt(mpf(5))) / 2]
+
+    def test_window_lattice_returns_fresh_lists(self):
+        args = (self._step(), mpf("0.05"), 1 << 10, BITS)
+        rows, scale = flowsearch._window_lattice(*args)
+        again, scale_again = flowsearch._window_lattice(*args)
+        assert (rows, scale) == (again, scale_again) and rows is not again
+        assert all(type(r) is list for r in rows) and all(a is not b for a, b in zip(rows, again))
+        rows[0][0] += 1
+        rows.append([0])
+        assert flowsearch._window_lattice(*args) == (again, scale)
+
+    def test_each_precision_is_its_own_entry(self):
+        # the same step at two evaluation precisions takes two entries,
+        # and each answers its own repeat
+        memo = flowsearch._lattice_rows
+        step, eps, length = self._step(), mpf("0.05"), 12345
+        misses = memo.cache_info().misses
+        for bits in (BITS, 2 * BITS):
+            flowsearch._window_lattice(step, eps, length, bits)
+        assert memo.cache_info().misses == misses + 2
+        hits = memo.cache_info().hits
+        for bits in (BITS, 2 * BITS):
+            flowsearch._window_lattice(step, eps, length, bits)
+        assert memo.cache_info().hits == hits + 2
+
+    def test_gso_coordinates_follow_each_target(self):
+        # the remembered basis half serves every target, and y is each
+        # target's own coordinates
+        rows, scale = flowsearch._window_lattice(self._step(), mpf("0.05"), 1 << 10, BITS)
+        basis = [[c / float(scale) for c in row] for row in lll_reduce(rows)[0]]
+        first = flowsearch._gso(basis, [0.25, -0.5, 1.0])
+        for target in ([0.25, -0.5, 1.0], [-3.0, 0.125, 1.0]):
+            mu, bstar_sq, y = flowsearch._gso(basis, target)
+            assert mu is first[0] and bstar_sq is first[1]
+            back = [sum(yk * row[c] for yk, row in zip(y, basis)) for c in range(len(target))]
+            assert back == pytest.approx(target, abs=1e-9)
+
+
 def _range_points(ranges):
     """The coefficient vectors of _enumerate_ball's ranges, one by one."""
     return [(first + i, *rest) for first, count, rest in ranges for i in range(count)]

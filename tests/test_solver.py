@@ -597,14 +597,28 @@ class TestAdversarialSolveInputs:
     )
     def test_tiny_epsilon_ends_as_a_miss(self, monkeypatch, points, eps):
         # at 1e-17 and 1e-20 the window target's coordinates pass 2^52,
-        # past the doubles' integer resolution, and at 1e-250 the window
-        # scale passes the double range, as it does at 1e-330, where eps
-        # itself rounds to a zero double: those walks end exhausted in
-        # _window_candidates instead of raising
+        # past the doubles' integer resolution, and those walks end
+        # exhausted in _window_candidates instead of raising.  At 1e-250
+        # the window scale passes the double range, as it does at 1e-330,
+        # where eps itself rounds to a zero double: those walks end
+        # exhausted after their first window, before either reduction of
+        # its rows of about 4,400 bits
         walks = _record_calls(monkeypatch, "solve_typical")
+        reductions = []
+        for name in ("lll_reduce", "float_start"):
+            real = getattr(flowsearch, name)
+            monkeypatch.setattr(
+                flowsearch, name, lambda *args, real=real: reductions.append(args) or real(*args)
+            )
         report = solve_general(project_planes(points, BITS)[0], mpf("1e4"), eps, seed=0)
         assert not report.achieved
         assert any(outcome.reason == "exhausted" for outcome, _ in walks)
+        if eps in ("1e-250", "1e-330"):
+            exhausted = flowsearch.FlowSearchOutcome(
+                found=False, reason="exhausted", s=None, grid_index=None,
+                strategy="enumerate", examined=0, windows_used=1,
+            )
+            assert not reductions and all(w == (exhausted, None) for w in walks)
 
     @pytest.mark.parametrize(
         "point", [["1e-30", "2e-30"], ["1e30", "3e29"]], ids=["near-zero", "huge"]
@@ -666,6 +680,38 @@ def _planted_dilations():
     with working_precision(320):
         ts = [plan.T_threshold * 2, plan.T_threshold * 7]
     return vec, ts, config
+
+
+class TestRunCache:
+    """solve_general's run cache holds the t-independent plan and phase
+    draws of a solve run, and changes no report."""
+
+    def test_cached_reports_equal_uncached_ones(self, monkeypatch):
+        # t from a miss through a change of eval_bits; the cache is filled
+        # by the first call and read by the later ones
+        detections = _record_calls(monkeypatch, "detect_relations")
+        vec = project_planes([["1", "0"], ["0.5", "0.866025403784438646763723170753"]], BITS)[0]
+        ts = [parse_decimal(t, BITS) for t in ("1e4", "1e17", "1e30")]
+        cache = {}
+        cached = [solve_general(vec, t, "0.1", seed=3, cache=cache) for t in ts]
+        assert len(detections) == 1
+        alone = [solve_general(vec, t, "0.1", seed=3) for t in ts]
+        assert cached == alone
+        assert len({r.eval_bits for r in alone}) == 2
+        # one plan, and one phase per attempt seed and eval_bits
+        phases = {key[1:] for key, value in cache.items() if isinstance(value, solver.PhaseSample)}
+        assert len(cache) == 1 + len(phases)
+        assert {bits for _, bits in phases} == {r.eval_bits for r in alone}
+
+    def test_one_cache_serves_distinct_point_sets(self):
+        # its keys hold every input of a plan and of a phase, so a cache
+        # shared by two point sets keeps them apart
+        cache = {}
+        for points in ([["1", "0"]], [["0.5", "0.866025403784438646763723170753"]]):
+            vec = project_planes(points, BITS)[0]
+            assert solve_general(vec, mpf("1e6"), "0.1", seed=1, cache=cache) == solve_general(
+                vec, mpf("1e6"), "0.1", seed=1
+            )
 
 
 class TestReductionMemo:
