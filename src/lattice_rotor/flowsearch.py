@@ -43,14 +43,18 @@ candidate.
 
 Dilations of one direction walk the same windows from the same starts:
 a window's lattice follows from the step coordinates, eps, its length
-and the evaluation precision, never from t.  So four memos answer every
-window an earlier walk has met: _window_lattice for its rows, float_start
-and lll_reduce for its reduction, and the basis half of _gso for its
-Gram-Schmidt data.  Each keeps its last 32 answers under the exact input,
-so a remembered answer is the answer, and hands out fresh lists or
-tuples, so no caller can change what it keeps.  Only the target moves
-with t; its residues, its coordinates, the enumeration and the exact
-verification run on every window.
+and the evaluation precision, never from t.  Two memos answer every
+window an earlier walk has met, each keeping its last 32 answers under
+exact keys and handing out tuples: _window_lattice its rows and scale,
+and _reduced_window everything of it that the target does not change
+(a first window's float start, the exact reduction and its transform,
+the basis in doubles and its Gram-Schmidt data).  _reduced_window is
+keyed on the integer rows, the scale and the start, not on the step
+coordinates: dilations whose evaluation precision differs by a bit draw
+phases that differ only in low bits, and their windows' rows still
+round to the same integers.  Only the target moves with t; its
+residues, its coordinates, the enumeration and the exact verification
+run on every window.
 
 Each window's target is the signed fractional parts of W + j0*delta*V at
 its first index, computed at working precision.  Every candidate is
@@ -73,7 +77,7 @@ import math
 import sys
 from dataclasses import dataclass
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf
@@ -121,6 +125,10 @@ class _BudgetExceeded(Exception):
     pass
 
 
+# an integer matrix as the memos keep it, one tuple per row
+Matrix = Tuple[Tuple[int, ...], ...]
+
+
 def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
     """Smallest grid point s in [0, L_max] with vec_frac_dist(W + sV) < eps,
     for a direction without zero entries."""
@@ -160,7 +168,7 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
 
     with working_precision(bits_eval):
         dv = [delta * z for z in values_v]
-        dv_coords = [z.real for z in dv] + [z.imag for z in dv]
+        dv_coords = tuple([z.real for z in dv] + [z.imag for z in dv])
 
     def residues(j0: int) -> List[float]:
         """Signed fractional parts of W + j0*delta*V, real parts first."""
@@ -182,7 +190,7 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
 
     window_len = _first_window(m, eps)
     examined = windows = j0 = 0
-    transform: Optional[List[List[int]]] = None
+    transform: Optional[Matrix] = None
 
     def outcome(reason: str, j: Optional[int] = None, s=None) -> FlowSearchOutcome:
         return FlowSearchOutcome(
@@ -205,20 +213,18 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
         count = min(window_len, grid_last - j0 + 1)
         rows, scale = _window_lattice(dv_coords, eps, count, bits_eval)
         if scale > sys.float_info.max:
-            # _window_candidates cannot read a scale past the double range,
-            # whatever the basis, so the walk ends before reducing it
+            # no basis would let the enumeration read a scale past the
+            # double range, so the walk ends before reducing it
             return outcome("exhausted")
-        # the first window starts from a double-precision pre-reduction
-        # (cold when there is none), every later one from the last
-        # window's transform, also one whose enumeration outgrew the node
-        # budget
-        if transform is None:
-            transform = float_start(rows)
-        basis, transform = lll_reduce(rows, transform)
         try:
+            # the first window starts from a double-precision pre-reduction
+            # (cold when there is none), every later one from the last
+            # window's transform, also one whose enumeration outgrew the
+            # node budget
+            window = _reduced_window(rows, scale, transform)
+            transform = window.transform
             candidates = _window_candidates(
-                basis, transform, scale, [-r for r in residues(j0)], eps, count,
-                DEFAULT_NODE_BUDGET,
+                window, [-r for r in residues(j0)], eps, count, DEFAULT_NODE_BUDGET
             )
         except _BudgetExceeded:
             if window_len > _WINDOW_FLOOR:
@@ -226,8 +232,8 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
                 continue
             return outcome("exhausted")
         except OverflowError:
-            # the window's scale or target coordinates are past what
-            # doubles resolve, and skipping the window would lose the
+            # the window's reduced basis or target coordinates are past
+            # what doubles resolve, and skipping the window would lose the
             # grid minimum
             return outcome("exhausted")
         examined += len(candidates)
@@ -254,9 +260,10 @@ def _first_window(m: int, eps: mpf) -> int:
     return max(_WINDOW_FLOOR, 1 << max(0, log2_hit - _WINDOW_LEAD_BITS))
 
 
+@functools.lru_cache(maxsize=32)
 def _window_lattice(
-    dv_coords: Sequence[mpf], eps: mpf, window_len: int, bits_eval: int
-) -> Tuple[List[List[int]], int]:
+    dv_coords: Tuple[mpf, ...], eps: mpf, window_len: int, bits_eval: int
+) -> Tuple[Matrix, int]:
     """Integer rows of the rank d+1 lattice of one window, and its scale K.
 
     The lattice is spanned by one grid step and the unit translations,
@@ -268,19 +275,8 @@ def _window_lattice(
     the lattice itself.
 
     Answers for the last 32 distinct inputs are remembered, keyed on the
-    exact step coordinates, eps, length and bits_eval; the rows returned
-    are new lists on every call.
+    exact step coordinates, eps, length and bits_eval.
     """
-    rows, K = _lattice_rows(tuple(dv_coords), eps, window_len, bits_eval)
-    return [list(r) for r in rows], K
-
-
-@functools.lru_cache(maxsize=32)
-def _lattice_rows(
-    dv_coords: Tuple[mpf, ...], eps: mpf, window_len: int, bits_eval: int
-) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
-    # the memoized body of _window_lattice; it returns tuples, so the
-    # answers it keeps cannot be changed by anyone who reads them
     d = len(dv_coords)
     # embedding scale keeping rounding error far below one eps-unit across
     # the whole window; an eps that rounds to a zero double takes its bit
@@ -303,10 +299,60 @@ def _lattice_rows(
     return tuple(rows), K
 
 
+class _ReducedWindow(NamedTuple):
+    """What a window keeps whatever its target: the transform mapping its
+    rows to their LLL-reduced basis, that basis in doubles over the scale
+    K, and the basis's Gram-Schmidt data: mu[i][j] for j < i, the squared
+    lengths |b*_k|^2 and the orthogonalized rows b*_k."""
+
+    transform: Matrix
+    basis: Tuple[Tuple[float, ...], ...]
+    mu: Tuple[Tuple[float, ...], ...]
+    bstar_sq: Tuple[float, ...]
+    ortho: Tuple[Tuple[float, ...], ...]
+
+
+@functools.lru_cache(maxsize=32)
+def _reduced_window(rows: Matrix, scale: int, start: Optional[Matrix]) -> _ReducedWindow:
+    """The reduction of one window's _window_lattice rows at scale K.
+
+    start is the unimodular transform the exact LLL begins from; None
+    starts it from float_start's pre-reduction of the rows (cold when
+    there is none).  Answers for the last 32 distinct inputs are
+    remembered, keyed on the exact rows, scale and start.
+    OverflowError when the reduced basis is past the double range;
+    ArithmeticError when doubles see the lattice as degenerate.
+    """
+    if start is None:
+        start = float_start(rows)
+    reduced, transform = lll_reduce(rows, start)
+    scale_f = float(scale)
+    basis = [[float(c) / scale_f for c in row] for row in reduced]
+    n = len(basis)
+    mu = [[0.0] * n for _ in range(n)]
+    ortho: List[List[float]] = []
+    bstar_sq: List[float] = []
+    for row, mu_row in zip(basis, mu):
+        v = row
+        for j, o in enumerate(ortho):
+            f = mu_row[j] = sum(map(mul, row, o)) / bstar_sq[j]
+            v = [a - f * b for a, b in zip(v, o)]
+        norm_sq = sum(map(mul, v, v))
+        if not norm_sq > 0:
+            raise ArithmeticError("degenerate lattice in flow enumeration")
+        ortho.append(v)
+        bstar_sq.append(norm_sq)
+    return _ReducedWindow(
+        transform=tuple(map(tuple, transform)),
+        basis=tuple(map(tuple, basis)),
+        mu=tuple(map(tuple, mu)),
+        bstar_sq=tuple(bstar_sq),
+        ortho=tuple(map(tuple, ortho)),
+    )
+
+
 def _window_candidates(
-    basis: Sequence[Sequence[int]],
-    transform: Sequence[Sequence[int]],
-    scale: int,
+    window: _ReducedWindow,
     target: Sequence[float],
     eps: mpf,
     window_len: int,
@@ -315,37 +361,34 @@ def _window_candidates(
     """Sorted relative grid indices in [0, window_len) whose flow point can
     lie within eps of the integer lattice, with safety margins.
 
-    basis is an LLL-reduced basis of the window's _window_lattice rows at
-    scale K, and transform maps those rows to it; the candidates depend on
-    the lattice only, never on which reduced basis spans it.  The
-    admissible region, m unit disks times the time interval, lies within
-    sqrt(m+1) of the window target: that ball is enumerated, each point
-    is kept when every entry lies in its own slightly inflated
+    window is the _reduced_window of the window's lattice; the candidates
+    depend on the lattice only, never on which reduced basis spans it.
+    The admissible region, m unit disks times the time interval, lies
+    within sqrt(m+1) of the window target: that ball is enumerated, each
+    point is kept when every entry lies in its own slightly inflated
     disk, and each survivor's grid index is read off the transform's first
-    column.  OverflowError when the basis or its scale is past the double
-    range or a target coordinate reaches _Y_RESOLUTION.
+    column.  OverflowError when a target coordinate reaches _Y_RESOLUTION.
     """
-    n = len(basis)
+    reduced_f = window.basis
+    n = len(reduced_f)
     d = n - 1
     m = d // 2
     eps_f = float(eps)
-    scale_f = float(scale)
-    reduced_f = [[float(c) / scale_f for c in row] for row in basis]
     tau = [t * (1.0 / eps_f) for t in target] + [1.0]
 
-    mu, bstar_sq, y = _gso(reduced_f, tau)
+    y = _gso(window, tau)
     if max(abs(c) for c in y) >= _Y_RESOLUTION:
         raise OverflowError("window target past the doubles' integer resolution")
 
     radius = math.sqrt(m + 1) * 1.01 + 0.05
-    ranges = _enumerate_ball(mu, bstar_sq, y, radius * radius, node_budget)
+    ranges = _enumerate_ball(window.mu, window.bstar_sq, y, radius * radius, node_budget)
 
     # keep the lattice points whose every entry lies in its slightly
     # inflated disk (real parts first, then imaginary parts); the points
     # of a range step along it by the first basis row
     disk_sq = (1.0 + 0.02) ** 2
     first = reduced_f[0]
-    j_col = [row[0] for row in transform]
+    j_col = [row[0] for row in window.transform]
     out = set()
     for lo, count, rest in ranges:
         point = [lo * b - t for b, t in zip(first, tau)]
@@ -367,46 +410,19 @@ def _window_candidates(
     return sorted(out)
 
 
-def _gso(
-    basis: Sequence[Sequence[float]], target: Sequence[float]
-) -> Tuple[Sequence[Sequence[float]], Sequence[float], List[float]]:
-    """(mu, |b*_k|^2, y) of the rows b_k of a square basis: the Gram-Schmidt
-    coefficients, with mu[i][j] for j < i, the squared lengths of the
-    orthogonalized rows, and target's coordinates, target = sum y_k b_k.
+def _gso(window: _ReducedWindow, target: Sequence[float]) -> List[float]:
+    """target's coordinates y in the window's basis, target = sum y_k b_k.
 
     target's component along b*_k is y_k + sum_{i>k} y_i mu[i][k], so y
-    follows from the projections by back-substitution.  The basis half
-    is remembered for the last 32 distinct bases, keyed on the exact
-    float rows, and returned as tuples; y is computed on every call.
+    follows from the projections by back-substitution.
     """
-    mu, bstar_sq, ortho = _basis_gso(tuple(map(tuple, basis)))
+    mu, bstar_sq, ortho = window.mu, window.bstar_sq, window.ortho
     n = len(bstar_sq)
     y = [0.0] * n
     for k in range(n - 1, -1, -1):
         along = sum(map(mul, target, ortho[k])) / bstar_sq[k]
         y[k] = along - sum(y[i] * mu[i][k] for i in range(k + 1, n))
-    return mu, bstar_sq, y
-
-
-@functools.lru_cache(maxsize=32)
-def _basis_gso(basis: Tuple[Tuple[float, ...], ...]) -> Tuple[tuple, tuple, tuple]:
-    # (mu, |b*_k|^2, b*_k) of the rows, the half of _gso that the target
-    # does not change; tuples, so the answers kept cannot be changed
-    n = len(basis)
-    mu = [[0.0] * n for _ in range(n)]
-    ortho: List[List[float]] = []
-    bstar_sq: List[float] = []
-    for row, mu_row in zip(basis, mu):
-        v = row
-        for j, o in enumerate(ortho):
-            f = mu_row[j] = sum(map(mul, row, o)) / bstar_sq[j]
-            v = [a - f * b for a, b in zip(v, o)]
-        norm_sq = sum(map(mul, v, v))
-        if not norm_sq > 0:
-            raise ArithmeticError("degenerate lattice in flow enumeration")
-        ortho.append(v)
-        bstar_sq.append(norm_sq)
-    return tuple(map(tuple, mu)), tuple(bstar_sq), tuple(map(tuple, ortho))
+    return y
 
 
 def _enumerate_ball(

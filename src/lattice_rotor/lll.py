@@ -26,35 +26,16 @@ input rows; its determinant is +-1.
 A caller that already holds a unimodular transform close to the answer
 can pass it as start: the reduction then begins from start * rows, and
 the transform it returns is composed with start and checked exactly
-against the rows, so it still maps the input rows to the basis.  Both
-callers warm-start.  The flow search starts each walk's first window
-from float_start's transform and each later window from the previous
-window's; consecutive windows differ only in length, so that product is
-nearly reduced already.  Relation detection
-starts each membership test from the transform of the last test whose
-candidate joined the basis; that product is the earlier reduced lattice
-with the new candidate's two rows appended, so only those two are left
-to reduce.
+against the rows, so it still maps the input rows to the basis.  The
+flow search and relation detection both warm-start; their module
+docstrings say from what.
 
-Both callers reduce the same few bases again and again (relation
-detection once per solve that has no run cache, the flow search once
-per window of a walk that every dilation of the same direction
-repeats), so lll_reduce
-remembers its last 32 answers, keyed on the exact integer rows and the
-exact start (none for a cold reduction); a remembered warm answer skips
-the reduction, the composition and its check alike.  Each caller makes
-one call per lattice, so each flow window and each membership test
-takes one memo slot, and a repeated walk or detection, whose starts
-repeat too, hits on every call.  The key is the whole input, so a
-remembered answer is the answer; every call returns fresh lists, so a
-caller that edits them cannot reach the memo, and inputs that raise are
-never remembered.  float_start remembers its last 32 answers the same
-way, keyed on the exact rows, so a repeated walk's first window costs
-neither reduction again.
+The module keeps no memo: every call computes afresh and returns new
+lists, and a caller that meets the same lattice again remembers its own
+unit of work.
 """
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -81,9 +62,6 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-Key = Tuple[Tuple[int, ...], ...]
-
-
 def lll_reduce(
     rows: Sequence[Sequence[int]], start: Optional[Sequence[Sequence[int]]] = None
 ) -> Tuple[List[Row], List[Row]]:
@@ -95,36 +73,24 @@ def lll_reduce(
     input row, and the reduction begins from start * rows.
     Raises ValueError if the rows are empty, ragged or linearly dependent,
     or if start is not square and unimodular of that size.
-
-    Answers for the last 32 distinct inputs are remembered, keyed on the
-    exact rows and start; both lists returned are new on every call.
     """
-    basis, transform = _reduce(
-        tuple(tuple(map(int, r)) for r in rows),
-        None if start is None else tuple(tuple(map(int, r)) for r in start),
-    )
-    return [list(r) for r in basis], [list(r) for r in transform]
-
-
-@functools.lru_cache(maxsize=32)
-def _reduce(rows: Key, start: Optional[Key] = None) -> Tuple[Key, Key]:
-    # the memoized front of the reduction; it returns tuples, so the
-    # answers it keeps cannot be changed by anyone who reads them
+    rows = [list(map(int, r)) for r in rows]
     if not rows:
         raise ValueError("empty basis")
     if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged basis")
     if start is None:
         return _lll(rows)
+    start = [list(map(int, r)) for r in start]
     if len(start) != len(rows) or any(len(r) != len(rows) for r in start):
         raise ValueError("start transform must be square with one row per basis row")
     if abs(_det(start)) != 1:
         raise ValueError("start transform is not unimodular")
-    basis, warm = _lll(tuple(map(tuple, _matmul(start, rows))))
+    basis, warm = _lll(_matmul(start, rows))
     transform = _matmul(warm, start)
-    if _matmul(transform, rows) != [list(r) for r in basis]:
+    if _matmul(transform, rows) != basis:
         raise ArithmeticError("composed transform does not map the rows to the basis")
-    return basis, tuple(map(tuple, transform))
+    return basis, transform
 
 
 def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> List[Row]:
@@ -151,7 +117,7 @@ def _det(matrix: Sequence[Sequence[int]]) -> int:
     return sign * prev
 
 
-def _lll(rows: Key) -> Tuple[Key, Key]:
+def _lll(rows: Sequence[Sequence[int]]) -> Tuple[List[Row], List[Row]]:
     # the integer reduction itself, on non-empty rectangular rows
     n = len(rows)
     width = len(rows[0])
@@ -214,13 +180,22 @@ def _lll(rows: Key) -> Tuple[Key, Key]:
                 reduce_row(k, l)
             k += 1
 
-    return tuple(map(tuple, b)), tuple(map(tuple, h))
+    return b, h
 
 
 # float_start's reduction parameters: the lazy size-reduction bound eta and
 # the Lovasz constant delta, as in L^2
 _FLOAT_ETA = 0.51
 _FLOAT_DELTA = 0.99
+
+
+def _float_iterations(n: int, bits: int) -> int:
+    # a cap on the visits (size-reduction passes and exchanges) of the
+    # loop below, which follows LLL's O(n^2 log B) exchange count: the
+    # cold 9-D flow window of a 256-bit planted solve, with 171-bit
+    # entries, takes 1,098 of its 14,580, and 13-D and 15-D windows with
+    # 70-bit entries take 409 and 541 of 14,027 and 19,125
+    return n * n * (bits + n)
 
 
 def float_start(rows: Sequence[Sequence[int]]) -> Optional[List[Row]]:
@@ -233,31 +208,14 @@ def float_start(rows: Sequence[Sequence[int]]) -> Optional[List[Row]]:
     or non-finite Gram-Schmidt pivot, or more loop iterations than
     _float_iterations allows.  Either answer is a valid start: None means
     a cold exact reduction.
-
-    Answers for the last 32 distinct inputs are remembered, keyed on the
-    exact rows; the list returned is new on every call.
     """
-    start = _float_start(tuple(tuple(map(int, r)) for r in rows))
-    return None if start is None else [list(r) for r in start]
-
-
-def _float_iterations(n: int, bits: int) -> int:
-    # a cap on the visits (size-reduction passes and exchanges) of the
-    # loop below, which follows LLL's O(n^2 log B) exchange count: the
-    # cold 9-D flow window of a 256-bit planted solve, with 171-bit
-    # entries, takes 1,098 of its 14,580, and 13-D and 15-D windows with
-    # 70-bit entries take 409 and 541 of 14,027 and 19,125
-    return n * n * (bits + n)
-
-
-@functools.lru_cache(maxsize=32)
-def _float_start(rows: Key) -> Optional[Key]:
     # The reduction of L^2 (Nguyen-Stehle, SIAM J. Comput. 39, 2009): the
     # Gram matrix stays exact and follows every row operation, and each
     # time row k is visited its Cholesky row is recomputed in doubles from
     # the exact Gram row and the rows before it, so rounding errors never
     # accumulate across visits.  The exact rows themselves are carried as
     # the transform h, which only elementary row operations ever touch.
+    rows = [list(map(int, r)) for r in rows]
     n = len(rows)
     if not n or not rows[0]:
         return None
@@ -330,7 +288,7 @@ def _float_start(rows: Key) -> Optional[Key]:
         # a Gram entry past the double range, or a non-finite mu that
         # cannot be rounded to an integer
         return None
-    return tuple(map(tuple, h))
+    return h
 
 
 def gram_schmidt_fractions(rows: Sequence[Sequence[int]]):

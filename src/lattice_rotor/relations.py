@@ -25,12 +25,17 @@ basis plus two fresh rows, as in incremental integer-relation search
 (Hastad-Just-Lagarias-Schnorr).  A test that finds a dependent, and a
 zero entry, leave the carried transform as it was; the first test, on a
 one-entry basis, reduces from scratch.  A start changes only the work,
-not the lattice, and each test still makes one lll_reduce call, so it
-takes one slot of lll_reduce's memo and a repeated detection (one per
-solve that has no run cache) hits on every test.
+not the lattice.
+
+A solve that has no run cache detects the same entries again at every
+dilation, so detect_relations remembers its last 32 decompositions,
+keyed on the entries as the detection reads them, the height bound and
+the precision; the key is the whole input, the precision advisory
+included, and a remembered decomposition is frozen, so it is the answer.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -138,13 +143,23 @@ def detect_relations(
 
     Accepts a ComplexVector or a sequence of complex numbers.  height_bound
     caps the numerator and denominator magnitudes of reported coefficients.
+    Answers for the last 32 distinct inputs are remembered.
     """
     check_precision(bits)
     if not isinstance(height_bound, int) or isinstance(height_bound, bool) or height_bound < 1:
         raise ValueError(f"height_bound must be an integer >= 1, got {height_bound!r}")
 
     vec = entries if isinstance(entries, ComplexVector) else ComplexVector(tuple(entries), bits)
-    r = len(vec)
+    with working_precision(bits):
+        values = tuple(mpc(z) for z in vec)
+    return _detect(values, height_bound, bits)
+
+
+@functools.lru_cache(maxsize=32)
+def _detect(values: Tuple[mpc, ...], height_bound: int, bits: int) -> RelationDecomposition:
+    # the remembered body of detect_relations, on validated entries
+    # rounded to the working precision
+    r = len(values)
     warnings: List[str] = []
     advised = recommended_precision(r, height_bound)
     if bits < advised:
@@ -156,9 +171,6 @@ def detect_relations(
     basis_indices: List[int] = []
     dependent_indices: List[int] = []
     rows: List[Tuple[GaussianRational, ...]] = []
-
-    with working_precision(bits):
-        values = [mpc(z) for z in vec]
 
     # transform of the last membership test whose candidate joined the basis
     joined: Optional[Transform] = None

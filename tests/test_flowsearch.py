@@ -208,10 +208,10 @@ class TestEnumerationWindows:
         largest = []
         real_gso = flowsearch._gso
 
-        def gso(basis, target):
-            out = real_gso(basis, target)
-            largest.append(max(abs(c) for c in out[2]))
-            return out
+        def gso(window, target):
+            y = real_gso(window, target)
+            largest.append(max(abs(c) for c in y))
+            return y
 
         monkeypatch.setattr(flowsearch, "_gso", gso)
         out = flow_search(_golden_direction(), _half_offset(), "1e-16", mpf(10) ** 40, BITS)
@@ -337,30 +337,39 @@ class TestWarmStartedWindows:
 
     @staticmethod
     def _warm_and_cold(monkeypatch, v, w, eps, L_max):
-        # the warm walk records each window's length, rows, the start it
-        # passed and the transform it got back
-        windows = []
+        # both walks bypass the reduction memo, so every window of each is
+        # reduced by its own lll_reduce call: the warm walk's from the
+        # start it is given, the cold walk's from scratch.  Each walk
+        # records every window's length, rows, the start passed and the
+        # transform got back
         real_lattice = flowsearch._window_lattice
 
-        def lattice(dv_coords, eps, window_len, bits_eval):
-            windows.append({"len": window_len})
-            return real_lattice(dv_coords, eps, window_len, bits_eval)
+        def record(log, reduce):
+            def lattice(dv_coords, eps, window_len, bits_eval):
+                log.append({"len": window_len, "reductions": 0})
+                return real_lattice(dv_coords, eps, window_len, bits_eval)
 
-        def reduce_(rows, start=None):
-            out = lll_reduce(rows, start)
-            windows[-1].update(rows=rows, start=start, transform=out[1])
-            return out
+            def reduce_(rows, start=None):
+                out = reduce(rows, start)
+                log[-1].update(rows=rows, start=start, transform=out[1])
+                log[-1]["reductions"] += 1
+                return out
 
-        monkeypatch.setattr(flowsearch, "_window_lattice", lattice)
-        monkeypatch.setattr(flowsearch, "lll_reduce", reduce_)
+            monkeypatch.setattr(flowsearch, "_window_lattice", lattice)
+            monkeypatch.setattr(flowsearch, "lll_reduce", reduce_)
+
+        monkeypatch.setattr(flowsearch, "_reduced_window", flowsearch._reduced_window.__wrapped__)
+        windows, cold_windows = [], []
+        record(windows, lll_reduce)
         warm = flow_search(v, w, eps, L_max, BITS)
-        monkeypatch.setattr(flowsearch, "_window_lattice", real_lattice)
-        monkeypatch.setattr(flowsearch, "lll_reduce", lambda rows, start=None: lll_reduce(rows))
+        record(cold_windows, lambda rows, start=None: lll_reduce(rows))
         cold = flow_search(v, w, eps, L_max, BITS)
 
-        assert windows and windows[0]["start"] == float_start(windows[0]["rows"])
+        assert [win["reductions"] for win in windows] == [1] * warm.windows_used
+        assert [win["reductions"] for win in cold_windows] == [1] * cold.windows_used
+        assert windows[0]["start"] == float_start(windows[0]["rows"])
         for before, after in zip(windows, windows[1:]):
-            assert after["start"] == before["transform"]
+            assert [list(r) for r in after["start"]] == before["transform"]
         return warm, cold, windows
 
     @staticmethod
@@ -424,7 +433,6 @@ class TestWarmStartedWindows:
 
     def test_a_refused_float_start_leaves_the_first_window_cold(self, monkeypatch):
         monkeypatch.setattr(lll, "_float_iterations", lambda n, bits: 0)
-        monkeypatch.setattr(lll, "_float_start", lll._float_start.__wrapped__)
         warm, cold, windows = self._warm_and_cold(monkeypatch, *self._generic_flow(6))
         self._assert_same_walk(warm, cold)
         assert windows[0]["start"] is None
@@ -464,7 +472,7 @@ class TestWrongCandidatesRejected:
             w = ComplexVector((mpc(0, "0.5"), mpc("0.1", "0.2")), BITS)
         eps = mpf("0.1")
 
-        def every_index(basis, transform, scale, target, eps, window_len, node_budget):
+        def every_index(window, target, eps, window_len, node_budget):
             return list(range(window_len))
 
         monkeypatch.setattr(flowsearch, "_window_candidates", every_index)
@@ -480,15 +488,14 @@ class TestWrongCandidatesRejected:
 class TestWindowCandidates:
     def _window(self):
         # one window of the golden line's enumeration, at the first index
-        # of its 0.05-neighbourhood search: the reduced basis, its
-        # transform and scale, the target, eps and the window length
+        # of its 0.05-neighbourhood search: the reduced window, the
+        # target, eps and the window length
         with working_precision(BITS):
             step = mpf("0.05") / (4 * _golden_direction().max_abs())
             g = (1 + mpmath.sqrt(mpf(5))) / 2
         eps, length = mpf("0.05"), 1 << 10
-        rows, scale = flowsearch._window_lattice([step, step * g], eps, length, BITS)
-        basis, transform = lll_reduce(rows)
-        return basis, transform, scale, [-0.5, -0.5], eps, length
+        rows, scale = flowsearch._window_lattice((step, step * g), eps, length, BITS)
+        return flowsearch._reduced_window(rows, scale, None), [-0.5, -0.5], eps, length
 
     def test_no_enumerated_point_gives_no_candidate(self, monkeypatch):
         monkeypatch.setattr(flowsearch, "_enumerate_ball", lambda *args: [])
@@ -502,9 +509,9 @@ class TestWindowCandidates:
         seen = {}
         real_gso, real_enumerate = flowsearch._gso, flowsearch._enumerate_ball
 
-        def gso(basis, target):
-            seen.update(basis=basis, tau=target)
-            return real_gso(basis, target)
+        def gso(window, target):
+            seen.update(basis=window.basis, tau=target)
+            return real_gso(window, target)
 
         def enumerate_(*args):
             seen["ranges"] = real_enumerate(*args)
@@ -513,7 +520,7 @@ class TestWindowCandidates:
         monkeypatch.setattr(flowsearch, "_gso", gso)
         monkeypatch.setattr(flowsearch, "_enumerate_ball", enumerate_)
         window = self._window()
-        transform, length = window[1], window[-1]
+        transform, length = window[0].transform, window[-1]
         got = flowsearch._window_candidates(*window, 10**6)
 
         coeffs = _range_points(seen["ranges"])
@@ -523,30 +530,34 @@ class TestWindowCandidates:
         assert got == sorted(got)
 
 
+@st.composite
+def window_steps(draw):
+    """The step coordinates and eps of a flow with 1-3 entries at eps in
+    [1e-3, 0.7], and a window length of 2^4 to 2^14 indices."""
+    m = draw(st.integers(1, 3))
+    v, _ = draw(entries_and_offsets(m))
+    eps = mpf(10 ** draw(st.floats(-3, math.log10(0.7))))
+    with working_precision(BITS):
+        delta = eps / (4 * v.max_abs())
+        dv = tuple([delta * z.real for z in v] + [delta * z.imag for z in v])
+    return dv, eps, 1 << draw(st.integers(4, 14))
+
+
 class TestWindowMemos:
-    """_window_lattice and the basis half of _gso remember their answers
-    under exact keys, and no caller can change what they remember."""
+    """_window_lattice and _reduced_window remember their answers under
+    exact keys, as tuples, and a remembered answer is the one a fresh
+    computation gives."""
 
     @staticmethod
     def _step():
         with working_precision(BITS):
             step = mpf("0.05") / (4 * _golden_direction().max_abs())
-            return [step, step * (1 + mpmath.sqrt(mpf(5))) / 2]
-
-    def test_window_lattice_returns_fresh_lists(self):
-        args = (self._step(), mpf("0.05"), 1 << 10, BITS)
-        rows, scale = flowsearch._window_lattice(*args)
-        again, scale_again = flowsearch._window_lattice(*args)
-        assert (rows, scale) == (again, scale_again) and rows is not again
-        assert all(type(r) is list for r in rows) and all(a is not b for a, b in zip(rows, again))
-        rows[0][0] += 1
-        rows.append([0])
-        assert flowsearch._window_lattice(*args) == (again, scale)
+            return (step, step * (1 + mpmath.sqrt(mpf(5))) / 2)
 
     def test_each_precision_is_its_own_entry(self):
         # the same step at two evaluation precisions takes two entries,
         # and each answers its own repeat
-        memo = flowsearch._lattice_rows
+        memo = flowsearch._window_lattice
         step, eps, length = self._step(), mpf("0.05"), 12345
         misses = memo.cache_info().misses
         for bits in (BITS, 2 * BITS):
@@ -557,16 +568,41 @@ class TestWindowMemos:
             flowsearch._window_lattice(step, eps, length, bits)
         assert memo.cache_info().hits == hits + 2
 
+    @given(step=window_steps())
+    def test_remembered_window_equals_a_fresh_reduction(self, step):
+        dv, eps, length = step
+        rows, scale = flowsearch._window_lattice(dv, eps, length, BITS)
+        fresh = flowsearch._reduced_window.__wrapped__(rows, scale, None)
+        for _ in range(2):
+            assert flowsearch._reduced_window(rows, scale, None) == fresh
+
+    @given(step=window_steps())
+    def test_remembered_warm_window_equals_a_fresh_reduction(self, step):
+        # the next window of a walk, four times longer, starts from this
+        # window's transform
+        dv, eps, length = step
+        rows, scale = flowsearch._window_lattice(dv, eps, length, BITS)
+        start = flowsearch._reduced_window(rows, scale, None).transform
+        rows, scale = flowsearch._window_lattice(dv, eps, 4 * length, BITS)
+        fresh = flowsearch._reduced_window.__wrapped__(rows, scale, start)
+        for _ in range(2):
+            assert flowsearch._reduced_window(rows, scale, start) == fresh
+
+    def test_reduced_window_memo_stays_bounded(self):
+        limit = flowsearch._reduced_window.cache_info().maxsize
+        for k in range(limit + 8):
+            flowsearch._reduced_window(((1, k + 1), (0, 1)), 1, None)
+        assert flowsearch._reduced_window.cache_info().currsize <= limit
+
     def test_gso_coordinates_follow_each_target(self):
-        # the remembered basis half serves every target, and y is each
+        # the remembered window serves every target, and y is each
         # target's own coordinates
         rows, scale = flowsearch._window_lattice(self._step(), mpf("0.05"), 1 << 10, BITS)
-        basis = [[c / float(scale) for c in row] for row in lll_reduce(rows)[0]]
-        first = flowsearch._gso(basis, [0.25, -0.5, 1.0])
+        window = flowsearch._reduced_window(rows, scale, None)
+        assert flowsearch._reduced_window(rows, scale, None) is window
         for target in ([0.25, -0.5, 1.0], [-3.0, 0.125, 1.0]):
-            mu, bstar_sq, y = flowsearch._gso(basis, target)
-            assert mu is first[0] and bstar_sq is first[1]
-            back = [sum(yk * row[c] for yk, row in zip(y, basis)) for c in range(len(target))]
+            y = flowsearch._gso(window, target)
+            back = [sum(yk * row[c] for yk, row in zip(y, window.basis)) for c in range(len(target))]
             assert back == pytest.approx(target, abs=1e-9)
 
 
@@ -596,15 +632,15 @@ def _disk_filter(coeffs, basis, tau, transform, length):
     return kept, edge
 
 
-def _vectorized_candidates(basis, transform, scale, target, eps, length):
+def _vectorized_candidates(window, target, eps, length):
     """(kept, edge) of one window as numpy arrays give them: Gram-Schmidt
     on the float basis, the ball of radius sqrt(m+1) around the target
     coordinates np.linalg.solve gives, and one array pass of the
     1.02-disk filter over its points; edge holds the indices of the
     points within float rounding of a disk's edge."""
-    n = len(basis)
+    n = len(window.basis)
     m = (n - 1) // 2
-    reduced_f = np.array(basis, dtype=np.float64) / float(scale)
+    reduced_f = np.array(window.basis, dtype=np.float64)
     mu, ortho, bstar_sq = np.zeros((n, n)), reduced_f.copy(), np.zeros(n)
     for i in range(n):
         for j in range(i):
@@ -619,7 +655,7 @@ def _vectorized_candidates(basis, transform, scale, target, eps, length):
     worst = (offsets[:, :m] ** 2 + offsets[:, m : n - 1] ** 2).max(axis=1)
     kept, edge = set(), set()
     for u, w in zip(us.tolist(), worst.tolist()):
-        j_rel = sum(c * row[0] for c, row in zip(u, transform))
+        j_rel = sum(c * row[0] for c, row in zip(u, window.transform))
         if not 0 <= j_rel < length:
             continue
         if abs(w - 1.02**2) < 1e-9:
@@ -674,8 +710,8 @@ def planted_windows(draw):
     """One enumeration window of a flow with 1-3 entries (generic or
     Gaussian-rational multiples of the first) at eps in [1e-3, 0.7], whose
     target puts a point within 0.71*eps of the lattice at one index of the
-    window: the window's reduced basis, transform, scale, target, eps and
-    length.  The length keeps the expected number of near points small."""
+    window: its reduced window, target, eps and length.  The length keeps
+    the expected number of near points small."""
     m = draw(st.integers(1, 3))
     v, _ = draw(entries_and_offsets(m))
     eps = 10 ** draw(st.floats(-3, math.log10(0.7)))
@@ -685,20 +721,18 @@ def planted_windows(draw):
     noise = draw(st.lists(st.floats(-0.5, 0.5), min_size=2 * m, max_size=2 * m))
     with working_precision(BITS):
         delta = mpf(eps) / (4 * v.max_abs())
-        dv = [delta * z.real for z in v] + [delta * z.imag for z in v]
+        dv = tuple([delta * z.real for z in v] + [delta * z.imag for z in v])
         target = [hit * c - mpf(x) * mpf(eps) for c, x in zip(dv, noise)]
         target = [float(x - mpmath.nint(x)) for x in target]
     rows, scale = flowsearch._window_lattice(dv, mpf(eps), length, BITS)
-    basis, transform = lll_reduce(rows)
-    return basis, transform, scale, target, mpf(eps), length
+    return flowsearch._reduced_window(rows, scale, None), target, mpf(eps), length
 
 
-def _ball_inputs(basis, scale, target, eps):
+def _ball_inputs(window, target, eps):
     """The window's float basis and target, as _window_candidates scales
     them, and their Gram-Schmidt data (mu, bstar_sq, y)."""
-    reduced_f = [[c / float(scale) for c in row] for row in basis]
     tau = [t / float(eps) for t in target] + [1.0]
-    return (reduced_f, tau) + flowsearch._gso(reduced_f, tau)
+    return window.basis, tau, window.mu, window.bstar_sq, flowsearch._gso(window, tau)
 
 
 class TestDiskEnumeration:
@@ -708,14 +742,14 @@ class TestDiskEnumeration:
 
     @given(window=planted_windows())
     def test_candidates_equal_the_cube_ball_filtered_by_disks(self, window):
-        basis, transform, scale, target, eps, length = window
-        m = (len(basis) - 1) // 2
+        reduced, target, eps, length = window
+        m = (len(reduced.basis) - 1) // 2
         got = flowsearch._window_candidates(*window, 10**7)
 
-        reduced_f, tau, mu, bstar_sq, _ = _ball_inputs(basis, scale, target, eps)
+        reduced_f, tau, mu, bstar_sq, _ = _ball_inputs(reduced, target, eps)
         radius = math.sqrt(2 * m + 1) * 1.01 + 0.05
         coeffs, _ = _recursive_ball(reduced_f, mu, bstar_sq, tau, radius * radius)
-        kept, edge = _disk_filter(coeffs, reduced_f, tau, transform, length)
+        kept, edge = _disk_filter(coeffs, reduced_f, tau, reduced.transform, length)
         assert kept <= set(got) <= kept | edge
 
     @given(window=planted_windows())
@@ -731,9 +765,9 @@ class TestDiskEnumeration:
     def test_explicit_loop_equals_the_recursion(self, window):
         # the same coefficient set and node count at the same radius, so
         # the node budget runs out in the same window
-        basis, _, scale, target, eps, _ = window
-        m = (len(basis) - 1) // 2
-        reduced_f, tau, mu, bstar_sq, y = _ball_inputs(basis, scale, target, eps)
+        reduced, target, eps, _ = window
+        m = (len(reduced.basis) - 1) // 2
+        reduced_f, tau, mu, bstar_sq, y = _ball_inputs(reduced, target, eps)
         radius_sq = (math.sqrt(m + 1) * 1.01 + 0.05) ** 2
         coeffs, nodes = _recursive_ball(reduced_f, mu, bstar_sq, tau, radius_sq)
         points = _range_points(flowsearch._enumerate_ball(mu, bstar_sq, y, radius_sq, nodes))

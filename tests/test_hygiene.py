@@ -6,8 +6,9 @@ and its scripts, and no package module imports a _-prefixed name from
 another module.  Every name the benchmark's tracer wraps still exists.
 Every memo in the package states a finite bound, because the keys it
 holds (exact integers, high-precision numbers) have no size limit of
-their own, and solver.py keeps none: a solve run's plan lives in a
-cache its caller passes in.  Every solver setting and flow-search keyword names the
+their own.  solver.py and lll.py keep none: a solve run's plan lives in
+a cache its caller passes in, and the callers of the reduction remember
+their own units of work.  Every solver setting and flow-search keyword names the
 caller that sets it, so a knob that nothing reads cannot slip in, and
 the README's table of spec keys states the CLI's spec schema.  A solve
 never loads numpy, which only the oracles need, and no other module
@@ -262,38 +263,42 @@ def test_memos_are_bounded(path):
 
 
 def test_solver_memoizes_nothing():
-    """solver.py holds no memo and no module-level container: a plan or
-    phase kept past one solve run would outlive the settings it was made
-    under, as a memoized plan once walked a horizon that a monkeypatched
-    initial_search_length no longer gave.  A run's cache is a dict its
-    caller creates and passes in."""
-    _, tree = _parse(ROOT / "src" / "lattice_rotor" / "solver.py")
+    """solver.py and lll.py hold no memo and no module-level container.
+    In solver.py, a plan or phase kept past one solve run would outlive
+    the settings it was made under, as a memoized plan once walked a
+    horizon that a monkeypatched initial_search_length no longer gave; a
+    run's cache is a dict its caller creates and passes in.  lll.py is
+    arithmetic only: the flow search and relation detection each remember
+    their own unit of work, a reduced window or a detection, so its
+    answers need no fresh-copy wrapping."""
 
     def name(node):
         return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 
     memo_names = {"functools", "lru_cache", "cache"}
-    sites = [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and name(node.func) in memo_names
-        or isinstance(node, ast.Import) and memo_names & {a.name for a in node.names}
-        or isinstance(node, ast.ImportFrom)
-        and memo_names & {node.module, *(a.name for a in node.names)}
-        or isinstance(node, ast.FunctionDef)
-        and any(name(getattr(d, "func", d)) in memo_names for d in node.decorator_list)
-    ]
     containers = {"dict", "set", "OrderedDict", "defaultdict"}
-    sites += [
-        node.lineno
-        for node in tree.body
-        if isinstance(node, (ast.Assign, ast.AnnAssign))
-        and (
-            isinstance(node.value, (ast.Dict, ast.Set, ast.DictComp, ast.SetComp))
-            or isinstance(node.value, ast.Call) and name(node.value.func) in containers
-        )
-    ]
-    assert not sites, f"solver.py memoizes at lines {sites}"
+    for module in ("solver.py", "lll.py"):
+        _, tree = _parse(ROOT / "src" / "lattice_rotor" / module)
+        sites = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and name(node.func) in memo_names
+            or isinstance(node, ast.Import) and memo_names & {a.name for a in node.names}
+            or isinstance(node, ast.ImportFrom)
+            and memo_names & {node.module, *(a.name for a in node.names)}
+            or isinstance(node, ast.FunctionDef)
+            and any(name(getattr(d, "func", d)) in memo_names for d in node.decorator_list)
+        ]
+        sites += [
+            node.lineno
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and (
+                isinstance(node.value, (ast.Dict, ast.Set, ast.DictComp, ast.SetComp))
+                or isinstance(node.value, ast.Call) and name(node.value.func) in containers
+            )
+        ]
+        assert not sites, f"{module} memoizes at lines {sites}"
 
 
 # each settable option, and the caller that sets it

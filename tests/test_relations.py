@@ -313,9 +313,12 @@ class TestWarmStartedDetection:
     @settings(max_examples=30)
     @given(case=relation_entries())
     def test_warm_detection_equals_cold_detection(self, case):
+        # both detections bypass the detection memo, so each membership
+        # test of each makes its own lll_reduce call
         entries, planted = case
         vec = _vec(entries)
-        calls = []
+        tests = max(0, sum(1 for z in vec if z != 0) - 1)
+        calls, cold_calls = [], []
 
         def recording(rows, start=None):
             basis, transform = lll.lll_reduce(rows, start)
@@ -323,13 +326,16 @@ class TestWarmStartedDetection:
             return basis, transform
 
         def cold(rows, start=None):
+            cold_calls.append(rows)
             return lll.lll_reduce(rows)
 
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(relations, "_detect", relations._detect.__wrapped__)
             mp.setattr(relations, "lll_reduce", recording)
             warm = detect_relations(vec, 8, BITS)
             mp.setattr(relations, "lll_reduce", cold)
             assert detect_relations(vec, 8, BITS) == warm
+        assert len(calls) == len(cold_calls) == tests
         assert set(planted) <= set(warm.dependent_indices)
         for n, start, basis in calls:
             # only a test against a single basis entry (4 rows) has no
@@ -337,7 +343,23 @@ class TestWarmStartedDetection:
             assert (start is None) == (n == 4)
             assert lll.is_reduced(basis)
 
-    def test_each_membership_test_takes_at_most_one_memo_slot(self):
+
+class TestDetectionMemo:
+    """detect_relations remembers its decompositions, keyed on the entries,
+    the height bound and the precision; a remembered decomposition is the
+    one a fresh detection gives, its warnings included."""
+
+    @settings(max_examples=30)
+    @given(case=relation_entries())
+    def test_remembered_detection_equals_a_fresh_one(self, case):
+        # the detections of three or more entries warm-start their later
+        # membership tests
+        vec = _vec(case[0])
+        fresh = relations._detect.__wrapped__(tuple(vec), 8, BITS)
+        for _ in range(2):
+            assert detect_relations(vec, 8, BITS) == fresh
+
+    def test_a_repeated_detection_reduces_nothing(self, monkeypatch):
         rng = random.Random(20)
         with working_precision(2 * BITS):
             basis = [_generic(rng) for _ in range(3)]
@@ -345,10 +367,34 @@ class TestWarmStartedDetection:
             # transform older than the test just before it
             entries = basis[:2] + [mpf(3) / 2 * basis[0] - mpc(0, 1) * basis[1], basis[2]]
         vec = _vec(entries)
-        misses = lll._reduce.cache_info().misses
+        calls = []
+
+        def recording(rows, start=None):
+            calls.append(start)
+            return lll.lll_reduce(rows, start)
+
+        monkeypatch.setattr(relations, "lll_reduce", recording)
+        relations._detect.cache_clear()
         first = detect_relations(vec, 8, BITS)
         assert first.dependent_indices == (2,)
-        assert lll._reduce.cache_info().misses - misses <= len(entries) - 1
-        misses = lll._reduce.cache_info().misses
+        assert len(calls) == len(entries) - 1
         assert detect_relations(vec, 8, BITS) == first
-        assert lll._reduce.cache_info().misses == misses
+        assert len(calls) == len(entries) - 1
+
+    def test_detection_memo_stays_bounded(self):
+        limit = relations._detect.cache_info().maxsize
+        for k in range(limit + 8):
+            detect_relations([mpc(k + 1)], 8, BITS)
+        assert relations._detect.cache_info().currsize <= limit
+
+    def test_the_precision_advisory_is_part_of_the_key(self):
+        # two entries at 128 bits are advised height bounds of at most 32
+        # bits; the same entries past that edge and just under it each get
+        # their own warnings, whichever was remembered first
+        with working_precision(BITS):
+            vec = _vec([mpc(1), mpc(mpmath.sqrt(2), mpmath.sqrt(3))])
+        past, under = 2**32, 2**32 - 1
+        assert recommended_precision(2, past) > BITS >= recommended_precision(2, under)
+        for _ in range(2):
+            assert len(detect_relations(vec, past, BITS).warnings) == 1
+            assert detect_relations(vec, under, BITS).warnings == ()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
-from lattice_rotor import flowsearch, lll, solver
+from lattice_rotor import flowsearch, relations, solver
 from lattice_rotor.corelattice import ComplexVector, Rotation, real_dist_to_lattice
 from lattice_rotor.precision import (
     parse_complex_pair,
@@ -620,6 +620,21 @@ class TestAdversarialSolveInputs:
             )
             assert not reductions and all(w == (exhausted, None) for w in walks)
 
+    @pytest.mark.parametrize("height_bound", [2**32 - 1, 2**32], ids=["under", "past"])
+    def test_height_bound_at_the_advisory_edge_ends_honestly(self, height_bound):
+        # two entries at 128 bits are advised height bounds of at most 32
+        # bits: detection warns just past that edge and not just under it,
+        # and the solve either verifies or reports an honest miss
+        vec = project_planes([["1", "0"], ["0.5", "0.866025403784438646763723170753"]], BITS)[0]
+        config = SolverConfig(bits=BITS, height_bound=height_bound)
+        report = solve_general(vec, mpf("1e17"), "0.1", seed=3, config=config)
+        assert len(report.decomposition.warnings) == (height_bound == 2**32)
+        if report.achieved:
+            _, worst = certify([report.theta], report.t, [vec], report.eval_bits)
+            assert worst < parse_decimal("0.1", report.eval_bits)
+        else:
+            assert report.s_found is None and report.diagnostics
+
     @pytest.mark.parametrize(
         "point", [["1e-30", "2e-30"], ["1e30", "3e29"]], ids=["near-zero", "huge"]
     )
@@ -715,16 +730,27 @@ class TestRunCache:
 
 
 class TestReductionMemo:
-    def test_a_second_dilation_reduces_no_new_lattice(self):
-        # relation detection and every flow window (with its float or warm
-        # start) depend on the phase-rotated direction, not on t, so the
-        # memos of lll_reduce and float_start answer the whole second solve
+    def test_a_second_dilation_reduces_no_new_lattice(self, monkeypatch):
+        # the two dilations evaluate at different precisions, so their
+        # phases differ in the low bits and their step coordinates differ,
+        # but every window's rows round to the same integers: the
+        # reduction memo, keyed on the rows, answers every window of the
+        # second solve, and the detection memo its relation detection
         vec, ts, config = _planted_dilations()
-        memos = (lll._reduce, lll._float_start)
-        assert solve_general(vec, ts[0], "0.1", seed=3, config=config).achieved
-        misses = [memo.cache_info().misses for memo in memos]
-        assert solve_general(vec, ts[1], "0.1", seed=3, config=config).achieved
-        assert [memo.cache_info().misses for memo in memos] == misses
+        first = solve_general(vec, ts[0], "0.1", seed=3, config=config)
+        assert first.achieved
+        calls = []
+        for module, name in (
+            (flowsearch, "lll_reduce"), (flowsearch, "float_start"), (relations, "lll_reduce")
+        ):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+            )
+        second = solve_general(vec, ts[1], "0.1", seed=3, config=config)
+        assert second.achieved
+        assert first.eval_bits != second.eval_bits
+        assert calls == []
 
 
 class TestPlantedWorkGuard:
