@@ -30,15 +30,17 @@ only decides how fast the walk gets there: a flow that hits long before E
 (rational structure pins it to a subtorus) gets the same answer.
 
 Every window's basis comes from the exact LLL (lll_reduce), at the one
-call site the benchmark times; only its start differs.  A walk's first
-window starts from float_start, a double-precision pre-reduction of its
-rows (cold when doubles cannot carry it), so the exact reduction only
-finishes an almost reduced basis.  Consecutive windows of one walk
-differ only in length: the scale K grows with the window while the
-step's time entry 2K/length stays put, so each later window starts from
-the previous window's unimodular transform, whose product with the new
-rows is nearly reduced already.  The enumerated point set is a property
-of the lattice, not of the basis that spans it, so no start changes a
+call site the benchmark times; only its start differs.  Every window
+starts from float_start, a double-precision pre-reduction of its rows,
+so the exact reduction only finishes an almost reduced basis.
+Consecutive windows of one walk differ only in length: the scale K grows
+with the window while the step's time entry 2K/length stays put, so each
+later window carries the previous window's unimodular transform into
+float_start, whose product with the new rows is nearly reduced already;
+a walk's first window carries none.  Where doubles cannot carry a
+window, the exact LLL starts from the carried transform itself (from
+scratch in a first window).  The enumerated point set is a property of
+the lattice, not of the basis that spans it, so no start changes a
 candidate.
 
 Dilations of one direction walk the same windows from the same starts:
@@ -47,9 +49,9 @@ and the evaluation precision, never from t.  Two memos answer every
 window an earlier walk has met, each keeping its last 32 answers under
 exact keys and handing out tuples: _window_lattice its rows and scale,
 and _reduced_window everything of it that the target does not change
-(a first window's float start, the exact reduction and its transform,
-the basis in doubles and its Gram-Schmidt data).  _reduced_window is
-keyed on the integer rows, the scale and the start, not on the step
+(the float start, the exact reduction and its transform, the basis in
+doubles and its Gram-Schmidt data).  _reduced_window is keyed on the
+integer rows, the scale and the carried transform, not on the step
 coordinates: dilations whose evaluation precision differs by a bit draw
 phases that differ only in low bits, and their windows' rows still
 round to the same integers.  Only the target moves with t; its
@@ -217,10 +219,10 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
             # double range, so the walk ends before reducing it
             return outcome("exhausted")
         try:
-            # the first window starts from a double-precision pre-reduction
-            # (cold when there is none), every later one from the last
-            # window's transform, also one whose enumeration outgrew the
-            # node budget
+            # every window starts from a double-precision pre-reduction of
+            # its rows, the first one's from the rows alone, every later
+            # one's from the last window's transform, also one whose
+            # enumeration outgrew the node budget
             window = _reduced_window(rows, scale, transform)
             transform = window.transform
             candidates = _window_candidates(
@@ -316,16 +318,16 @@ class _ReducedWindow(NamedTuple):
 def _reduced_window(rows: Matrix, scale: int, start: Optional[Matrix]) -> _ReducedWindow:
     """The reduction of one window's _window_lattice rows at scale K.
 
-    start is the unimodular transform the exact LLL begins from; None
-    starts it from float_start's pre-reduction of the rows (cold when
-    there is none).  Answers for the last 32 distinct inputs are
-    remembered, keyed on the exact rows, scale and start.
+    start is the unimodular transform carried from the window before
+    (None for a walk's first window); the exact LLL begins from
+    float_start's pre-reduction of start * rows (of the rows alone when
+    there is no start), or from start itself when doubles cannot carry
+    it.  Answers for the last 32 distinct inputs are remembered, keyed on
+    the exact rows, scale and start.
     OverflowError when the reduced basis is past the double range;
     ArithmeticError when doubles see the lattice as degenerate.
     """
-    if start is None:
-        start = float_start(rows)
-    reduced, transform = lll_reduce(rows, start)
+    reduced, transform = lll_reduce(rows, float_start(rows, start))
     scale_f = float(scale)
     basis = [[float(c) / scale_f for c in row] for row in reduced]
     n = len(basis)

@@ -26,9 +26,13 @@ input rows; its determinant is +-1.
 A caller that already holds a unimodular transform close to the answer
 can pass it as start: the reduction then begins from start * rows, and
 the transform it returns is composed with start and checked exactly
-against the rows, so it still maps the input rows to the basis.  The
-flow search and relation detection both warm-start; their module
-docstrings say from what.
+against the rows, so it still maps the input rows to the basis.  Both
+callers, the flow search and relation detection, reduce every lattice as
+lll_reduce(rows, float_start(rows, carried)): float_start pre-reduces
+carried * rows in doubles and composes its transform with carried (the
+rows alone when nothing is carried), and hands carried back unchanged
+when doubles cannot carry the reduction.  Their module docstrings say
+what each carries.
 
 The module keeps no memo: every call computes afresh and returns new
 lists, and a caller that meets the same lattice again remembers its own
@@ -38,13 +42,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 Row = List[int]
 
 
 def _dot(u: Row, v: Row) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _nearest_quotient(num: int, den: int) -> int:
@@ -194,11 +199,15 @@ def _float_iterations(n: int, bits: int) -> int:
     # loop below, which follows LLL's O(n^2 log B) exchange count: the
     # cold 9-D flow window of a 256-bit planted solve, with 171-bit
     # entries, takes 1,098 of its 14,580, and 13-D and 15-D windows with
-    # 70-bit entries take 409 and 541 of 14,027 and 19,125
+    # 70-bit entries take 409 and 541 of 14,027 and 19,125; the same
+    # solve's 6- and 8-row relation lattices, with 240-bit entries, take
+    # 1,053-1,164 and 1,673-1,712 of 8,856 and 15,872
     return n * n * (bits + n)
 
 
-def float_start(rows: Sequence[Sequence[int]]) -> Optional[List[Row]]:
+def float_start(
+    rows: Sequence[Sequence[int]], start: Optional[Sequence[Sequence[int]]] = None
+) -> Optional[List[Row]]:
     """A unimodular start for lll_reduce from a double-precision reduction.
 
     Returns an integer matrix T of determinant +-1, with one row per input
@@ -208,13 +217,28 @@ def float_start(rows: Sequence[Sequence[int]]) -> Optional[List[Row]]:
     or non-finite Gram-Schmidt pivot, or more loop iterations than
     _float_iterations allows.  Either answer is a valid start: None means
     a cold exact reduction.
+
+    start, when given, is a transform the caller carries: the reduction
+    then runs on start * rows and the answer is its transform composed
+    with start, or a fresh copy of start when doubles cannot carry it.
+    start is not checked here; lll_reduce checks what it is given.
     """
-    # The reduction of L^2 (Nguyen-Stehle, SIAM J. Comput. 39, 2009): the
-    # Gram matrix stays exact and follows every row operation, and each
-    # time row k is visited its Cholesky row is recomputed in doubles from
-    # the exact Gram row and the rows before it, so rounding errors never
-    # accumulate across visits.  The exact rows themselves are carried as
-    # the transform h, which only elementary row operations ever touch.
+    if start is None:
+        return _float_transform(rows)
+    start = [list(map(int, r)) for r in start]
+    warm = _float_transform(_matmul(start, rows))
+    return start if warm is None else _matmul(warm, start)
+
+
+def _float_transform(rows: Sequence[Sequence[int]]) -> Optional[List[Row]]:
+    # float_start of the rows themselves, None when doubles cannot carry
+    # it.  The reduction of L^2 (Nguyen-Stehle, SIAM J. Comput. 39,
+    # 2009): the Gram matrix stays exact and follows every row operation,
+    # and each time row k is visited its Cholesky row is recomputed in
+    # doubles from the exact Gram row and the rows before it, so rounding
+    # errors never accumulate across visits.  The exact rows themselves
+    # are carried as the transform h, which only elementary row
+    # operations ever touch.
     rows = [list(map(int, r)) for r in rows]
     n = len(rows)
     if not n or not rows[0]:

@@ -17,15 +17,22 @@ built to tolerate that (an undetected relation can only cause a failed
 search later, never a wrong answer), and the documentation repeats it
 wherever a caller might be tempted to read more into an empty result.
 
-Each membership test against two or more basis entries reduces its
-lattice from the transform of the last test whose candidate joined the
-basis (lll_reduce's start).  That test's lattice is this one's without
-the new candidate, so the start hands the reduction an already reduced
-basis plus two fresh rows, as in incremental integer-relation search
+Each membership test against two or more basis entries carries the
+transform of the last test whose candidate joined the basis.  That
+test's lattice is this one's without the new candidate, so the carried
+transform hands the reduction an already reduced basis plus two fresh
+rows, as in incremental integer-relation search
 (Hastad-Just-Lagarias-Schnorr).  A test that finds a dependent, and a
 zero entry, leave the carried transform as it was; the first test, on a
-one-entry basis, reduces from scratch.  A start changes only the work,
-not the lattice.
+one-entry basis, carries none.  Every test's one exact lll_reduce starts
+from float_start's double-precision pre-reduction of its lattice from
+the carried transform (from the rows alone in the first test), so the
+exact integer reduction only finishes an almost reduced basis.  Where
+doubles cannot carry the lattice (past about 527 bits of precision its
+Gram entries leave the double range), it starts from the carried
+transform itself.  A start changes only the work, not the lattice, and
+against a basis independent over Q(i) a certified row's coefficients
+-g_k/g_0 are unique, so no start changes a reported relation.
 
 A solve that has no run cache detects the same entries again at every
 dilation, so detect_relations remembers its last 32 decompositions,
@@ -45,7 +52,7 @@ from mpmath import mpc, mpf
 
 from .corelattice import ComplexVector
 from .gaussian import GaussianInteger, GaussianRational, lcm_int
-from .lll import lll_reduce
+from .lll import float_start, lll_reduce
 from .precision import check_precision, residual_tol, working_precision
 
 Transform = List[List[int]]
@@ -222,7 +229,8 @@ def _find_relation(
     combinations g0*candidate + sum gk*basis_k that nearly vanish, reduces
     it, and screens the reduced rows through the height and residual gates.
     joined is the transform of the test whose candidate became the last
-    basis entry (None for a cold reduction).  Returns the coefficient row
+    basis entry (None when there is none), which float_start carries into
+    its pre-reduction.  Returns the coefficient row
     for the first certified candidate, or None, with the reduction's
     transform.
     """
@@ -259,7 +267,7 @@ def _find_relation(
         start = [[0, 0] + row[2:] + row[:2] for row in joined]
         start += [[1 if c == u else 0 for c in range(unknowns)] for u in range(2)]
 
-    reduced, transform = lll_reduce(lattice_rows, start)
+    reduced, transform = lll_reduce(lattice_rows, float_start(lattice_rows, start))
 
     tol = residual_tol(bits)
     for row in reduced:

@@ -330,24 +330,29 @@ def long_flows(draw):
 
 
 class TestWarmStartedWindows:
-    """The first window's exact LLL starts from float_start's pre-reduction
-    of its rows, and each later window's from the transform of the window
-    before it; a walk whose every reduction starts cold, the test's own
-    reference, must end identically."""
+    """Every window's exact LLL starts from float_start's pre-reduction of
+    its rows, carrying the transform of the window before it (none for the
+    first window); a walk whose every reduction starts cold, the test's
+    own reference, must end identically."""
 
     @staticmethod
     def _warm_and_cold(monkeypatch, v, w, eps, L_max):
         # both walks bypass the reduction memo, so every window of each is
         # reduced by its own lll_reduce call: the warm walk's from the
-        # start it is given, the cold walk's from scratch.  Each walk
-        # records every window's length, rows, the start passed and the
-        # transform got back
+        # float start it is given, the cold walk's from scratch.  Each walk
+        # records every window's length, rows, the transform carried into
+        # float_start, the start passed on and the transform got back
         real_lattice = flowsearch._window_lattice
 
-        def record(log, reduce):
+        def record(log, reduce, start_from):
             def lattice(dv_coords, eps, window_len, bits_eval):
-                log.append({"len": window_len, "reductions": 0})
+                log.append({"len": window_len, "reductions": 0, "float_starts": 0})
                 return real_lattice(dv_coords, eps, window_len, bits_eval)
+
+            def float_start_(rows, carried=None):
+                log[-1].update(carried=carried)
+                log[-1]["float_starts"] += 1
+                return start_from(rows, carried)
 
             def reduce_(rows, start=None):
                 out = reduce(rows, start)
@@ -356,20 +361,24 @@ class TestWarmStartedWindows:
                 return out
 
             monkeypatch.setattr(flowsearch, "_window_lattice", lattice)
+            monkeypatch.setattr(flowsearch, "float_start", float_start_)
             monkeypatch.setattr(flowsearch, "lll_reduce", reduce_)
 
         monkeypatch.setattr(flowsearch, "_reduced_window", flowsearch._reduced_window.__wrapped__)
         windows, cold_windows = [], []
-        record(windows, lll_reduce)
+        record(windows, lll_reduce, float_start)
         warm = flow_search(v, w, eps, L_max, BITS)
-        record(cold_windows, lambda rows, start=None: lll_reduce(rows))
+        record(cold_windows, lambda rows, start=None: lll_reduce(rows), lambda rows, carried: None)
         cold = flow_search(v, w, eps, L_max, BITS)
 
-        assert [win["reductions"] for win in windows] == [1] * warm.windows_used
-        assert [win["reductions"] for win in cold_windows] == [1] * cold.windows_used
-        assert windows[0]["start"] == float_start(windows[0]["rows"])
-        for before, after in zip(windows, windows[1:]):
-            assert [list(r) for r in after["start"]] == before["transform"]
+        for log, outcome in ((windows, warm), (cold_windows, cold)):
+            assert [win["reductions"] for win in log] == [1] * outcome.windows_used
+            assert [win["float_starts"] for win in log] == [1] * outcome.windows_used
+        carried = None
+        for win in windows:
+            assert win["carried"] == carried
+            assert win["start"] == float_start(win["rows"], carried)
+            carried = tuple(map(tuple, win["transform"]))
         return warm, cold, windows
 
     @staticmethod

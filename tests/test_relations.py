@@ -10,7 +10,7 @@ from mpmath import mpc, mpf
 from lattice_rotor import lll, relations
 from lattice_rotor.corelattice import ComplexVector
 from lattice_rotor.gaussian import GaussianInteger, GaussianRational
-from lattice_rotor.precision import working_precision
+from lattice_rotor.precision import residual_tol, working_precision
 from lattice_rotor.relations import (
     RelationDecomposition,
     detect_relations,
@@ -280,6 +280,15 @@ class TestPslqOracle:
         assert dec.dependent_indices == ()
 
 
+def _cold_detection(vec, height_bound, bits):
+    """The detection with the memo bypassed and every relation lattice
+    reduced from scratch: the reference a started detection must equal."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relations, "float_start", lambda rows, carried=None: None)
+        mp.setattr(relations, "lll_reduce", lambda rows, start=None: lll.lll_reduce(rows))
+        return relations._detect.__wrapped__(tuple(vec), height_bound, bits)
+
+
 @st.composite
 def relation_entries(draw):
     """2-6 entries, each a generic random dyadic, an exact zero, or a
@@ -305,24 +314,31 @@ def relation_entries(draw):
 
 
 class TestWarmStartedDetection:
-    """Each membership test against two or more basis entries starts its
-    reduction from the transform of the test whose candidate joined the
-    basis last; the decomposition must be the one that reducing every
-    relation lattice from scratch gives."""
+    """Every membership test starts its reduction from float_start's
+    pre-reduction of its lattice, carrying the transform of the test whose
+    candidate joined the basis last (none for the first test); the
+    decomposition must be the one that reducing every relation lattice
+    from scratch gives."""
 
     @settings(max_examples=30)
     @given(case=relation_entries())
     def test_warm_detection_equals_cold_detection(self, case):
         # both detections bypass the detection memo, so each membership
-        # test of each makes its own lll_reduce call
+        # test of each makes its own float_start and lll_reduce call
         entries, planted = case
         vec = _vec(entries)
-        tests = max(0, sum(1 for z in vec if z != 0) - 1)
-        calls, cold_calls = [], []
+        nonzero = [idx for idx, z in enumerate(vec) if z != 0]
+        tests = max(0, len(nonzero) - 1)
+        starts, calls, cold_calls = [], [], []
+
+        def recording_start(rows, carried=None):
+            start = lll.float_start(rows, carried)
+            starts.append((rows, carried, start))
+            return start
 
         def recording(rows, start=None):
             basis, transform = lll.lll_reduce(rows, start)
-            calls.append((len(rows), start, basis))
+            calls.append((rows, start, basis, transform))
             return basis, transform
 
         def cold(rows, start=None):
@@ -331,17 +347,109 @@ class TestWarmStartedDetection:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(relations, "_detect", relations._detect.__wrapped__)
+            mp.setattr(relations, "float_start", recording_start)
             mp.setattr(relations, "lll_reduce", recording)
             warm = detect_relations(vec, 8, BITS)
+            mp.setattr(relations, "float_start", lambda rows, carried=None: None)
             mp.setattr(relations, "lll_reduce", cold)
             assert detect_relations(vec, 8, BITS) == warm
-        assert len(calls) == len(cold_calls) == tests
+        assert len(starts) == len(calls) == len(cold_calls) == tests
         assert set(planted) <= set(warm.dependent_indices)
-        for n, start, basis in calls:
-            # only a test against a single basis entry (4 rows) has no
-            # earlier transform to start from
-            assert (start is None) == (n == 4)
+        joined = None
+        for idx, (rows, carried, start), (rows_, start_, basis, transform) in zip(
+            nonzero[1:], starts, calls
+        ):
+            assert rows_ is rows and start_ is start
+            if joined is None:
+                assert carried is None
+            else:
+                # the joined test's rows [last basis entry, b1..] reappear
+                # here as rows 2.. in the order [b1.., last basis entry],
+                # above the candidate's two rows
+                unknowns = len(rows)
+                expected = [[0, 0] + row[2:] + row[:2] for row in joined]
+                expected += [[int(c == u) for c in range(unknowns)] for u in range(2)]
+                assert carried == expected
+            assert start == lll.float_start(rows, carried)
             assert lll.is_reduced(basis)
+            if idx in warm.basis_indices:
+                joined = transform
+
+    def test_refused_float_starts_leave_the_cold_decomposition(self, monkeypatch):
+        # with every float start refused, the first test reduces from
+        # scratch and each later one from its carried transform alone
+        rng = random.Random(11)
+        with working_precision(2 * BITS):
+            basis = [_generic(rng) for _ in range(3)]
+            entries = basis[:2] + [mpc(3, -1) / 4 * basis[0] + 5 * basis[1], basis[2]]
+        vec = _vec(entries)
+        monkeypatch.setattr(lll, "_float_iterations", lambda n, bits: 0)
+        refused = relations._detect.__wrapped__(tuple(vec), 8, BITS)
+        assert refused.dependent_indices == (2,)
+        assert refused == _cold_detection(vec, 8, BITS)
+
+    def test_a_relation_past_the_double_range_is_found(self, monkeypatch):
+        # at 1024 bits the relation lattices carry 1008-bit entries, so
+        # every Gram matrix is past the double range: each float start
+        # hands back what it was given, and the decomposition is the cold one
+        bits = 1024
+        rng = random.Random(12)
+        with working_precision(2 * bits):
+            basis = [_generic(rng) for _ in range(2)]
+            entries = basis + [mpc(-7, 2) / 3 * basis[0] + mpc(0, 5) / 8 * basis[1]]
+        vec = _vec(entries, bits)
+        starts = []
+
+        def recording_start(rows, carried=None):
+            start = lll.float_start(rows, carried)
+            starts.append(start == carried)
+            return start
+
+        monkeypatch.setattr(relations, "float_start", recording_start)
+        found = relations._detect.__wrapped__(tuple(vec), 8, bits)
+        assert found.dependent_indices == (2,)
+        assert starts == [True, True]
+        assert found == _cold_detection(vec, 8, bits)
+
+
+@st.composite
+def near_relation_entries(draw):
+    """1-3 generic entries and, at a random position among them, a
+    Gaussian-rational combination of them (height <= 8) moved off the
+    relation by |delta| between 2^-(P/2+8) and 2^-(P/2-8), at P = 128 or
+    256 bits: the residual gate's own scale.  Returns the entries and P."""
+    bits = draw(st.sampled_from([128, 256]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    q = draw(st.integers(1, 3))
+    coeff = st.tuples(st.integers(-8, 8), st.integers(-8, 8), st.integers(1, 8))
+    coeffs = draw(st.lists(coeff, min_size=q, max_size=q))
+    with working_precision(2 * bits):
+        generic = [_generic(rng) for _ in range(q)]
+        delta = mpmath.expjpi(2 * mpf(rng.random())) * mpf(2) ** (rng.uniform(-8, 8) - bits // 2)
+        near = delta + sum(
+            mpc(mpf(re) / den, mpf(im) / den) * g for (re, im, den), g in zip(coeffs, generic)
+        )
+    entries = list(generic)
+    entries.insert(draw(st.integers(0, q)), near)
+    return entries, bits
+
+
+class TestNearRelations:
+    """A near-relation at the residual gate's scale is listed or not, but
+    never raises, never lists a dependent that fails the gate, and
+    float-started detection answers as the cold one does."""
+
+    @settings(max_examples=40)
+    @given(case=near_relation_entries())
+    def test_near_relations_detect_as_cold_and_certify(self, case):
+        entries, bits = case
+        vec = _vec(entries, bits)
+        started = relations._detect.__wrapped__(tuple(vec), 8, bits)
+        assert started == _cold_detection(vec, 8, bits)
+        with working_precision(2 * bits):
+            for idx, row in zip(started.dependent_indices, started.coeffs):
+                combo = sum(f.to_mpc(2 * bits) * vec[b] for f, b in zip(row, started.basis_indices))
+                assert abs(vec[idx] - combo) < residual_tol(bits)
 
 
 class TestDetectionMemo:

@@ -741,7 +741,10 @@ class TestReductionMemo:
         assert first.achieved
         calls = []
         for module, name in (
-            (flowsearch, "lll_reduce"), (flowsearch, "float_start"), (relations, "lll_reduce")
+            (flowsearch, "lll_reduce"),
+            (flowsearch, "float_start"),
+            (relations, "lll_reduce"),
+            (relations, "float_start"),
         ):
             real = getattr(module, name)
             monkeypatch.setattr(
