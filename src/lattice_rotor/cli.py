@@ -424,11 +424,13 @@ def _replay_draw(seed: int, index: int) -> Tuple[float, bool, float, float]:
     """Sample `index` of prop-sep's stream, reproduced on the stdlib
     generator independently of the check: each sample takes four
     random() calls of two 32-bit words each, and getrandbits(32 * k)
-    skips exactly k words."""
+    skips exactly k words.  Skips go in steps of 2^16 words (8,192
+    samples): each builds and drops a 256 KB integer, which stays in
+    cache and keeps the replay's memory flat however far it skips."""
     rng = random.Random(seed)
     words = 8 * index
     while words:
-        step = min(words, 1 << 20)
+        step = min(words, 1 << 16)
         rng.getrandbits(32 * step)
         words -= step
     return rng.random(), rng.random() < 0.5, rng.random(), rng.random()

@@ -62,13 +62,17 @@ _EXACT_ROTATION_MODULUS = _SCREEN_MARGIN * 2.0**46
 # of coordinates that large cannot tell any two cells apart
 _SCREEN_MAGNITUDE_LIMIT = 2.0**52
 
-# samples per chunk of the prop-sep screen: a chunk's float64
-# temporaries take a few MB, and numpy calls stay long enough to amortize
-_PROP_SEP_CHUNK = 1 << 16
+# samples per chunk of the prop-sep screen and steps per chunk of the
+# covering walk: a float64 array over a chunk takes 64 KB (prop-sep's
+# draws, four a sample, 256 KB), so the working set stays in cache and
+# a call's traced peak near 1.5 MB, and numpy calls stay long enough to
+# amortize their overhead; chunks of 2^16 peaked at 6 to 12 MB a call
+# and were no faster
+_CHUNK = 1 << 13
 
 _COVERING_CELL_LIMIT = 1 << 27
-# about three minutes of simulation in two dimensions at 150 ns a step;
-# seven times the steps of a golden-direction run at eps 0.005 to 1e5
+# about 80 s of simulation in two dimensions at 75 ns a step; seven
+# times the steps of a golden-direction run at eps 0.005 to 1e5
 _COVERING_STEP_LIMIT = 1 << 30
 
 
@@ -367,7 +371,7 @@ def check_prop_sep(
     MT19937 takes over that generator's state and draws the same values
     bit for bit, so the stream is made in bulk, not one call at a time.
 
-    A float64 screen, run over chunks of _PROP_SEP_CHUNK samples, picks
+    A float64 screen, run over chunks of _CHUNK samples, picks
     the samples worth an exact re-evaluation; only those are kept.  From
     the second chunk on, a sample is first bounded by its translation
     alone, the image of the probe's origin; only the few whose bound
@@ -403,8 +407,8 @@ def check_prop_sep(
     draw = _random_stream(seed)
     index, rows, screened = [], [], []
     float_min_sq = cut = np.inf
-    for start in range(0, samples, _PROP_SEP_CHUNK):
-        n = min(_PROP_SEP_CHUNK, samples - start)
+    for start in range(0, samples, _CHUNK):
+        n = min(_CHUNK, samples - start)
         vals = draw(4 * n).reshape(n, 4)
         fx = vals[:, 2] - np.rint(vals[:, 2])
         fy = vals[:, 3] - np.rint(vals[:, 3])
@@ -503,7 +507,11 @@ def covering_time(
     means the orbit passed within a cell diagonal plus half a step of
     every torus point.  The simulation is float64: at the coarse cells
     this oracle exists for, double precision is far below the cell size
-    over any reachable horizon.  Dimensions above 6 are refused, and so
+    over any reachable horizon.  The orbit is walked _CHUNK steps at a
+    time, each position formed as j * h * v on its own, so the chunking
+    moves no sample; only the steps that enter an unvisited cell are
+    sorted, which keeps a walk near 1 MB of temporaries and about 75 ns
+    a step in two dimensions.  Dimensions above 6 are refused, and so
     are grids that would not fit in memory and runs of more than
     _COVERING_STEP_LIMIT steps; this is a desk-scale instrument, not an
     asymptotic one.
@@ -558,21 +566,23 @@ def covering_time(
     visited = np.zeros(total, dtype=bool)
     visited_count = 0
     last = max_index  # the index of the last step simulated
-    chunk = 1 << 16
     start = 0
     while start <= max_index and visited_count < total:
-        stop = min(start + chunk, max_index + 1)
+        stop = min(start + _CHUNK, max_index + 1)
         js = np.arange(start, stop, dtype=np.float64)
         pos = (js[:, None] * h * v[None, :]) % 1.0
         idx = np.minimum((pos * G).astype(np.int64), G - 1)
         flat = idx @ strides
-        uniq, first = np.unique(flat, return_index=True)
-        new_mask = ~visited[uniq]
-        if new_mask.any():
-            visited[uniq[new_mask]] = True
-            visited_count += int(new_mask.sum())
+        # only the steps that land in a cell unvisited before the chunk
+        # are sorted; the first step into each new cell is its first
+        # occurrence among them
+        new = np.nonzero(~visited[flat])[0]
+        if new.size:
+            uniq, first = np.unique(flat[new], return_index=True)
+            visited[uniq] = True
+            visited_count += uniq.size
             if visited_count == total:
-                last = start + int(first[new_mask].max())
+                last = start + int(new[first].max())
         start = stop
 
     covered = visited_count == total

@@ -438,8 +438,8 @@ def _unbounded_kept(t, samples, seed):
     rng = random.Random(seed)
     index, rows, screened = [], [], []
     float_min_sq = np.inf
-    for start in range(0, samples, oracle._PROP_SEP_CHUNK):
-        n = min(oracle._PROP_SEP_CHUNK, samples - start)
+    for start in range(0, samples, oracle._CHUNK):
+        n = min(oracle._CHUNK, samples - start)
         vals = np.array([rng.random() for _ in range(4 * n)]).reshape(n, 4)
         turn, coin, t1, t2 = vals.T
         c = np.cos(2 * np.pi * turn)
@@ -471,7 +471,7 @@ class TestPropSepCheck:
         # chunks of 64 put the translation bound to work from the second
         # chunk on; a wide margin keeps dozens of samples, and at 1e5,
         # past the rotation modulus, every sample is kept
-        monkeypatch.setattr(oracle, "_PROP_SEP_CHUNK", 64)
+        monkeypatch.setattr(oracle, "_CHUNK", 64)
         if margin is not None:
             monkeypatch.setattr(oracle, "_SCREEN_MARGIN", margin)
         index, rows = _unbounded_kept(t, samples, seed)
@@ -506,15 +506,29 @@ class TestPropSepCheck:
         assert to_json_data(chk) == to_json_data(want)
 
     def test_translation_bound_skips_most_rotations(self, monkeypatch):
-        # at t = 2 about 5% of translations lie within the cut of 1/8 on
-        # their own; from the second chunk on only those are rotated
+        # at t = 2 about 8% of translations lie within the cut, the float
+        # minimum of about 0.15, on their own; from the second chunk on
+        # only those are rotated
         sizes = []
         real = np.cos
         monkeypatch.setattr(np, "cos", lambda x, *a, **k: sizes.append(np.size(x)) or real(x, *a, **k))
-        chunk = oracle._PROP_SEP_CHUNK
+        chunk = oracle._CHUNK
         check_prop_sep("2", 8 * chunk, seed=1, bits=B)
         assert sizes[0] == chunk
         assert sum(sizes[1:]) <= 0.1 * 7 * chunk
+
+    def test_screen_memory_does_not_grow_with_samples(self, traced_peak_mb):
+        # the screen holds one chunk's temporaries and the few kept
+        # samples, whatever the sample count; the first call loads what
+        # later ones share (numpy.random, mpmath's constants)
+        chunk = oracle._CHUNK
+        check_prop_sep("2", 1, seed=1, bits=B)
+        peaks = [
+            traced_peak_mb(lambda: check_prop_sep("2", n, seed=1, bits=B))
+            for n in (8 * chunk, 64 * chunk)
+        ]
+        assert max(peaks) < 4.0
+        assert abs(peaks[1] - peaks[0]) < 0.5
 
     def test_no_violations_in_short_run(self):
         chk = check_prop_sep(2, 2000, seed=11, bits=B)
@@ -555,7 +569,7 @@ class TestPropSepCheck:
         )
         check_prop_sep(t, samples, seed=2, bits=B)
         whole = len(calls)
-        monkeypatch.setattr(oracle, "_PROP_SEP_CHUNK", 8)
+        monkeypatch.setattr(oracle, "_CHUNK", 8)
         chk = check_prop_sep(t, samples, seed=2, bits=B)
         # chunks re-evaluate exactly the samples one screen would
         assert len(calls) == 2 * whole
@@ -654,3 +668,86 @@ class TestCoveringTime:
         d = to_json_data(out)
         assert isinstance(d["L"], str)
         assert isinstance(out, CoveringOutcome)
+
+    @pytest.mark.parametrize("chunk", [7, 64])
+    @given(
+        direction=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3).filter(
+            lambda v: math.hypot(*v) >= 0.1
+        ),
+        eps=st.sampled_from([0.2, 0.1, 0.05]),
+    )
+    def test_walk_matches_sorting_every_step(self, chunk, direction, eps):
+        # a cap of 50 covers every 1-D grid drawn and leaves most 3-D ones
+        # uncovered; a grid that covers is walked again to its covering
+        # time and to just short of it, with the covering step at every
+        # offset within chunks of 7 and 64
+        caps = [50.0]
+        full = _covering_sorting_every_step(direction, eps, 50.0)
+        if full.covered:
+            caps += [full.L, 0.99 * full.L]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_CHUNK", chunk)
+            for cap in caps:
+                want = _covering_sorting_every_step(direction, eps, cap)
+                assert covering_time(direction, eps, cap) == want
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    @pytest.mark.parametrize(
+        "direction",
+        [(1.0, 1.6180339887498949), (1.0, 2 ** (1 / 3), 4 ** (1 / 3))],
+        ids=["golden", "cube-roots"],
+    )
+    def test_covering_step_on_a_chunk_boundary(self, direction, shift, monkeypatch):
+        # chunks of steps - 1, steps and steps + 1 put the covering step
+        # first in the second chunk, last in the first, and inside it
+        want = _covering_sorting_every_step(direction, 0.1, 1e5)
+        assert want.covered
+        monkeypatch.setattr(oracle, "_CHUNK", want.steps + shift)
+        assert covering_time(direction, 0.1, 1e5) == want
+
+    def test_walk_memory_is_bounded(self, traced_peak_mb):
+        # 573,139 steps over 160,000 cells, a 2^13-step chunk at a time
+        golden = (1.0, 1.6180339887498949)
+        out = []
+        assert traced_peak_mb(lambda: out.append(covering_time(golden, 0.005, 1e5))) < 3.0
+        assert out[0].covered and out[0].steps == 573_139
+
+
+def _covering_sorting_every_step(direction, eps, cap):
+    """covering_time's walk with np.unique over every step of each chunk
+    of 2^16, the slow path its gather of unvisited cells replaces; inputs
+    are valid and the grid uses the default cell."""
+    v = np.asarray(direction, dtype=np.float64)
+    cell = eps / 2
+    G = int(np.ceil(1.0 / cell))
+    total = G**v.size
+    h = 0.999 * cell / (2 * float(np.linalg.norm(v)))
+    max_index = int(np.floor(cap / h))
+    strides = np.array([G**k for k in range(v.size)], dtype=np.int64)
+    visited = np.zeros(total, dtype=bool)
+    visited_count, last, start = 0, max_index, 0
+    while start <= max_index and visited_count < total:
+        stop = min(start + (1 << 16), max_index + 1)
+        js = np.arange(start, stop, dtype=np.float64)
+        pos = (js[:, None] * h * v[None, :]) % 1.0
+        flat = np.minimum((pos * G).astype(np.int64), G - 1) @ strides
+        uniq, first = np.unique(flat, return_index=True)
+        new_mask = ~visited[uniq]
+        if new_mask.any():
+            visited[uniq[new_mask]] = True
+            visited_count += int(new_mask.sum())
+            if visited_count == total:
+                last = start + int(first[new_mask].max())
+        start = stop
+    covered = visited_count == total
+    return CoveringOutcome(
+        covered=covered,
+        L=last * h if covered else None,
+        cells_total=total,
+        cells_visited=visited_count,
+        dim=v.size,
+        eps=eps,
+        cell=cell,
+        cap=cap,
+        steps=last + 1,
+    )
