@@ -11,6 +11,12 @@ options under spec.options and returns the RunReport.  main writes the
 report to --output or stdout, then the tau CSV (--csv) and the solve SVG
 (--plot).
 
+A call's fixed costs are paid once.  The argument parser is built once
+per process and reused by every main call; parse_args gives each call a
+fresh namespace, so no call's flags reach the next.  The planes that the
+spec's point-set check projects, at the spec's precision_bits, are kept
+on the ProblemSpec, and those are the planes the solve and tau runs use.
+
 Numbers cross this boundary as decimal strings in both directions; JSON
 floats are rejected outright because a double-precision detour would
 silently corrupt high-precision inputs.  Exit codes: 0 means the run
@@ -30,6 +36,7 @@ context is process-global, so the dispatcher keeps a single lane.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -41,7 +48,7 @@ import mpmath
 from mpmath import mpc, mpf
 
 from . import __version__
-from .corelattice import Rotation, nearest_gaussian
+from .corelattice import ComplexVector, Rotation, nearest_gaussian
 from .plotting import cell_svg, curve_svg
 from .precision import (
     MIN_PRECISION,
@@ -145,9 +152,13 @@ def _require_int(value, name: str, minimum: int) -> int:
 class ProblemSpec:
     """Validated run description: the mode and every spec key the mode
     reads, each with its normalized value or its default.  "t" holds the
-    t or t_range echo together with the expanded t_values."""
+    t or t_range echo together with the expanded t_values.  planes are
+    the points' coordinate planes at precision_bits, as the point-set
+    check projected them (empty for a mode without points); the run
+    reads them and the echo does not."""
 
     values: dict
+    planes: Tuple[ComplexVector, ...]
 
     @property
     def mode(self) -> str:
@@ -163,7 +174,7 @@ class ProblemSpec:
         return data
 
 
-def _parse_points(raw, mode: str, bits: int) -> List[List[str]]:
+def _parse_points(raw, got: dict) -> List[List[str]]:
     # the JSON shapes and decimal strings here; the point-set rules (some
     # points, one even dimension) are project_planes'
     if not isinstance(raw, list):
@@ -174,11 +185,12 @@ def _parse_points(raw, mode: str, bits: int) -> List[List[str]]:
             raise SpecError(f"points[{idx}] must be a list of decimal strings")
         points.append([_require_decimal(c, f"points[{idx}][{j}]") for j, c in enumerate(entry)])
     try:
-        planes = project_planes(points, bits)
+        planes = project_planes(points, got["precision_bits"])
     except ValueError as exc:
         raise SpecError(str(exc))
-    if mode == "tau" and len(planes) != 1:
-        raise SpecError(f"mode {mode} requires planar points, got dimension {2 * len(planes)}")
+    if got["mode"] == "tau" and len(planes) != 1:
+        raise SpecError(f"mode tau requires planar points, got dimension {2 * len(planes)}")
+    got["planes"] = planes
     return points
 
 
@@ -257,12 +269,14 @@ def _check_epsilon(value, got: dict) -> str:
 
 
 # each spec key's validator, given the key's value and the keys validated
-# before it; they run in this order, so bits and points come first
+# before it; they run in this order, so bits and points come first.  The
+# points check also leaves its planes under "planes", which the spec keeps
+# apart from the values
 _VALIDATORS = {
     "precision_bits": _check_precision,
     "seed": lambda value, got: _require_int(value, "seed", 0),
     "height_bound": lambda value, got: _require_int(value, "height_bound", 1),
-    "points": lambda value, got: _parse_points(value, got["mode"], got["precision_bits"]),
+    "points": _parse_points,
     "epsilon": _check_epsilon,
     "t": _check_t,
     "L_cap": lambda value, got: _positive_decimal(value, "L_cap", 64),
@@ -296,7 +310,7 @@ def parse_problem_spec(data, mode_expected: str) -> ProblemSpec:
             # a default of None stands for the key's absence
             absent = given[key] is None and key not in data
             got[key] = None if absent else check(given[key], got)
-    return ProblemSpec(got)
+    return ProblemSpec(got, got.pop("planes", ()))
 
 
 def _result_rotations(result: dict) -> Tuple[int, mpf, Tuple[mpc, ...]]:
@@ -331,7 +345,7 @@ def _run_solve(spec: ProblemSpec, options: dict) -> _Outcome:
     keys = spec.values
     bits, seed = keys["precision_bits"], keys["seed"]
     config = SolverConfig(bits=bits, height_bound=keys["height_bound"], l_cap=keys["L_cap"])
-    planes = project_planes(keys["points"], bits)
+    planes = spec.planes
     planar = len(planes) == 1
 
     warnings = []
@@ -378,7 +392,7 @@ def _run_tau(spec: ProblemSpec, options: dict) -> _Outcome:
     from .oracle import isometry_max_frac
 
     bits = spec.values["precision_bits"]
-    base = project_planes(spec.values["points"], bits)[0]
+    base = spec.planes[0]
     results = []
     uppers = []
     for t_str in spec.t_values:
@@ -600,6 +614,7 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lattice-rotor",

@@ -566,6 +566,95 @@ class TestSolveRunPlansOnce:
         assert len(walks) == 2
 
 
+class TestOneParserPerProcess:
+    """main builds its argument parser once per process, and no call's
+    flags, refusal or exit reaches a later call: each report equals the
+    one the same call writes with a freshly built parser."""
+
+    def _report(self, spec_path, out, extra):
+        assert main(["solve", "--input", spec_path, "--output", str(out), *extra]) == 0
+        return out.read_text(encoding="utf-8")
+
+    def test_no_call_reaches_the_next(self, tmp_path, capsys):
+        spec_path = _write_spec(tmp_path, _solve_spec())
+        out = tmp_path / "report.json"
+        shared = []
+        for before, extra in [
+            (None, ["--seed", "7"]),
+            (None, []),
+            (None, ["--precision", "160"]),
+            (None, []),
+            ((["solve"], 2), []),
+            ((["--version"], 0), []),
+        ]:
+            if before is not None:
+                argv, code = before
+                assert main(argv) == code
+            shared.append((extra, self._report(spec_path, out, extra)))
+        assert "usage:" in capsys.readouterr().err
+
+        echoed = [json.loads(text)["spec"] for _, text in shared]
+        assert [(e["seed"], e["precision_bits"]) for e in echoed] == [
+            (7, 128), (0, 128), (0, 160), (0, 128), (0, 128), (0, 128)
+        ]
+        for extra, text in shared:
+            cli._build_parser.cache_clear()
+            assert self._report(spec_path, out, extra) == text
+
+    def test_calls_build_the_parser_once(self, tmp_path):
+        spec_path = _write_spec(tmp_path, _solve_spec())
+        cli._build_parser.cache_clear()
+        for _ in range(4):
+            self._report(spec_path, tmp_path / "report.json", [])
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+
+class TestOneProjectionPerCall:
+    """A call projects its points once, in the spec's point-set check,
+    and the run reads those planes at the spec's precision."""
+
+    _CALLS = {
+        "planar": ("solve_general", _solve_spec(), _INPUT_ARGS["solve"]),
+        "block": ("solve_even_dim", _solve_spec(points=[["1", "0", "0", "1"]]), _INPUT_ARGS["solve"]),
+        "tau": ("tau_estimate", _VALID_SPECS["tau"], _INPUT_ARGS["tau"]),
+    }
+
+    @pytest.mark.parametrize("kind", list(_CALLS))
+    def test_each_call_projects_once(self, tmp_path, monkeypatch, capsys, kind):
+        runner, data, args = self._CALLS[kind]
+        projected, real_project = [], cli.project_planes
+
+        def project(*a, **kw):
+            projected.append(real_project(*a, **kw))
+            return projected[-1]
+
+        read, real_runner = [], getattr(cli, runner)
+
+        def run(planes, *a, **kw):
+            read.append(planes)
+            return real_runner(planes, *a, **kw)
+
+        monkeypatch.setattr(cli, "project_planes", project)
+        monkeypatch.setattr(cli, runner, run)
+        monkeypatch.chdir(tmp_path)
+        argv = [data["mode"], "--input", _write_spec(tmp_path, data), *args, "--precision", "192"]
+        for calls in (1, 2, 3):
+            assert main(argv) == 0
+            assert len(projected) == calls
+        capsys.readouterr()
+
+        for planes, got in zip(projected, read, strict=True):
+            assert all(p.bits == 192 for p in planes)
+            if kind == "planar":
+                assert got is planes[0]
+            elif kind == "block":
+                assert got is planes
+            else:
+                # tau sweeps the dilated plane, made from the kept one
+                assert got.bits == 192 and len(got) == len(planes[0])
+
+
 def _half_cell_off(report):
     """The report's rotation turned further by 1/(2t): a unit-modulus
     entry's image moves half a lattice step along the circle, so it lands
