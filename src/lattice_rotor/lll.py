@@ -9,15 +9,19 @@ matters because two different callers rely on it for completeness
 arguments: the rational-relation detector and the lattice-point
 enumeration inside the flow search.
 
-float_start is the one place doubles enter: a pre-reduction in the
-style of L^2 (Nguyen-Stehle, SIAM J. Comput. 39, 2009) that keeps the
-Gram matrix exact, recomputes each visited row's Gram-Schmidt data in
-doubles from it, and returns only the unimodular transform it built from
-elementary integer row operations, or None when doubles cannot carry
-the reduction.  Its answer is a start for lll_reduce, never a basis, so
-lll_reduce's answer and its exact check are the same whichever start it
-is given; the exact integer reduction then only finishes a basis that is
-almost reduced already.
+Doubles enter at two places, float_start and gaussian_start: a
+pre-reduction in the style of L^2 (Nguyen-Stehle, SIAM J. Comput. 39,
+2009) that keeps the Gram matrix exact, recomputes each visited row's
+Gram-Schmidt data in doubles from it, and returns only the unimodular
+transform it built from elementary integer row operations, or None when
+doubles cannot carry the reduction.  gaussian_start runs it over Z[i]
+(Napias, J. Theor. Nombres Bordeaux 8, 1996; Gan-Ling-Mow, IEEE Trans.
+Signal Process. 57, 2009) for a lattice whose rows come in pairs (b,
+i*b), on half the rows and with a Hermitian Gram matrix, and returns the
+real image of its transform.  Either answer is a start for lll_reduce,
+never a basis, so lll_reduce's answer and its exact check are the same
+whichever start it is given; the exact integer reduction then only
+finishes a basis that is almost reduced already.
 
 Rows are plain lists of Python ints.  The transform matrix returned by
 lll_reduce expresses each reduced row as an integer combination of the
@@ -26,13 +30,15 @@ input rows; its determinant is +-1.
 A caller that already holds a unimodular transform close to the answer
 can pass it as start: the reduction then begins from start * rows, and
 the transform it returns is composed with start and checked exactly
-against the rows, so it still maps the input rows to the basis.  Both
-callers, the flow search and relation detection, reduce every lattice as
-lll_reduce(rows, float_start(rows, carried)): float_start pre-reduces
-carried * rows in doubles and composes its transform with carried (the
-rows alone when nothing is carried), and hands carried back unchanged
-when doubles cannot carry the reduction.  Their module docstrings say
-what each carries.
+against the rows, so it still maps the input rows to the basis.  The
+flow search reduces every window as lll_reduce(rows, float_start(rows,
+carried)), and relation detection every relation lattice, a module over
+Z[i], as lll_reduce(rows, gaussian_start(rows, carried)): the
+pre-reduction runs on carried * rows and composes its transform with
+carried (the rows alone when nothing is carried, or, for gaussian_start,
+when carried is not the image of a matrix over Z[i]), and hands carried
+back unchanged when doubles cannot carry the reduction.  Their module
+docstrings say what each carries.
 
 The module keeps no memo: every call computes afresh and returns new
 lists, and a caller that meets the same lattice again remembers its own
@@ -196,12 +202,13 @@ _FLOAT_DELTA = 0.99
 
 def _float_iterations(n: int, bits: int) -> int:
     # a cap on the visits (size-reduction passes and exchanges) of the
-    # loop below, which follows LLL's O(n^2 log B) exchange count: the
-    # cold 9-D flow window of a 256-bit planted solve, with 171-bit
-    # entries, takes 1,098 of its 14,580, and 13-D and 15-D windows with
-    # 70-bit entries take 409 and 541 of 14,027 and 19,125; the same
-    # solve's 6- and 8-row relation lattices, with 240-bit entries, take
-    # 1,053-1,164 and 1,673-1,712 of 8,856 and 15,872
+    # loops below, which follow LLL's O(n^2 log B) exchange count, with n
+    # the rows the loop runs on: the cold 9-D flow window of a 256-bit
+    # planted solve, with 171-bit entries, takes 1,098 of its 14,580, and
+    # 13-D and 15-D windows with 70-bit entries take 409 and 541 of
+    # 14,027 and 19,125; the same solve's relation lattices over Z[i],
+    # with 240-bit entries, take 156-168 visits of 968 on 2 complex rows,
+    # 230-284 of 2,187 on 3 and 335-392 of 3,904 on 4
     return n * n * (bits + n)
 
 
@@ -313,6 +320,155 @@ def _float_transform(rows: Sequence[Sequence[int]]) -> Optional[List[Row]]:
         # cannot be rounded to an integer
         return None
     return h
+
+
+def gaussian_start(
+    rows: Sequence[Sequence[int]], start: Optional[Sequence[Sequence[int]]] = None
+) -> Optional[List[Row]]:
+    """float_start for a lattice that is a module over Z[i], on half its rows.
+
+    Read each pair of columns (x, y) as the Gaussian integer x + iy.  The
+    rows come in pairs whose second row is i times the first, (x, y) ->
+    (-y, x) in every column pair, so the rows 2p span the lattice over
+    Z[i].  The reduction of float_start runs on those complex rows, with
+    an exact Hermitian Gram matrix, Gram-Schmidt data in complex doubles
+    and mu rounded to the nearest Gaussian integer.  The answer is the
+    real image of its transform over Z[i]: an integer matrix of
+    determinant +-1 whose 2x2 blocks all read [[a, b], [-b, a]] for the
+    entry a + bi.  Over Z[i], T * rows is then nearly reduced (real and
+    imaginary parts of mu within 0.51, the Lovasz condition at 0.99);
+    as real rows that is size reduction within 0.51 and the Lovasz
+    condition at 0.99 - 0.51^2, about 0.73 (Gan-Ling-Mow, IEEE Trans.
+    Signal Process. 57, 2009), close to the 3/4 that lll_reduce asks.
+
+    start, when given, is a transform the caller carries.  When its 2x2
+    blocks have that form too, the reduction runs on start * rows and
+    the answer is composed with start; otherwise the reduction starts
+    from the rows alone.  When doubles cannot carry the reduction, for
+    the reasons float_start gives, the answer is a fresh copy of start,
+    or None without one.  start is not checked here; lll_reduce checks
+    what it is given.  Raises ValueError if the rows do not come in
+    such pairs.
+    """
+    half = _gaussian_half(rows)
+    if half is None:
+        raise ValueError("rows do not come in pairs (b, i*b) over Z[i]")
+    carried = None
+    if start is not None:
+        start = [list(map(int, r)) for r in start]
+        if len(start) == len(rows) and all(len(r) == len(rows) for r in start):
+            carried = _gaussian_half(start)
+    if carried is not None:
+        half = _matmul(carried, rows)
+    warm = _gaussian_transform(half)
+    if warm is None:
+        return start
+    return warm if carried is None else _matmul(warm, start)
+
+
+def _gaussian_half(matrix: Sequence[Sequence[int]]) -> Optional[List[Row]]:
+    # the rows 2p of an integer matrix whose rows 2p + 1 are i times them,
+    # (x, y) -> (-y, x) in every column pair, or None when it is not one
+    if len(matrix) % 2 or any(len(r) % 2 for r in matrix):
+        return None
+    half = [list(map(int, r)) for r in matrix[0::2]]
+    for row, turned in zip(half, matrix[1::2]):
+        if list(turned) != [v for x, y in zip(row[0::2], row[1::2]) for v in (-y, x)]:
+            return None
+    return half
+
+
+def _gaussian_transform(half: Sequence[Sequence[int]]) -> Optional[List[Row]]:
+    # _float_transform over Z[i]: half holds one real row per complex row,
+    # column pairs (x, y) for x + iy.  The exact Hermitian Gram matrix
+    # <b_k, b_j> = sum b_k conj(b_j) is kept as its real and imaginary
+    # parts gr and gi, the transform as hr and hi, and the Gram-Schmidt
+    # data r_kj = <b_k, b*_j> and mu_kj = r_kj / |b*_j|^2 in complex
+    # doubles.  Returns the real image of the transform, None when
+    # doubles cannot carry the reduction.
+    n = len(half)
+    if not n or not half[0]:
+        return None
+    re = [r[0::2] for r in half]
+    im = [r[1::2] for r in half]
+    gr = [[_dot(ur, vr) + _dot(ui, vi) for vr, vi in zip(re, im)] for ur, ui in zip(re, im)]
+    gi = [[_dot(ui, vr) - _dot(ur, vi) for vr, vi in zip(re, im)] for ur, ui in zip(re, im)]
+    hr: List[Row] = [[int(i == j) for j in range(n)] for i in range(n)]
+    hi: List[Row] = [[0] * n for _ in range(n)]
+    bits = max(abs(x) for r in half for x in r).bit_length()
+    limit = _float_iterations(n, bits)
+    r = [[0j] * n for _ in range(n)]
+    mu = [[0j] * n for _ in range(n)]
+    norms = [0.0] * n  # |b*_j|^2
+    iterations = 0
+    try:
+        norms[0] = float(gr[0][0])
+        if not 0.0 < norms[0] < math.inf:
+            return None
+        k = 1
+        while k < n:
+            gkr, gki, rk, muk = gr[k], gi[k], r[k], mu[k]
+            while True:
+                iterations += 1
+                if iterations > limit:
+                    return None
+                for j in range(k):
+                    s = complex(gkr[j], gki[j])
+                    muj = mu[j]
+                    for i in range(j):
+                        s -= muj[i].conjugate() * rk[i]
+                    rk[j] = s
+                    muk[j] = s / norms[j]
+                if all(abs(x.real) <= _FLOAT_ETA and abs(x.imag) <= _FLOAT_ETA for x in muk[:k]):
+                    break
+                for j in range(k - 1, -1, -1):
+                    xr, xi = round(muk[j].real), round(muk[j].imag)
+                    if not (xr or xi):
+                        continue
+                    # b_k -= x * b_j for x = xr + i xi, in the Gram
+                    # matrix and the transform
+                    gjr, gji = gr[j], gi[j]
+                    gkr[k] += (xr * xr + xi * xi) * gjr[j] - 2 * (xr * gkr[j] + xi * gki[j])
+                    for i in range(n):
+                        if i != k:
+                            gkr[i] -= xr * gjr[i] - xi * gji[i]
+                            gki[i] -= xr * gji[i] + xi * gjr[i]
+                            gr[i][k], gi[i][k] = gkr[i], -gki[i]
+                    hkr, hki, hjr, hji = hr[k], hi[k], hr[j], hi[j]
+                    for i in range(n):
+                        hkr[i] -= xr * hjr[i] - xi * hji[i]
+                        hki[i] -= xr * hji[i] + xi * hjr[i]
+                    x = complex(xr, xi)
+                    muj = mu[j]
+                    for i in range(j):
+                        muk[i] -= x * muj[i]
+            # s = |b*_k|^2 + |mu_{k,k-1}|^2 |b*_{k-1}|^2, what b*_{k-1}
+            # would be after an exchange
+            s = float(gkr[k])
+            for i in range(k - 1):
+                s -= (muk[i].conjugate() * rk[i]).real
+            if _FLOAT_DELTA * norms[k - 1] > s:
+                for g in (gr, gi, hr, hi):
+                    g[k - 1], g[k] = g[k], g[k - 1]
+                for g in gr + gi:
+                    g[k - 1], g[k] = g[k], g[k - 1]
+                k = max(1, k - 1)
+                if k == 1:
+                    norms[0] = float(gr[0][0])
+            else:
+                norms[k] = s - (muk[k - 1].conjugate() * rk[k - 1]).real
+                k += 1
+            if not 0.0 < norms[k - 1] < math.inf:
+                return None
+    except (OverflowError, ValueError):
+        # a Gram entry past the double range, or a non-finite mu that
+        # cannot be rounded to a Gaussian integer
+        return None
+    image: List[Row] = []
+    for ar, ai in zip(hr, hi):
+        image.append([v for a, b in zip(ar, ai) for v in (a, b)])
+        image.append([v for a, b in zip(ar, ai) for v in (-b, a)])
+    return image
 
 
 def gram_schmidt_fractions(rows: Sequence[Sequence[int]]):

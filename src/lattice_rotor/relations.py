@@ -25,14 +25,19 @@ rows, as in incremental integer-relation search
 (Hastad-Just-Lagarias-Schnorr).  A test that finds a dependent, and a
 zero entry, leave the carried transform as it was; the first test, on a
 one-entry basis, carries none.  Every test's one exact lll_reduce starts
-from float_start's double-precision pre-reduction of its lattice from
+from gaussian_start's double-precision pre-reduction of its lattice from
 the carried transform (from the rows alone in the first test), so the
-exact integer reduction only finishes an almost reduced basis.  Where
-doubles cannot carry the lattice (past about 527 bits of precision its
-Gram entries leave the double range), it starts from the carried
-transform itself.  A start changes only the work, not the lattice, and
-against a basis independent over Q(i) a certified row's coefficients
--g_k/g_0 are unique, so no start changes a reported relation.
+exact integer reduction only finishes an almost reduced basis.  The
+lattice is a module over Z[i], since each unknown b's row is i times
+its a's, so that pass runs over Z[i] on half the rows.  It reads the
+carried transform as a matrix over Z[i] when every 2x2 block has the
+form [[a, b], [-b, a]], as most exact finishes leave it, and starts
+from the rows alone otherwise.  Where doubles cannot carry the lattice
+(past about 527 bits of precision its Gram entries leave the double
+range), the exact reduction starts from the carried transform itself.
+A start changes only the work, not the lattice, and against a basis
+independent over Q(i) a certified row's coefficients -g_k/g_0 are
+unique, so no start changes a reported relation.
 
 A solve that has no run cache detects the same entries again at every
 dilation, so detect_relations remembers its last 32 decompositions,
@@ -52,7 +57,7 @@ from mpmath import mpc, mpf
 
 from .corelattice import ComplexVector
 from .gaussian import GaussianInteger, GaussianRational, lcm_int
-from .lll import float_start, lll_reduce
+from .lll import gaussian_start, lll_reduce
 from .precision import check_precision, residual_tol, working_precision
 
 Transform = List[List[int]]
@@ -229,10 +234,9 @@ def _find_relation(
     combinations g0*candidate + sum gk*basis_k that nearly vanish, reduces
     it, and screens the reduced rows through the height and residual gates.
     joined is the transform of the test whose candidate became the last
-    basis entry (None when there is none), which float_start carries into
-    its pre-reduction.  Returns the coefficient row
-    for the first certified candidate, or None, with the reduction's
-    transform.
+    basis entry (None when there is none), which gaussian_start carries
+    into its pre-reduction.  Returns the coefficient row for the first
+    certified candidate, or None, with the reduction's transform.
     """
     q = len(basis_values)
     unknowns = 2 * (q + 1)
@@ -267,7 +271,7 @@ def _find_relation(
         start = [[0, 0] + row[2:] + row[:2] for row in joined]
         start += [[1 if c == u else 0 for c in range(unknowns)] for u in range(2)]
 
-    reduced, transform = lll_reduce(lattice_rows, float_start(lattice_rows, start))
+    reduced, transform = lll_reduce(lattice_rows, gaussian_start(lattice_rows, start))
 
     tol = residual_tol(bits)
     for row in reduced:

@@ -14,8 +14,9 @@ the README's table of spec keys states the CLI's spec schema.  A solve
 never loads numpy, which only the oracles need, and no other module
 imports it at module level.
 solver.py makes its SolveReports at one call site and derives its
-evaluation precision at one, and flowsearch.py reduces its windows at
-one.
+evaluation precision at one, flowsearch.py reduces its windows at one,
+and relations.py pre-reduces and reduces its relation lattices at one
+each.
 """
 
 import ast
@@ -207,6 +208,17 @@ def test_one_flow_reduction_site():
     lll.flowsearch span."""
     sites = _call_sites("flowsearch.py", "lll_reduce")
     assert len(sites) == 1, f"flowsearch.py calls lll_reduce( at lines {sites}"
+
+
+@pytest.mark.parametrize("name", ["lll_reduce", "gaussian_start"])
+def test_one_relation_reduction_site(name):
+    """Every membership test pre-reduces its lattice through one
+    gaussian_start call and reduces it through one lll_reduce call, so
+    the tests that patch relations' seam see every reduction, and no
+    second reduction path can slip out of the benchmark's lll.relations
+    span."""
+    sites = _call_sites("relations.py", name)
+    assert len(sites) == 1, f"relations.py calls {name}( at lines {sites}"
 
 
 def _unbounded_memos(tree):

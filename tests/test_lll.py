@@ -5,7 +5,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lattice_rotor import lll
-from lattice_rotor.lll import float_start, gram_schmidt_fractions, is_reduced, lll_reduce
+from lattice_rotor.lll import (
+    float_start,
+    gaussian_start,
+    gram_schmidt_fractions,
+    is_reduced,
+    lll_reduce,
+)
 
 
 def _det(matrix):
@@ -91,6 +97,61 @@ def window_rows(draw):
     scale = draw(st.integers(size // 4, size))
     step = [draw(st.integers(-size, size)) for _ in range(n - 1)] + [draw(st.integers(1, size))]
     return [step] + [[scale * int(i == j) for j in range(n)] for i in range(n - 1)]
+
+
+def _gaussian_pairs(half):
+    """Real rows in pairs (b, i*b) from one real row b per complex row,
+    whose column pairs (x, y) read x + iy: i*b holds (-y, x) for them."""
+    rows = []
+    for row in half:
+        rows.append(list(row))
+        rows.append([v for x, y in zip(row[0::2], row[1::2]) for v in (-y, x)])
+    return rows
+
+
+def _has_block_form(matrix):
+    """Every 2x2 block reads [[a, b], [-b, a]]: the real image of a matrix
+    over Z[i]."""
+    return len(matrix) % 2 == 0 and _gaussian_pairs(matrix[0::2]) == matrix
+
+
+@st.composite
+def gaussian_knapsacks(draw):
+    """1-5 complex rows, each a unit column next to one big Gaussian
+    column: the shape of a relation lattice over Z[i], as real rows in
+    pairs (b, i*b)."""
+    n = draw(st.integers(1, 5))
+    size = draw(st.sampled_from([2**20, 2**60, 2**100, 2**240]))
+    big = st.integers(-size, size)
+    half = [[int(c == 2 * p) for c in range(2 * n)] + [draw(big), draw(big)] for p in range(n)]
+    return _gaussian_pairs(half)
+
+
+@st.composite
+def gaussian_unimodular(draw, n):
+    """Real images of n x n matrices over Z[i] of unit determinant: the
+    identity after a random product of elementary row operations (add a
+    Gaussian multiple of one row to another, swap two rows, multiply a
+    row by i), as real rows (real part, imaginary part) per entry."""
+    matrix = [[(int(i == j), 0) for j in range(n)] for i in range(n)]
+    ops = st.tuples(
+        st.sampled_from(["add", "swap", "turn"]),
+        st.integers(0, n - 1),
+        st.integers(0, n - 1),
+        st.integers(-50, 50),
+        st.integers(-50, 50),
+    )
+    for kind, i, j, xr, xi in draw(st.lists(ops, max_size=12)):
+        if kind == "add" and i != j:
+            matrix[i] = [
+                (a + xr * c - xi * d, b + xr * d + xi * c)
+                for (a, b), (c, d) in zip(matrix[i], matrix[j])
+            ]
+        elif kind == "swap":
+            matrix[i], matrix[j] = matrix[j], matrix[i]
+        elif kind == "turn":
+            matrix[i] = [(-b, a) for a, b in matrix[i]]
+    return _gaussian_pairs([[v for entry in row for v in entry] for row in matrix])
 
 
 @st.composite
@@ -248,12 +309,12 @@ class TestFloatStart:
     the rows is nearly reduced, checked in exact rationals."""
 
     @staticmethod
-    def _assert_nearly_reduced(rows, start):
+    def _assert_nearly_reduced(rows, start, delta=Fraction(98, 100)):
         assert all(type(x) is int for r in start for x in r)
         assert len(start) == len(rows) and all(len(r) == len(rows) for r in start)
         assert abs(_det(start)) == 1
         ortho_sq, mu = gram_schmidt_fractions(_matmul(start, rows))
-        eta, delta = Fraction(52, 100), Fraction(98, 100)
+        eta = Fraction(52, 100)
         assert all(abs(mu[i][j]) <= eta for i in range(len(rows)) for j in range(i))
         for i in range(1, len(rows)):
             assert ortho_sq[i] >= (delta - mu[i][i - 1] ** 2) * ortho_sq[i - 1]
@@ -326,3 +387,83 @@ class TestFloatStart:
         expected = [list(r) for r in first]
         first[0][0] += 99
         assert float_start(rows) == expected
+
+
+class TestGaussianStart:
+    """gaussian_start answers None or the real image of a unimodular
+    matrix over Z[i], whose product with the rows is nearly reduced over
+    Z[i], checked in exact rationals on the real rows."""
+
+    @staticmethod
+    def _assert_nearly_reduced(rows, start):
+        # over Z[i], |Re mu| and |Im mu| stay within eta and the Lovasz
+        # condition holds at delta for |mu|^2, which the real rows k and
+        # k + 1 see as the two coefficients of b_k against the pair
+        # (b_(k-2), i*b_(k-2)).  The real condition between i*b_(k-2) and
+        # b_k sees only the second, so the real rows are nearly reduced
+        # at delta - eta^2, as TestFloatStart checks them
+        assert _has_block_form(start)
+        eta, delta = Fraction(52, 100), Fraction(98, 100)
+        TestFloatStart._assert_nearly_reduced(rows, start, delta - eta**2)
+        ortho_sq, mu = gram_schmidt_fractions(_matmul(start, rows))
+        for k in range(2, len(rows), 2):
+            mu_sq = mu[k][k - 2] ** 2 + mu[k][k - 1] ** 2
+            assert ortho_sq[k] >= (delta - mu_sq) * ortho_sq[k - 2]
+
+    @given(rows=gaussian_knapsacks())
+    def test_a_start_has_the_block_form_and_nearly_reduces_the_rows(self, rows):
+        start = gaussian_start(rows)
+        assert start is not None
+        self._assert_nearly_reduced(rows, start)
+        assert is_reduced(lll_reduce(rows, start)[0])
+
+    @given(rows=gaussian_knapsacks(), data=st.data())
+    def test_a_carried_gaussian_start_is_composed_in(self, rows, data):
+        carried = data.draw(gaussian_unimodular(len(rows) // 2))
+        composed = gaussian_start(rows, carried)
+        assert composed == _matmul(gaussian_start(_matmul(carried, rows)), carried)
+        self._assert_nearly_reduced(rows, composed)
+        assert is_reduced(lll_reduce(rows, composed)[0])
+
+    def test_a_carried_start_without_the_block_form_is_left_out(self, monkeypatch):
+        # a swap of the two rows of a pair is unimodular over Z but not
+        # the image of a matrix over Z[i]: the pass starts from the rows
+        # alone, and hands it back only when it is refused
+        rows = _gaussian_pairs([[1, 0, 0, 0, 2**90 + 7, 3**50], [0, 0, 1, 0, -(5**40), 2**85 - 1]])
+        carried = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        assert not _has_block_form(carried)
+        assert gaussian_start(rows, carried) == gaussian_start(rows)
+        monkeypatch.setattr(lll, "_float_iterations", lambda n, bits: 0)
+        assert gaussian_start(rows, carried) == carried
+
+    @pytest.mark.parametrize("refusal", ["double-range", "no-visits"])
+    def test_a_refused_pass_hands_back_the_carried_start(self, monkeypatch, refusal):
+        size = 2**600 if refusal == "double-range" else 2**100
+        rows = _gaussian_pairs([[1, 0, 0, 0, size + 17, size - 5], [0, 0, 1, 0, 3, -size]])
+        if refusal == "no-visits":
+            assert gaussian_start(rows) is not None
+            monkeypatch.setattr(lll, "_float_iterations", lambda n, bits: 0)
+        assert gaussian_start(rows) is None
+        carried = [[1, 0, 2, 3], [0, 1, -3, 2], [0, 0, 1, 0], [0, 0, 0, 1]]
+        copy = gaussian_start(rows, carried)
+        assert copy == carried and copy is not carried
+        assert all(a is not b for a, b in zip(copy, carried))
+        copy[0][0] += 99
+        assert carried[0] == [1, 0, 2, 3]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1, 0], [1, 0]], [[1, 0], [0, 1], [1, 1]], [[1, 0, 1], [0, 1, 1]]],
+        ids=["not-turned", "odd-rows", "odd-width"],
+    )
+    def test_rows_not_in_pairs_raise(self, rows):
+        with pytest.raises(ValueError, match="pairs"):
+            gaussian_start(rows)
+
+    def test_editing_a_returned_start_changes_nothing(self):
+        rows = _gaussian_pairs([[1, 0, 0, 0, 2**40 + 3, 2**39], [0, 0, 1, 0, 7**12, -(3**20)]])
+        first = gaussian_start(rows)
+        expected = [list(r) for r in first]
+        first[0][0] += 99
+        first[1].append(0)
+        assert gaussian_start(rows) == expected

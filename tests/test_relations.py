@@ -284,7 +284,7 @@ def _cold_detection(vec, height_bound, bits):
     """The detection with the memo bypassed and every relation lattice
     reduced from scratch: the reference a started detection must equal."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(relations, "float_start", lambda rows, carried=None: None)
+        mp.setattr(relations, "gaussian_start", lambda rows, carried=None: None)
         mp.setattr(relations, "lll_reduce", lambda rows, start=None: lll.lll_reduce(rows))
         return relations._detect.__wrapped__(tuple(vec), height_bound, bits)
 
@@ -313,18 +313,28 @@ def relation_entries(draw):
     return entries, planted
 
 
+def _has_block_form(start):
+    """Every 2x2 block of the start reads [[a, b], [-b, a]]: the real
+    image of a transform over Z[i]."""
+    return all(
+        turned[2 * j : 2 * j + 2] == [-row[2 * j + 1], row[2 * j]]
+        for row, turned in zip(start[0::2], start[1::2])
+        for j in range(len(row) // 2)
+    )
+
+
 class TestWarmStartedDetection:
-    """Every membership test starts its reduction from float_start's
-    pre-reduction of its lattice, carrying the transform of the test whose
-    candidate joined the basis last (none for the first test); the
-    decomposition must be the one that reducing every relation lattice
-    from scratch gives."""
+    """Every membership test starts its reduction from gaussian_start's
+    pre-reduction of its lattice over Z[i], carrying the transform of the
+    test whose candidate joined the basis last (none for the first test);
+    the decomposition must be the one that reducing every relation
+    lattice from scratch gives."""
 
     @settings(max_examples=30)
     @given(case=relation_entries())
     def test_warm_detection_equals_cold_detection(self, case):
         # both detections bypass the detection memo, so each membership
-        # test of each makes its own float_start and lll_reduce call
+        # test of each makes its own gaussian_start and lll_reduce call
         entries, planted = case
         vec = _vec(entries)
         nonzero = [idx for idx, z in enumerate(vec) if z != 0]
@@ -332,7 +342,7 @@ class TestWarmStartedDetection:
         starts, calls, cold_calls = [], [], []
 
         def recording_start(rows, carried=None):
-            start = lll.float_start(rows, carried)
+            start = lll.gaussian_start(rows, carried)
             starts.append((rows, carried, start))
             return start
 
@@ -347,10 +357,10 @@ class TestWarmStartedDetection:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(relations, "_detect", relations._detect.__wrapped__)
-            mp.setattr(relations, "float_start", recording_start)
+            mp.setattr(relations, "gaussian_start", recording_start)
             mp.setattr(relations, "lll_reduce", recording)
             warm = detect_relations(vec, 8, BITS)
-            mp.setattr(relations, "float_start", lambda rows, carried=None: None)
+            mp.setattr(relations, "gaussian_start", lambda rows, carried=None: None)
             mp.setattr(relations, "lll_reduce", cold)
             assert detect_relations(vec, 8, BITS) == warm
         assert len(starts) == len(calls) == len(cold_calls) == tests
@@ -370,7 +380,10 @@ class TestWarmStartedDetection:
                 expected = [[0, 0] + row[2:] + row[:2] for row in joined]
                 expected += [[int(c == u) for c in range(unknowns)] for u in range(2)]
                 assert carried == expected
-            assert start == lll.float_start(rows, carried)
+            assert start == lll.gaussian_start(rows, carried)
+            # at 128 bits no pass is refused, so every start is the real
+            # image of a transform over Z[i]
+            assert start is not None and _has_block_form(start)
             assert lll.is_reduced(basis)
             if idx in warm.basis_indices:
                 joined = transform
@@ -384,8 +397,17 @@ class TestWarmStartedDetection:
             entries = basis[:2] + [mpc(3, -1) / 4 * basis[0] + 5 * basis[1], basis[2]]
         vec = _vec(entries)
         monkeypatch.setattr(lll, "_float_iterations", lambda n, bits: 0)
+        starts = []
+
+        def recording_start(rows, carried=None):
+            start = lll.gaussian_start(rows, carried)
+            starts.append((carried, start))
+            return start
+
+        monkeypatch.setattr(relations, "gaussian_start", recording_start)
         refused = relations._detect.__wrapped__(tuple(vec), 8, BITS)
         assert refused.dependent_indices == (2,)
+        assert len(starts) == 3 and all(start == carried for carried, start in starts)
         assert refused == _cold_detection(vec, 8, BITS)
 
     def test_a_relation_past_the_double_range_is_found(self, monkeypatch):
@@ -401,11 +423,11 @@ class TestWarmStartedDetection:
         starts = []
 
         def recording_start(rows, carried=None):
-            start = lll.float_start(rows, carried)
+            start = lll.gaussian_start(rows, carried)
             starts.append(start == carried)
             return start
 
-        monkeypatch.setattr(relations, "float_start", recording_start)
+        monkeypatch.setattr(relations, "gaussian_start", recording_start)
         found = relations._detect.__wrapped__(tuple(vec), 8, bits)
         assert found.dependent_indices == (2,)
         assert starts == [True, True]
@@ -450,6 +472,27 @@ class TestNearRelations:
             for idx, row in zip(started.dependent_indices, started.coeffs):
                 combo = sum(f.to_mpc(2 * bits) * vec[b] for f, b in zip(row, started.basis_indices))
                 assert abs(vec[idx] - combo) < residual_tol(bits)
+
+    @settings(max_examples=40)
+    @given(case=near_relation_entries())
+    def test_gaussian_started_detection_equals_cold_detection(self, case):
+        # every membership test reduces from a start the Gaussian pass
+        # made, never refused at 128 or 256 bits
+        entries, bits = case
+        vec = _vec(entries, bits)
+        starts = []
+
+        def recording_start(rows, carried=None):
+            start = lll.gaussian_start(rows, carried)
+            starts.append(start)
+            return start
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(relations, "gaussian_start", recording_start)
+            started = relations._detect.__wrapped__(tuple(vec), 8, bits)
+        assert started == _cold_detection(vec, 8, bits)
+        assert len(starts) == len(entries) - 1
+        assert all(start is not None and _has_block_form(start) for start in starts)
 
 
 class TestDetectionMemo:

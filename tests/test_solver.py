@@ -744,7 +744,7 @@ class TestReductionMemo:
             (flowsearch, "lll_reduce"),
             (flowsearch, "float_start"),
             (relations, "lll_reduce"),
-            (relations, "float_start"),
+            (relations, "gaussian_start"),
         ):
             real = getattr(module, name)
             monkeypatch.setattr(
