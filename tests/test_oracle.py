@@ -46,13 +46,16 @@ def _entries(pairs):
 FIVE_HALF = [("0", "0"), ("1/2", "0"), ("0", "1/2"), ("1", "1/2"), ("-1/2", "-1")]
 FIVE_RATIONAL = [("1/3", "0"), ("0", "2/3"), ("1/4", "1/6"), ("-3/5", "1/2"), ("5/7", "-2/3")]
 
-# coordinates up to modulus ~7e4: floats, half-integers, and half-integers
-# nudged by less than a float64 screen can see at that size
+# coordinates up to modulus ~7e4: floats, half-integers, half-integers
+# nudged by less than a float64 screen can see at that size, and small
+# quarter-integers, whose images tie and line up
 HALVES = st.integers(-98_000, 98_000).map(lambda k: k / 2)
+QUARTERS = st.integers(-12, 12).map(lambda k: k / 4)
 COORD = st.one_of(
     st.floats(-49_000, 49_000),
     HALVES,
     st.tuples(HALVES, st.floats(-1e-6, 1e-6)).map(lambda p: p[0] + p[1]),
+    QUARTERS,
 )
 
 # coordinates past _EXACT_ROTATION_MODULUS: half-integers, nudged ones and
@@ -65,6 +68,18 @@ FAR = st.one_of(
 )
 
 
+@st.composite
+def _point_sets(draw, coord, max_size):
+    # 1 to max_size points: drawn ones, then repeats of them and points on
+    # the segment between two of them, so triples can be degenerate
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=max_size))
+    for _ in range(draw(st.integers(0, max_size - len(points)))):
+        (x0, y0), (x1, y1) = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+        s = draw(st.sampled_from([0, 1, 0.5, 0.25]))
+        points.append((x0 + s * (x1 - x0), y0 + s * (y1 - y0)))
+    return points
+
+
 def _triangle(scale=1):
     with working_precision(B):
         w = mpmath.expjpi(mpf(2) / 3)
@@ -72,9 +87,9 @@ def _triangle(scale=1):
 
 
 def _assert_rotation_bound_sound(vec, n_t, n_u, reflect):
-    # no cell of a rotation lies below its bound by more than float error
+    # no cell of a rotation lies below its bounds by more than float error
     rw, iw = oracle._rotated_images(vec, n_t, [False, True] if reflect else [False], B)
-    lb = oracle._rotation_bound(rw, iw)
+    lb = np.maximum(oracle._rotation_bound(rw, iw), oracle._triple_bound(rw, iw))
     u = np.arange(n_u, dtype=np.float64) / n_u
     for j in range(len(rw)):
         cells = oracle._cell_max(*oracle._frac_sq_tables(rw[j], iw[j], u))
@@ -229,6 +244,17 @@ class TestTauEstimate:
             pytest.param(_entries(FIVE_HALF), True, 12, 16, id="five-half"),
             pytest.param(_entries(FIVE_RATIONAL), False, 12, 12, id="five-rational"),
             pytest.param(_entries(FIVE_RATIONAL), True, 12, 12, id="five-rational-reflect"),
+            pytest.param(_triangle(), True, 48, 48, id="1-finer"),
+            pytest.param(_triangle(2), True, 48, 48, id="2-finer"),
+            pytest.param(
+                _entries([("0", "0"), ("1/3", "1/5"), ("2/3", "2/5")]), True, 24, 24,
+                id="collinear",
+            ),
+            pytest.param(
+                _entries([("1/3", "1/4"), ("-1/2", "2/7"), ("1/3", "1/4")]), True, 24, 24,
+                id="repeated",
+            ),
+            pytest.param(_entries(FIVE_RATIONAL + [("2/9", "-4/5")]), True, 24, 24, id="six"),
         ],
     )
     def test_pruned_candidates_match_full_grid(self, vec, reflect, n_t, n_u, monkeypatch):
@@ -318,7 +344,7 @@ class TestTauEstimate:
         assert iw.tobytes() == np.vstack(want_iw).tobytes()
 
     @given(
-        st.lists(st.tuples(COORD, COORD), min_size=1, max_size=5),
+        _point_sets(COORD, 6),
         st.integers(1, 24),
         st.integers(1, 16),
         st.booleans(),
@@ -333,7 +359,7 @@ class TestTauEstimate:
         _assert_rotation_bound_sound(vec, n_t, n_u, reflect)
 
     @given(
-        st.lists(st.tuples(FAR, FAR), min_size=1, max_size=4),
+        _point_sets(FAR, 5),
         st.integers(1, 12),
         st.integers(1, 16),
         st.booleans(),
@@ -364,15 +390,57 @@ class TestTauEstimate:
         lb = oracle._rotation_bound(rw, np.zeros_like(rw))
         assert lb[0] == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "points, want",
+        [
+            pytest.param([(0, 0), (0.3, 0), (0.1, 0.2)], 0.025, id="acute"),
+            pytest.param([(0, 0), (0.3, 0), (0, 0.2)], 0.0325, id="right"),
+            pytest.param([(0, 0), (0.3, 0.3), (0.2, 0)], 0.045, id="obtuse"),
+            pytest.param([(0.1, 0.1), (0, 0), (0.3, 0.3)], 0.045, id="collinear"),
+            pytest.param([(0.1, 0.2), (0.1, 0.2), (0.3, 0.1)], 0.0125, id="repeated"),
+            pytest.param([(0.4, 0.7), (0.4, 0.7), (0.4, 0.7)], 0.0, id="coincident"),
+            pytest.param([(0, 0), (0.9, 0), (0, 0.9)], 0.005, id="wrapped-right"),
+            pytest.param([(0, 0), (0.7, 0), (0.9, 0.8)], 0.025, id="wrapped-acute"),
+            pytest.param(
+                [(0, 0), (0.1499255007010091, 0.23816278798783758),
+                 (0.14992550058893805, 0.23816278805838725)],
+                0.01979979233564699,
+                id="thin-acute",
+            ),
+        ],
+    )
+    def test_rotation_bound_triple_term(self, points, want):
+        # the least over translations of a triple's worst squared distance:
+        # an acute triangle's squared circumradius, else a quarter of its
+        # longest squared side (an obtuse circumradius would give 0.05), on
+        # the translates of the images nearest each other.  "thin-acute" is
+        # acute with two images 1.3e-10 apart (its value is exact in
+        # rationals); the cross product at its 5e-10 radian angle keeps
+        # about six digits, and uncapped there it would overshoot by 5.6e-10
+        rw = np.array([[x for x, _ in points]], dtype=np.float64)
+        iw = np.array([[y for _, y in points]], dtype=np.float64)
+        assert oracle._triple_bound(rw, iw)[0] == pytest.approx(want, abs=1e-12)
+
     def test_sweep_work_on_the_unit_triangle(self, monkeypatch):
-        # the per-axis gap bound prunes most rotations of the benchmark
-        # triangle: the pairwise bound alone builds 1872 translation tables
-        # at this grid, both passes together
-        calls = []
-        real = oracle._frac_sq_tables
-        monkeypatch.setattr(oracle, "_frac_sq_tables", lambda *a: calls.append(1) or real(*a))
+        # the benchmark triangle at this grid, both passes together: the
+        # pairwise bound alone builds 1872 translation tables, with the
+        # per-axis gap bound 544 and 13.4M cells; the triple bound leaves
+        # 97 tables and 4.5M cells, and pruning columns against each other
+        # 132,460 cells
+        tables, cells = [], []
+        real_tables, real_cells = oracle._frac_sq_tables, oracle._cell_max
+
+        def count_cells(fa2, fb2):
+            cells.append(fa2.shape[1] * fb2.shape[1])
+            return real_cells(fa2, fb2)
+
+        monkeypatch.setattr(
+            oracle, "_frac_sq_tables", lambda *a: tables.append(1) or real_tables(*a)
+        )
+        monkeypatch.setattr(oracle, "_cell_max", count_cells)
         tau_estimate(_triangle(), 1600, 1600, with_reflection=True, bits=B)
-        assert len(calls) <= 600
+        assert len(tables) <= 97
+        assert sum(cells) <= 132_460
 
     def test_deterministic(self):
         a = tau_estimate(_triangle(2), 60, 60, with_reflection=True, bits=B)
