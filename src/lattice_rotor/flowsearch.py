@@ -59,8 +59,18 @@ residues, its coordinates, the enumeration and the exact verification
 run on every window.
 
 Each window's target is the signed fractional parts of W + j0*delta*V at
-its first index, computed at working precision.  Every candidate is
-re-evaluated with mpmath before being accepted; doubles only ever decide
+its first index, in fixed point: once per call, every coordinate of W
+and of the step delta*V becomes an integer with frac_bits = bits_eval +
+64 fractional bits (_fixed_point: exact where the mpf has no bit below
+2^-frac_bits, else rounded down by less than that unit), and each
+window's residues are integer additions, a mask and one rounding to a
+double (_residues), with no mpmath call and no precision context.  The
+evaluation precision keeps grid_last within 2^(bits_eval - 46)
+(raise_for_magnitude adds 48 bits past the magnitude and resolution
+bits), so j0 times the step's rounding, plus W's, stays below 2^-100:
+far below the double rounding that follows, and below every margin the
+enumeration keeps.  Every candidate is re-evaluated with mpmath at
+bits_eval before being accepted; integers and doubles only ever decide
 what to look at, never what to return.  A window whose target lies so
 far out that a double no longer holds its coordinates' integer part
 (2^52 and up), or whose scale is past the double range, ends the walk
@@ -83,10 +93,11 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import to_fixed
 
 from .corelattice import ComplexVector, frac_dist
 from .lll import float_start, lll_reduce
-from .precision import raise_for_magnitude, working_precision
+from .precision import below_half_sqrt2, raise_for_magnitude, working_precision
 
 # a walk ends "exhausted" after this many windows, when a window of the
 # floor length outgrows the node budget, or when a window's target
@@ -106,6 +117,10 @@ _WINDOW_LEAD_BITS = 4
 # from 2^52 on, a double's spacing is 1 or more, so it no longer holds the
 # integer part of a target coordinate and its enumeration is noise
 _Y_RESOLUTION = 2.0**52
+
+# window targets are fixed-point integers with this many fractional bits
+# past the evaluation precision (see _fixed_point and _residues)
+_FIXED_GUARD_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -142,7 +157,7 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
     with working_precision(bits):
         eps = mpf(eps)
         L_max = mpf(L_max)
-    if not (0 < eps < mpf(2) ** mpf("0.5") / 2):
+    if not below_half_sqrt2(eps):
         raise ValueError(f"eps must lie in (0, sqrt(2)/2), got {eps}")
     if not (mpmath.isfinite(L_max) and L_max >= 0):
         raise ValueError(f"L_max must be finite and >= 0, got {L_max}")
@@ -158,10 +173,6 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
         bits, max(vec_w.max_abs(), L_max * max_abs, mpf(1)), eps
     )
 
-    with working_precision(bits_eval):
-        delta = eps / (4 * max_abs)
-        grid_last = int(mpmath.floor(L_max / delta))
-
     # entries are already mpc at the vector's precision; re-wrapping in
     # mpc() here would round them to the ambient 53-bit default
     values_v = list(vec_v)
@@ -169,16 +180,14 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
     m = len(values_v)
 
     with working_precision(bits_eval):
+        delta = eps / (4 * max_abs)
+        grid_last = int(mpmath.floor(L_max / delta))
         dv = [delta * z for z in values_v]
         dv_coords = tuple([z.real for z in dv] + [z.imag for z in dv])
 
-    def residues(j0: int) -> List[float]:
-        """Signed fractional parts of W + j0*delta*V, real parts first."""
-        with working_precision(bits_eval):
-            s0 = mpf(j0) * delta
-            w = [zw + s0 * zv for zv, zw in zip(values_v, values_w)]
-            parts = [z.real for z in w] + [z.imag for z in w]
-            return [float(x - mpmath.nint(x)) for x in parts]
+    coords_w = [z.real for z in values_w] + [z.imag for z in values_w]
+    offset_fixed = _fixed_point(coords_w, bits_eval)
+    step_fixed = _fixed_point(dv_coords, bits_eval)
 
     def verify(j: int) -> Optional[mpf]:
         with working_precision(bits_eval):
@@ -225,8 +234,9 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
             # enumeration outgrew the node budget
             window = _reduced_window(rows, scale, transform)
             transform = window.transform
+            residues = _residues(offset_fixed, step_fixed, j0, bits_eval)
             candidates = _window_candidates(
-                window, [-r for r in residues(j0)], eps, count, DEFAULT_NODE_BUDGET
+                window, [-r for r in residues], eps, count, DEFAULT_NODE_BUDGET
             )
         except _BudgetExceeded:
             if window_len > _WINDOW_FLOOR:
@@ -246,6 +256,38 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
                 return outcome("found", j0 + j_rel, s)
         j0 += count
     return outcome("absent")
+
+
+def _fixed_point(coords: Sequence[mpf], bits_eval: int) -> List[int]:
+    """coords as integers in units of 2^-frac_bits, frac_bits = bits_eval
+    + _FIXED_GUARD_BITS: exact where a coordinate has no bit below that
+    unit, else rounded down by less than one unit."""
+    frac_bits = bits_eval + _FIXED_GUARD_BITS
+    return [to_fixed(x._mpf_, frac_bits) for x in coords]
+
+
+def _residues(offset: Sequence[int], step: Sequence[int], j0: int, bits_eval: int) -> List[float]:
+    """Signed fractional parts of W + j0*delta*V, from the _fixed_point
+    coordinates of W (offset) and of delta*V (step) at bits_eval.
+
+    Each part is ((w + j0*a + half) & mask) - half in exact integers, in
+    [-1/2, 1/2), then one rounding to a double, which may round a part
+    just under 1/2 up to 1/2 itself.  An exact half-integer coordinate
+    gives -1/2 where mpmath's nint may give +1/2; the two targets differ
+    by a unit translation, which every window's lattice holds up to the
+    1/K rounding of its translation rows, far inside the enumeration's
+    margins, so the window's candidates are the same.
+    """
+    frac_bits = bits_eval + _FIXED_GUARD_BITS
+    half = 1 << (frac_bits - 1)
+    mask = (1 << frac_bits) - 1
+    # float() of an integer below 2^1024 rounds it correctly; a longer
+    # one first drops bits far below a double's resolution
+    drop = max(0, frac_bits - 960)
+    return [
+        math.ldexp(float((((w + j0 * a + half) & mask) - half) >> drop), drop - frac_bits)
+        for w, a in zip(offset, step)
+    ]
 
 
 def _first_window(m: int, eps: mpf) -> int:

@@ -6,6 +6,10 @@ function of P, never a bare literal, so that raising P tightens the whole
 pipeline coherently.  Reported values are decimal strings carrying
 ceil(P*log10(2)) significant digits; doubles appear only in throwaway
 search phases whose results are always re-verified at full precision.
+The flow search's window targets are fixed-point integers, carrying 64
+fractional bits past P, and only their final residues become doubles.
+Bit counts of a value (magnitude_bits, resolution_bits) are read off its
+exact binary exponent, never off a rounded logarithm.
 """
 from __future__ import annotations
 
@@ -92,20 +96,32 @@ def format_complex_pair(z: mpc, bits: int) -> list[str]:
     return [format_decimal(z.real, bits), format_decimal(z.imag, bits)]
 
 
+def _mag(value: mpf | float) -> int:
+    """floor(log2 |value|) + 1 for a nonzero value, by mpmath.mag, which
+    reads an mpf's exact exponent and mantissa length (never rounding it
+    to the ambient precision) and converts a float exactly."""
+    bits = mpmath.mag(value)
+    if not isinstance(bits, int):
+        raise ValueError(f"non-finite value has no bit count: {value!r}")
+    return bits
+
+
 def magnitude_bits(value: mpf | float) -> int:
     """Bits needed left of the binary point to hold |value|."""
-    v = abs(mpf(value))
-    if v == 0:
-        return 0
-    return max(0, int(mpmath.floor(mpmath.log(v, 2))) + 1)
+    return max(0, _mag(value)) if value else 0
 
 
 def resolution_bits(eps: mpf | float) -> int:
     """Bits right of the binary point needed to resolve a gap of size eps."""
-    e = abs(mpf(eps))
-    if e == 0 or e >= 1:
-        return 0
-    return -int(mpmath.floor(mpmath.log(e, 2)))
+    return max(0, 1 - _mag(eps)) if eps else 0
+
+
+def below_half_sqrt2(eps: mpf) -> bool:
+    """Whether 0 < eps < sqrt(2)/2, decided on eps's exact binary value:
+    eps = man * 2^exp lies below sqrt(2)/2 exactly when 2*man^2 < 2^(-2*exp),
+    so no rounding of sqrt(2)/2 can let an eps on or above it through."""
+    sign, man, exp, _ = eps._mpf_
+    return not sign and man > 0 and (2 * man * man).bit_length() <= -2 * exp
 
 
 def raise_for_magnitude(base_bits: int, largest: mpf | float, eps: mpf | float) -> int:

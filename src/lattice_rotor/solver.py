@@ -40,6 +40,7 @@ from .corelattice import ComplexVector, Rotation, frac_dist
 from .flowsearch import FlowSearchOutcome, flow_search
 from .precision import (
     DEFAULT_PRECISION,
+    below_half_sqrt2,
     check_precision,
     identity_slack,
     parse_decimal,
@@ -321,9 +322,8 @@ def solve_plan(V, eps, config: Optional[SolverConfig] = None) -> GeneralPlan:
     vec, bits = _vector(V, config)
     work = bits + 64
     eps_v = parse_decimal(eps, work)
-    with working_precision(work):
-        if not (0 < eps_v < mpf(2) ** mpf("0.5") / 2):
-            raise ValueError(f"eps must lie in (0, sqrt(2)/2), got {eps_v}")
+    if not below_half_sqrt2(eps_v):
+        raise ValueError(f"eps must lie in (0, sqrt(2)/2), got {eps_v}")
 
     decomposition = detect_relations(vec, config.height_bound, bits)
     m = decomposition.num_basis

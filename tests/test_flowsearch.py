@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -7,11 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
-from lattice_rotor import flowsearch, lll, solver
+from lattice_rotor import cli, flowsearch, lll, solver
 from lattice_rotor.corelattice import ComplexVector, vec_frac_dist
 from lattice_rotor.flowsearch import FlowSearchOutcome, flow_search
 from lattice_rotor.lll import float_start, lll_reduce
-from lattice_rotor.precision import working_precision
+from lattice_rotor.precision import raise_for_magnitude, working_precision
 from lattice_rotor.solver import SolverConfig
 
 BITS = 128
@@ -93,6 +94,17 @@ class TestTrivialCases:
             flow_search(v, w, "0.1", -1, BITS)
         with pytest.raises(ValueError):
             flow_search(v, ComplexVector((mpc(0), mpc(0)), BITS), "0.1", 10, BITS)
+
+    def test_eps_bound_is_exact(self):
+        # 2^-60 above sqrt(2)/2 is past the bound, though a 53-bit
+        # sqrt(2)/2 lies above it; 2^-60 below it is inside
+        with working_precision(BITS):
+            limit = mpmath.sqrt(mpf(2)) / 2
+            above, below = limit + mpf(2) ** -60, limit - mpf(2) ** -60
+        with pytest.raises(ValueError, match="eps must lie"):
+            flow_search(_golden_direction(), _half_offset(), above, 10, BITS)
+        out = flow_search(_golden_direction(), _half_offset(), below, 10, BITS)
+        _assert_matches_reference(out, _golden_direction(), _half_offset(), below, 10)
 
 
 class TestGoldenLineFixture:
@@ -471,6 +483,57 @@ class TestReadmeWorkGuard:
         assert report.search_steps == outcomes[0].examined <= 16
         assert outcomes[0].windows_used <= 6
 
+    def test_precision_contexts_follow_calls_and_checks(self, monkeypatch, tmp_path):
+        # the README solve's 20 dilations: flowsearch enters a precision
+        # context three times per call (parsing eps and L_max, the grid
+        # step, and the first window's length), once per verified
+        # candidate and once per window-lattice memo miss; never once per
+        # window, whose targets are fixed point
+        entries = []
+        real_precision, real_frac_dist = flowsearch.working_precision, flowsearch.frac_dist
+
+        def precision(bits):
+            entries.append(bits)
+            return real_precision(bits)
+
+        checks = []
+
+        def frac_dist(z, bits):
+            checks.append(bits)
+            return real_frac_dist(z, bits)
+
+        outcomes = []
+
+        def recording(*args, **kwargs):
+            out = flow_search(*args, **kwargs)
+            outcomes.append((len(args[0]), out))
+            return out
+
+        monkeypatch.setattr(flowsearch, "working_precision", precision)
+        monkeypatch.setattr(flowsearch, "frac_dist", frac_dist)
+        monkeypatch.setattr(solver, "flow_search", recording)
+        spec = {
+            "mode": "solve",
+            "points": [["1", "0"], ["0.5", "0.866025403784438646763723170753"]],
+            "epsilon": "0.1",
+            "t_range": {"from": "4e16", "to": "4e17", "count": 20, "spacing": "log"},
+            "seed": 7,
+            "precision_bits": 128,
+        }
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        misses_before = flowsearch._window_lattice.cache_info().misses
+        code = cli.main(
+            ["solve", "--input", str(tmp_path / "spec.json"), "--output", str(tmp_path / "r.json")]
+        )
+        lattice_misses = flowsearch._window_lattice.cache_info().misses - misses_before
+        assert code == 0
+        assert len(outcomes) == 20 and all(out.found for _, out in outcomes)
+        (m,) = {m for m, _ in outcomes}
+        verified, rest = divmod(len(checks), m)
+        windows = sum(out.windows_used for _, out in outcomes)
+        assert rest == 0 and windows > 2 * len(outcomes)
+        assert len(entries) == 3 * len(outcomes) + verified + lattice_misses
+
 
 class TestWrongCandidatesRejected:
     def test_injected_misses_end_in_an_honest_miss(self, monkeypatch):
@@ -613,6 +676,78 @@ class TestWindowMemos:
             y = flowsearch._gso(window, target)
             back = [sum(yk * row[c] for yk, row in zip(y, window.basis)) for c in range(len(target))]
             assert back == pytest.approx(target, abs=1e-9)
+
+
+@st.composite
+def fixed_point_windows(draw):
+    """A flow whose offset coordinates are lifted by integers up to 2^60
+    (its exact half-integers and negative coordinates kept), its walk's
+    evaluation precision, 1000 bits or more in some draws so that a
+    residue's integer passes the double range, and a window start j0 in
+    [0, grid_last]: (direction, offset, eps, bits_eval, j0)."""
+    v, w = draw(entries_and_offsets(draw(st.integers(1, 3))))
+    lift = st.integers(-(1 << 60), 1 << 60)
+    with working_precision(BITS):
+        w = ComplexVector(tuple(z + mpc(draw(lift), draw(lift)) for z in w), BITS)
+    eps = mpf(draw(st.floats(1e-3, 0.7)))
+    L_max = mpf(2) ** draw(st.integers(0, 60))
+    base = draw(st.sampled_from([BITS, 1000]))
+    bits_eval = raise_for_magnitude(base, max(w.max_abs(), L_max * v.max_abs(), mpf(1)), eps)
+    with working_precision(bits_eval):
+        grid_last = int(mpmath.floor(L_max / (eps / (4 * v.max_abs()))))
+    assert grid_last < 2 ** (bits_eval - 46)
+    j0 = draw(st.sampled_from([0, grid_last]) | st.integers(0, grid_last))
+    return v, w, eps, bits_eval, j0
+
+
+class TestFixedPointTargets:
+    """A window's target residues come from fixed-point integers; each
+    equals the signed fractional part of W + j0*delta*V at four times the
+    evaluation precision, within j0 + 2 fixed-point units (below the
+    stated bound 2^-100) plus the double's own rounding."""
+
+    @given(window=fixed_point_windows())
+    def test_residues_match_a_high_precision_reference(self, window):
+        v, w, eps, bits_eval, j0 = window
+        with working_precision(bits_eval):
+            delta = eps / (4 * v.max_abs())
+            dv = [delta * z for z in v]
+        coords = [z.real for z in w] + [z.imag for z in w]
+        dv_coords = [z.real for z in dv] + [z.imag for z in dv]
+        offset = flowsearch._fixed_point(coords, bits_eval)
+        step = flowsearch._fixed_point(dv_coords, bits_eval)
+        got = flowsearch._residues(offset, step, j0, bits_eval)
+        assert all(-0.5 <= r <= 0.5 for r in got)
+        with working_precision(4 * bits_eval):
+            unit = mpf(2) ** (bits_eval + 64)
+            for x, fixed in zip(coords + dv_coords, offset + step, strict=True):
+                assert 0 <= x * unit - fixed < 1
+            for r, x, c in zip(got, coords, dv_coords, strict=True):
+                exact = x + j0 * c
+                # an exact half-integer's residue is -1/2 here and may be
+                # +1/2 by nint: the two differ by a whole unit
+                diff = mpf(r) - (exact - mpmath.nint(exact))
+                diff -= mpmath.nint(diff)
+                # each fixed-point coordinate lies under its value by less
+                # than one unit of 2^-(bits_eval + 64), so the sum by less
+                # than j0 + 1 units, which grid_last < 2^(bits_eval - 46)
+                # keeps below 2^-100; past 960 fractional bits the step to
+                # a double may drop up to 2^-960 more
+                bound = (j0 + 2) * mpf(2) ** -(bits_eval + 64) + mpf(2) ** -960
+                assert bound < mpf(2) ** -100
+                assert abs(diff) <= bound + mpf(math.ulp(r)) / 2
+
+    def test_exact_half_integers_land_on_minus_one_half(self):
+        with working_precision(BITS):
+            w = [mpf("2.5"), mpf("-3.5"), -mpf(2) ** 60 - mpf("0.5")]
+        # 64 fractional bits past the evaluation precision
+        frac_bits = BITS + 64
+        offset = flowsearch._fixed_point(w, BITS)
+        assert offset[0] == 5 << (frac_bits - 1)
+        assert flowsearch._residues(offset, [0, 0, 0], 0, BITS) == [-0.5] * 3
+        # one unit under 1/2 rounds up to the double 1/2
+        just_under = (1 << (frac_bits - 1)) - 1
+        assert flowsearch._residues([just_under], [0], 0, BITS) == [0.5]
 
 
 def _range_points(ranges):

@@ -16,6 +16,7 @@ from lattice_rotor.precision import (
     parse_decimal,
     raise_for_magnitude,
     residual_tol,
+    resolution_bits,
     significant_digits,
     unit_modulus_tol,
     working_precision,
@@ -108,9 +109,60 @@ def test_complex_pair_round_trip():
 
 def test_magnitude_bits_scale():
     assert magnitude_bits(mpf(0)) == 0
-    assert magnitude_bits(mpf(1)) <= 1
-    assert magnitude_bits(mpf(1024)) >= 10
-    assert magnitude_bits(mpf(10) ** 9) >= 29
+    assert magnitude_bits(mpf(1)) == 1
+    assert magnitude_bits(mpf(1024)) == 11
+    assert magnitude_bits(mpf(10) ** 9) == 30
+    assert magnitude_bits(0.75) == 0
+    # just below a power of two, read at the ambient 53 bits
+    with working_precision(128):
+        below_2_100, below_2_m40 = mpf(2) ** 100 - 1, mpf(2) ** -40 * (1 - mpf(2) ** -80)
+    assert magnitude_bits(below_2_100) == 100
+    assert magnitude_bits(-(mpf(2) ** 100)) == 101
+    assert resolution_bits(below_2_m40) == 41
+    assert resolution_bits(mpf(2) ** -40) == 40
+    assert resolution_bits(mpf("0.1")) == 4
+    assert resolution_bits(mpf(0)) == resolution_bits(mpf(1)) == resolution_bits(3.0) == 0
+
+
+def _log2_floor_reference(x: mpf, prec: int) -> int:
+    """floor(log2 |x|) from mpmath's logarithm at several times the bits
+    of a prec-bit x, nudged up by far less than the distance from
+    log2 |x| to the next integer below a power of two (at least 2^-prec
+    for a prec-bit x), so an exact power of two rounding just under its
+    integer still floors to it."""
+    with working_precision(4 * prec + 64):
+        return int(mpmath.floor(mpmath.log(abs(x), 2) + mpf(2) ** -(prec + 32)))
+
+
+@st.composite
+def binary_values(draw):
+    """(x, prec): a prec-bit value 2^k, 2^k one unit in the last place
+    either side, or a random prec-bit mantissa at exponent k; k spans
+    both sides of 1 and either sign."""
+    prec = draw(st.integers(53, 300))
+    k = draw(st.integers(-400, 400))
+    with working_precision(prec):
+        power = mpf(2) ** k
+        x = draw(
+            st.sampled_from(
+                [power, power * (1 - mpf(2) ** -prec), power * (1 + mpf(2) ** (1 - prec))]
+            )
+            | st.integers(1 << (prec - 1), (1 << prec) - 1).map(
+                lambda man: mpf(man) * mpf(2) ** (k - prec)
+            )
+        )
+        x = -x if draw(st.booleans()) else x
+    return x, prec
+
+
+@given(binary_values())
+def test_bit_counts_equal_the_exact_floor_log2(value):
+    x, prec = value
+    e = _log2_floor_reference(x, prec)
+    with working_precision(4 * prec):
+        assert mpf(2) ** e <= abs(x) < mpf(2) ** (e + 1)
+    assert magnitude_bits(x) == max(0, e + 1)
+    assert resolution_bits(x) == (-e if e < 0 else 0)
 
 
 def test_raise_for_magnitude_monotone():

@@ -271,6 +271,21 @@ class TestSolvePlan:
         with working_precision(BITS + 64):
             assert plan.eps_inner == mpf("0.1") / 36
 
+    def test_eps_bound_is_exact(self):
+        # at 64 bits the plan parses eps at 128, where sqrt(2)/2 rounds
+        # down: that rounding is a valid eps, and 2^-60 above sqrt(2)/2
+        # is not
+        config = SolverConfig(bits=64)
+        with working_precision(128):
+            below = mpmath.sqrt(mpf(2)) / 2
+        with working_precision(512):
+            limit = mpmath.sqrt(mpf(2)) / 2
+            above = limit + mpf(2) ** -60
+            assert below < limit
+        assert solve_plan(ComplexVector((mpc(1),), 64), below, config).eps_inner > 0
+        with pytest.raises(ValueError, match="eps must lie"):
+            solve_plan(ComplexVector((mpc(1),), 64), above, config)
+
 
 class TestSolveGeneral:
     def test_single_unit_entry(self):
