@@ -821,10 +821,13 @@ class TestPropSepCommand:
     @pytest.mark.parametrize("seed", [1, 2, 2**40 + 3])
     def test_recheck_skips_to_the_argmin_draw(self, seed):
         # the recheck skips 8 words a sample with getrandbits, in steps of
-        # 2^16 words (8,192 samples); it must land on the draw a plain
+        # 2^13 words (1,024 samples); it must land on the draw a plain
         # loop of random() calls makes, on each side of the first step
-        # boundary, past several, and at and past the sixteenth
-        checked = (0, 8191, 8192, 8193, 3 * 8192 + 1, 99_997, 131_072, 131_073)
+        # boundary, past several, and at and past the 128th
+        checked = (
+            0, 1023, 1024, 1025, 3 * 1024 + 1,
+            8191, 8192, 8193, 3 * 8192 + 1, 99_997, 131_072, 131_073,
+        )
         rng = random.Random(seed)
         for index in range(checked[-1] + 1):
             draw = (rng.random(), rng.random() < 0.5, rng.random(), rng.random())
@@ -832,7 +835,7 @@ class TestPropSepCommand:
                 assert cli._replay_draw(seed, index) == draw
 
     def test_recheck_skip_memory_is_bounded(self, traced_peak_mb):
-        # 16 million words skipped one 256 KB step at a time
+        # 16 million words skipped one 32 KB step at a time
         assert traced_peak_mb(lambda: cli._replay_draw(5, 2_000_000)) < 1.0
 
 

@@ -1,5 +1,9 @@
+import dataclasses
 import math
 import random
+import threading
+import time
+from contextlib import closing, nullcontext
 
 import mpmath
 import numpy as np
@@ -492,6 +496,64 @@ def test_random_stream_equals_stdlib(seed):
     assert np.concatenate([draw(1), draw(4999)]).tolist() == expected
 
 
+class TestAhead:
+    @pytest.mark.parametrize("args", [range(0), range(1), range(2), range(7), list(range(40))])
+    def test_equals_a_serial_map(self, args):
+        def produce(a):
+            return np.arange(a + 1) * a
+
+        before = threading.active_count()
+        with closing(oracle._ahead(produce, args)) as items:
+            got = [x.tolist() for x in items]
+        assert got == [x.tolist() for x in map(produce, args)]
+        assert threading.active_count() == before
+
+    def test_worker_stays_at_most_two_items_ahead(self):
+        # one finished item waits in the queue and one more may be made
+        # and wait to be queued; a slow consumer must not let it run on
+        made = []
+
+        def produce(a):
+            made.append(a)
+            return a
+
+        with closing(oracle._ahead(produce, range(30))) as items:
+            for a in items:
+                time.sleep(0.002)
+                assert len(made) <= a + 3
+        assert made == list(range(30))
+
+    def test_exception_is_raised_in_the_caller(self):
+        def produce(a):
+            if a == 3:
+                raise ZeroDivisionError("item 3")
+            return a
+
+        before = threading.active_count()
+        got = []
+        with pytest.raises(ZeroDivisionError, match="item 3"):
+            with closing(oracle._ahead(produce, range(10))) as items:
+                got.extend(items)
+        assert got == [0, 1, 2]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("stop_at", [0, 1, 5])
+    @pytest.mark.parametrize("how", ["break", "raise"])
+    def test_early_stop_leaves_no_thread(self, how, stop_at):
+        # the pause lets the worker fill the queue and block on its next
+        # item, the state the caller must unblock before joining
+        before = threading.active_count()
+        with pytest.raises(KeyError) if how == "raise" else nullcontext():
+            with closing(oracle._ahead(lambda a: np.full(4, a), range(100))) as items:
+                for item in items:
+                    time.sleep(0.01)
+                    if item[0] == stop_at:
+                        if how == "raise":
+                            raise KeyError(stop_at)
+                        break
+        assert threading.active_count() == before
+
+
 def _unbounded_kept(t, samples, seed):
     """The prop-sep float screen with no bound before the rotation: every
     sample's image is formed, chunk by chunk, and the kept (index, row)
@@ -597,6 +659,30 @@ class TestPropSepCheck:
         ]
         assert max(peaks) < 4.0
         assert abs(peaks[1] - peaks[0]) < 0.5
+
+    def test_no_thread_outlives_the_check(self, monkeypatch):
+        # the worker is joined after a full run, and after a screen that
+        # raises mid-chunk while the worker waits with the next chunk
+        # raises mid-chunk while the worker waits with the next chunk, even
+        # while the exception, and with it the check's frame, is held
+        monkeypatch.setattr(oracle, "_CHUNK", 64)
+        before = threading.active_count()
+        want = check_prop_sep("2", 1000, seed=3, bits=B)
+        assert threading.active_count() == before
+        calls, real = [], np.cos
+
+        def cos(x, *a, **k):
+            calls.append(1)
+            if len(calls) == 3:
+                raise FloatingPointError("cos")
+            return real(x, *a, **k)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(np, "cos", cos)
+            with pytest.raises(FloatingPointError, match="cos") as raised:
+                check_prop_sep("2", 1000, seed=3, bits=B)
+            assert raised.tb is not None and threading.active_count() == before
+        assert to_json_data(check_prop_sep("2", 1000, seed=3, bits=B)) == to_json_data(want)
 
     def test_no_violations_in_short_run(self):
         chk = check_prop_sep(2, 2000, seed=11, bits=B)
@@ -773,6 +859,68 @@ class TestCoveringTime:
         monkeypatch.setattr(oracle, "_CHUNK", want.steps + shift)
         assert covering_time(direction, 0.1, 1e5) == want
 
+    @pytest.mark.parametrize(
+        "direction, eps, cap, covers",
+        [
+            ((0.7,), 0.1, 50.0, True),
+            ((-1.3,), 0.05, 50.0, True),
+            ((1.0, -1.6180339887498949), 0.1, 1e4, True),
+            ((-0.37, 0.91), 0.2, 1e4, True),
+            ((1.0, -(2 ** (1 / 3)), 4 ** (1 / 3)), 0.2, 1e4, True),
+            ((1.0, 1.0), 0.1, 100.0, False),
+            ((1.0, 1.6180339887498949), 0.02, 5.0, False),
+            ((0.5, -0.25, 1.0), 0.2, 50.0, False),
+            ((1.0, -1e-300), 0.1, 50.0, False),
+        ],
+        ids=["1d", "1d-negative", "golden-negative", "2d-negative", "cube-roots", "diagonal",
+             "cap-limited", "3d-rational", "clamped"],
+    )
+    def test_walk_matches_the_matmul_walk(self, direction, eps, cap, covers, monkeypatch):
+        # per-axis cell indices made on the worker thread against the
+        # whole-position, one-thread walk: every chunk's indices and then
+        # the outcome field for field, in chunks of 7 and 64 and, for a
+        # walk that covers, in chunks that put its covering step last in
+        # the first chunk and first in the second, with the cap at the cap
+        # given and at the covering time itself.  The last direction's
+        # second coordinate is -1e-300 mod 1, which rounds to 1.0, the
+        # cell past the grid that the clamp takes back.
+        made = []
+        real = oracle._ahead
+
+        def recording(produce, args):
+            def record(start):
+                flat = produce(start)
+                made.append((start, flat))
+                return flat
+
+            return real(record, args)
+
+        monkeypatch.setattr(oracle, "_ahead", recording)
+        whole = _covering_matmul_walk(direction, eps, cap)
+        assert whole.covered == covers
+        chunks = [7, 64] + ([whole.steps, whole.steps - 1] if covers else [])
+        caps = [cap] + ([whole.L] if covers else [])
+        before = threading.active_count()
+        for chunk in chunks:
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            for c in caps:
+                made.clear()
+                got = covering_time(direction, eps, c)
+                assert made
+                for start, flat in made:
+                    assert flat.tolist() == _matmul_cells(direction, eps, start, flat.size).tolist()
+                want = _covering_matmul_walk(direction, eps, c)
+                assert dataclasses.astuple(got) == dataclasses.astuple(want)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_walk_that_raises(self, monkeypatch):
+        # the exception, and with it the walk's frame, is still held
+        before = threading.active_count()
+        monkeypatch.setattr(np, "unique", lambda *a, **k: 1 / 0)
+        with pytest.raises(ZeroDivisionError) as raised:
+            covering_time((1.0, 1.6180339887498949), 0.1, 1e5)
+        assert raised.tb is not None and threading.active_count() == before
+
     def test_walk_memory_is_bounded(self, traced_peak_mb):
         # 573,139 steps over 160,000 cells, a 2^13-step chunk at a time
         golden = (1.0, 1.6180339887498949)
@@ -791,14 +939,11 @@ def _covering_sorting_every_step(direction, eps, cap):
     total = G**v.size
     h = 0.999 * cell / (2 * float(np.linalg.norm(v)))
     max_index = int(np.floor(cap / h))
-    strides = np.array([G**k for k in range(v.size)], dtype=np.int64)
     visited = np.zeros(total, dtype=bool)
     visited_count, last, start = 0, max_index, 0
     while start <= max_index and visited_count < total:
         stop = min(start + (1 << 16), max_index + 1)
-        js = np.arange(start, stop, dtype=np.float64)
-        pos = (js[:, None] * h * v[None, :]) % 1.0
-        flat = np.minimum((pos * G).astype(np.int64), G - 1) @ strides
+        flat = _matmul_cells(direction, eps, start, stop - start)
         uniq, first = np.unique(flat, return_index=True)
         new_mask = ~visited[uniq]
         if new_mask.any():
@@ -806,6 +951,56 @@ def _covering_sorting_every_step(direction, eps, cap):
             visited_count += int(new_mask.sum())
             if visited_count == total:
                 last = start + int(first[new_mask].max())
+        start = stop
+    covered = visited_count == total
+    return CoveringOutcome(
+        covered=covered,
+        L=last * h if covered else None,
+        cells_total=total,
+        cells_visited=visited_count,
+        dim=v.size,
+        eps=eps,
+        cell=cell,
+        cap=cap,
+        steps=last + 1,
+    )
+
+
+def _matmul_cells(direction, eps, start, n):
+    """Flat cell indices of steps start .. start + n - 1 of the walk, from
+    one (n, dim) position array and an int64 matmul, on one thread: the
+    reference for covering_time's per-axis indices made one chunk ahead;
+    inputs are valid and the grid uses the default cell."""
+    v = np.asarray(direction, dtype=np.float64)
+    cell = eps / 2
+    G = int(np.ceil(1.0 / cell))
+    h = 0.999 * cell / (2 * float(np.linalg.norm(v)))
+    strides = np.array([G**k for k in range(v.size)], dtype=np.int64)
+    js = np.arange(start, start + n, dtype=np.float64)
+    pos = (js[:, None] * h * v[None, :]) % 1.0
+    return np.minimum((pos * G).astype(np.int64), G - 1) @ strides
+
+
+def _covering_matmul_walk(direction, eps, cap):
+    """covering_time's walk over _matmul_cells, on one thread."""
+    v = np.asarray(direction, dtype=np.float64)
+    cell = eps / 2
+    G = int(np.ceil(1.0 / cell))
+    total = G**v.size
+    h = 0.999 * cell / (2 * float(np.linalg.norm(v)))
+    max_index = int(np.floor(cap / h))
+    visited = np.zeros(total, dtype=bool)
+    visited_count, last, start = 0, max_index, 0
+    while start <= max_index and visited_count < total:
+        stop = min(start + oracle._CHUNK, max_index + 1)
+        flat = _matmul_cells(direction, eps, start, stop - start)
+        new = np.nonzero(~visited[flat])[0]
+        if new.size:
+            uniq, first = np.unique(flat[new], return_index=True)
+            visited[uniq] = True
+            visited_count += uniq.size
+            if visited_count == total:
+                last = start + int(new[first].max())
         start = stop
     covered = visited_count == total
     return CoveringOutcome(
