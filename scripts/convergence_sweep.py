@@ -2,7 +2,9 @@
 
 Default configuration is the unit equilateral triangle; the upper bound
 should drift toward zero as the dilation grows.  Each row reports the
-grid optimum and its Lipschitz-certified lower companion.
+grid optimum and its Lipschitz-certified lower companion.  Reflections
+need no flag: the sweep reaches them through the lattice's conjugation
+symmetry (see lattice_rotor.oracle).
 
 Usage:
     python3 scripts/convergence_sweep.py
@@ -31,7 +33,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--t", default="1,2,5,10,20", help="comma-separated dilations")
     ap.add_argument("--grid", type=int, default=400, help="rotation and translation grid")
-    ap.add_argument("--no-reflect", action="store_true")
     ap.add_argument("--bits", type=int, default=128)
     ap.add_argument("--csv", help="write t,upper,certified_lower rows here")
     args = ap.parse_args(argv)
@@ -44,13 +45,7 @@ def main(argv=None) -> int:
         with working_precision(args.bits):
             t_v = mpmath.mpmathify(t_str)
             scaled = base.scaled(t_v)
-        est = tau_estimate(
-            scaled,
-            args.grid,
-            args.grid,
-            with_reflection=not args.no_reflect,
-            bits=args.bits,
-        )
+        est = tau_estimate(scaled, args.grid, args.grid, bits=args.bits)
         print(
             f"{t_str:>10}  {mpmath.nstr(est.upper, 8):>14}  "
             f"{mpmath.nstr(est.certified_lower, 8):>16}"

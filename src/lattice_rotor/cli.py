@@ -648,7 +648,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tau.add_argument("--input", required=True, help="problem spec JSON")
     p_tau.add_argument("--grid-theta", type=int, required=True)
     p_tau.add_argument("--grid-trans", type=int, required=True)
-    p_tau.add_argument("--reflect", action="store_true")
+    p_tau.add_argument(
+        "--reflect", action="store_true",
+        help="label the sweep as including reflections; conjugation covers them either way",
+    )
     p_tau.add_argument("--output", help="report JSON path (default stdout)")
     p_tau.add_argument("--csv", help="optional CSV path: t,upper,certified_lower")
     p_tau.add_argument("--precision", type=int, help="override precision_bits")

@@ -9,10 +9,17 @@ re-evaluated in exact arbitrary-precision arithmetic; the float pass
 only decides which candidates are worth that effort, with a screening
 margin far above float error.
 
-Reflections are swept and sampled alongside rotations because an
-isometric embedding of a finite planar set includes orientation
-reversing maps; restricting to rotations is the solver's privilege, not
-the measurement's.
+An isometric embedding of a finite planar set may reverse orientation,
+so the measurements cover reflections as well as rotations; restricting
+to rotations is the solver's privilege, not the measurement's.
+prop-sep draws reflections directly.  The tau sweep reaches them through
+the lattice's own symmetry: Z^2 is fixed by the dihedral group of order
+8 that quarter turns and conjugation generate, and each of those maps
+keeps every distance to the lattice.  Conjugation takes each reflected
+grid cell to an unreflected one of the same value, and a quarter turn
+(half turn) takes rotation row j to row j + n_t/4 (j + n_t/2) when 4
+(2) divides the rotation grid n_t, so tau sweeps only the unreflected
+rows j < n_t / gcd(4, n_t), one row per orbit.
 
 The two bulk streams, prop-sep's draws and covering's cell indices, are
 computed one chunk ahead on a second thread (_ahead) while the caller
@@ -24,6 +31,7 @@ and joins it before it returns or raises.
 
 from __future__ import annotations
 
+import math
 import queue
 import random
 import threading
@@ -210,23 +218,21 @@ def _prune_columns(fa2: np.ndarray, fb2: np.ndarray, bound: float):
     return am, bm
 
 
-def _rotated_images(vec: ComplexVector, n_t: int, branches, bits: int):
-    # image coordinates of every (branch, rotation) in grid order, a row
+def _rotated_images(vec: ComplexVector, n_t: int, n_rows: int, bits: int):
+    # image coordinates of the rotations j < n_rows of the n_t grid, a row
     # each; past _EXACT_ROTATION_MODULUS formed exactly and reduced mod 1
     re, im = _float_parts(vec)
     if float(vec.max_abs()) <= _EXACT_ROTATION_MODULUS:
-        angles = 2 * np.pi * np.arange(n_t, dtype=np.float64) / n_t
+        angles = 2 * np.pi * np.arange(n_rows, dtype=np.float64) / n_t
         c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
-        base = [-im if refl else im for refl in branches]
-        return np.vstack([c * re - s * b for b in base]), np.vstack([s * re + c * b for b in base])
+        return c * re - s * im, s * re + c * im
     rw, iw = [], []
     with working_precision(bits):
-        rots = [Rotation.from_angle(2 * mpmath.pi * j / n_t, bits).value for j in range(n_t)]
-        for refl in branches:
-            for rot in rots:
-                ws = [rot * (mpmath.conj(z) if refl else z) for z in vec.entries]
-                rw.append([float(w.real - mpmath.nint(w.real)) for w in ws])
-                iw.append([float(w.imag - mpmath.nint(w.imag)) for w in ws])
+        for j in range(n_rows):
+            rot = Rotation.from_angle(2 * mpmath.pi * j / n_t, bits).value
+            ws = [rot * z for z in vec.entries]
+            rw.append([float(w.real - mpmath.nint(w.real)) for w in ws])
+            iw.append([float(w.imag - mpmath.nint(w.imag)) for w in ws])
     return np.array(rw), np.array(iw)
 
 
@@ -312,9 +318,14 @@ def tau_estimate(
     """Sweep rotations x translations (x reflection) and report the best
     sampled worst-case fractional distance with a Lipschitz certificate.
 
-    The sweep screens in float64 and exactly re-evaluates every cell
-    within a fixed margin of the float minimum; ties resolve to the
-    lowest grid index, reflection branch last among equals.  The screen
+    The sweep covers the grid through its lattice-symmetry orbits (see
+    the module docstring): it visits the unreflected rotations
+    j < grid_theta / gcd(4, grid_theta), which hold the lowest-index
+    member of every orbit, so with_reflection only labels grid_spec.  It
+    screens in float64 and exactly re-evaluates every cell within a
+    fixed margin of the float minimum; ties resolve to the lowest grid
+    index in (reflection, rotation, translation) order, unreflected
+    first, including the ties the symmetry makes.  The screen
     skips rotations whose lower bound exceeds the best cell found, and
     translation columns that cannot hold a cell that good, which changes
     its cost only.  A rotation's bound is the largest of a pairwise one,
@@ -335,8 +346,8 @@ def tau_estimate(
         raise ValueError("grids must have at least one point")
     n_t, n_u = int(grid_theta), int(grid_trans)
     u = np.arange(n_u, dtype=np.float64) / n_u
-    branches = [False, True] if with_reflection else [False]
-    rw, iw = _rotated_images(vec, n_t, branches, bits)
+    n_rows = n_t // math.gcd(4, n_t)
+    rw, iw = _rotated_images(vec, n_t, n_rows, bits)
 
     # Branch and bound over rotations.  A cell is at least the mean of two
     # entries' values, so at least ((fa_k + fa_l)^2 + (fb_k + fb_l)^2) / 4,
@@ -352,7 +363,7 @@ def tau_estimate(
     # bound order until a bound passes vhat + margin, and _prune_columns
     # drops only columns that hold no cell <= vhat, so no prune loses a
     # cell within cut = float minimum + margin, whatever the order.  Pass 2
-    # walks (branch, rotation) in grid order and prunes at cut: kept cells
+    # walks the rotations in grid order and prunes at cut: kept cells
     # are computed as in the full grid and am, bm increase, so argwhere
     # meets the same cells in the same order.
     margin = _SCREEN_MARGIN
@@ -386,13 +397,12 @@ def tau_estimate(
     best_key = None
     with working_precision(bits):
         two_pi = 2 * mpmath.pi
-        for idx in np.nonzero(local_min <= cut)[0].tolist():
-            refl, j = branches[idx // n_t], idx % n_t
+        for j in np.nonzero(local_min <= cut)[0].tolist():
             rot = Rotation.from_angle(two_pi * j / n_t, bits)
-            fa2, fb2 = _frac_sq_tables(rw[idx], iw[idx], u)
+            fa2, fb2 = _frac_sq_tables(rw[j], iw[j], u)
             am, bm = _prune_columns(fa2, fb2, cut)
             for a, b in np.argwhere(_cell_max(fa2[:, am], fb2[:, bm]) <= cut):
-                g = PlanarIsometry(rot, refl, (mpf(int(am[a])) / n_u, mpf(int(bm[b])) / n_u))
+                g = PlanarIsometry(rot, False, (mpf(int(am[a])) / n_u, mpf(int(bm[b])) / n_u))
                 val = isometry_max_frac(g, vec, bits)
                 if best_val is None or val < best_val:
                     best_val, best_key = val, g

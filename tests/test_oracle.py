@@ -25,7 +25,12 @@ from lattice_rotor.oracle import (
     separation,
     tau_estimate,
 )
-from lattice_rotor.precision import parse_complex_pair, parse_decimal, working_precision
+from lattice_rotor.precision import (
+    magnitude_bits,
+    parse_complex_pair,
+    parse_decimal,
+    working_precision,
+)
 from lattice_rotor.reporting import to_json_data
 
 B = 128
@@ -90,14 +95,45 @@ def _triangle(scale=1):
         return ComplexVector(tuple(mpf(scale) * z for z in (mpc(1), w, w * w)), B)
 
 
+def _conj(vec):
+    with working_precision(B):
+        return ComplexVector(tuple(mpmath.conj(z) for z in vec.entries), B)
+
+
+def _kept_rows(n_t):
+    # one rotation row per orbit of the quarter and half turns on the grid
+    return n_t // math.gcd(4, n_t)
+
+
 def _assert_rotation_bound_sound(vec, n_t, n_u, reflect):
-    # no cell of a rotation lies below its bounds by more than float error
-    rw, iw = oracle._rotated_images(vec, n_t, [False, True] if reflect else [False], B)
+    # no cell of a rotation lies below its bounds by more than float error;
+    # a reflected sweep's rows are the rotations of the conjugate set
+    rw, iw = oracle._rotated_images(_conj(vec) if reflect else vec, n_t, n_t, B)
     lb = np.maximum(oracle._rotation_bound(rw, iw), oracle._triple_bound(rw, iw))
     u = np.arange(n_u, dtype=np.float64) / n_u
     for j in range(len(rw)):
         cells = oracle._cell_max(*oracle._frac_sq_tables(rw[j], iw[j], u))
         assert lb[j] <= cells.min() + oracle._SCREEN_MARGIN / 10
+
+
+def _sweep_work(vec, n, monkeypatch):
+    # translation tables built, cells computed and exact evaluations made
+    # by a reflected n x n x n sweep, both passes together
+    tables, cells, evals = [], [], []
+    real_tables, real_cells = oracle._frac_sq_tables, oracle._cell_max
+    real_eval = oracle.isometry_max_frac
+
+    def count_cells(fa2, fb2):
+        cells.append(fa2.shape[1] * fb2.shape[1])
+        return real_cells(fa2, fb2)
+
+    monkeypatch.setattr(oracle, "_frac_sq_tables", lambda *a: tables.append(1) or real_tables(*a))
+    monkeypatch.setattr(oracle, "_cell_max", count_cells)
+    monkeypatch.setattr(
+        oracle, "isometry_max_frac", lambda *a, **k: evals.append(1) or real_eval(*a, **k)
+    )
+    tau_estimate(vec, n, n, with_reflection=True, bits=B)
+    return len(tables), sum(cells), len(evals)
 
 
 class TestPlanarIsometry:
@@ -212,7 +248,8 @@ class TestTauEstimate:
     def test_large_modulus_upper_is_grid_minimum(self, t):
         # float64 rotated coordinates of modulus 1e15 err by about 0.4, so
         # only a screen of working-precision fractional parts finds the
-        # cell that exact evaluation of all 16^3 cells finds
+        # cell that exact evaluation of every cell of the kept rotations
+        # (4 of 16, one per quarter-turn orbit) finds
         n = 16
         vec = _triangle(t)
         est = tau_estimate(vec, n, n, bits=B)
@@ -225,7 +262,7 @@ class TestTauEstimate:
                     vec,
                     B,
                 )
-                for j in range(n)
+                for j in range(_kept_rows(n))
                 for a in range(n)
                 for b in range(n)
             )
@@ -262,36 +299,35 @@ class TestTauEstimate:
         ],
     )
     def test_pruned_candidates_match_full_grid(self, vec, reflect, n_t, n_u, monkeypatch):
-        # the unpruned candidate pass: every rotation's full translation
-        # grid, every cell within the margin of the global float minimum,
-        # in (branch, rotation, a, b) order, with no bound over rotations;
-        # "1e5" lies past _EXACT_ROTATION_MODULUS, where rotations are
-        # formed exactly
+        # the unpruned candidate pass: every cell of the kept rotations
+        # (unreflected, j < n_t / gcd(4, n_t)), every cell within the
+        # margin of their float minimum, in (rotation, a, b) order, with no
+        # bound over rotations; with_reflection changes nothing, because
+        # conjugation maps every reflected cell to a kept one.  "1e5" lies
+        # past _EXACT_ROTATION_MODULUS, where rotations are formed exactly
         exact = float(vec.max_abs()) > oracle._EXACT_ROTATION_MODULUS
         assert exact == (float(vec.max_abs()) > 1e4)
         u = np.arange(n_u, dtype=np.float64) / n_u
         angles = 2 * np.pi * np.arange(n_t, dtype=np.float64) / n_t
         re = np.array([float(z.real) for z in vec.entries])
         im = np.array([float(z.imag) for z in vec.entries])
-        grids = {}
+        grids = []
         with working_precision(B):
-            for refl in (False, True) if reflect else (False,):
-                for j in range(n_t):
-                    rot = Rotation.from_angle(2 * mpmath.pi * j / n_t, B)
-                    if not exact:
-                        c, s, base_im = np.cos(angles[j]), np.sin(angles[j]), -im if refl else im
-                        rw = c * re - s * base_im
-                        iw = s * re + c * base_im
-                    else:
-                        ws = [rot.value * (mpmath.conj(z) if refl else z) for z in vec.entries]
-                        rw = np.array([float(w.real - mpmath.nint(w.real)) for w in ws])
-                        iw = np.array([float(w.imag - mpmath.nint(w.imag)) for w in ws])
-                    grids[refl, j] = (rot, oracle._cell_max(*oracle._frac_sq_tables(rw, iw, u)))
-            cut = min(float(g.min()) for _, g in grids.values()) + oracle._SCREEN_MARGIN
+            for j in range(_kept_rows(n_t)):
+                rot = Rotation.from_angle(2 * mpmath.pi * j / n_t, B)
+                if not exact:
+                    c, s = np.cos(angles[j]), np.sin(angles[j])
+                    rw, iw = c * re - s * im, s * re + c * im
+                else:
+                    ws = [rot.value * z for z in vec.entries]
+                    rw = np.array([float(w.real - mpmath.nint(w.real)) for w in ws])
+                    iw = np.array([float(w.imag - mpmath.nint(w.imag)) for w in ws])
+                grids.append((rot, oracle._cell_max(*oracle._frac_sq_tables(rw, iw, u))))
+            cut = min(float(g.min()) for _, g in grids) + oracle._SCREEN_MARGIN
             best, best_g, evals = None, None, 0
-            for (refl, j), (rot, grid) in grids.items():
+            for rot, grid in grids:
                 for a, b in np.argwhere(grid <= cut):
-                    g = PlanarIsometry(rot, refl, (mpf(int(a)) / n_u, mpf(int(b)) / n_u))
+                    g = PlanarIsometry(rot, False, (mpf(int(a)) / n_u, mpf(int(b)) / n_u))
                     val = isometry_max_frac(g, vec, B)
                     evals += 1
                     if best is None or val < best:
@@ -303,7 +339,6 @@ class TestTauEstimate:
             oracle, "isometry_max_frac", lambda *a, **k: calls.append(1) or real(*a, **k)
         )
         est = tau_estimate(vec, n_t, n_u, with_reflection=reflect, bits=B)
-        assert evals > 1
         assert len(calls) == evals
         assert est.upper == best
         assert to_json_data(est.argmin) == to_json_data(best_g)
@@ -330,22 +365,80 @@ class TestTauEstimate:
 
     @pytest.mark.parametrize("n_t", [1, 7, 12, 1000, 1600])
     def test_rotated_rows_match_scalar_formula(self, n_t):
-        # the sweep rotates all angles at once; each row must equal the
-        # per-rotation scalar formula bit for bit, or a numpy whose vector
-        # cos or sin differs from its scalar path would move the goldens
+        # the sweep rotates all kept angles at once; each row must equal
+        # the per-rotation scalar formula bit for bit, or a numpy whose
+        # vector cos or sin differs from its scalar path would move the
+        # goldens
         vec = _entries(FIVE_RATIONAL[:3] + [("3", "-7"), ("123.25", "-0.5")])
-        rw, iw = oracle._rotated_images(vec, n_t, [False, True], B)
+        n_rows = _kept_rows(n_t)
+        rw, iw = oracle._rotated_images(vec, n_t, n_rows, B)
         re = np.array([float(z.real) for z in vec.entries])
         im = np.array([float(z.imag) for z in vec.entries])
         angles = 2 * np.pi * np.arange(n_t, dtype=np.float64) / n_t
         want_rw, want_iw = [], []
-        for base_im in (im, -im):
-            for j in range(n_t):
-                c, s = np.cos(angles[j]), np.sin(angles[j])
-                want_rw.append(c * re - s * base_im)
-                want_iw.append(s * re + c * base_im)
+        for j in range(n_rows):
+            c, s = np.cos(angles[j]), np.sin(angles[j])
+            want_rw.append(c * re - s * im)
+            want_iw.append(s * re + c * im)
         assert rw.tobytes() == np.vstack(want_rw).tobytes()
         assert iw.tobytes() == np.vstack(want_iw).tobytes()
+
+    @pytest.mark.parametrize(
+        "vec, n_t, n_u",
+        [
+            pytest.param(_triangle(), 1, 7, id="1x7"),
+            pytest.param(_entries(FIVE_RATIONAL), 2, 6, id="2x6"),
+            pytest.param(_triangle(2), 3, 5, id="3x5"),
+            pytest.param(_entries(FIVE_HALF), 6, 5, id="6x5"),
+            pytest.param(_entries(FIVE_RATIONAL + [("2/9", "-4/5")]), 12, 4, id="12x4"),
+            pytest.param(_triangle(3), 40, 3, id="40x3"),
+            pytest.param(
+                _entries([("100000", "1/2"), ("-1/2", "30000"), ("1/3", "0")]), 12, 5,
+                id="exact-12x5",
+            ),
+        ],
+    )
+    def test_every_cell_matches_its_orbit_representative(self, vec, n_t, n_u):
+        # every cell of the full grid, both branches and all n_t rotations,
+        # has the value of the kept cell its lattice symmetry maps it to:
+        # conjugation sends (reflected, j, a, b) to (unreflected, -j, a, -b),
+        # and a quarter or half turn undone sends (j, a, b) to
+        # (j - n_t/4, b, -a) or (j - n_t/2, -a, -b)
+        n_rows, turns = _kept_rows(n_t), math.gcd(4, n_t)
+        value = {}
+        with working_precision(B):
+            rots = [Rotation.from_angle(2 * mpmath.pi * j / n_t, B) for j in range(n_t)]
+            for refl in (False, True):
+                for j in range(n_t):
+                    for a in range(n_u):
+                        for b in range(n_u):
+                            g = PlanarIsometry(rots[j], refl, (mpf(a) / n_u, mpf(b) / n_u))
+                            value[refl, j, a, b] = isometry_max_frac(g, vec, B)
+            tol = mpf(2) ** (magnitude_bits(vec.max_abs()) - B + 8)
+            for (refl, j, a, b), val in value.items():
+                if refl:
+                    j, b = -j % n_t, -b % n_u
+                k, j = divmod(j, n_rows)
+                for _ in range(k):
+                    a, b = (b, -a % n_u) if turns == 4 else (-a % n_u, -b % n_u)
+                assert abs(val - value[False, j, a, b]) <= tol
+
+    @given(
+        _point_sets(st.one_of(QUARTERS, st.floats(-20, 20)), 4),
+        st.integers(1, 24),
+        st.integers(1, 12),
+    )
+    def test_reflection_is_covered_by_conjugation(self, points, n_t, n_u):
+        # the reflected branch holds only conjugates of unreflected cells,
+        # so including it changes no result, only grid_spec's label
+        with working_precision(B):
+            vec = ComplexVector(tuple(mpc(x, y) for x, y in points), B)
+        base = tau_estimate(vec, n_t, n_u, with_reflection=False, bits=B)
+        refl = tau_estimate(vec, n_t, n_u, with_reflection=True, bits=B)
+        assert refl.upper == base.upper
+        assert refl.certified_lower == base.certified_lower
+        assert to_json_data(refl.argmin) == to_json_data(base.argmin)
+        assert "reflection included" in refl.grid_spec
 
     @given(
         _point_sets(COORD, 6),
@@ -426,25 +519,27 @@ class TestTauEstimate:
         assert oracle._triple_bound(rw, iw)[0] == pytest.approx(want, abs=1e-12)
 
     def test_sweep_work_on_the_unit_triangle(self, monkeypatch):
-        # the benchmark triangle at this grid, both passes together: the
-        # pairwise bound alone builds 1872 translation tables, with the
-        # per-axis gap bound 544 and 13.4M cells; the triple bound leaves
-        # 97 tables and 4.5M cells, and pruning columns against each other
-        # 132,460 cells
-        tables, cells = [], []
-        real_tables, real_cells = oracle._frac_sq_tables, oracle._cell_max
+        # the benchmark triangle at this grid, both passes together.  Over
+        # both branches and all 1600 rotations the pairwise bound alone
+        # built 1872 translation tables, with the per-axis gap bound 544
+        # and 13.4M cells; the triple bound left 97 tables and 4.5M cells,
+        # and pruning columns against each other 132,460 cells and 16
+        # exact evaluations, the eight symmetric copies of two cells.  The
+        # kept rotations, 400 unreflected, leave one copy of each.
+        tables, cells, evals = _sweep_work(_triangle(), 1600, monkeypatch)
+        assert tables <= 13
+        assert cells <= 62_340
+        assert evals == 2
 
-        def count_cells(fa2, fb2):
-            cells.append(fa2.shape[1] * fb2.shape[1])
-            return real_cells(fa2, fb2)
-
-        monkeypatch.setattr(
-            oracle, "_frac_sq_tables", lambda *a: tables.append(1) or real_tables(*a)
-        )
-        monkeypatch.setattr(oracle, "_cell_max", count_cells)
-        tau_estimate(_triangle(), 1600, 1600, with_reflection=True, bits=B)
-        assert len(tables) <= 97
-        assert sum(cells) <= 132_460
+    def test_sweep_work_on_six_points(self, monkeypatch):
+        # on six points the consecutive triples leave most rotations live:
+        # over both branches and all 1600 rows the sweep built 2,664 tables
+        # and computed 21.2M cells
+        six = _entries(FIVE_RATIONAL + [("2/9", "-4/5")])
+        tables, cells, evals = _sweep_work(six, 1600, monkeypatch)
+        assert tables <= 333
+        assert cells <= 2_897_496
+        assert evals == 1
 
     def test_deterministic(self):
         a = tau_estimate(_triangle(2), 60, 60, with_reflection=True, bits=B)
