@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 import time
 from dataclasses import dataclass
@@ -435,22 +434,21 @@ def _run_tau(spec: ProblemSpec, options: dict) -> _Outcome:
 
 
 def _replay_draw(seed: int, index: int) -> Tuple[float, bool, float, float]:
-    """Sample `index` of prop-sep's stream, reproduced on the stdlib
-    generator independently of the check: each sample takes four
-    random() calls of two 32-bit words each, and getrandbits(32 * k)
-    skips exactly k words.  Skips go in steps of 2^13 words (1,024
-    samples): each builds and drops a 32 KB integer, which stays in
-    cache and keeps the replay's memory flat however far it skips.
-    Over the 10.7M words to sample 1,344,493, steps of 2^16
-    words took 104 ms and steps of 2^13 84 ms (medians of seven
-    interleaved runs on a 2-core Xeon)."""
-    rng = random.Random(seed)
-    words = 8 * index
-    while words:
-        step = min(words, 1 << 13)
-        rng.getrandbits(32 * step)
-        words -= step
-    return rng.random(), rng.random() < 0.5, rng.random(), rng.random()
+    """Sample `index` of prop-sep's stream, reproduced independently of
+    the check: the stream is Philox4x64-10 keyed by the seed (Salmon et
+    al., SC 2011), and sample i is its counter block i + 1, which this
+    computes in pure Python, ten rounds over the one block, each word w
+    read as (w >> 11) / 2^53.  It costs the same few microseconds at any
+    index."""
+    mask = (1 << 64) - 1
+    c = [(index + 1) >> 64 * j & mask for j in range(4)]
+    k0, k1 = seed & mask, seed >> 64
+    for _ in range(10):
+        p, q = 0xD2E7470EE14C6C93 * c[0], 0xCA5A826395121157 * c[2]
+        c = [q >> 64 ^ c[1] ^ k0, q & mask, p >> 64 ^ c[3] ^ k1, p & mask]
+        k0, k1 = (k0 + 0x9E3779B97F4A7C15) & mask, (k1 + 0xBB67AE8584CAA73B) & mask
+    u = [(w >> 11) / 2**53 for w in c]
+    return u[0], u[1] < 0.5, u[2], u[3]
 
 
 def _run_prop_sep(spec: ProblemSpec, options: dict) -> _Outcome:

@@ -21,6 +21,12 @@ grid cell to an unreflected one of the same value, and a quarter turn
 (2) divides the rotation grid n_t, so tau sweeps only the unreflected
 rows j < n_t / gcd(4, n_t), one row per orbit.
 
+prop-sep draws its samples from the counter-based Philox4x64-10 stream
+(Salmon et al., SC 2011) keyed by the seed: sample i is the stream's
+counter block i + 1, four 64-bit words, so the CLI's recheck replays
+the argmin sample's one block in pure Python, sharing no code with the
+numpy stream the check draws in bulk.
+
 The two bulk streams, prop-sep's draws and covering's cell indices, are
 computed one chunk ahead on a second thread (_ahead) while the caller
 screens the chunk before.  That worker runs numpy only: it never calls
@@ -33,7 +39,6 @@ from __future__ import annotations
 
 import math
 import queue
-import random
 import threading
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -451,21 +456,10 @@ class PropSepCheck:
 
 
 def _random_stream(seed: int):
-    """draw(n): the next n values of random.Random(seed).random().
-
-    numpy's MT19937 starts from the stdlib generator's state (624 key
-    words and a position), and numpy's Generator.random joins each two
-    32-bit words a, b as CPython's random() does:
-    ((a >> 5) * 2^26 + (b >> 6)) / 2^53, exact in float64.  The values
-    are the stdlib's bit for bit, drawn at C speed.
-    """
-    words = random.Random(seed).getstate()[1]
-    gen = np.random.MT19937()
-    gen.state = {
-        "bit_generator": "MT19937",
-        "state": {"key": np.array(words[:624], dtype=np.uint32), "pos": words[624]},
-    }
-    return np.random.Generator(gen).random
+    """draw(n): the next n values of the Philox4x64-10 stream keyed by
+    seed directly, with no SeedSequence; each 64-bit word w gives the
+    double (w >> 11) / 2^53."""
+    return np.random.Generator(np.random.Philox(key=seed)).random
 
 
 def _ahead(produce: Callable[[int], np.ndarray], args: Sequence[int]) -> Iterator[np.ndarray]:
@@ -528,13 +522,15 @@ def check_prop_sep(
 
     Every sample is a genuine isometric embedding, so each value should
     stay at or above 1/8; anything below 1/8 minus the certification
-    slack is recorded as a violation.  The samples are the stream of
-    random.Random(seed).random(), four draws each in a fixed order:
-    rotation turn, reflection bit, two translation coordinates.  numpy's
-    MT19937 takes over that generator's state and draws the same values
-    bit for bit, so the stream is made in bulk, not one call at a time,
-    and one chunk ahead on a worker thread (_ahead) while this one
-    screens the chunk before: the draw is most of the screen's time.
+    slack is recorded as a violation.  The samples come from the
+    Philox4x64-10 stream keyed by seed, which must lie in [0, 2^128):
+    sample i is counter block i + 1, its four words in a fixed order
+    rotation turn, reflection bit, two translation coordinates.  The
+    stream is drawn in bulk, one chunk ahead on a worker thread
+    (_ahead) while this one screens the chunk before: the draw is most
+    of the screen's time.  A counter-based stream gives any one sample
+    without the ones before it, so the CLI rechecks the argmin sample
+    by replaying its one block in pure Python.
 
     A float64 screen, run over chunks of _CHUNK samples, picks
     the samples worth an exact re-evaluation; only those are kept.  From
@@ -549,6 +545,8 @@ def check_prop_sep(
     check_precision(bits)
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if not 0 <= seed < 2**128:
+        raise ValueError("prop-sep seed must be in [0, 2^128), the Philox key range")
     probe = separated_probe(t, bits)
     re, im = _float_parts(probe)
 

@@ -1,8 +1,10 @@
 import dataclasses
 import json
-import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 import lattice_rotor.cli as cli
@@ -796,6 +798,15 @@ class TestTauCommand:
         assert err["exit_code"] == 2 and "fractional" in err["error"]
 
 
+def _numpy_philox_draw(seed, index):
+    """Sample `index` of the Philox4x64-10 stream keyed by seed, drawn by
+    numpy from a start counter of index: numpy advances the counter
+    before its first block, so that block is index + 1."""
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=index))
+    turn, coin, t1, t2 = gen.random(4).tolist()
+    return turn, coin < 0.5, t1, t2
+
+
 class TestPropSepCommand:
     def test_stdout_report(self, capsys):
         code = main(["prop-sep", "--t", "2", "--samples", "500", "--seed", "9"])
@@ -818,24 +829,39 @@ class TestPropSepCommand:
         assert main(["prop-sep", "--t", "2", "--samples", "0", "--seed", "1"]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("seed", [1, 2, 2**40 + 3])
+    def test_seed_past_the_philox_key_range_exits_2(self, capsys):
+        # a Philox key is below 2^128; the check refuses a larger seed as
+        # a spec error, before numpy would
+        code = main(["prop-sep", "--t", "2", "--samples", "10", "--seed", str(2**128)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert report["exit_code"] == 2
+        assert "seed must be in [0, 2^128)" in report["error"]
+        assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("seed", [1, 2, 2**40 + 3, 0, 2**64, 2**128 - 1])
     def test_recheck_skips_to_the_argmin_draw(self, seed):
-        # the recheck skips 8 words a sample with getrandbits, in steps of
-        # 2^13 words (1,024 samples); it must land on the draw a plain
-        # loop of random() calls makes, on each side of the first step
-        # boundary, past several, and at and past the 128th
-        checked = (
-            0, 1023, 1024, 1025, 3 * 1024 + 1,
-            8191, 8192, 8193, 3 * 8192 + 1, 99_997, 131_072, 131_073,
-        )
-        rng = random.Random(seed)
-        for index in range(checked[-1] + 1):
-            draw = (rng.random(), rng.random() < 0.5, rng.random(), rng.random())
-            if index in checked:
-                assert cli._replay_draw(seed, index) == draw
+        # the pure-Python replay must give numpy's Philox draw of the same
+        # sample: in the first block, on each side of a screen chunk's
+        # boundary (8,192 samples), far out, and on each side of the carry
+        # out of counter word 0, which numpy reaches from a start counter;
+        # 8193 both ways ties that start counter to the plain stream
+        rows = np.random.Generator(np.random.Philox(key=seed)).random(4 * 8194).reshape(-1, 4)
+        for index in (0, 1, 8191, 8192, 8193):
+            turn, coin, t1, t2 = rows[index].tolist()
+            assert cli._replay_draw(seed, index) == (turn, coin < 0.5, t1, t2)
+        for index in (8193, 1_999_999, 2**64 - 2, 2**64 - 1):
+            assert cli._replay_draw(seed, index) == _numpy_philox_draw(seed, index)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**128 - 1), index=st.integers(0, 2**70))
+    def test_recheck_replay_matches_numpy_philox(self, seed, index):
+        assert cli._replay_draw(seed, index) == _numpy_philox_draw(seed, index)
 
     def test_recheck_skip_memory_is_bounded(self, traced_peak_mb):
-        # 16 million words skipped one 32 KB step at a time
+        # the replay of a far sample holds its one counter block, not
+        # the stream before it
         assert traced_peak_mb(lambda: cli._replay_draw(5, 2_000_000)) < 1.0
 
 

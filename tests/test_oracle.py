@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import random
 import threading
 import time
 from contextlib import closing, nullcontext
@@ -12,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
+import lattice_rotor.cli as cli
 import lattice_rotor.oracle as oracle
 from lattice_rotor.corelattice import ComplexVector, Rotation
 from lattice_rotor.oracle import (
@@ -562,33 +562,37 @@ class TestSeparatedProbe:
             separated_probe(0, B)
 
 
+def _philox_rows(seed, samples):
+    """The first `samples` rows of check_prop_sep's stream, drawn in one
+    call from numpy's Philox4x64-10 keyed by seed, apart from the check's
+    chunked stream: rotation turn, reflection coin, two translation
+    coordinates."""
+    return np.random.Generator(np.random.Philox(key=seed)).random(4 * samples).reshape(samples, 4)
+
+
 def _sampled_isometries(seed, samples):
-    """The isometries check_prop_sep draws, replayed from its seed stream:
-    rotation turn, reflection bit, two translation coordinates."""
-    rng = random.Random(seed)
-    out = []
+    """The isometries check_prop_sep draws, replayed from its seed stream."""
     with working_precision(B):
-        for _ in range(samples):
-            turn = rng.random()
-            refl = rng.random() < 0.5
-            t1, t2 = rng.random(), rng.random()
-            out.append(
-                PlanarIsometry(
-                    Rotation.from_angle(2 * mpmath.pi * mpf(turn), B), refl, (mpf(t1), mpf(t2))
-                )
+        return [
+            PlanarIsometry(
+                Rotation.from_angle(2 * mpmath.pi * mpf(turn), B), coin < 0.5, (mpf(t1), mpf(t2))
             )
-    return out
+            for turn, coin, t1, t2 in _philox_rows(seed, samples).tolist()
+        ]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3, -5])
-def test_random_stream_equals_stdlib(seed):
-    # check_prop_sep's numpy stream must stay random.Random(seed)'s, draw
-    # for draw, whatever either library changes; two calls cover the
-    # continuation of the generator between chunks
-    rng = random.Random(seed)
-    expected = [rng.random() for _ in range(5000)]
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3, 2**64, 2**128 - 1])
+def test_random_stream_equals_philox(seed):
+    # check_prop_sep's stream must stay the Philox4x64-10 stream keyed by
+    # the seed: two calls cover the continuation of the generator between
+    # chunks, and the first two rows and the last must each be the block
+    # the CLI's pure-Python recheck replays
     draw = oracle._random_stream(seed)
-    assert np.concatenate([draw(1), draw(4999)]).tolist() == expected
+    vals = np.concatenate([draw(1), draw(4999)])
+    assert vals.tolist() == np.random.Generator(np.random.Philox(key=seed)).random(5000).tolist()
+    for index in (0, 1, 1249):
+        turn, coin, t1, t2 = vals[4 * index : 4 * index + 4].tolist()
+        assert cli._replay_draw(seed, index) == (turn, coin < 0.5, t1, t2)
 
 
 class TestAhead:
@@ -653,19 +657,19 @@ def _unbounded_kept(t, samples, seed):
     """The prop-sep float screen with no bound before the rotation: every
     sample's image is formed, chunk by chunk, and the kept (index, row)
     pairs are returned as check_prop_sep re-evaluates them.  Draws come
-    from random.Random(seed) itself."""
+    from numpy's Philox in one call, not from the check's chunked stream."""
     probe = separated_probe(t, B)
     re = np.array([float(z.real) for z in probe.entries])
     im = np.array([float(z.imag) for z in probe.entries])
     exact_all = float(probe.max_abs()) > oracle._EXACT_ROTATION_MODULUS
     with working_precision(B):
         screen_sq = float((mpf(1) / 8 + mpf("1e-6")) ** 2)
-    rng = random.Random(seed)
+    stream = _philox_rows(seed, samples)
     index, rows, screened = [], [], []
     float_min_sq = np.inf
     for start in range(0, samples, oracle._CHUNK):
-        n = min(oracle._CHUNK, samples - start)
-        vals = np.array([rng.random() for _ in range(4 * n)]).reshape(n, 4)
+        vals = stream[start : start + oracle._CHUNK]
+        n = len(vals)
         turn, coin, t1, t2 = vals.T
         c = np.cos(2 * np.pi * turn)
         s = np.sin(2 * np.pi * turn)
@@ -806,24 +810,26 @@ class TestPropSepCheck:
     @pytest.mark.parametrize("samples", [1, 8, 9, 19])
     def test_chunk_boundaries(self, t, samples, monkeypatch):
         # a chunk of 8 puts sample counts of 1, chunk, chunk + 1 and
-        # 2 * chunk + 3 on each side of the chunk boundaries; seed 2 puts
-        # the minimum past the first chunk at 9 and 19 samples, and at 1e5
-        # every sample is kept for the exact pass
+        # 2 * chunk + 3 on each side of the chunk boundaries; seed 24 puts
+        # the minimum past the first chunk at 9 and 19 samples (asserted
+        # below, so that a change of stream cannot void the case), and at
+        # 1e5 every sample is kept for the exact pass
         probe = separated_probe(t, B)
-        values = [isometry_max_frac(g, probe, B) for g in _sampled_isometries(2, samples)]
+        values = [isometry_max_frac(g, probe, B) for g in _sampled_isometries(24, samples)]
         calls = []
         real = oracle.isometry_max_frac
         monkeypatch.setattr(
             oracle, "isometry_max_frac", lambda *a, **k: calls.append(1) or real(*a, **k)
         )
-        check_prop_sep(t, samples, seed=2, bits=B)
+        check_prop_sep(t, samples, seed=24, bits=B)
         whole = len(calls)
         monkeypatch.setattr(oracle, "_CHUNK", 8)
-        chk = check_prop_sep(t, samples, seed=2, bits=B)
+        chk = check_prop_sep(t, samples, seed=24, bits=B)
         # chunks re-evaluate exactly the samples one screen would
         assert len(calls) == 2 * whole
         assert chk.minimum == min(values)
         assert chk.argmin_index == values.index(min(values))
+        assert samples <= 8 or chk.argmin_index >= 8
         assert chk.violations == tuple((i, v) for i, v in enumerate(values) if v < chk.threshold)
 
     def test_deterministic(self):
@@ -834,6 +840,11 @@ class TestPropSepCheck:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             check_prop_sep(2, 0, seed=1, bits=B)
+
+    @pytest.mark.parametrize("seed", [-5, 2**128])
+    def test_seed_outside_the_philox_key_range_refused(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^128\)"):
+            check_prop_sep(2, 10, seed=seed, bits=B)
 
     def test_t_beyond_float64_refused(self):
         with pytest.raises(ValueError, match="float64"):
