@@ -26,23 +26,13 @@ prop-sep draws its samples from the counter-based Philox4x64-10 stream
 counter block i + 1, four 64-bit words, so the CLI's recheck replays
 the argmin sample's one block in pure Python, sharing no code with the
 numpy stream the check draws in bulk.
-
-The two bulk streams, prop-sep's draws and covering's cell indices, are
-computed one chunk ahead on a second thread (_ahead) while the caller
-screens the chunk before.  That worker runs numpy only: it never calls
-mpmath, whose working precision is process-global, and touches no
-Python state the caller shares.  A call starts at most one such thread
-and joins it before it returns or raises.
 """
 
 from __future__ import annotations
 
 import math
-import queue
-import threading
-from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import mpmath
 import numpy as np
@@ -87,18 +77,16 @@ _SCREEN_MAGNITUDE_LIMIT = 2.0**52
 
 # samples per chunk of the prop-sep screen and steps per chunk of the
 # covering walk: a float64 array over a chunk takes 64 KB (prop-sep's
-# draws, four a sample, 256 KB), and up to three chunks are in flight
-# (one screened, one queued, one being made by _ahead's worker), so the
-# working set stays in cache and a call's traced peak under 2 MB (1.9 MB
-# for 2M prop-sep samples, 1.1 MB for a 573,139-step walk), and numpy
-# calls stay long enough to amortize their overhead and release the
-# interpreter lock; chunks of 2^16 peaked at 6 to 12 MB a call and were
-# no faster
+# draws, four a sample, 256 KB), so the working set stays in cache and a
+# call's traced peak under 2 MB (1.5 MB for 2M prop-sep samples, 0.7 MB
+# for a 573,139-step walk), and numpy calls stay long enough to amortize
+# their overhead; chunks of 2^16 peaked at 4 to 12 MB a call and were no
+# faster
 _CHUNK = 1 << 13
 
 _COVERING_CELL_LIMIT = 1 << 27
-# about 60 s of simulation in two dimensions at 55 ns a step (a walk
-# that never covers, 2-core Xeon); seven times the steps of a
+# about 35 to 45 s of simulation in two dimensions at 31 to 40 ns a step
+# (a walk that never covers, 2-core Xeon); seven times the steps of a
 # golden-direction run at eps 0.005 to 1e5
 _COVERING_STEP_LIMIT = 1 << 30
 
@@ -462,58 +450,6 @@ def _random_stream(seed: int):
     return np.random.Generator(np.random.Philox(key=seed)).random
 
 
-def _ahead(produce: Callable[[int], np.ndarray], args: Sequence[int]) -> Iterator[np.ndarray]:
-    """Yield produce(a) for each a of args, in order, each computed on one
-    worker thread while the caller consumes the items before it.
-
-    The worker runs free, a bounded queue holding at most one finished
-    item, so it waits only when it is a whole item ahead; a handoff per
-    item, the caller asking for each next one, makes the two threads
-    trade the interpreter lock at every item.  produce runs on the
-    worker alone and in order of args, so a generator it calls yields
-    the same stream; it does numpy work only (see the module docstring).
-    An exception in produce is raised in the caller at that item.
-    However the caller stops (exhausted, break, raise, close), the
-    worker is told to stop, the queue is drained once and the worker is
-    joined.  Callers close the generator with contextlib.closing, so
-    that an exception traceback that keeps their frame alive cannot
-    keep the worker alive.
-    """
-    results: queue.Queue = queue.Queue(maxsize=1)
-    stop = threading.Event()
-
-    def work() -> None:
-        # every put follows a check of stop with no other put in between,
-        # so once stop is set the worker puts at most once more, and the
-        # one get below makes room for that put
-        for a in args:
-            if stop.is_set():
-                return
-            try:
-                item = (produce(a), None)
-            except BaseException as exc:  # the caller raises it
-                item = (None, exc)
-            results.put(item)
-            if item[1] is not None:
-                return
-
-    worker = threading.Thread(target=work, name="oracle-ahead", daemon=True)
-    worker.start()
-    try:
-        for _ in range(len(args)):
-            item, exc = results.get()
-            if exc is not None:
-                raise exc
-            yield item
-    finally:
-        stop.set()
-        try:
-            results.get_nowait()
-        except queue.Empty:
-            pass
-        worker.join()
-
-
 def check_prop_sep(
     t, samples: int, seed: int, bits: int = DEFAULT_PRECISION
 ) -> PropSepCheck:
@@ -526,11 +462,10 @@ def check_prop_sep(
     Philox4x64-10 stream keyed by seed, which must lie in [0, 2^128):
     sample i is counter block i + 1, its four words in a fixed order
     rotation turn, reflection bit, two translation coordinates.  The
-    stream is drawn in bulk, one chunk ahead on a worker thread
-    (_ahead) while this one screens the chunk before: the draw is most
-    of the screen's time.  A counter-based stream gives any one sample
-    without the ones before it, so the CLI rechecks the argmin sample
-    by replaying its one block in pure Python.
+    stream is drawn in bulk, a chunk at a time; the draw is most of the
+    screen's time.  A counter-based stream gives any one sample without
+    the ones before it, so the CLI rechecks the argmin sample by
+    replaying its one block in pure Python.
 
     A float64 screen, run over chunks of _CHUNK samples, picks
     the samples worth an exact re-evaluation; only those are kept.  From
@@ -566,41 +501,35 @@ def check_prop_sep(
     # never formed; the first chunk meets an infinite cut and is screened
     # in full.  Past the rotation modulus the float64 rotation errs by
     # more than the margin, the screen cannot rank samples, and every one
-    # is kept for exact re-evaluation.  _ahead's worker is the stream's
-    # only caller and draws the chunks in order, so the stream is the same.
+    # is kept for exact re-evaluation.
     draw = _random_stream(seed)
-    starts = range(0, samples, _CHUNK)
-
-    def chunk(start: int) -> np.ndarray:
-        n = min(_CHUNK, samples - start)
-        return draw(4 * n).reshape(n, 4)
-
     index, rows, screened = [], [], []
     float_min_sq = cut = np.inf
-    with closing(_ahead(chunk, starts)) as chunks:
-        for start, vals in zip(starts, chunks):
-            fx = vals[:, 2] - np.rint(vals[:, 2])
-            fy = vals[:, 3] - np.rint(vals[:, 3])
-            first = fx * fx + fy * fy
-            live = np.nonzero(first <= cut)[0]
-            worst = first[live]
-            turn, coin, t1, t2 = vals[live].T
-            c = np.cos(2 * np.pi * turn)
-            s = np.sin(2 * np.pi * turn)
-            sign = np.where(coin < 0.5, -1.0, 1.0)
-            for k in range(1, len(probe)):
-                ik = sign * im[k]
-                x = c * re[k] - s * ik + t1
-                y = s * re[k] + c * ik + t2
-                fx = x - np.rint(x)
-                fy = y - np.rint(y)
-                np.maximum(worst, fx * fx + fy * fy, out=worst)
-            float_min_sq = min(float_min_sq, float(worst.min(initial=np.inf)))
-            cut = np.inf if exact_all else max(screen_sq, float_min_sq + _SCREEN_MARGIN)
-            kept = worst <= cut
-            index.append(start + live[kept])
-            rows.append(vals[live[kept]])
-            screened.append(worst[kept])
+    for start in range(0, samples, _CHUNK):
+        n = min(_CHUNK, samples - start)
+        vals = draw(4 * n).reshape(n, 4)
+        fx = vals[:, 2] - np.rint(vals[:, 2])
+        fy = vals[:, 3] - np.rint(vals[:, 3])
+        first = fx * fx + fy * fy
+        live = np.nonzero(first <= cut)[0]
+        worst = first[live]
+        turn, coin, t1, t2 = vals[live].T
+        c = np.cos(2 * np.pi * turn)
+        s = np.sin(2 * np.pi * turn)
+        sign = np.where(coin < 0.5, -1.0, 1.0)
+        for k in range(1, len(probe)):
+            ik = sign * im[k]
+            x = c * re[k] - s * ik + t1
+            y = s * re[k] + c * ik + t2
+            fx = x - np.rint(x)
+            fy = y - np.rint(y)
+            np.maximum(worst, fx * fx + fy * fy, out=worst)
+        float_min_sq = min(float_min_sq, float(worst.min(initial=np.inf)))
+        cut = np.inf if exact_all else max(screen_sq, float_min_sq + _SCREEN_MARGIN)
+        kept = worst <= cut
+        index.append(start + live[kept])
+        rows.append(vals[live[kept]])
+        screened.append(worst[kept])
     # the last chunk's cut is the final one
     final = np.concatenate(screened) <= cut
     index, rows = np.concatenate(index)[final], np.concatenate(rows)[final]
@@ -666,6 +595,19 @@ class CoveringOutcome:
     steps: int
 
 
+def _walk_cells(v: np.ndarray, G: int, h: float, start: int, n: int) -> np.ndarray:
+    # flat cell index of steps start .. start + n - 1 of the walk along v
+    # with step h on the G^dim grid, axis by axis: step j sits at
+    # (j * h) * v_k mod 1, with j exact in float64 below 2^53
+    jh = np.arange(start, start + n, dtype=np.float64) * h
+    flat = np.zeros(n, dtype=np.int64)
+    for k in range(v.size):
+        ik = ((jh * v[k]) % 1.0 * G).astype(np.int64)
+        np.minimum(ik, G - 1, out=ik)
+        flat += ik * G**k
+    return flat
+
+
 def covering_time(
     direction: Sequence, eps, L_cap, cell: Optional[float] = None
 ) -> CoveringOutcome:
@@ -677,15 +619,13 @@ def covering_time(
     every torus point.  The simulation is float64: at the coarse cells
     this oracle exists for, double precision is far below the cell size
     over any reachable horizon.  The orbit is walked _CHUNK steps at a
-    time, each coordinate formed as (j * h) * v_k on its own, so the
-    chunking moves no sample.  A worker thread computes each chunk's
-    cell indices one chunk ahead (_ahead) while this one marks the chunk
-    before; only the steps that enter an unvisited cell are sorted,
-    which keeps a walk near 1 MB of temporaries and at 55 to 70 ns a
-    step in two dimensions on a 2-core Xeon.  Dimensions above 6 are
-    refused, and so are grids that would not fit in memory and runs of
-    more than _COVERING_STEP_LIMIT steps; this is a desk-scale
-    instrument, not an asymptotic one.
+    time, each coordinate formed as (j * h) * v_k on its own
+    (_walk_cells), so the chunking moves no sample.  Only the steps that
+    enter an unvisited cell are sorted, which keeps a walk under 1 MB of
+    temporaries and at 45 to 65 ns a step in two dimensions on a 2-core
+    Xeon.  Dimensions above 6 are refused, and so are grids that would
+    not fit in memory and runs of more than _COVERING_STEP_LIMIT steps;
+    this is a desk-scale instrument, not an asymptotic one.
     """
     v = np.asarray([float(x) for x in direction], dtype=np.float64)
     dim = v.size
@@ -711,6 +651,13 @@ def covering_time(
     if norm == 0:
         raise ValueError("degenerate direction: all coordinates are zero")
 
+    # past the limit on one axis the grid is too large in any dimension,
+    # and 1 / cell is inf for a subnormal cell, which int() cannot take
+    if not 1.0 / cell_f <= _COVERING_CELL_LIMIT:
+        raise ValueError(
+            f"covering grid of more than {_COVERING_CELL_LIMIT} cells on one axis "
+            f"(cell {cell_f}) exceeds the desk-scale limit; coarsen eps or cell"
+        )
     G = int(np.ceil(1.0 / cell_f))
     total = G**dim
     if total > _COVERING_CELL_LIMIT:
@@ -732,36 +679,22 @@ def covering_time(
             f"covering run of {max_index + 1} steps exceeds the desk-scale "
             f"limit ({_COVERING_STEP_LIMIT}); lower L_cap or coarsen eps"
         )
-    offsets = np.arange(_CHUNK, dtype=np.float64)
-
-    def cells(start: int) -> np.ndarray:
-        # flat cell index of each step of the chunk, axis by axis: step j
-        # sits at (j * h) * v_k mod 1, with j exact in float64 below 2^53
-        jh = (offsets[: min(_CHUNK, max_index + 1 - start)] + start) * h
-        flat = np.zeros(jh.size, dtype=np.int64)
-        for k in range(dim):
-            ik = ((jh * v[k]) % 1.0 * G).astype(np.int64)
-            np.minimum(ik, G - 1, out=ik)
-            flat += ik * G**k
-        return flat
-
     visited = np.zeros(total, dtype=bool)
     visited_count = 0
     last = max_index  # the index of the last step simulated
-    starts = range(0, max_index + 1, _CHUNK)
-    with closing(_ahead(cells, starts)) as chunks:
-        for start, flat in zip(starts, chunks):
-            # only the steps that land in a cell unvisited before the chunk
-            # are sorted; the first step into each new cell is its first
-            # occurrence among them
-            new = np.nonzero(~visited[flat])[0]
-            if new.size:
-                uniq, first = np.unique(flat[new], return_index=True)
-                visited[uniq] = True
-                visited_count += uniq.size
-                if visited_count == total:
-                    last = start + int(new[first].max())
-                    break
+    for start in range(0, max_index + 1, _CHUNK):
+        flat = _walk_cells(v, G, h, start, min(_CHUNK, max_index + 1 - start))
+        # only the steps that land in a cell unvisited before the chunk
+        # are sorted; the first step into each new cell is its first
+        # occurrence among them
+        new = np.nonzero(~visited[flat])[0]
+        if new.size:
+            uniq, first = np.unique(flat[new], return_index=True)
+            visited[uniq] = True
+            visited_count += uniq.size
+            if visited_count == total:
+                last = start + int(new[first].max())
+                break
 
     covered = visited_count == total
     return CoveringOutcome(

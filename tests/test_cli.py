@@ -1,5 +1,10 @@
 import dataclasses
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +13,7 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 import lattice_rotor.cli as cli
-from lattice_rotor import solver
+from lattice_rotor import oracle, solver
 from lattice_rotor.cli import (
     SpecError,
     emit_plot,
@@ -905,8 +910,11 @@ class TestFloat64OverflowExits2:
             ["prop-sep", "--t", "1e400", "--samples", "10", "--seed", "1"],
             ["covering", "--direction", "1", "--eps", "0.1", "--cap", "1e400"],
             ["covering", "--direction", "1e400", "--eps", "0.1", "--cap", "10"],
+            ["covering", "--direction", "1", "--eps", "1e-320", "--cap", "10"],
+            ["covering", "--direction", "1", "--eps", "0.1", "--cell", "1e-320", "--cap", "10"],
         ],
-        ids=["tau-t", "prop-sep-t", "covering-cap", "covering-direction"],
+        ids=["tau-t", "prop-sep-t", "covering-cap", "covering-direction", "covering-eps",
+             "covering-cell"],
     )
     def test_exits_2(self, argv, tmp_path, capsys):
         spec = {"mode": "tau", "points": [["1", "0"], ["0", "1"]], "t": "1e400"}
@@ -917,6 +925,72 @@ class TestFloat64OverflowExits2:
         assert set(err) == {"error", "exit_code"}
         assert err["exit_code"] == 2
         assert stdout == canonical_json(err)
+
+
+def _oracle_fuzz_cases(seed):
+    """About a dozen prop-sep and covering command lines: the edges of each
+    input, with the values between them drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+
+    def t():
+        return f"{rng.uniform(0.5, 20):.6g}"
+
+    def direction(dim):
+        return ",".join(f"{rng.uniform(-3, 3):.17g}" for _ in range(dim))
+
+    def prop_sep(t_str, samples, key):
+        return ["prop-sep", "--t", t_str, "--samples", str(samples), "--seed", str(key)]
+
+    def covering(direction, eps, cap, *cell):
+        # "=" keeps argparse from reading a leading minus as an option
+        return ["covering", f"--direction={direction}", "--eps", eps, "--cap", cap, *cell]
+
+    chunk = oracle._CHUNK
+    return {
+        "seed-0": prop_sep(t(), 2000, 0),
+        "seed-max": prop_sep(t(), 2000, 2**128 - 1),
+        "seed-past-key-range": prop_sep(t(), 10, 2**128),
+        "samples-chunk-minus-1": prop_sep(t(), chunk - 1, rng.randrange(2**128)),
+        "samples-chunk-plus-1": prop_sep(t(), chunk + 1, rng.randrange(2**128)),
+        "t-past-rotation-modulus": prop_sep("1e5", 12, rng.randrange(2**128)),
+        "t-at-2^52": prop_sep(str(2**52), 10, rng.randrange(2**128)),
+        "covering-2d": covering(direction(2), "0.05", "1000"),
+        "covering-3d": covering(direction(3), "0.2", "200"),
+        "cap-past-step-limit": covering("1,1", "0.1", "1e300"),
+        "subnormal-eps": covering("1", "1e-320", "10"),
+        "subnormal-cell": covering("1", "0.1", "10", "--cell", "1e-320"),
+    }
+
+
+_ORACLE_FUZZ = _oracle_fuzz_cases(37)
+
+
+class TestOracleFuzz:
+    """A fixed-seed slice of the CLI fuzz, oracle modes only: every call
+    runs in its own interpreter and ends inside its budget with exit 0 or
+    2, canonical JSON on stdout and no traceback."""
+
+    # each call took 0.25-0.31 s on a 2-core Xeon, nearly all of it
+    # interpreter start-up and imports; the rest is margin for a loaded host
+    BUDGET_S = 5.0
+
+    @pytest.mark.parametrize("argv", _ORACLE_FUZZ.values(), ids=_ORACLE_FUZZ.keys())
+    def test_ends_with_an_advertised_exit(self, argv):
+        root = Path(__file__).parent.parent
+        path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        out = subprocess.run(
+            [sys.executable, "-m", "lattice_rotor.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=self.BUDGET_S,
+        )
+        assert "Traceback" not in out.stdout + out.stderr
+        assert out.returncode in (0, 2)
+        report = json.loads(out.stdout)
+        assert out.stdout == canonical_json(report)
+        if out.returncode == 2:
+            assert report["exit_code"] == 2
+        else:
+            assert report["mode"] == argv[0].replace("-", "_")
 
 
 class TestPlotGuards:

@@ -12,7 +12,8 @@ their own units of work.  Every solver setting and flow-search keyword names the
 caller that sets it, so a knob that nothing reads cannot slip in, and
 the README's table of spec keys states the CLI's spec schema.  A solve
 never loads numpy, which only the oracles need, and no other module
-imports it at module level.
+imports it at module level.  No package module imports a thread or
+process module.
 solver.py makes its SolveReports at one call site and derives its
 evaluation precision at one, flowsearch.py reduces its windows at one,
 and relations.py pre-reduces and reduces its relation lattices at one
@@ -151,6 +152,15 @@ def test_a_solve_never_imports_numpy(tmp_path):
     assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["mode"] == "solve"
 
 
+def _imported_modules(node):
+    """The modules an import statement names; none for any other node."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""]
+    return []
+
+
 def test_only_the_oracle_imports_numpy():
     """No package module but oracle.py imports numpy at module level, and
     cli.py binds its oracle entry points as plain functions, not through a
@@ -161,19 +171,33 @@ def test_only_the_oracle_imports_numpy():
             continue
         _, tree = _parse(path)
         for node in tree.body:
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+            if any(m.split(".")[0] == "numpy" for m in _imported_modules(node)):
                 importers.append(f"{path.name}:{node.lineno}")
     assert not importers, f"module-level numpy imports: {importers}"
     _, tree = _parse(ROOT / "src" / "lattice_rotor" / "cli.py")
     functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert "__getattr__" not in functions
     assert {"tau_estimate", "check_prop_sep", "covering_time"} <= functions
+
+
+_CONCURRENCY_MODULES = {"threading", "queue", "multiprocessing", "concurrent", "_thread"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_threads_or_processes(path):
+    """The package runs on one thread in one process.  mpmath's working
+    precision is process-global, so a second thread that called it would
+    race the first; and the CLI keeps one lane, a run's items in order,
+    so the same spec gives the same report.  An import of a thread or
+    process module anywhere in a package module, local ones included,
+    fails here."""
+    _, tree = _parse(path)
+    found = [
+        f"{node.lineno}: {', '.join(_imported_modules(node))}"
+        for node in ast.walk(tree)
+        if any(m.split(".")[0] in _CONCURRENCY_MODULES for m in _imported_modules(node))
+    ]
+    assert not found, f"{path.name} imports thread or process modules: {found}"
 
 
 def _call_sites(module, name):

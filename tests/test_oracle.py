@@ -1,8 +1,5 @@
 import dataclasses
 import math
-import threading
-import time
-from contextlib import closing, nullcontext
 
 import mpmath
 import numpy as np
@@ -595,64 +592,6 @@ def test_random_stream_equals_philox(seed):
         assert cli._replay_draw(seed, index) == (turn, coin < 0.5, t1, t2)
 
 
-class TestAhead:
-    @pytest.mark.parametrize("args", [range(0), range(1), range(2), range(7), list(range(40))])
-    def test_equals_a_serial_map(self, args):
-        def produce(a):
-            return np.arange(a + 1) * a
-
-        before = threading.active_count()
-        with closing(oracle._ahead(produce, args)) as items:
-            got = [x.tolist() for x in items]
-        assert got == [x.tolist() for x in map(produce, args)]
-        assert threading.active_count() == before
-
-    def test_worker_stays_at_most_two_items_ahead(self):
-        # one finished item waits in the queue and one more may be made
-        # and wait to be queued; a slow consumer must not let it run on
-        made = []
-
-        def produce(a):
-            made.append(a)
-            return a
-
-        with closing(oracle._ahead(produce, range(30))) as items:
-            for a in items:
-                time.sleep(0.002)
-                assert len(made) <= a + 3
-        assert made == list(range(30))
-
-    def test_exception_is_raised_in_the_caller(self):
-        def produce(a):
-            if a == 3:
-                raise ZeroDivisionError("item 3")
-            return a
-
-        before = threading.active_count()
-        got = []
-        with pytest.raises(ZeroDivisionError, match="item 3"):
-            with closing(oracle._ahead(produce, range(10))) as items:
-                got.extend(items)
-        assert got == [0, 1, 2]
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("stop_at", [0, 1, 5])
-    @pytest.mark.parametrize("how", ["break", "raise"])
-    def test_early_stop_leaves_no_thread(self, how, stop_at):
-        # the pause lets the worker fill the queue and block on its next
-        # item, the state the caller must unblock before joining
-        before = threading.active_count()
-        with pytest.raises(KeyError) if how == "raise" else nullcontext():
-            with closing(oracle._ahead(lambda a: np.full(4, a), range(100))) as items:
-                for item in items:
-                    time.sleep(0.01)
-                    if item[0] == stop_at:
-                        if how == "raise":
-                            raise KeyError(stop_at)
-                        break
-        assert threading.active_count() == before
-
-
 def _unbounded_kept(t, samples, seed):
     """The prop-sep float screen with no bound before the rotation: every
     sample's image is formed, chunk by chunk, and the kept (index, row)
@@ -758,30 +697,6 @@ class TestPropSepCheck:
         ]
         assert max(peaks) < 4.0
         assert abs(peaks[1] - peaks[0]) < 0.5
-
-    def test_no_thread_outlives_the_check(self, monkeypatch):
-        # the worker is joined after a full run, and after a screen that
-        # raises mid-chunk while the worker waits with the next chunk
-        # raises mid-chunk while the worker waits with the next chunk, even
-        # while the exception, and with it the check's frame, is held
-        monkeypatch.setattr(oracle, "_CHUNK", 64)
-        before = threading.active_count()
-        want = check_prop_sep("2", 1000, seed=3, bits=B)
-        assert threading.active_count() == before
-        calls, real = [], np.cos
-
-        def cos(x, *a, **k):
-            calls.append(1)
-            if len(calls) == 3:
-                raise FloatingPointError("cos")
-            return real(x, *a, **k)
-
-        with monkeypatch.context() as mp:
-            mp.setattr(np, "cos", cos)
-            with pytest.raises(FloatingPointError, match="cos") as raised:
-                check_prop_sep("2", 1000, seed=3, bits=B)
-            assert raised.tb is not None and threading.active_count() == before
-        assert to_json_data(check_prop_sep("2", 1000, seed=3, bits=B)) == to_json_data(want)
 
     def test_no_violations_in_short_run(self):
         chk = check_prop_sep(2, 2000, seed=11, bits=B)
@@ -894,6 +809,12 @@ class TestCoveringTime:
         with pytest.raises(ValueError):
             covering_time((1.0,) * 6, 0.05, 10.0)
 
+    @pytest.mark.parametrize("eps, cell", [(1e-320, None), (0.1, 1e-320)])
+    def test_subnormal_cell_refused(self, eps, cell):
+        # 1 / cell overflows float64, so the grid has no integer size
+        with pytest.raises(ValueError, match="desk-scale"):
+            covering_time((1.0,), eps, 10.0, cell)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             covering_time((1.0,), 0.6, 10.0)  # eps must stay below 1/2
@@ -982,31 +903,27 @@ class TestCoveringTime:
              "cap-limited", "3d-rational", "clamped"],
     )
     def test_walk_matches_the_matmul_walk(self, direction, eps, cap, covers, monkeypatch):
-        # per-axis cell indices made on the worker thread against the
-        # whole-position, one-thread walk: every chunk's indices and then
-        # the outcome field for field, in chunks of 7 and 64 and, for a
+        # per-axis cell indices against the whole-position walk: every
+        # chunk's indices and then the outcome field for field, in chunks
+        # of 7 and 64 and, for a
         # walk that covers, in chunks that put its covering step last in
         # the first chunk and first in the second, with the cap at the cap
         # given and at the covering time itself.  The last direction's
         # second coordinate is -1e-300 mod 1, which rounds to 1.0, the
         # cell past the grid that the clamp takes back.
         made = []
-        real = oracle._ahead
+        real = oracle._walk_cells
 
-        def recording(produce, args):
-            def record(start):
-                flat = produce(start)
-                made.append((start, flat))
-                return flat
+        def recording(v, G, h, start, n):
+            flat = real(v, G, h, start, n)
+            made.append((start, flat))
+            return flat
 
-            return real(record, args)
-
-        monkeypatch.setattr(oracle, "_ahead", recording)
+        monkeypatch.setattr(oracle, "_walk_cells", recording)
         whole = _covering_matmul_walk(direction, eps, cap)
         assert whole.covered == covers
         chunks = [7, 64] + ([whole.steps, whole.steps - 1] if covers else [])
         caps = [cap] + ([whole.L] if covers else [])
-        before = threading.active_count()
         for chunk in chunks:
             monkeypatch.setattr(oracle, "_CHUNK", chunk)
             for c in caps:
@@ -1017,15 +934,6 @@ class TestCoveringTime:
                     assert flat.tolist() == _matmul_cells(direction, eps, start, flat.size).tolist()
                 want = _covering_matmul_walk(direction, eps, c)
                 assert dataclasses.astuple(got) == dataclasses.astuple(want)
-        assert threading.active_count() == before
-
-    def test_no_thread_outlives_a_walk_that_raises(self, monkeypatch):
-        # the exception, and with it the walk's frame, is still held
-        before = threading.active_count()
-        monkeypatch.setattr(np, "unique", lambda *a, **k: 1 / 0)
-        with pytest.raises(ZeroDivisionError) as raised:
-            covering_time((1.0, 1.6180339887498949), 0.1, 1e5)
-        assert raised.tb is not None and threading.active_count() == before
 
     def test_walk_memory_is_bounded(self, traced_peak_mb):
         # 573,139 steps over 160,000 cells, a 2^13-step chunk at a time
@@ -1074,9 +982,9 @@ def _covering_sorting_every_step(direction, eps, cap):
 
 def _matmul_cells(direction, eps, start, n):
     """Flat cell indices of steps start .. start + n - 1 of the walk, from
-    one (n, dim) position array and an int64 matmul, on one thread: the
-    reference for covering_time's per-axis indices made one chunk ahead;
-    inputs are valid and the grid uses the default cell."""
+    one (n, dim) position array and an int64 matmul: the reference for
+    covering_time's per-axis indices; inputs are valid and the grid uses
+    the default cell."""
     v = np.asarray(direction, dtype=np.float64)
     cell = eps / 2
     G = int(np.ceil(1.0 / cell))
@@ -1088,7 +996,7 @@ def _matmul_cells(direction, eps, start, n):
 
 
 def _covering_matmul_walk(direction, eps, cap):
-    """covering_time's walk over _matmul_cells, on one thread."""
+    """covering_time's walk over _matmul_cells."""
     v = np.asarray(direction, dtype=np.float64)
     cell = eps / 2
     G = int(np.ceil(1.0 / cell))
