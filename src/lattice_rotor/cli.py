@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -435,19 +436,26 @@ def _run_tau(spec: ProblemSpec, options: dict) -> _Outcome:
 
 def _replay_draw(seed: int, index: int) -> Tuple[float, bool, float, float]:
     """Sample `index` of prop-sep's stream, reproduced independently of
-    the check: the stream is Philox4x64-10 keyed by the seed (Salmon et
-    al., SC 2011), and sample i is its counter block i + 1, which this
-    computes in pure Python, ten rounds over the one block, each word w
-    read as (w >> 11) / 2^53.  It costs the same few microseconds at any
-    index."""
-    mask = (1 << 64) - 1
-    c = [(index + 1) >> 64 * j & mask for j in range(4)]
-    k0, k1 = seed & mask, seed >> 64
-    for _ in range(10):
-        p, q = 0xD2E7470EE14C6C93 * c[0], 0xCA5A826395121157 * c[2]
-        c = [q >> 64 ^ c[1] ^ k0, q & mask, p >> 64 ^ c[3] ^ k1, p & mask]
-        k0, k1 = (k0 + 0x9E3779B97F4A7C15) & mask, (k1 + 0xBB67AE8584CAA73B) & mask
-    u = [(w >> 11) / 2**53 for w in c]
+    the check: the stream is PCG64 (O'Neill, HMC-CS-2014-0905) seeded as
+    PCG's srandom(initstate=seed, initseq=PCG's default 128-bit
+    increment), and sample i is its words 4i to 4i + 3.  This computes
+    them in pure Python: it jumps the 128-bit LCG ahead 4i steps in
+    closed form, A = a^n and C = c (a^n - 1) / (a - 1), the O(log n) skip
+    of Brown (Trans. ANS 71, 1994), then steps it four times, takes each
+    state's XSL-RR output word w and reads it as (w >> 11) / 2^53.  It
+    costs the same few tens of microseconds at any index."""
+    mod, mask, a = 1 << 128, (1 << 64) - 1, 0x2360ED051FC65DA44385DF649FCCF645
+    inc = (0x5851F42D4C957F2D14057B7EF767814F << 1 | 1) % mod
+    state = ((inc + seed) * a + inc) % mod
+    # a^n mod 2^128 (a - 1) holds a^n - 1 mod 2^128 (a - 1), which a - 1
+    # divides exactly, so the quotient is the geometric sum mod 2^128
+    an = pow(a, 4 * index, mod * (a - 1))
+    state = (an * state + (an - 1) // (a - 1) * inc) % mod
+    u = []
+    for _ in range(4):
+        state = (state * a + inc) % mod
+        x, rot = (state >> 64 ^ state) & mask, state >> 122
+        u.append((((x >> rot | x << 64 - rot) & mask) >> 11) / 2**53)
     return u[0], u[1] < 0.5, u[2], u[3]
 
 
@@ -615,9 +623,27 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals are spec errors: it prints its
+    usage line to stderr and raises SpecError, which main reports as the
+    canonical error JSON with exit 2.  --help and --version still print
+    and exit 0.  Subcommand parsers are made of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a token that starts with a minus for an option
+        # unless it matches this; no flag here starts with a digit or a
+        # point, so a value such as "-2.5,0.48" or "-1e5" is one
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise SpecError(f"{self.prog}: {message}")
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lattice-rotor",
         description=(
             "Find rotations that pull a dilated planar configuration onto the "
@@ -716,8 +742,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
+    except SpecError as exc:
+        return _fail(2, str(exc))
 
     try:
         spec, options = _spec_and_options(args)

@@ -21,11 +21,12 @@ grid cell to an unreflected one of the same value, and a quarter turn
 (2) divides the rotation grid n_t, so tau sweeps only the unreflected
 rows j < n_t / gcd(4, n_t), one row per orbit.
 
-prop-sep draws its samples from the counter-based Philox4x64-10 stream
-(Salmon et al., SC 2011) keyed by the seed: sample i is the stream's
-counter block i + 1, four 64-bit words, so the CLI's recheck replays
-the argmin sample's one block in pure Python, sharing no code with the
-numpy stream the check draws in bulk.
+prop-sep draws its samples from numpy's PCG64 (O'Neill, HMC-CS-2014-0905),
+seeded by PCG's own srandom with the seed as the initial state: sample i
+is the stream's words 4i to 4i + 3, so the CLI's recheck jumps the
+generator's 128-bit LCG ahead by 4i steps in O(log i) (Brown, Trans. ANS
+71, 1994) and replays the argmin sample's four words in pure Python,
+sharing no code with the numpy stream the check draws in bulk.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ _SCREEN_MAGNITUDE_LIMIT = 2.0**52
 _CHUNK = 1 << 13
 
 _COVERING_CELL_LIMIT = 1 << 27
-# about 35 to 45 s of simulation in two dimensions at 31 to 40 ns a step
-# (a walk that never covers, 2-core Xeon); seven times the steps of a
+# about 9 s of simulation in two dimensions at 8.2 to 8.6 ns a step (a
+# walk that never covers, 2-core Xeon); seven times the steps of a
 # golden-direction run at eps 0.005 to 1e5
 _COVERING_STEP_LIMIT = 1 << 30
 
@@ -443,11 +444,26 @@ class PropSepCheck:
     bits: int = DEFAULT_PRECISION
 
 
+# PCG64's 128-bit LCG multiplier, and the stream selector every prop-sep
+# stream is seeded with: PCG's default 128-bit increment
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_STREAM = 0x5851F42D4C957F2D14057B7EF767814F
+
+
 def _random_stream(seed: int):
-    """draw(n): the next n values of the Philox4x64-10 stream keyed by
-    seed directly, with no SeedSequence; each 64-bit word w gives the
-    double (w >> 11) / 2^53."""
-    return np.random.Generator(np.random.Philox(key=seed)).random
+    """draw(n): the next n values of numpy's PCG64 seeded as PCG's
+    srandom(initstate=seed, initseq=_PCG_STREAM), with no SeedSequence;
+    each 64-bit word w gives the double (w >> 11) / 2^53."""
+    mod = 1 << 128
+    inc = (_PCG_STREAM << 1 | 1) % mod
+    bitgen = np.random.PCG64(0)  # any seed: the state set next replaces it
+    bitgen.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": ((inc + seed) * _PCG_MULTIPLIER + inc) % mod, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bitgen).random
 
 
 def check_prop_sep(
@@ -458,14 +474,15 @@ def check_prop_sep(
 
     Every sample is a genuine isometric embedding, so each value should
     stay at or above 1/8; anything below 1/8 minus the certification
-    slack is recorded as a violation.  The samples come from the
-    Philox4x64-10 stream keyed by seed, which must lie in [0, 2^128):
-    sample i is counter block i + 1, its four words in a fixed order
-    rotation turn, reflection bit, two translation coordinates.  The
-    stream is drawn in bulk, a chunk at a time; the draw is most of the
-    screen's time.  A counter-based stream gives any one sample without
-    the ones before it, so the CLI rechecks the argmin sample by
-    replaying its one block in pure Python.
+    slack is recorded as a violation.  The samples come from numpy's
+    PCG64 seeded with seed as PCG's initial state, which must lie in
+    [0, 2^128) (_random_stream): sample i is the stream's words 4i to
+    4i + 3, in a fixed order rotation turn, reflection bit, two
+    translation coordinates.  The stream is drawn in bulk, a chunk at a
+    time; the draw is about a third of the screen's time.  PCG64's state
+    is one 128-bit LCG, which jumps ahead any number of steps in
+    O(log n), so the CLI rechecks the argmin sample by replaying its four
+    words in pure Python.
 
     A float64 screen, run over chunks of _CHUNK samples, picks
     the samples worth an exact re-evaluation; only those are kept.  From
@@ -481,7 +498,7 @@ def check_prop_sep(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not 0 <= seed < 2**128:
-        raise ValueError("prop-sep seed must be in [0, 2^128), the Philox key range")
+        raise ValueError("prop-sep seed must be in [0, 2^128), the PCG64 state range")
     probe = separated_probe(t, bits)
     re, im = _float_parts(probe)
 
@@ -598,11 +615,16 @@ class CoveringOutcome:
 def _walk_cells(v: np.ndarray, G: int, h: float, start: int, n: int) -> np.ndarray:
     # flat cell index of steps start .. start + n - 1 of the walk along v
     # with step h on the G^dim grid, axis by axis: step j sits at
-    # (j * h) * v_k mod 1, with j exact in float64 below 2^53
+    # (j * h) * v_k mod 1, with j exact in float64 below 2^53.  x - floor(x)
+    # is x % 1.0 bit for bit, exact for x >= 0 and one rounding of the
+    # same real for x < 0, and a floor costs less than the remainder's fmod
     jh = np.arange(start, start + n, dtype=np.float64) * h
     flat = np.zeros(n, dtype=np.int64)
     for k in range(v.size):
-        ik = ((jh * v[k]) % 1.0 * G).astype(np.int64)
+        x = jh * v[k]
+        x -= np.floor(x)
+        x *= G
+        ik = x.astype(np.int64)
         np.minimum(ik, G - 1, out=ik)
         flat += ik * G**k
     return flat
@@ -622,7 +644,7 @@ def covering_time(
     time, each coordinate formed as (j * h) * v_k on its own
     (_walk_cells), so the chunking moves no sample.  Only the steps that
     enter an unvisited cell are sorted, which keeps a walk under 1 MB of
-    temporaries and at 45 to 65 ns a step in two dimensions on a 2-core
+    temporaries and at 20 to 22 ns a step in two dimensions on a 2-core
     Xeon.  Dimensions above 6 are refused, and so are grids that would
     not fit in memory and runs of more than _COVERING_STEP_LIMIT steps;
     this is a desk-scale instrument, not an asymptotic one.

@@ -496,6 +496,46 @@ class TestSolveCommand:
         capsys.readouterr()
 
 
+class TestFlagErrors:
+    """Flags argparse refuses are unusable input like any other: exit 2
+    with the canonical error JSON on stdout and the usage line on stderr.
+    --help and --version print what they print and exit 0."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve"],
+            ["covering", "--direction", "1", "--eps", "0.1", "--cap", "10", "--bogus"],
+            ["covering", "--eps", "0.1", "--cap", "10", "--direction"],
+            ["prop-sep", "--t", "2", "--samples", "many", "--seed", "1"],
+            ["frobnicate"],
+        ],
+        ids=["missing-flag", "unknown-flag", "missing-value", "bad-int", "unknown-command"],
+    )
+    def test_exits_2_with_the_error_json(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert out == canonical_json(report)
+        assert set(report) == {"error", "exit_code"} and report["exit_code"] == 2
+        assert err.startswith("usage: lattice-rotor")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["covering", "--help"], ["--version"]])
+    def test_help_and_version_exit_0_without_json(self, argv, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: lattice-rotor" if "--help" in argv else "lattice-rotor ")
+
+    def test_negative_first_coordinate(self, capsys):
+        # "-2.5,0.48" is a value, not an option, with or without "="
+        argv = ["covering", "--direction", "-2.5,0.48", "--eps", "0.05", "--cap", "1000"]
+        assert main(argv) == 0
+        spaced = capsys.readouterr().out
+        assert json.loads(spaced)["spec"]["options"]["direction"] == ["-2.5", "0.48"]
+        assert main(["covering", "--direction=-2.5,0.48", *argv[3:]]) == 0
+        assert capsys.readouterr().out == spaced
+
+
 # a planar and a 4-D point set with no relation of small height between
 # their entries, so every plane's flow has two entries
 _RUN_POINTS = {
@@ -803,12 +843,13 @@ class TestTauCommand:
         assert err["exit_code"] == 2 and "fractional" in err["error"]
 
 
-def _numpy_philox_draw(seed, index):
-    """Sample `index` of the Philox4x64-10 stream keyed by seed, drawn by
-    numpy from a start counter of index: numpy advances the counter
-    before its first block, so that block is index + 1."""
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=index))
-    turn, coin, t1, t2 = gen.random(4).tolist()
+def _numpy_pcg64_draw(seed, index):
+    """Sample `index` of prop-sep's stream, drawn by numpy: the check's
+    PCG64, skipped past the 4 * index words before the sample by numpy's
+    own advance."""
+    bitgen = oracle._random_stream(seed).__self__.bit_generator
+    bitgen.advance(4 * index)
+    turn, coin, t1, t2 = np.random.Generator(bitgen).random(4).tolist()
     return turn, coin < 0.5, t1, t2
 
 
@@ -835,8 +876,8 @@ class TestPropSepCommand:
         capsys.readouterr()
 
     def test_seed_past_the_philox_key_range_exits_2(self, capsys):
-        # a Philox key is below 2^128; the check refuses a larger seed as
-        # a spec error, before numpy would
+        # a PCG64 state is below 2^128; the check refuses a larger seed as
+        # a spec error, before it would wrap
         code = main(["prop-sep", "--t", "2", "--samples", "10", "--seed", str(2**128)])
         assert code == 2
         out, err = capsys.readouterr()
@@ -847,26 +888,26 @@ class TestPropSepCommand:
 
     @pytest.mark.parametrize("seed", [1, 2, 2**40 + 3, 0, 2**64, 2**128 - 1])
     def test_recheck_skips_to_the_argmin_draw(self, seed):
-        # the pure-Python replay must give numpy's Philox draw of the same
-        # sample: in the first block, on each side of a screen chunk's
-        # boundary (8,192 samples), far out, and on each side of the carry
-        # out of counter word 0, which numpy reaches from a start counter;
-        # 8193 both ways ties that start counter to the plain stream
-        rows = np.random.Generator(np.random.Philox(key=seed)).random(4 * 8194).reshape(-1, 4)
+        # the pure-Python replay must give numpy's PCG64 draw of the same
+        # sample: in the first words, on each side of a screen chunk's
+        # boundary (8,192 samples) against the plain stream, and far out,
+        # past 2^64 words and near the 2^128 period, against numpy's own
+        # advance
+        rows = oracle._random_stream(seed)(4 * 8194).reshape(-1, 4)
         for index in (0, 1, 8191, 8192, 8193):
             turn, coin, t1, t2 = rows[index].tolist()
             assert cli._replay_draw(seed, index) == (turn, coin < 0.5, t1, t2)
-        for index in (8193, 1_999_999, 2**64 - 2, 2**64 - 1):
-            assert cli._replay_draw(seed, index) == _numpy_philox_draw(seed, index)
+        for index in (1_999_999, 2**64 - 1, 2**126):
+            assert cli._replay_draw(seed, index) == _numpy_pcg64_draw(seed, index)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**128 - 1), index=st.integers(0, 2**70))
-    def test_recheck_replay_matches_numpy_philox(self, seed, index):
-        assert cli._replay_draw(seed, index) == _numpy_philox_draw(seed, index)
+    def test_recheck_replay_matches_numpy_pcg64(self, seed, index):
+        assert cli._replay_draw(seed, index) == _numpy_pcg64_draw(seed, index)
 
     def test_recheck_skip_memory_is_bounded(self, traced_peak_mb):
-        # the replay of a far sample holds its one counter block, not
-        # the stream before it
+        # the replay of a far sample holds its jump and its four words,
+        # not the stream before it
         assert traced_peak_mb(lambda: cli._replay_draw(5, 2_000_000)) < 1.0
 
 
@@ -942,8 +983,7 @@ def _oracle_fuzz_cases(seed):
         return ["prop-sep", "--t", t_str, "--samples", str(samples), "--seed", str(key)]
 
     def covering(direction, eps, cap, *cell):
-        # "=" keeps argparse from reading a leading minus as an option
-        return ["covering", f"--direction={direction}", "--eps", eps, "--cap", cap, *cell]
+        return ["covering", "--direction", direction, "--eps", eps, "--cap", cap, *cell]
 
     chunk = oracle._CHUNK
     return {

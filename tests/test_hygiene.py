@@ -12,7 +12,8 @@ their own units of work.  Every solver setting and flow-search keyword names the
 caller that sets it, so a knob that nothing reads cannot slip in, and
 the README's table of spec keys states the CLI's spec schema.  A solve
 never loads numpy, which only the oracles need, and no other module
-imports it at module level.  No package module imports a thread or
+imports it at module level, and the CLI's prop-sep recheck replays its
+sample with numpy blocked.  No package module imports a thread or
 process module.
 solver.py makes its SolveReports at one call site and derives its
 evaluation precision at one, flowsearch.py reduces its windows at one,
@@ -150,6 +151,36 @@ def test_a_solve_never_imports_numpy(tmp_path):
     ).stdout
     assert out.split() == ["0", "True", "False", "False", "True", "True"]
     assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["mode"] == "solve"
+
+
+# the CLI's prop-sep recheck in a fresh interpreter where numpy cannot be
+# imported; it prints the replayed sample of each (seed, index) argument
+_NUMPY_BLOCKED_REPLAY = """
+import sys
+sys.modules["numpy"] = None
+import lattice_rotor.cli as cli
+pairs = [tuple(map(int, arg.split(":"))) for arg in sys.argv[1:]]
+print(repr([cli._replay_draw(seed, index) for seed, index in pairs]))
+"""
+
+
+def test_the_recheck_replays_without_numpy():
+    """cli._replay_draw shares no code with the numpy stream it rechecks:
+    with numpy blocked it still gives the check's own samples."""
+    from lattice_rotor.oracle import _random_stream
+
+    pairs = [(0, 0), (6, 8192), (2**128 - 1, 1249)]
+    want = []
+    for seed, index in pairs:
+        turn, coin, t1, t2 = _random_stream(seed)(4 * index + 4)[-4:].tolist()
+        want.append((turn, coin < 0.5, t1, t2))
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run(
+        [sys.executable, "-c", _NUMPY_BLOCKED_REPLAY, *(f"{s}:{i}" for s, i in pairs)],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert ast.literal_eval(out) == want
 
 
 def _imported_modules(node):

@@ -559,12 +559,28 @@ class TestSeparatedProbe:
             separated_probe(0, B)
 
 
-def _philox_rows(seed, samples):
+def _pcg64(seed):
+    """numpy's PCG64 seeded as PCG's srandom(initstate=seed, initseq=PCG's
+    default 128-bit increment), set up here apart from the check's own
+    seeding."""
+    mod = 1 << 128
+    inc = (0x5851F42D4C957F2D14057B7EF767814F * 2 + 1) % mod
+    state = (inc + seed) * 0x2360ED051FC65DA44385DF649FCCF645 + inc
+    bitgen = np.random.PCG64(0)
+    bitgen.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state % mod, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bitgen
+
+
+def _pcg64_rows(seed, samples):
     """The first `samples` rows of check_prop_sep's stream, drawn in one
-    call from numpy's Philox4x64-10 keyed by seed, apart from the check's
-    chunked stream: rotation turn, reflection coin, two translation
-    coordinates."""
-    return np.random.Generator(np.random.Philox(key=seed)).random(4 * samples).reshape(samples, 4)
+    call from numpy's PCG64, apart from the check's chunked stream:
+    rotation turn, reflection coin, two translation coordinates."""
+    return np.random.Generator(_pcg64(seed)).random(4 * samples).reshape(samples, 4)
 
 
 def _sampled_isometries(seed, samples):
@@ -574,19 +590,19 @@ def _sampled_isometries(seed, samples):
             PlanarIsometry(
                 Rotation.from_angle(2 * mpmath.pi * mpf(turn), B), coin < 0.5, (mpf(t1), mpf(t2))
             )
-            for turn, coin, t1, t2 in _philox_rows(seed, samples).tolist()
+            for turn, coin, t1, t2 in _pcg64_rows(seed, samples).tolist()
         ]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3, 2**64, 2**128 - 1])
-def test_random_stream_equals_philox(seed):
-    # check_prop_sep's stream must stay the Philox4x64-10 stream keyed by
-    # the seed: two calls cover the continuation of the generator between
-    # chunks, and the first two rows and the last must each be the block
-    # the CLI's pure-Python recheck replays
+def test_random_stream_equals_pcg64(seed):
+    # check_prop_sep's stream must stay PCG64 seeded by PCG's srandom with
+    # the seed as its initial state: two calls cover the continuation of
+    # the generator between chunks, and the first two rows and the last
+    # must each be the four words the CLI's pure-Python recheck replays
     draw = oracle._random_stream(seed)
     vals = np.concatenate([draw(1), draw(4999)])
-    assert vals.tolist() == np.random.Generator(np.random.Philox(key=seed)).random(5000).tolist()
+    assert vals.tolist() == np.random.Generator(_pcg64(seed)).random(5000).tolist()
     for index in (0, 1, 1249):
         turn, coin, t1, t2 = vals[4 * index : 4 * index + 4].tolist()
         assert cli._replay_draw(seed, index) == (turn, coin < 0.5, t1, t2)
@@ -596,14 +612,14 @@ def _unbounded_kept(t, samples, seed):
     """The prop-sep float screen with no bound before the rotation: every
     sample's image is formed, chunk by chunk, and the kept (index, row)
     pairs are returned as check_prop_sep re-evaluates them.  Draws come
-    from numpy's Philox in one call, not from the check's chunked stream."""
+    from numpy's PCG64 in one call, not from the check's chunked stream."""
     probe = separated_probe(t, B)
     re = np.array([float(z.real) for z in probe.entries])
     im = np.array([float(z.imag) for z in probe.entries])
     exact_all = float(probe.max_abs()) > oracle._EXACT_ROTATION_MODULUS
     with working_precision(B):
         screen_sq = float((mpf(1) / 8 + mpf("1e-6")) ** 2)
-    stream = _philox_rows(seed, samples)
+    stream = _pcg64_rows(seed, samples)
     index, rows, screened = [], [], []
     float_min_sq = np.inf
     for start in range(0, samples, oracle._CHUNK):
@@ -725,21 +741,21 @@ class TestPropSepCheck:
     @pytest.mark.parametrize("samples", [1, 8, 9, 19])
     def test_chunk_boundaries(self, t, samples, monkeypatch):
         # a chunk of 8 puts sample counts of 1, chunk, chunk + 1 and
-        # 2 * chunk + 3 on each side of the chunk boundaries; seed 24 puts
+        # 2 * chunk + 3 on each side of the chunk boundaries; seed 4 puts
         # the minimum past the first chunk at 9 and 19 samples (asserted
         # below, so that a change of stream cannot void the case), and at
         # 1e5 every sample is kept for the exact pass
         probe = separated_probe(t, B)
-        values = [isometry_max_frac(g, probe, B) for g in _sampled_isometries(24, samples)]
+        values = [isometry_max_frac(g, probe, B) for g in _sampled_isometries(4, samples)]
         calls = []
         real = oracle.isometry_max_frac
         monkeypatch.setattr(
             oracle, "isometry_max_frac", lambda *a, **k: calls.append(1) or real(*a, **k)
         )
-        check_prop_sep(t, samples, seed=24, bits=B)
+        check_prop_sep(t, samples, seed=4, bits=B)
         whole = len(calls)
         monkeypatch.setattr(oracle, "_CHUNK", 8)
-        chk = check_prop_sep(t, samples, seed=24, bits=B)
+        chk = check_prop_sep(t, samples, seed=4, bits=B)
         # chunks re-evaluate exactly the samples one screen would
         assert len(calls) == 2 * whole
         assert chk.minimum == min(values)
@@ -941,6 +957,45 @@ class TestCoveringTime:
         out = []
         assert traced_peak_mb(lambda: out.append(covering_time(golden, 0.005, 1e5))) < 3.0
         assert out[0].covered and out[0].steps == 573_139
+
+    @given(
+        direction=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e8, -1e8]),
+                st.floats(-1e8, 1e8),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        G=st.sampled_from([1, 2, 400, 4096]),
+        h=st.floats(1e-9, 1.0),
+        n=st.integers(1, 64),
+        start=st.one_of(st.integers(0, 2**52 - 64), st.just(2**52 - 64)),
+    )
+    def test_floor_reduction_equals_the_remainder(self, direction, G, h, n, start):
+        # x - floor(x) is x % 1.0 bit for bit, sign bit included, so each
+        # axis's cell indices and the flat walk equal the remainder's; the
+        # flat index of a grid past the cell limit wraps alike in both
+        v = np.asarray(direction, dtype=np.float64)
+        x = np.arange(start, start + n, dtype=np.float64) * h * v[:, None]
+        assert ((x - np.floor(x)).view(np.uint64) == (x % 1.0).view(np.uint64)).all()
+        for k in range(v.size):
+            got = oracle._walk_cells(v[k : k + 1], G, h, start, n)
+            assert got.tolist() == _remainder_cells(v[k : k + 1], G, h, start, n).tolist()
+        assert oracle._walk_cells(v, G, h, start, n).tolist() == (
+            _remainder_cells(v, G, h, start, n).tolist()
+        )
+
+
+def _remainder_cells(v, G, h, start, n):
+    """_walk_cells reduced mod 1 by numpy's remainder, x % 1.0, the form
+    its floor reduction replaces."""
+    jh = np.arange(start, start + n, dtype=np.float64) * h
+    flat = np.zeros(n, dtype=np.int64)
+    for k in range(v.size):
+        ik = np.minimum(((jh * v[k]) % 1.0 * G).astype(np.int64), G - 1)
+        flat += ik * G**k
+    return flat
 
 
 def _covering_sorting_every_step(direction, eps, cap):
