@@ -30,17 +30,15 @@ only decides how fast the walk gets there: a flow that hits long before E
 (rational structure pins it to a subtorus) gets the same answer.
 
 Every window's basis comes from the exact LLL (lll_reduce), at the one
-call site the benchmark times; only its start differs.  Every window
-starts from float_start, a double-precision pre-reduction of its rows,
-so the exact reduction only finishes an almost reduced basis.
-Consecutive windows of one walk differ only in length: the scale K grows
-with the window while the step's time entry 2K/length stays put, so each
-later window carries the previous window's unimodular transform into
-float_start, whose product with the new rows is nearly reduced already;
-a walk's first window carries none.  Where doubles cannot carry a
-window, the exact LLL starts from the carried transform itself (from
-scratch in a first window).  The enumerated point set is a property of
-the lattice, not of the basis that spans it, so no start changes a
+call site the benchmark times; only its start differs.  Consecutive
+windows of one walk differ only in length: the scale K grows with the
+window while the step's time entry 2K/length stays put, so each later
+window hands the previous window's unimodular transform straight to the
+exact LLL, whose product with the new rows is nearly reduced already.
+A walk's first window carries none, and starts from float_start, a
+double-precision pre-reduction of its rows, or from scratch where
+doubles cannot carry it.  The enumerated point set is a property of the
+lattice, not of the basis that spans it, so no start changes a
 candidate.
 
 Dilations of one direction walk the same windows from the same starts:
@@ -49,14 +47,14 @@ and the evaluation precision, never from t.  Two memos answer every
 window an earlier walk has met, each keeping its last 32 answers under
 exact keys and handing out tuples: _window_lattice its rows and scale,
 and _reduced_window everything of it that the target does not change
-(the float start, the exact reduction and its transform, the basis in
-doubles and its Gram-Schmidt data).  _reduced_window is keyed on the
-integer rows, the scale and the carried transform, not on the step
-coordinates: dilations whose evaluation precision differs by a bit draw
-phases that differ only in low bits, and their windows' rows still
-round to the same integers.  Only the target moves with t; its
-residues, its coordinates, the enumeration and the exact verification
-run on every window.
+(the exact reduction and its transform, the basis in doubles and its
+Gram-Schmidt data).  _reduced_window is keyed on the integer rows, the
+scale and the carried transform, not on the step coordinates:
+dilations whose evaluation precision differs by a bit draw phases that
+differ only in low bits, and their windows' rows still round to the
+same integers.  Only the target moves with t; its residues, its
+coordinates, the enumeration and the exact verification run on every
+window.
 
 Each window's target is the signed fractional parts of W + j0*delta*V at
 its first index, in fixed point: once per call, every coordinate of W
@@ -228,10 +226,9 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
             # double range, so the walk ends before reducing it
             return outcome("exhausted")
         try:
-            # every window starts from a double-precision pre-reduction of
-            # its rows, the first one's from the rows alone, every later
-            # one's from the last window's transform, also one whose
-            # enumeration outgrew the node budget
+            # every window after the first starts from the last window's
+            # transform, also from one whose enumeration outgrew the node
+            # budget
             window = _reduced_window(rows, scale, transform)
             transform = window.transform
             residues = _residues(offset_fixed, step_fixed, j0, bits_eval)
@@ -360,16 +357,15 @@ class _ReducedWindow(NamedTuple):
 def _reduced_window(rows: Matrix, scale: int, start: Optional[Matrix]) -> _ReducedWindow:
     """The reduction of one window's _window_lattice rows at scale K.
 
-    start is the unimodular transform carried from the window before
-    (None for a walk's first window); the exact LLL begins from
-    float_start's pre-reduction of start * rows (of the rows alone when
-    there is no start), or from start itself when doubles cannot carry
-    it.  Answers for the last 32 distinct inputs are remembered, keyed on
-    the exact rows, scale and start.
+    start is the unimodular transform carried from the window before,
+    where the exact LLL begins; a walk's first window carries None and
+    begins from float_start's pre-reduction of its rows, or from scratch
+    when doubles cannot carry it.  Answers for the last 32 distinct
+    inputs are remembered, keyed on the exact rows, scale and start.
     OverflowError when the reduced basis is past the double range;
     ArithmeticError when doubles see the lattice as degenerate.
     """
-    reduced, transform = lll_reduce(rows, float_start(rows, start))
+    reduced, transform = lll_reduce(rows, start if start is not None else float_start(rows))
     scale_f = float(scale)
     basis = [[float(c) / scale_f for c in row] for row in reduced]
     n = len(basis)

@@ -31,14 +31,15 @@ A caller that already holds a unimodular transform close to the answer
 can pass it as start: the reduction then begins from start * rows, and
 the transform it returns is composed with start and checked exactly
 against the rows, so it still maps the input rows to the basis.  The
-flow search reduces every window as lll_reduce(rows, float_start(rows,
-carried)), and relation detection every relation lattice, a module over
-Z[i], as lll_reduce(rows, gaussian_start(rows, carried)): the
-pre-reduction runs on carried * rows and composes its transform with
-carried (the rows alone when nothing is carried, or, for gaussian_start,
-when carried is not the image of a matrix over Z[i]), and hands carried
-back unchanged when doubles cannot carry the reduction.  Their module
-docstrings say what each carries.
+flow search hands the transform it carries from window to window
+straight to lll_reduce, and pre-reduces only a walk's first window, as
+lll_reduce(rows, float_start(rows)).  Relation detection reduces every
+relation lattice, a module over Z[i], as lll_reduce(rows,
+gaussian_start(rows, carried)): the pre-reduction runs on carried * rows
+and composes its transform with carried (the rows alone when nothing is
+carried, or when carried is not the image of a matrix over Z[i]), and
+hands carried back unchanged when doubles cannot carry the reduction.
+Their module docstrings say what each carries.
 
 The module keeps no memo: every call computes afresh and returns new
 lists, and a caller that meets the same lattice again remembers its own
@@ -212,9 +213,7 @@ def _float_iterations(n: int, bits: int) -> int:
     return n * n * (bits + n)
 
 
-def float_start(
-    rows: Sequence[Sequence[int]], start: Optional[Sequence[Sequence[int]]] = None
-) -> Optional[List[Row]]:
+def float_start(rows: Sequence[Sequence[int]]) -> Optional[List[Row]]:
     """A unimodular start for lll_reduce from a double-precision reduction.
 
     Returns an integer matrix T of determinant +-1, with one row per input
@@ -225,27 +224,13 @@ def float_start(
     _float_iterations allows.  Either answer is a valid start: None means
     a cold exact reduction.
 
-    start, when given, is a transform the caller carries: the reduction
-    then runs on start * rows and the answer is its transform composed
-    with start, or a fresh copy of start when doubles cannot carry it.
-    start is not checked here; lll_reduce checks what it is given.
+    The reduction of L^2 (Nguyen-Stehle, SIAM J. Comput. 39, 2009): the
+    Gram matrix stays exact and follows every row operation, and each
+    time row k is visited its Cholesky row is recomputed in doubles from
+    the exact Gram row and the rows before it, so rounding errors never
+    accumulate across visits.  The exact rows themselves are carried as
+    the transform, which only elementary row operations ever touch.
     """
-    if start is None:
-        return _float_transform(rows)
-    start = [list(map(int, r)) for r in start]
-    warm = _float_transform(_matmul(start, rows))
-    return start if warm is None else _matmul(warm, start)
-
-
-def _float_transform(rows: Sequence[Sequence[int]]) -> Optional[List[Row]]:
-    # float_start of the rows themselves, None when doubles cannot carry
-    # it.  The reduction of L^2 (Nguyen-Stehle, SIAM J. Comput. 39,
-    # 2009): the Gram matrix stays exact and follows every row operation,
-    # and each time row k is visited its Cholesky row is recomputed in
-    # doubles from the exact Gram row and the rows before it, so rounding
-    # errors never accumulate across visits.  The exact rows themselves
-    # are carried as the transform h, which only elementary row
-    # operations ever touch.
     rows = [list(map(int, r)) for r in rows]
     n = len(rows)
     if not n or not rows[0]:
@@ -379,7 +364,7 @@ def _gaussian_half(matrix: Sequence[Sequence[int]]) -> Optional[List[Row]]:
 
 
 def _gaussian_transform(half: Sequence[Sequence[int]]) -> Optional[List[Row]]:
-    # _float_transform over Z[i]: half holds one real row per complex row,
+    # float_start over Z[i]: half holds one real row per complex row,
     # column pairs (x, y) for x + iy.  The exact Hermitian Gram matrix
     # <b_k, b_j> = sum b_k conj(b_j) is kept as its real and imaginary
     # parts gr and gi, the transform as hr and hi, and the Gram-Schmidt

@@ -85,6 +85,12 @@ _SCREEN_MAGNITUDE_LIMIT = 2.0**52
 # faster
 _CHUNK = 1 << 13
 
+# the most float64 entries one table of the tau sweep may hold: the
+# grid_trans^2 cells of a rotation, the points times grid_trans squared
+# distances per axis, or the points times the swept rotations' images;
+# 2^24 entries take 128 MB, and grid 1600, the largest in use, has 2.56M
+_TAU_TABLE_LIMIT = 1 << 24
+
 _COVERING_CELL_LIMIT = 1 << 27
 # about 9 s of simulation in two dimensions at 8.2 to 8.6 ns a step (a
 # walk that never covers, 2-core Xeon); seven times the steps of a
@@ -332,15 +338,23 @@ def tau_estimate(
     at working precision and reduced mod 1 first, because float64
     products would err by more than the margin.  An entry of modulus
     2^52 or more is refused with ValueError by the float64 guard that
-    check_prop_sep shares.
+    check_prop_sep shares.  Grids whose largest table would pass
+    _TAU_TABLE_LIMIT entries are refused with ValueError before any
+    array is made.
     """
     check_precision(bits)
     vec = S if isinstance(S, ComplexVector) else ComplexVector(tuple(S), bits)
     if grid_theta < 1 or grid_trans < 1:
         raise ValueError("grids must have at least one point")
     n_t, n_u = int(grid_theta), int(grid_trans)
-    u = np.arange(n_u, dtype=np.float64) / n_u
     n_rows = n_t // math.gcd(4, n_t)
+    table = max(n_u * n_u, len(vec) * max(n_u, n_rows))
+    if table > _TAU_TABLE_LIMIT:
+        raise ValueError(
+            f"tau sweep table of {table} entries exceeds the desk-scale limit "
+            f"({_TAU_TABLE_LIMIT}); coarsen grid_theta or grid_trans"
+        )
+    u = np.arange(n_u, dtype=np.float64) / n_u
     rw, iw = _rotated_images(vec, n_t, n_rows, bits)
 
     # Branch and bound over rotations.  A cell is at least the mean of two

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import random
 import subprocess
@@ -842,6 +843,20 @@ class TestTauCommand:
         err = json.loads(capsys.readouterr().out)
         assert err["exit_code"] == 2 and "fractional" in err["error"]
 
+    @pytest.mark.parametrize(
+        "grid_theta, grid_trans", [("8", "4097"), (str((4 << 24) + 4), "8")],
+        ids=["translation", "rotation"],
+    )
+    def test_grid_past_the_table_limit_exits_2(self, tmp_path, capsys, grid_theta, grid_trans):
+        data = {"mode": "tau", "points": [["0", "0"]], "t": "1"}
+        spec_path = _write_spec(tmp_path, data)
+        argv = ["tau", "--input", spec_path, "--grid-theta", grid_theta, "--grid-trans", grid_trans]
+        assert main(argv) == 2
+        stdout = capsys.readouterr().out
+        err = json.loads(stdout)
+        assert set(err) == {"error", "exit_code"} and "desk-scale" in err["error"]
+        assert stdout == canonical_json(err)
+
 
 def _numpy_pcg64_draw(seed, index):
     """Sample `index` of prop-sep's stream, drawn by numpy: the check's
@@ -969,9 +984,14 @@ class TestFloat64OverflowExits2:
 
 
 def _oracle_fuzz_cases(seed):
-    """About a dozen prop-sep and covering command lines: the edges of each
-    input, with the values between them drawn from random.Random(seed)."""
+    """About a score of command lines of the oracle modes: the edges of
+    each input, with the values between them drawn from
+    random.Random(seed).  Each case is (argv, spec, exits): a tau case's
+    spec is written to a file that stands for SPEC in argv, and exits are
+    the codes the call may end with, 2 alone for an edge that must be
+    refused."""
     rng = random.Random(seed)
+    either, refused = (0, 2), (2,)
 
     def t():
         return f"{rng.uniform(0.5, 20):.6g}"
@@ -979,26 +999,47 @@ def _oracle_fuzz_cases(seed):
     def direction(dim):
         return ",".join(f"{rng.uniform(-3, 3):.17g}" for _ in range(dim))
 
-    def prop_sep(t_str, samples, key):
-        return ["prop-sep", "--t", t_str, "--samples", str(samples), "--seed", str(key)]
+    def points(count):
+        return [[f"{rng.uniform(-1, 1):.6g}", f"{rng.uniform(-1, 1):.6g}"] for _ in range(count)]
 
-    def covering(direction, eps, cap, *cell):
-        return ["covering", "--direction", direction, "--eps", eps, "--cap", cap, *cell]
+    def grid():
+        return rng.randint(8, 400)
+
+    def prop_sep(t_str, samples, key, exits=either):
+        return ["prop-sep", "--t", t_str, "--samples", str(samples), "--seed", str(key)], None, exits
+
+    def covering(direction, eps, cap, *cell, exits=either):
+        argv = ["covering", "--direction", direction, "--eps", eps, "--cap", cap, *cell]
+        return argv, None, exits
+
+    def tau(points, t_str, grid_theta, grid_trans, exits=either):
+        argv = ["tau", "--input", "SPEC", "--grid-theta", str(grid_theta),
+                "--grid-trans", str(grid_trans)]
+        return argv, {"mode": "tau", "points": points, "t": t_str}, exits
 
     chunk = oracle._CHUNK
+    # the largest translation grid whose cell table stays within the
+    # tau sweep's limit
+    trans_limit = math.isqrt(oracle._TAU_TABLE_LIMIT)
     return {
         "seed-0": prop_sep(t(), 2000, 0),
         "seed-max": prop_sep(t(), 2000, 2**128 - 1),
-        "seed-past-key-range": prop_sep(t(), 10, 2**128),
+        "seed-past-key-range": prop_sep(t(), 10, 2**128, exits=refused),
         "samples-chunk-minus-1": prop_sep(t(), chunk - 1, rng.randrange(2**128)),
         "samples-chunk-plus-1": prop_sep(t(), chunk + 1, rng.randrange(2**128)),
         "t-past-rotation-modulus": prop_sep("1e5", 12, rng.randrange(2**128)),
-        "t-at-2^52": prop_sep(str(2**52), 10, rng.randrange(2**128)),
+        "t-at-2^52": prop_sep(str(2**52), 10, rng.randrange(2**128), exits=refused),
         "covering-2d": covering(direction(2), "0.05", "1000"),
         "covering-3d": covering(direction(3), "0.2", "200"),
-        "cap-past-step-limit": covering("1,1", "0.1", "1e300"),
-        "subnormal-eps": covering("1", "1e-320", "10"),
-        "subnormal-cell": covering("1", "0.1", "10", "--cell", "1e-320"),
+        "cap-past-step-limit": covering("1,1", "0.1", "1e300", exits=refused),
+        "subnormal-eps": covering("1", "1e-320", "10", exits=refused),
+        "subnormal-cell": covering("1", "0.1", "10", "--cell", "1e-320", exits=refused),
+        "tau-one-point": tau(points(1), t(), grid(), grid()),
+        "tau-eight-points": tau(points(8), t(), grid(), grid()),
+        "tau-t-1e12": tau(points(rng.randint(2, 8)), "1e12", grid(), grid()),
+        "tau-grid-edges": tau(points(rng.randint(2, 8)), t(), 8, 400),
+        "tau-grid-past-limit": tau(points(3), t(), 8, trans_limit + 1, exits=refused),
+        "tau-t-at-2^52": tau([["1", "0"], points(1)[0]], str(2**52), 8, 8, exits=refused),
     }
 
 
@@ -1007,15 +1048,17 @@ _ORACLE_FUZZ = _oracle_fuzz_cases(37)
 
 class TestOracleFuzz:
     """A fixed-seed slice of the CLI fuzz, oracle modes only: every call
-    runs in its own interpreter and ends inside its budget with exit 0 or
-    2, canonical JSON on stdout and no traceback."""
+    runs in its own interpreter and ends inside its budget with an exit
+    the case allows, canonical JSON on stdout and no traceback."""
 
     # each call took 0.25-0.31 s on a 2-core Xeon, nearly all of it
     # interpreter start-up and imports; the rest is margin for a loaded host
     BUDGET_S = 5.0
 
-    @pytest.mark.parametrize("argv", _ORACLE_FUZZ.values(), ids=_ORACLE_FUZZ.keys())
-    def test_ends_with_an_advertised_exit(self, argv):
+    @pytest.mark.parametrize("argv, spec, exits", _ORACLE_FUZZ.values(), ids=_ORACLE_FUZZ.keys())
+    def test_ends_with_an_advertised_exit(self, argv, spec, exits, tmp_path):
+        if spec is not None:
+            argv = [_write_spec(tmp_path, spec) if a == "SPEC" else a for a in argv]
         root = Path(__file__).parent.parent
         path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
@@ -1024,7 +1067,7 @@ class TestOracleFuzz:
             capture_output=True, text=True, env=env, timeout=self.BUDGET_S,
         )
         assert "Traceback" not in out.stdout + out.stderr
-        assert out.returncode in (0, 2)
+        assert out.returncode in exits
         report = json.loads(out.stdout)
         assert out.stdout == canonical_json(report)
         if out.returncode == 2:

@@ -342,18 +342,19 @@ def long_flows(draw):
 
 
 class TestWarmStartedWindows:
-    """Every window's exact LLL starts from float_start's pre-reduction of
-    its rows, carrying the transform of the window before it (none for the
-    first window); a walk whose every reduction starts cold, the test's
-    own reference, must end identically."""
+    """A walk's first window starts its exact LLL from float_start's
+    pre-reduction of its rows; every later window hands the transform of
+    the window before it straight to the exact LLL.  A walk whose every
+    reduction starts cold, the test's own reference, must end
+    identically."""
 
     @staticmethod
     def _warm_and_cold(monkeypatch, v, w, eps, L_max):
         # both walks bypass the reduction memo, so every window of each is
         # reduced by its own lll_reduce call: the warm walk's from the
-        # float start it is given, the cold walk's from scratch.  Each walk
-        # records every window's length, rows, the transform carried into
-        # float_start, the start passed on and the transform got back
+        # start it is given, the cold walk's from scratch.  Each walk
+        # records every window's length, rows, float_start calls, the
+        # start passed on and the transform got back
         real_lattice = flowsearch._window_lattice
 
         def record(log, reduce, start_from):
@@ -361,10 +362,9 @@ class TestWarmStartedWindows:
                 log.append({"len": window_len, "reductions": 0, "float_starts": 0})
                 return real_lattice(dv_coords, eps, window_len, bits_eval)
 
-            def float_start_(rows, carried=None):
-                log[-1].update(carried=carried)
+            def float_start_(rows):
                 log[-1]["float_starts"] += 1
-                return start_from(rows, carried)
+                return start_from(rows)
 
             def reduce_(rows, start=None):
                 out = reduce(rows, start)
@@ -380,17 +380,15 @@ class TestWarmStartedWindows:
         windows, cold_windows = [], []
         record(windows, lll_reduce, float_start)
         warm = flow_search(v, w, eps, L_max, BITS)
-        record(cold_windows, lambda rows, start=None: lll_reduce(rows), lambda rows, carried: None)
+        record(cold_windows, lambda rows, start=None: lll_reduce(rows), lambda rows: None)
         cold = flow_search(v, w, eps, L_max, BITS)
 
         for log, outcome in ((windows, warm), (cold_windows, cold)):
             assert [win["reductions"] for win in log] == [1] * outcome.windows_used
-            assert [win["float_starts"] for win in log] == [1] * outcome.windows_used
-        carried = None
-        for win in windows:
-            assert win["carried"] == carried
-            assert win["start"] == float_start(win["rows"], carried)
-            carried = tuple(map(tuple, win["transform"]))
+            assert [win["float_starts"] for win in log] == [1] + [0] * (outcome.windows_used - 1)
+        assert windows[0]["start"] == float_start(windows[0]["rows"])
+        for before, after in zip(windows, windows[1:]):
+            assert after["start"] == tuple(map(tuple, before["transform"]))
         return warm, cold, windows
 
     @staticmethod
@@ -444,13 +442,22 @@ class TestWarmStartedWindows:
     @pytest.mark.parametrize("m, grid_index", [(6, 1_841_033), (7, 1_744_591)])
     def test_thirteen_and_fifteen_dimensional_windows(self, monkeypatch, m, grid_index):
         # 2m+1 = 13 and 15 come near the dimension where doubles stop
-        # carrying L^2's reduction; the float start still leaves the walk
-        # as cold reductions leave it
+        # carrying L^2's reduction; the float start of the first window
+        # and the transforms carried after it still leave the walk as
+        # cold reductions leave it
         warm, cold, windows = self._warm_and_cold(monkeypatch, *self._generic_flow(m))
         self._assert_same_walk(warm, cold)
         assert len(windows[0]["rows"]) == 2 * m + 1
         assert windows[0]["start"] is not None
         assert warm.found and warm.grid_index == grid_index
+
+    def test_five_dimensional_windows(self, monkeypatch):
+        # the window dimension of the README and block solves, where a
+        # carried transform gains most over a float pre-reduction
+        warm, cold, windows = self._warm_and_cold(monkeypatch, *self._generic_flow(2))
+        self._assert_same_walk(warm, cold)
+        assert len(windows[0]["rows"]) == 5 and warm.windows_used == 3
+        assert warm.found and warm.grid_index == 979_797
 
     def test_a_refused_float_start_leaves_the_first_window_cold(self, monkeypatch):
         monkeypatch.setattr(lll, "_float_iterations", lambda n, bits: 0)

@@ -258,11 +258,14 @@ def test_one_precision_site():
 
 
 def test_one_flow_reduction_site():
-    """flow_search reduces every window through one lll_reduce call, so
+    """flow_search reduces every window through one lll_reduce call, and
+    pre-reduces a walk's first window through one float_start call, so
+    the tests that patch the flow search's seam see every reduction, and
     no second reduction path can slip out of the benchmark's
     lll.flowsearch span."""
-    sites = _call_sites("flowsearch.py", "lll_reduce")
-    assert len(sites) == 1, f"flowsearch.py calls lll_reduce( at lines {sites}"
+    for name in ("lll_reduce", "float_start"):
+        sites = _call_sites("flowsearch.py", name)
+        assert len(sites) == 1, f"flowsearch.py calls {name}( at lines {sites}"
 
 
 @pytest.mark.parametrize("name", ["lll_reduce", "gaussian_start"])

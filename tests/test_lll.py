@@ -332,40 +332,6 @@ class TestFloatStart:
         self._assert_nearly_reduced(rows, start)
         assert is_reduced(lll_reduce(rows, start)[0])
 
-    @given(case=warm_starts())
-    def test_a_composed_start_is_unimodular_and_nearly_reduces_the_rows(self, case):
-        rows, start = case
-        composed = float_start(rows, start)
-        if float_start(_matmul(start, rows)) is None:
-            assert composed == start
-        else:
-            self._assert_nearly_reduced(rows, composed)
-
-    @given(rows=window_rows(), data=st.data())
-    def test_window_shaped_rows_from_a_carried_start_are_nearly_reduced(self, rows, data):
-        start = data.draw(unimodular(len(rows)))
-        composed = float_start(rows, start)
-        self._assert_nearly_reduced(rows, composed)
-        assert is_reduced(lll_reduce(rows, composed)[0])
-
-    def test_a_refused_composition_returns_a_copy_of_the_start(self, monkeypatch):
-        monkeypatch.setattr(lll, "_float_iterations", lambda n, bits: 0)
-        rows = [[2**100 + 17, 2**99 + 5, 1], [2**98 + 3, 2**100 - 1, 0], [7, 11, 13]]
-        start = [[1, 2, 0], [0, 1, 0], [0, 3, 1]]
-        copy = float_start(rows, start)
-        assert copy == start and copy is not start
-        assert all(a is not b for a, b in zip(copy, start))
-        copy[0][0] += 99
-        assert start == [[1, 2, 0], [0, 1, 0], [0, 3, 1]]
-
-    @pytest.mark.parametrize("refused", [False, True], ids=["composed", "refused"])
-    @pytest.mark.parametrize("start", BAD_STARTS, ids=BAD_START_IDS)
-    def test_a_bad_start_passed_through_still_raises(self, monkeypatch, start, refused):
-        if refused:
-            monkeypatch.setattr(lll, "_float_iterations", lambda n, bits: 0)
-        with pytest.raises(ValueError, match="start transform"):
-            lll_reduce(BAD_START_ROWS, float_start(BAD_START_ROWS, start))
-
     def test_entries_past_the_double_range_give_none(self):
         big = 2**600
         assert float_start([[big, 1], [3, big]]) is None

@@ -225,6 +225,38 @@ class TestTauEstimate:
         with pytest.raises(ValueError):
             tau_estimate(_pair(), 10, 0, bits=B)
 
+    @pytest.mark.parametrize(
+        "points, n_t, n_u, refused",
+        [
+            (2, 8, 4096, False),
+            (2, 8, 4097, True),
+            (1, 4 << 24, 8, False),
+            (1, (4 << 24) + 4, 8, True),
+            (2, 4 << 23, 8, False),
+            (2, (4 << 23) + 4, 8, True),
+            (4096, 8, 4096, False),
+            (4097, 8, 4096, True),
+        ],
+    )
+    def test_grids_past_the_table_limit_refused(self, monkeypatch, points, n_t, n_u, refused):
+        # 2^24 float64 entries in one table: a grid_trans^2 cell table, a
+        # per-axis table of points x grid_trans, or points x the swept
+        # rotations (n_t / 4 of them for n_t divisible by 4).  A refusal
+        # comes before any array is made; a grid at the limit gets as far
+        # as its first array, which this test stops
+        class Formed(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Formed
+
+        vec = ComplexVector(tuple(mpc(k, 1) for k in range(points)), B)
+        monkeypatch.setattr(oracle, "_rotated_images", stop)
+        monkeypatch.setattr(oracle.np, "arange", stop)
+        expected = pytest.raises(ValueError, match="desk-scale") if refused else pytest.raises(Formed)
+        with expected:
+            tau_estimate(vec, n_t, n_u, bits=B)
+
     def test_coordinates_beyond_float64_refused(self):
         with working_precision(B):
             vec = ComplexVector((mpc(1), mpc(0, mpf("1e400"))), B)
