@@ -79,10 +79,10 @@ _SCREEN_MAGNITUDE_LIMIT = 2.0**52
 # samples per chunk of the prop-sep screen and steps per chunk of the
 # covering walk: a float64 array over a chunk takes 64 KB (prop-sep's
 # draws, four a sample, 256 KB), so the working set stays in cache and a
-# call's traced peak under 2 MB (1.5 MB for 2M prop-sep samples, 0.7 MB
-# for a 573,139-step walk), and numpy calls stay long enough to amortize
-# their overhead; chunks of 2^16 peaked at 4 to 12 MB a call and were no
-# faster
+# call's traced peak under 2 MB (1.6 MB for 2M prop-sep samples, whose
+# rotations wait for a quarter chunk of survivors, 0.7 MB for a
+# 573,139-step walk), and numpy calls stay long enough to amortize their
+# overhead; chunks of 2^16 peaked at 4 to 12 MB a call and were no faster
 _CHUNK = 1 << 13
 
 # the most float64 entries one table of the tau sweep may hold: the
@@ -480,6 +480,57 @@ def _random_stream(seed: int):
     return np.random.Generator(bitgen).random
 
 
+def _turn_table() -> Tuple[np.ndarray, np.ndarray]:
+    # cos and sin of 2*pi*k/256 for k = 0 .. 256: numpy's at the first
+    # octant's angles pi*k/128, k <= 32, which err by less than 2^-53, and
+    # the rest by the octant and quarter-turn symmetries, so no entry
+    # carries the rounding of an angle near 2*pi
+    a = np.pi * np.arange(33, dtype=np.float64) / 128
+    c8, s8 = np.cos(a), np.sin(a)
+    cq, sq = np.concatenate([c8, s8[31::-1]]), np.concatenate([s8, c8[31::-1]])
+    c = np.concatenate([cq[:64], -sq[:64], -cq[:64], sq[:64], [1.0]])
+    s = np.concatenate([sq[:64], cq[:64], -sq[:64], -cq[:64], [0.0]])
+    return c, s
+
+
+_TURN_COS, _TURN_SIN = _turn_table()
+
+
+def _turn_cos_sin(turn: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    # cos and sin of 2*pi*turn for turn in [0, 1), at about half libm's
+    # cost on long rows (2.9 against 5.5 ms on 150k turns, 2-core Xeon):
+    # the nearest knot k/256 from the table, turned on by
+    # d = 2*pi*(turn - k/256), |d| <= pi/256, with cos d - 1 and sin d to
+    # their degree-6 and degree-7 Taylor terms, whose remainders stay
+    # below 2^-66.  turn * 256 and its distance to k are exact, and the
+    # small corrections are added to the table entries last.
+    x = turn * 256
+    k = np.rint(x)
+    d = x - k
+    d *= 2 * np.pi / 256
+    d2 = d * d
+    # -(cos d - 1) and -sin d, by Horner's rule in place
+    cm = d2 * (1 / 720)
+    cm -= 1 / 24
+    cm *= d2
+    cm += 1 / 2
+    cm *= d2
+    sn = d2 * (1 / 5040)
+    sn -= 1 / 120
+    sn *= d2
+    sn += 1 / 6
+    sn *= d2
+    sn -= 1
+    sn *= d
+    ki = k.astype(np.intp)
+    ck, sk = _TURN_COS.take(ki), _TURN_SIN.take(ki)
+    c = ck * cm
+    c -= sk * sn
+    s = sk * cm
+    s += ck * sn
+    return np.subtract(ck, c, out=c), np.subtract(sk, s, out=s)
+
+
 def check_prop_sep(
     t, samples: int, seed: int, bits: int = DEFAULT_PRECISION
 ) -> PropSepCheck:
@@ -493,20 +544,23 @@ def check_prop_sep(
     [0, 2^128) (_random_stream): sample i is the stream's words 4i to
     4i + 3, in a fixed order rotation turn, reflection bit, two
     translation coordinates.  The stream is drawn in bulk, a chunk at a
-    time; the draw is about a third of the screen's time.  PCG64's state
-    is one 128-bit LCG, which jumps ahead any number of steps in
+    time; the draw is about two fifths of the screen's time.  PCG64's
+    state is one 128-bit LCG, which jumps ahead any number of steps in
     O(log n), so the CLI rechecks the argmin sample by replaying its four
     words in pure Python.
 
-    A float64 screen, run over chunks of _CHUNK samples, picks
-    the samples worth an exact re-evaluation; only those are kept.  From
-    the second chunk on, a sample is first bounded by its translation
-    alone, the image of the probe's origin; only the few whose bound
-    stays within the cut of the chunks before have their rotation
-    formed, which changes the screen's cost only.  Once
-    t passes _EXACT_ROTATION_MODULUS (about 7e4) the float64 rotation
-    errs by more than the screen's margin, so every sample is
-    re-evaluated exactly, at about half a millisecond each.
+    A float64 screen, run over chunks of _CHUNK samples, picks the
+    samples worth an exact re-evaluation; only those are kept.  From the
+    second chunk on, a sample is first bounded by its translation alone,
+    the image of the probe's origin; only the few whose bound stays
+    within the cut of the batches before wait for their rotation.  The
+    rotations are formed once a quarter chunk of samples waits, and once
+    more at the end, with cos and sin from a 256-knot turn table
+    (_turn_cos_sin), which changes the screen's cost only: 2M samples at
+    t = 2 rotate about 150k in some 60 batches.  Once t passes
+    _EXACT_ROTATION_MODULUS (about 7e4) the float64 rotation errs by more
+    than the screen's margin, so every sample is re-evaluated exactly, at
+    about half a millisecond each.
     """
     check_precision(bits)
     if samples < 1:
@@ -522,19 +576,22 @@ def check_prop_sep(
         threshold = eighth - residual_tol(bits)
         screen_sq = float((eighth + mpf("1e-6")) ** 2)
 
-    # Screen chunk by chunk, keeping the samples within the cut the float
+    # Screen batch by batch, keeping the samples within the cut the float
     # minimum so far sets.  That cut only falls, so the kept samples hold
     # every one within the final cut.  The probe's first point is the
     # origin, whose image is the translation (t1, t2) bit for bit, so
     # d(t1)^2 + d(t2)^2 is the first term of a sample's worst value.  A
-    # sample whose first term passes the cut of the chunks before it can
+    # sample whose first term passes the cut of the batches before it can
     # neither be kept nor lower the float minimum, and its rotation is
-    # never formed; the first chunk meets an infinite cut and is screened
-    # in full.  Past the rotation modulus the float64 rotation errs by
-    # more than the margin, the screen cannot rank samples, and every one
-    # is kept for exact re-evaluation.
+    # never formed; the others queue until a quarter chunk waits, so a
+    # rotation pass is long enough to amortize numpy's per-call cost.
+    # The first chunk meets an infinite cut and is rotated whole.  Past
+    # the rotation modulus the float64 rotation errs by more than the
+    # margin, the screen cannot rank samples, and every one is kept for
+    # exact re-evaluation.
     draw = _random_stream(seed)
     index, rows, screened = [], [], []
+    queue, queued = [], 0
     float_min_sq = cut = np.inf
     for start in range(0, samples, _CHUNK):
         n = min(_CHUNK, samples - start)
@@ -543,10 +600,14 @@ def check_prop_sep(
         fy = vals[:, 3] - np.rint(vals[:, 3])
         first = fx * fx + fy * fy
         live = np.nonzero(first <= cut)[0]
-        worst = first[live]
-        turn, coin, t1, t2 = vals[live].T
-        c = np.cos(2 * np.pi * turn)
-        s = np.sin(2 * np.pi * turn)
+        queue.append((start + live, vals[live], first[live]))
+        queued += live.size
+        if queued < _CHUNK // 4 and start + n < samples:
+            continue
+        at, batch, worst = (np.concatenate(parts) for parts in zip(*queue))
+        queue, queued = [], 0
+        turn, coin, t1, t2 = batch.T
+        c, s = _turn_cos_sin(turn)
         sign = np.where(coin < 0.5, -1.0, 1.0)
         for k in range(1, len(probe)):
             ik = sign * im[k]
@@ -558,10 +619,10 @@ def check_prop_sep(
         float_min_sq = min(float_min_sq, float(worst.min(initial=np.inf)))
         cut = np.inf if exact_all else max(screen_sq, float_min_sq + _SCREEN_MARGIN)
         kept = worst <= cut
-        index.append(start + live[kept])
-        rows.append(vals[live[kept]])
+        index.append(at[kept])
+        rows.append(batch[kept])
         screened.append(worst[kept])
-    # the last chunk's cut is the final one
+    # the last batch's cut is the final one
     final = np.concatenate(screened) <= cut
     index, rows = np.concatenate(index)[final], np.concatenate(rows)[final]
 
@@ -657,11 +718,15 @@ def covering_time(
     over any reachable horizon.  The orbit is walked _CHUNK steps at a
     time, each coordinate formed as (j * h) * v_k on its own
     (_walk_cells), so the chunking moves no sample.  Only the steps that
-    enter an unvisited cell are sorted, which keeps a walk under 1 MB of
-    temporaries and at 20 to 22 ns a step in two dimensions on a 2-core
-    Xeon.  Dimensions above 6 are refused, and so are grids that would
-    not fit in memory and runs of more than _COVERING_STEP_LIMIT steps;
-    this is a desk-scale instrument, not an asymptotic one.
+    enter an unvisited cell are sorted, and the neighbours that differ in
+    that sort count the new cells; only the chunk that completes the grid
+    pays for a stable sort, to find the step that entered its last cell.
+    That keeps a walk under 1 MB of temporaries and at 9 to 10 ns a step
+    in two dimensions on a 2-core Xeon (5.1 to 5.6 ms for the 573,139
+    steps of the golden direction at eps 0.005).  Dimensions above 6 are
+    refused, and so are grids that would not fit in memory and runs of
+    more than _COVERING_STEP_LIMIT steps; this is a desk-scale
+    instrument, not an asymptotic one.
     """
     v = np.asarray([float(x) for x in direction], dtype=np.float64)
     dim = v.size
@@ -721,14 +786,19 @@ def covering_time(
     for start in range(0, max_index + 1, _CHUNK):
         flat = _walk_cells(v, G, h, start, min(_CHUNK, max_index + 1 - start))
         # only the steps that land in a cell unvisited before the chunk
-        # are sorted; the first step into each new cell is its first
-        # occurrence among them
+        # are sorted, and the neighbours that differ count the new cells;
+        # the chunk that completes the grid also needs the first step into
+        # each new cell, its first occurrence, which takes a stable sort.
+        # Cell indices stay below _COVERING_CELL_LIMIT = 2^27, so they sort
+        # as int32, in half the time of int64.
         new = np.nonzero(~visited[flat])[0]
         if new.size:
-            uniq, first = np.unique(flat[new], return_index=True)
-            visited[uniq] = True
-            visited_count += uniq.size
+            fresh = flat[new]
+            visited[fresh] = True
+            cells = np.sort(fresh.astype(np.int32))
+            visited_count += 1 + int(np.count_nonzero(cells[1:] != cells[:-1]))
             if visited_count == total:
+                first = np.unique(fresh, return_index=True)[1]
                 last = start + int(new[first].max())
                 break
 

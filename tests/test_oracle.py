@@ -679,6 +679,47 @@ def _unbounded_kept(t, samples, seed):
     return np.concatenate(index)[final].tolist(), np.concatenate(rows)[final].tolist()
 
 
+class TestTurnTable:
+    @staticmethod
+    def _turns():
+        # every knot k/256 from 0 on, the double just below each knot and
+        # below 1 (which is 1 - 2^-53), and 20,000 uniform turns
+        knots = np.arange(257) / 256
+        uniform = np.random.default_rng(20).random(20_000)
+        return np.concatenate([knots[:-1], np.nextafter(knots[1:], 0), uniform])
+
+    @staticmethod
+    def _max_error(values, exact):
+        return max(abs(mpf(x) - y) for x, y in zip(values.tolist(), exact))
+
+    def test_matches_mpmath_as_closely_as_libm(self):
+        # against cos and sin of 2*pi*turn at 200 bits (cospi and sinpi of
+        # the exact 2 * turn): within 2^-50, and no worse than numpy's
+        # cos and sin of the rounded angle 2*pi*turn by more than 2^-53
+        turn = self._turns()
+        assert turn.size >= 20_000 and ((0 <= turn) & (turn < 1)).all()
+        c, s = oracle._turn_cos_sin(turn)
+        with working_precision(200):
+            cos = [mpmath.cospi(2 * mpf(x)) for x in turn.tolist()]
+            sin = [mpmath.sinpi(2 * mpf(x)) for x in turn.tolist()]
+            errors = (self._max_error(c, cos), self._max_error(s, sin))
+            libm = (
+                self._max_error(np.cos(2 * np.pi * turn), cos),
+                self._max_error(np.sin(2 * np.pi * turn), sin),
+            )
+            for ours, theirs in zip(errors, libm):
+                assert ours <= mpf(2) ** -50
+                assert ours <= theirs + mpf(2) ** -53
+
+    def test_knots_are_the_table(self):
+        # a knot has no remainder, so its values are the table's entries
+        k = np.arange(256)
+        c, s = oracle._turn_cos_sin(k / 256)
+        assert c.tolist() == oracle._TURN_COS[k].tolist()
+        assert s.tolist() == oracle._TURN_SIN[k].tolist()
+        assert (c[::64].tolist(), s[::64].tolist()) == ([1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0])
+
+
 class TestPropSepCheck:
     @pytest.mark.parametrize("margin", [None, 0.03], ids=["margin", "wide"])
     @pytest.mark.parametrize("seed", [0, 1, 5, 2**40 + 3])
@@ -726,8 +767,8 @@ class TestPropSepCheck:
         # minimum of about 0.15, on their own; from the second chunk on
         # only those are rotated
         sizes = []
-        real = np.cos
-        monkeypatch.setattr(np, "cos", lambda x, *a, **k: sizes.append(np.size(x)) or real(x, *a, **k))
+        real = oracle._turn_cos_sin
+        monkeypatch.setattr(oracle, "_turn_cos_sin", lambda x: sizes.append(np.size(x)) or real(x))
         chunk = oracle._CHUNK
         check_prop_sep("2", 8 * chunk, seed=1, bits=B)
         assert sizes[0] == chunk
@@ -770,26 +811,42 @@ class TestPropSepCheck:
         assert chk.argmin_index == values.index(exact)
 
     @pytest.mark.parametrize("t", ["2", "1e5"])
-    @pytest.mark.parametrize("samples", [1, 8, 9, 19])
+    @pytest.mark.parametrize("samples", [1, 8, 9, 19, 111, 112, 113])
     def test_chunk_boundaries(self, t, samples, monkeypatch):
         # a chunk of 8 puts sample counts of 1, chunk, chunk + 1 and
         # 2 * chunk + 3 on each side of the chunk boundaries; seed 4 puts
-        # the minimum past the first chunk at 9 and 19 samples (asserted
-        # below, so that a change of stream cannot void the case), and at
-        # 1e5 every sample is kept for the exact pass
+        # the minimum past the first chunk at 9 and 19 samples, and at t = 2
+        # flushes a batch of rotations at sample 112, when the live samples
+        # of several chunks reach chunk / 4, so 111, 112 and 113 lie on
+        # each side of a flush (both asserted below, so that a change of
+        # stream cannot void the case); at 1e5 every sample is kept for the
+        # exact pass
         probe = separated_probe(t, B)
         values = [isometry_max_frac(g, probe, B) for g in _sampled_isometries(4, samples)]
         calls = []
         real = oracle.isometry_max_frac
         monkeypatch.setattr(
-            oracle, "isometry_max_frac", lambda *a, **k: calls.append(1) or real(*a, **k)
+            oracle,
+            "isometry_max_frac",
+            lambda g, *a, **k: calls.append(to_json_data(g)) or real(g, *a, **k),
         )
         check_prop_sep(t, samples, seed=4, bits=B)
         whole = len(calls)
+        drawn, flushes = [], []
+        stream, rotate = oracle._random_stream, oracle._turn_cos_sin
+
+        def counting_stream(seed):
+            draw = stream(seed)
+            return lambda n: drawn.append(n // 4) or draw(n)
+
+        monkeypatch.setattr(oracle, "_random_stream", counting_stream)
+        monkeypatch.setattr(oracle, "_turn_cos_sin", lambda x: flushes.append(sum(drawn)) or rotate(x))
         monkeypatch.setattr(oracle, "_CHUNK", 8)
         chk = check_prop_sep(t, samples, seed=4, bits=B)
-        # chunks re-evaluate exactly the samples one screen would
-        assert len(calls) == 2 * whole
+        # batches re-evaluate exactly the samples one screen would, in order
+        assert calls[whole:] == calls[:whole]
+        assert flushes[-1] == samples
+        assert t != "2" or samples < 112 or 112 in flushes
         assert chk.minimum == min(values)
         assert chk.argmin_index == values.index(min(values))
         assert samples <= 8 or chk.argmin_index >= 8
@@ -805,7 +862,7 @@ class TestPropSepCheck:
             check_prop_sep(2, 0, seed=1, bits=B)
 
     @pytest.mark.parametrize("seed", [-5, 2**128])
-    def test_seed_outside_the_philox_key_range_refused(self, seed):
+    def test_seed_outside_the_pcg64_state_range_refused(self, seed):
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^128\)"):
             check_prop_sep(2, 10, seed=seed, bits=B)
 
