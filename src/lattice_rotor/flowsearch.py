@@ -72,9 +72,11 @@ bits_eval before being accepted; integers and doubles only ever decide
 what to look at, never what to return.  A window whose target lies so
 far out that a double no longer holds its coordinates' integer part
 (2^52 and up), or whose scale is past the double range, ends the walk
-"exhausted": doubles cannot tell there what to look at.  The scale is
-checked as soon as the window's lattice is built, before either
-reduction, since no basis would let the enumeration read it.
+"exhausted": doubles cannot tell there what to look at.  Both raise
+OverflowError, the scale's first thing in _reduced_window, before either
+reduction, since no basis would let the enumeration read it.  They end
+the walk at the one exit that the window budget and a floor-length
+window over the node budget take too, where its one outcome is built.
 
 The lattices are at most (2m+1)-dimensional, so the window arithmetic
 runs on plain Python floats and ints, which at this size cost less than
@@ -84,7 +86,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -98,9 +99,9 @@ from .lll import float_start, lll_reduce
 from .precision import below_half_sqrt2, raise_for_magnitude, working_precision
 
 # a walk ends "exhausted" after this many windows, when a window of the
-# floor length outgrows the node budget, or when a window's target
-# coordinates reach _Y_RESOLUTION or its scale passes the double range;
-# flow_search reads both budgets at call time
+# floor length outgrows the node budget, or at an OverflowError: a
+# window's target coordinates reach _Y_RESOLUTION or its scale passes the
+# double range; flow_search reads both budgets at call time
 DEFAULT_WINDOW_BUDGET = 256
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -200,31 +201,17 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
     window_len = _first_window(m, eps)
     examined = windows = j0 = 0
     transform: Optional[Matrix] = None
-
-    def outcome(reason: str, j: Optional[int] = None, s=None) -> FlowSearchOutcome:
-        return FlowSearchOutcome(
-            found=s is not None,
-            reason=reason,
-            s=s,
-            grid_index=j,
-            strategy="enumerate",
-            examined=examined,
-            windows_used=windows,
-        )
+    s = grid_index = None
 
     # one walk of enumeration windows in increasing j from j = 0; each
     # window yields sorted relative candidates that are re-checked exactly,
-    # so the first verified index is the grid minimum
-    while j0 <= grid_last:
-        if windows >= DEFAULT_WINDOW_BUDGET:
-            return outcome("exhausted")
+    # so the first verified index is the grid minimum.  The walk ends
+    # "found" there, "absent" past grid_last, and "exhausted" anywhere
+    # else: at the window budget or at a refused window
+    while s is None and j0 <= grid_last and windows < DEFAULT_WINDOW_BUDGET:
         windows += 1
         count = min(window_len, grid_last - j0 + 1)
         rows, scale = _window_lattice(dv_coords, eps, count, bits_eval)
-        if scale > sys.float_info.max:
-            # no basis would let the enumeration read a scale past the
-            # double range, so the walk ends before reducing it
-            return outcome("exhausted")
         try:
             # every window after the first starts from the last window's
             # transform, also from one whose enumeration outgrew the node
@@ -235,24 +222,28 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
             candidates = _window_candidates(
                 window, [-r for r in residues], eps, count, DEFAULT_NODE_BUDGET
             )
-        except _BudgetExceeded:
-            if window_len > _WINDOW_FLOOR:
-                window_len = max(_WINDOW_FLOOR, window_len // _WINDOW_GROWTH)
-                continue
-            return outcome("exhausted")
-        except OverflowError:
-            # the window's reduced basis or target coordinates are past
-            # what doubles resolve, and skipping the window would lose the
-            # grid minimum
-            return outcome("exhausted")
+        except (_BudgetExceeded, OverflowError) as refusal:
+            # a window over the node budget shrinks toward the floor; one
+            # of the floor length, or one past what doubles resolve, ends
+            # the walk, since skipping it would lose the grid minimum
+            if isinstance(refusal, OverflowError) or window_len <= _WINDOW_FLOOR:
+                break
+            window_len = max(_WINDOW_FLOOR, window_len // _WINDOW_GROWTH)
+            continue
         examined += len(candidates)
         window_len *= _WINDOW_GROWTH
         for j_rel in candidates:
             s = verify(j0 + j_rel)
             if s is not None:
-                return outcome("found", j0 + j_rel, s)
-        j0 += count
-    return outcome("absent")
+                grid_index = j0 + j_rel
+                break
+        else:
+            j0 += count
+    reason = "found" if s is not None else "absent" if j0 > grid_last else "exhausted"
+    return FlowSearchOutcome(
+        found=s is not None, reason=reason, s=s, grid_index=grid_index,
+        strategy="enumerate", examined=examined, windows_used=windows,
+    )
 
 
 def _fixed_point(coords: Sequence[mpf], bits_eval: int) -> List[int]:
@@ -362,11 +353,13 @@ def _reduced_window(rows: Matrix, scale: int, start: Optional[Matrix]) -> _Reduc
     begins from float_start's pre-reduction of its rows, or from scratch
     when doubles cannot carry it.  Answers for the last 32 distinct
     inputs are remembered, keyed on the exact rows, scale and start.
-    OverflowError when the reduced basis is past the double range;
+    OverflowError when the scale is past the double range, before either
+    reduction (K is a power of two, so float(K) raises exactly when K
+    passes the largest double), or when the reduced basis is;
     ArithmeticError when doubles see the lattice as degenerate.
     """
-    reduced, transform = lll_reduce(rows, start if start is not None else float_start(rows))
     scale_f = float(scale)
+    reduced, transform = lll_reduce(rows, start if start is not None else float_start(rows))
     basis = [[float(c) / scale_f for c in row] for row in reduced]
     n = len(basis)
     mu = [[0.0] * n for _ in range(n)]

@@ -688,20 +688,20 @@ class CoveringOutcome:
 
 
 def _walk_cells(v: np.ndarray, G: int, h: float, start: int, n: int) -> np.ndarray:
-    # flat cell index of steps start .. start + n - 1 of the walk along v
-    # with step h on the G^dim grid, axis by axis: step j sits at
-    # (j * h) * v_k mod 1, with j exact in float64 below 2^53.  x - floor(x)
-    # is x % 1.0 bit for bit, exact for x >= 0 and one rounding of the
-    # same real for x < 0, and a floor costs less than the remainder's fmod
+    # flat cell index sum_k ik * G^k of steps start .. start + n - 1 of the
+    # walk along v with step h on the G^dim grid, in Horner's form from the
+    # last axis: step j sits at (j * h) * v_k mod 1, with j exact in float64
+    # below 2^53.  x - floor(x) is x % 1.0 bit for bit, exact for x >= 0 and
+    # one rounding of the same real for x < 0, and costs less than an fmod
     jh = np.arange(start, start + n, dtype=np.float64) * h
-    flat = np.zeros(n, dtype=np.int64)
-    for k in range(v.size):
+    flat = 0
+    for k in range(v.size - 1, -1, -1):
         x = jh * v[k]
         x -= np.floor(x)
         x *= G
         ik = x.astype(np.int64)
         np.minimum(ik, G - 1, out=ik)
-        flat += ik * G**k
+        flat = flat * G + ik
     return flat
 
 

@@ -232,6 +232,29 @@ class TestEnumerationWindows:
         )
         assert len(largest) == 1 and 2.0**52 <= largest[0] < 2.0**63
 
+    def test_scale_past_double_range_is_exhausted_before_reducing(self, monkeypatch):
+        # at eps 1e-250 the golden line's first window has a scale K past
+        # the largest double, so float(K) refuses it before either
+        # reduction of its rows
+        reductions = []
+        for name in ("lll_reduce", "float_start"):
+            monkeypatch.setattr(flowsearch, name, lambda *args, name=name: reductions.append(name))
+        out = flow_search(_golden_direction(), _half_offset(), "1e-250", 4, BITS)
+        assert (out.found, out.reason, out.windows_used, out.examined) == (
+            False, "exhausted", 1, 0
+        )
+        assert reductions == []
+
+    def test_one_window_over_the_whole_grid_without_a_hit_is_absent(self, monkeypatch):
+        # the first hit (index 231) lies past a horizon of 1, so the floor
+        # length window covers the whole grid and comes up empty: the walk
+        # has used its whole window budget, yet nothing is left to search
+        v, w = _golden_direction(), _half_offset()
+        assert _first_hit_reference(v, w, "0.05", 1) == (None, None)
+        monkeypatch.setattr(flowsearch, "DEFAULT_WINDOW_BUDGET", 1)
+        out = flow_search(v, w, "0.05", 1, BITS)
+        assert (out.found, out.reason, out.windows_used) == (False, "absent", 1)
+
     def test_enumeration_agrees_with_scan(self):
         # the enumeration walk lands on the first hit a whole-grid scan finds
         v = _golden_direction()

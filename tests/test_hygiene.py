@@ -16,9 +16,9 @@ imports it at module level, and the CLI's prop-sep recheck replays its
 sample with numpy blocked.  No package module imports a thread or
 process module.
 solver.py makes its SolveReports at one call site and derives its
-evaluation precision at one, flowsearch.py reduces its windows at one,
-and relations.py pre-reduces and reduces its relation lattices at one
-each.
+evaluation precision at one, flowsearch.py reduces its windows at one
+and ends its walk at one, and relations.py pre-reduces and reduces its
+relation lattices at one each.
 """
 
 import ast
@@ -266,6 +266,25 @@ def test_one_flow_reduction_site():
     for name in ("lll_reduce", "float_start"):
         sites = _call_sites("flowsearch.py", name)
         assert len(sites) == 1, f"flowsearch.py calls {name}( at lines {sites}"
+
+
+def test_one_walk_exit():
+    """flow_search builds its one outcome after the window loop, so every
+    way the walk ends, and every count a later change adds to a window
+    decision, passes through one exit."""
+    _, tree = _parse(ROOT / "src" / "lattice_rotor" / "flowsearch.py")
+    (walk,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "flow_search"]
+    returns = []
+    todo = list(walk.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Return):
+            returns.append(node.lineno)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    assert len(returns) == 1, f"flow_search returns at lines {sorted(returns)}"
+    sites = _call_sites("flowsearch.py", "FlowSearchOutcome")
+    assert len(sites) == 1, f"flowsearch.py calls FlowSearchOutcome( at lines {sites}"
 
 
 @pytest.mark.parametrize("name", ["lll_reduce", "gaussian_start"])

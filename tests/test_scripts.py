@@ -35,3 +35,13 @@ def test_convergence_sweep_csv(tmp_path, capsys):
     for row in rows:
         _, upper, lower = (float(x) for x in row.split(","))
         assert lower <= upper <= 2**-0.5
+
+
+def test_pool_digest_of_one_input_set(tmp_path, capsys):
+    assert _load("pool_digest").main(["--sets", "0", "--workdir", str(tmp_path)]) == 0
+    count, digest = capsys.readouterr().out.splitlines()
+    # readme-solve writes a report and a curve, planted-solve 8 reports
+    # and block-solve 10
+    assert count == "20 files"
+    assert digest.startswith("sha256 ") and len(digest.split()[1]) == 64
+    assert (tmp_path / "readme-solve" / "0" / "curve.svg").is_file()
