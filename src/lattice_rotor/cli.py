@@ -41,8 +41,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpc, mpf
@@ -148,8 +147,7 @@ def _require_int(value, name: str, minimum: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     """Validated run description: the mode and every spec key the mode
     reads, each with its normalized value or its default.  "t" holds the
     t or t_range echo together with the expanded t_values.  planes are

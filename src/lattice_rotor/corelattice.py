@@ -16,7 +16,6 @@ exactly this reason.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import mpmath
@@ -24,6 +23,7 @@ from mpmath import mpc, mpf
 
 from .precision import (
     DEFAULT_PRECISION,
+    Frozen,
     check_precision,
     unit_modulus_tol,
     working_precision,
@@ -82,8 +82,7 @@ def nearest_gaussian(z, bits: int = DEFAULT_PRECISION):
         return int(mpmath.nint(z.real)), int(mpmath.nint(z.imag))
 
 
-@dataclass(frozen=True)
-class Rotation:
+class Rotation(Frozen):
     """A unit-modulus complex number, renormalized on construction.
 
     The stored value satisfies | |value| - 1 | <= 2^(-P+4) by dividing out
@@ -91,19 +90,18 @@ class Rotation:
     away from the unit circle faster than the tolerance ladder allows.
     """
 
-    value: mpc
-    bits: int = DEFAULT_PRECISION
+    __slots__ = _fields = ("value", "bits")
 
-    def __post_init__(self) -> None:
-        check_precision(self.bits)
-        with working_precision(self.bits):
-            v = _require_finite_complex(self.value)
+    def __init__(self, value: mpc, bits: int = DEFAULT_PRECISION) -> None:
+        check_precision(bits)
+        with working_precision(bits):
+            v = _require_finite_complex(value)
             modulus = abs(v)
             if modulus == 0:
                 raise ValueError("zero has no direction")
-            if abs(modulus - 1) > unit_modulus_tol(self.bits):
+            if abs(modulus - 1) > unit_modulus_tol(bits):
                 v = v / modulus
-            object.__setattr__(self, "value", v)
+        super().__init__(v, bits)
 
     @classmethod
     def from_angle(cls, phi, bits: int = DEFAULT_PRECISION) -> "Rotation":
@@ -116,24 +114,22 @@ class Rotation:
             return Rotation(self.value * other.value, bits)
 
 
-@dataclass(frozen=True)
-class ComplexVector:
+class ComplexVector(Frozen):
     """A nonempty tuple of finite complex entries at a shared precision."""
 
-    entries: tuple
-    bits: int = DEFAULT_PRECISION
+    __slots__ = _fields = ("entries", "bits")
 
-    def __post_init__(self) -> None:
-        check_precision(self.bits)
+    def __init__(self, entries: tuple, bits: int = DEFAULT_PRECISION) -> None:
+        check_precision(bits)
         # conversion must run at the vector's own precision: mpc() rounds
         # to the ambient working precision, which defaults to 53 bits
-        with working_precision(self.bits):
-            entries = tuple(mpc(z) for z in self.entries)
+        with working_precision(bits):
+            entries = tuple(mpc(z) for z in entries)
         if not entries:
             raise ValueError("a complex vector needs at least one entry")
         for z in entries:
             _require_finite_complex(z)
-        object.__setattr__(self, "entries", entries)
+        super().__init__(entries, bits)
 
     def __len__(self) -> int:
         return len(self.entries)

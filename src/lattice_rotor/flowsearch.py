@@ -86,7 +86,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -122,8 +121,7 @@ _Y_RESOLUTION = 2.0**52
 _FIXED_GUARD_BITS = 64
 
 
-@dataclass(frozen=True)
-class FlowSearchOutcome:
+class FlowSearchOutcome(NamedTuple):
     """Result of one grid search; reason is one of found / absent /
     exhausted.  strategy is always "enumerate", the walk's one candidate
     source."""

@@ -9,23 +9,21 @@ touches floats except the to_mpc conversion of the residual check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from mpmath import mpc, mpf
 
-from .precision import working_precision
+from .precision import Frozen, working_precision
 
 
-@dataclass(frozen=True)
-class GaussianInteger:
-    re: int
-    im: int
+class GaussianInteger(Frozen):
+    __slots__ = _fields = ("re", "im")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.re, int) or not isinstance(self.im, int):
+    def __init__(self, re: int, im: int) -> None:
+        if not isinstance(re, int) or not isinstance(im, int):
             raise TypeError("GaussianInteger components must be ints")
+        super().__init__(re, im)
 
     def __mul__(self, other: "GaussianInteger") -> "GaussianInteger":
         return GaussianInteger(
@@ -50,25 +48,20 @@ class GaussianInteger:
 GI_ZERO = GaussianInteger(0, 0)
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(Frozen):
     """num/den with num a Gaussian integer and den a positive int, reduced."""
 
-    num: GaussianInteger
-    den: int
+    __slots__ = _fields = ("num", "den")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.den, int) or self.den == 0:
+    def __init__(self, num: GaussianInteger, den: int) -> None:
+        if not isinstance(den, int) or den == 0:
             raise ValueError("denominator must be a nonzero int")
-        if self.den < 0:
-            object.__setattr__(self, "num", -self.num)
-            object.__setattr__(self, "den", -self.den)
-        g = gcd(gcd(abs(self.num.re), abs(self.num.im)), self.den)
+        if den < 0:
+            num, den = -num, -den
+        g = gcd(gcd(abs(num.re), abs(num.im)), den)
         if g > 1:
-            object.__setattr__(
-                self, "num", GaussianInteger(self.num.re // g, self.num.im // g)
-            )
-            object.__setattr__(self, "den", self.den // g)
+            num, den = GaussianInteger(num.re // g, num.im // g), den // g
+        super().__init__(num, den)
 
     @classmethod
     def zero(cls) -> "GaussianRational":

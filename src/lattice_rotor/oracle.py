@@ -32,8 +32,7 @@ sharing no code with the numpy stream the check draws in bulk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 import numpy as np
@@ -42,6 +41,7 @@ from mpmath import mpc, mpf
 from .corelattice import ComplexVector, Rotation, frac_dist
 from .precision import (
     DEFAULT_PRECISION,
+    Frozen,
     check_precision,
     parse_decimal,
     residual_tol,
@@ -98,8 +98,7 @@ _COVERING_CELL_LIMIT = 1 << 27
 _COVERING_STEP_LIMIT = 1 << 30
 
 
-@dataclass(frozen=True)
-class PlanarIsometry:
+class PlanarIsometry(Frozen):
     """Rotation, optional reflection, and a translation reduced mod 1.
 
     Translations beyond the unit square never change fractional
@@ -107,23 +106,18 @@ class PlanarIsometry:
     bits is the rotation's precision and is not set by callers.
     """
 
-    theta: Rotation
-    reflect: bool
-    translation: Tuple[mpf, mpf]
-    bits: int = field(init=False)
+    __slots__ = _fields = ("theta", "reflect", "translation", "bits")
 
-    def __post_init__(self) -> None:
-        bits = self.theta.bits
-        object.__setattr__(self, "bits", bits)
+    def __init__(self, theta: Rotation, reflect: bool, translation: Tuple[mpf, mpf]) -> None:
+        bits = theta.bits
         with working_precision(bits):
             reduced = []
-            for u in self.translation:
+            for u in translation:
                 u = mpf(u)
                 if not mpmath.isfinite(u):
                     raise ValueError("translation must be finite")
                 reduced.append(u - mpmath.floor(u))
-        object.__setattr__(self, "translation", tuple(reduced))
-        object.__setattr__(self, "reflect", bool(self.reflect))
+        super().__init__(theta, bool(reflect), tuple(reduced), bits)
 
 
 def apply_isometry(g: PlanarIsometry, S) -> ComplexVector:
@@ -149,8 +143,7 @@ def isometry_max_frac(g: PlanarIsometry, S, bits: Optional[int] = None) -> mpf:
         return max(frac_dist(z, use) for z in image.entries)
 
 
-@dataclass(frozen=True)
-class TauEstimate:
+class TauEstimate(NamedTuple):
     """Best sweep value with a one-sided certificate.
 
     upper is attained by the concrete isometry in argmin.  The
@@ -444,8 +437,7 @@ def separated_probe(t, bits: int = DEFAULT_PRECISION) -> ComplexVector:
         return ComplexVector((mpc(0), mpc(0, t_v), mpc(t_v + mpf("0.5"), 0)), bits)
 
 
-@dataclass(frozen=True)
-class PropSepCheck:
+class PropSepCheck(NamedTuple):
     """Sampled lower-bound check over random isometries of the probe."""
 
     t: mpf
@@ -672,8 +664,7 @@ def separation(S, bits: Optional[int] = None) -> mpf:
         return best
 
 
-@dataclass(frozen=True)
-class CoveringOutcome:
+class CoveringOutcome(NamedTuple):
     """First time the discretized orbit has touched every cell, if it did."""
 
     covered: bool

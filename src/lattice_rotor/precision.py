@@ -9,7 +9,9 @@ search phases whose results are always re-verified at full precision.
 The flow search's window targets are fixed-point integers, carrying 64
 fractional bits past P, and only their final residues become doubles.
 Bit counts of a value (magnitude_bits, resolution_bits) are read off its
-exact binary exponent, never off a rounded logarithm.
+exact binary exponent, never off a rounded logarithm.  The package's
+validated values (rotations, vectors, Gaussian numbers, isometries,
+solver settings) share one immutable base, Frozen.
 """
 from __future__ import annotations
 
@@ -135,3 +137,42 @@ def raise_for_magnitude(base_bits: int, largest: mpf | float, eps: mpf | float) 
     """
     need = magnitude_bits(largest) + resolution_bits(eps) + 48
     return max(base_bits, need)
+
+
+class Frozen:
+    """Base of the package's validated immutable values.
+
+    A subclass names its fields once, as `__slots__ = _fields = (...)`,
+    checks and normalizes its arguments in __init__ and hands the
+    results, in field order, to Frozen.__init__.  An instance then
+    refuses assignment and deletion, and compares, hashes and prints by
+    its fields.  It is no tuple, so a subclass that defines * or +
+    gains no repetition or concatenation.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"

@@ -17,8 +17,7 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpc, mpf
@@ -68,8 +67,7 @@ def project_planes(points, bits: int = DEFAULT_PRECISION) -> Tuple[ComplexVector
         )
 
 
-@dataclass(frozen=True)
-class BlockEmbeddingReport:
+class BlockEmbeddingReport(NamedTuple):
     """Per-plane solves plus the verdict on the assembled embedding."""
 
     t: mpf

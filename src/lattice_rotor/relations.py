@@ -48,9 +48,8 @@ included, and a remembered decomposition is frozen, so it is the answer.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpc, mpf
@@ -72,8 +71,7 @@ def recommended_precision(r: int, height_bound: int) -> int:
     return 2 * r * max(1, int(height_bound).bit_length())
 
 
-@dataclass(frozen=True)
-class RelationDecomposition:
+class RelationDecomposition(NamedTuple):
     """Partition of entry indices into an independent basis and dependents.
 
     coeffs[j] expresses the j-th dependent entry as a Gaussian-rational

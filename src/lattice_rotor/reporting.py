@@ -6,20 +6,21 @@ newline, and every number carried as a decimal string.  Wall-clock
 timing is the one field that legitimately varies between runs; it is
 opt-in and absent by default so that the default artifact is diffable.
 
-Result dataclasses become JSON data through one encoder, to_json_data;
-nothing in the package decodes a result back into a dataclass.  A real
-(mpf or Rotation) is written with the digits of one precision: the
-enclosing dataclass's eval_bits, else its bits, else the precision of
-the dataclass that contains it.  A rotation therefore uses the report's
-precision, not its own bits, which can be higher.  Gaussian rationals
-use their exact "p/q+r/qi" text and floats their repr.
+Result records become JSON data through one encoder, to_json_data; a
+record is a NamedTuple or a Frozen value (an isometry, say), and either
+names its fields in _fields.  Nothing in the package decodes a result
+back into a record.  A real (mpf or Rotation) is written with the digits
+of one precision: the enclosing record's eval_bits, else its bits, else
+the precision of the record that contains it.  A rotation therefore
+uses the report's precision, not its own bits, which can be higher.
+Gaussian rationals use their exact "p/q+r/qi" text and floats their
+repr.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, is_dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from mpmath import mpf
 
@@ -41,7 +42,10 @@ def canonical_json(obj) -> str:
 
 
 def to_json_data(value, bits: Optional[int] = None):
-    """JSON data for a result dataclass, every real as a decimal string."""
+    """JSON data for a result record, every real as a decimal string.  A
+    record (its class has _fields) becomes an object of its fields, and
+    is recognised before the tuple branch, which would make a NamedTuple
+    a list."""
     if isinstance(value, Rotation):
         return format_complex_pair(value.value, bits)
     if isinstance(value, GaussianRational):
@@ -50,16 +54,16 @@ def to_json_data(value, bits: Optional[int] = None):
         return format_decimal(value, bits)
     if isinstance(value, float):
         return repr(value)
+    names = getattr(type(value), "_fields", None)
+    if names is not None:
+        own = getattr(value, "eval_bits", getattr(value, "bits", bits))
+        return {name: to_json_data(getattr(value, name), own) for name in names}
     if isinstance(value, tuple):
         return [to_json_data(v, bits) for v in value]
-    if is_dataclass(value):
-        own = getattr(value, "eval_bits", getattr(value, "bits", bits))
-        return {f.name: to_json_data(getattr(value, f.name), own) for f in fields(value)}
     return value
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     """One CLI run: the spec as parsed, ordered per-t results, summary."""
 
     spec_echo: dict

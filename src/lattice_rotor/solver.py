@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpc, mpf
@@ -40,6 +39,7 @@ from .corelattice import ComplexVector, Rotation, frac_dist
 from .flowsearch import FlowSearchOutcome, flow_search
 from .precision import (
     DEFAULT_PRECISION,
+    Frozen,
     below_half_sqrt2,
     check_precision,
     identity_slack,
@@ -77,8 +77,7 @@ MAX_PHASE_RETRIES = 3
 HORIZON_SPAN = 64
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(Frozen):
     """Settings of solve_general and its plan, solve_plan.
 
     bits is the declared precision of the problem data; evaluation
@@ -91,18 +90,21 @@ class SolverConfig:
     the number of phase retries (MAX_PHASE_RETRIES).
     """
 
-    bits: int = DEFAULT_PRECISION
-    height_bound: int = DEFAULT_HEIGHT_BOUND
-    l_cap: Optional[str] = None
+    __slots__ = _fields = ("bits", "height_bound", "l_cap")
 
-    def __post_init__(self) -> None:
-        check_precision(self.bits)
-        if self.l_cap is not None and not parse_decimal(self.l_cap, 64) > 0:
-            raise ValueError(f"l_cap must be positive, got {self.l_cap!r}")
+    def __init__(
+        self,
+        bits: int = DEFAULT_PRECISION,
+        height_bound: int = DEFAULT_HEIGHT_BOUND,
+        l_cap: Optional[str] = None,
+    ) -> None:
+        check_precision(bits)
+        if l_cap is not None and not parse_decimal(l_cap, 64) > 0:
+            raise ValueError(f"l_cap must be positive, got {l_cap!r}")
+        super().__init__(bits, height_bound, l_cap)
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     """Everything one solve_general call produced, verification included.
 
     per_point_frac comes from an independent re-evaluation of the
@@ -176,8 +178,7 @@ def derive_seed(master: int, index: int, salt: str = "") -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-@dataclass(frozen=True)
-class PhaseSample:
+class PhaseSample(NamedTuple):
     """One seeded random phase and the configuration it was applied to."""
 
     phi: mpf
@@ -299,8 +300,7 @@ def solve_typical(
     return outcome, theta
 
 
-@dataclass(frozen=True)
-class GeneralPlan:
+class GeneralPlan(NamedTuple):
     """What the general driver would do for a configuration, before any
     searching: the detected decomposition, the reduced tolerance, the
     first search horizon and the dilation threshold they imply.

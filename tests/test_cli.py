@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -734,7 +733,7 @@ class TestInternalCheckExit:
         def corrupted(*args, **kwargs):
             report = solve_general(*args, **kwargs)
             assert report.achieved
-            return dataclasses.replace(report, theta=_half_cell_off(report))
+            return report._replace(theta=_half_cell_off(report))
 
         monkeypatch.setattr(cli, "solve_general", corrupted)
         spec_path = _write_spec(tmp_path, _solve_spec())
@@ -747,8 +746,8 @@ class TestInternalCheckExit:
             report = solve_even_dim(*args, **kwargs)
             assert report.achieved
             first = report.per_plane[0]
-            bad = dataclasses.replace(first, theta=_half_cell_off(first))
-            return dataclasses.replace(report, per_plane=(bad,) + report.per_plane[1:])
+            bad = first._replace(theta=_half_cell_off(first))
+            return report._replace(per_plane=(bad,) + report.per_plane[1:])
 
         monkeypatch.setattr(cli, "solve_even_dim", corrupted)
         spec_path = _write_spec(tmp_path, _solve_spec(points=[["1", "0", "0", "1"]], t="1e10"))
@@ -760,19 +759,19 @@ class TestInternalCheckExit:
             # the argmin isometry reproduces 0.25, not the halved upper bound
             (
                 "tau_estimate",
-                lambda est: dataclasses.replace(est, upper=est.upper / 2),
+                lambda est: est._replace(upper=est.upper / 2),
                 ["tau", "--input", "SPEC", "--grid-theta", "40", "--grid-trans", "40"],
             ),
             # the argmin sample reproduces the minimum, not half of it
             (
                 "check_prop_sep",
-                lambda chk: dataclasses.replace(chk, minimum=chk.minimum / 2),
+                lambda chk: chk._replace(minimum=chk.minimum / 2),
                 ["prop-sep", "--t", "2", "--samples", "50", "--seed", "9"],
             ),
             # covered, yet one cell short of every cell
             (
                 "covering_time",
-                lambda out: dataclasses.replace(out, cells_visited=out.cells_visited - 1),
+                lambda out: out._replace(cells_visited=out.cells_visited - 1),
                 ["covering", "--direction", "1", "--eps", "0.2", "--cap", "10"],
             ),
         ],

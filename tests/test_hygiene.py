@@ -14,7 +14,8 @@ the README's table of spec keys states the CLI's spec schema.  A solve
 never loads numpy, which only the oracles need, and no other module
 imports it at module level, and the CLI's prop-sep recheck replays its
 sample with numpy blocked.  No package module imports a thread or
-process module.
+process module, nor dataclasses, and a solve loads neither dataclasses
+nor inspect.
 solver.py makes its SolveReports at one call site and derives its
 evaluation precision at one, flowsearch.py reduces its windows at one
 and ends its walk at one, and relations.py pre-reduces and reduces its
@@ -22,7 +23,6 @@ relation lattices at one each.
 """
 
 import ast
-import dataclasses
 import importlib.util
 import inspect
 import json
@@ -209,6 +209,48 @@ def test_only_the_oracle_imports_numpy():
     functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert "__getattr__" not in functions
     assert {"tau_estimate", "check_prop_sep", "covering_time"} <= functions
+
+
+def test_no_module_imports_dataclasses():
+    """The package's records are NamedTuples and its validated values
+    precision.Frozen subclasses: dataclasses, with the inspect, ast and
+    dis it loads, cost every CLI process about 13 ms of start-up."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(_parse(path)[1])
+        if "dataclasses" in (m.split(".")[0] for m in _imported_modules(node))
+    ]
+    assert not found, f"dataclasses imports: {found}"
+
+
+# the modules that importing the CLI and running one solve add to a fresh
+# interpreter's, printed one a line
+_SOLVE_IMPORTS = """
+import sys
+before = set(sys.modules)
+import lattice_rotor.cli as cli
+code = cli.main(["solve", "--input", sys.argv[1], "--output", sys.argv[2]])
+print(code, *sorted(set(sys.modules) - before), sep="\\n")
+"""
+
+
+def test_a_solve_never_imports_dataclasses_or_inspect(tmp_path):
+    """Neither the package nor its CLI loads dataclasses or inspect on the
+    way to a solve report."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        '{"mode": "solve", "points": [["1", "0"], ["0.5", "0.25"]], "epsilon": "0.1", "t": "1e4"}',
+        encoding="utf-8",
+    )
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run(
+        [sys.executable, "-c", _SOLVE_IMPORTS, str(spec), str(tmp_path / "report.json")],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.split()
+    assert out[0] == "0" and "lattice_rotor.solver" in out
+    assert {"dataclasses", "inspect"}.isdisjoint(out)
 
 
 _CONCURRENCY_MODULES = {"threading", "queue", "multiprocessing", "concurrent", "_thread"}
@@ -401,7 +443,7 @@ KNOBS = {
 def test_every_knob_has_a_caller():
     """A new SolverConfig field or flow_search keyword fails here until it
     is listed in KNOBS with the caller that sets it."""
-    fields = {f"SolverConfig.{f.name}" for f in dataclasses.fields(SolverConfig)}
+    fields = {f"SolverConfig.{name}" for name in inspect.signature(SolverConfig).parameters}
     keywords = {
         f"flow_search.{p.name}"
         for p in inspect.signature(flow_search).parameters.values()

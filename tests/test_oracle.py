@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath
@@ -1038,7 +1037,7 @@ class TestCoveringTime:
                 for start, flat in made:
                     assert flat.tolist() == _matmul_cells(direction, eps, start, flat.size).tolist()
                 want = _covering_matmul_walk(direction, eps, c)
-                assert dataclasses.astuple(got) == dataclasses.astuple(want)
+                assert tuple(got) == tuple(want)
 
     def test_walk_memory_is_bounded(self, traced_peak_mb):
         # 573,139 steps over 160,000 cells, a 2^13-step chunk at a time

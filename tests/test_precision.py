@@ -2,11 +2,15 @@ import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
+from lattice_rotor.corelattice import ComplexVector, Rotation
+from lattice_rotor.gaussian import GaussianInteger, GaussianRational
+from lattice_rotor.oracle import PlanarIsometry
 from lattice_rotor.precision import (
     DEFAULT_PRECISION,
     MIN_PRECISION,
+    Frozen,
     check_precision,
     format_complex_pair,
     format_decimal,
@@ -21,6 +25,7 @@ from lattice_rotor.precision import (
     unit_modulus_tol,
     working_precision,
 )
+from lattice_rotor.solver import SolverConfig
 
 
 def test_min_precision_enforced():
@@ -179,3 +184,75 @@ def test_raise_for_magnitude_monotone():
 def test_format_parse_identity_dyadic(n, e):
     x = mpf(n) * mpf(2) ** e
     assert parse_decimal(format_decimal(x, 128), 128) == x
+
+
+def _quarter():
+    with working_precision(128):
+        return Rotation.from_angle(mpmath.pi / 4, 128)
+
+
+# each Frozen class of the package: a factory of one value, and a value
+# that differs from it in one field
+FROZEN_CASES = {
+    "Rotation": (_quarter, lambda: Rotation(mpc(0, 1), 128)),
+    "ComplexVector": (
+        lambda: ComplexVector((mpc(1, 2), mpc(0, 1)), 128),
+        lambda: ComplexVector((mpc(1, 2), mpc(0, 1)), 192),
+    ),
+    "GaussianInteger": (lambda: GaussianInteger(1, 2), lambda: GaussianInteger(1, 3)),
+    "GaussianRational": (
+        lambda: GaussianRational(GaussianInteger(1, 2), 3),
+        lambda: GaussianRational(GaussianInteger(1, 2), 5),
+    ),
+    "SolverConfig": (lambda: SolverConfig(l_cap="1e6"), lambda: SolverConfig(l_cap="1e7")),
+    "PlanarIsometry": (
+        lambda: PlanarIsometry(_quarter(), False, (mpf("1.25"), mpf("-0.5"))),
+        lambda: PlanarIsometry(_quarter(), True, (mpf("0.25"), mpf("0.5"))),
+    ),
+}
+
+
+@pytest.mark.parametrize("make, other", FROZEN_CASES.values(), ids=FROZEN_CASES)
+def test_frozen_values_compare_and_hash_by_their_fields(make, other):
+    a, b, c = make(), make(), other()
+    assert isinstance(a, Frozen) and not isinstance(a, tuple)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != c
+    assert a != tuple(getattr(a, name) for name in a._fields)
+    assert repr(a) == repr(b) and repr(a).startswith(type(a).__name__ + "(")
+
+
+@pytest.mark.parametrize("make", [m for m, _ in FROZEN_CASES.values()], ids=FROZEN_CASES)
+def test_frozen_values_refuse_assignment(make):
+    value = make()
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert value == make()
+
+
+def test_frozen_values_gain_no_tuple_arithmetic():
+    with pytest.raises(TypeError):
+        2 * GaussianInteger(1, 2)
+    with pytest.raises(TypeError):
+        GaussianInteger(1, 2) + GaussianInteger(0, 1)
+    with pytest.raises(TypeError):
+        len(_quarter())
+
+
+def test_frozen_values_keep_their_constructors():
+    q = GaussianRational(GaussianInteger(2, -4), -6)
+    assert (q.num, q.den) == (GaussianInteger(-1, 2), 3)
+    assert q.format() == "-1/3+2/3i"
+    g = PlanarIsometry(_quarter(), 1, (mpf("1.25"), mpf("-0.5")))
+    assert g.reflect is True and g.translation == (mpf("0.25"), mpf("0.5")) and g.bits == 128
+    with pytest.raises(TypeError):
+        GaussianInteger(1.0, 2)
+    with pytest.raises(ValueError):
+        GaussianRational(GaussianInteger(1, 2), 0)
+    with pytest.raises(ValueError):
+        SolverConfig(bits=MIN_PRECISION - 1)

@@ -6,7 +6,8 @@ from mpmath import mpf
 
 from lattice_rotor.cli import main
 from lattice_rotor.corelattice import Rotation
-from lattice_rotor.precision import format_complex_pair, working_precision
+from lattice_rotor.products import BlockEmbeddingReport
+from lattice_rotor.precision import format_complex_pair, format_decimal, working_precision
 from lattice_rotor.reporting import (
     RunReport,
     canonical_json,
@@ -198,6 +199,25 @@ def test_rotation_uses_report_precision():
         achieved=True, search_steps=0, seed=None, decomposition=None,
     )
     assert to_json_data(report)["theta"] == format_complex_pair(theta.value, 128)
+
+
+def test_nested_records_serialize_as_objects():
+    """A record inside a record's tuple field is an object, not the list
+    its tuple base would give."""
+    plane = SolveReport(
+        t=mpf(10), theta=Rotation.from_angle(mpf(1), 128), phi=mpf(0), s_found=None,
+        L_used=mpf(1), T_threshold=mpf(1), per_point_frac=(mpf(0),), max_frac=mpf(0),
+        achieved=True, search_steps=0, seed=None, decomposition=None,
+    )
+    block = BlockEmbeddingReport(
+        t=mpf(10), per_plane=(plane, plane), plane_eps=(mpf("0.1"), mpf("0.1")),
+        combined_per_point=(mpf(0),), combined_max_frac=mpf(0), achieved=True, seed=1,
+    )
+    data = to_json_data(block)
+    assert data["per_plane"] == [to_json_data(plane)] * 2
+    assert isinstance(data["per_plane"][0], dict)
+    assert set(data["per_plane"][0]) == set(SolveReport._fields)
+    assert data["plane_eps"] == [format_decimal(mpf("0.1"), 128)] * 2
 
 
 class TestCsv:
