@@ -7,10 +7,14 @@ does, and prints the number of reports and SVGs written and one sha256
 over their paths (relative to the work directory) and bytes, in sorted
 path order.  Two trees that print the same digest wrote byte-identical
 solve artifacts.  The package is imported from this checkout's src/.
+With --expect, a digest other than the expected one prints both and
+exits 1; tests/data/pool_digest.json records the digest of sets 0 and 1,
+which only a declared artifact change may re-record.
 
 Usage:
     python3 scripts/pool_digest.py
     python3 scripts/pool_digest.py --sets 0,1 --workdir /tmp/pool
+    python3 scripts/pool_digest.py --sets 0,1 --expect 147b075c...
 """
 
 import argparse
@@ -55,6 +59,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sets", default=None, help="comma-separated input set ids (default: the whole pool)")
     ap.add_argument("--workdir", default=None, help="directory for specs and artifacts (default: a temporary one)")
+    ap.add_argument("--expect", default=None, metavar="HEX", help="exit 1 unless the digest is this sha256")
     args = ap.parse_args(argv)
     sets = [int(s) for s in args.sets.split(",")] if args.sets else range(workloads.POOL)
 
@@ -65,6 +70,9 @@ def main(argv=None) -> int:
             count, hexdigest = digest(Path(tmp), sets)
     print(f"{count} files")
     print(f"sha256 {hexdigest}")
+    if args.expect is not None and args.expect != hexdigest:
+        print(f"digest mismatch: expected sha256 {args.expect}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -119,24 +119,24 @@ class SpecError(ValueError):
     """Problem spec failed validation; maps to exit code 2."""
 
 
-def _require_decimal(value, name: str, bits: int = 64) -> str:
+def _require_decimal(value, name: str, bits: int = 64) -> mpf:
+    """value, which must be a decimal string, parsed once at bits: the
+    precision its caller uses it at."""
     if not isinstance(value, str):
         raise SpecError(
             f"{name} must be a decimal string (JSON numbers are rejected so "
             f"precision survives the boundary), got {type(value).__name__}"
         )
     try:
-        parse_decimal(value, bits)
+        return parse_decimal(value, bits)
     except (ValueError, TypeError):
         raise SpecError(f"{name} is not a valid decimal: {value!r}")
-    return value
 
 
 def _positive_decimal(value, name: str, bits: int) -> str:
-    text = _require_decimal(value, name)
-    if not parse_decimal(text, bits) > 0:
-        raise SpecError(f"{name} must be positive, got {text}")
-    return text
+    if not _require_decimal(value, name, bits) > 0:
+        raise SpecError(f"{name} must be positive, got {value}")
+    return value
 
 
 def _require_int(value, name: str, minimum: int) -> int:
@@ -173,17 +173,20 @@ class ProblemSpec(NamedTuple):
 
 
 def _parse_points(raw, got: dict) -> List[List[str]]:
-    # the JSON shapes and decimal strings here; the point-set rules (some
-    # points, one even dimension) are project_planes'
+    # the JSON shapes and decimal strings here, each coordinate parsed
+    # once at the spec's precision; the point-set rules (some points, one
+    # even dimension) are project_planes'
     if not isinstance(raw, list):
         raise SpecError("points must be a list")
-    points = []
+    bits = got["precision_bits"]
+    points, rows = [], []
     for idx, entry in enumerate(raw):
         if not isinstance(entry, list):
             raise SpecError(f"points[{idx}] must be a list of decimal strings")
-        points.append([_require_decimal(c, f"points[{idx}][{j}]") for j, c in enumerate(entry)])
+        rows.append([_require_decimal(c, f"points[{idx}][{j}]", bits) for j, c in enumerate(entry)])
+        points.append(list(entry))
     try:
-        planes = project_planes(points, got["precision_bits"])
+        planes = project_planes(rows, bits)
     except ValueError as exc:
         raise SpecError(str(exc))
     if got["mode"] == "tau" and len(planes) != 1:
@@ -215,8 +218,8 @@ def _expand_t(given: dict, bits: int) -> dict:
         spacing = rng.get("spacing", "log")
         if spacing not in ("linear", "log"):
             raise SpecError(f"t_range.spacing must be linear or log, got {spacing!r}")
-        a = parse_decimal(_require_decimal(rng["from"], "t_range.from"), bits + 32)
-        b = parse_decimal(_require_decimal(rng["to"], "t_range.to"), bits + 32)
+        a = _require_decimal(rng["from"], "t_range.from", bits + 32)
+        b = _require_decimal(rng["to"], "t_range.to", bits + 32)
         if not (a > 0 and b > 0):
             raise SpecError("t_range endpoints must be positive")
         if b < a:
@@ -252,18 +255,17 @@ def _check_precision(value, got: dict) -> int:
 
 
 def _check_epsilon(value, got: dict) -> str:
-    epsilon = _require_decimal(value, "epsilon")
-    k = len(got["points"][0])
     bits = max(got["precision_bits"], 64)
+    eps_v = _require_decimal(value, "epsilon", bits)
+    k = len(got["points"][0])
     with working_precision(bits):
-        eps_v = parse_decimal(epsilon, bits)
         limit = mpmath.sqrt(mpf(k)) / 2
         if not (0 < eps_v < limit):
             raise SpecError(
                 f"epsilon must lie in (0, sqrt({k})/2 = {mpmath.nstr(limit, 8)}), "
-                f"got {epsilon}"
+                f"got {value}"
             )
-    return epsilon
+    return value
 
 
 # each spec key's validator, given the key's value and the keys validated
@@ -725,13 +727,15 @@ def _spec_and_options(args) -> Tuple[ProblemSpec, dict]:
         direction = [c.strip() for c in args.direction.split(",") if c.strip()]
         if not direction:
             raise SpecError("direction must list at least one coordinate")
-        options = {
-            "direction": [_require_decimal(c, "direction") for c in direction],
-            "eps": _require_decimal(args.eps, "eps"),
-            "cap": _require_decimal(args.cap, "cap"),
-        }
+        options = {"direction": direction, "eps": args.eps, "cap": args.cap}
         if args.cell is not None:
-            options["cell"] = _require_decimal(args.cell, "cell")
+            options["cell"] = args.cell
+        # the echo keeps the strings, which _run_covering reads as floats
+        for c in direction:
+            _require_decimal(c, "direction")
+        for key in ("eps", "cap", "cell"):
+            if key in options:
+                _require_decimal(options[key], key)
         return spec, options
     return spec, {}
 

@@ -13,6 +13,15 @@ vectors are thin tuples of them.  Callers that feed values of magnitude
 2^B must supply at least B + (result bits) precision or the fractional
 part is rounding noise; the solver raises its working precision for
 exactly this reason.
+
+The exact evaluations here (frac_dist, a vector's entries and max_abs,
+a rotation's normalization) call mpmath's libmp functions on the raw
+values, at the precision passed in, with round-to-nearest: mpmath's
+default, which the package never changes.  Every libmp operation is
+correctly rounded at the precision it is given, so these give the same
+bits as the mpf/mpc arithmetic they replace run at that precision, and
+they open no precision context: their results do not depend on the
+ambient precision.
 """
 from __future__ import annotations
 
@@ -20,20 +29,50 @@ from typing import Sequence
 
 import mpmath
 from mpmath import mpc, mpf
+from mpmath.libmp import (
+    fone,
+    from_float,
+    fzero,
+    mpc_abs,
+    mpc_div_mpf,
+    mpc_mul,
+    mpc_to_str,
+    mpf_abs,
+    mpf_gt,
+    mpf_hypot,
+    mpf_nint,
+    mpf_pos,
+    mpf_sub,
+    prec_to_dps,
+    to_int,
+)
 
 from .precision import (
     DEFAULT_PRECISION,
+    NEAREST,
     Frozen,
     check_precision,
+    make_mpc,
+    make_mpf,
     unit_modulus_tol,
     working_precision,
 )
 
-def _require_finite_complex(z: mpc) -> mpc:
-    z = mpc(z)
-    if not (mpmath.isfinite(z.real) and mpmath.isfinite(z.imag)):
-        raise ValueError(f"non-finite complex value: {z}")
-    return z
+
+def _finite_parts(z, bits: int) -> tuple:
+    """The raw real and imaginary parts of mpc(z) at `bits`, each rounded
+    to `bits`; ValueError unless both are finite."""
+    if hasattr(z, "_mpc_"):
+        parts = z._mpc_
+    elif isinstance(z, complex):
+        parts = (from_float(z.real), from_float(z.imag))
+    else:
+        parts = (mpf(z, prec=bits, rounding=NEAREST)._mpf_, fzero)
+    re, im = parts = (mpf_pos(parts[0], bits, NEAREST), mpf_pos(parts[1], bits, NEAREST))
+    # a raw value with a zero mantissa and a nonzero exponent is inf or nan
+    if (not re[1] and re[2]) or (not im[1] and im[2]):
+        raise ValueError(f"non-finite complex value: ({mpc_to_str(parts, prec_to_dps(bits))})")
+    return parts
 
 
 def frac_dist(z, bits: int = DEFAULT_PRECISION) -> mpf:
@@ -43,11 +82,10 @@ def frac_dist(z, bits: int = DEFAULT_PRECISION) -> mpf:
     exact half-integer inputs.  Raises ValueError on non-finite input.
     """
     check_precision(bits)
-    with working_precision(bits):
-        z = _require_finite_complex(z)
-        dre = z.real - mpmath.nint(z.real)
-        dim = z.imag - mpmath.nint(z.imag)
-        return mpmath.hypot(dre, dim)
+    re, im = _finite_parts(z, bits)
+    dre = mpf_sub(re, mpf_nint(re, bits, NEAREST), bits, NEAREST)
+    dim = mpf_sub(im, mpf_nint(im, bits, NEAREST), bits, NEAREST)
+    return make_mpf(mpf_hypot(dre, dim, bits, NEAREST))
 
 
 def vec_frac_dist(entries: Sequence, bits: int = DEFAULT_PRECISION) -> mpf:
@@ -77,9 +115,9 @@ def real_dist_to_lattice(coords: Sequence, bits: int = DEFAULT_PRECISION) -> mpf
 
 def nearest_gaussian(z, bits: int = DEFAULT_PRECISION):
     """The rounding target of frac_dist, as a pair of exact integers."""
-    with working_precision(bits):
-        z = _require_finite_complex(z)
-        return int(mpmath.nint(z.real)), int(mpmath.nint(z.imag))
+    check_precision(bits)
+    re, im = _finite_parts(z, bits)
+    return int(to_int(mpf_nint(re, bits, NEAREST))), int(to_int(mpf_nint(im, bits, NEAREST)))
 
 
 class Rotation(Frozen):
@@ -94,14 +132,14 @@ class Rotation(Frozen):
 
     def __init__(self, value: mpc, bits: int = DEFAULT_PRECISION) -> None:
         check_precision(bits)
-        with working_precision(bits):
-            v = _require_finite_complex(value)
-            modulus = abs(v)
-            if modulus == 0:
-                raise ValueError("zero has no direction")
-            if abs(modulus - 1) > unit_modulus_tol(bits):
-                v = v / modulus
-        super().__init__(v, bits)
+        v = _finite_parts(value, bits)
+        modulus = mpc_abs(v, bits, NEAREST)
+        if modulus == fzero:
+            raise ValueError("zero has no direction")
+        off = mpf_abs(mpf_sub(modulus, fone, bits, NEAREST), bits, NEAREST)
+        if mpf_gt(off, unit_modulus_tol(bits)._mpf_):
+            v = mpc_div_mpf(v, modulus, bits, NEAREST)
+        super().__init__(make_mpc(v), bits)
 
     @classmethod
     def from_angle(cls, phi, bits: int = DEFAULT_PRECISION) -> "Rotation":
@@ -110,8 +148,7 @@ class Rotation(Frozen):
 
     def __mul__(self, other: "Rotation") -> "Rotation":
         bits = max(self.bits, other.bits)
-        with working_precision(bits):
-            return Rotation(self.value * other.value, bits)
+        return Rotation(make_mpc(mpc_mul(self.value._mpc_, other.value._mpc_, bits, NEAREST)), bits)
 
 
 class ComplexVector(Frozen):
@@ -121,14 +158,10 @@ class ComplexVector(Frozen):
 
     def __init__(self, entries: tuple, bits: int = DEFAULT_PRECISION) -> None:
         check_precision(bits)
-        # conversion must run at the vector's own precision: mpc() rounds
-        # to the ambient working precision, which defaults to 53 bits
-        with working_precision(bits):
-            entries = tuple(mpc(z) for z in entries)
+        # every entry is rounded to the vector's own precision
+        entries = tuple(make_mpc(_finite_parts(z, bits)) for z in entries)
         if not entries:
             raise ValueError("a complex vector needs at least one entry")
-        for z in entries:
-            _require_finite_complex(z)
         super().__init__(entries, bits)
 
     def __len__(self) -> int:
@@ -141,8 +174,7 @@ class ComplexVector(Frozen):
         return self.entries[idx]
 
     def max_abs(self) -> mpf:
-        with working_precision(self.bits):
-            return max(abs(z) for z in self.entries)
+        return max(make_mpf(mpc_abs(z._mpc_, self.bits, NEAREST)) for z in self.entries)
 
     def scaled(self, factor) -> "ComplexVector":
         with working_precision(self.bits):

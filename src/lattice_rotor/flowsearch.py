@@ -91,11 +91,18 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_int, mpc_add, mpc_mul_mpf, mpf_mul, to_fixed
 
 from .corelattice import ComplexVector, frac_dist
 from .lll import float_start, lll_reduce
-from .precision import below_half_sqrt2, raise_for_magnitude, working_precision
+from .precision import (
+    NEAREST,
+    below_half_sqrt2,
+    make_mpc,
+    make_mpf,
+    raise_for_magnitude,
+    working_precision,
+)
 
 # a walk ends "exhausted" after this many windows, when a window of the
 # floor length outgrows the node budget, or at an OverflowError: a
@@ -186,15 +193,19 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
     offset_fixed = _fixed_point(coords_w, bits_eval)
     step_fixed = _fixed_point(dv_coords, bits_eval)
 
+    # the exact check of grid index j: W + s*V with s = j*delta, every
+    # operation rounded at bits_eval
+    raw_pairs = [(zv._mpc_, zw._mpc_) for zv, zw in zip(values_v, values_w)]
+    raw_delta = delta._mpf_
+
     def verify(j: int) -> Optional[mpf]:
-        with working_precision(bits_eval):
-            s = mpf(j) * delta
-            worst = mpf(0)
-            for zv, zw in zip(values_v, values_w):
-                d = frac_dist(zw + s * zv, bits_eval)
-                if d > worst:
-                    worst = d
-            return s if worst < eps else None
+        s = mpf_mul(from_int(j, bits_eval, NEAREST), raw_delta, bits_eval, NEAREST)
+        points = (
+            mpc_add(zw, mpc_mul_mpf(zv, s, bits_eval, NEAREST), bits_eval, NEAREST)
+            for zv, zw in raw_pairs
+        )
+        worst = max(frac_dist(make_mpc(p), bits_eval) for p in points)
+        return make_mpf(s) if worst < eps else None
 
     window_len = _first_window(m, eps)
     examined = windows = j0 = 0

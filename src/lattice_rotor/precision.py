@@ -8,6 +8,11 @@ ceil(P*log10(2)) significant digits; doubles appear only in throwaway
 search phases whose results are always re-verified at full precision.
 The flow search's window targets are fixed-point integers, carrying 64
 fractional bits past P, and only their final residues become doubles.
+Tolerances, parsing and formatting take P as an argument and never read
+mpmath's global precision: they call mpmath's libmp layer, or mpf with
+an explicit prec, at P with round-to-nearest (NEAREST, mpmath's default,
+which the package never changes), so they return the same bits whatever
+precision the caller holds.
 Bit counts of a value (magnitude_bits, resolution_bits) are read off its
 exact binary exponent, never off a rounded logarithm.  The package's
 validated values (rotations, vectors, Gaussian numbers, isometries,
@@ -19,8 +24,23 @@ import math
 
 import mpmath
 from mpmath import mpc, mpf
+from mpmath.libmp import (
+    fone,
+    from_int,
+    from_man_exp,
+    mpf_add,
+    mpf_pow,
+    mpf_shift,
+    round_nearest,
+)
 
 DEFAULT_PRECISION = 128
+
+# the rounding of every explicit-precision evaluation in the package
+NEAREST = round_nearest
+# a raw libmp value as an mpf or mpc object, rounding nothing
+make_mpf = mpmath.mp.make_mpf
+make_mpc = mpmath.mp.make_mpc
 
 # below this, double arithmetic would be just as good and the certified
 # tolerances stop making sense
@@ -41,19 +61,24 @@ def working_precision(bits: int):
 
 def unit_modulus_tol(bits: int) -> mpf:
     """Largest |1 - |theta|| tolerated before a rotation is renormalized."""
-    return mpf(2) ** (-bits + 4)
+    return make_mpf(mpf_shift(fone, 4 - bits))
 
 
 def identity_slack(bits: int, scale: float | mpf = 0) -> mpf:
-    """Slack for exact metric identities evaluated at `bits`, on inputs of
-    the given magnitude."""
-    return (mpf(2) ** (-bits + 6)) * (1 + mpf(scale))
+    """Slack 2^(6-P) * (1 + scale) for exact metric identities evaluated at
+    `bits`, on inputs of the given magnitude; scale and the sum are
+    rounded at `bits`."""
+    check_precision(bits)
+    scale_v = mpf(scale, prec=bits, rounding=NEAREST)._mpf_
+    return make_mpf(mpf_shift(mpf_add(scale_v, fone, bits, NEAREST), 6 - bits))
 
 
 def residual_tol(bits: int) -> mpf:
     """Certification threshold 2^(-P/2) for detected rational relations and
-    for the a-posteriori slack on achieved solves."""
-    return mpf(2) ** (-(mpf(bits) / 2))
+    for the a-posteriori slack on achieved solves, rounded at P bits (an
+    odd P makes it irrational)."""
+    check_precision(bits)
+    return make_mpf(mpf_pow(from_int(2), from_man_exp(-bits, -1), bits, NEAREST))
 
 
 def significant_digits(bits: int) -> int:
@@ -68,11 +93,11 @@ def parse_decimal(text: str, bits: int) -> mpf:
     The string is the interface unit of the package: JSON inputs and
     outputs carry decimals, never binary floats.
     """
-    with working_precision(bits):
-        try:
-            value = mpf(text.strip()) if isinstance(text, str) else mpf(text)
-        except Exception as exc:
-            raise ValueError(f"not a decimal number: {text!r}") from exc
+    check_precision(bits)
+    try:
+        value = mpf(text.strip() if isinstance(text, str) else text, prec=bits, rounding=NEAREST)
+    except Exception as exc:
+        raise ValueError(f"not a decimal number: {text!r}") from exc
     if not mpmath.isfinite(value):
         raise ValueError(f"non-finite value not allowed: {text!r}")
     return value
@@ -80,8 +105,9 @@ def parse_decimal(text: str, bits: int) -> mpf:
 
 def format_decimal(value: mpf | float, bits: int) -> str:
     """Render a real value as a decimal string at the precision's digit count."""
-    with working_precision(bits):
-        return mpmath.nstr(mpf(value), significant_digits(bits), strip_zeros=False)
+    check_precision(bits)
+    value = mpf(value, prec=bits, rounding=NEAREST)
+    return mpmath.nstr(value, significant_digits(bits), strip_zeros=False)
 
 
 def parse_complex_pair(pair, bits: int) -> mpc:
@@ -90,8 +116,7 @@ def parse_complex_pair(pair, bits: int) -> mpc:
         raise ValueError(f"expected a [re, im] pair, got {pair!r}")
     re = parse_decimal(pair[0], bits)
     im = parse_decimal(pair[1], bits)
-    with working_precision(bits):
-        return mpc(re, im)
+    return make_mpc((re._mpf_, im._mpf_))
 
 
 def format_complex_pair(z: mpc, bits: int) -> list[str]:

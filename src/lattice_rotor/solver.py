@@ -24,6 +24,15 @@ precision from t, the search horizon and eps, and carries the rotation
 at that width.  A rotation stored at the base precision would already be
 useless at threshold-scale dilations: t * 2^(-P) dwarfs eps long before
 t reaches the regime the construction is built for.
+
+The exact evaluations every verdict rests on (lattice_residuals,
+certify and the linearization self check) call mpmath's libmp functions
+on raw values at an explicit precision with round-to-nearest, mpmath's
+default, which the package never changes.  They perform the operations
+of the mpf/mpc expressions they replace, in the same order, and libmp
+rounds each one correctly, so they give the same bits; they open no
+precision context, so their results do not depend on the ambient
+precision.
 """
 
 from __future__ import annotations
@@ -34,15 +43,32 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpc, mpf
+from mpmath.libmp import (
+    fzero,
+    mpc_abs,
+    mpc_mul,
+    mpc_mul_mpf,
+    mpc_sub,
+    mpf_add,
+    mpf_div,
+    mpf_gt,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pos,
+    mpf_sqrt,
+)
 
 from .corelattice import ComplexVector, Rotation, frac_dist
 from .flowsearch import FlowSearchOutcome, flow_search
 from .precision import (
     DEFAULT_PRECISION,
+    NEAREST,
     Frozen,
     below_half_sqrt2,
     check_precision,
     identity_slack,
+    make_mpc,
+    make_mpf,
     parse_decimal,
     raise_for_magnitude,
     working_precision,
@@ -213,9 +239,11 @@ def lattice_residuals(theta: Rotation, t, V, bits: int) -> Tuple[mpf, ...]:
     the search: this is the second opinion every report is judged by.
     """
     vec = V if isinstance(V, ComplexVector) else ComplexVector(tuple(V), bits)
-    with working_precision(bits):
-        tt = parse_decimal(t, bits)
-        return tuple(frac_dist(theta.value * tt * z, bits) for z in vec.entries)
+    # (theta * t) * z, each product rounded at bits
+    turn = mpc_mul_mpf(theta.value._mpc_, parse_decimal(t, bits)._mpf_, bits, NEAREST)
+    return tuple(
+        frac_dist(make_mpc(mpc_mul(turn, z._mpc_, bits, NEAREST)), bits) for z in vec.entries
+    )
 
 
 def certify(
@@ -233,12 +261,14 @@ def certify(
     """
     hi = 2 * eval_bits
     per_plane = [lattice_residuals(th, t, pl, hi) for th, pl in zip(thetas, planes)]
-    with working_precision(hi):
-        combined = [mpmath.sqrt(sum(r * r for r in rs)) for rs in zip(*per_plane, strict=True)]
-    with working_precision(eval_bits):
-        per_point = tuple(mpf(v) for v in combined)
-        worst = max(per_point)
-    return per_point, worst
+    per_point = []
+    for rs in zip(*per_plane, strict=True):
+        total = fzero
+        for r in rs:
+            total = mpf_add(total, mpf_mul(r._mpf_, r._mpf_, hi, NEAREST), hi, NEAREST)
+        root = mpf_sqrt(total, hi, NEAREST)
+        per_point.append(make_mpf(mpf_pos(root, eval_bits, NEAREST)))
+    return tuple(per_point), max(per_point)
 
 
 def _vector(V, config: SolverConfig) -> Tuple[ComplexVector, int]:
@@ -262,18 +292,31 @@ def _check_linearization(
     max_abs: mpf,
     bits: int,
 ) -> None:
-    """Quadratic-remainder self check for a successful direct solve."""
-    with working_precision(bits):
-        bound = L**2 * max_abs / (2 * t) + identity_slack(bits, t * max_abs)
-        linear = mpc(t, s)
-        for z in vec.entries:
-            err = abs(theta.value * t * z - linear * z)
-            if err > bound:
-                raise InternalCheckError(
-                    "linearization bound violated: "
-                    f"|theta*t*z - (t+is)*z| = {mpmath.nstr(err, 10)} exceeds "
-                    f"{mpmath.nstr(bound, 10)}"
-                )
+    """Quadratic-remainder self check for a successful direct solve:
+    |theta*t*z - (t+is)*z| <= L^2*max_abs/(2t) + slack for every entry z,
+    every operation rounded at bits."""
+    check_precision(bits)
+    t_, L_, m_ = t._mpf_, L._mpf_, max_abs._mpf_
+    remainder = mpf_div(
+        mpf_mul(mpf_mul(L_, L_, bits, NEAREST), m_, bits, NEAREST),
+        mpf_mul_int(t_, 2, bits, NEAREST),
+        bits,
+        NEAREST,
+    )
+    slack = identity_slack(bits, make_mpf(mpf_mul(t_, m_, bits, NEAREST)))
+    bound = mpf_add(remainder, slack._mpf_, bits, NEAREST)
+    linear = (mpf_pos(t_, bits, NEAREST), mpf_pos(s._mpf_, bits, NEAREST))
+    turn = mpc_mul_mpf(theta.value._mpc_, t_, bits, NEAREST)
+    for z in vec.entries:
+        w = z._mpc_
+        turned, linearized = mpc_mul(turn, w, bits, NEAREST), mpc_mul(linear, w, bits, NEAREST)
+        err = mpc_abs(mpc_sub(turned, linearized, bits, NEAREST), bits, NEAREST)
+        if mpf_gt(err, bound):
+            raise InternalCheckError(
+                "linearization bound violated: "
+                f"|theta*t*z - (t+is)*z| = {mpmath.nstr(make_mpf(err), 10)} exceeds "
+                f"{mpmath.nstr(make_mpf(bound), 10)}"
+            )
 
 
 def solve_typical(

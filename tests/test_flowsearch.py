@@ -513,12 +513,13 @@ class TestReadmeWorkGuard:
         assert report.search_steps == outcomes[0].examined <= 16
         assert outcomes[0].windows_used <= 6
 
-    def test_precision_contexts_follow_calls_and_checks(self, monkeypatch, tmp_path):
+    def test_precision_contexts_follow_calls_not_checks(self, monkeypatch, tmp_path):
         # the README solve's 20 dilations: flowsearch enters a precision
         # context three times per call (parsing eps and L_max, the grid
-        # step, and the first window's length), once per verified
-        # candidate and once per window-lattice memo miss; never once per
-        # window, whose targets are fixed point
+        # step, and the first window's length) and once per window-lattice
+        # memo miss; never once per window, whose targets are fixed point,
+        # nor once per verified candidate, whose exact check calls libmp
+        # at an explicit precision
         entries = []
         real_precision, real_frac_dist = flowsearch.working_precision, flowsearch.frac_dist
 
@@ -561,8 +562,8 @@ class TestReadmeWorkGuard:
         (m,) = {m for m, _ in outcomes}
         verified, rest = divmod(len(checks), m)
         windows = sum(out.windows_used for _, out in outcomes)
-        assert rest == 0 and windows > 2 * len(outcomes)
-        assert len(entries) == 3 * len(outcomes) + verified + lattice_misses
+        assert rest == 0 and verified > 0 and windows > 2 * len(outcomes)
+        assert len(entries) == 3 * len(outcomes) + lattice_misses
 
 
 class TestWrongCandidatesRejected:

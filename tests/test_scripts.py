@@ -2,9 +2,11 @@
 public API the way a user would."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
+DATA = Path(__file__).parent / "data"
 
 
 def _load(name):
@@ -37,11 +39,24 @@ def test_convergence_sweep_csv(tmp_path, capsys):
         assert lower <= upper <= 2**-0.5
 
 
-def test_pool_digest_of_one_input_set(tmp_path, capsys):
-    assert _load("pool_digest").main(["--sets", "0", "--workdir", str(tmp_path)]) == 0
+def test_pool_digest_matches_the_recorded_one(tmp_path, capsys):
+    # the solve artifacts of pool sets 0 and 1 are byte-identical to the
+    # recorded ones; only a declared artifact change may re-record them
+    recorded = json.loads((DATA / "pool_digest.json").read_text(encoding="utf-8"))
+    argv = ["--sets", recorded["sets"], "--workdir", str(tmp_path), "--expect", recorded["sha256"]]
+    assert _load("pool_digest").main(argv) == 0
     count, digest = capsys.readouterr().out.splitlines()
-    # readme-solve writes a report and a curve, planted-solve 8 reports
-    # and block-solve 10
-    assert count == "20 files"
-    assert digest.startswith("sha256 ") and len(digest.split()[1]) == 64
+    # per set, readme-solve writes a report and a curve, planted-solve 8
+    # reports and block-solve 10
+    assert count == f"{recorded['files']} files" == "40 files"
+    assert digest == f"sha256 {recorded['sha256']}"
     assert (tmp_path / "readme-solve" / "0" / "curve.svg").is_file()
+
+
+def test_pool_digest_mismatch_prints_both_and_exits_1(monkeypatch, capsys):
+    module = _load("pool_digest")
+    monkeypatch.setattr(module, "digest", lambda workdir, sets: (2, "ab" * 32))
+    assert module.main(["--sets", "0", "--expect", "cd" * 32]) == 1
+    out = capsys.readouterr()
+    assert out.out.splitlines() == ["2 files", f"sha256 {'ab' * 32}"]
+    assert out.err == f"digest mismatch: expected sha256 {'cd' * 32}\n"
