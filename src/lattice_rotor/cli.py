@@ -375,9 +375,9 @@ def _run_solve(spec: ProblemSpec, options: dict) -> _Outcome:
         results.append(result)
         if rep.achieved:
             achieved_count += 1
-        with working_precision(rep.eval_bits):
-            if worst is None or frac > worst[0]:
-                worst = (frac, rep.eval_bits)
+        # comparing two mpf values is exact at any precision
+        if worst is None or frac > worst[0]:
+            worst = (frac, rep.eval_bits)
 
     summary = {
         "count": len(results),
@@ -497,11 +497,11 @@ def _run_prop_sep(spec: ProblemSpec, options: dict) -> _Outcome:
 
 
 def _run_covering(spec: ProblemSpec, options: dict) -> _Outcome:
-    dir_floats = [float(parse_decimal(c, 64)) for c in options["direction"]]
-    eps_f = float(parse_decimal(options["eps"], 64))
-    cap_f = float(parse_decimal(options["cap"], 64))
+    dir_floats = [float(_require_decimal(c, "direction")) for c in options["direction"]]
+    eps_f = float(_require_decimal(options["eps"], "eps"))
+    cap_f = float(_require_decimal(options["cap"], "cap"))
     cell = options.get("cell")
-    cell_f = None if cell is None else float(parse_decimal(cell, 64))
+    cell_f = None if cell is None else float(_require_decimal(cell, "cell"))
     try:
         out = covering_time(dir_floats, eps_f, cap_f, cell_f)
     except ValueError as exc:
@@ -730,12 +730,7 @@ def _spec_and_options(args) -> Tuple[ProblemSpec, dict]:
         options = {"direction": direction, "eps": args.eps, "cap": args.cap}
         if args.cell is not None:
             options["cell"] = args.cell
-        # the echo keeps the strings, which _run_covering reads as floats
-        for c in direction:
-            _require_decimal(c, "direction")
-        for key in ("eps", "cap", "cell"):
-            if key in options:
-                _require_decimal(options[key], key)
+        # the echo keeps the strings, which _run_covering checks and reads
         return spec, options
     return spec, {}
 

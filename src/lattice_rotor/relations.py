@@ -17,6 +17,12 @@ built to tolerate that (an undetected relation can only cause a failed
 search later, never a wrong answer), and the documentation repeats it
 wherever a caller might be tempted to read more into an empty result.
 
+A reported coefficient is a GaussianRational: a Gaussian-integer
+numerator over a positive denominator, on plain ints and always in
+lowest terms, formed straight from a reduced row's integer pairs.  The
+scaling integer M is read from the coefficients' denominators and their
+exact ell-1 mass, and reports carry each coefficient's "p/q+r/qi" text.
+
 Each membership test against two or more basis entries carries the
 transform of the last test whose candidate joined the basis.  That
 test's lattice is this one's without the new candidate, so the carried
@@ -48,6 +54,7 @@ included, and a remembered decomposition is frozen, so it is the answer.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -55,15 +62,50 @@ import mpmath
 from mpmath import mpc, mpf
 
 from .corelattice import ComplexVector
-from .gaussian import GaussianInteger, GaussianRational, lcm_int
 from .lll import gaussian_start, lll_reduce
-from .precision import check_precision, residual_tol, working_precision
+from .precision import Frozen, check_precision, residual_tol, working_precision
 
 Transform = List[List[int]]
 
 # margin between the working mantissa and the lattice scale; keeps the
 # rounding rattle of the embedded forms well below the relation signal
 _SCALE_GUARD_BITS = 16
+
+
+class GaussianRational(Frozen):
+    """(re + im*i)/den on plain ints, den > 0, in lowest terms."""
+
+    __slots__ = _fields = ("re", "im", "den")
+
+    def __init__(self, re: int, im: int, den: int) -> None:
+        if not all(isinstance(v, int) for v in (re, im, den)):
+            raise TypeError("GaussianRational parts must be ints")
+        if den == 0:
+            raise ValueError("denominator must be nonzero")
+        if den < 0:
+            re, im, den = -re, -im, -den
+        g = math.gcd(re, im, den)
+        super().__init__(re // g, im // g, den // g)
+
+    def abs_upper_fraction(self) -> Fraction:
+        """Exact rational over-estimate |re| + |im| >= |self|."""
+        return Fraction(abs(self.re) + abs(self.im), self.den)
+
+    def height(self) -> int:
+        """max(|re|, |im|, den) in lowest terms."""
+        return max(abs(self.re), abs(self.im), self.den)
+
+    def to_mpc(self, bits: int) -> mpc:
+        with working_precision(bits):
+            return mpc(mpf(self.re) / self.den, mpf(self.im) / self.den)
+
+    def format(self) -> str:
+        """Render as "p/q+r/qi" with both parts over the common denominator."""
+        sign = "+" if self.im >= 0 else "-"
+        return f"{self.re}/{self.den}{sign}{abs(self.im)}/{self.den}i"
+
+
+_ZERO = GaussianRational(0, 0, 1)
 
 
 def recommended_precision(r: int, height_bound: int) -> int:
@@ -130,18 +172,8 @@ def select_M(coeffs: Sequence[Sequence[GaussianRational]]) -> int:
     Comparing against sum(|re|) + sum(|im|) keeps the comparison in exact
     rational arithmetic while still certifying M > sum(|f|).
     """
-    base = 1
-    for row in coeffs:
-        for f in row:
-            base = lcm_int(base, f.den)
-    total = _coefficient_mass(coeffs)
-    multiples = total / base
-    k = int(multiples) + 1 if multiples >= 0 else 1
-    # int() truncates toward zero; total >= 0 always holds here, and a total
-    # landing exactly on a multiple still needs the next one (strict >)
-    while not Fraction(base * k) > total:
-        k += 1
-    return base * k
+    base = math.lcm(*(f.den for row in coeffs for f in row))
+    return base * (_coefficient_mass(coeffs) // base + 1)
 
 
 def detect_relations(
@@ -187,7 +219,7 @@ def _detect(values: Tuple[mpc, ...], height_bound: int, bits: int) -> RelationDe
     for idx, z in enumerate(values):
         if z.real == 0 and z.imag == 0:
             dependent_indices.append(idx)
-            rows.append(tuple(GaussianRational.zero() for _ in basis_indices))
+            rows.append((_ZERO,) * len(basis_indices))
             continue
         if not basis_indices:
             basis_indices.append(idx)
@@ -204,10 +236,7 @@ def _detect(values: Tuple[mpc, ...], height_bound: int, bits: int) -> RelationDe
 
     # earlier dependents have rows shorter than the final basis; pad with zeros
     m = len(basis_indices)
-    padded = tuple(
-        row + tuple(GaussianRational.zero() for _ in range(m - len(row)))
-        for row in rows
-    )
+    padded = tuple(row + (_ZERO,) * (m - len(row)) for row in rows)
     decomposition = RelationDecomposition(
         basis_indices=tuple(basis_indices),
         dependent_indices=tuple(dependent_indices),
@@ -273,16 +302,14 @@ def _find_relation(
 
     tol = residual_tol(bits)
     for row in reduced:
-        g = [
-            GaussianInteger(row[2 * p], row[2 * p + 1]) for p in range(q + 1)
-        ]
-        g0 = g[0]
-        if g0.is_zero():
+        # g_p = row[2p] + row[2p+1] i; coefficient k is -g_k conj(g_0) / |g_0|^2
+        a0, b0 = row[0], row[1]
+        den = a0 * a0 + b0 * b0
+        if den == 0:
             continue
-        g0_conj = g0.conjugate()
-        g0_norm = g0.norm()
         coeffs = tuple(
-            GaussianRational(-(gk * g0_conj), g0_norm) for gk in g[1:]
+            GaussianRational(-(a * a0 + b * b0), a * b0 - b * a0, den)
+            for a, b in zip(row[2:unknowns:2], row[3:unknowns:2])
         )
         if any(f.height() > height_bound for f in coeffs):
             continue

@@ -25,8 +25,8 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 from mpmath import mpf
 
 from .corelattice import Rotation
-from .gaussian import GaussianRational
 from .precision import format_complex_pair, format_decimal
+from .relations import GaussianRational
 
 __all__ = [
     "RunReport",

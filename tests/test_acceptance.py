@@ -17,7 +17,6 @@ from mpmath import mpc, mpf
 from lattice_rotor import solver
 from lattice_rotor.cli import main
 from lattice_rotor.corelattice import ComplexVector, frac_dist
-from lattice_rotor.gaussian import GaussianInteger, GaussianRational
 from lattice_rotor.oracle import (
     check_prop_sep,
     covering_time,
@@ -27,7 +26,7 @@ from lattice_rotor.oracle import (
 )
 from lattice_rotor.precision import parse_decimal, residual_tol, working_precision
 from lattice_rotor.products import embed_points, project_planes, solve_even_dim
-from lattice_rotor.relations import detect_relations
+from lattice_rotor.relations import GaussianRational, detect_relations
 from lattice_rotor.solver import (
     SolverConfig,
     lattice_residuals,
@@ -188,15 +187,14 @@ def test_criterion_4_planted_relation_recovery():
                     # matching the detector's bound
                     row = tuple(
                         GaussianRational(
-                            GaussianInteger(rng.randint(-64, 64), rng.randint(-64, 64)),
-                            rng.randint(1, 64),
+                            rng.randint(-64, 64), rng.randint(-64, 64), rng.randint(1, 64)
                         )
                         for _ in range(m)
                     )
                     planted_rows.append(row)
                     acc = mpc(0)
                     for f, b in zip(row, basis):
-                        acc += mpc(mpf(f.num.re) / f.den, mpf(f.num.im) / f.den) * b
+                        acc += mpc(mpf(f.re) / f.den, mpf(f.im) / f.den) * b
                     dependents.append(acc)
                 entries = tuple(basis) + tuple(dependents)
             vec = ComplexVector(entries, bits)
@@ -211,7 +209,7 @@ def test_criterion_4_planted_relation_recovery():
                 for j, row in zip(dec.dependent_indices, dec.coeffs):
                     acc = mpc(0)
                     for f, bidx in zip(row, dec.basis_indices):
-                        acc += mpc(mpf(f.num.re) / f.den, mpf(f.num.im) / f.den) * entries[bidx]
+                        acc += mpc(mpf(f.re) / f.den, mpf(f.im) / f.den) * entries[bidx]
                     assert abs(acc - entries[j]) < mpf(2) ** -128
 
             # scaling integer: clears every denominator, strictly beats the
@@ -221,11 +219,11 @@ def test_criterion_4_planted_relation_recovery():
             for row in dec.coeffs:
                 for f in row:
                     base_den = base_den * f.den // math.gcd(base_den, f.den)
-                    mass += abs(Fraction(f.num.re, f.den)) + abs(Fraction(f.num.im, f.den))
+                    mass += abs(Fraction(f.re, f.den)) + abs(Fraction(f.im, f.den))
             for row in dec.coeffs:
                 for f in row:
-                    assert (f.num.re * dec.M) % f.den == 0
-                    assert (f.num.im * dec.M) % f.den == 0
+                    assert (f.re * dec.M) % f.den == 0
+                    assert (f.im * dec.M) % f.den == 0
             assert Fraction(dec.M) > mass
             assert dec.M % base_den == 0
             assert Fraction(dec.M - base_den) <= mass

@@ -953,6 +953,22 @@ class TestCoveringCommand:
         err = json.loads(capsys.readouterr().out)
         assert err["exit_code"] == 2 and "steps" in err["error"]
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--direction", "1,x", "--eps", "0.1", "--cap", "10"], "direction"),
+            (["--direction", "1", "--eps", "x", "--cap", "10"], "eps"),
+            (["--direction", "1", "--eps", "0.1", "--cap", "x"], "cap"),
+            (["--direction", "1", "--eps", "0.1", "--cap", "10", "--cell", "x"], "cell"),
+            (["--direction", "x", "--eps", "x", "--cap", "x"], "direction"),
+        ],
+        ids=["direction", "eps", "cap", "cell", "direction-first"],
+    )
+    def test_each_flag_is_a_decimal(self, flags, name, capsys):
+        assert main(["covering", *flags]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err == {"error": f"{name} is not a valid decimal: 'x'", "exit_code": 2}
+
 
 class TestFloat64OverflowExits2:
     """An oracle input that overflows its float64 screen is unusable

@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
@@ -738,6 +738,17 @@ class TestFixedPointTargets:
     stated bound 2^-100) plus the double's own rounding."""
 
     @given(window=fixed_point_windows())
+    # a step coordinate of -2.3e-266 lies one unit under zero: 1 - 1e-208
+    # away from its fixed-point integer, which no finite precision holds
+    @example(
+        window=(
+            ComplexVector((mpc(1, 1.8453733837947024e-265), mpc(-1.8453733837947024e-265, 1)), BITS),
+            ComplexVector((mpc("0.5", "0.5"), mpc("0.5", "0.5")), BITS),
+            mpf("0.5"),
+            BITS,
+            0,
+        )
+    )
     def test_residues_match_a_high_precision_reference(self, window):
         v, w, eps, bits_eval, j0 = window
         with working_precision(bits_eval):
@@ -752,7 +763,9 @@ class TestFixedPointTargets:
         with working_precision(4 * bits_eval):
             unit = mpf(2) ** (bits_eval + 64)
             for x, fixed in zip(coords + dv_coords, offset + step, strict=True):
-                assert 0 <= x * unit - fixed < 1
+                # 0 <= x * unit - fixed < 1, exactly: x * unit is a power-of-two
+                # scaling and its floor has no more bits than x
+                assert fixed == int(mpmath.floor(x * unit))
             for r, x, c in zip(got, coords, dv_coords, strict=True):
                 exact = x + j0 * c
                 # an exact half-integer's residue is -1/2 here and may be

@@ -10,7 +10,8 @@ their own.  solver.py and lll.py keep none: a solve run's plan lives in
 a cache its caller passes in, and the callers of the reduction remember
 their own units of work.  Every solver setting and flow-search keyword names the
 caller that sets it, so a knob that nothing reads cannot slip in, and
-the README's table of spec keys states the CLI's spec schema.  A solve
+the README's table of spec keys states the CLI's spec schema, and its
+Layout table names every package module.  A solve
 never loads numpy, which only the oracles need, and no other module
 imports it at module level, and the CLI's prop-sep recheck replays its
 sample with numpy blocked.  No package module imports a thread or
@@ -473,3 +474,17 @@ def _readme_schema():
 
 def test_readme_states_the_spec_schema():
     assert _readme_schema() == SPEC_SCHEMA
+
+
+def test_readme_layout_lists_every_module():
+    """The README's Layout table names each package module once, so a
+    merge or split of modules has to update it."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text[text.index("## Layout") :].split("\n\n")[1]
+    listed = [
+        name
+        for row in table.splitlines()[2:]
+        for name in re.findall(r"`(\w+)`", row.strip("|").split("|")[0])
+    ]
+    modules = [p.stem for p in SOURCES if p.stem != "__init__"]
+    assert sorted(listed) == modules

@@ -1,17 +1,18 @@
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
 from lattice_rotor import lll, relations
 from lattice_rotor.corelattice import ComplexVector
-from lattice_rotor.gaussian import GaussianInteger, GaussianRational
 from lattice_rotor.precision import residual_tol, working_precision
 from lattice_rotor.relations import (
+    GaussianRational,
     RelationDecomposition,
     detect_relations,
     recommended_precision,
@@ -23,7 +24,7 @@ BITS = 128
 
 def _gr(re_num, re_den=1, im_num=0, im_den=1):
     # the constructor reduces to lowest terms
-    return GaussianRational(GaussianInteger(re_num * im_den, im_num * re_den), re_den * im_den)
+    return GaussianRational(re_num * im_den, im_num * re_den, re_den * im_den)
 
 
 def _vec(entries, bits=BITS):
@@ -82,7 +83,7 @@ class TestDetectNumeric:
         dec = detect_relations(v, 8, BITS)
         assert 1 in dec.dependent_indices
         row = dec.coeffs[dec.dependent_indices.index(1)]
-        assert all(f == GaussianRational.zero() for f in row)
+        assert all(f == GaussianRational(0, 0, 1) for f in row)
 
     def test_low_precision_warns(self):
         entries = tuple(mpc(mpmath.sqrt(p)) for p in (2, 3, 5, 7, 11, 13, 17, 19))
@@ -120,7 +121,7 @@ class TestDetectExact:
         dec = detect_relations(_vec(entries), 8, BITS)
         assert dec.basis_indices == (0,)
         assert dec.dependent_indices == (1, 2)
-        assert dec.coeffs[0] == (GaussianRational.zero(),)
+        assert dec.coeffs[0] == (GaussianRational(0, 0, 1),)
         assert dec.coeffs[1] == (_gr(2),)
         assert dec.M == 3
 
@@ -154,6 +155,44 @@ class TestSelectM:
         assert select_M([[_gr(1), _gr(1)]]) == 3
         assert select_M([[_gr(2)]]) == 3
 
+    @given(
+        st.lists(
+            st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 6)), max_size=3),
+            max_size=3,
+        )
+    )
+    @example([])
+    @example([[(0, 0, 1), (0, 0, 5)]])  # all zero: no mass, lcm 1
+    @example([[(1, 1, 2), (1, 1, 2)]])  # mass 2 lands on a multiple of 2
+    @example([[(3, 0, 1)], [(-2, 1, 1)]])  # mass 6 lands on a multiple of 1
+    def test_least_multiple_of_the_denominators_above_the_mass(self, rows):
+        coeffs = [[GaussianRational(*parts) for parts in row] for row in rows]
+        fs = [f for row in coeffs for f in row]
+        mass = sum(Fraction(abs(f.re) + abs(f.im), f.den) for f in fs)
+        # brute force: the first positive integer that every denominator
+        # divides and that lies strictly above the mass
+        M = 1
+        while any(M % f.den for f in fs) or not M > mass:
+            M += 1
+        assert select_M(coeffs) == M
+
+
+class TestGaussianRational:
+    @given(
+        st.integers(-(10**6), 10**6),
+        st.integers(-(10**6), 10**6),
+        st.integers(-(10**6), 10**6).filter(bool),
+    )
+    @example(0, 0, -7)
+    @example(2, -4, -6)
+    @example(0, 5, 10)
+    def test_lowest_terms_with_positive_denominator(self, re, im, den):
+        f = GaussianRational(re, im, den)
+        assert Fraction(f.re, f.den) == Fraction(re, den)
+        assert Fraction(f.im, f.den) == Fraction(im, den)
+        assert f.den > 0
+        assert math.gcd(f.re, f.im, f.den) == 1
+
 
 class TestPlantedRecovery:
     def test_planted_rows_certify_at_doubled_precision(self):
@@ -172,7 +211,7 @@ class TestPlantedRecovery:
                     for _ in range(m)
                 ]
                 dep = sum(
-                    mpc(mpf(f.num.re) / f.den, mpf(f.num.im) / f.den) * b
+                    mpc(mpf(f.re) / f.den, mpf(f.im) / f.den) * b
                     for f, b in zip(coeffs, basis)
                 )
                 entries = tuple(basis) + (dep,)
@@ -183,7 +222,7 @@ class TestPlantedRecovery:
                 for j, row in zip(dec.dependent_indices, dec.coeffs):
                     combo = mpc(0)
                     for f, b in zip(row, dec.basis_indices):
-                        combo += mpc(mpf(f.num.re) / f.den, mpf(f.num.im) / f.den) * mpc(entries[b])
+                        combo += mpc(mpf(f.re) / f.den, mpf(f.im) / f.den) * mpc(entries[b])
                     assert abs(combo - mpc(entries[j])) < mpf(2) ** -128
 
 
@@ -220,8 +259,8 @@ class TestDecompositionContainer:
         assert dec.coeffs
         for row in dec.coeffs:
             for f in row:
-                assert (dec.M * f.num.re) % f.den == 0
-                assert (dec.M * f.num.im) % f.den == 0
+                assert (dec.M * f.re) % f.den == 0
+                assert (dec.M * f.im) % f.den == 0
 
 
 class TestPslqOracle:
@@ -242,7 +281,8 @@ class TestPslqOracle:
             rel = mpmath.pslq(parts, tol=mpf(2) ** -(bits // 2), maxcoeff=10**4, maxsteps=10**4)
         if rel is None:
             return None
-        return [GaussianInteger(int(rel[2 * k]), -int(rel[2 * k + 1])) for k in range(len(entries))]
+        # h_k = re + im*i as an int pair
+        return [(int(rel[2 * k]), -int(rel[2 * k + 1])) for k in range(len(entries))]
 
     @staticmethod
     def _random_entry(rng):
@@ -260,15 +300,17 @@ class TestPslqOracle:
                 _gr(rng.randint(-8, 8), rng.randint(1, 8), rng.randint(-8, 8), rng.randint(1, 8))
                 for _ in basis
             ]
-            z = sum(mpc(mpf(f.num.re) / f.den, mpf(f.num.im) / f.den) * b for f, b in zip(planted, basis))
+            z = sum(mpc(mpf(f.re) / f.den, mpf(f.im) / f.den) * b for f, b in zip(planted, basis))
         entries = (basis[0], basis[1], z)
         h = self._pslq(entries, self.BITS)
-        assert h is not None and not h[2].is_zero(), "PSLQ missed the planted relation"
+        assert h is not None and h[2] != (0, 0), "PSLQ missed the planted relation"
         dec = detect_relations(_vec(entries, self.BITS), 64, self.BITS)
         assert dec.basis_indices == (0, 1) and dec.dependent_indices == (2,)
-        # z = sum f_k b_k and h_2 z + sum h_k b_k = 0, so f_k h_2 = -h_k
-        for f, hk in zip(dec.coeffs[0], h[:2]):
-            assert f.num * h[2] == GaussianInteger(-hk.re * f.den, -hk.im * f.den)
+        # z = sum f_k b_k and h_2 z + sum h_k b_k = 0, so f_k h_2 = -h_k,
+        # that is (f.re + f.im i)(c + d i) = -(hk_re + hk_im i) * f.den
+        c, d = h[2]
+        for f, (hk_re, hk_im) in zip(dec.coeffs[0], h[:2]):
+            assert (f.re * c - f.im * d, f.re * d + f.im * c) == (-hk_re * f.den, -hk_im * f.den)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_generic_entries_related_by_neither(self, seed):
