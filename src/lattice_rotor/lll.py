@@ -14,7 +14,10 @@ pre-reduction in the style of L^2 (Nguyen-Stehle, SIAM J. Comput. 39,
 2009) that keeps the Gram matrix exact, recomputes each visited row's
 Gram-Schmidt data in doubles from it, and returns only the unimodular
 transform it built from elementary integer row operations, or None when
-doubles cannot carry the reduction.  gaussian_start runs it over Z[i]
+doubles cannot carry the reduction.  Each Gram entry becomes a double
+over one power of two fixed from the starting Gram matrix, so rows
+whose Gram entries pass 2^1024 are pre-reduced too, as long as the
+matrix spans less than about 2^2000.  gaussian_start runs it over Z[i]
 (Napias, J. Theor. Nombres Bordeaux 8, 1996; Gan-Ling-Mow, IEEE Trans.
 Signal Process. 57, 2009) for a lattice whose rows come in pairs (b,
 i*b), on half the rows and with a Hermitian Gram matrix, and returns the
@@ -48,7 +51,6 @@ unit of work.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -213,16 +215,32 @@ def _float_iterations(n: int, bits: int) -> int:
     return n * n * (bits + n)
 
 
+def _gram_unit(gram: Sequence[Sequence[int]]) -> int:
+    # the one power of two that float_start and _gaussian_transform divide
+    # every exact Gram entry by to make it a double: it brings the largest
+    # entry, a diagonal one, to about 2^1000, and it is 1 below that, where
+    # g / 1 is float(g).  Int true division rounds correctly and cannot
+    # overflow there
+    top = max(g[i] for i, g in enumerate(gram)).bit_length()
+    return 1 << max(0, top - 1000)
+
+
 def float_start(rows: Sequence[Sequence[int]]) -> Optional[List[Row]]:
     """A unimodular start for lll_reduce from a double-precision reduction.
 
     Returns an integer matrix T of determinant +-1, with one row per input
     row, such that T * rows is nearly reduced (|mu| <= 0.51 and the
     Lovasz condition at 0.99, up to double rounding), or None when doubles
-    cannot carry the reduction: a Gram entry past the double range, a zero
-    or non-finite Gram-Schmidt pivot, or more loop iterations than
+    cannot carry the reduction: a zero or non-finite Gram-Schmidt pivot, a
+    Gram entry that overflows, or more loop iterations than
     _float_iterations allows.  Either answer is a valid start: None means
     a cold exact reduction.
+
+    Every Gram entry becomes a double divided by one power of two, fixed
+    from the starting Gram matrix, that brings its largest entry to about
+    2^1000, so rows past the double range are reduced too; the scale is 1
+    for Gram entries below 2^1000.  A Gram matrix whose range no one scale
+    holds, past about 2^2000, underflows to a zero pivot and is refused.
 
     The reduction of L^2 (Nguyen-Stehle, SIAM J. Comput. 39, 2009): the
     Gram matrix stays exact and follows every row operation, and each
@@ -236,6 +254,7 @@ def float_start(rows: Sequence[Sequence[int]]) -> Optional[List[Row]]:
     if not n or not rows[0]:
         return None
     gram = [[_dot(u, v) for v in rows] for u in rows]
+    unit = _gram_unit(gram)
     h: List[Row] = [[int(i == j) for j in range(n)] for i in range(n)]
     bits = max(abs(x) for r in rows for x in r).bit_length()
     limit = _float_iterations(n, bits)
@@ -243,7 +262,7 @@ def float_start(rows: Sequence[Sequence[int]]) -> Optional[List[Row]]:
     mu = [[0.0] * n for _ in range(n)]
     iterations = 0
     try:
-        r[0][0] = float(gram[0][0])
+        r[0][0] = gram[0][0] / unit
         if not 0.0 < r[0][0] < math.inf:
             return None
         k = 1
@@ -256,7 +275,7 @@ def float_start(rows: Sequence[Sequence[int]]) -> Optional[List[Row]]:
                 if iterations > limit:
                     return None
                 for j in range(k):
-                    s = float(gk[j])
+                    s = gk[j] / unit
                     muj = mu[j]
                     for i in range(j):
                         s -= muj[i] * rk[i]
@@ -283,7 +302,7 @@ def float_start(rows: Sequence[Sequence[int]]) -> Optional[List[Row]]:
                         muk[i] -= x * muj[i]
             # s = |b*_k|^2 + mu_{k,k-1}^2 |b*_{k-1}|^2, what b*_{k-1}
             # would be after an exchange
-            s = float(gk[k])
+            s = gk[k] / unit
             for i in range(k - 1):
                 s -= muk[i] * rk[i]
             if _FLOAT_DELTA * r[k - 1][k - 1] > s:
@@ -293,7 +312,7 @@ def float_start(rows: Sequence[Sequence[int]]) -> Optional[List[Row]]:
                 h[k - 1], h[k] = h[k], h[k - 1]
                 k = max(1, k - 1)
                 if k == 1:
-                    r[0][0] = float(gram[0][0])
+                    r[0][0] = gram[0][0] / unit
             else:
                 rk[k] = s - muk[k - 1] * rk[k - 1]
                 k += 1
@@ -301,7 +320,7 @@ def float_start(rows: Sequence[Sequence[int]]) -> Optional[List[Row]]:
             if not 0.0 < pivot < math.inf:
                 return None
     except (OverflowError, ValueError):
-        # a Gram entry past the double range, or a non-finite mu that
+        # a Gram entry that outgrew the scale, or a non-finite mu that
         # cannot be rounded to an integer
         return None
     return h
@@ -378,6 +397,7 @@ def _gaussian_transform(half: Sequence[Sequence[int]]) -> Optional[List[Row]]:
     im = [r[1::2] for r in half]
     gr = [[_dot(ur, vr) + _dot(ui, vi) for vr, vi in zip(re, im)] for ur, ui in zip(re, im)]
     gi = [[_dot(ui, vr) - _dot(ur, vi) for vr, vi in zip(re, im)] for ur, ui in zip(re, im)]
+    unit = _gram_unit(gr)
     hr: List[Row] = [[int(i == j) for j in range(n)] for i in range(n)]
     hi: List[Row] = [[0] * n for _ in range(n)]
     bits = max(abs(x) for r in half for x in r).bit_length()
@@ -387,7 +407,7 @@ def _gaussian_transform(half: Sequence[Sequence[int]]) -> Optional[List[Row]]:
     norms = [0.0] * n  # |b*_j|^2
     iterations = 0
     try:
-        norms[0] = float(gr[0][0])
+        norms[0] = gr[0][0] / unit
         if not 0.0 < norms[0] < math.inf:
             return None
         k = 1
@@ -398,7 +418,7 @@ def _gaussian_transform(half: Sequence[Sequence[int]]) -> Optional[List[Row]]:
                 if iterations > limit:
                     return None
                 for j in range(k):
-                    s = complex(gkr[j], gki[j])
+                    s = complex(gkr[j] / unit, gki[j] / unit)
                     muj = mu[j]
                     for i in range(j):
                         s -= muj[i].conjugate() * rk[i]
@@ -429,7 +449,7 @@ def _gaussian_transform(half: Sequence[Sequence[int]]) -> Optional[List[Row]]:
                         muk[i] -= x * muj[i]
             # s = |b*_k|^2 + |mu_{k,k-1}|^2 |b*_{k-1}|^2, what b*_{k-1}
             # would be after an exchange
-            s = float(gkr[k])
+            s = gkr[k] / unit
             for i in range(k - 1):
                 s -= (muk[i].conjugate() * rk[i]).real
             if _FLOAT_DELTA * norms[k - 1] > s:
@@ -439,14 +459,14 @@ def _gaussian_transform(half: Sequence[Sequence[int]]) -> Optional[List[Row]]:
                     g[k - 1], g[k] = g[k], g[k - 1]
                 k = max(1, k - 1)
                 if k == 1:
-                    norms[0] = float(gr[0][0])
+                    norms[0] = gr[0][0] / unit
             else:
                 norms[k] = s - (muk[k - 1].conjugate() * rk[k - 1]).real
                 k += 1
             if not 0.0 < norms[k - 1] < math.inf:
                 return None
     except (OverflowError, ValueError):
-        # a Gram entry past the double range, or a non-finite mu that
+        # a Gram entry that outgrew the scale, or a non-finite mu that
         # cannot be rounded to a Gaussian integer
         return None
     image: List[Row] = []
@@ -457,12 +477,15 @@ def _gaussian_transform(half: Sequence[Sequence[int]]) -> Optional[List[Row]]:
 
 
 def gram_schmidt_fractions(rows: Sequence[Sequence[int]]):
-    """Exact rational GSO of integer rows, for verification and enumeration.
+    """Exact rational GSO of integer rows, a reference for the tests.
 
     Returns (ortho_sq, mu) with ortho_sq[i] = |b*_i|^2 as a Fraction and
     mu[i][j] the GSO coefficients.  Raises ValueError if the rows are
-    linearly dependent (some b*_i is zero).
+    linearly dependent (some b*_i is zero).  fractions (and the decimal
+    it loads) is imported here, not with the module, so no solve loads it.
     """
+    from fractions import Fraction
+
     n = len(rows)
     basis = [[Fraction(x) for x in r] for r in rows]
     ortho: List[List[Fraction]] = []
@@ -480,10 +503,13 @@ def gram_schmidt_fractions(rows: Sequence[Sequence[int]]):
     return ortho_sq, mu
 
 
-def is_reduced(
-    rows: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4)
-) -> bool:
-    """Exact check of the size-reduction and exchange conditions."""
+def is_reduced(rows: Sequence[Sequence[int]], delta=None) -> bool:
+    """Exact check of the size-reduction and exchange conditions, a
+    reference for the tests; delta is a Fraction, None for 3/4."""
+    from fractions import Fraction
+
+    if delta is None:
+        delta = Fraction(3, 4)
     ortho_sq, mu = gram_schmidt_fractions(rows)
     n = len(rows)
     for i in range(n):

@@ -38,9 +38,10 @@ lattice is a module over Z[i], since each unknown b's row is i times
 its a's, so that pass runs over Z[i] on half the rows.  It reads the
 carried transform as a matrix over Z[i] when every 2x2 block has the
 form [[a, b], [-b, a]], as most exact finishes leave it, and starts
-from the rows alone otherwise.  Where doubles cannot carry the lattice
-(past about 527 bits of precision its Gram entries leave the double
-range), the exact reduction starts from the carried transform itself.
+from the rows alone otherwise.  Past about 527 bits of precision the
+lattice's Gram entries leave the double range, and the pass reads them
+over one power of two; where doubles still cannot carry the lattice,
+the exact reduction starts from the carried transform itself.
 A start changes only the work, not the lattice, and against a basis
 independent over Q(i) a certified row's coefficients -g_k/g_0 are
 unique, so no start changes a reported relation.
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
@@ -86,10 +86,6 @@ class GaussianRational(Frozen):
             re, im, den = -re, -im, -den
         g = math.gcd(re, im, den)
         super().__init__(re // g, im // g, den // g)
-
-    def abs_upper_fraction(self) -> Fraction:
-        """Exact rational over-estimate |re| + |im| >= |self|."""
-        return Fraction(abs(self.re) + abs(self.im), self.den)
 
     def height(self) -> int:
         """max(|re|, |im|, den) in lowest terms."""
@@ -151,18 +147,17 @@ class RelationDecomposition(NamedTuple):
             for f in row:
                 if self.M % f.den != 0:
                     raise ValueError("M does not clear a coefficient denominator")
-        total = _coefficient_mass(self.coeffs)
-        if not Fraction(self.M) > total:
+        num, base = _coefficient_mass(self.coeffs)
+        if not self.M * base > num:
             raise ValueError("M must strictly exceed the coefficient mass bound")
 
 
-def _coefficient_mass(coeffs) -> Fraction:
-    # exact over-estimate sum(|re| + |im|) >= sum(|f|)
-    total = Fraction(0)
-    for row in coeffs:
-        for f in row:
-            total += f.abs_upper_fraction()
-    return total
+def _coefficient_mass(coeffs) -> Tuple[int, int]:
+    # the exact over-estimate sum(|re| + |im|) >= sum(|f|) as num / base,
+    # over the lcm base of the denominators
+    fs = [f for row in coeffs for f in row]
+    base = math.lcm(*(f.den for f in fs))
+    return sum((abs(f.re) + abs(f.im)) * (base // f.den) for f in fs), base
 
 
 def select_M(coeffs: Sequence[Sequence[GaussianRational]]) -> int:
@@ -170,10 +165,11 @@ def select_M(coeffs: Sequence[Sequence[GaussianRational]]) -> int:
     exceeds the ell-1 over-estimate of the coefficient absolute sum.
 
     Comparing against sum(|re|) + sum(|im|) keeps the comparison in exact
-    rational arithmetic while still certifying M > sum(|f|).
+    integer arithmetic, over the lcm, while still certifying
+    M > sum(|f|).
     """
-    base = math.lcm(*(f.den for row in coeffs for f in row))
-    return base * (_coefficient_mass(coeffs) // base + 1)
+    num, base = _coefficient_mass(coeffs)
+    return base * (num // base**2 + 1)
 
 
 def detect_relations(

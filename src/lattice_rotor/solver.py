@@ -37,9 +37,19 @@ precision.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import NamedTuple, Optional, Sequence, Tuple
+
+# CPython's built-in SHA-256: hashlib would load OpenSSL's libcrypto into
+# every solve process for derive_seed alone (random.py takes its SHA-512
+# the same way)
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 import mpmath
 from mpmath import mpc, mpf
@@ -199,8 +209,15 @@ def initial_search_length(eps, entries: int, bits: int = DEFAULT_PRECISION) -> m
 
 
 def derive_seed(master: int, index: int, salt: str = "") -> int:
-    """Deterministic child seed, stable across platforms and runs."""
-    digest = hashlib.sha256(f"{salt}:{master}:{index}".encode()).digest()
+    """Deterministic child seed, stable across platforms and runs.
+
+    The top 63 bits of the SHA-256 digest of "salt:master:index" (UTF-8).
+    The digest comes from CPython's built-in SHA-256 module, which
+    computes what hashlib.sha256 does without loading OpenSSL, a few MB
+    of every solve process's peak memory; hashlib is the fallback where
+    the interpreter has no such module.
+    """
+    digest = sha256(f"{salt}:{master}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
 

@@ -16,7 +16,10 @@ never loads numpy, which only the oracles need, and no other module
 imports it at module level, and the CLI's prop-sep recheck replays its
 sample with numpy blocked.  No package module imports a thread or
 process module, nor dataclasses, and a solve loads neither dataclasses
-nor inspect.
+nor inspect.  Nor does a solve load OpenSSL or decimal: no package
+module imports fractions at module level, the only hashlib import is
+solver's fallback for an interpreter without a built-in SHA-256, and
+that fallback gives the same seeds.
 solver.py makes its SolveReports at one call site and derives its
 evaluation precision at one, flowsearch.py reduces its windows at one
 and ends its walk at one, and relations.py pre-reduces and reduces its
@@ -236,9 +239,9 @@ print(code, *sorted(set(sys.modules) - before), sep="\\n")
 """
 
 
-def test_a_solve_never_imports_dataclasses_or_inspect(tmp_path):
-    """Neither the package nor its CLI loads dataclasses or inspect on the
-    way to a solve report."""
+def _modules_a_solve_loads(tmp_path):
+    """The exit code of a solve in a fresh interpreter, then the modules
+    that importing the CLI and running it loaded."""
     spec = tmp_path / "spec.json"
     spec.write_text(
         '{"mode": "solve", "points": [["1", "0"], ["0.5", "0.25"]], "epsilon": "0.1", "t": "1e4"}',
@@ -251,7 +254,102 @@ def test_a_solve_never_imports_dataclasses_or_inspect(tmp_path):
         capture_output=True, text=True, env=env, check=True,
     ).stdout.split()
     assert out[0] == "0" and "lattice_rotor.solver" in out
-    assert {"dataclasses", "inspect"}.isdisjoint(out)
+    return out
+
+
+def test_a_solve_never_imports_dataclasses_or_inspect(tmp_path):
+    """Neither the package nor its CLI loads dataclasses or inspect on the
+    way to a solve report."""
+    assert {"dataclasses", "inspect"}.isdisjoint(_modules_a_solve_loads(tmp_path))
+
+
+def test_a_solve_loads_neither_openssl_nor_decimal(tmp_path):
+    """A solve loads no fractions or decimal, and, where the interpreter
+    has a built-in SHA-256 module, no hashlib or its OpenSSL binding:
+    together they raised a solve process's peak by about 4 MB."""
+    loaded = _modules_a_solve_loads(tmp_path)
+    assert {"fractions", "decimal", "_decimal", "_pydecimal"}.isdisjoint(loaded)
+    if any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+        assert {"hashlib", "_hashlib"}.isdisjoint(loaded)
+
+
+def _load_time_imports(tree):
+    """The import statements that run when a module loads: every one
+    outside a function body, in try blocks and class bodies too."""
+    local = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+    }
+    return [node for node in ast.walk(tree) if _imported_modules(node) and id(node) not in local]
+
+
+def _import_error_fallbacks(tree):
+    """The import statements inside an `except ImportError:` handler."""
+    return {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and getattr(node.type, "id", None) == "ImportError"
+        for inner in ast.walk(node)
+        if _imported_modules(inner)
+    }
+
+
+def test_no_module_loads_fractions_or_hashlib():
+    """No package module imports fractions when it loads (lll's test
+    references import it inside), and the one hashlib import anywhere is
+    solver's fallback in its except ImportError chain."""
+
+    def roots(node):
+        return {m.split(".")[0] for m in _imported_modules(node)}
+
+    fractions, hashlib = [], []
+    for path in SOURCES:
+        _, tree = _parse(path)
+        fractions += [
+            f"{path.name}:{node.lineno}"
+            for node in _load_time_imports(tree)
+            if "fractions" in roots(node)
+        ]
+        fallbacks = _import_error_fallbacks(tree)
+        hashlib += [
+            (path.name, id(node) in fallbacks)
+            for node in ast.walk(tree)
+            if "hashlib" in roots(node)
+        ]
+    assert not fractions, f"module-level fractions imports: {fractions}"
+    assert hashlib == [("solver.py", True)], f"hashlib imports (module, in a fallback): {hashlib}"
+
+
+# solver imported in a fresh interpreter where neither built-in SHA-256
+# module can be imported; it prints derive_seed of each argument tuple
+# in the list literal it is given, and whether hashlib was loaded
+_SHA_BLOCKED_SEEDS = """
+import ast
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from lattice_rotor.solver import derive_seed
+args = ast.literal_eval(sys.argv[1])
+print(repr([derive_seed(*a) for a in args]), "hashlib" in sys.modules)
+"""
+
+
+def test_the_hashlib_fallback_gives_the_same_seeds():
+    """With the built-in SHA-256 modules blocked, solver falls back to
+    hashlib and derives the seeds it derives in this process."""
+    from lattice_rotor.solver import derive_seed
+
+    args = [(0, 0, ""), (7, 3, "phase"), (2**200 - 1, 12, "plane"), (5, 2**64, "salt:é✓")]
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run(
+        [sys.executable, "-c", _SHA_BLOCKED_SEEDS, ascii(args)],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    seeds, loaded = out.rsplit(" ", 1)
+    assert ast.literal_eval(seeds) == [derive_seed(*a) for a in args]
+    assert loaded.strip() == "True"
 
 
 _CONCURRENCY_MODULES = {"threading", "queue", "multiprocessing", "concurrent", "_thread"}

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -332,9 +333,30 @@ class TestFloatStart:
         self._assert_nearly_reduced(rows, start)
         assert is_reduced(lll_reduce(rows, start)[0])
 
-    def test_entries_past_the_double_range_give_none(self):
+    def test_a_gram_range_past_one_scale_gives_none(self):
+        # Gram entries past 2^1024 are read over one power of two, so rows
+        # past the double range get a start; a Gram matrix spanning more
+        # than one scale holds (2^2400 against 10) underflows to a zero
+        # pivot and is refused
         big = 2**600
-        assert float_start([[big, 1], [3, big]]) is None
+        start = float_start([[big, 1], [3, big]])
+        assert start is not None and abs(_det(start)) == 1
+        assert float_start([[2**1200, 1], [3, 1]]) is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_past_the_double_range_are_nearly_reduced(self, seed):
+        # generic rows of 2 to 5 entries of 2^600 to 2^1500 have Gram
+        # entries up to 2^3000, which one scale holds
+        rng = random.Random(seed)
+        n = 2 + seed
+        rows = [
+            [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(600, 1500)) for _ in range(n + 1)]
+            for _ in range(n)
+        ]
+        start = float_start(rows)
+        assert start is not None
+        self._assert_nearly_reduced(rows, start)
+        assert is_reduced(lll_reduce(rows, start)[0])
 
     def test_the_iteration_bound_gives_none(self, monkeypatch):
         rows = [[2**100 + 17, 2**99 + 5, 1], [2**98 + 3, 2**100 - 1, 0], [7, 11, 13]]
@@ -402,11 +424,19 @@ class TestGaussianStart:
         monkeypatch.setattr(lll, "_float_iterations", lambda n, bits: 0)
         assert gaussian_start(rows, carried) == carried
 
-    @pytest.mark.parametrize("refusal", ["double-range", "no-visits"])
+    @pytest.mark.parametrize("refusal", ["past-one-scale", "no-visits"])
     def test_a_refused_pass_hands_back_the_carried_start(self, monkeypatch, refusal):
-        size = 2**600 if refusal == "double-range" else 2**100
-        rows = _gaussian_pairs([[1, 0, 0, 0, size + 17, size - 5], [0, 0, 1, 0, 3, -size]])
-        if refusal == "no-visits":
+        if refusal == "past-one-scale":
+            # rows past the double range are pre-reduced over one power of
+            # two; a Gram matrix spanning 2^2400 against 11 is refused
+            size = 2**600
+            rows = _gaussian_pairs([[1, 0, 0, 0, size + 17, size - 5], [0, 0, 1, 0, 3, -size]])
+            assert gaussian_start(rows) is not None
+            size = 2**1200
+            rows = _gaussian_pairs([[1, 0, 0, 0, size + 17, size - 5], [0, 0, 1, 0, 3, -1]])
+        else:
+            size = 2**100
+            rows = _gaussian_pairs([[1, 0, 0, 0, size + 17, size - 5], [0, 0, 1, 0, 3, -size]])
             assert gaussian_start(rows) is not None
             monkeypatch.setattr(lll, "_float_iterations", lambda n, bits: 0)
         assert gaussian_start(rows) is None

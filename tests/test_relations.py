@@ -176,6 +176,64 @@ class TestSelectM:
             M += 1
         assert select_M(coeffs) == M
 
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda width: st.lists(
+                st.lists(
+                    st.tuples(
+                        st.integers(-(10**12), 10**12),
+                        st.integers(-(10**12), 10**12),
+                        st.integers(1, 10**4),
+                    ),
+                    min_size=width,
+                    max_size=width,
+                ),
+                min_size=1,
+                max_size=3,
+            )
+        )
+    )
+    @example([[(0, 0, 1), (0, 0, 7)]])  # all zero: no mass, M = 1
+    @example([[(1, 1, 2)], [(1, 1, 2)]])  # mass 2 lands on a multiple of 2
+    @example([[(5, -7, 12), (1, 0, 3)]])  # mass 12/12 + 1/3 over the lcm 12
+    def test_select_M_and_validate_match_a_fraction_reference(self, rows):
+        # the integer mass num / base against the same bound in Fractions:
+        # select_M is the least multiple of base above the mass, validate
+        # accepts it and refuses the multiple below it, down to M * base
+        # == num when the mass lands on a multiple
+        coeffs = tuple(tuple(GaussianRational(*parts) for parts in row) for row in rows)
+        fs = [f for row in coeffs for f in row]
+        base = math.lcm(*(f.den for f in fs))
+        mass = sum((Fraction(abs(f.re) + abs(f.im), f.den) for f in fs), Fraction(0))
+        M = base * (math.floor(mass / base) + 1)
+        assert select_M(coeffs) == M
+        width = len(rows[0])
+
+        def decomposition(M):
+            return RelationDecomposition(
+                basis_indices=tuple(range(width)),
+                dependent_indices=tuple(range(width, width + len(rows))),
+                coeffs=coeffs,
+                M=M,
+            )
+
+        decomposition(M).validate()
+        with pytest.raises(ValueError, match="M must strictly exceed the coefficient mass bound"):
+            decomposition(M - base).validate()
+
+    def test_validate_refuses_M_on_the_mass(self):
+        # two (1+i)/2 weigh 2 over the lcm 2: num = 4 and base = 2, so
+        # M = 2 gives M * base == num and is refused, and M = 4 is the least
+        row = (_gr(1, 2, 1, 2),)
+        assert select_M((row, row)) == 4
+        dec = RelationDecomposition((0,), (1, 2), (row, row), 4)
+        dec.validate()
+        with pytest.raises(ValueError, match="M must strictly exceed the coefficient mass bound"):
+            dec._replace(M=2).validate()
+        zeros = ((_gr(0), _gr(0)),)
+        assert select_M(zeros) == 1
+        RelationDecomposition((0, 1), (2,), zeros, 1).validate()
+
 
 class TestGaussianRational:
     @given(
@@ -454,8 +512,9 @@ class TestWarmStartedDetection:
 
     def test_a_relation_past_the_double_range_is_found(self, monkeypatch):
         # at 1024 bits the relation lattices carry 1008-bit entries, so
-        # every Gram matrix is past the double range: each float start
-        # hands back what it was given, and the decomposition is the cold one
+        # every Gram matrix is past the double range; one power of two
+        # brings it back, so each test is pre-reduced over Z[i], and the
+        # decomposition is the cold one
         bits = 1024
         rng = random.Random(12)
         with working_precision(2 * bits):
@@ -466,13 +525,15 @@ class TestWarmStartedDetection:
 
         def recording_start(rows, carried=None):
             start = lll.gaussian_start(rows, carried)
-            starts.append(start == carried)
+            starts.append((carried, start))
             return start
 
         monkeypatch.setattr(relations, "gaussian_start", recording_start)
         found = relations._detect.__wrapped__(tuple(vec), 8, bits)
         assert found.dependent_indices == (2,)
-        assert starts == [True, True]
+        assert len(starts) == 2
+        for carried, start in starts:
+            assert start is not None and start != carried and _has_block_form(start)
         assert found == _cold_detection(vec, 8, bits)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from types import SimpleNamespace
 
@@ -195,6 +196,13 @@ class TestDeriveSeed:
         for i in range(16):
             s = derive_seed(123456789, i)
             assert 0 <= s < 1 << 63
+
+    @given(master=st.integers(0, 2**200 - 1), index=st.integers(0, 2**64), salt=st.text())
+    def test_equals_hashlib_sha256(self, master, index, salt):
+        # derive_seed takes CPython's built-in SHA-256; hashlib's digest of
+        # the same UTF-8 text gives the same seed
+        digest = hashlib.sha256(f"{salt}:{master}:{index}".encode()).digest()
+        assert derive_seed(master, index, salt) == int.from_bytes(digest[:8], "big") >> 1
 
 
 class TestRandomizePhase:
