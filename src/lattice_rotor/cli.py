@@ -436,27 +436,23 @@ def _run_tau(spec: ProblemSpec, options: dict) -> _Outcome:
 
 def _replay_draw(seed: int, index: int) -> Tuple[float, bool, float, float]:
     """Sample `index` of prop-sep's stream, reproduced independently of
-    the check: the stream is PCG64 (O'Neill, HMC-CS-2014-0905) seeded as
-    PCG's srandom(initstate=seed, initseq=PCG's default 128-bit
-    increment), and sample i is its words 4i to 4i + 3.  This computes
-    them in pure Python: it jumps the 128-bit LCG ahead 4i steps in
-    closed form, A = a^n and C = c (a^n - 1) / (a - 1), the O(log n) skip
-    of Brown (Trans. ANS 71, 1994), then steps it four times, takes each
-    state's XSL-RR output word w and reads it as (w >> 11) / 2^53.  It
-    costs the same few tens of microseconds at any index."""
-    mod, mask, a = 1 << 128, (1 << 64) - 1, 0x2360ED051FC65DA44385DF649FCCF645
-    inc = (0x5851F42D4C957F2D14057B7EF767814F << 1 | 1) % mod
-    state = ((inc + seed) * a + inc) % mod
-    # a^n mod 2^128 (a - 1) holds a^n - 1 mod 2^128 (a - 1), which a - 1
-    # divides exactly, so the quotient is the geometric sum mod 2^128
-    an = pow(a, 4 * index, mod * (a - 1))
-    state = (an * state + (an - 1) // (a - 1) * inc) % mod
-    u = []
-    for _ in range(4):
-        state = (state * a + inc) % mod
-        x, rot = (state >> 64 ^ state) & mask, state >> 122
-        u.append((((x >> rot | x << 64 - rot) & mask) >> 11) / 2**53)
-    return u[0], u[1] < 0.5, u[2], u[3]
+    the check: the stream is SplitMix64 (Steele, Lea and Flood, OOPSLA
+    2014), whose output k is mix64(seed + k * 0x9E3779B97F4A7C15 mod
+    2^64), and sample i is outputs 2i + 1 (rotation word w: turn
+    (w >> 11) / 2^53, reflection bit 0) and 2i + 2 (translation word:
+    its high and low 32-bit halves over 2^32).  This hashes the two
+    outputs in pure Python, at the same cost at any index."""
+    mask = (1 << 64) - 1
+
+    def output(k: int) -> int:
+        z = (seed + k * 0x9E3779B97F4A7C15) & mask
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+        return z ^ z >> 31
+
+    rotation, translation = output(2 * index + 1), output(2 * index + 2)
+    t1, t2 = translation >> 32, translation & 0xFFFFFFFF
+    return (rotation >> 11) / 2**53, bool(rotation & 1), t1 / 2**32, t2 / 2**32
 
 
 def _run_prop_sep(spec: ProblemSpec, options: dict) -> _Outcome:

@@ -21,12 +21,13 @@ grid cell to an unreflected one of the same value, and a quarter turn
 (2) divides the rotation grid n_t, so tau sweeps only the unreflected
 rows j < n_t / gcd(4, n_t), one row per orbit.
 
-prop-sep draws its samples from numpy's PCG64 (O'Neill, HMC-CS-2014-0905),
-seeded by PCG's own srandom with the seed as the initial state: sample i
-is the stream's words 4i to 4i + 3, so the CLI's recheck jumps the
-generator's 128-bit LCG ahead by 4i steps in O(log i) (Brown, Trans. ANS
-71, 1994) and replays the argmin sample's four words in pure Python,
-sharing no code with the numpy stream the check draws in bulk.
+prop-sep draws its samples from SplitMix64 (Steele, Lea and Flood, OOPSLA
+2014) read as a counter-based hash: output k of the stream seeded with s
+is mix64(s + k * 0x9E3779B97F4A7C15 mod 2^64), so every output is one
+hash of its index.  Sample i is outputs 2i + 1 (rotation) and 2i + 2
+(translation); the check hashes them in bulk in numpy's uint64
+arithmetic, and the CLI's recheck replays the argmin sample's two
+outputs in pure Python, sharing no code with the check.
 """
 
 from __future__ import annotations
@@ -77,12 +78,13 @@ _EXACT_ROTATION_MODULUS = _SCREEN_MARGIN * 2.0**46
 _SCREEN_MAGNITUDE_LIMIT = 2.0**52
 
 # samples per chunk of the prop-sep screen and steps per chunk of the
-# covering walk: a float64 array over a chunk takes 64 KB (prop-sep's
-# draws, four a sample, 256 KB), so the working set stays in cache and a
-# call's traced peak under 2 MB (1.6 MB for 2M prop-sep samples, whose
-# rotations wait for a quarter chunk of survivors, 0.7 MB for a
-# 573,139-step walk), and numpy calls stay long enough to amortize their
-# overhead; chunks of 2^16 peaked at 4 to 12 MB a call and were no faster
+# covering walk: a float64 or uint64 array over a chunk takes 64 KB
+# (prop-sep's translation words, one a sample, too), so the working set
+# stays in cache and a call's traced peak under 2 MB (1.4 MB for 2M
+# prop-sep samples, whose rotations wait for a quarter chunk of
+# survivors, 0.7 MB for a 573,139-step walk), and numpy calls stay long
+# enough to amortize their overhead; chunks of 2^16 peaked at 4 to 12 MB
+# a call and were no faster
 _CHUNK = 1 << 13
 
 # the most float64 entries one table of the tau sweep may hold: the
@@ -96,6 +98,14 @@ _COVERING_CELL_LIMIT = 1 << 27
 # walk that never covers, 2-core Xeon); seven times the steps of a
 # golden-direction run at eps 0.005 to 1e5
 _COVERING_STEP_LIMIT = 1 << 30
+
+# the most prop-sep samples one call may draw.  Past the exact-rotation
+# modulus every sample is kept and re-evaluated at the working precision,
+# at 0.12 to 0.20 ms a sample, so 2^17 take about 16 to 26 s; below it
+# the screen takes 17 to 29 ns a sample, so 2^30 take about 18 to 31 s
+# (2-core Xeon)
+_EXACT_SAMPLE_LIMIT = 1 << 17
+_SCREEN_SAMPLE_LIMIT = 1 << 30
 
 
 class PlanarIsometry(Frozen):
@@ -450,26 +460,41 @@ class PropSepCheck(NamedTuple):
     bits: int = DEFAULT_PRECISION
 
 
-# PCG64's 128-bit LCG multiplier, and the stream selector every prop-sep
-# stream is seeded with: PCG's default 128-bit increment
-_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_STREAM = 0x5851F42D4C957F2D14057B7EF767814F
+# SplitMix64's increment (the golden gamma) and its finalizer's shift
+# counts and multipliers.  Every constant and shift count is a np.uint64,
+# so numpy 1.24's value-based casting and numpy 2's rules alike keep the
+# arithmetic in uint64, wrapping mod 2^64 without a warning
+_GOLDEN = 0x9E3779B97F4A7C15
+_TWO_GOLDEN = np.uint64(2 * _GOLDEN % 2**64)
+_MIX_SHIFTS = np.uint64(30), np.uint64(27), np.uint64(31)
+_MIX_MULTIPLIERS = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_TURN_SHIFT, _HALF_SHIFT = np.uint64(11), np.uint64(32)
+_LOW_HALF, _LOW_BIT = np.uint64(0xFFFFFFFF), np.uint64(1)
 
 
-def _random_stream(seed: int):
-    """draw(n): the next n values of numpy's PCG64 seeded as PCG's
-    srandom(initstate=seed, initseq=_PCG_STREAM), with no SeedSequence;
-    each 64-bit word w gives the double (w >> 11) / 2^53."""
-    mod = 1 << 128
-    inc = (_PCG_STREAM << 1 | 1) % mod
-    bitgen = np.random.PCG64(0)  # any seed: the state set next replaces it
-    bitgen.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": ((inc + seed) * _PCG_MULTIPLIER + inc) % mod, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return np.random.Generator(bitgen).random
+def _stream_words(seed: int, index: np.ndarray, first: int) -> np.ndarray:
+    """The uint64 outputs first + 2 * index of the SplitMix64 stream
+    seeded with seed, for a uint64 array index: each is mix64(seed +
+    k * _GOLDEN mod 2^64) at its own k, so no output depends on another."""
+    z = index * _TWO_GOLDEN
+    z += np.uint64((seed + first * _GOLDEN) % 2**64)
+    tmp = np.empty_like(z)
+    z ^= np.right_shift(z, _MIX_SHIFTS[0], out=tmp)
+    z *= _MIX_MULTIPLIERS[0]
+    z ^= np.right_shift(z, _MIX_SHIFTS[1], out=tmp)
+    z *= _MIX_MULTIPLIERS[1]
+    z ^= np.right_shift(z, _MIX_SHIFTS[2], out=tmp)
+    return z
+
+
+def _translations(words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    # a translation word's high and low 32-bit halves over 2^32
+    return (words >> _HALF_SHIFT) * 2.0**-32, (words & _LOW_HALF) * 2.0**-32
+
+
+def _rotations(words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    # a rotation word's turn (w >> 11) / 2^53 and its reflection bit 0
+    return (words >> _TURN_SHIFT) * 2.0**-53, (words & _LOW_BIT).astype(bool)
 
 
 def _turn_table() -> Tuple[np.ndarray, np.ndarray]:
@@ -531,38 +556,52 @@ def check_prop_sep(
 
     Every sample is a genuine isometric embedding, so each value should
     stay at or above 1/8; anything below 1/8 minus the certification
-    slack is recorded as a violation.  The samples come from numpy's
-    PCG64 seeded with seed as PCG's initial state, which must lie in
-    [0, 2^128) (_random_stream): sample i is the stream's words 4i to
-    4i + 3, in a fixed order rotation turn, reflection bit, two
-    translation coordinates.  The stream is drawn in bulk, a chunk at a
-    time; the draw is about two fifths of the screen's time.  PCG64's
-    state is one 128-bit LCG, which jumps ahead any number of steps in
-    O(log n), so the CLI rechecks the argmin sample by replaying its four
-    words in pure Python.
+    slack is recorded as a violation.  Sample i is outputs 2i + 1 and
+    2i + 2 of the SplitMix64 stream seeded with seed, which must lie in
+    [0, 2^64), the generator's state range (_stream_words).  Output
+    2i + 1 is the rotation word w: turn (w >> 11) / 2^53, reflection
+    bit 0.  Output 2i + 2 is the translation word, whose high and low
+    32-bit halves over 2^32 are the two translation coordinates.  All
+    are exact dyadics, so the exact pass re-evaluates the very isometry
+    the screen saw.  Each output is one hash of its index, so the CLI
+    rechecks the argmin sample by hashing its two words in pure Python.
+    Hashing 2M translation words takes about 7 ms of a 35 ms screen.
 
     A float64 screen, run over chunks of _CHUNK samples, picks the
-    samples worth an exact re-evaluation; only those are kept.  From the
-    second chunk on, a sample is first bounded by its translation alone,
-    the image of the probe's origin; only the few whose bound stays
-    within the cut of the batches before wait for their rotation.  The
+    samples worth an exact re-evaluation; only their indices are kept,
+    and their words are hashed again for the exact pass.  Every
+    sample's translation word is hashed, and the sample is first
+    bounded by its translation alone, the image of the probe's origin:
+    d(t1)^2 + d(t2)^2, with d(u) = min(u, 1 - u).  From the second chunk
+    on only the few whose bound stays within the cut of the batches
+    before (about 7% at t = 2) have their rotation word hashed.  The
     rotations are formed once a quarter chunk of samples waits, and once
     more at the end, with cos and sin from a 256-knot turn table
     (_turn_cos_sin), which changes the screen's cost only: 2M samples at
     t = 2 rotate about 150k in some 60 batches.  Once t passes
     _EXACT_ROTATION_MODULUS (about 7e4) the float64 rotation errs by more
-    than the screen's margin, so every sample is re-evaluated exactly, at
-    about half a millisecond each.
+    than the screen's margin, so every sample is rotated and
+    re-evaluated exactly, at 0.12 to 0.20 ms each.  Runs of
+    more than _EXACT_SAMPLE_LIMIT samples there, and of more than
+    _SCREEN_SAMPLE_LIMIT below it, are refused with ValueError before
+    any word is hashed.
     """
     check_precision(bits)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if not 0 <= seed < 2**128:
-        raise ValueError("prop-sep seed must be in [0, 2^128), the PCG64 state range")
+    if not 0 <= seed < 2**64:
+        raise ValueError("prop-sep seed must be in [0, 2^64), the SplitMix64 state range")
     probe = separated_probe(t, bits)
     re, im = _float_parts(probe)
 
     exact_all = float(probe.max_abs()) > _EXACT_ROTATION_MODULUS
+    limit = _EXACT_SAMPLE_LIMIT if exact_all else _SCREEN_SAMPLE_LIMIT
+    if samples > limit:
+        where = "past" if exact_all else "below"
+        raise ValueError(
+            f"prop-sep run of {samples} samples exceeds the desk-scale limit "
+            f"({limit} {where} the exact-rotation modulus); lower samples"
+        )
     with working_precision(bits):
         eighth = mpf(1) / 8
         threshold = eighth - residual_tol(bits)
@@ -574,33 +613,33 @@ def check_prop_sep(
     # origin, whose image is the translation (t1, t2) bit for bit, so
     # d(t1)^2 + d(t2)^2 is the first term of a sample's worst value.  A
     # sample whose first term passes the cut of the batches before it can
-    # neither be kept nor lower the float minimum, and its rotation is
-    # never formed; the others queue until a quarter chunk waits, so a
+    # neither be kept nor lower the float minimum, and its rotation word
+    # is never hashed; the others queue until a quarter chunk waits, so a
     # rotation pass is long enough to amortize numpy's per-call cost.
     # The first chunk meets an infinite cut and is rotated whole.  Past
     # the rotation modulus the float64 rotation errs by more than the
     # margin, the screen cannot rank samples, and every one is kept for
     # exact re-evaluation.
-    draw = _random_stream(seed)
-    index, rows, screened = [], [], []
+    rows = np.arange(_CHUNK, dtype=np.uint64)
+    index, screened = [], []
     queue, queued = [], 0
     float_min_sq = cut = np.inf
     for start in range(0, samples, _CHUNK):
         n = min(_CHUNK, samples - start)
-        vals = draw(4 * n).reshape(n, 4)
-        fx = vals[:, 2] - np.rint(vals[:, 2])
-        fy = vals[:, 3] - np.rint(vals[:, 3])
+        t1, t2 = _translations(_stream_words(seed, rows[:n], 2 * start + 2))
+        fx = np.minimum(t1, 1 - t1)
+        fy = np.minimum(t2, 1 - t2)
         first = fx * fx + fy * fy
         live = np.nonzero(first <= cut)[0]
-        queue.append((start + live, vals[live], first[live]))
+        queue.append((rows[live] + np.uint64(start), t1[live], t2[live], first[live]))
         queued += live.size
         if queued < _CHUNK // 4 and start + n < samples:
             continue
-        at, batch, worst = (np.concatenate(parts) for parts in zip(*queue))
+        at, t1, t2, worst = (np.concatenate(parts) for parts in zip(*queue))
         queue, queued = [], 0
-        turn, coin, t1, t2 = batch.T
+        turn, reflect = _rotations(_stream_words(seed, at, 1))
         c, s = _turn_cos_sin(turn)
-        sign = np.where(coin < 0.5, -1.0, 1.0)
+        sign = np.where(reflect, -1.0, 1.0)
         for k in range(1, len(probe)):
             ik = sign * im[k]
             x = c * re[k] - s * ik + t1
@@ -612,20 +651,19 @@ def check_prop_sep(
         cut = np.inf if exact_all else max(screen_sq, float_min_sq + _SCREEN_MARGIN)
         kept = worst <= cut
         index.append(at[kept])
-        rows.append(batch[kept])
         screened.append(worst[kept])
     # the last batch's cut is the final one
-    final = np.concatenate(screened) <= cut
-    index, rows = np.concatenate(index)[final], np.concatenate(rows)[final]
+    index = np.concatenate(index)[np.concatenate(screened) <= cut]
+    draws = (*_rotations(_stream_words(seed, index, 1)), *_translations(_stream_words(seed, index, 2)))
 
     with working_precision(bits):
         minimum: Optional[mpf] = None
         argmin_index = -1
         violations = []
-        for i, (turn, coin, t1, t2) in zip(index.tolist(), rows.tolist()):
+        for i, turn, reflect, t1, t2 in zip(index.tolist(), *(a.tolist() for a in draws)):
             g = PlanarIsometry(
                 Rotation.from_angle(2 * mpmath.pi * mpf(turn), bits),
-                coin < 0.5,
+                reflect,
                 (mpf(t1), mpf(t2)),
             )
             val = isometry_max_frac(g, probe, bits)

@@ -857,14 +857,13 @@ class TestTauCommand:
         assert stdout == canonical_json(err)
 
 
-def _numpy_pcg64_draw(seed, index):
-    """Sample `index` of prop-sep's stream, drawn by numpy: the check's
-    PCG64, skipped past the 4 * index words before the sample by numpy's
-    own advance."""
-    bitgen = oracle._random_stream(seed).__self__.bit_generator
-    bitgen.advance(4 * index)
-    turn, coin, t1, t2 = np.random.Generator(bitgen).random(4).tolist()
-    return turn, coin < 0.5, t1, t2
+def _hashed_draw(seed, index):
+    """Sample `index` of prop-sep's stream from the words check_prop_sep
+    hashes in numpy."""
+    at = np.array([index], dtype=np.uint64)
+    (turn,), (reflect,) = oracle._rotations(oracle._stream_words(seed, at, 1))
+    (t1,), (t2,) = oracle._translations(oracle._stream_words(seed, at, 2))
+    return turn.item(), bool(reflect), t1.item(), t2.item()
 
 
 class TestPropSepCommand:
@@ -890,38 +889,49 @@ class TestPropSepCommand:
         capsys.readouterr()
 
     def test_seed_past_the_philox_key_range_exits_2(self, capsys):
-        # a PCG64 state is below 2^128; the check refuses a larger seed as
-        # a spec error, before it would wrap
-        code = main(["prop-sep", "--t", "2", "--samples", "10", "--seed", str(2**128)])
+        # a SplitMix64 state is below 2^64; the check refuses a larger seed
+        # as a spec error, before it would wrap
+        code = main(["prop-sep", "--t", "2", "--samples", "10", "--seed", str(2**64)])
         assert code == 2
         out, err = capsys.readouterr()
         report = json.loads(out)
         assert report["exit_code"] == 2
-        assert "seed must be in [0, 2^128)" in report["error"]
+        assert "seed must be in [0, 2^64)" in report["error"]
         assert "Traceback" not in out + err
 
-    @pytest.mark.parametrize("seed", [1, 2, 2**40 + 3, 0, 2**64, 2**128 - 1])
-    def test_recheck_skips_to_the_argmin_draw(self, seed):
-        # the pure-Python replay must give numpy's PCG64 draw of the same
-        # sample: in the first words, on each side of a screen chunk's
-        # boundary (8,192 samples) against the plain stream, and far out,
-        # past 2^64 words and near the 2^128 period, against numpy's own
-        # advance
-        rows = oracle._random_stream(seed)(4 * 8194).reshape(-1, 4)
-        for index in (0, 1, 8191, 8192, 8193):
-            turn, coin, t1, t2 = rows[index].tolist()
-            assert cli._replay_draw(seed, index) == (turn, coin < 0.5, t1, t2)
-        for index in (1_999_999, 2**64 - 1, 2**126):
-            assert cli._replay_draw(seed, index) == _numpy_pcg64_draw(seed, index)
+    @pytest.mark.parametrize(
+        "t, samples",
+        [("1e5", oracle._EXACT_SAMPLE_LIMIT + 1), ("2", oracle._SCREEN_SAMPLE_LIMIT + 1)],
+        ids=["exact", "screen"],
+    )
+    def test_samples_past_the_limit_exit_2(self, t, samples, capsys, monkeypatch):
+        # refused before any word is hashed: the stream is never reached
+        monkeypatch.setattr(oracle, "_stream_words", None)
+        assert main(["prop-sep", "--t", t, "--samples", str(samples), "--seed", "1"]) == 2
+        stdout = capsys.readouterr().out
+        err = json.loads(stdout)
+        assert set(err) == {"error", "exit_code"} and "desk-scale" in err["error"]
+        assert stdout == canonical_json(err)
+
+    @pytest.mark.parametrize("seed", [1, 2, 2**40 + 3, 0, 2**64 - 1])
+    def test_recheck_skips_to_the_argmin_draw(self, seed, splitmix64_rows):
+        # the pure-Python replay must give the reference stream's sample,
+        # and the words the check hashes for it: in the first samples, on
+        # each side of a screen chunk's boundary (8,192 samples), at the
+        # last of 2M samples and far out at 2^62
+        for index in (0, 1, 8191, 8192, 1_999_999, 2**62):
+            want = splitmix64_rows(seed, 1, start=index)[0]
+            assert cli._replay_draw(seed, index) == want
+            assert _hashed_draw(seed, index) == want
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**128 - 1), index=st.integers(0, 2**70))
-    def test_recheck_replay_matches_numpy_pcg64(self, seed, index):
-        assert cli._replay_draw(seed, index) == _numpy_pcg64_draw(seed, index)
+    @given(seed=st.integers(0, 2**64 - 1), index=st.integers(0, 2**62))
+    def test_recheck_replay_matches_the_hashed_words(self, seed, index):
+        assert cli._replay_draw(seed, index) == _hashed_draw(seed, index)
 
     def test_recheck_skip_memory_is_bounded(self, traced_peak_mb):
-        # the replay of a far sample holds its jump and its four words,
-        # not the stream before it
+        # the replay of a far sample holds its two words, not the stream
+        # before it
         assert traced_peak_mb(lambda: cli._replay_draw(5, 2_000_000)) < 1.0
 
 
@@ -1038,12 +1048,18 @@ def _oracle_fuzz_cases(seed):
     trans_limit = math.isqrt(oracle._TAU_TABLE_LIMIT)
     return {
         "seed-0": prop_sep(t(), 2000, 0),
-        "seed-max": prop_sep(t(), 2000, 2**128 - 1),
-        "seed-past-key-range": prop_sep(t(), 10, 2**128, exits=refused),
-        "samples-chunk-minus-1": prop_sep(t(), chunk - 1, rng.randrange(2**128)),
-        "samples-chunk-plus-1": prop_sep(t(), chunk + 1, rng.randrange(2**128)),
-        "t-past-rotation-modulus": prop_sep("1e5", 12, rng.randrange(2**128)),
-        "t-at-2^52": prop_sep(str(2**52), 10, rng.randrange(2**128), exits=refused),
+        "seed-max": prop_sep(t(), 2000, 2**64 - 1),
+        "seed-past-key-range": prop_sep(t(), 10, 2**64, exits=refused),
+        "samples-chunk-minus-1": prop_sep(t(), chunk - 1, rng.randrange(2**64)),
+        "samples-chunk-plus-1": prop_sep(t(), chunk + 1, rng.randrange(2**64)),
+        "t-past-rotation-modulus": prop_sep("1e5", 12, rng.randrange(2**64)),
+        "t-at-2^52": prop_sep(str(2**52), 10, rng.randrange(2**64), exits=refused),
+        "samples-past-exact-limit": prop_sep(
+            "1e5", oracle._EXACT_SAMPLE_LIMIT + 1, rng.randrange(2**64), exits=refused
+        ),
+        "samples-past-screen-limit": prop_sep(
+            t(), oracle._SCREEN_SAMPLE_LIMIT + 1, rng.randrange(2**64), exits=refused
+        ),
         "covering-2d": covering(direction(2), "0.05", "1000"),
         "covering-3d": covering(direction(3), "0.2", "200"),
         "cap-past-step-limit": covering("1,1", "0.1", "1e300", exits=refused),

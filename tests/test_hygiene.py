@@ -14,8 +14,9 @@ the README's table of spec keys states the CLI's spec schema, and its
 Layout table names every package module.  A solve
 never loads numpy, which only the oracles need, and no other module
 imports it at module level, and the CLI's prop-sep recheck replays its
-sample with numpy blocked.  No package module imports a thread or
-process module, nor dataclasses, and a solve loads neither dataclasses
+sample with numpy blocked.  The oracles load neither numpy.random nor
+the secrets and OpenSSL modules it pulls in.  No package module imports
+a thread or process module, nor dataclasses, and a solve loads neither dataclasses
 nor inspect.  Nor does a solve load OpenSSL or decimal: no package
 module imports fractions at module level, the only hashlib import is
 solver's fallback for an interpreter without a built-in SHA-256, and
@@ -171,13 +172,17 @@ print(repr([cli._replay_draw(seed, index) for seed, index in pairs]))
 def test_the_recheck_replays_without_numpy():
     """cli._replay_draw shares no code with the numpy stream it rechecks:
     with numpy blocked it still gives the check's own samples."""
-    from lattice_rotor.oracle import _random_stream
+    import numpy as np
 
-    pairs = [(0, 0), (6, 8192), (2**128 - 1, 1249)]
+    from lattice_rotor.oracle import _rotations, _stream_words, _translations
+
+    pairs = [(0, 0), (6, 8192), (2**64 - 1, 1249)]
     want = []
     for seed, index in pairs:
-        turn, coin, t1, t2 = _random_stream(seed)(4 * index + 4)[-4:].tolist()
-        want.append((turn, coin < 0.5, t1, t2))
+        at = np.array([index], dtype=np.uint64)
+        (turn,), (reflect,) = _rotations(_stream_words(seed, at, 1))
+        (t1,), (t2,) = _translations(_stream_words(seed, at, 2))
+        want.append((turn.item(), bool(reflect), t1.item(), t2.item()))
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     out = subprocess.run(
@@ -271,6 +276,42 @@ def test_a_solve_loads_neither_openssl_nor_decimal(tmp_path):
     assert {"fractions", "decimal", "_decimal", "_pydecimal"}.isdisjoint(loaded)
     if any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
         assert {"hashlib", "_hashlib"}.isdisjoint(loaded)
+
+
+# the three oracle subcommands run in one fresh interpreter; it prints
+# their exit codes, whether numpy is loaded, then each module of
+# numpy.random, secrets and _hashlib that they loaded
+_ORACLE_RUNS = """
+import sys
+import lattice_rotor.cli as cli
+spec, out = sys.argv[1:]
+codes = [cli.main(argv + ["--output", out]) for argv in (
+    ["tau", "--input", spec, "--grid-theta", "40", "--grid-trans", "40", "--reflect"],
+    ["prop-sep", "--t", "2", "--samples", "20000", "--seed", "3"],
+    ["covering", "--direction", "1,1.618", "--eps", "0.05", "--cap", "1000"],
+)]
+print(*codes, "numpy" in sys.modules, *(m for m in ("numpy.random", "secrets", "_hashlib") if m in sys.modules))
+"""
+
+
+def test_the_oracles_load_neither_numpy_random_nor_openssl(tmp_path):
+    """tau, prop-sep and covering run on numpy's core alone: prop-sep
+    hashes its own stream, so numpy.random and the secrets and OpenSSL
+    modules its import pulls in stay unloaded (where the interpreter has
+    a built-in SHA-256 module, which keeps solver's seeds off hashlib)."""
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"mode": "tau", "points": [["0", "0"], ["0.5", "0"]], "t": "1"}', encoding="utf-8")
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run(
+        [sys.executable, "-c", _ORACLE_RUNS, str(spec), str(tmp_path / "report.json")],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.split()
+    assert out[:4] == ["0", "0", "0", "True"]
+    loaded = set(out[4:])
+    assert {"numpy.random", "secrets"}.isdisjoint(loaded)
+    if any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+        assert "_hashlib" not in loaded
 
 
 def _load_time_imports(tree):

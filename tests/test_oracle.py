@@ -590,76 +590,78 @@ class TestSeparatedProbe:
             separated_probe(0, B)
 
 
-def _pcg64(seed):
-    """numpy's PCG64 seeded as PCG's srandom(initstate=seed, initseq=PCG's
-    default 128-bit increment), set up here apart from the check's own
-    seeding."""
-    mod = 1 << 128
-    inc = (0x5851F42D4C957F2D14057B7EF767814F * 2 + 1) % mod
-    state = (inc + seed) * 0x2360ED051FC65DA44385DF649FCCF645 + inc
-    bitgen = np.random.PCG64(0)
-    bitgen.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state % mod, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return bitgen
-
-
-def _pcg64_rows(seed, samples):
-    """The first `samples` rows of check_prop_sep's stream, drawn in one
-    call from numpy's PCG64, apart from the check's chunked stream:
-    rotation turn, reflection coin, two translation coordinates."""
-    return np.random.Generator(_pcg64(seed)).random(4 * samples).reshape(samples, 4)
-
-
-def _sampled_isometries(seed, samples):
-    """The isometries check_prop_sep draws, replayed from its seed stream."""
+def _isometries(rows):
+    """The isometries of prop-sep sample rows (turn, reflect, t1, t2)."""
     with working_precision(B):
         return [
             PlanarIsometry(
-                Rotation.from_angle(2 * mpmath.pi * mpf(turn), B), coin < 0.5, (mpf(t1), mpf(t2))
+                Rotation.from_angle(2 * mpmath.pi * mpf(turn), B), reflect, (mpf(t1), mpf(t2))
             )
-            for turn, coin, t1, t2 in _pcg64_rows(seed, samples).tolist()
+            for turn, reflect, t1, t2 in rows
         ]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3, 2**64, 2**128 - 1])
-def test_random_stream_equals_pcg64(seed):
-    # check_prop_sep's stream must stay PCG64 seeded by PCG's srandom with
-    # the seed as its initial state: two calls cover the continuation of
-    # the generator between chunks, and the first two rows and the last
-    # must each be the four words the CLI's pure-Python recheck replays
-    draw = oracle._random_stream(seed)
-    vals = np.concatenate([draw(1), draw(4999)])
-    assert vals.tolist() == np.random.Generator(_pcg64(seed)).random(5000).tolist()
-    for index in (0, 1, 1249):
-        turn, coin, t1, t2 = vals[4 * index : 4 * index + 4].tolist()
-        assert cli._replay_draw(seed, index) == (turn, coin < 0.5, t1, t2)
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3, 2**64 - 1])
+def test_random_stream_equals_splitmix64(seed, monkeypatch, splitmix64_words, splitmix64_rows):
+    # every word check_prop_sep hashes must be the reference stream's
+    # output of the same index: the translation words of every sample,
+    # chunk by chunk across both chunk boundaries of 2 * _CHUNK + 3
+    # samples, the rotation words of the samples screened, and both words
+    # of those re-evaluated; and the CLI's pure-Python recheck must replay
+    # the first two rows and the last
+    samples = 2 * oracle._CHUNK + 3
+    outputs = splitmix64_words(seed, 2 * samples)
+    hashed = {}
+    real = oracle._stream_words
+
+    def recording(seed_, index, first):
+        words = real(seed_, index, first)
+        for i, w in zip(index.tolist(), words.tolist()):
+            hashed.setdefault(first + 2 * i, set()).add(w)
+        return words
+
+    monkeypatch.setattr(oracle, "_stream_words", recording)
+    check_prop_sep("2", samples, seed=seed, bits=B)
+    assert set(range(2, 2 * samples + 1, 2)) <= set(hashed)
+    assert set(range(1, 2 * oracle._CHUNK, 2)) <= set(hashed)
+    assert hashed == {k: {outputs[k - 1]} for k in hashed}
+    rows = splitmix64_rows(seed, samples)
+    for index in (0, 1, samples - 1):
+        assert cli._replay_draw(seed, index) == rows[index]
 
 
-def _unbounded_kept(t, samples, seed):
+def test_seed_0_opens_with_the_published_outputs(splitmix64_words):
+    # the first outputs of SplitMix64 seeded with 0, as published with the
+    # generator; the check hashes them as sample 0's rotation and
+    # translation words and sample 1's rotation word
+    published = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert splitmix64_words(0, 3) == published
+    rotation = oracle._stream_words(0, np.arange(2, dtype=np.uint64), 1).tolist()
+    translation = oracle._stream_words(0, np.arange(1, dtype=np.uint64), 2).tolist()
+    assert [rotation[0], translation[0], rotation[1]] == published
+
+
+def _unbounded_kept(t, rows):
     """The prop-sep float screen with no bound before the rotation: every
     sample's image is formed, chunk by chunk, and the kept (index, row)
-    pairs are returned as check_prop_sep re-evaluates them.  Draws come
-    from numpy's PCG64 in one call, not from the check's chunked stream."""
+    pairs are returned as check_prop_sep re-evaluates them.  rows are
+    the samples from the reference stream, not from the check's hashes."""
     probe = separated_probe(t, B)
     re = np.array([float(z.real) for z in probe.entries])
     im = np.array([float(z.imag) for z in probe.entries])
     exact_all = float(probe.max_abs()) > oracle._EXACT_ROTATION_MODULUS
     with working_precision(B):
         screen_sq = float((mpf(1) / 8 + mpf("1e-6")) ** 2)
-    stream = _pcg64_rows(seed, samples)
-    index, rows, screened = [], [], []
+    stream = np.array(rows, dtype=np.float64)
+    index, kept_rows, screened = [], [], []
     float_min_sq = np.inf
-    for start in range(0, samples, oracle._CHUNK):
+    for start in range(0, len(rows), oracle._CHUNK):
         vals = stream[start : start + oracle._CHUNK]
         n = len(vals)
-        turn, coin, t1, t2 = vals.T
+        turn, reflect, t1, t2 = vals.T
         c = np.cos(2 * np.pi * turn)
         s = np.sin(2 * np.pi * turn)
-        sign = np.where(coin < 0.5, -1.0, 1.0)
+        sign = np.where(reflect == 1, -1.0, 1.0)
         worst = np.zeros(n)
         for k in range(len(probe)):
             ik = sign * im[k]
@@ -672,10 +674,11 @@ def _unbounded_kept(t, samples, seed):
         cut = np.inf if exact_all else max(screen_sq, float_min_sq + oracle._SCREEN_MARGIN)
         keep = np.nonzero(worst <= cut)[0]
         index.append(start + keep)
-        rows.append(vals[keep])
+        kept_rows.extend(rows[start + i] for i in keep.tolist())
         screened.append(worst[keep])
-    final = np.concatenate(screened) <= cut
-    return np.concatenate(index)[final].tolist(), np.concatenate(rows)[final].tolist()
+    final = (np.concatenate(screened) <= cut).tolist()
+    index = np.concatenate(index)[final].tolist()
+    return index, [row for row, f in zip(kept_rows, final) if f]
 
 
 class TestTurnTable:
@@ -723,22 +726,18 @@ class TestPropSepCheck:
     @pytest.mark.parametrize("margin", [None, 0.03], ids=["margin", "wide"])
     @pytest.mark.parametrize("seed", [0, 1, 5, 2**40 + 3])
     @pytest.mark.parametrize("t, samples", [("0.6", 3000), ("2", 3000), ("1e5", 20)])
-    def test_translation_bound_matches_unbounded_screen(self, t, samples, seed, margin, monkeypatch):
+    def test_translation_bound_matches_unbounded_screen(
+        self, t, samples, seed, margin, monkeypatch, splitmix64_rows
+    ):
         # chunks of 64 put the translation bound to work from the second
         # chunk on; a wide margin keeps dozens of samples, and at 1e5,
         # past the rotation modulus, every sample is kept
         monkeypatch.setattr(oracle, "_CHUNK", 64)
         if margin is not None:
             monkeypatch.setattr(oracle, "_SCREEN_MARGIN", margin)
-        index, rows = _unbounded_kept(t, samples, seed)
+        index, rows = _unbounded_kept(t, splitmix64_rows(seed, samples))
         probe = separated_probe(t, B)
-        with working_precision(B):
-            kept = [
-                PlanarIsometry(
-                    Rotation.from_angle(2 * mpmath.pi * mpf(turn), B), coin < 0.5, (mpf(t1), mpf(t2))
-                )
-                for turn, coin, t1, t2 in rows
-            ]
+        kept = _isometries(rows)
         values = [isometry_max_frac(g, probe, B) for g in kept]
         seen = []
         real = oracle.isometry_max_frac
@@ -776,7 +775,7 @@ class TestPropSepCheck:
     def test_screen_memory_does_not_grow_with_samples(self, traced_peak_mb):
         # the screen holds one chunk's temporaries and the few kept
         # samples, whatever the sample count; the first call loads what
-        # later ones share (numpy.random, mpmath's constants)
+        # later ones share (mpmath's constants)
         chunk = oracle._CHUNK
         check_prop_sep("2", 1, seed=1, bits=B)
         peaks = [
@@ -792,18 +791,18 @@ class TestPropSepCheck:
         assert chk.minimum >= mpf(1) / 8 - mpf(2) ** (-B // 2)
         assert chk.violations == ()
 
-    def test_argmin_replay_from_seed_stream(self):
+    def test_argmin_replay_from_seed_stream(self, splitmix64_rows):
         chk = check_prop_sep(3, 500, seed=4, bits=B)
-        g = _sampled_isometries(4, 500)[chk.argmin_index]
+        g = _isometries(splitmix64_rows(4, 500))[chk.argmin_index]
         replay = isometry_max_frac(g, separated_probe(3, B), B)
         assert abs(replay - chk.minimum) <= mpf(2) ** (-B // 2)
 
-    def test_minimum_is_exact_past_the_rotation_modulus(self):
+    def test_minimum_is_exact_past_the_rotation_modulus(self, splitmix64_rows):
         # at t = 1e15 float64 rotated coordinates err by about 0.4, so a
         # float64 screen would pick the wrong samples; the reported minimum
         # must be the exact one over every sample drawn
         probe = separated_probe("1e15", B)
-        values = [isometry_max_frac(g, probe, B) for g in _sampled_isometries(1, 300)]
+        values = [isometry_max_frac(g, probe, B) for g in _isometries(splitmix64_rows(1, 300))]
         exact = min(values)
         chk = check_prop_sep("1e15", 300, seed=1, bits=B)
         assert chk.minimum == exact
@@ -811,9 +810,9 @@ class TestPropSepCheck:
 
     @pytest.mark.parametrize("t", ["2", "1e5"])
     @pytest.mark.parametrize("samples", [1, 8, 9, 19, 111, 112, 113])
-    def test_chunk_boundaries(self, t, samples, monkeypatch):
+    def test_chunk_boundaries(self, t, samples, monkeypatch, splitmix64_rows):
         # a chunk of 8 puts sample counts of 1, chunk, chunk + 1 and
-        # 2 * chunk + 3 on each side of the chunk boundaries; seed 4 puts
+        # 2 * chunk + 3 on each side of the chunk boundaries; seed 7 puts
         # the minimum past the first chunk at 9 and 19 samples, and at t = 2
         # flushes a batch of rotations at sample 112, when the live samples
         # of several chunks reach chunk / 4, so 111, 112 and 113 lie on
@@ -821,7 +820,7 @@ class TestPropSepCheck:
         # stream cannot void the case); at 1e5 every sample is kept for the
         # exact pass
         probe = separated_probe(t, B)
-        values = [isometry_max_frac(g, probe, B) for g in _sampled_isometries(4, samples)]
+        values = [isometry_max_frac(g, probe, B) for g in _isometries(splitmix64_rows(7, samples))]
         calls = []
         real = oracle.isometry_max_frac
         monkeypatch.setattr(
@@ -829,19 +828,22 @@ class TestPropSepCheck:
             "isometry_max_frac",
             lambda g, *a, **k: calls.append(to_json_data(g)) or real(g, *a, **k),
         )
-        check_prop_sep(t, samples, seed=4, bits=B)
+        check_prop_sep(t, samples, seed=7, bits=B)
         whole = len(calls)
         drawn, flushes = [], []
-        stream, rotate = oracle._random_stream, oracle._turn_cos_sin
+        words, rotate = oracle._stream_words, oracle._turn_cos_sin
 
-        def counting_stream(seed):
-            draw = stream(seed)
-            return lambda n: drawn.append(n // 4) or draw(n)
+        def counting_words(seed, index, first):
+            # translation words are the even outputs; the screen hashes
+            # them a chunk at a time, before any flush of that chunk
+            if first % 2 == 0:
+                drawn.append(index.size)
+            return words(seed, index, first)
 
-        monkeypatch.setattr(oracle, "_random_stream", counting_stream)
+        monkeypatch.setattr(oracle, "_stream_words", counting_words)
         monkeypatch.setattr(oracle, "_turn_cos_sin", lambda x: flushes.append(sum(drawn)) or rotate(x))
         monkeypatch.setattr(oracle, "_CHUNK", 8)
-        chk = check_prop_sep(t, samples, seed=4, bits=B)
+        chk = check_prop_sep(t, samples, seed=7, bits=B)
         # batches re-evaluate exactly the samples one screen would, in order
         assert calls[whole:] == calls[:whole]
         assert flushes[-1] == samples
@@ -860,10 +862,35 @@ class TestPropSepCheck:
         with pytest.raises(ValueError):
             check_prop_sep(2, 0, seed=1, bits=B)
 
-    @pytest.mark.parametrize("seed", [-5, 2**128])
-    def test_seed_outside_the_pcg64_state_range_refused(self, seed):
-        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^128\)"):
+    @pytest.mark.parametrize("seed", [-5, 2**64])
+    def test_seed_outside_the_splitmix64_state_range_refused(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
             check_prop_sep(2, 10, seed=seed, bits=B)
+
+    @pytest.mark.parametrize(
+        "t, samples, refused",
+        [
+            ("1e15", 100_000, False),
+            ("1e5", oracle._EXACT_SAMPLE_LIMIT, False),
+            ("1e5", oracle._EXACT_SAMPLE_LIMIT + 1, True),
+            ("2", oracle._SCREEN_SAMPLE_LIMIT, False),
+            ("2", oracle._SCREEN_SAMPLE_LIMIT + 1, True),
+        ],
+    )
+    def test_sample_limits(self, t, samples, refused, monkeypatch):
+        # each limit admits its own count, and the README's 100,000
+        # samples at t = 1e15, and refuses one more before any word is
+        # hashed
+        class Hashed(Exception):
+            pass
+
+        def hashed(*args):
+            raise Hashed
+
+        monkeypatch.setattr(oracle, "_stream_words", hashed)
+        expected = pytest.raises(ValueError, match="desk-scale") if refused else pytest.raises(Hashed)
+        with expected:
+            check_prop_sep(t, samples, seed=1, bits=B)
 
     def test_t_beyond_float64_refused(self):
         with pytest.raises(ValueError, match="float64"):

@@ -53,9 +53,23 @@ def test_pool_digest_matches_the_recorded_one(tmp_path, capsys):
     assert (tmp_path / "readme-solve" / "0" / "curve.svg").is_file()
 
 
+def test_oracle_pool_digest_matches_the_recorded_one(tmp_path, capsys):
+    # the tau, prop-sep and covering reports of pool sets 0 and 1 are
+    # byte-identical to the recorded ones
+    recorded = json.loads((DATA / "pool_digest.json").read_text(encoding="utf-8"))["oracle"]
+    argv = ["--pool", "oracle", "--sets", recorded["sets"], "--workdir", str(tmp_path),
+            "--expect", recorded["sha256"]]
+    assert _load("pool_digest").main(argv) == 0
+    count, digest = capsys.readouterr().out.splitlines()
+    # per set, five tau reports, one prop-sep report and one covering report
+    assert count == f"{recorded['files']} files" == "14 files"
+    assert digest == f"sha256 {recorded['sha256']}"
+    assert (tmp_path / "oracle-sweep" / "1" / "prop_sep.json").is_file()
+
+
 def test_pool_digest_mismatch_prints_both_and_exits_1(monkeypatch, capsys):
     module = _load("pool_digest")
-    monkeypatch.setattr(module, "digest", lambda workdir, sets: (2, "ab" * 32))
+    monkeypatch.setattr(module, "digest", lambda workdir, sets, pool: (2, "ab" * 32))
     assert module.main(["--sets", "0", "--expect", "cd" * 32]) == 1
     out = capsys.readouterr()
     assert out.out.splitlines() == ["2 files", f"sha256 {'ab' * 32}"]
