@@ -12,7 +12,8 @@ The package is imported from this checkout's src/.  With --expect, a
 digest other than the expected one prints both and exits 1;
 tests/data/pool_digest.json records the digests of sets 0 and 1, the
 solve pool's at the top level and the oracle pool's under "oracle",
-which only a declared artifact change may re-record.
+and the whole solve pool's under "all_sets", which only a declared
+artifact change may re-record.
 
 Usage:
     python3 scripts/pool_digest.py

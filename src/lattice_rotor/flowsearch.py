@@ -41,26 +41,35 @@ doubles cannot carry it.  The enumerated point set is a property of the
 lattice, not of the basis that spans it, so no start changes a
 candidate.
 
-Dilations of one direction walk the same windows from the same starts:
-a window's lattice follows from the step coordinates, eps, its length
-and the evaluation precision, never from t.  Two memos answer every
-window an earlier walk has met, each keeping its last 32 answers under
-exact keys and handing out tuples: _window_lattice its rows and scale,
-and _reduced_window everything of it that the target does not change
-(the exact reduction and its transform, the basis in doubles and its
-Gram-Schmidt data).  _reduced_window is keyed on the integer rows, the
-scale and the carried transform, not on the step coordinates:
-dilations whose evaluation precision differs by a bit draw phases that
-differ only in low bits, and their windows' rows still round to the
-same integers.  Only the target moves with t; its residues, its
-coordinates, the enumeration and the exact verification run on every
-window.
+Dilations of one direction share everything but the target: the grid
+follows from the direction, eps and the evaluation precision, and a
+window's lattice from the grid step, its length and that precision,
+never from t.  Four memos answer what an earlier walk has met, each
+keeping its last 32 answers and handing out tuples: _max_abs a
+direction's max|V|, _grid_step its grid at one evaluation precision
+(delta, the step coordinates and their fixed-point integers, and
+log2 eps), _window_lattice a window's rows and scale, and
+_reduced_window everything of a window that the target does not change
+(the exact reduction, its transform and that transform's first column,
+the basis in doubles and its Gram-Schmidt data, mu by columns).  The
+first three are keyed on raw libmp tuples (an mpc's _mpc_, an mpf's
+_mpf_) and ints: mpmath keeps raw values normalized, so two keys are
+equal exactly when their values are, and hashing them runs in C.
+_reduced_window is keyed on the integer rows, the scale and the carried
+transform, not on the step coordinates: dilations whose evaluation
+precision differs by a bit draw phases that differ only in low bits,
+and their windows' rows still round to the same integers.  No memo
+reads a module setting; the first window's length and the budgets are
+read on every call.  Only the target moves with t: W's fixed-point
+coordinates and the last grid index once per call, and each window's
+residues, coordinates, enumeration and exact verification.
 
 Each window's target is the signed fractional parts of W + j0*delta*V at
-its first index, in fixed point: once per call, every coordinate of W
-and of the step delta*V becomes an integer with frac_bits = bits_eval +
-64 fractional bits (_fixed_point: exact where the mpf has no bit below
-2^-frac_bits, else rounded down by less than that unit), and each
+its first index, in fixed point: every coordinate of W (once per call)
+and of the step delta*V (once per _grid_step) becomes an integer with
+frac_bits = bits_eval + 64 fractional bits (_fixed_point: exact where
+the mpf has no bit below 2^-frac_bits, else rounded down by less than
+that unit), and each
 window's residues are integer additions, a mask and one rounding to a
 double (_residues), with no mpmath call and no precision context.  The
 evaluation precision keeps grid_last within 2^(bits_eval - 46)
@@ -91,13 +100,25 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import from_int, mpc_add, mpc_mul_mpf, mpf_mul, to_fixed
+from mpmath.libmp import (
+    from_int,
+    fzero,
+    mpc_abs,
+    mpc_add,
+    mpc_mul_mpf,
+    mpf_div,
+    mpf_floor,
+    mpf_mul,
+    to_fixed,
+    to_int,
+)
 
 from .corelattice import ComplexVector, frac_dist
 from .lll import float_start, lll_reduce
 from .precision import (
     NEAREST,
     below_half_sqrt2,
+    check_precision,
     make_mpc,
     make_mpf,
     raise_for_magnitude,
@@ -148,6 +169,11 @@ class _BudgetExceeded(Exception):
 
 # an integer matrix as the memos keep it, one tuple per row
 Matrix = Tuple[Tuple[int, ...], ...]
+# raw libmp values, the memos' keys: an mpf's _mpf_ tuple and an mpc's
+# _mpc_ pair of them
+RawMpf = Tuple[int, int, int, int]
+RawMpc = Tuple[RawMpf, RawMpf]
+_ZERO: RawMpc = (fzero, fzero)
 
 
 def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
@@ -158,9 +184,10 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
     if len(vec_v) != len(vec_w):
         raise ValueError("direction and offset lengths differ")
 
-    with working_precision(bits):
-        eps = mpf(eps)
-        L_max = mpf(L_max)
+    # eps and L_max rounded at bits, with no precision context
+    check_precision(bits)
+    eps = mpf(eps, prec=bits, rounding=NEAREST)
+    L_max = mpf(L_max, prec=bits, rounding=NEAREST)
     if not below_half_sqrt2(eps):
         raise ValueError(f"eps must lie in (0, sqrt(2)/2), got {eps}")
     if not (mpmath.isfinite(L_max) and L_max >= 0):
@@ -168,35 +195,27 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
 
     # a zero entry never moves; relation detection keeps zeros out of the
     # solver's reduced blocks
-    if any(z == 0 for z in vec_v):
+    entries = tuple(z._mpc_ for z in vec_v)
+    if any(z == _ZERO for z in entries):
         raise ValueError("degenerate direction: a direction entry is zero")
-    max_abs = vec_v.max_abs()
+    max_abs = _max_abs(entries, vec_v.bits)
 
     # evaluation precision must resolve eps on top of the largest value met
     bits_eval = raise_for_magnitude(
         bits, max(vec_w.max_abs(), L_max * max_abs, mpf(1)), eps
     )
+    step = _grid_step(entries, vec_v.bits, eps._mpf_, bits_eval)
+    raw_delta = step.delta
+    # floor(L_max / delta) at bits_eval
+    last = mpf_div(L_max._mpf_, raw_delta, bits_eval, NEAREST)
+    grid_last = to_int(mpf_floor(last, bits_eval, NEAREST))
 
-    # entries are already mpc at the vector's precision; re-wrapping in
-    # mpc() here would round them to the ambient 53-bit default
-    values_v = list(vec_v)
-    values_w = list(vec_w)
-    m = len(values_v)
-
-    with working_precision(bits_eval):
-        delta = eps / (4 * max_abs)
-        grid_last = int(mpmath.floor(L_max / delta))
-        dv = [delta * z for z in values_v]
-        dv_coords = tuple([z.real for z in dv] + [z.imag for z in dv])
-
-    coords_w = [z.real for z in values_w] + [z.imag for z in values_w]
-    offset_fixed = _fixed_point(coords_w, bits_eval)
-    step_fixed = _fixed_point(dv_coords, bits_eval)
+    offset_fixed = _fixed_point([z.real for z in vec_w] + [z.imag for z in vec_w], bits_eval)
+    m = len(entries)
 
     # the exact check of grid index j: W + s*V with s = j*delta, every
     # operation rounded at bits_eval
-    raw_pairs = [(zv._mpc_, zw._mpc_) for zv, zw in zip(values_v, values_w)]
-    raw_delta = delta._mpf_
+    raw_pairs = [(zv, zw._mpc_) for zv, zw in zip(entries, vec_w)]
 
     def verify(j: int) -> Optional[mpf]:
         s = mpf_mul(from_int(j, bits_eval, NEAREST), raw_delta, bits_eval, NEAREST)
@@ -207,7 +226,7 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
         worst = max(frac_dist(make_mpc(p), bits_eval) for p in points)
         return make_mpf(s) if worst < eps else None
 
-    window_len = _first_window(m, eps)
+    window_len = _first_window(m, step.log2_eps)
     examined = windows = j0 = 0
     transform: Optional[Matrix] = None
     s = grid_index = None
@@ -220,14 +239,14 @@ def flow_search(direction, offset, eps, L_max, bits: int) -> FlowSearchOutcome:
     while s is None and j0 <= grid_last and windows < DEFAULT_WINDOW_BUDGET:
         windows += 1
         count = min(window_len, grid_last - j0 + 1)
-        rows, scale = _window_lattice(dv_coords, eps, count, bits_eval)
+        rows, scale = _window_lattice(step.coords, eps._mpf_, count, bits_eval)
         try:
             # every window after the first starts from the last window's
             # transform, also from one whose enumeration outgrew the node
             # budget
             window = _reduced_window(rows, scale, transform)
             transform = window.transform
-            residues = _residues(offset_fixed, step_fixed, j0, bits_eval)
+            residues = _residues(offset_fixed, step.fixed, j0, bits_eval)
             candidates = _window_candidates(
                 window, [-r for r in residues], eps, count, DEFAULT_NODE_BUDGET
             )
@@ -263,6 +282,45 @@ def _fixed_point(coords: Sequence[mpf], bits_eval: int) -> List[int]:
     return [to_fixed(x._mpf_, frac_bits) for x in coords]
 
 
+@functools.lru_cache(maxsize=32)
+def _max_abs(entries: Tuple[RawMpc, ...], bits: int) -> mpf:
+    """max|V_k| over a direction's raw entries, each modulus rounded at the
+    direction's bits, as ComplexVector.max_abs takes it.  Answers for the
+    last 32 distinct directions are remembered."""
+    return max(make_mpf(mpc_abs(z, bits, NEAREST)) for z in entries)
+
+
+class _GridStep(NamedTuple):
+    """A flow's grid at bits_eval, which follows from its direction and eps
+    alone: the grid step delta = eps / (4 * max|V|) and the step delta*V's
+    coordinates (real parts, then imaginary parts) as raw mpf, the
+    coordinates' _fixed_point integers, and log2(eps) at 53 bits, which
+    _first_window reads."""
+
+    delta: RawMpf
+    coords: Tuple[RawMpf, ...]
+    fixed: Tuple[int, ...]
+    log2_eps: float
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_step(entries: Tuple[RawMpc, ...], bits: int, eps: RawMpf, bits_eval: int) -> _GridStep:
+    """The _GridStep of the direction with these raw entries at bits, for
+    the raw tolerance eps, at bits_eval.  Answers for the last 32 distinct
+    inputs are remembered, keyed on the raw tuples, which mpmath keeps
+    normalized: two equal values have equal tuples."""
+    max_abs, eps = _max_abs(entries, bits), make_mpf(eps)
+    values = [make_mpc(z) for z in entries]
+    with working_precision(bits_eval):
+        delta = eps / (4 * max_abs)
+        dv = [delta * z for z in values]
+    coords = [z.real for z in dv] + [z.imag for z in dv]
+    with working_precision(53):
+        log2_eps = float(mpmath.log(eps, 2))
+    fixed = tuple(_fixed_point(coords, bits_eval))
+    return _GridStep(delta._mpf_, tuple(x._mpf_ for x in coords), fixed, log2_eps)
+
+
 def _residues(offset: Sequence[int], step: Sequence[int], j0: int, bits_eval: int) -> List[float]:
     """Signed fractional parts of W + j0*delta*V, from the _fixed_point
     coordinates of W (offset) and of delta*V (step) at bits_eval.
@@ -287,15 +345,13 @@ def _residues(offset: Sequence[int], step: Sequence[int], j0: int, bits_eval: in
     ]
 
 
-def _first_window(m: int, eps: mpf) -> int:
+def _first_window(m: int, log2_eps: float) -> int:
     """First enumeration window length for a flow with m entries at
-    tolerance eps.
+    tolerance eps, from log2_eps, _GridStep's log2(eps) at 53 bits.
 
     It follows from m and eps alone, never from a clock or a budget, so
     the same flow always takes the same walk.
     """
-    with working_precision(53):
-        log2_eps = float(mpmath.log(eps, 2))
     # log2 of the expected first-hit index E = (pi*eps^2)^(-m)
     log2_hit = math.floor(-m * (math.log2(math.pi) + 2 * log2_eps))
     return max(_WINDOW_FLOOR, 1 << max(0, log2_hit - _WINDOW_LEAD_BITS))
@@ -303,7 +359,7 @@ def _first_window(m: int, eps: mpf) -> int:
 
 @functools.lru_cache(maxsize=32)
 def _window_lattice(
-    dv_coords: Tuple[mpf, ...], eps: mpf, window_len: int, bits_eval: int
+    step: Tuple[RawMpf, ...], eps: RawMpf, window_len: int, bits_eval: int
 ) -> Tuple[Matrix, int]:
     """Integer rows of the rank d+1 lattice of one window, and its scale K.
 
@@ -315,10 +371,14 @@ def _window_lattice(
     double first would drift by many eps over a long window and falsify
     the lattice itself.
 
-    Answers for the last 32 distinct inputs are remembered, keyed on the
-    exact step coordinates, eps, length and bits_eval.
+    step holds the step coordinates as raw mpf, and eps is raw too.
+    Answers for the last 32 distinct inputs are remembered, keyed on those
+    raw tuples, the length and bits_eval: mpmath keeps raw values
+    normalized, so the keys are equal exactly when the values are, and
+    hashing them runs in C.
     """
-    d = len(dv_coords)
+    d = len(step)
+    eps = make_mpf(eps)
     # embedding scale keeping rounding error far below one eps-unit across
     # the whole window; an eps that rounds to a zero double takes its bit
     # count from mpmath, and its scale is past the double range
@@ -329,7 +389,7 @@ def _window_lattice(
 
     with working_precision(max(bits_eval, scale_bits + 32)):
         big = mpf(K)
-        step_row = [int(mpmath.nint(big * c / eps)) for c in dv_coords]
+        step_row = [int(mpmath.nint(big * make_mpf(c) / eps)) for c in step]
         step_row.append(int(mpmath.nint(2 * big / window_len)))
         trans_entry = int(mpmath.nint(big / eps))
     rows = [tuple(step_row)]
@@ -342,13 +402,16 @@ def _window_lattice(
 
 class _ReducedWindow(NamedTuple):
     """What a window keeps whatever its target: the transform mapping its
-    rows to their LLL-reduced basis, that basis in doubles over the scale
-    K, and the basis's Gram-Schmidt data: mu[i][j] for j < i, the squared
-    lengths |b*_k|^2 and the orthogonalized rows b*_k."""
+    rows to their LLL-reduced basis and the transform's first column (each
+    basis row's grid index), that basis in doubles over the scale K, and
+    the basis's Gram-Schmidt data: mu_t[k][i] = mu[i][k] for k < i (mu
+    by columns, as the enumeration reads it), the squared lengths
+    |b*_k|^2 and the orthogonalized rows b*_k."""
 
     transform: Matrix
+    j_col: Tuple[int, ...]
     basis: Tuple[Tuple[float, ...], ...]
-    mu: Tuple[Tuple[float, ...], ...]
+    mu_t: Tuple[Tuple[float, ...], ...]
     bstar_sq: Tuple[float, ...]
     ortho: Tuple[Tuple[float, ...], ...]
 
@@ -361,11 +424,14 @@ def _reduced_window(rows: Matrix, scale: int, start: Optional[Matrix]) -> _Reduc
     where the exact LLL begins; a walk's first window carries None and
     begins from float_start's pre-reduction of its rows, or from scratch
     when doubles cannot carry it.  Answers for the last 32 distinct
-    inputs are remembered, keyed on the exact rows, scale and start.
-    OverflowError when the scale is past the double range, before either
-    reduction (K is a power of two, so float(K) raises exactly when K
-    passes the largest double), or when the reduced basis is;
-    ArithmeticError when doubles see the lattice as degenerate.
+    inputs are remembered, keyed on the exact rows, scale and start,
+    with what every window of theirs reads: the transform's first
+    column for _window_candidates and mu by columns for _gso and
+    _enumerate_ball.  OverflowError when the scale is past the double
+    range, before either reduction (K is a power of two, so float(K)
+    raises exactly when K passes the largest double), or when the
+    reduced basis is; ArithmeticError when doubles see the lattice as
+    degenerate.
     """
     scale_f = float(scale)
     reduced, transform = lll_reduce(rows, start if start is not None else float_start(rows))
@@ -386,8 +452,9 @@ def _reduced_window(rows: Matrix, scale: int, start: Optional[Matrix]) -> _Reduc
         bstar_sq.append(norm_sq)
     return _ReducedWindow(
         transform=tuple(map(tuple, transform)),
+        j_col=tuple(row[0] for row in transform),
         basis=tuple(map(tuple, basis)),
-        mu=tuple(map(tuple, mu)),
+        mu_t=tuple(zip(*mu)),
         bstar_sq=tuple(bstar_sq),
         ortho=tuple(map(tuple, ortho)),
     )
@@ -423,14 +490,14 @@ def _window_candidates(
         raise OverflowError("window target past the doubles' integer resolution")
 
     radius = math.sqrt(m + 1) * 1.01 + 0.05
-    ranges = _enumerate_ball(window.mu, window.bstar_sq, y, radius * radius, node_budget)
+    ranges = _enumerate_ball(window.mu_t, window.bstar_sq, y, radius * radius, node_budget)
 
     # keep the lattice points whose every entry lies in its slightly
     # inflated disk (real parts first, then imaginary parts); the points
     # of a range step along it by the first basis row
     disk_sq = (1.0 + 0.02) ** 2
     first = reduced_f[0]
-    j_col = [row[0] for row in window.transform]
+    j_col = window.j_col
     out = set()
     for lo, count, rest in ranges:
         point = [lo * b - t for b, t in zip(first, tau)]
@@ -458,25 +525,26 @@ def _gso(window: _ReducedWindow, target: Sequence[float]) -> List[float]:
     target's component along b*_k is y_k + sum_{i>k} y_i mu[i][k], so y
     follows from the projections by back-substitution.
     """
-    mu, bstar_sq, ortho = window.mu, window.bstar_sq, window.ortho
+    mu_t, bstar_sq, ortho = window.mu_t, window.bstar_sq, window.ortho
     n = len(bstar_sq)
     y = [0.0] * n
     for k in range(n - 1, -1, -1):
         along = sum(map(mul, target, ortho[k])) / bstar_sq[k]
-        y[k] = along - sum(y[i] * mu[i][k] for i in range(k + 1, n))
+        y[k] = along - sum(y[i] * mu_t[k][i] for i in range(k + 1, n))
     return y
 
 
 def _enumerate_ball(
-    mu: Sequence[Sequence[float]],
+    mu_t: Sequence[Sequence[float]],
     bstar_sq: Sequence[float],
     y: Sequence[float],
     radius_sq: float,
     node_budget: int,
 ) -> List[Tuple[int, int, Tuple[int, ...]]]:
     """All integer coefficient vectors u with |sum (u_k - y_k) b_k| <= radius,
-    for the basis b_k with Gram-Schmidt data mu and bstar_sq, as ranges
-    (first, count, rest): the vectors (first + i, *rest) for i < count.
+    for the basis b_k with Gram-Schmidt data mu (by columns, mu_t) and
+    bstar_sq, as ranges (first, count, rest): the vectors
+    (first + i, *rest) for i < count.
 
     A depth-first walk of the Fincke-Pohst bounds from the last level
     down, as an explicit loop; the first level's admissible values form
@@ -485,7 +553,6 @@ def _enumerate_ball(
     passes node_budget.
     """
     n = len(bstar_sq)
-    mu_t = [list(col) for col in zip(*mu)]
     b = bstar_sq
 
     u = [0] * n

@@ -469,7 +469,7 @@ _TWO_GOLDEN = np.uint64(2 * _GOLDEN % 2**64)
 _MIX_SHIFTS = np.uint64(30), np.uint64(27), np.uint64(31)
 _MIX_MULTIPLIERS = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _TURN_SHIFT, _HALF_SHIFT = np.uint64(11), np.uint64(32)
-_LOW_HALF, _LOW_BIT = np.uint64(0xFFFFFFFF), np.uint64(1)
+_LOW_BIT = np.uint64(1)
 
 
 def _stream_words(seed: int, index: np.ndarray, first: int) -> np.ndarray:
@@ -488,8 +488,11 @@ def _stream_words(seed: int, index: np.ndarray, first: int) -> np.ndarray:
 
 
 def _translations(words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    # a translation word's high and low 32-bit halves over 2^32
-    return (words >> _HALF_SHIFT) * 2.0**-32, (words & _LOW_HALF) * 2.0**-32
+    # a translation word's high and low 32-bit halves over 2^32; each half
+    # is cast to uint32 first (a truncating cast, whatever the byte order),
+    # which converts to float64 a little more cheaply than a uint64
+    high = (words >> _HALF_SHIFT).astype(np.uint32)
+    return high * 2.0**-32, words.astype(np.uint32) * 2.0**-32
 
 
 def _rotations(words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -654,24 +657,32 @@ def check_prop_sep(
         screened.append(worst[kept])
     # the last batch's cut is the final one
     index = np.concatenate(index)[np.concatenate(screened) <= cut]
-    draws = (*_rotations(_stream_words(seed, index, 1)), *_translations(_stream_words(seed, index, 2)))
 
     with working_precision(bits):
         minimum: Optional[mpf] = None
         argmin_index = -1
         violations = []
-        for i, turn, reflect, t1, t2 in zip(index.tolist(), *(a.tolist() for a in draws)):
-            g = PlanarIsometry(
-                Rotation.from_angle(2 * mpmath.pi * mpf(turn), bits),
-                reflect,
-                (mpf(t1), mpf(t2)),
+        # the kept samples' words are hashed again and turned into Python
+        # numbers one chunk at a time: past the rotation modulus every
+        # sample is kept, and whole-run lists of them would set the peak
+        for start in range(0, index.size, _CHUNK):
+            at = index[start : start + _CHUNK]
+            draws = (
+                *_rotations(_stream_words(seed, at, 1)),
+                *_translations(_stream_words(seed, at, 2)),
             )
-            val = isometry_max_frac(g, probe, bits)
-            if minimum is None or val < minimum:
-                minimum = val
-                argmin_index = i
-            if val < threshold:
-                violations.append((i, val))
+            for i, turn, reflect, t1, t2 in zip(at.tolist(), *(a.tolist() for a in draws)):
+                g = PlanarIsometry(
+                    Rotation.from_angle(2 * mpmath.pi * mpf(turn), bits),
+                    reflect,
+                    (mpf(t1), mpf(t2)),
+                )
+                val = isometry_max_frac(g, probe, bits)
+                if minimum is None or val < minimum:
+                    minimum = val
+                    argmin_index = i
+                if val < threshold:
+                    violations.append((i, val))
         assert minimum is not None
 
     return PropSepCheck(

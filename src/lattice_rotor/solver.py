@@ -400,6 +400,29 @@ def solve_plan(V, eps, config: Optional[SolverConfig] = None) -> GeneralPlan:
     return GeneralPlan(decomposition, eps_inner, L0, T, reduced_max)
 
 
+class _EvalBlock(NamedTuple):
+    """What solve_general evaluates at eval_bits before any phase: the
+    entries, the independent block scaled by 1/M (empty when every entry
+    is zero), eps and the reduced tolerance eps/(2*m*M^2)."""
+
+    vec: ComplexVector
+    reduced: Tuple[mpc, ...]
+    eps: mpf
+    eps_inner: mpf
+
+
+def _eval_block(
+    vec: ComplexVector, eps, decomposition: RelationDecomposition, eval_bits: int
+) -> _EvalBlock:
+    m, M = decomposition.num_basis, decomposition.M
+    eps_full = parse_decimal(eps, eval_bits)
+    with working_precision(eval_bits):
+        vec_eval = ComplexVector(vec.entries, eval_bits)
+        reduced = tuple(vec_eval.entries[b] / M for b in decomposition.basis_indices)
+        eps_inner = eps_full / (2 * m * M**2) if m else eps_full
+    return _EvalBlock(vec_eval, reduced, eps_full, eps_inner)
+
+
 def solve_general(
     V,
     t,
@@ -424,14 +447,19 @@ def solve_general(
     reports the attempt that came closest.  achieved reflects only the final
     re-evaluation over all entries.
 
-    The plan and the phase draws do not depend on t.  cache, a dict that
-    a solve run creates empty and passes to each of its calls, keeps
-    them for the run: the first call stores the plan under the exact
-    entries, eps and config, and each phase under the plan's key, the
-    attempt's seed and eval_bits, since eval_bits moves with t and the
-    phase with it.  Later calls read them back instead of detecting
-    relations and drawing phases again; everything else is per call.
-    A key holds every input of its value, so a cache shared by several
+    Only t's own arithmetic, the walks and the verification depend on
+    t.  cache, a dict that a solve run creates empty and passes to each
+    of its calls, keeps the rest for the run, each value under a key
+    holding every input of it: raw tuples (the entries' _mpc_ values,
+    eps's _mpf_ value or eps as given), ints and the config, so a lookup
+    hashes no mpmath object in Python:
+    - the plan and max|V|, which eval_bits is read from, under the
+      exact entries, their bits, eps and config;
+    - the entries, the reduced block, eps and eps_inner at eval_bits,
+      which moves with t, under the plan's key and eval_bits;
+    - each phase under the plan's key, the attempt's seed and eval_bits.
+    Later calls read them back instead of detecting relations, rounding
+    the block and drawing phases again.  A cache shared by several
     point sets stays correct, and the report is the same with or
     without one.  Without it nothing outlives the call.
     """
@@ -442,13 +470,13 @@ def solve_general(
     if not t_r > 0:
         raise ValueError(f"t must be positive, got {t_r}")
     cache = {} if cache is None else cache
-    plan_key = (vec.entries, vec.bits, eps, config)
-    plan = cache.get(plan_key)
-    if plan is None:
-        plan = cache[plan_key] = solve_plan(vec, eps, config)
+    plan_key = (tuple(z._mpc_ for z in vec.entries), vec.bits, getattr(eps, "_mpf_", eps), config)
+    planned = cache.get(plan_key)
+    if planned is None:
+        planned = cache[plan_key] = (solve_plan(vec, eps, config), vec.max_abs())
+    plan, max_abs = planned
     decomposition = plan.decomposition
     m = decomposition.num_basis
-    M = decomposition.M
 
     with working_precision(rough):
         if m:
@@ -456,19 +484,18 @@ def solve_general(
             L_t = mpmath.sqrt(t_r * plan.eps_inner / (2 * plan.reduced_max_abs))
             cap = L_t if config.l_cap is None else parse_decimal(config.l_cap, rough)
             H = max(plan.initial_L, min(L_t, HORIZON_SPAN * plan.initial_L, cap))
-            largest = max(t_r * vec.max_abs(), H * plan.reduced_max_abs, mpf(1))
+            largest = max(t_r * max_abs, H * plan.reduced_max_abs, mpf(1))
         else:
             # an all-zero configuration still reports t at full width
             H = L_t = mpf(0)
             largest = max(t_r, mpf(1))
     eval_bits = raise_for_magnitude(bits, largest, plan.eps_inner)
-    t_v, eps_full, H_v = (parse_decimal(x, eval_bits) for x in (t, eps, H))
-
-    with working_precision(eval_bits):
-        vec_eval = ComplexVector(vec.entries, eval_bits)
-        # the independent block scaled by 1/M; empty when every entry is zero
-        reduced = [vec_eval.entries[b] / M for b in decomposition.basis_indices]
-        eps_inner = eps_full / (2 * m * M**2) if m else eps_full
+    t_v, H_v = parse_decimal(t, eval_bits), parse_decimal(H, eval_bits)
+    block_key = (plan_key, eval_bits)
+    block = cache.get(block_key)
+    if block is None:
+        block = cache[block_key] = _eval_block(vec, eps, decomposition, eval_bits)
+    vec_eval, eps_full, eps_inner = block.vec, block.eps, block.eps_inner
 
     diagnostics = []
     total_steps = 0
@@ -480,7 +507,7 @@ def solve_general(
         phase_key = (plan_key, attempt_seed, eval_bits)
         phase = cache.get(phase_key)
         if phase is None:
-            phase = cache[phase_key] = randomize_phase(reduced, attempt_seed, bits=eval_bits)
+            phase = cache[phase_key] = randomize_phase(block.reduced, attempt_seed, bits=eval_bits)
         if attempt > 0:
             diagnostics.append(
                 f"phase-randomization: retry {attempt} with derived seed {attempt_seed}"

@@ -29,6 +29,22 @@ def _half_offset():
         return ComplexVector((mpc(mpf("0.5"), mpf("0.5")),), BITS)
 
 
+def _raw(values):
+    """mpf values as the raw tuples the window memos key on."""
+    return tuple(x._mpf_ for x in values)
+
+
+def _clear_memos():
+    """Empty every flow-search memo."""
+    for memo in (
+        flowsearch._max_abs,
+        flowsearch._grid_step,
+        flowsearch._window_lattice,
+        flowsearch._reduced_window,
+    ):
+        memo.cache_clear()
+
+
 def _first_hit_reference(v, w, eps, L_max):
     """(grid index, s) of the first grid point with vec_frac_dist(W + sV) <
     eps, or (None, None): every point of the grid is screened in float64
@@ -205,7 +221,7 @@ class TestEnumerationWindows:
         # the golden line's first window is already the floor length, so a
         # window that outgrows the node budget cannot shrink and the walk
         # gives up in it
-        assert flowsearch._first_window(1, mpf("0.05")) == flowsearch._WINDOW_FLOOR
+        assert flowsearch._first_window(1, math.log2(0.05)) == flowsearch._WINDOW_FLOOR
         monkeypatch.setattr(flowsearch, "DEFAULT_NODE_BUDGET", 0)
         out = flow_search(_golden_direction(), _half_offset(), "0.05", 4, BITS)
         assert (out.found, out.reason, out.windows_used, out.examined) == (
@@ -325,7 +341,7 @@ class TestScanEnumerationDifferential:
             L_max = (1 << 17) * eps / (4 * v.max_abs())
             E = (mpmath.pi * eps**2) ** -2
         hit, _ = _first_hit_reference(v, w, eps, L_max)
-        assert hit < E / 100 < flowsearch._first_window(2, eps)
+        assert hit < E / 100 < flowsearch._first_window(2, math.log2(eps))
         _assert_matches_reference(flow_search(v, w, eps, L_max, BITS), v, w, eps, L_max)
 
     @pytest.mark.parametrize("kind", ["generic", "rational"])
@@ -381,9 +397,9 @@ class TestWarmStartedWindows:
         real_lattice = flowsearch._window_lattice
 
         def record(log, reduce, start_from):
-            def lattice(dv_coords, eps, window_len, bits_eval):
+            def lattice(step, eps, window_len, bits_eval):
                 log.append({"len": window_len, "reductions": 0, "float_starts": 0})
-                return real_lattice(dv_coords, eps, window_len, bits_eval)
+                return real_lattice(step, eps, window_len, bits_eval)
 
             def float_start_(rows):
                 log[-1]["float_starts"] += 1
@@ -515,11 +531,13 @@ class TestReadmeWorkGuard:
 
     def test_precision_contexts_follow_calls_not_checks(self, monkeypatch, tmp_path):
         # the README solve's 20 dilations: flowsearch enters a precision
-        # context three times per call (parsing eps and L_max, the grid
-        # step, and the first window's length) and once per window-lattice
-        # memo miss; never once per window, whose targets are fixed point,
-        # nor once per verified candidate, whose exact check calls libmp
-        # at an explicit precision
+        # context only on a memo miss, twice per grid-step miss (the step
+        # and log2 eps) and once per window-lattice miss; never once per
+        # call, whose eps and L_max are rounded by an explicit precision,
+        # nor once per window, whose targets are fixed point, nor once per
+        # verified candidate, whose exact check calls libmp at an explicit
+        # precision.  With the memos cleared first, the grid step misses
+        # at most once per direction (a phase) and evaluation precision
         entries = []
         real_precision, real_frac_dist = flowsearch.working_precision, flowsearch.frac_dist
 
@@ -537,7 +555,7 @@ class TestReadmeWorkGuard:
 
         def recording(*args, **kwargs):
             out = flow_search(*args, **kwargs)
-            outcomes.append((len(args[0]), out))
+            outcomes.append((args[0], kwargs["bits"], out))
             return out
 
         monkeypatch.setattr(flowsearch, "working_precision", precision)
@@ -552,18 +570,22 @@ class TestReadmeWorkGuard:
             "precision_bits": 128,
         }
         (tmp_path / "spec.json").write_text(json.dumps(spec))
-        misses_before = flowsearch._window_lattice.cache_info().misses
+        _clear_memos()
         code = cli.main(
             ["solve", "--input", str(tmp_path / "spec.json"), "--output", str(tmp_path / "r.json")]
         )
-        lattice_misses = flowsearch._window_lattice.cache_info().misses - misses_before
+        step_misses = flowsearch._grid_step.cache_info().misses
+        lattice_misses = flowsearch._window_lattice.cache_info().misses
         assert code == 0
-        assert len(outcomes) == 20 and all(out.found for _, out in outcomes)
-        (m,) = {m for m, _ in outcomes}
+        assert len(outcomes) == 20 and all(out.found for _, _, out in outcomes)
+        (m,) = {len(direction) for direction, _, _ in outcomes}
         verified, rest = divmod(len(checks), m)
-        windows = sum(out.windows_used for _, out in outcomes)
+        windows = sum(out.windows_used for _, _, out in outcomes)
         assert rest == 0 and verified > 0 and windows > 2 * len(outcomes)
-        assert len(entries) == 3 * len(outcomes) + lattice_misses
+        assert len(entries) == 2 * step_misses + lattice_misses
+        directions = {(direction.entries, bits) for direction, bits, _ in outcomes}
+        assert 1 <= step_misses <= len(directions)
+        assert flowsearch._max_abs.cache_info().misses == len({d for d, _ in directions})
 
 
 class TestWrongCandidatesRejected:
@@ -597,7 +619,7 @@ class TestWindowCandidates:
             step = mpf("0.05") / (4 * _golden_direction().max_abs())
             g = (1 + mpmath.sqrt(mpf(5))) / 2
         eps, length = mpf("0.05"), 1 << 10
-        rows, scale = flowsearch._window_lattice((step, step * g), eps, length, BITS)
+        rows, scale = flowsearch._window_lattice(_raw((step, step * g)), eps._mpf_, length, BITS)
         return flowsearch._reduced_window(rows, scale, None), [-0.5, -0.5], eps, length
 
     def test_no_enumerated_point_gives_no_candidate(self, monkeypatch):
@@ -642,8 +664,8 @@ def window_steps(draw):
     eps = mpf(10 ** draw(st.floats(-3, math.log10(0.7))))
     with working_precision(BITS):
         delta = eps / (4 * v.max_abs())
-        dv = tuple([delta * z.real for z in v] + [delta * z.imag for z in v])
-    return dv, eps, 1 << draw(st.integers(4, 14))
+        dv = [delta * z.real for z in v] + [delta * z.imag for z in v]
+    return _raw(dv), eps._mpf_, 1 << draw(st.integers(4, 14))
 
 
 class TestWindowMemos:
@@ -655,13 +677,13 @@ class TestWindowMemos:
     def _step():
         with working_precision(BITS):
             step = mpf("0.05") / (4 * _golden_direction().max_abs())
-            return (step, step * (1 + mpmath.sqrt(mpf(5))) / 2)
+            return _raw((step, step * (1 + mpmath.sqrt(mpf(5))) / 2))
 
     def test_each_precision_is_its_own_entry(self):
         # the same step at two evaluation precisions takes two entries,
         # and each answers its own repeat
         memo = flowsearch._window_lattice
-        step, eps, length = self._step(), mpf("0.05"), 12345
+        step, eps, length = self._step(), mpf("0.05")._mpf_, 12345
         misses = memo.cache_info().misses
         for bits in (BITS, 2 * BITS):
             flowsearch._window_lattice(step, eps, length, bits)
@@ -700,13 +722,57 @@ class TestWindowMemos:
     def test_gso_coordinates_follow_each_target(self):
         # the remembered window serves every target, and y is each
         # target's own coordinates
-        rows, scale = flowsearch._window_lattice(self._step(), mpf("0.05"), 1 << 10, BITS)
+        rows, scale = flowsearch._window_lattice(self._step(), mpf("0.05")._mpf_, 1 << 10, BITS)
         window = flowsearch._reduced_window(rows, scale, None)
         assert flowsearch._reduced_window(rows, scale, None) is window
         for target in ([0.25, -0.5, 1.0], [-3.0, 0.125, 1.0]):
             y = flowsearch._gso(window, target)
             back = [sum(yk * row[c] for yk, row in zip(y, window.basis)) for c in range(len(target))]
             assert back == pytest.approx(target, abs=1e-9)
+
+
+class TestDirectionMemo:
+    """flow_search remembers a direction's set-up, max|V| and its grid step
+    at each evaluation precision, under raw keys; a remembered set-up is
+    the one a fresh computation gives, and no walk depends on what the
+    memos hold."""
+
+    @given(flow=flows(), extra=st.integers(1, 80))
+    def test_remembered_setup_equals_a_fresh_one(self, flow, extra):
+        # the same direction and eps at two evaluation precisions, each
+        # computed once with the memos cleared and then read back
+        v, _, eps, _ = flow
+        eps = mpf(eps, prec=BITS)
+        entries = tuple(z._mpc_ for z in v)
+        _clear_memos()
+        for bits_eval in (BITS, BITS + extra):
+            got = flowsearch._grid_step(entries, BITS, eps._mpf_, bits_eval)
+            assert flowsearch._grid_step(entries, BITS, eps._mpf_, bits_eval) is got
+            with working_precision(bits_eval):
+                delta = eps / (4 * v.max_abs())
+                dv = [delta * z for z in v]
+            coords = [z.real for z in dv] + [z.imag for z in dv]
+            with working_precision(53):
+                log2_eps = float(mpmath.log(eps, 2))
+            assert got == (
+                delta._mpf_,
+                _raw(coords),
+                tuple(flowsearch._fixed_point(coords, bits_eval)),
+                log2_eps,
+            )
+        assert flowsearch._grid_step.cache_info().misses == 2
+        assert flowsearch._max_abs(entries, BITS) == v.max_abs()
+        assert flowsearch._max_abs.cache_info().misses == 1
+
+    @given(flow=flows())
+    def test_warm_outcome_equals_cold_and_the_reference(self, flow):
+        v, w, eps, L_max = flow
+        _clear_memos()
+        cold = flow_search(v, w, eps, L_max, BITS)
+        warm = flow_search(v, w, eps, L_max, BITS)
+        assert flowsearch._grid_step.cache_info().hits >= 1
+        assert warm == cold
+        _assert_matches_reference(warm, v, w, eps, L_max)
 
 
 @st.composite
@@ -912,15 +978,16 @@ def planted_windows(draw):
         dv = tuple([delta * z.real for z in v] + [delta * z.imag for z in v])
         target = [hit * c - mpf(x) * mpf(eps) for c, x in zip(dv, noise)]
         target = [float(x - mpmath.nint(x)) for x in target]
-    rows, scale = flowsearch._window_lattice(dv, mpf(eps), length, BITS)
+    rows, scale = flowsearch._window_lattice(_raw(dv), mpf(eps)._mpf_, length, BITS)
     return flowsearch._reduced_window(rows, scale, None), target, mpf(eps), length
 
 
 def _ball_inputs(window, target, eps):
     """The window's float basis and target, as _window_candidates scales
-    them, and their Gram-Schmidt data (mu, bstar_sq, y)."""
+    them, and their Gram-Schmidt data (mu by rows, bstar_sq, y)."""
     tau = [t / float(eps) for t in target] + [1.0]
-    return window.basis, tau, window.mu, window.bstar_sq, flowsearch._gso(window, tau)
+    mu = [list(row) for row in zip(*window.mu_t)]
+    return window.basis, tau, mu, window.bstar_sq, flowsearch._gso(window, tau)
 
 
 class TestDiskEnumeration:
@@ -958,9 +1025,9 @@ class TestDiskEnumeration:
         reduced_f, tau, mu, bstar_sq, y = _ball_inputs(reduced, target, eps)
         radius_sq = (math.sqrt(m + 1) * 1.01 + 0.05) ** 2
         coeffs, nodes = _recursive_ball(reduced_f, mu, bstar_sq, tau, radius_sq)
-        points = _range_points(flowsearch._enumerate_ball(mu, bstar_sq, y, radius_sq, nodes))
+        points = _range_points(flowsearch._enumerate_ball(reduced.mu_t, bstar_sq, y, radius_sq, nodes))
         assert all(type(c) is int for u in points for c in u)
         assert sorted(points) == sorted(tuple(int(c) for c in u) for u in coeffs)
         if nodes:
             with pytest.raises(flowsearch._BudgetExceeded):
-                flowsearch._enumerate_ball(mu, bstar_sq, y, radius_sq, nodes - 1)
+                flowsearch._enumerate_ball(reduced.mu_t, bstar_sq, y, radius_sq, nodes - 1)

@@ -641,6 +641,24 @@ def test_seed_0_opens_with_the_published_outputs(splitmix64_words):
     assert [rotation[0], translation[0], rotation[1]] == published
 
 
+def test_translation_halves_equal_the_uint64_expression():
+    # the uint32 casts give each half bit for bit as the uint64 shift and
+    # mask did, over hashed words and the words at the halves' edges
+    words = np.concatenate(
+        [
+            oracle._stream_words(5, np.arange(4096, dtype=np.uint64), 2),
+            np.array([0, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64),
+        ]
+    )
+    high = (words >> np.uint64(32)) * 2.0**-32
+    low = (words & np.uint64(0xFFFFFFFF)) * 2.0**-32
+    t1, t2 = oracle._translations(words)
+    assert t1.dtype == t2.dtype == np.float64
+    assert t1.tobytes() == high.tobytes() and t2.tobytes() == low.tobytes()
+    assert t1[-4:].tolist() == [0.0, 0.0, 2.0**-32, 1 - 2.0**-32]
+    assert t2[-4:].tolist() == [0.0, 1 - 2.0**-32, 0.0, 1 - 2.0**-32]
+
+
 def _unbounded_kept(t, rows):
     """The prop-sep float screen with no bound before the rotation: every
     sample's image is formed, chunk by chunk, and the kept (index, row)
@@ -807,6 +825,27 @@ class TestPropSepCheck:
         chk = check_prop_sep("1e15", 300, seed=1, bits=B)
         assert chk.minimum == exact
         assert chk.argmin_index == values.index(exact)
+
+    def test_exact_pass_hashes_a_chunk_at_a_time(self, monkeypatch):
+        # past the rotation modulus every sample is kept; the exact pass
+        # hashes and converts the kept samples one chunk at a time, so no
+        # call sees more than a chunk of indices, and the report is the one
+        # the default chunk gives
+        want = to_json_data(check_prop_sep("1e15", 200, seed=7, bits=B))
+        monkeypatch.setattr(oracle, "_CHUNK", 64)
+        calls = []
+        real = oracle._stream_words
+
+        def recording(seed, index, first):
+            calls.append((first, index.size))
+            return real(seed, index, first)
+
+        monkeypatch.setattr(oracle, "_stream_words", recording)
+        assert to_json_data(check_prop_sep("1e15", 200, seed=7, bits=B)) == want
+        assert max(size for _, size in calls) <= 64
+        # the exact pass, last, hashes the rotation and translation words
+        # of the 200 kept samples in chunks of 64, 64, 64 and 8
+        assert calls[-8:] == [(1, 64), (2, 64)] * 3 + [(1, 8), (2, 8)]
 
     @pytest.mark.parametrize("t", ["2", "1e5"])
     @pytest.mark.parametrize("samples", [1, 8, 9, 19, 111, 112, 113])

@@ -53,6 +53,19 @@ def test_pool_digest_matches_the_recorded_one(tmp_path, capsys):
     assert (tmp_path / "readme-solve" / "0" / "curve.svg").is_file()
 
 
+def test_whole_solve_pool_digest_matches_the_recorded_one(tmp_path, capsys):
+    # all 24 input sets of each solve workload, 72 sets in all, write
+    # byte-identical artifacts; only a declared artifact change may
+    # re-record the digest
+    recorded = json.loads((DATA / "pool_digest.json").read_text(encoding="utf-8"))["all_sets"]
+    argv = ["--workdir", str(tmp_path), "--expect", recorded["sha256"]]
+    assert _load("pool_digest").main(argv) == 0
+    count, digest = capsys.readouterr().out.splitlines()
+    # 24 times the 40 files of two sets over two
+    assert count == f"{recorded['files']} files" == "480 files"
+    assert digest == f"sha256 {recorded['sha256']}"
+
+
 def test_oracle_pool_digest_matches_the_recorded_one(tmp_path, capsys):
     # the tau, prop-sep and covering reports of pool sets 0 and 1 are
     # byte-identical to the recorded ones

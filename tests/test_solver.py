@@ -720,9 +720,19 @@ def _planted_dilations():
     return vec, ts, config
 
 
+def _leaves(value):
+    """Every non-tuple leaf of a nested tuple."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
 class TestRunCache:
-    """solve_general's run cache holds the t-independent plan and phase
-    draws of a solve run, and changes no report."""
+    """solve_general's run cache holds what a solve run's calls share: the
+    plan with max|V|, the block evaluated at each eval_bits and the phase
+    draws, under keys of raw tuples, and changes no report."""
 
     def test_cached_reports_equal_uncached_ones(self, monkeypatch):
         # t from a miss through a change of eval_bits; the cache is filled
@@ -736,10 +746,28 @@ class TestRunCache:
         alone = [solve_general(vec, t, "0.1", seed=3) for t in ts]
         assert cached == alone
         assert len({r.eval_bits for r in alone}) == 2
-        # one plan, and one phase per attempt seed and eval_bits
+        # one plan with max|V|, one evaluated block per eval_bits, and one
+        # phase per attempt seed and eval_bits, each kept under the plan's
+        # key of raw tuples
+        plan_key = (tuple(z._mpc_ for z in vec.entries), vec.bits, "0.1", SolverConfig())
+        plan, max_abs = cache[plan_key]
+        assert plan == solve_plan(vec, "0.1") and max_abs == vec.max_abs()
+        blocks = {key[1:] for key, value in cache.items() if isinstance(value, solver._EvalBlock)}
         phases = {key[1:] for key, value in cache.items() if isinstance(value, solver.PhaseSample)}
-        assert len(cache) == 1 + len(phases)
-        assert {bits for _, bits in phases} == {r.eval_bits for r in alone}
+        assert len(cache) == 1 + len(blocks) + len(phases)
+        assert {bits for bits, in blocks} == {bits for _, bits in phases}
+        assert {bits for bits, in blocks} == {r.eval_bits for r in alone}
+        assert all(key[0] == plan_key for key in cache if key != plan_key)
+        # two independent entries with M = 1, so eps_inner is eps/4
+        assert (plan.decomposition.num_basis, plan.decomposition.M) == (2, 1)
+        for bits, in blocks:
+            block = cache[plan_key, bits]
+            assert block.vec == ComplexVector(vec.entries, bits)
+            assert block.reduced == block.vec.entries
+            assert block.eps == parse_decimal("0.1", bits)
+            assert block.eps_inner == mpmath.ldexp(block.eps, -2)
+        # a lookup hashes no mpmath object
+        assert not any(isinstance(leaf, (mpf, mpc)) for key in cache for leaf in _leaves(key))
 
     def test_one_cache_serves_distinct_point_sets(self):
         # its keys hold every input of a plan and of a phase, so a cache
