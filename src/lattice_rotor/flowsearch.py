@@ -58,11 +58,12 @@ equal exactly when their values are, and hashing them runs in C.
 _reduced_window is keyed on the integer rows, the scale and the carried
 transform, not on the step coordinates: dilations whose evaluation
 precision differs by a bit draw phases that differ only in low bits,
-and their windows' rows still round to the same integers.  No memo
-reads a module setting; the first window's length and the budgets are
-read on every call.  Only the target moves with t: W's fixed-point
-coordinates and the last grid index once per call, and each window's
-residues, coordinates, enumeration and exact verification.
+and their windows' rows still round to the same integers.  The window
+constants and the budgets are read on every call, and no memo's answer
+depends on them: a window's length is part of its key.  Only the target
+moves with t: W's fixed-point coordinates and the last grid index once
+per call, and each window's residues, coordinates, enumeration and
+exact verification.
 
 Each window's target is the signed fractional parts of W + j0*delta*V at
 its first index, in fixed point: every coordinate of W (once per call)

@@ -26,9 +26,10 @@ useless at threshold-scale dilations: t * 2^(-P) dwarfs eps long before
 t reaches the regime the construction is built for.
 
 The exact evaluations every verdict rests on (lattice_residuals,
-certify and the linearization self check) call mpmath's libmp functions
-on raw values at an explicit precision with round-to-nearest, mpmath's
-default, which the package never changes.  They perform the operations
+certify and the linearization self check), and the offset and tolerance
+each flow walk starts from, call mpmath's libmp functions on raw values
+at an explicit precision with round-to-nearest, mpmath's default,
+which the package never changes.  They perform the operations
 of the mpf/mpc expressions they replace, in the same order, and libmp
 rounds each one correctly, so they give the same bits; they open no
 precision context, so their results do not depend on the ambient
@@ -54,6 +55,8 @@ except ImportError:
 import mpmath
 from mpmath import mpc, mpf
 from mpmath.libmp import (
+    fnone,
+    from_int,
     fzero,
     mpc_abs,
     mpc_mul,
@@ -348,9 +351,14 @@ def solve_typical(
     horizon is too short or the direction is rationally entangled, comes
     back with theta None.
     """
-    with working_precision(eval_bits):
-        offset = ComplexVector(tuple(mpc(0, -1) * t * z for z in vec.entries), eval_bits)
-        flow_eps = eps / 2
+    # the offset -i*t*vec, as (-i*t)*z, and eps/2, every operation rounded
+    # at eval_bits
+    turn = mpc_mul_mpf((fzero, fnone), t._mpf_, eval_bits, NEAREST)
+    offset = ComplexVector(
+        tuple(make_mpc(mpc_mul(turn, z._mpc_, eval_bits, NEAREST)) for z in vec.entries),
+        eval_bits,
+    )
+    flow_eps = make_mpf(mpf_div(eps._mpf_, from_int(2), eval_bits, NEAREST))
     outcome = flow_search(vec, offset, flow_eps, L, bits=eval_bits)
     if not outcome.found:
         return outcome, None

@@ -2,12 +2,12 @@
 
 frac_dist and its rounding target, a vector's entries and max_abs, a
 rotation's normalization and product, lattice_residuals, certify, the
-linearization self check, the flow search's candidate check and the
-tolerances call mpmath's libmp layer at an explicit precision.  Each is
-compared here, on its raw _mpf_/_mpc_ tuples, with a reference that
-evaluates the mpf/mpc expressions they replace inside a precision
-context, and each must give the same bits whatever precision its caller
-holds.
+linearization self check, a flow walk's offset and tolerance, the flow
+search's candidate check and the tolerances call mpmath's libmp layer
+at an explicit precision.  Each is compared here, on its raw
+_mpf_/_mpc_ tuples, with a reference that evaluates the mpf/mpc
+expressions they replace inside a precision context, and each must give
+the same bits whatever precision its caller holds.
 """
 
 import random
@@ -117,6 +117,11 @@ def ref_linearization(theta_value, t, s, entries, L, max_abs, bits):
 
 
 make_mpf, make_mpc = mpmath.mp.make_mpf, mpmath.mp.make_mpc
+
+
+def ref_flow_start(entries, t, eps, bits):
+    with workprec(bits):
+        return tuple(mpc(0, -1) * t * z for z in entries), eps / 2
 
 
 def raw(x):
@@ -354,6 +359,26 @@ def test_flow_search_checks_its_hit_as_the_reference(monkeypatch, t):
         points = [zw + s * zv for zv, zw in zip(direction, offset)]
     assert raw(out.s) == raw(s)
     assert tuple(raw(z) for z, _ in last) == raw(points)
+
+
+@given(st.lists(complexes, min_size=1, max_size=3), positive, positive, BITS, BITS)
+def test_flow_offset_and_tolerance_match_the_reference(entries, t, eps, vec_bits, eval_bits):
+    # solve_typical hands flow_search the offset -i*t*V and eps/2; the walk
+    # itself is not run
+    vec = ComplexVector(tuple(entries), vec_bits)
+    seen = []
+
+    def recording(direction, offset, flow_eps, L, bits):
+        seen.append((offset, flow_eps))
+        return flowsearch.FlowSearchOutcome(False, "absent", None, None, "enumerate", 0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "flow_search", recording)
+        solver.solve_typical(vec, t, eps, mpf(1), eval_bits)
+    ((offset, flow_eps),) = seen
+    want_offset, want_eps = ref_flow_start(vec.entries, t, eps, eval_bits)
+    assert offset.bits == eval_bits
+    assert raw(offset.entries) == raw(want_offset) and raw(flow_eps) == raw(want_eps)
 
 
 # --- the ambient precision changes nothing ---
